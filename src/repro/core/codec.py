@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import struct
 import time
+import weakref
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import NULL_REGISTRY
@@ -497,14 +498,15 @@ def _gen_decode_block_v2(schema: Schema, columns: bool = False) -> str:
 class _CompiledOps:
     """The per-schema compiled function bundle (no metrics, no state).
 
-    One instance per :class:`Schema` object, memoized on the schema
-    itself, so writers/readers/memtables constructed per flush or per
-    merge pay nothing beyond an attribute lookup.
+    One instance per schema *value*, memoized on every :class:`Schema`
+    object of that value, so writers/readers/memtables constructed per
+    flush or per merge pay nothing beyond an attribute lookup, and a
+    tablet footer parsed into a fresh ``Schema`` compiles nothing.
     """
 
     __slots__ = ("schema", "validate_and_size", "size_of", "key_of",
                  "encode_row_v1", "encode_rows", "decode_block",
-                 "decode_block_columns")
+                 "decode_block_columns", "__weakref__")
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -540,11 +542,22 @@ class _CompiledOps:
         self.decode_block_columns = namespace["decode_block_columns"]
 
 
+#: Bundles by schema value.  Weak: an entry lasts as long as some
+#: schema object still holds its bundle.
+_OPS_BY_VALUE: "weakref.WeakValueDictionary[tuple, _CompiledOps]" = \
+    weakref.WeakValueDictionary()
+
+
 def compiled_ops(schema: Schema) -> _CompiledOps:
-    """The compiled bundle for ``schema``, built once per schema object."""
+    """The compiled bundle for ``schema``, built once per schema value
+    (columns, defaults, key, version)."""
     ops = schema.__dict__.get("_compiled_codec_ops")
     if ops is None:
-        ops = _CompiledOps(schema)
+        value = (tuple((c.name, c.type) for c in schema.columns),
+                 schema._defaults, schema.key, schema.version)
+        ops = _OPS_BY_VALUE.get(value)
+        if ops is None:
+            ops = _OPS_BY_VALUE[value] = _CompiledOps(schema)
         schema.__dict__["_compiled_codec_ops"] = ops
     return ops
 

@@ -385,6 +385,7 @@ class LittleTable:
         """
         self.stop_maintenance()
         self.flush_all()
+        self.disk.close()   # idle WAL append handles; reopened on use
 
     def __enter__(self) -> "LittleTable":
         return self

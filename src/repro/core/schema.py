@@ -186,29 +186,37 @@ class Schema:
 
     # -------------------------------------------------------------- rows
 
-    def row_from_dict(self, values: Dict[str, Any],
-                      now: Optional[int] = None) -> Tuple[Any, ...]:
-        """Build a validated row tuple from a column->value mapping.
+    def positional_from_dict(self, values: Dict[str, Any],
+                             now: Optional[int] = None) -> List[Any]:
+        """Lay a column->value mapping out in column order, values
+        unchecked (the insert path validates positional rows once).
 
         Missing non-key columns take their defaults.  A missing or None
         ``ts`` takes ``now`` if given (§3.1: "a client may also omit a
         row's timestamp entirely, in which case the server sets it to
         the current time").  Missing other key columns are an error.
         """
-        unknown = set(values) - set(self._index)
-        if unknown:
-            raise ValidationError(f"unknown columns: {sorted(unknown)}")
+        if not values.keys() <= self._index.keys():
+            raise ValidationError(
+                f"unknown columns: {sorted(set(values) - set(self._index))}")
         row: List[Any] = []
         for position, column in enumerate(self.columns):
-            if column.name in values and values[column.name] is not None:
-                row.append(check_value(column.type, values[column.name]))
+            value = values.get(column.name)
+            if value is not None:
+                row.append(value)
             elif position == self.ts_index and now is not None:
-                row.append(check_value(ColumnType.TIMESTAMP, now))
+                row.append(now)
             elif position in self.key_indexes:
                 raise ValidationError(f"missing key column {column.name!r}")
             else:
                 row.append(self._defaults[position])
-        return tuple(row)
+        return row
+
+    def row_from_dict(self, values: Dict[str, Any],
+                      now: Optional[int] = None) -> Tuple[Any, ...]:
+        """Build a validated row tuple from a column->value mapping
+        (:meth:`positional_from_dict`, then :meth:`validate_row`)."""
+        return self.validate_row(self.positional_from_dict(values, now))
 
     def validate_row(self, row: Sequence[Any]) -> Tuple[Any, ...]:
         """Validate a positional row tuple (column order)."""

@@ -65,8 +65,8 @@ from .cursor import execute_query
 from .descriptor import TableDescriptor
 from .durability import DEFAULT_DURABILITY, DurabilityPolicy
 from .encoding import RowCodec
-from .errors import (CorruptTabletError, DuplicateKeyError, QueryError,
-                     SchemaError)
+from .errors import (CorruptTabletError, DuplicateKeyError, LittleTableError,
+                     QueryError, SchemaError, ValidationError)
 from .flushdeps import FlushDependencies
 from .maintenance import TableMaintenanceReport
 from .memtable import MemTable
@@ -558,8 +558,8 @@ class Table:
         not transactional, §2.3.4).  Returns the number inserted.
         """
         now = self.clock.now()
-        tuples = [self.schema.row_from_dict(row, now=now) for row in rows]
-        return self.insert_tuples(tuples)
+        positional = self.schema.positional_from_dict
+        return self.insert_tuples([positional(row, now) for row in rows])
 
     def insert_tuples(self, rows: Sequence[Tuple[Any, ...]]) -> int:
         """Insert validated positional row tuples (fast path).
@@ -570,7 +570,7 @@ class Table:
         batch_started = time.perf_counter()
         wal = self.wal
         commit_lsn: Optional[int] = None
-        error: Optional[DuplicateKeyError] = None
+        error: Optional[LittleTableError] = None
         with self.lock:
             while self._ddl_gate:
                 # A WAL-tier schema change is flushing + swapping; wait
@@ -600,6 +600,10 @@ class Table:
             # same memtable without re-deriving the period.
             cur_mt: Optional[MemTable] = None
             cur_lo = cur_hi = 0
+            # Bumped up front, under the lock: a batch refused part way
+            # has still inserted rows a racing latest() must not cache
+            # over.
+            self._insert_seq += 1
             try:
                 for row in rows:
                     # One pass: the compiled codec validates, coerces,
@@ -636,7 +640,7 @@ class Table:
                     if cur_mt.size_bytes >= flush_limit:
                         self._retire_memtable(cur_mt)
                         cur_mt = None
-            except DuplicateKeyError as exc:
+            except (DuplicateKeyError, ValidationError) as exc:
                 # Inserts are not transactional (§2.3.4): rows earlier
                 # in the batch stay inserted, so on the WAL tier they
                 # must also stay *logged* before the error surfaces.
@@ -650,7 +654,6 @@ class Table:
                 for memtable in wal_memtables:
                     memtable.note_wal_lsn(commit_lsn)
             if error is None:
-                self._insert_seq += 1
                 self.counters.rows_inserted += inserted
                 self._m_rows_inserted.inc(inserted)
                 self._m_insert_batches.inc()

@@ -18,7 +18,12 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, List
+import threading
+from typing import BinaryIO, Dict, List
+
+#: Append handles one :class:`FileStorage` keeps open at most (a WAL
+#: tier table has one growing segment; the least recently used goes).
+MAX_APPEND_HANDLES = 64
 
 
 class StorageError(Exception):
@@ -69,6 +74,9 @@ class Storage:
     def list(self, prefix: str = "") -> List[str]:
         """List file names starting with ``prefix``, sorted."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the backend holds open.  It stays usable."""
 
 
 class MemoryStorage(Storage):
@@ -122,11 +130,20 @@ class FileStorage(Storage):
     Writes go through a temp file + rename so that a partially-written
     tablet is never visible, mirroring the paper's atomic descriptor
     replacement.
+
+    A file being appended to (a WAL segment) keeps its handle open
+    between appends.  A handle in ``_appenders`` is idle by
+    construction: an append takes it out for the duration of its write
+    and puts it back after, so dropping one never closes a file under a
+    writer.
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
+        self._lock = threading.Lock()
+        self._appenders: Dict[str, BinaryIO] = {}   # LRU, oldest first
+        self._drops = 0
 
     def _path(self, name: str) -> str:
         path = os.path.normpath(os.path.join(self.root, name))
@@ -134,10 +151,29 @@ class FileStorage(Storage):
             raise StorageError(f"name escapes storage root: {name!r}")
         return path
 
+    def _drop_appender(self, name: str) -> None:
+        """``name`` is about to stop being the file its append handle
+        writes to.  Bumping ``_drops`` also keeps a handle that is out
+        with a writer right now from being put back."""
+        with self._lock:
+            self._drops += 1
+            handle = self._appenders.pop(name, None)
+        if handle is not None:
+            handle.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._drops += 1
+            handles = list(self._appenders.values())
+            self._appenders.clear()
+        for handle in handles:
+            handle.close()
+
     def write_file(self, name: str, data: bytes) -> None:
         path = self._path(name)
         if os.path.exists(path):
             raise StorageError(f"file exists: {name!r}")
+        self._drop_appender(name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
         try:
@@ -153,11 +189,27 @@ class FileStorage(Storage):
 
     def append(self, name: str, data: bytes) -> None:
         path = self._path(name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "ab") as handle:
+        with self._lock:
+            handle = self._appenders.pop(name, None)
+            drops = self._drops
+        if handle is None:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            handle = open(path, "ab")
+        try:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
+        except BaseException:
+            handle.close()
+            raise
+        with self._lock:
+            if drops == self._drops and name not in self._appenders:
+                self._appenders[name] = handle
+                handle = None
+                if len(self._appenders) > MAX_APPEND_HANDLES:
+                    handle = self._appenders.pop(next(iter(self._appenders)))
+        if handle is not None:
+            handle.close()
 
     def read(self, name: str, offset: int, length: int) -> bytes:
         try:
@@ -177,6 +229,7 @@ class FileStorage(Storage):
         return os.path.exists(self._path(name))
 
     def delete(self, name: str) -> None:
+        self._drop_appender(name)
         try:
             os.unlink(self._path(name))
         except FileNotFoundError:
@@ -187,6 +240,8 @@ class FileStorage(Storage):
         new_path = self._path(new)
         if not os.path.exists(old_path):
             raise StorageError(f"no such file: {old!r}")
+        self._drop_appender(old)
+        self._drop_appender(new)
         os.makedirs(os.path.dirname(new_path), exist_ok=True)
         os.replace(old_path, new_path)
 

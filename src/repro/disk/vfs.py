@@ -134,3 +134,7 @@ class SimulatedDisk:
 
     def list(self, prefix: str = "") -> List[str]:
         return self.storage.list(prefix)
+
+    def close(self) -> None:
+        """Release what the backend holds open (it stays usable)."""
+        self.storage.close()

@@ -31,12 +31,12 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..core.maintenance import MaintenancePolicy
-from ..core.scheduler import MaintenanceScheduler
 from . import protocol
-from .server import AdmissionController, RequestDispatcher
+from .server import (AdmissionController, RequestDispatcher,
+                     start_maintenance)
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +80,7 @@ class AsyncLittleTableServer:
         self._stop_event: Optional[asyncio.Event] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
-        self._scheduler: Optional[MaintenanceScheduler] = None
+        self._stop_maintenance: Optional[Callable[[], None]] = None
         if max_workers is None:
             max_workers = min(32, (os.cpu_count() or 4) * 4)
         self._executor = ThreadPoolExecutor(
@@ -119,14 +119,13 @@ class AsyncLittleTableServer:
         if self._address is None:
             raise RuntimeError("async server failed to start in 10s")
         if self.policy is not None:
-            if self._scheduler is None:
-                self._scheduler = MaintenanceScheduler(self.db, self.policy)
-            self._scheduler.start()
+            self._stop_maintenance = start_maintenance(self.db, self.policy)
 
     def stop(self) -> None:
         """Stop serving; drops connections like a crash (§3.1)."""
-        if self._scheduler is not None:
-            self._scheduler.stop()
+        if self._stop_maintenance is not None:
+            self._stop_maintenance()
+            self._stop_maintenance = None
         loop, self._loop = self._loop, None
         if loop is not None and self._stop_event is not None:
             try:

@@ -37,17 +37,18 @@ from ..core.errors import (
     NoSuchTableError,
     OverloadedError,
     ServerError,
+    ValidationError,
 )
 from ..core.schema import Schema
 from .protocol import (
     FEATURE_PIPELINE,
     PROTOCOL_VERSION,
     ConnectionLost,
-    decode_row,
     encode_frame,
     encode_key,
     encode_row,
     recv_message,
+    row_marshaller,
     send_message,
 )
 
@@ -59,6 +60,18 @@ _LOCAL_ERROR_TYPES: Dict[str, type] = {
     for name, cls in vars(_errors).items()
     if isinstance(cls, type) and issubclass(cls, LittleTableError)
 }
+
+
+def _dict_insert_request(table: str,
+                         rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """The dict frame: for callers that pass column->value mappings,
+    which name their columns and may omit some (every value wrapped
+    by type, since no position says which column it belongs to)."""
+    columns = sorted({name for row in rows for name in row})
+    return {"cmd": "insert", "table": table,
+            "rows": [encode_row([row.get(c) for c in columns])
+                     for row in rows],
+            "columns": columns, "dicts": True}
 
 
 def _error_from_response(response: Dict[str, Any]) -> LittleTableError:
@@ -202,11 +215,15 @@ class LittleTableClient:
         self._sleep = time.sleep
         self._rng = random.Random()
         self._pending: Dict[str, List[Tuple[Any, ...]]] = {}
-        # Lazily-filled table -> Schema cache used by the query
-        # continuation path; invalidated by every DDL call (and on
-        # reconnect) so a stale schema can never decode rows after
-        # evolution.
+        # Lazily-filled table -> Schema cache: positional rows are
+        # typed by it in both directions, and query continuation reads
+        # keys through it.  Dropped by every DDL call, on reconnect, on
+        # a server ValidationError and on a result row of another
+        # width (another client's DDL), so a stale schema never
+        # outlives the first sign of it.
         self._schema_cache: Dict[str, Schema] = {}
+        self._ttl_cache: Dict[str, Optional[int]] = {}
+        self._catalog_loaded = False
         self.connect()
 
     # ------------------------------------------------------- connection
@@ -358,7 +375,14 @@ class LittleTableClient:
             raise ConnectionLost(str(exc)) from exc
         if response.get("ok"):
             return response
-        raise _error_from_response(response)
+        raise self._error(response)
+
+    def _error(self, response: Dict[str, Any]) -> LittleTableError:
+        error = _error_from_response(response)
+        if isinstance(error, ValidationError):
+            # A refused row may have been shaped by a stale schema.
+            self.invalidate_schema_cache()
+        return error
 
     def _backoff(self, attempt: int) -> None:
         delay = min(self.retry_backoff_max_s,
@@ -487,6 +511,8 @@ class LittleTableClient:
     def invalidate_schema_cache(self) -> None:
         """Forget cached schemas (after DDL or reconnect)."""
         self._schema_cache.clear()
+        self._ttl_cache.clear()
+        self._catalog_loaded = False
 
     # ----------------------------------------------------------- writes
 
@@ -494,12 +520,21 @@ class LittleTableClient:
         """Insert dict rows immediately (no client-side batching)."""
         if not rows:
             return 0
-        columns = sorted({name for row in rows for name in row})
-        encoded = [encode_row([row.get(c) for c in columns]) for row in rows]
-        response = self._call({"cmd": "insert", "table": table,
-                               "rows": encoded, "columns": columns,
-                               "dicts": True})
-        return response["inserted"]
+        return self._call(_dict_insert_request(table, rows))["inserted"]
+
+    def insert_tuples(self, table: str,
+                      rows: Sequence[Sequence[Any]]) -> int:
+        """Insert positional rows immediately: one frame, the rows as
+        given (``$b``-wrapped at BLOB positions only)."""
+        if not rows:
+            return 0
+        return self._call(self._tuple_insert_request(table, rows))["inserted"]
+
+    def _tuple_insert_request(self, table: str,
+                              rows: Sequence[Sequence[Any]]
+                              ) -> Dict[str, Any]:
+        return {"cmd": "insert", "table": table,
+                "rows": row_marshaller(self._schema(table)).wrap(rows)}
 
     def buffer_insert(self, table: str, row: Tuple[Any, ...]) -> None:
         """Queue one positional row; flushes at the batch size (§3.1)."""
@@ -516,11 +551,8 @@ class LittleTableClient:
             queue = self._pending.get(name)
             if not queue:
                 continue
-            encoded = [encode_row(row) for row in queue]
             self._pending[name] = []
-            response = self._call({"cmd": "insert", "table": name,
-                                   "rows": encoded})
-            sent += response["inserted"]
+            sent += self.insert_tuples(name, queue)
         return sent
 
     @property
@@ -561,7 +593,7 @@ class LittleTableClient:
             if limit is not None:
                 request["limit"] = limit - returned
             response = self._call(request, idempotent=True)
-            rows = [decode_row(row) for row in response["rows"]]
+            rows = self._decode_rows(table, response["rows"])
             last_row: Optional[Tuple[Any, ...]] = None
             for row in rows:
                 yield row
@@ -592,8 +624,7 @@ class LittleTableClient:
             "prefix": encode_key(tuple(prefix)),
             "max_lookback_micros": max_lookback_micros,
         }, idempotent=True)
-        row = response.get("row")
-        return None if row is None else decode_row(row)
+        return self._decode_row(table, response.get("row"))
 
     def flush(self, table: str, before_ts: Optional[int] = None) -> int:
         """Force rows to disk; with ``before_ts``, only rows older
@@ -616,13 +647,43 @@ class LittleTableClient:
         schema = self._schema(table)
         return schema.key_of(row)
 
+    def _catalog(self) -> Dict[str, Schema]:
+        """Every table's schema (and TTL, for :class:`~repro.net
+        .remote.RemoteDatabase`), from one ``list_tables`` per
+        invalidation."""
+        if not self._catalog_loaded:
+            response = self._call({"cmd": "list_tables"}, idempotent=True)
+            for entry in response["tables"]:
+                self._schema_cache[entry["name"]] = Schema.from_dict(
+                    entry["schema"])
+                self._ttl_cache[entry["name"]] = entry.get("ttl_micros")
+            self._catalog_loaded = True
+        return self._schema_cache
+
     def _schema(self, table: str) -> Schema:
         cache = self._schema_cache
         if table not in cache:
-            cache.update(self.list_tables())
+            # Possibly created by another client since the last load.
+            self.invalidate_schema_cache()
+            cache = self._catalog()
         if table not in cache:
             raise NoSuchTableError(f"no such table: {table!r}")
         return cache[table]
+
+    def _decode_rows(self, table: str,
+                     rows: List[List[Any]]) -> List[Tuple[Any, ...]]:
+        """Result rows as tuples, typed by the cached schema.  A row
+        of another width says the table evolved under the cache
+        (another client's DDL): reload it, once."""
+        marshaller = row_marshaller(self._schema(table))
+        if rows and len(rows[0]) != marshaller.width:
+            self.invalidate_schema_cache()
+            marshaller = row_marshaller(self._schema(table))
+        return marshaller.tuples(rows)
+
+    def _decode_row(self, table: str, row: Optional[List[Any]]
+                    ) -> Optional[Tuple[Any, ...]]:
+        return None if row is None else self._decode_rows(table, [row])[0]
 
 
 class PendingReply:
@@ -706,8 +767,10 @@ class Pipeline:
         tagged = dict(message)
         tagged["id"] = request_id
         reply = PendingReply(request_id, decode)
-        self._awaiting[request_id] = reply
+        # Encoded before it is awaited: a value json refuses must not
+        # leave drain() waiting for a response to a frame never sent.
         self._frames.append(encode_frame(tagged))
+        self._awaiting[request_id] = reply
         if len(self._awaiting) >= self._depth:
             self.drain()
         return reply
@@ -736,7 +799,7 @@ class Pipeline:
                 if response.get("ok"):
                     reply._resolve(response)
                 else:
-                    reply._fail(_error_from_response(response))
+                    reply._fail(self._client._error(response))
         except (ConnectionLost, OSError) as exc:
             self._client.close()
             lost = exc if isinstance(exc, ConnectionLost) \
@@ -768,19 +831,12 @@ class Pipeline:
     def insert(self, table: str,
                rows: Sequence[Tuple[Any, ...]]) -> PendingReply:
         """Positional-tuple batch insert; resolves to rows inserted."""
-        encoded = [encode_row(row) for row in rows]
-        return self.call({"cmd": "insert", "table": table,
-                          "rows": encoded},
+        return self.call(self._client._tuple_insert_request(table, rows),
                          decode=lambda r: r["inserted"])
 
     def insert_dicts(self, table: str,
                      rows: Sequence[Dict[str, Any]]) -> PendingReply:
-        columns = sorted({name for row in rows for name in row})
-        encoded = [encode_row([row.get(c) for c in columns])
-                   for row in rows]
-        return self.call({"cmd": "insert", "table": table,
-                          "rows": encoded, "columns": columns,
-                          "dicts": True},
+        return self.call(_dict_insert_request(table, rows),
                          decode=lambda r: r["inserted"])
 
     def query_page(self, table: str, **bounds: Any) -> PendingReply:
@@ -790,7 +846,7 @@ class Pipeline:
         request.update(bounds)
         return self.call(
             request, idempotent=True,
-            decode=lambda r: ([decode_row(row) for row in r["rows"]],
+            decode=lambda r: (self._client._decode_rows(table, r["rows"]),
                               bool(r.get("more_available"))))
 
     def latest(self, table: str, prefix: Sequence[Any],
@@ -800,5 +856,4 @@ class Pipeline:
              "prefix": encode_key(tuple(prefix)),
              "max_lookback_micros": max_lookback_micros},
             idempotent=True,
-            decode=lambda r: (None if r.get("row") is None
-                              else decode_row(r["row"])))
+            decode=lambda r: self._client._decode_row(table, r.get("row")))

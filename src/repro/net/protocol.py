@@ -8,8 +8,11 @@ adaptor "maintains a persistent TCP connection to the server in order
 to detect server crashes" (§3.1).
 
 This module defines the framing and message encoding: each frame is a
-4-byte big-endian length followed by a UTF-8 JSON document.  Blob
-values are wrapped as ``{"$b": <base64>}`` so rows survive JSON.
+4-byte big-endian length followed by a UTF-8 JSON document.  A data
+row is a positional JSON list typed by the table schema both peers
+hold; bytes survive JSON wrapped as ``{"$b": <base64>}``, which in a
+positional row appears only at BLOB column positions
+(:class:`RowMarshaller`).
 
 Protocol versions:
 
@@ -34,6 +37,9 @@ import json
 import socket
 import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from ..core.errors import ProtocolViolationError
+from ..core.schema import ColumnType, Schema
 
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
@@ -89,6 +95,69 @@ def encode_key(key: Optional[Sequence[Any]]) -> Optional[List[Any]]:
 
 def decode_key(key: Optional[Sequence[Any]]) -> Optional[Tuple[Any, ...]]:
     return None if key is None else tuple(decode_value(v) for v in key)
+
+
+# ------------------------------------------------------- positional rows
+
+_LIST_ONLY = frozenset((list,))
+
+
+class RowMarshaller:
+    """Wire form of one schema's positional rows, in both directions.
+
+    Only a BLOB column can hold bytes, so only those positions are
+    wrapped and unwrapped; for a schema without one, rows pass to and
+    from ``json`` untouched.  Value validation is the engine's job
+    (``validate_and_size``), not the wire's.
+    """
+
+    __slots__ = ("width", "blobs")
+
+    def __init__(self, schema: Schema):
+        self.width = len(schema.columns)
+        self.blobs = tuple(i for i, column in enumerate(schema.columns)
+                           if column.type is ColumnType.BLOB)
+
+    def wrap(self, rows: Sequence[Sequence[Any]]) -> Sequence[Sequence[Any]]:
+        """Rows made JSON-safe (the same objects when no BLOB column)."""
+        blobs = self.blobs
+        if not blobs:
+            return rows
+        wrapped = []
+        for row in rows:
+            row = list(row)
+            for i in blobs:
+                if i < len(row):    # a short row is the engine's to refuse
+                    row[i] = encode_value(row[i])
+            wrapped.append(row)
+        return wrapped
+
+    def unwrap(self, rows: List[List[Any]]) -> List[List[Any]]:
+        """Inverse of :meth:`wrap`, in place on rows fresh from
+        ``json.loads``.  The rows come from outside the program:
+        anything but a list of lists is refused here."""
+        if type(rows) is not list or not set(map(type, rows)) <= _LIST_ONLY:
+            raise ProtocolViolationError(
+                "positional rows must be a JSON list of lists")
+        for i in self.blobs:
+            for row in rows:
+                if i < len(row):
+                    row[i] = decode_value(row[i])
+        return rows
+
+    def tuples(self, rows: List[List[Any]]) -> List[Tuple[Any, ...]]:
+        """Result rows as the engine would have returned them."""
+        return list(map(tuple, self.unwrap(rows)))
+
+
+def row_marshaller(schema: Schema) -> RowMarshaller:
+    """The marshaller for ``schema``, built once and kept on it (next
+    to the codec's compiled bundle)."""
+    marshaller = schema.__dict__.get("_row_marshaller")
+    if marshaller is None:
+        marshaller = schema.__dict__["_row_marshaller"] = \
+            RowMarshaller(schema)
+    return marshaller
 
 
 # ---------------------------------------------------------------- frames

@@ -21,12 +21,11 @@ from __future__ import annotations
 import base64
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.errors import NoSuchTableError
 from ..core.row import DESCENDING, Query, QueryStats
 from ..core.schema import Column, Schema
 from ..core.table import QueryResult
 from .client import LittleTableClient
-from .protocol import decode_row, encode_key
+from .protocol import encode_key
 
 
 def _query_request(table: str, query: Query) -> Dict[str, Any]:
@@ -75,8 +74,7 @@ class RemoteTable:
         return self._client.insert(self.name, rows)
 
     def insert_tuples(self, rows: Sequence[Tuple[Any, ...]]) -> int:
-        schema = self.schema
-        return self.insert([schema.row_to_dict(row) for row in rows])
+        return self._client.insert_tuples(self.name, rows)
 
     # ---------------------------------------------------------- queries
 
@@ -152,38 +150,22 @@ class RemoteDatabase:
 
     def __init__(self, client: LittleTableClient):
         self.client = client
-        self._schemas: Optional[Dict[str, Schema]] = None
-        self._ttls: Dict[str, Optional[int]] = {}
 
     # ------------------------------------------------------------ cache
+    #
+    # The client owns the one table-list cache (its rows are typed by
+    # those schemas on the wire); this facade only reads it.
 
     def invalidate(self) -> None:
         """Drop the cached table list (after DDL or a reconnect)."""
-        self._schemas = None
-        self._ttls = {}
-
-    def _load(self) -> Dict[str, Schema]:
-        if self._schemas is None:
-            response = self.client._call({"cmd": "list_tables"})
-            self._schemas = {}
-            for entry in response["tables"]:
-                self._schemas[entry["name"]] = Schema.from_dict(
-                    entry["schema"])
-                self._ttls[entry["name"]] = entry.get("ttl_micros")
-        return self._schemas
+        self.client.invalidate_schema_cache()
 
     def _schema(self, name: str) -> Schema:
-        schemas = self._load()
-        if name not in schemas:
-            self.invalidate()
-            schemas = self._load()
-        if name not in schemas:
-            raise NoSuchTableError(f"no such table: {name!r}")
-        return schemas[name]
+        return self.client._schema(name)
 
     def _ttl(self, name: str) -> Optional[int]:
         self._schema(name)
-        return self._ttls.get(name)
+        return self.client._ttl_cache.get(name)
 
     def _alter(self, table: str, action: str, **fields: Any) -> None:
         if "column" in fields:
@@ -197,18 +179,15 @@ class RemoteDatabase:
                 "type": column.type.value,
                 "default": default,
             }
-        # Delegating through the client keeps its own schema cache in
-        # sync with ours.
         self.client.alter(table, action, **fields)
-        self.invalidate()
 
     # ---------------------------------------------------------- catalog
 
     def table_names(self) -> List[str]:
-        return sorted(self._load())
+        return sorted(self.client._catalog())
 
     def has_table(self, name: str) -> bool:
-        return name in self._load()
+        return name in self.client._catalog()
 
     def table(self, name: str) -> RemoteTable:
         self._schema(name)  # raises NoSuchTableError when absent
@@ -219,12 +198,10 @@ class RemoteDatabase:
                      durability=None) -> RemoteTable:
         self.client.create_table(name, schema, ttl_micros=ttl_micros,
                                  durability=durability)
-        self.invalidate()
         return RemoteTable(self, name)
 
     def drop_table(self, name: str) -> None:
         self.client.drop_table(name)
-        self.invalidate()
 
     # -------------------------------------------------------- operations
     #
@@ -252,7 +229,7 @@ class RemoteDatabase:
     def _query_once(self, table_name: str, query: Query) -> QueryResult:
         response = self.client._call(
             _query_request(table_name, query), idempotent=True)
-        rows = [decode_row(row) for row in response["rows"]]
+        rows = self.client._decode_rows(table_name, response["rows"])
         return QueryResult(
             rows=rows,
             more_available=bool(response.get("more_available")),

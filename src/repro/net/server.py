@@ -23,7 +23,7 @@ import socketserver
 import threading
 import time
 import warnings
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +44,7 @@ from ..core.row import ASCENDING, DESCENDING, KeyRange, Query, TimeRange
 from ..core.scheduler import MaintenanceScheduler
 from ..core.schema import Schema
 from . import protocol
+from .shard import ShardRouter
 
 # One replication fetch is bounded so a follower's poll can never pin
 # a frame larger than the protocol maximum.
@@ -58,6 +59,19 @@ def known_error_codes() -> list:
         name for name, cls in vars(_errors).items()
         if isinstance(cls, type) and issubclass(cls, LittleTableError)
     )
+
+
+def start_maintenance(db: Any, policy: MaintenancePolicy
+                      ) -> Callable[[], None]:
+    """Start background maintenance for what a server front serves;
+    returns the call that stops it.  A scheduler drives one engine's
+    tables, so a shard router starts one per worker."""
+    if isinstance(db, ShardRouter):
+        db.start_maintenance(policy)
+        return db.stop_maintenance
+    scheduler = MaintenanceScheduler(db, policy)
+    scheduler.start()
+    return scheduler.stop
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -120,7 +134,7 @@ class LittleTableServer:
                     maintenance_interval_s)
         self.policy = policy
         self.maintenance_interval_s = maintenance_interval_s
-        self._scheduler: Optional[MaintenanceScheduler] = None
+        self._stop_maintenance: Optional[Callable[[], None]] = None
         # Server-side observability lives in the database's registry,
         # so one STATS snapshot covers engine and network together.
         self.metrics = db.metrics
@@ -169,16 +183,15 @@ class LittleTableServer:
             target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05},
             daemon=True)
         self._thread.start()
-        if self.policy is not None:
-            if self._scheduler is None:
-                self._scheduler = MaintenanceScheduler(self.db, self.policy)
-            self._scheduler.start()
+        if self.policy is not None and self._stop_maintenance is None:
+            self._stop_maintenance = start_maintenance(self.db, self.policy)
 
     def stop(self) -> None:
         """Stop serving and drop all connections (looks like a crash
         to clients: their persistent connection breaks, §3.1)."""
-        if self._scheduler is not None:
-            self._scheduler.stop()
+        if self._stop_maintenance is not None:
+            self._stop_maintenance()
+            self._stop_maintenance = None
         self._tcp.shutdown()
         self._tcp.server_close()
         with self._connections_lock:
@@ -483,12 +496,18 @@ class RequestDispatcher:
 
     def _cmd_insert(self, request: Dict[str, Any]) -> Dict[str, Any]:
         table = self.db.table(request["table"])
-        rows = [protocol.decode_row(row) for row in request["rows"]]
         if request.get("dicts"):
+            columns = request["columns"]
             inserted = table.insert(
-                [dict(zip(request["columns"], row)) for row in rows])
+                [dict(zip(columns, protocol.decode_row(row)))
+                 for row in request["rows"]])
         else:
-            inserted = table.insert_tuples(rows)
+            # Positional rows go to the engine as the JSON lists they
+            # arrived as; its compiled validator checks them once and
+            # builds the stored tuples.
+            inserted = table.insert_tuples(
+                protocol.row_marshaller(table.schema).unwrap(
+                    request["rows"]))
         return protocol.ok_response(inserted=inserted)
 
     def _cmd_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -513,8 +532,10 @@ class RequestDispatcher:
         query = Query(key_range, time_range, direction,
                       request.get("limit"))
         result = table.query(query)
+        # The schema is read after the query, so it is never older
+        # than the rows it types.
         return protocol.ok_response(
-            rows=[protocol.encode_row(row) for row in result.rows],
+            rows=protocol.row_marshaller(table.schema).wrap(result.rows),
             more_available=result.more_available,
             rows_scanned=result.stats.rows_scanned,
         )
@@ -526,7 +547,8 @@ class RequestDispatcher:
             max_lookback_micros=request.get("max_lookback_micros"),
         )
         return protocol.ok_response(
-            row=None if row is None else protocol.encode_row(row))
+            row=None if row is None
+            else protocol.row_marshaller(table.schema).wrap([list(row)])[0])
 
     def _cmd_maintenance(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One synchronous maintenance pass over every table."""

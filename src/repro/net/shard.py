@@ -20,8 +20,8 @@ Routing is deterministic per row key:
   shifts as periods roll over.
 
 Queries outside a single shard scatter to every live worker and merge
-through a k-way ordered merge on the schema's key tuples (the same
-plain tuple comparison the codec's decode_range uses), preserving the
+into one run ordered by the schema's key tuples (the same plain tuple
+comparison the codec's decode_range uses), preserving the
 server row limit's ``more_available`` continuation contract across
 shard boundaries: merged rows are only emitted up to the smallest
 last-key any truncated shard reached, so a client resuming past the
@@ -36,12 +36,13 @@ workers - and the router itself - keep serving.
 
 from __future__ import annotations
 
-import heapq
 import time
 import zlib
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.codec import compiled_ops
 from ..core.config import EngineConfig
 from ..core.database import LittleTable
 from ..core.errors import (LittleTableError, OverloadedError,
@@ -77,50 +78,19 @@ def shard_of(leading: Tuple[Any, ...], ts: Optional[int],
 
 def merge_sorted_runs(runs: Sequence[Sequence[Tuple[Any, ...]]],
                       key: Callable[[Tuple[Any, ...]], Tuple[Any, ...]],
-                      descending: bool = False
-                      ) -> Iterator[Tuple[Any, ...]]:
-    """K-way merge of per-shard sorted runs into one ordered stream.
+                      descending: bool = False) -> List[Tuple[Any, ...]]:
+    """Merge per-shard sorted runs into one ordered list.
 
     Plain tuple comparison on the schema's key tuples - the same
-    ordering the codec's ``decode_range`` binary-searches with.  Keys
-    are globally unique (each full key routes to exactly one shard),
-    so ties cannot occur between runs.
+    ordering the codec's ``decode_range`` binary-searches with.  The
+    runs are concatenated and sorted: Timsort finds each presorted run
+    and merges them in C, which beats popping a Python heap per row.
+    Keys are globally unique (each full key routes to exactly one
+    shard), so ties cannot occur between runs.
     """
-    if descending:
-        heap = [(_Reversed(key(run[0])), index, 0)
-                for index, run in enumerate(runs) if run]
-    else:
-        heap = [(key(run[0]), index, 0) for index, run in enumerate(runs)
-                if run]
-    heapq.heapify(heap)
-    while heap:
-        _k, run_index, position = heapq.heappop(heap)
-        run = runs[run_index]
-        yield run[position]
-        position += 1
-        if position < len(run):
-            next_key = key(run[position])
-            if descending:
-                heapq.heappush(
-                    heap, (_Reversed(next_key), run_index, position))
-            else:
-                heapq.heappush(heap, (next_key, run_index, position))
-
-
-class _Reversed:
-    """Inverts comparison so heapq pops the greatest key first
-    (string key columns rule out arithmetic negation)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and other.value == self.value
+    merged = [row for run in runs for row in run]
+    merged.sort(key=key, reverse=descending)
+    return merged
 
 
 class ShardedTable:
@@ -371,13 +341,19 @@ class ShardRouter:
     def _shard_for_leading(self, leading: Tuple[Any, ...]) -> int:
         return shard_of(leading, None, len(self.engines))
 
-    def _route_row(self, schema: Schema, leading_indexes: List[int],
-                   ts_index: int, row: Tuple[Any, ...]) -> int:
-        if leading_indexes:
-            leading = tuple(row[i] for i in leading_indexes)
-            return shard_of(leading, None, len(self.engines))
-        ts = row[ts_index] if ts_index < len(row) else None
-        if ts is None:
+    def _route_row(self, leading_indexes: List[int], ts_index: int,
+                   row: Sequence[Any]) -> int:
+        """The shard a positional row belongs to.  The row is not yet
+        validated: one too short to hold its key, or whose bare ``ts``
+        is no integer, still goes to *a* worker, which refuses it."""
+        try:
+            if leading_indexes:
+                leading = tuple(row[i] for i in leading_indexes)
+                return shard_of(leading, None, len(self.engines))
+            ts = row[ts_index]
+        except IndexError:
+            return 0
+        if type(ts) is not int:
             ts = self.clock.now()
         return shard_of((), ts, len(self.engines))
 
@@ -567,9 +543,9 @@ class ShardRouter:
                                for name in leading_names]
             ts_index = schema.ts_index
             for row in rows:
-                index = self._route_row(schema, leading_indexes,
-                                        ts_index, tuple(row))
-                by_shard.setdefault(index, []).append(tuple(row))
+                by_shard.setdefault(
+                    self._route_row(leading_indexes, ts_index, row),
+                    []).append(row)
         self._m_routed.inc(len(rows))
 
         def insert_on(index: int) -> int:
@@ -642,6 +618,7 @@ class ShardRouter:
         """Scatter-gather merge preserving the §3.5 continuation
         contract across shard boundaries."""
         descending = query.direction == DESCENDING
+        key_of = compiled_ops(schema).key_of
         stats = QueryStats()
         for result in results:
             stats.rows_scanned += result.stats.rows_scanned
@@ -656,7 +633,7 @@ class ShardRouter:
         for result in results:
             if result.more_available and result.rows:
                 any_truncated = True
-                last_key = schema.key_of(result.rows[-1])
+                last_key = key_of(result.rows[-1])
                 if boundary is None:
                     boundary = last_key
                 elif descending:
@@ -666,26 +643,25 @@ class ShardRouter:
         limit = self.config.server_row_limit
         if query.limit is not None:
             limit = min(limit, query.limit)
-        rows: List[Tuple[Any, ...]] = []
+        rows = merge_sorted_runs([r.rows for r in results], key_of,
+                                 descending)
         more_available = any_truncated
-        for row in merge_sorted_runs([r.rows for r in results],
-                                     schema.key_of, descending):
-            if boundary is not None:
-                key = schema.key_of(row)
-                past = key > boundary if not descending \
-                    else key < boundary
-                if past:
-                    break
-            if len(rows) >= limit:
-                # Engine parity: a query stopped by the *client's* own
-                # limit is complete, not truncated (Table.query only
-                # flags more_available when the server row limit cut
-                # the scan).  Here another merged row did arrive, so
-                # flag it only when the server bound is the tighter one.
-                if query.limit is None or query.limit > limit:
-                    more_available = True
-                break
-            rows.append(row)
+        if boundary is not None:
+            keys = [key_of(row) for row in rows]
+            if descending:
+                keys.reverse()
+                del rows[len(keys) - bisect_left(keys, boundary):]
+            else:
+                del rows[bisect_right(keys, boundary):]
+        if len(rows) > limit:
+            # Engine parity: a query stopped by the *client's* own
+            # limit is complete, not truncated (Table.query only
+            # flags more_available when the server row limit cut
+            # the scan).  Here another merged row did arrive, so
+            # flag it only when the server bound is the tighter one.
+            if query.limit is None or query.limit > limit:
+                more_available = True
+            del rows[limit:]
         stats.rows_returned = len(rows)
         return QueryResult(rows, more_available, stats)
 
@@ -769,6 +745,23 @@ class ShardRouter:
             if self.maintenance().is_quiet:
                 return round_index
         return max_rounds
+
+    def start_maintenance(self,
+                          policy: Optional[MaintenancePolicy] = None
+                          ) -> None:
+        """Start every worker's own background scheduler (idempotent),
+        under ``policy`` when one is given and each engine's
+        ``maintenance_policy`` otherwise.  A scheduler drives one
+        engine's tables; it cannot drive this facade's."""
+        for engine in self.engines:
+            if policy is not None and engine.scheduler is None:
+                engine.maintenance_policy = policy
+            engine.start_maintenance()
+
+    def stop_maintenance(self) -> None:
+        """Stop every worker's scheduler (idempotent)."""
+        for engine in self.engines:
+            engine.stop_maintenance()
 
     def flush_all(self) -> None:
         for index in self._live_indexes():

@@ -247,3 +247,33 @@ class TestLargeValues:
         reader = TabletReader(disk, "t/big.lt")
         assert list(reader.scan(KeyRange.all())) == rows
         assert reader.block_count == 5  # one oversized row per block
+
+
+class TestSharedCodec:
+    def test_opening_tablets_of_one_table_compiles_once(self, disk,
+                                                        monkeypatch):
+        """Every footer parse builds a fresh ``Schema``; they all share
+        the bundle compiled for that schema *value*."""
+        from repro.core import codec
+
+        rows = make_rows()
+        for index in range(5):
+            write_tablet(disk, rows, filename=f"t/tab-{index}.lt")
+        compiled = []
+        build = codec._CompiledOps.__init__
+
+        def counting(self, schema):
+            compiled.append(schema)
+            build(self, schema)
+
+        monkeypatch.setattr(codec._CompiledOps, "__init__", counting)
+        readers = [TabletReader(disk, f"t/tab-{index}.lt")
+                   for index in range(5)]
+        for reader in readers:
+            assert list(reader.scan(KeyRange.all())) == rows
+        assert len({id(reader.schema) for reader in readers}) == 5
+        assert len(compiled) <= 1   # 0 when the writer's is still alive
+        other = Schema(list(make_schema().columns), key=["net", "dev", "ts"],
+                       version=2)
+        assert codec.compiled_ops(other) is not \
+            codec.compiled_ops(readers[0].schema)

@@ -99,3 +99,77 @@ class TestFileStorageSpecifics:
         store = FileStorage(str(tmp_path / "clean"))
         store.write_file("a.bin", b"x")
         assert store.list() == ["a.bin"]
+
+
+class TestAppendHandles:
+    """FileStorage keeps a growing file's handle open between appends;
+    nothing that retires a name may leave a stale handle behind."""
+
+    def test_append_contract(self, storage):
+        storage.append("t/wal-1.log", b"ab")
+        storage.append("t/wal-1.log", b"cd")
+        assert storage.read_all("t/wal-1.log") == b"abcd"
+
+    def test_append_delete_append_recreates_the_file(self, storage):
+        storage.append("t/wal-1.log", b"old")
+        storage.delete("t/wal-1.log")
+        assert not storage.exists("t/wal-1.log")
+        storage.append("t/wal-1.log", b"new")
+        assert storage.read_all("t/wal-1.log") == b"new"
+
+    def test_rename_and_write_file_retire_the_handle(self, storage):
+        storage.append("a.log", b"one")
+        storage.rename("a.log", "b.log")
+        storage.append("a.log", b"two")
+        assert storage.read_all("a.log") == b"two"
+        assert storage.read_all("b.log") == b"one"
+        storage.append("b.log", b"!")
+        assert storage.read_all("b.log") == b"one!"
+        storage.delete("a.log")
+        storage.write_file("a.log", b"whole")
+        storage.append("a.log", b"+")
+        assert storage.read_all("a.log") == b"whole+"
+
+    def test_handle_is_reused_bounded_and_dropped_on_close(self, tmp_path,
+                                                            monkeypatch):
+        from repro.disk import storage as storage_module
+
+        monkeypatch.setattr(storage_module, "MAX_APPEND_HANDLES", 3)
+        store = FileStorage(str(tmp_path / "wal"))
+        store.append("t/seg.log", b"a")
+        handle = store._appenders["t/seg.log"]
+        store.append("t/seg.log", b"b")
+        assert store._appenders["t/seg.log"] is handle
+        for index in range(5):
+            store.append(f"t/other-{index}.log", b"x")
+        assert len(store._appenders) == 3
+        assert handle.closed            # least recently used went first
+        store.append("t/seg.log", b"c")
+        assert store.read_all("t/seg.log") == b"abc"
+        held = list(store._appenders.values())
+        store.close()
+        assert store._appenders == {}
+        assert all(handle.closed for handle in held)
+        store.append("t/seg.log", b"d")     # still usable after close
+        assert store.read_all("t/seg.log") == b"abcd"
+
+    def test_a_drop_during_an_append_is_not_undone_by_it(self, tmp_path,
+                                                         monkeypatch):
+        """delete() racing an in-flight append of the same name: the
+        appender must not put its handle (to the unlinked file) back."""
+        import os
+
+        store = FileStorage(str(tmp_path / "race"))
+        store.append("seg.log", b"a")
+        real_fsync = os.fsync
+
+        def fsync_then_delete(fd):
+            real_fsync(fd)
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            store.delete("seg.log")
+
+        monkeypatch.setattr(os, "fsync", fsync_then_delete)
+        store.append("seg.log", b"b")
+        assert "seg.log" not in store._appenders
+        store.append("seg.log", b"c")
+        assert store.read_all("seg.log") == b"c"

@@ -13,7 +13,13 @@ from repro.core import (
     Schema,
     is_healthy,
 )
-from repro.net import LittleTableClient, LittleTableServer
+from repro.core.maintenance import MaintenancePolicy
+from repro.net import (
+    AsyncLittleTableServer,
+    LittleTableClient,
+    LittleTableServer,
+    ShardRouter,
+)
 from repro.util.clock import MICROS_PER_DAY, SystemClock
 
 
@@ -119,3 +125,42 @@ class TestMaintenanceThread:
         finally:
             server.stop()
         assert is_healthy(db)
+
+
+class TestShardedServerMaintenance:
+    """``ltdb serve --shards N --maintenance``: one scheduler per
+    worker engine, not one over the router's table facades (which it
+    cannot drive: every tick raised and nothing ever flushed)."""
+
+    @pytest.mark.parametrize("front", [AsyncLittleTableServer,
+                                       LittleTableServer])
+    def test_policy_on_a_router_flushes_per_engine(self, front, tmp_path):
+        router = ShardRouter(
+            shards=2, data_dir=str(tmp_path / "data"),
+            config=EngineConfig(flush_size_bytes=4096))
+        server = front(router, policy=MaintenancePolicy(
+            tick_interval_s=0.01))
+        server.start()
+        try:
+            client = LittleTableClient(*server.address)
+            client.create_table("t", make_schema())
+            now = int(time.time() * 1_000_000)
+            client.insert_tuples(
+                "t", [(k, now + k, k) for k in range(2000)])
+            counters = {}
+            deadline = time.time() + 10
+            while time.time() < deadline:
+                counters = client.stats()["counters"]
+                if (counters.get("maintenance.ticks", 0) > 0
+                        and list((tmp_path / "data").rglob("*.lt"))):
+                    break
+                time.sleep(0.02)
+            client.close()
+        finally:
+            server.stop()       # raised AttributeError before the fix
+        assert all(not engine.scheduler.running
+                   for engine in router.engines)
+        assert counters.get("maintenance.ticks", 0) > 0
+        assert counters.get("maintenance.errors", 0) == 0
+        assert list((tmp_path / "data").rglob("*.lt"))
+        router.close()
