@@ -7,11 +7,10 @@ an in-process `LittleTable`, so this example defines ONE workload
 function and runs it unchanged against:
 
 1. an in-process engine (no network at all);
-2. a single-engine server behind the classic thread-per-connection
-   front end;
-3. a 4-shard `ShardRouter` behind the asyncio front end, where the
-   v2 protocol pipelines requests and scatter-gather queries merge
-   rows from every shard in key order.
+2. a single engine behind the server front end;
+3. a 4-shard `ShardRouter` behind the same front end, where the v2
+   protocol pipelines requests and scatter-gather queries merge rows
+   from every shard in key order.
 
 Run:  python examples/scale_out.py
 """
@@ -20,7 +19,7 @@ import time
 
 import repro
 from repro import ClientConfig, Column, ColumnType, LittleTable, Query, Schema
-from repro.net import AsyncLittleTableServer, LittleTableServer, ShardRouter
+from repro.net import AsyncLittleTableServer, ShardRouter
 
 SCHEMA = Schema(
     [
@@ -67,12 +66,12 @@ def main() -> None:
     with LittleTable() as db:
         workload(db, "in-process")
 
-    print("2. Threaded server, repro.connect():")
-    with LittleTableServer(LittleTable()) as server:
+    print("2. One engine behind the server, repro.connect():")
+    with AsyncLittleTableServer(LittleTable()) as server:
         with repro.connect(server.address) as db:
             workload(db, "1 server")
 
-    print("3. Async server over a 4-shard router, pipelined v2 client:")
+    print("3. The server over a 4-shard router, pipelined v2 client:")
     router = ShardRouter(shards=4)
     with AsyncLittleTableServer(router) as server:
         host, port = server.address

@@ -47,8 +47,7 @@ def connect(address: Union[str, Tuple[str, int]], *,
 
     ``address`` is ``"host:port"`` (host defaults to ``127.0.0.1``
     when omitted, as in ``":7421"``) or a ``(host, port)`` tuple -
-    e.g. ``server.address`` straight from a
-    :class:`~repro.net.server.LittleTableServer` or
+    e.g. ``server.address`` straight from an
     :class:`~repro.net.async_server.AsyncLittleTableServer`.
     ``config`` is a :class:`~repro.net.client.ClientConfig` for
     timeouts, retries, batching, and pipelining.

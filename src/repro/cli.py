@@ -357,11 +357,9 @@ def fsck_main(argv: list) -> int:
 def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
     """The ``serve`` subcommand: run a LittleTable server.
 
-    Default front end is the asyncio pipelined server over a
-    :class:`~repro.net.shard.ShardRouter` (``--shards N``; N=1 still
-    routes, through a single worker).  ``--legacy`` selects the
-    thread-per-connection front end over a single engine - the v1
-    deployment shape - and rejects ``--shards`` > 1.
+    Serves a :class:`~repro.net.shard.ShardRouter` (``--shards N``;
+    N=1 still routes, through a single worker) through the asyncio
+    pipelined front end.
 
     ``--durability TIER`` (with ``--group-commit-ms`` and
     ``--wal-segment-bytes``) sets the served engines' default
@@ -388,9 +386,6 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
     parser.add_argument("--shards", type=int, default=4, metavar="N",
                         help="engine workers to partition tables "
                              "across (default: 4)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="thread-per-connection front end, single "
-                             "engine (protocol still negotiates v2)")
     parser.add_argument("--maintenance", action="store_true",
                         help="run the background maintenance scheduler")
     parser.add_argument("--durability", default=None,
@@ -426,24 +421,13 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
             return 2
         return _serve_follower(args, stop_event=stop_event,
                                on_ready=on_ready)
-    if args.legacy:
-        if args.shards != parser.get_default("shards") and args.shards != 1:
-            print("error: --legacy serves a single engine; "
-                  "drop --shards", file=sys.stderr)
-            return 2
-        from .net.server import LittleTableServer
+    from .net.async_server import AsyncLittleTableServer
+    from .net.shard import ShardRouter
 
-        db = open_database(args.data, durability=durability)
-        server = LittleTableServer(db, host=args.host, port=args.port,
-                                   policy=policy)
-    else:
-        from .net.async_server import AsyncLittleTableServer
-        from .net.shard import ShardRouter
-
-        db = ShardRouter(shards=args.shards, data_dir=args.data,
-                         durability=durability)
-        server = AsyncLittleTableServer(db, host=args.host,
-                                        port=args.port, policy=policy)
+    db = ShardRouter(shards=args.shards, data_dir=args.data,
+                     durability=durability)
+    server = AsyncLittleTableServer(db, host=args.host, port=args.port,
+                                    policy=policy)
     import threading
 
     if stop_event is None:
@@ -451,10 +435,8 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
     try:
         with server:
             host, port = server.address
-            shape = ("legacy threaded, 1 engine" if args.legacy
-                     else f"async pipelined, {args.shards} shard(s)")
-            print(f"serving on {host}:{port} ({shape}); Ctrl-C to stop",
-                  flush=True)
+            print(f"serving on {host}:{port} (async pipelined, "
+                  f"{args.shards} shard(s)); Ctrl-C to stop", flush=True)
             if on_ready is not None:
                 on_ready(server)
             while not stop_event.wait(timeout=0.5):
@@ -475,13 +457,13 @@ def _serve_follower(args, *, stop_event=None, on_ready=None) -> int:
         return 2
     import threading
 
+    from .net.async_server import AsyncLittleTableServer
     from .net.replica import Follower
-    from .net.server import LittleTableServer
 
     db = open_database(args.data)
     follower = Follower(db, primary_host or "127.0.0.1",
                         int(primary_port))
-    server = LittleTableServer(db, host=args.host, port=args.port)
+    server = AsyncLittleTableServer(db, host=args.host, port=args.port)
     if stop_event is None:
         stop_event = threading.Event()
     try:

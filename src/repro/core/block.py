@@ -61,6 +61,10 @@ def decompress(codec: int, data: bytes) -> bytes:
 class BlockBuilder:
     """Accumulates encoded rows until the block-size target is reached.
 
+    The v1 (row-major) block writer.  The engine writes v2 blocks only
+    and imports this nowhere; it stays as the reference the v1 reader
+    tests and the codec throughput gate build their inputs with.
+
     The builder tracks the *uncompressed* size; a block is cut when
     adding a row would push it past the target (so blocks can exceed
     the target only when a single row does).
@@ -128,27 +132,3 @@ def decode_block(payload: bytes, codec: int, codec_rows: RowCodec,
     """Decompress and decode a block into row tuples."""
     raw = decompress(codec, payload)
     return decode_rows(raw, codec_rows, row_count, metrics=metrics)
-
-
-def decode_block_pairs(payload: bytes, codec: int, codec_rows: RowCodec,
-                       row_count: int, metrics=None
-                       ) -> List[Tuple[Tuple[Any, ...], bytes]]:
-    """Like :func:`decode_block` but keeps each row's raw encoding.
-
-    Merges use this to stream rows into the output tablet without
-    re-encoding them.
-    """
-    raw = decompress(codec, payload)
-    pairs: List[Tuple[Tuple[Any, ...], bytes]] = []
-    offset = 0
-    for _ in range(row_count):
-        row, end = codec_rows.decode_row(raw, offset)
-        pairs.append((row, raw[offset:end]))
-        offset = end
-    if offset != len(raw):
-        raise CorruptTabletError("trailing bytes after last row in block")
-    if metrics is not None:
-        metrics.counter("block.decoded").inc()
-        metrics.counter("block.rows_decoded").inc(row_count)
-        metrics.counter("block.decoded_bytes").inc(len(raw))
-    return pairs

@@ -217,35 +217,6 @@ def _gen_key_of(schema: Schema) -> str:
     return f"def key_of(row):\n    return ({parts}{tail})"
 
 
-def _gen_encode_row_v1(schema: Schema) -> str:
-    lines = [
-        "def encode_row_v1(row):",
-        "    _b = bytearray()",
-        "    _a = _b.append",
-    ]
-    for i, column in enumerate(schema.columns):
-        t = column.type
-        lines.append(f"    _v = row[{i}]")
-        if t in _INT_TYPES:
-            lines.append("    _z = (_v << 1) ^ (_v >> 63)")
-            lines.append(_emit_uvarint("_z", "_a", "    ").rstrip("\n"))
-        elif t is ColumnType.TIMESTAMP:
-            lines.append(_emit_uvarint("_v", "_a", "    ").rstrip("\n"))
-        elif t is ColumnType.DOUBLE:
-            lines.append("    _b += _packd(_v)")
-        elif t is ColumnType.STRING:
-            lines.append("    _r = _v.encode('utf-8')")
-            lines.append("    _l = len(_r)")
-            lines.append(_emit_uvarint("_l", "_a", "    ").rstrip("\n"))
-            lines.append("    _b += _r")
-        else:  # BLOB
-            lines.append("    _l = len(_v)")
-            lines.append(_emit_uvarint("_l", "_a", "    ").rstrip("\n"))
-            lines.append("    _b += _v")
-    lines.append("    return bytes(_b)")
-    return "\n".join(lines)
-
-
 def _varwidth_segment_tail(indent: str = "    ") -> str:
     """Shared assembly: append [seg_len][offs_len][offs][data] to parts."""
     return (
@@ -505,7 +476,7 @@ class _CompiledOps:
     """
 
     __slots__ = ("schema", "validate_and_size", "size_of", "key_of",
-                 "encode_row_v1", "encode_rows", "decode_block",
+                 "encode_rows", "decode_block",
                  "decode_block_columns", "__weakref__")
 
     def __init__(self, schema: Schema):
@@ -517,7 +488,6 @@ class _CompiledOps:
             "_euv": encode_uvarint,
             "_pack": struct.pack,
             "_unpack": struct.unpack,
-            "_packd": struct.Struct("<d").pack,
             "_StructError": struct.error,
             "_KB": encode_uvarint(RESTART_INTERVAL),
         }
@@ -527,7 +497,6 @@ class _CompiledOps:
             _gen_validate_and_size(schema),
             _gen_size_of(schema),
             _gen_key_of(schema),
-            _gen_encode_row_v1(schema),
             _gen_encode_rows_v2(schema, RESTART_INTERVAL),
             _gen_decode_block_v2(schema),
             _gen_decode_block_v2(schema, columns=True),
@@ -536,7 +505,6 @@ class _CompiledOps:
         self.validate_and_size = namespace["validate_and_size"]
         self.size_of = namespace["size_of"]
         self.key_of = namespace["key_of"]
-        self.encode_row_v1 = namespace["encode_row_v1"]
         self.encode_rows = namespace["encode_rows"]
         self.decode_block = namespace["decode_block"]
         self.decode_block_columns = namespace["decode_block_columns"]
@@ -755,7 +723,7 @@ class SchemaCodec:
     """
 
     __slots__ = ("schema", "ops", "validate_and_size", "size_of", "key_of",
-                 "encode_row_v1", "_m_rows_encoded", "_m_rows_decoded",
+                 "_m_rows_encoded", "_m_rows_decoded",
                  "_m_blocks_encoded", "_m_blocks_decoded", "_m_encode_ns",
                  "_m_decode_ns", "_m_upgraded", "_offsets_cache")
 
@@ -766,7 +734,6 @@ class SchemaCodec:
         self.validate_and_size = ops.validate_and_size
         self.size_of = ops.size_of
         self.key_of = ops.key_of
-        self.encode_row_v1 = ops.encode_row_v1
         m = metrics if metrics is not None else NULL_REGISTRY
         self._m_rows_encoded = m.counter("codec.rows_encoded")
         self._m_rows_decoded = m.counter("codec.rows_decoded")

@@ -61,13 +61,6 @@ class EngineConfig:
     # Fraction of the containing period by which rollover merges are
     # delayed (scaled by a per-table pseudorandom value in [0, 1)).
     merge_rollover_delay_fraction: float = 1.0
-    # On-disk block format for newly written tablets.  2 (the default)
-    # writes column-major blocks with delta timestamps, prefix-
-    # compressed key strings, and restart points (core/codec.py);
-    # 1 writes the original row-at-a-time format.  Readers handle both
-    # regardless of this setting - the tablet footer records which
-    # format its blocks use - and merges rewrite v1 tablets as v2.
-    block_format_version: int = 2
     # Content checksums (storage format v2.1): newly written tablets
     # carry a CRC per block plus footer and trailer CRCs, verified on
     # every disk read; descriptors carry a body CRC.  Pre-v2.1 files
@@ -120,9 +113,6 @@ class EngineConfig:
             raise ValueError("read_cache_bytes must be >= 0 (0 disables)")
         if self.latest_cache_entries < 0:
             raise ValueError("latest_cache_entries must be >= 0 (0 disables)")
-        if self.block_format_version not in (1, 2):
-            raise ValueError(
-                f"unknown block format version {self.block_format_version!r}")
         if (self.io_rate_limit_bytes_s is not None
                 and self.io_rate_limit_bytes_s <= 0):
             raise ValueError(

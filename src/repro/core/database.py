@@ -9,9 +9,7 @@ benchmarks, the Dashboard applications) can use it directly.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import warnings
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..disk.faults import FailpointRegistry, classify_storage_error
@@ -41,12 +39,6 @@ FAILPOINTS_ENV = "LITTLETABLE_FAILPOINTS"
 # degrades to read-only; a single ENOSPC degrades immediately.
 EIO_READ_ONLY_THRESHOLD = 3
 
-# Loose durability-adjacent constructor kwargs that fold into
-# DurabilityPolicy (mirroring the ClientConfig consolidation).  They
-# keep working behind DeprecationWarning shims; everything else in
-# ``**legacy`` is a genuine typo and raises TypeError.
-_LEGACY_DURABILITY_KWARGS = ("startup_scrub", "checksums")
-
 
 class LittleTable:
     """A single-node LittleTable instance.
@@ -69,36 +61,17 @@ class LittleTable:
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  maintenance_policy: Optional[MaintenancePolicy] = None,
-                 durability: Optional[DurabilityPolicy] = None,
-                 **legacy: Any):
+                 durability: Optional[DurabilityPolicy] = None):
         self.disk = disk if disk is not None else SimulatedDisk()
         # Optional write-once archive tier for old tablets (§6's
         # LHAM-style extension); see Table.migrate_to_cold.
         self.cold_disk = cold_disk
         self.config = config if config is not None else EngineConfig()
         # Database-default durability policy; per-table overrides come
-        # from create_table / the persisted descriptor.  The loose
-        # scrub/checksum kwargs fold in here as deprecated shims.
-        policy = durability if durability is not None else DurabilityPolicy()
-        if legacy:
-            unknown = sorted(set(legacy) - set(_LEGACY_DURABILITY_KWARGS))
-            if unknown:
-                raise TypeError(
-                    "LittleTable() got unexpected keyword arguments: "
-                    + ", ".join(unknown))
-            warnings.warn(
-                "LittleTable(%s) is deprecated; set the field on "
-                "DurabilityPolicy and pass durability=" %
-                ", ".join(f"{k}=..." for k in sorted(legacy)),
-                DeprecationWarning, stacklevel=2)
-            policy = dataclasses.replace(policy, **legacy)
-        policy.validate()
-        self.durability = policy
-        overrides = {name: getattr(policy, name)
-                     for name in _LEGACY_DURABILITY_KWARGS
-                     if getattr(policy, name) is not None}
-        if overrides:
-            self.config = dataclasses.replace(self.config, **overrides)
+        # from create_table / the persisted descriptor.
+        self.durability = (durability if durability is not None
+                           else DurabilityPolicy())
+        self.durability.validate()
         self.config.validate()
         # Set by a warm standby's Follower (repro.net.replica) so lag
         # shows up in wal_status()/health_summary(); None on a primary.

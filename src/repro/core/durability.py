@@ -20,11 +20,8 @@ One policy object travels the whole stack: ``LittleTable(durability=)``
 sets the database default, ``create_table(durability=)`` overrides per
 table (persisted in the table descriptor), ``ClientConfig.durability``
 carries it over the wire, and ``ltdb serve --durability`` sets it for
-a server.  The loose durability-adjacent :class:`EngineConfig` knobs
-(``startup_scrub``, ``checksums``) fold in here as optional overrides,
-mirroring the ClientConfig consolidation: ``None`` means "inherit the
-engine config"; the legacy keyword arguments on ``LittleTable`` keep
-working behind ``DeprecationWarning`` shims.
+a server.  Scrub-at-open and content checksums are engine settings,
+not durability tiers: they live on :class:`EngineConfig` alone.
 """
 
 from __future__ import annotations
@@ -58,8 +55,6 @@ _DEFAULTS: Dict[str, Any] = {
     "group_commit_ms": 2.0,
     "wal_segment_bytes": 4 * _MIB,
     "follow_addr": None,
-    "startup_scrub": None,
-    "checksums": None,
 }
 
 
@@ -93,11 +88,6 @@ class DurabilityPolicy:
     #: ``host:port`` of a primary to follow (replica side only); set
     #: by ``ltdb serve --follow``.  None (the default) for a primary.
     follow_addr: Optional[str] = _UNSET  # type: ignore[assignment]
-    #: Folded-in legacy knobs.  ``None`` (the default) inherits the
-    #: corresponding :class:`~repro.core.config.EngineConfig` field; a
-    #: bool overrides it.
-    startup_scrub: Optional[bool] = _UNSET  # type: ignore[assignment]
-    checksums: Optional[bool] = _UNSET  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         explicit = frozenset(name for name in _DEFAULTS

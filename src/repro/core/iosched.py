@@ -28,7 +28,7 @@ load:
 
 Both are deliberately dependency-free: plain ``threading`` and
 injected callables, no asyncio, usable from the embedded engine and
-both server fronts alike.
+the server front alike.
 """
 
 from __future__ import annotations

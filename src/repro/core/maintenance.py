@@ -2,38 +2,24 @@
 
 The paper's background merger (§3.3) runs continuously without
 stalling the single writer or the dashboard read path.  This module
-holds the two API objects that replaced the ad-hoc shapes the engine
-grew up with:
+holds its two API objects:
 
 * :class:`MaintenancePolicy` - one config object for *how* background
   maintenance runs (tick interval, worker count, insert backpressure,
   merge budget), consumed by both :class:`~repro.core.LittleTable`
-  and :class:`~repro.net.server.LittleTableServer`.  It replaces the
-  bare ``maintenance_interval_s`` float kwarg (kept as a deprecated
-  alias on the server).
+  and the server front (``policy=``).
 * :class:`TableMaintenanceReport` / :class:`MaintenanceReport` - typed
-  returns for ``Table.maintenance()`` / ``Database.maintenance()`` /
-  ``Server.run_maintenance()``, replacing the old
-  ``Dict[str, Dict[str, int]]``.  Both keep dict-style access
-  (``report["flushed"]``, ``report.values()``) so existing callers
-  keep working, and ``.as_dict()`` produces the exact legacy shape
-  (it is also what crosses the wire protocol).
-
-Release note: the dict return shape of the three ``maintenance``
-entry points is deprecated as of this release; it will keep working
-through the compat accessors, but new code should use the typed
-attributes (``report.tables["usage"].flushed``) and quiescence should
-be read from :attr:`MaintenanceReport.is_quiet`, which - unlike the
-old hand-rolled checks - accounts for *every* kind of work, TTL
-expiry and errors included.
+  returns for ``Table.maintenance()`` / ``Database.maintenance()``.
+  Read the attributes (``report.tables["usage"].flushed``);
+  ``.as_dict()`` is the shape that crosses the wire protocol, and
+  quiescence is :attr:`MaintenanceReport.is_quiet`, which accounts for
+  *every* kind of work, TTL expiry and errors included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
-
-_TABLE_KEYS = ("flushed", "merged", "expired", "errors")
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
@@ -106,11 +92,6 @@ class MaintenancePolicy:
         if not 0 < self.slo_recover_fraction <= 1:
             raise ValueError("slo_recover_fraction must be in (0, 1]")
 
-    @classmethod
-    def from_interval(cls, interval_s: float) -> "MaintenancePolicy":
-        """Adapt the deprecated ``maintenance_interval_s`` kwarg."""
-        return cls(tick_interval_s=interval_s)
-
 
 @dataclass
 class TableMaintenanceReport:
@@ -143,26 +124,9 @@ class TableMaintenanceReport:
         self.errors.extend(other.errors)
 
     def as_dict(self) -> Dict[str, Any]:
-        """The deprecated legacy shape (also the wire encoding)."""
+        """The wire encoding."""
         return {"flushed": self.flushed, "merged": self.merged,
                 "expired": self.expired, "errors": list(self.errors)}
-
-    # Deprecated dict-style access, kept so the pre-redesign callers
-    # (``summary["flushed"]``) run unchanged through one release.
-
-    def __getitem__(self, key: str) -> Any:
-        if key not in _TABLE_KEYS:
-            raise KeyError(key)
-        return getattr(self, key)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def keys(self) -> Iterator[str]:
-        return iter(_TABLE_KEYS)
 
 
 @dataclass
@@ -221,30 +185,6 @@ class MaintenanceReport:
         return total
 
     def as_dict(self) -> Dict[str, Dict[str, Any]]:
-        """The deprecated legacy shape (also the wire encoding)."""
+        """The wire encoding: ``{table: summary}``."""
         return {name: report.as_dict()
                 for name, report in self.tables.items()}
-
-    # Deprecated mapping-style access ({table: summary}) for callers
-    # written against the old ``Dict[str, Dict[str, int]]`` return.
-
-    def __getitem__(self, name: str) -> TableMaintenanceReport:
-        return self.tables[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tables
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tables)
-
-    def __len__(self) -> int:
-        return len(self.tables)
-
-    def keys(self):
-        return self.tables.keys()
-
-    def values(self):
-        return self.tables.values()
-
-    def items(self):
-        return self.tables.items()

@@ -127,16 +127,6 @@ class MemTable:
         for _key, (row, _size) in self.rows.items():
             yield row
 
-    def sorted_encoded(self) -> Iterator[Tuple[Tuple[Any, ...], bytes]]:
-        """All (row, v1-encoded bytes) pairs in ascending key order.
-
-        Encoding happens lazily here; the hot flush path uses
-        :meth:`sorted_sized` and batch-encodes whole blocks instead.
-        """
-        encode = self._ops.encode_row_v1
-        for _key, (row, _size) in self.rows.items():
-            yield row, encode(row)
-
     def sorted_sized(self) -> Iterator[Tuple[Tuple[Any, ...], int]]:
         """All (row, encoded size) pairs in ascending key order."""
         for _key, pair in self.rows.items():

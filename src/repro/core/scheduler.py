@@ -74,7 +74,7 @@ class MaintenanceScheduler:
     >>> db.stop_maintenance()       # doctest: +SKIP
 
     Usually owned by :class:`~repro.core.database.LittleTable` (via
-    ``start_maintenance()``) or :class:`~repro.net.server.LittleTableServer`;
+    ``start_maintenance()``) or the server front (``policy=``);
     standalone construction works too.
     """
 

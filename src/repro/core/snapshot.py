@@ -47,7 +47,6 @@ from ..util.checksum import crc32c
 from .descriptor import TableDescriptor
 from .durability import DurabilityPolicy
 from .errors import SnapshotError
-from .tablet import TabletWriter
 
 SNAPSHOT_MANIFEST = "snapshot-manifest.json"
 MANIFEST_VERSION = 1
@@ -173,15 +172,7 @@ def create_snapshot(db, dest) -> Dict[str, Any]:
             # the snapshot needs no WAL and no replay to be complete.
             for run in runs:
                 tablet_id = snap_desc.allocate_tablet_id()
-                writer = TabletWriter(
-                    snap_disk, table.schema,
-                    table.config.block_size_bytes,
-                    table.config.compression,
-                    (table.config.bloom_bits_per_row
-                     if table.config.bloom_filters else 0),
-                    block_format=table.config.block_format_version,
-                    checksums=table.config.checksums,
-                )
+                writer = table._tablet_writer(snap_disk, table.schema)
                 meta = writer.write(
                     snap_desc.tablet_filename(tablet_id), (),
                     tablet_id, created_at=now,

@@ -76,7 +76,7 @@ from .readcache import (LatestRowCache, ReadCache, TabletPruneIndex,
                         _zone_map_excludes)
 from .row import ASCENDING, DESCENDING, KeyRange, Query, QueryStats, TimeRange
 from .schema import Column, Schema
-from .tablet import TabletMeta, TabletReader, TabletSink, TabletWriter
+from .tablet import TabletMeta, TabletReader, TabletWriter
 from .vector import (AggregatePartials, AggregateSpec, accumulate,
                      accumulate_rows, key_bounds, residual_filter,
                      resolve_time_bounds, time_filter)
@@ -920,15 +920,8 @@ class Table:
         if memtable.empty:
             return None
         tablet_id = self.descriptor.allocate_tablet_id()
-        writer = TabletWriter(
-            self.disk, memtable.schema, self.config.block_size_bytes,
-            self.config.compression,
-            self.config.bloom_bits_per_row if self.config.bloom_filters else 0,
-            block_format=self.config.block_format_version,
-            metrics=self.metrics,
-            checksums=self.config.checksums,
-            io_limiter=self.io_limiter,
-        )
+        writer = self._tablet_writer(self.disk, memtable.schema,
+                                     self.io_limiter)
         meta = writer.write(
             self.descriptor.tablet_filename(tablet_id), (),
             tablet_id, created_at=now, expected_rows=len(memtable),
@@ -938,6 +931,18 @@ class Table:
             self.counters.bytes_flushed += meta.size_bytes
             self.counters.flushes += 1
         return meta
+
+    def _tablet_writer(self, disk: SimulatedDisk, schema: Schema,
+                       io_limiter=None) -> TabletWriter:
+        """The one place that turns :class:`EngineConfig` into tablet
+        writer settings; callers choose only where the file goes, the
+        schema its rows have, and whether block writes are paced."""
+        config = self.config
+        return TabletWriter(
+            disk, schema, config.block_size_bytes, config.compression,
+            config.bloom_bits_per_row if config.bloom_filters else 0,
+            metrics=self.metrics, checksums=config.checksums,
+            io_limiter=io_limiter)
 
     def _wal_low_water_locked(self) -> Optional[int]:
         """The WAL low-water mark implied by current memtable state.
@@ -1201,36 +1206,16 @@ class Table:
         reader = self._reader(meta)
         reader.ensure_loaded()
         tablet_id = self.descriptor.allocate_tablet_id()
-        writer = TabletWriter(
-            self._disk_for(meta), self.schema,
-            self.config.block_size_bytes, self.config.compression,
-            self.config.bloom_bits_per_row if self.config.bloom_filters else 0,
-            block_format=self.config.block_format_version,
-            metrics=self.metrics,
-            checksums=self.config.checksums,
-        )
+        writer = self._tablet_writer(self._disk_for(meta), self.schema)
         key_of = self.schema.key_of
-        if (reader.schema.version == self.schema.version
-                and self.config.block_format_version == BLOCK_FORMAT_V1):
-            # v1 -> v1: raw encodings pass straight through.
-            pairs = (
-                (row, encoded) for row, encoded in reader.scan_pairs()
-                if not key_range.contains(key_of(row))
-            )
-            new_meta = writer.write(
-                self.descriptor.tablet_filename(tablet_id), (), tablet_id,
-                created_at=now, expected_rows=meta.row_count,
-                encoded_pairs=pairs,
-            )
-        else:
-            rows = (
-                row for row in self._tablet_rows_translated(meta)
-                if not key_range.contains(key_of(row))
-            )
-            new_meta = writer.write(
-                self.descriptor.tablet_filename(tablet_id), rows,
-                tablet_id, created_at=now, expected_rows=meta.row_count,
-            )
+        rows = (
+            row for row in self._tablet_rows_translated(meta)
+            if not key_range.contains(key_of(row))
+        )
+        new_meta = writer.write(
+            self.descriptor.tablet_filename(tablet_id), rows,
+            tablet_id, created_at=now, expected_rows=meta.row_count,
+        )
         swap_started = time.perf_counter()
         with self.lock:
             remaining = [
@@ -1280,8 +1265,6 @@ class Table:
             return plan
 
     def _execute_merge(self, plan: MergePlan, now: int) -> None:
-        import heapq
-
         started = time.perf_counter()
         self.disk.fire("merge.before_write")
         tablet_id = self.descriptor.allocate_tablet_id()
@@ -1294,49 +1277,18 @@ class Table:
         have_zone_maps = all(
             t.min_key is not None and t.max_key is not None
             for t in plan.tablets)
-        if (same_schema
-                and self.config.block_format_version == BLOCK_FORMAT_V2
-                and have_zone_maps):
+        writer = self._tablet_writer(self.disk, self.schema, self.io_limiter)
+        if same_schema and have_zone_maps:
             # Common case: block-at-a-time merge.  Non-overlapping v2
             # source blocks are copied compressed-payload-verbatim;
             # overlapping runs are batch-decoded and re-encoded whole
             # blocks at a time; v1 sources come out upgraded to v2.
-            meta = self._merge_blockwise(plan, readers, filename,
+            meta = self._merge_blockwise(plan, readers, writer, filename,
                                          tablet_id, now)
-        elif same_schema:
-            # v1 writer config: rows pass through with their raw v1
-            # encodings, as before the v2 format existed.
-            writer = TabletWriter(
-                self.disk, self.schema, self.config.block_size_bytes,
-                self.config.compression,
-                self.config.bloom_bits_per_row
-                if self.config.bloom_filters else 0,
-                block_format=self.config.block_format_version,
-                metrics=self.metrics,
-                checksums=self.config.checksums,
-                io_limiter=self.io_limiter,
-            )
-            key_of = self.schema.key_of
-            pairs = heapq.merge(*[r.scan_pairs() for r in readers],
-                                key=lambda pair: key_of(pair[0]))
-            meta = writer.write(
-                filename, (), tablet_id,
-                created_at=now, expected_rows=plan.total_rows,
-                encoded_pairs=pairs,
-            )
         else:
-            # Mixed schema versions: translating while merging also
-            # upgrades old rows to the current schema (§3.5).
-            writer = TabletWriter(
-                self.disk, self.schema, self.config.block_size_bytes,
-                self.config.compression,
-                self.config.bloom_bits_per_row
-                if self.config.bloom_filters else 0,
-                block_format=self.config.block_format_version,
-                metrics=self.metrics,
-                checksums=self.config.checksums,
-                io_limiter=self.io_limiter,
-            )
+            # Mixed schema versions (or sources without zone maps):
+            # translating while merging also upgrades old rows to the
+            # current schema (§3.5).
             merged = self._merge_streams([
                 self._tablet_rows_translated(source)
                 for source in plan.tablets
@@ -1385,8 +1337,9 @@ class Table:
         m.histogram("merge.duration_us").observe(duration_us)
 
     def _merge_blockwise(self, plan: MergePlan,
-                         readers: List[TabletReader], filename: str,
-                         tablet_id: int, now: int) -> Optional[TabletMeta]:
+                         readers: List[TabletReader], writer: TabletWriter,
+                         filename: str, tablet_id: int, now: int
+                         ) -> Optional[TabletMeta]:
         """Merge same-schema sources block-at-a-time into a v2 tablet.
 
         Time-partitioned tablets rarely interleave, so most blocks'
@@ -1399,17 +1352,7 @@ class Table:
         v1 source blocks are always decoded, so the output upgrades
         them to v2.
         """
-        config = self.config
-        sink = TabletSink(
-            self.disk, self.schema, config.block_size_bytes,
-            config.compression,
-            config.bloom_bits_per_row if config.bloom_filters else 0,
-            block_format=BLOCK_FORMAT_V2,
-            metrics=self.metrics,
-            expected_rows=plan.total_rows,
-            checksums=config.checksums,
-            io_limiter=self.io_limiter,
-        )
+        sink = writer.sink(expected_rows=plan.total_rows)
         # Every source row survives a merge, so the output's timespan
         # and zone map are exactly the union of the sources' metadata;
         # passthrough blocks never reveal their rows, so these cannot
@@ -1421,7 +1364,7 @@ class Table:
         # Don't interleave passthrough blocks with tiny row-built
         # fragments: require the pending block to be empty or at least
         # a quarter full before sealing it early.
-        frag_floor = config.block_size_bytes // 4
+        frag_floor = self.config.block_size_bytes // 4
         upgraded = 0
         sources = [_MergeSource(r) for r in readers]
         while True:

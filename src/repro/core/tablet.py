@@ -34,7 +34,8 @@ Block bodies come in two formats.  v1 is row-major: each row's v1
 encoding concatenated.  v2 (``core/codec.py``) is column-major with
 delta timestamps, prefix-compressed key strings, and restart points;
 whole blocks encode and decode through the schema-compiled batch
-codec.  Readers handle both; merges rewrite v1 blocks as v2.
+codec.  v1 is read-only: the writer emits v2 alone, readers handle
+both, and merges rewrite v1 blocks as v2.
 
 Reading a footer costs three seeks on a cold cache (inode, trailer,
 footer - §3.5); once cached in memory the reader answers block lookups
@@ -54,14 +55,7 @@ from ..obs.metrics import NULL_REGISTRY
 from ..util.bloom import KeyPrefixBloom
 from ..util.checksum import crc32c
 from ..util.varint import decode_uvarint, encode_uvarint
-from .block import (
-    BlockBuilder,
-    codec_id,
-    compress,
-    decode_block_pairs,
-    decode_rows,
-    decompress,
-)
+from .block import codec_id, compress, decode_rows, decompress
 from .codec import BLOCK_FORMAT_V1, BLOCK_FORMAT_V2, SchemaCodec
 from .encoding import RowCodec
 from .errors import ChecksumError, CorruptTabletError
@@ -186,14 +180,12 @@ class TabletSink:
     def __init__(self, disk: SimulatedDisk, schema: Schema,
                  block_size: int, compression: str,
                  bloom_bits_per_row: int = 0,
-                 block_format: int = BLOCK_FORMAT_V2,
                  metrics=None, expected_rows: int = 0,
                  checksums: bool = True, io_limiter=None):
         self.disk = disk
         self.schema = schema
         self.codec = codec_id(compression)
         self.block_size = block_size
-        self.block_format = block_format
         self.checksums = checksums
         # Optional token bucket pacing background writes: debited once
         # per compressed block as it is cut, so a large merge yields
@@ -211,8 +203,6 @@ class TabletSink:
         self._rows: List[Tuple[Any, ...]] = []
         self._keys: List[Tuple[Any, ...]] = []
         self._pending_bytes = 0
-        self._builder = (BlockBuilder(block_size)
-                         if block_format == BLOCK_FORMAT_V1 else None)
         self.row_count = 0
         self.min_ts: Optional[int] = None
         self.max_ts: Optional[int] = None
@@ -243,8 +233,6 @@ class TabletSink:
     @property
     def pending_bytes(self) -> int:
         """Estimated uncompressed size of the block being built."""
-        if self._builder is not None:
-            return self._builder.size_bytes
         return self._pending_bytes
 
     # ------------------------------------------------------------- rows
@@ -285,33 +273,22 @@ class TabletSink:
         """
         if key is None:
             key = self._key_of(row)
-        if self._builder is not None:
-            self.add_encoded(row, self.schema_codec.encode_row_v1(row),
-                             key=key)
-            return
         if size is None:
             size = self._size_of(row)
         if self._pending_bytes and \
                 self._pending_bytes + size > self.block_size:
-            self._cut_v2()
+            self._cut_block()
         self._rows.append(row)
         self._keys.append(key)
         self._pending_bytes += size
         self._note_row(key, row[self._ts_index])
 
-    def add_encoded(self, row: Tuple[Any, ...], encoded: bytes,
-                    key: Optional[Tuple[Any, ...]] = None) -> None:
-        """Append one row with its v1 encoding (v1-format sinks only)."""
-        if key is None:
-            key = self._key_of(row)
-        if self._builder.would_overflow(len(encoded)):
-            self._cut_v1()
-        self._builder.add(encoded)
-        self._note_row(key, row[self._ts_index])
-
     # ----------------------------------------------------------- blocks
 
-    def _cut_v2(self) -> None:
+    def _cut_block(self) -> None:
+        """Seal the rows added so far into one block (no-op if none)."""
+        if not self._rows:
+            return
         raw = self.schema_codec.encode_rows(self._rows)
         payload = compress(self.codec, raw)
         if self.io_limiter is not None:
@@ -325,23 +302,6 @@ class TabletSink:
         self._keys = []
         self._pending_bytes = 0
 
-    def _cut_v1(self) -> None:
-        payload, count, _raw = self._builder.finish(self.codec)
-        if self.io_limiter is not None:
-            self.io_limiter.acquire(len(payload))
-        self._entries.append(_BlockEntry(
-            len(self._body), len(payload), count, self.last_key))
-        if self.checksums:
-            self._block_crcs.append(crc32c(payload))
-        self._body += payload
-
-    def _cut_pending(self) -> None:
-        if self._builder is not None:
-            if len(self._builder):
-                self._cut_v1()
-        elif self._rows:
-            self._cut_v2()
-
     def add_block_passthrough(self, payload: bytes, row_count: int,
                               last_key: Tuple[Any, ...]) -> None:
         """Append one already-compressed v2 block verbatim.
@@ -352,7 +312,7 @@ class TabletSink:
         feeds key/timestamp bookkeeping itself (``add_bloom_prefixes``
         / ``note_ts_bounds``) since the rows are never decoded here.
         """
-        self._cut_pending()
+        self._cut_block()
         if self.io_limiter is not None:
             self.io_limiter.acquire(len(payload))
         self._entries.append(_BlockEntry(
@@ -398,7 +358,7 @@ class TabletSink:
         metadata because passed-through blocks never expose their
         first key.
         """
-        self._cut_pending()
+        self._cut_block()
         if self.row_count == 0:
             return None
         bloom_bytes = b""
@@ -461,7 +421,7 @@ class TabletSink:
         out += bloom_bytes
         # Trailing fields: absent in pre-v2 footers (which end at the
         # Bloom bytes), so readers treat a missing version as v1.
-        out += encode_uvarint(self.block_format)
+        out += encode_uvarint(BLOCK_FORMAT_V2)
         # v2.1: one CRC per block, over the compressed payload.  The
         # reader only looks for these when the trailer carries the
         # v2.1 magic, so legacy parsers stay compatible.
@@ -478,7 +438,6 @@ class TabletWriter:
     def __init__(self, disk: SimulatedDisk, schema: Schema,
                  block_size: int, compression: str,
                  bloom_bits_per_row: int = 0,
-                 block_format: int = BLOCK_FORMAT_V2,
                  metrics=None, checksums: bool = True, io_limiter=None):
         self.disk = disk
         self.schema = schema
@@ -486,16 +445,22 @@ class TabletWriter:
         self.compression = compression
         self.block_size = block_size
         self.bloom_bits_per_row = bloom_bits_per_row
-        self.block_format = block_format
         self.checksums = checksums
         self.metrics = metrics
         self.io_limiter = io_limiter
-        self._row_codec = RowCodec(schema)
+
+    def sink(self, expected_rows: int = 0) -> TabletSink:
+        """A fresh sink for one tablet file under this writer's
+        settings (the block-wise merge drives it directly)."""
+        return TabletSink(self.disk, self.schema, self.block_size,
+                          self.compression, self.bloom_bits_per_row,
+                          metrics=self.metrics,
+                          expected_rows=expected_rows,
+                          checksums=self.checksums,
+                          io_limiter=self.io_limiter)
 
     def write(self, filename: str, rows: Iterable[Tuple[Any, ...]],
               tablet_id: int, created_at: int, expected_rows: int = 0,
-              encoded_pairs: Optional[Iterable[Tuple[Tuple[Any, ...], bytes]]]
-              = None,
               sized_pairs: Optional[Iterable[Tuple[Tuple[Any, ...], int]]]
               = None) -> Optional[TabletMeta]:
         """Encode and write ``rows`` (already sorted by key, unique).
@@ -505,26 +470,12 @@ class TabletWriter:
         filter up front (0 defers sizing to the actual count).  When
         the caller already knows each row's encoded size
         (memtables do, §3.2's flush path), ``sized_pairs`` supplies
-        (row, size) pairs; ``encoded_pairs`` supplies (row, v1 bytes)
-        pairs (the legacy merge path); in either case ``rows`` is
-        ignored.
+        (row, size) pairs and ``rows`` is ignored.
         """
-        sink = TabletSink(self.disk, self.schema, self.block_size,
-                          self.compression, self.bloom_bits_per_row,
-                          self.block_format, metrics=self.metrics,
-                          expected_rows=expected_rows,
-                          checksums=self.checksums,
-                          io_limiter=self.io_limiter)
+        sink = self.sink(expected_rows)
         if sized_pairs is not None:
             for row, size in sized_pairs:
                 sink.add_row(row, size=size)
-        elif encoded_pairs is not None:
-            if self.block_format == BLOCK_FORMAT_V1:
-                for row, encoded in encoded_pairs:
-                    sink.add_encoded(row, encoded)
-            else:
-                for row, encoded in encoded_pairs:
-                    sink.add_row(row, size=len(encoded))
         else:
             for row in rows:
                 sink.add_row(row)
@@ -990,29 +941,6 @@ class TabletReader:
             _rows, keys = self._scan_block(index)
         position = bisect.bisect_left(keys, key)
         return position < len(keys) and keys[position] == key
-
-    def scan_pairs(self) -> Iterator[Tuple[Tuple[Any, ...], bytes]]:
-        """Full ascending scan yielding (row, v1 encoding) pairs.
-
-        The legacy (v1-format) merge path streams these straight into
-        the output tablet; v2 tablets re-encode through the compiled
-        row encoder, since a v1-format consumer is asking.
-        """
-        self.ensure_loaded()
-        if self.block_format == BLOCK_FORMAT_V2:
-            encode = self._schema_codec.encode_row_v1
-            for index in range(len(self._entries)):
-                rows, _keys = self.decode_payload(
-                    index, self.read_block_payload(index))
-                for row in rows:
-                    yield row, encode(row)
-            return
-        for index in range(len(self._entries)):
-            entry = self._entries[index]
-            payload = self.read_block_payload(index)
-            yield from decode_block_pairs(payload, self._codec,
-                                          self._row_codec, entry.row_count,
-                                          metrics=self._decode_metrics)
 
     def first_block_for(self, key_range: KeyRange) -> int:
         """Index of the first block that may hold in-range keys."""

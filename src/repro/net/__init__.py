@@ -1,18 +1,18 @@
 """TCP client/server protocol (the paper's adaptor <-> server link).
 
-Two interchangeable server fronts serve the same dispatcher: the
-thread-per-connection :class:`LittleTableServer` (protocol v1 + v2)
-and the asyncio :class:`AsyncLittleTableServer`, which multiplexes
-pipelined v2 requests.  :class:`ShardRouter` partitions tables across
-N engines behind the same database facade, so either front scales out
-without a protocol change.
+:class:`AsyncLittleTableServer` is the one server front: an asyncio
+loop that multiplexes pipelined v2 requests and serves HELLO-less v1
+clients sequentially, handing every command to
+:class:`RequestDispatcher`.  :class:`ShardRouter` partitions tables
+across N engines behind the same database facade, so the front scales
+out without a protocol change.
 """
 
 from .async_server import AsyncLittleTableServer
 from .client import ClientConfig, LittleTableClient, Pipeline, PendingReply
 from .protocol import PROTOCOL_VERSION, ConnectionLost, ProtocolError
 from .remote import RemoteDatabase, RemoteTable
-from .server import LittleTableServer, RequestDispatcher
+from .server import RequestDispatcher
 from .shard import ShardRouter, ShardedTable
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "ClientConfig",
     "ConnectionLost",
     "LittleTableClient",
-    "LittleTableServer",
     "PendingReply",
     "Pipeline",
     "ProtocolError",

@@ -1,25 +1,21 @@
-"""The asyncio front end: many pipelined requests per connection.
+"""The TCP front end: many pipelined requests per connection.
 
-The thread-per-connection server (:mod:`repro.net.server`) burns one
-OS thread per adaptor and strictly alternates request/response on each
-socket, so a client pays one round trip per command.  This front end
-multiplexes instead: a single event loop owns every connection, v2
-clients tag requests with ``id`` fields and keep many in flight, and
-responses stream back as each command finishes (possibly out of
-order).  Engine calls still block - tables lock themselves, the
-simulated disk seeks - so dispatch runs on a bounded thread pool,
-giving inter-request parallelism across connections *and* within one
-pipelined connection.
+A single event loop owns every connection: v2 clients tag requests
+with ``id`` fields and keep many in flight, and responses stream back
+as each command finishes (possibly out of order).  Engine calls still
+block - tables lock themselves, the simulated disk seeks - so dispatch
+runs on a bounded thread pool, giving inter-request parallelism across
+connections *and* within one pipelined connection.
 
-The same :class:`~repro.net.server.RequestDispatcher` serves both
-fronts, over a single :class:`~repro.core.database.LittleTable` or a
+:class:`~repro.net.server.RequestDispatcher` handles the commands,
+over a single :class:`~repro.core.database.LittleTable` or a
 :class:`~repro.net.shard.ShardRouter` alike; old (v1) clients that
-never send HELLO or ids are served sequentially in arrival order,
-exactly as the threaded server would.
+never send HELLO or ids are served by the same connection loop,
+sequentially in arrival order.
 
 Observability: ``server.pipeline_depth`` (histogram, sampled at each
 enqueue) records how deep clients actually pipeline, and
-``server.async_connections`` gauges the open connections.
+``server.active_connections`` gauges the open connections.
 """
 
 from __future__ import annotations
@@ -46,11 +42,10 @@ _LENGTH = struct.Struct(">I")
 class AsyncLittleTableServer:
     """Serves a database (or shard router) over asyncio TCP.
 
-    The public surface mirrors :class:`~repro.net.server
-    .LittleTableServer` - ``start``/``stop``/``close``, ``address``,
-    context manager - so callers swap front ends with one line.  The
-    event loop runs on a dedicated thread, keeping the constructor
-    synchronous for tests and the CLI.
+    ``start``/``stop``/``close``, ``address`` and the context manager
+    are synchronous: the event loop runs on a dedicated thread, so
+    tests and the CLI drive the server from ordinary code.  A stopped
+    server can be started again.
     """
 
     def __init__(self, db: Any, host: str = "127.0.0.1", port: int = 0,
@@ -83,9 +78,9 @@ class AsyncLittleTableServer:
         self._stop_maintenance: Optional[Callable[[], None]] = None
         if max_workers is None:
             max_workers = min(32, (os.cpu_count() or 4) * 4)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="ltdb-dispatch")
-        self._m_connections = self.metrics.gauge("server.async_connections")
+        self._max_workers = max_workers
+        self._executor: Optional[ThreadPoolExecutor] = None
+        self._m_connections = self.metrics.gauge("server.active_connections")
         self._m_depth = self.metrics.histogram("server.pipeline_depth")
         self._m_pipelined = self.metrics.counter("server.pipelined_requests")
         self._m_sequential = self.metrics.counter(
@@ -106,6 +101,11 @@ class AsyncLittleTableServer:
             return
         self._ready.clear()
         self._startup_error = None
+        # Built here, not in __init__: stop() shuts the pool down, and
+        # a restarted server needs a live one.
+        self._executor = ThreadPoolExecutor(
+            max_workers=self._max_workers,
+            thread_name_prefix="ltdb-dispatch")
         self._thread = threading.Thread(
             target=self._thread_main, daemon=True,
             name="ltdb-async-server")
@@ -138,7 +138,8 @@ class AsyncLittleTableServer:
                 logger.warning("async server thread did not exit in 10s")
             else:
                 self._thread = None
-        self._executor.shutdown(wait=False)
+        if self._executor is not None:
+            self._executor.shutdown(wait=False)
         self._address = None
 
     @property

@@ -21,12 +21,10 @@ Plays the role of the paper's SQLite-side adaptor (§3.1, §3.5):
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import socket
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -104,10 +102,6 @@ def _error_from_response(response: Dict[str, Any]) -> LittleTableError:
 class ClientConfig:
     """Connection behaviour, in one place.
 
-    Replaces the eight loose :class:`LittleTableClient` constructor
-    keywords (the same consolidation :class:`~repro.core.maintenance
-    .MaintenancePolicy` made for ``maintenance_interval_s``).
-
     * ``insert_batch_rows`` - buffered-insert flush threshold (§3.1);
     * ``connect_timeout_s`` - bound on connection establishment;
     * ``request_timeout_s`` - bound on each round trip (None = wait
@@ -148,46 +142,13 @@ class ClientConfig:
             self.durability.validate()
 
 
-#: Constructor keywords accepted for backward compatibility; each maps
-#: onto the ClientConfig field of the same name.
-_LEGACY_CLIENT_KWARGS = (
-    "insert_batch_rows", "connect_timeout_s", "request_timeout_s",
-    "max_retries", "retry_backoff_s", "retry_backoff_max_s",
-    "auto_reconnect",
-)
-
-
 class LittleTableClient:
     """A connection to a LittleTable server."""
 
-    def __init__(self, host: str, port: int,
-                 config: Optional[ClientConfig] = None,
-                 **legacy_kwargs: Any):
-        """Connect to a server.
-
-        Behaviour knobs travel in ``config`` (a
-        :class:`ClientConfig`).  The pre-redesign loose keywords
-        (``insert_batch_rows=...``, ``connect_timeout_s=...``, ...)
-        still work - including ``insert_batch_rows`` passed as the
-        third positional argument - but raise a
-        :class:`DeprecationWarning` and fold into the config.
-        """
-        if isinstance(config, int):
-            # Old third positional argument: insert_batch_rows.
-            legacy_kwargs.setdefault("insert_batch_rows", config)
-            config = None
-        if legacy_kwargs:
-            unknown = set(legacy_kwargs) - set(_LEGACY_CLIENT_KWARGS)
-            if unknown:
-                raise TypeError(
-                    f"unknown client arguments: {sorted(unknown)}")
-            warnings.warn(
-                "loose LittleTableClient keywords are deprecated; pass "
-                "config=ClientConfig(...) instead",
-                DeprecationWarning, stacklevel=2)
-            config = dataclasses.replace(
-                config if config is not None else ClientConfig(),
-                **legacy_kwargs)
+    def __init__(self, host: str, port: int, *,
+                 config: Optional[ClientConfig] = None):
+        """Connect to a server.  Behaviour knobs travel in ``config``
+        (a :class:`ClientConfig`)."""
         if config is None:
             config = ClientConfig()
         config.validate()

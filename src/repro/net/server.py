@@ -1,10 +1,12 @@
-"""The LittleTable TCP server.
+"""The LittleTable server's command layer.
 
 "LittleTable is a relational database, run as an independent server
-process" (§3.1).  This server wraps a :class:`~repro.core.LittleTable`
-instance and serves the adaptor protocol: table listing, schema
-download, batched inserts, bounding-box queries with the server row
-limit and more-available flag (§3.5), and latest-row lookups.
+process" (§3.1).  :class:`RequestDispatcher` maps the adaptor protocol
+onto a :class:`~repro.core.LittleTable` instance - table listing,
+schema download, batched inserts, bounding-box queries with the server
+row limit and more-available flag (§3.5), and latest-row lookups -
+behind :class:`AdmissionController`'s overload protection; the socket
+front that feeds it is :mod:`repro.net.async_server`.
 
 Tables do their own locking (the paper's small-lock design, §3.4.4):
 inserts serialize through each table's state lock, queries snapshot
@@ -17,15 +19,9 @@ may see some, all, or none of its rows (§3.1).
 
 from __future__ import annotations
 
-import logging
-import socket
-import socketserver
 import threading
 import time
-import warnings
 from typing import Any, Callable, Dict, Optional
-
-logger = logging.getLogger(__name__)
 
 # Commands refused while the engine is degraded to read-only (disk
 # full / persistent I/O errors).  Reads and stats keep serving; the
@@ -39,7 +35,7 @@ from ..core import errors as _errors
 from ..core.database import LittleTable
 from ..core.durability import DurabilityPolicy
 from ..core.errors import LittleTableError, OverloadedError
-from ..core.maintenance import MaintenancePolicy, MaintenanceReport
+from ..core.maintenance import MaintenancePolicy
 from ..core.row import ASCENDING, DESCENDING, KeyRange, Query, TimeRange
 from ..core.scheduler import MaintenanceScheduler
 from ..core.schema import Schema
@@ -74,178 +70,6 @@ def start_maintenance(db: Any, policy: MaintenancePolicy
     return scheduler.stop
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        server: LittleTableServer = self.server.littletable  # type: ignore
-        sock: socket.socket = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        server._register_connection(sock)
-        try:
-            self._serve(server, sock)
-        finally:
-            server._unregister_connection(sock)
-
-    def _serve(self, server: "LittleTableServer",
-               sock: socket.socket) -> None:
-        while True:
-            try:
-                request = protocol.recv_message(sock)
-            except (protocol.ConnectionLost, protocol.ProtocolError):
-                return
-            response = server.dispatch(request)
-            try:
-                protocol.send_message(sock, response)
-            except (protocol.ConnectionLost, OSError):
-                return
-
-
-class _ThreadingServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class LittleTableServer:
-    """Serves a LittleTable database over TCP."""
-
-    def __init__(self, db: LittleTable, host: str = "127.0.0.1",
-                 port: int = 0,
-                 maintenance_interval_s: Optional[float] = None,
-                 policy: Optional[MaintenancePolicy] = None,
-                 max_inflight_requests: Optional[int] = None,
-                 admission_queue_timeout_s: float = 0.25):
-        self.db = db
-        self._tcp = _ThreadingServer((host, port), _Handler)
-        self._tcp.littletable = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-        self._connections: set = set()
-        self._connections_lock = threading.Lock()
-        # Optional background maintenance (flush by age, merges, TTL),
-        # the server-side counterpart of the paper's background
-        # threads, run by the shared MaintenanceScheduler.  The bare
-        # ``maintenance_interval_s`` float is deprecated: pass a
-        # ``policy=MaintenancePolicy(tick_interval_s=...)`` instead.
-        if maintenance_interval_s is not None:
-            warnings.warn(
-                "maintenance_interval_s is deprecated; pass "
-                "policy=MaintenancePolicy(tick_interval_s=...) instead",
-                DeprecationWarning, stacklevel=2)
-            if policy is None:
-                policy = MaintenancePolicy.from_interval(
-                    maintenance_interval_s)
-        self.policy = policy
-        self.maintenance_interval_s = maintenance_interval_s
-        self._stop_maintenance: Optional[Callable[[], None]] = None
-        # Server-side observability lives in the database's registry,
-        # so one STATS snapshot covers engine and network together.
-        self.metrics = db.metrics
-        self._m_connections = self.metrics.gauge("server.active_connections")
-        # Admission control (overload protection): bound the requests
-        # executing at once and shed - with a typed, retryable error -
-        # anything that cannot start within its queue-time budget.
-        # None (the default) accepts unbounded work, as before.
-        self.admission: Optional[AdmissionController] = None
-        if max_inflight_requests is not None:
-            self.admission = AdmissionController(
-                max_inflight_requests,
-                queue_timeout_s=admission_queue_timeout_s,
-                metrics=self.metrics)
-        # All command handling is delegated to the shared dispatcher
-        # (the asyncio front end reuses the same one).
-        self.dispatcher = RequestDispatcher(db, admission=self.admission)
-
-    def run_maintenance(self) -> MaintenanceReport:
-        """One synchronous maintenance pass over every table.
-
-        Tables lock themselves; the returned
-        :class:`~repro.core.maintenance.MaintenanceReport` keeps the
-        deprecated mapping shape readable (``work["t"]["flushed"]``).
-        """
-        return self.db.maintenance()
-
-    def _register_connection(self, sock: socket.socket) -> None:
-        with self._connections_lock:
-            self._connections.add(sock)
-            self._m_connections.set(len(self._connections))
-
-    def _unregister_connection(self, sock: socket.socket) -> None:
-        with self._connections_lock:
-            self._connections.discard(sock)
-            self._m_connections.set(len(self._connections))
-
-    @property
-    def address(self) -> tuple:
-        """The (host, port) the server is bound to."""
-        return self._tcp.server_address
-
-    def start(self) -> None:
-        """Serve in a background thread."""
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True)
-        self._thread.start()
-        if self.policy is not None and self._stop_maintenance is None:
-            self._stop_maintenance = start_maintenance(self.db, self.policy)
-
-    def stop(self) -> None:
-        """Stop serving and drop all connections (looks like a crash
-        to clients: their persistent connection breaks, §3.1)."""
-        if self._stop_maintenance is not None:
-            self._stop_maintenance()
-            self._stop_maintenance = None
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        with self._connections_lock:
-            for sock in list(self._connections):
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            self._connections.clear()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            if self._thread.is_alive():
-                # Leaking a live serve_forever thread silently (the
-                # old behaviour set _thread = None regardless) hid a
-                # wedged shutdown from callers; keep the handle so
-                # is_stopped tells the truth, and say so.
-                logger.warning(
-                    "server thread did not exit within 5s; "
-                    "leaving it running (daemon)")
-            else:
-                self._thread = None
-
-    @property
-    def is_stopped(self) -> bool:
-        """True once the serving thread has actually exited (or was
-        never started).  False while serving *and* when a stop timed
-        out with the thread still alive."""
-        return self._thread is None or not self._thread.is_alive()
-
-    def close(self) -> None:
-        """Alias for :meth:`stop`, completing the symmetric
-        close/context-manager surface shared with
-        :class:`~repro.core.database.LittleTable` and
-        :class:`~repro.net.client.LittleTableClient`."""
-        self.stop()
-
-    def __enter__(self) -> "LittleTableServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # --------------------------------------------------------- dispatch
-
-    def dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Handle one request message (also usable without TCP)."""
-        return self.dispatcher.dispatch(request)
-
-
 #: Commands admission control never sheds: the handshake, liveness
 #: probes, and the stats read an operator needs in order to *see* the
 #: overload.  All three are cheap and touch no table state.
@@ -263,7 +87,7 @@ class AdmissionController:
     applied and is always safe to retry.  The error carries a
     ``retry_after_s`` hint the client's backoff honours.
 
-    Shared by both server fronts; also usable standalone in tests.
+    Also usable standalone in tests.
     Metrics: ``server.admission.inflight`` (gauge),
     ``server.admission.shed``, ``server.admission.queue_wait_us``.
     """
@@ -336,11 +160,11 @@ class AdmissionController:
 class RequestDispatcher:
     """Maps protocol commands onto a database-shaped object.
 
-    Shared by the thread-per-connection :class:`LittleTableServer` and
-    the asyncio :class:`~repro.net.async_server.AsyncLittleTableServer`;
-    ``db`` may be a single :class:`~repro.core.database.LittleTable`
-    engine or a :class:`~repro.net.shard.ShardRouter` spanning many —
-    both expose the same catalog/insert/query facade.
+    Fed by :class:`~repro.net.async_server.AsyncLittleTableServer`, and
+    callable without a socket.  ``db`` may be a single
+    :class:`~repro.core.database.LittleTable` engine or a
+    :class:`~repro.net.shard.ShardRouter` spanning many — both expose
+    the same catalog/insert/query facade.
 
     Never raises: engine errors and malformed requests come back as
     error responses, keeping the server up (a bad client must not look

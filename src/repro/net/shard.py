@@ -2,11 +2,10 @@
 
 The paper's deployment funnels "hundreds of thousands of devices"
 through adaptors into a single server (§3.1); one engine behind one
-thread-per-connection accept loop is the scaling wall.  The
-:class:`ShardRouter` breaks it by partitioning every table's rows
-across N independent engines and presenting the same database facade
-the network dispatcher already speaks, so both the threaded and the
-asyncio servers serve a router without knowing it.
+accept loop is the scaling wall.  The :class:`ShardRouter` breaks it
+by partitioning every table's rows across N independent engines and
+presenting the same database facade the network dispatcher already
+speaks, so the server front serves a router without knowing it.
 
 Routing is deterministic per row key:
 

@@ -1,5 +1,8 @@
 """Shared fixtures: schemas, clocks, and engine builders."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import Column, ColumnType, EngineConfig, LittleTable, Schema
@@ -9,6 +12,31 @@ from repro.util.clock import MICROS_PER_DAY, VirtualClock
 # A stable "now" far from the epoch: day 10,000 (2-Jan-1997), aligned to
 # a week boundary plus a bit so period math is interesting.
 BASE_TIME = 10_000 * MICROS_PER_DAY + 5 * 3_600_000_000
+
+
+V1_DATADIR = Path(__file__).parent / "core" / "fixtures" / "v1_datadir"
+
+
+def load_v1_datadir():
+    """The checked-in block-format-v1 data directory, on a fresh
+    in-memory disk, plus the rows it holds as ``{table: [dict, ...]}``.
+
+    Written once by the last commit that still had a v1 block writer
+    (``EngineConfig(block_format_version=1)``): table ``mixed`` is
+    ``test_codec_roundtrip.TestMixedFormatMerge``'s two v1 tablets,
+    table ``usage`` the v1 third of ``test_vectorized_differential
+    .build_mixed_db``'s seeded rows.  Nothing in the tree can
+    regenerate it; it is data the reader must keep opening.
+    """
+    disk = SimulatedDisk()
+    for path in V1_DATADIR.glob("tables/**/*"):
+        if path.is_file():
+            disk.write_file(path.relative_to(V1_DATADIR).as_posix(),
+                            path.read_bytes())
+    recorded = json.loads((V1_DATADIR / "rows.json").read_text())
+    rows = {name: [dict(zip(recorded["columns"], row)) for row in table]
+            for name, table in recorded["tables"].items()}
+    return disk, rows
 
 
 def usage_schema():

@@ -6,15 +6,15 @@ encode/decode functions.  These tests pin down:
 * bit-exact roundtrips over randomized schemas and value distributions
   (including varint width edges, NaN/inf doubles, empty and long
   strings, zero-byte blobs);
-* agreement between the compiled v1 row encoder and the reference
-  ``RowCodec``;
+* agreement between the compiled row sizer and the reference
+  ``RowCodec``'s v1 encoding;
 * ``decode_range`` returning exactly the rows a brute-force decode
   and filter would;
 * corrupt or truncated buffers failing with ``CorruptTabletError``
   and nothing else;
 * the checked-in v1 tablet fixture (written before format v2 existed)
-  still reading back every row exactly, and mixed v1/v2 tablet sets
-  merging cleanly into v2.
+  still reading back every row exactly, and the checked-in v1 data
+  directory merging with new v2 tablets cleanly into v2.
 """
 
 import json
@@ -147,7 +147,6 @@ class TestFuzzRoundtrip:
         ops = compiled_ops(schema)
         reference = RowCodec(schema)
         for row in random_rows(rng, schema, 40):
-            assert ops.encode_row_v1(row) == reference.encode_row(row)
             assert ops.size_of(row) == len(reference.encode_row(row))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -155,9 +154,10 @@ class TestFuzzRoundtrip:
         rng = random.Random(0xFACE + seed)
         schema = random_schema(rng)
         codec = SchemaCodec(schema)
+        reference = RowCodec(schema)
         for row in random_rows(rng, schema, 40):
             validated, size = codec.validate_and_size(row)
-            assert size == len(codec.encode_row_v1(validated))
+            assert size == len(reference.encode_row(validated))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_decode_range_matches_bruteforce(self, seed):
@@ -352,21 +352,24 @@ class TestV1Compat:
 
 
 class TestMixedFormatMerge:
-    def test_v1_tablets_merge_to_v2(self, db, clock):
-        from ..conftest import usage_schema
+    def test_v1_tablets_merge_to_v2(self, clock, small_config):
+        from repro.core import LittleTable, Query
 
-        table = db.create_table("mixed", usage_schema())
-        # Two tablets written in the legacy format...
-        table.config.block_format_version = BLOCK_FORMAT_V1
-        for batch in range(2):
-            table.insert([
-                {"network": 1, "device": d, "ts": clock.now(),
-                 "bytes": batch * 100 + d, "rate": d * 0.25}
-                for d in range(50)])
-            table.flush_all()
-            clock.advance_seconds(60)
+        from ..conftest import load_v1_datadir
+
+        # Two tablets written in the legacy format (one minute apart,
+        # by the last commit that had a v1 writer)...
+        disk, recorded = load_v1_datadir()
+        clock.advance_seconds(120)
+        db = LittleTable(disk=disk, config=small_config, clock=clock)
+        table = db.table("mixed")
+        assert len(table.on_disk_tablets) == 2
+        key_of = table.schema.key_of
+        assert rows_equal(
+            table.query(Query()).rows,
+            sorted((tuple(row.values()) for row in recorded["mixed"]),
+                   key=key_of))
         # ...one written as v2...
-        table.config.block_format_version = BLOCK_FORMAT_V2
         table.insert([
             {"network": 2, "device": d, "ts": clock.now(),
              "bytes": d, "rate": 0.0} for d in range(50)])
@@ -377,7 +380,6 @@ class TestMixedFormatMerge:
             reader.ensure_loaded()
             formats.add(reader.block_format)
         assert formats == {BLOCK_FORMAT_V1, BLOCK_FORMAT_V2}
-        from repro.core import Query
         before = table.query(Query()).rows
         # ...merging the mixed set must upgrade everything to v2.
         while table.maybe_merge() is not None:

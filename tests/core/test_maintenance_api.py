@@ -1,10 +1,9 @@
 """The unified maintenance API: policy, typed reports, scheduler.
 
-Covers the api_redesign satellites: MaintenancePolicy validation and
-the deprecated ``maintenance_interval_s`` alias, the typed
-MaintenanceReport / TableMaintenanceReport returns (with dict compat),
-quiescence covering every work kind, scheduler lifecycle, insert
-backpressure, and per-table crash isolation.
+Covers MaintenancePolicy validation, the typed MaintenanceReport /
+TableMaintenanceReport returns and their wire encoding, quiescence
+covering every work kind, scheduler lifecycle, insert backpressure,
+and per-table crash isolation.
 """
 
 import threading
@@ -17,7 +16,6 @@ from repro.core import (EngineConfig, LittleTable, LockOrderChecker,
                         MaintenanceScheduler, Query, TableMaintenanceReport,
                         instrument_table_locks, pending_merge_runs)
 from repro.disk import SimulatedDisk
-from repro.net.server import LittleTableServer
 from repro.util.clock import MICROS_PER_DAY
 
 from ..conftest import usage_schema
@@ -58,44 +56,14 @@ class TestMaintenancePolicy:
     def test_none_flush_pending_disables_backpressure(self):
         MaintenancePolicy(max_flush_pending=None).validate()
 
-    def test_from_interval_adapts_deprecated_kwarg(self):
-        policy = MaintenancePolicy.from_interval(0.25)
-        assert policy.tick_interval_s == 0.25
-
     def test_database_accepts_policy(self, clock, small_config):
         policy = MaintenancePolicy(tick_interval_s=0.5, workers=2)
         db = LittleTable(disk=SimulatedDisk(), config=small_config,
                         clock=clock, maintenance_policy=policy)
         assert db.maintenance_policy is policy
 
-    def test_server_interval_kwarg_deprecated(self, db):
-        with pytest.warns(DeprecationWarning):
-            server = LittleTableServer(db, maintenance_interval_s=0.5)
-        assert server.policy is not None
-        assert server.policy.tick_interval_s == 0.5
-
-    def test_server_policy_kwarg_no_warning(self, db, recwarn):
-        server = LittleTableServer(
-            db, policy=MaintenancePolicy(tick_interval_s=0.5))
-        assert server.policy.tick_interval_s == 0.5
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
 
 class TestReports:
-    def test_table_report_dict_compat(self):
-        report = TableMaintenanceReport(table="t", flushed=2, merged=1)
-        assert report["flushed"] == 2
-        assert report["merged"] == 1
-        assert report.get("expired") == 0
-        assert report.get("nope", "dflt") == "dflt"
-        with pytest.raises(KeyError):
-            report["nope"]
-        assert set(report.keys()) == {"flushed", "merged", "expired",
-                                      "errors"}
-        assert report.as_dict() == {"flushed": 2, "merged": 1,
-                                    "expired": 0, "errors": []}
-
     def test_did_work_counts_errors(self):
         assert not TableMaintenanceReport(table="t").did_work
         assert TableMaintenanceReport(table="t", expired=1).did_work
@@ -115,17 +83,14 @@ class TestReports:
         assert not report.is_quiet
         assert MaintenanceReport().is_quiet
 
-    def test_database_report_mapping_compat(self):
+    def test_report_wire_encoding(self):
         report = MaintenanceReport()
-        report.add(TableMaintenanceReport(table="usage", flushed=1))
-        # The exact pre-redesign idiom:
-        assert sum(w["flushed"] for w in report.values()) == 1
-        assert "usage" in report
-        assert list(report) == ["usage"]
-        assert len(report) == 1
-        assert report["usage"]["flushed"] == 1
+        report.add(TableMaintenanceReport(table="usage", flushed=2,
+                                          merged=1))
+        assert report.tables["usage"].as_dict() == {
+            "flushed": 2, "merged": 1, "expired": 0, "errors": []}
         assert report.as_dict() == {
-            "usage": {"flushed": 1, "merged": 0, "expired": 0,
+            "usage": {"flushed": 2, "merged": 1, "expired": 0,
                       "errors": []}}
 
     def test_table_maintenance_returns_typed_report(self, usage_table,
@@ -141,7 +106,7 @@ class TestReports:
         make_flush_due(table, clock)
         report = db.maintenance()
         assert isinstance(report, MaintenanceReport)
-        assert report["usage"].flushed >= 1
+        assert report.tables["usage"].flushed >= 1
 
 
 class TestQuiescence:
@@ -189,7 +154,7 @@ class TestCrashIsolation:
 
         monkeypatch.setattr(bad, "maintenance", boom)
         report = db.maintenance()
-        assert report["good"].flushed >= 1
+        assert report.tables["good"].flushed >= 1
         assert any("table exploded" in e for e in report.errors)
 
 

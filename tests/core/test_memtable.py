@@ -90,12 +90,6 @@ class TestIteration:
         mt, expected = self._filled()
         assert list(mt.sorted_rows()) == expected
 
-    def test_sorted_encoded_matches(self):
-        mt, expected = self._filled()
-        pairs = list(mt.sorted_encoded())
-        assert [row for row, _enc in pairs] == expected
-        assert all(isinstance(enc, bytes) for _row, enc in pairs)
-
     def test_last_key(self):
         mt, expected = self._filled()
         assert mt.last_key() == (3, 20)

@@ -113,13 +113,13 @@ class TestMaintenance:
         assert usage_table.on_disk_tablets == []
         clock.advance(usage_table.config.flush_age_micros + 1)
         summary = usage_table.maintenance()
-        assert summary["flushed"] == 1
+        assert summary.flushed == 1
         assert len(usage_table.on_disk_tablets) == 1
 
     def test_maintenance_leaves_young_memtables(self, usage_table, clock):
         usage_table.insert([row(1, clock.now())])
         summary = usage_table.maintenance()
-        assert summary["flushed"] == 0
+        assert summary.flushed == 0
         assert usage_table.unflushed_memtable_count == 1
 
     def test_database_maintenance_until_quiet(self, db, clock):

@@ -85,7 +85,7 @@ class TestTabletReclaim:
         ttl_table.flush_all()
         clock.advance(10 * MICROS_PER_DAY)
         summary = ttl_table.maintenance()
-        assert summary["expired"] == 1
+        assert summary.expired == 1
 
 
 class TestSetTtl:

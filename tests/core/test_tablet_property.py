@@ -92,9 +92,6 @@ def test_write_scan_round_trip(data, block_size, compression, bloom_bits):
     assert meta.row_count == len(rows)
     reader.ensure_loaded()
     assert reader.schema == schema
-    # Pairs path (merge fast path) agrees with the plain scan.
-    pair_rows = [row for row, _encoded in reader.scan_pairs()]
-    assert pair_rows == rows
     # Prefix scans agree with a Python filter, for each key depth.
     key_width = schema.key_width
     probe = schema.key_of(rows[len(rows) // 2])

@@ -352,14 +352,7 @@ class TestWalLifecycle:
 
 
 class TestLegacyKnobFolding:
-    """The PR 6-style consolidation: loose durability-adjacent kwargs
-    fold into the policy with a DeprecationWarning."""
-
-    def test_legacy_kwargs_fold_with_warning(self):
-        with pytest.warns(DeprecationWarning):
-            db = LittleTable(disk=SimulatedDisk(), startup_scrub=False)
-        assert db.durability.startup_scrub is False
-        assert db.config.startup_scrub is False
+    """The policy object's own contract."""
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError):

@@ -228,6 +228,20 @@ class TestLifecycle:
             client.close()
         db.close()
 
+    def test_a_stopped_server_starts_again(self):
+        """stop() shuts the dispatch pool down; start() must build a
+        new one, or the restarted server accepts and drops requests."""
+        db = LittleTable(clock=VirtualClock(start=BASE))
+        server = AsyncLittleTableServer(db)
+        for _ in range(2):
+            server.start()
+            client = connect_client(server)
+            assert client.ping()
+            client.close()
+            server.stop()
+            assert server.is_stopped
+        db.close()
+
     def test_connection_gauge_returns_to_zero(self, single_server):
         client = connect_client(single_server)
         assert client.ping()
@@ -237,8 +251,8 @@ class TestLifecycle:
         deadline = time.time() + 5
         while time.time() < deadline:
             gauges = single_server.metrics.snapshot()["gauges"]
-            if gauges.get("server.async_connections", 0) == 0:
+            if gauges.get("server.active_connections", 0) == 0:
                 break
             time.sleep(0.02)
         assert single_server.metrics.snapshot()["gauges"].get(
-            "server.async_connections", 0) == 0
+            "server.active_connections", 0) == 0

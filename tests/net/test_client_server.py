@@ -12,7 +12,7 @@ from repro.core import (
     Schema,
     TableExistsError,
 )
-from repro.net import ConnectionLost, LittleTableClient, LittleTableServer
+from repro.net import AsyncLittleTableServer, ConnectionLost, LittleTableClient
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
 
 BASE = 10_000 * MICROS_PER_DAY
@@ -37,7 +37,7 @@ def clock():
 def server(clock):
     db = LittleTable(clock=clock,
                      config=EngineConfig(server_row_limit=16))
-    with LittleTableServer(db) as running:
+    with AsyncLittleTableServer(db) as running:
         yield running
 
 
@@ -240,7 +240,7 @@ class TestExtensions:
 class TestCrashDetection:
     def test_server_stop_breaks_persistent_connection(self, clock):
         db = LittleTable(clock=clock)
-        server = LittleTableServer(db)
+        server = AsyncLittleTableServer(db)
         server.start()
         host, port = server.address
         client = LittleTableClient(host, port)
@@ -252,7 +252,7 @@ class TestCrashDetection:
 
     def test_reconnect_after_restart(self, clock):
         db = LittleTable(clock=clock)
-        server = LittleTableServer(db)
+        server = AsyncLittleTableServer(db)
         server.start()
         host, port = server.address
         client = LittleTableClient(host, port)
@@ -262,7 +262,7 @@ class TestCrashDetection:
             client.ping()
         # "Restart" the server on the recovered database.
         recovered = db.simulate_crash()
-        server2 = LittleTableServer(recovered, host=host, port=port)
+        server2 = AsyncLittleTableServer(recovered, host=host, port=port)
         server2.start()
         try:
             client.connect()

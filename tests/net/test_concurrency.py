@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.core import Column, ColumnType, LittleTable, Schema
-from repro.net import LittleTableClient, LittleTableServer
+from repro.net import AsyncLittleTableServer, LittleTableClient
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 BASE = 10_000 * MICROS_PER_DAY
@@ -32,7 +32,7 @@ def make_schema():
 @pytest.fixture
 def server():
     db = LittleTable(clock=VirtualClock(start=BASE))
-    with LittleTableServer(db) as running:
+    with AsyncLittleTableServer(db) as running:
         yield running
 
 

@@ -2,12 +2,10 @@
 
 Parity is the point of the redesign, so the central test runs ONE
 workload function against three deployments - in-process engine,
-threaded single-engine server, async sharded server - and asserts the
-facade behaves identically (same rows, same shapes, same context-
+single-engine server, sharded server - and asserts the facade behaves
+identically (same rows, same shapes, same context-
 manager semantics).
 """
-
-import warnings
 
 import pytest
 
@@ -24,7 +22,6 @@ from repro.core import (
 from repro.net import (
     AsyncLittleTableServer,
     LittleTableClient,
-    LittleTableServer,
     ShardRouter,
 )
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
@@ -84,9 +81,9 @@ class TestFacadeParity:
         with LittleTable(clock=VirtualClock(start=BASE)) as db:
             run_workload(db)
 
-    def test_threaded_single_server(self):
+    def test_single_engine_server(self):
         db = LittleTable(clock=VirtualClock(start=BASE))
-        with LittleTableServer(db) as server:
+        with AsyncLittleTableServer(db) as server:
             with connect(server.address) as remote:
                 assert run_workload(remote) is not None
         db.close()
@@ -103,7 +100,7 @@ class TestFacadeParity:
         with LittleTable(clock=VirtualClock(start=BASE)) as db:
             results.append(run_workload(db))
         db = LittleTable(clock=VirtualClock(start=BASE))
-        with LittleTableServer(db) as server:
+        with AsyncLittleTableServer(db) as server:
             with connect(server.address) as remote:
                 results.append(run_workload(remote))
         db.close()
@@ -119,7 +116,7 @@ class TestConnectAddresses:
     @pytest.fixture
     def server(self):
         db = LittleTable(clock=VirtualClock(start=BASE))
-        with LittleTableServer(db) as running:
+        with AsyncLittleTableServer(db) as running:
             yield running
         db.close()
 
@@ -159,48 +156,6 @@ class TestConnectAddresses:
 
 
 class TestClientConfigShim:
-    @pytest.fixture
-    def server(self):
-        db = LittleTable(clock=VirtualClock(start=BASE))
-        with LittleTableServer(db) as running:
-            yield running
-        db.close()
-
-    def test_legacy_kwargs_warn_and_map(self, server):
-        host, port = server.address
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            client = LittleTableClient(host, port,
-                                       insert_batch_rows=99,
-                                       max_retries=5,
-                                       auto_reconnect=False)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert client.config.insert_batch_rows == 99
-        assert client.config.max_retries == 5
-        assert client.config.auto_reconnect is False
-        client.close()
-
-    def test_legacy_positional_batch_size(self, server):
-        host, port = server.address
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            client = LittleTableClient(host, port, 256)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert client.config.insert_batch_rows == 256
-        client.close()
-
-    def test_modern_config_does_not_warn(self, server):
-        host, port = server.address
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("error", DeprecationWarning)
-            client = LittleTableClient(
-                host, port, config=ClientConfig(insert_batch_rows=64))
-        assert client.config.insert_batch_rows == 64
-        assert not caught
-        client.close()
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LittleTableClient("127.0.0.1", 1,
@@ -245,3 +200,10 @@ class TestServeCli:
         from repro.cli import serve_main
 
         assert serve_main(["--shards", "0", "--port", "0"]) == 2
+
+    def test_serve_has_one_front(self):
+        from repro.cli import serve_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(["--legacy", "--port", "0"])
+        assert excinfo.value.code == 2      # argparse: unrecognized

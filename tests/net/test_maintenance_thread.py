@@ -3,8 +3,6 @@
 import threading
 import time
 
-import pytest
-
 from repro.core import (
     Column,
     ColumnType,
@@ -17,7 +15,6 @@ from repro.core.maintenance import MaintenancePolicy
 from repro.net import (
     AsyncLittleTableServer,
     LittleTableClient,
-    LittleTableServer,
     ShardRouter,
 )
 from repro.util.clock import MICROS_PER_DAY, SystemClock
@@ -35,7 +32,7 @@ def make_schema():
 class TestMaintenanceThread:
     def test_maintenance_command(self):
         db = LittleTable(config=EngineConfig(merge_min_age_micros=0))
-        with LittleTableServer(db) as server:
+        with AsyncLittleTableServer(db) as server:
             client = LittleTableClient(*server.address)
             client.create_table("t", make_schema())
             client.insert("t", [{"k": 1, "ts": 1000, "v": 1}])
@@ -51,7 +48,8 @@ class TestMaintenanceThread:
             config=EngineConfig(flush_age_micros=1, flush_size_bytes=4096,
                                 merge_min_age_micros=0,
                                 merge_rollover_delay_fraction=0.0))
-        server = LittleTableServer(db, maintenance_interval_s=0.02)
+        server = AsyncLittleTableServer(
+            db, policy=MaintenancePolicy(tick_interval_s=0.02))
         server.start()
         try:
             client = LittleTableClient(*server.address)
@@ -81,7 +79,8 @@ class TestMaintenanceThread:
             config=EngineConfig(flush_age_micros=1, flush_size_bytes=2048,
                                 merge_min_age_micros=0,
                                 merge_rollover_delay_fraction=0.0))
-        server = LittleTableServer(db, maintenance_interval_s=0.005)
+        server = AsyncLittleTableServer(
+            db, policy=MaintenancePolicy(tick_interval_s=0.005))
         server.start()
         errors = []
         try:
@@ -132,13 +131,11 @@ class TestShardedServerMaintenance:
     worker engine, not one over the router's table facades (which it
     cannot drive: every tick raised and nothing ever flushed)."""
 
-    @pytest.mark.parametrize("front", [AsyncLittleTableServer,
-                                       LittleTableServer])
-    def test_policy_on_a_router_flushes_per_engine(self, front, tmp_path):
+    def test_policy_on_a_router_flushes_per_engine(self, tmp_path):
         router = ShardRouter(
             shards=2, data_dir=str(tmp_path / "data"),
             config=EngineConfig(flush_size_bytes=4096))
-        server = front(router, policy=MaintenancePolicy(
+        server = AsyncLittleTableServer(router, policy=MaintenancePolicy(
             tick_interval_s=0.01))
         server.start()
         try:

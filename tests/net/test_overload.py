@@ -15,9 +15,9 @@ import pytest
 
 from repro.core import (Column, ColumnType, LittleTable, OverloadedError,
                         Query, Schema, ShardDegradedError)
-from repro.net import ClientConfig, ConnectionLost, LittleTableClient
-from repro.net.server import (AdmissionController, LittleTableServer,
-                              RequestDispatcher)
+from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
+                       LittleTableClient)
+from repro.net.server import AdmissionController, RequestDispatcher
 from repro.net.shard import ShardRouter
 from repro.obs import MetricsRegistry
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
@@ -164,7 +164,7 @@ class TestClientRetryBudget:
 
     def test_overload_retries_honor_retry_after_hint(self):
         db = LittleTable(clock=VirtualClock(start=BASE))
-        with LittleTableServer(db, max_inflight_requests=1,
+        with AsyncLittleTableServer(db, max_inflight_requests=1,
                                admission_queue_timeout_s=0.05) as server:
             client = self.make_client_against(
                 server, max_retries=2, retry_backoff_s=10.0)
@@ -184,7 +184,7 @@ class TestClientRetryBudget:
 
     def test_overload_is_retryable_even_for_inserts(self):
         db = LittleTable(clock=VirtualClock(start=BASE))
-        with LittleTableServer(db, max_inflight_requests=1,
+        with AsyncLittleTableServer(db, max_inflight_requests=1,
                                admission_queue_timeout_s=0.01) as server:
             client = self.make_client_against(
                 server, max_retries=5, retry_backoff_s=0.01)
@@ -199,7 +199,7 @@ class TestClientRetryBudget:
 
     def test_shared_deadline_caps_total_retry_time(self):
         db = LittleTable(clock=VirtualClock(start=BASE))
-        with LittleTableServer(db, max_inflight_requests=1,
+        with AsyncLittleTableServer(db, max_inflight_requests=1,
                                admission_queue_timeout_s=0.01) as server:
             # retry_after hints (10 s) dwarf the 0.3 s overall budget:
             # the shared deadline must refuse to fund the sleeps, so
@@ -220,7 +220,7 @@ class TestClientRetryBudget:
     def test_deadline_propagates_to_server(self):
         db = LittleTable(clock=VirtualClock(start=BASE))
         captured = {}
-        with LittleTableServer(db) as server:
+        with AsyncLittleTableServer(db) as server:
             original = server.dispatcher.dispatch
 
             def spying(request):
@@ -239,7 +239,7 @@ class TestClientRetryBudget:
 class TestEndToEndOverload:
     def test_jammed_server_sheds_then_serves(self):
         db = LittleTable(clock=VirtualClock(start=BASE))
-        with LittleTableServer(db, max_inflight_requests=1,
+        with AsyncLittleTableServer(db, max_inflight_requests=1,
                                admission_queue_timeout_s=0.02) as server:
             host, port = server.address
             client = LittleTableClient(host, port, config=ClientConfig(

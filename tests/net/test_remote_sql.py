@@ -14,7 +14,7 @@ from repro.core import (
     Schema,
     TimeRange,
 )
-from repro.net import LittleTableClient, LittleTableServer, RemoteDatabase
+from repro.net import AsyncLittleTableServer, LittleTableClient, RemoteDatabase
 from repro.sqlapi import SqlError, SqlSession
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
@@ -28,7 +28,7 @@ CREATE = ("CREATE TABLE usage (network INT64, device INT64, "
 def remote():
     clock = VirtualClock(start=BASE)
     db = LittleTable(clock=clock, config=EngineConfig(server_row_limit=8))
-    with LittleTableServer(db) as server:
+    with AsyncLittleTableServer(db) as server:
         host, port = server.address
         with LittleTableClient(host, port) as client:
             database = RemoteDatabase(client)

@@ -24,7 +24,7 @@ from repro.core import (
 from repro.disk import SimulatedDisk
 from repro.net.client import LittleTableClient
 from repro.net.replica import Follower
-from repro.net.server import LittleTableServer
+from repro.net.async_server import AsyncLittleTableServer
 
 from ..conftest import usage_schema
 
@@ -40,7 +40,7 @@ def row_for(index: int) -> dict:
 def primary():
     db = LittleTable(disk=SimulatedDisk(), durability=REPL)
     db.create_table("t", usage_schema())
-    server = LittleTableServer(db)
+    server = AsyncLittleTableServer(db)
     server.start()
     try:
         yield db, server

@@ -18,8 +18,8 @@ from repro.core import (
     Schema,
 )
 from repro.disk import DiskFullError, FaultyVFS
-from repro.net import (ClientConfig, ConnectionLost, LittleTableClient,
-                       LittleTableServer)
+from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
+                       LittleTableClient)
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 BASE = 10_000 * MICROS_PER_DAY
@@ -59,7 +59,7 @@ def db():
 
 @pytest.fixture
 def server(db):
-    with LittleTableServer(db) as running:
+    with AsyncLittleTableServer(db) as running:
         yield running
 
 
@@ -120,7 +120,7 @@ class TestServerRestart:
             assert server.is_stopped
             # Same engine, fresh server on the same port: the client's
             # persistent connection is dead but the data is not.
-            with LittleTableServer(db, port=port):
+            with AsyncLittleTableServer(db, port=port):
                 rows = list(client.query("t"))
             assert [row[1] for row in rows] == [BASE + i for i in range(10)]
             assert len(client.sleeps) >= 1  # it actually retried
@@ -133,7 +133,7 @@ class TestServerRestart:
             client._schema_cache["t"] = "stale-sentinel"
             host, port = server.address
             server.stop()
-            with LittleTableServer(db, port=port):
+            with AsyncLittleTableServer(db, port=port):
                 assert client.ping()
                 # The reconnect dropped the poisoned entry; the next
                 # lookup re-fetches the real schema from the server.
@@ -154,7 +154,7 @@ class TestServerRestart:
             client.create_table("t", event_schema())
             host, port = server.address
             server.stop()
-            with LittleTableServer(db, port=port):
+            with AsyncLittleTableServer(db, port=port):
                 # Even with a healthy server back up, a write through a
                 # broken connection must surface, not silently resend:
                 # the old server may have applied it (§4.1).
@@ -168,7 +168,7 @@ class TestServerRestart:
         with client:
             host, port = server.address
             server.stop()
-            with LittleTableServer(db, port=port):
+            with AsyncLittleTableServer(db, port=port):
                 with pytest.raises(ConnectionLost):
                     client.ping()
             assert client.sleeps == []
@@ -178,7 +178,7 @@ class TestReadOnlyServer:
     def test_enospc_degrades_but_reads_serve(self):
         disk = FaultyVFS()
         db = make_db(disk=disk)
-        with LittleTableServer(db) as server:
+        with AsyncLittleTableServer(db) as server:
             client = fast_client(server)
             with client:
                 client.create_table("t", event_schema())
@@ -226,7 +226,7 @@ class _WedgedThread:
 
 class TestServerShutdown:
     def test_is_stopped_lifecycle(self, db):
-        server = LittleTableServer(db)
+        server = AsyncLittleTableServer(db)
         assert server.is_stopped  # never started
         server.start()
         assert not server.is_stopped
@@ -234,7 +234,7 @@ class TestServerShutdown:
         assert server.is_stopped
 
     def test_wedged_thread_warns_and_keeps_handle(self, db, caplog):
-        server = LittleTableServer(db)
+        server = AsyncLittleTableServer(db)
         server.start()
         real_thread = server._thread
         server._thread = _WedgedThread()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Column, ColumnType, LittleTable, Schema
-from repro.net.server import LittleTableServer
+from repro.net.server import RequestDispatcher
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 BASE = 10_000 * MICROS_PER_DAY
@@ -20,12 +20,8 @@ def make_schema():
 
 @pytest.fixture
 def server():
-    clock = VirtualClock(start=BASE)
-    db = LittleTable(clock=clock)
-    # Dispatch works without start(): no sockets needed.
-    built = LittleTableServer(db)
-    built.clock = clock
-    return built
+    # The dispatcher is the whole command layer: no sockets needed.
+    return RequestDispatcher(LittleTable(clock=VirtualClock(start=BASE)))
 
 
 def ok(response):

@@ -22,7 +22,6 @@ from repro.dashboard.schemas import usage_schema
 from repro.net import (
     AsyncLittleTableServer,
     LittleTableClient,
-    LittleTableServer,
     RemoteDatabase,
     ShardRouter,
 )
@@ -81,11 +80,6 @@ def _engine():
                        config=EngineConfig(server_row_limit=ROW_LIMIT))
 
 
-def _threaded():
-    db = _engine()
-    return db, LittleTableServer(db)
-
-
 def _async():
     db = _engine()
     return db, AsyncLittleTableServer(db)
@@ -98,7 +92,7 @@ def _sharded():
     return router, AsyncLittleTableServer(router)
 
 
-FRONTS = {"threaded": _threaded, "async": _async, "sharded": _sharded}
+FRONTS = {"async": _async, "sharded": _sharded}
 
 
 @pytest.fixture(params=sorted(FRONTS))

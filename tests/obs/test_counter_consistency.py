@@ -46,7 +46,7 @@ class TestInsertFlushAccounting:
         clock.advance(MICROS_PER_DAY)  # make the memtable due
         before = counters(db).get("flush.count", 0)
         work = db.maintenance()
-        flushed = sum(w["flushed"] for w in work.values())
+        flushed = work.flushed
         assert flushed > 0
         after = counters(db)
         assert after["flush.count"] - before == flushed
@@ -67,7 +67,7 @@ class TestMergeAccounting:
         merges_reported = 0
         for _round in range(100):
             work = db.maintenance()
-            merged = sum(w["merged"] for w in work.values())
+            merged = work.merged
             if merged == 0:
                 break
             merges_reported += merged

@@ -14,7 +14,7 @@ from repro.core import (
     ProtocolViolationError,
     Schema,
 )
-from repro.net import LittleTableClient, LittleTableServer
+from repro.net import AsyncLittleTableServer, LittleTableClient
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 BASE = 10_000 * MICROS_PER_DAY
@@ -42,7 +42,7 @@ def db(clock):
 
 @pytest.fixture
 def server(db):
-    with LittleTableServer(db) as running:
+    with AsyncLittleTableServer(db) as running:
         yield running
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import LittleTable
-from repro.net import LittleTableClient, LittleTableServer, RemoteDatabase
+from repro.net import AsyncLittleTableServer, LittleTableClient, RemoteDatabase
 from repro.sqlapi import SqlSession
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
 
@@ -77,7 +77,7 @@ class TestExplain:
     def test_explain_over_the_wire(self):
         clock = VirtualClock(start=BASE)
         db = LittleTable(clock=clock)
-        with LittleTableServer(db) as server:
+        with AsyncLittleTableServer(db) as server:
             client = LittleTableClient(*server.address)
             sql = SqlSession(RemoteDatabase(client))
             sql.execute("CREATE TABLE t (k INT64, ts TIMESTAMP, "

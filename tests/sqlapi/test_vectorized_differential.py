@@ -8,9 +8,9 @@ identical columns and identical rows, in the same order.
 
 The data is adversarial on purpose:
 
-* tablets written in both block formats (v1 row-major forces the
-  per-tablet row fallback, v2 goes columnar) plus unflushed memtable
-  rows overlapping the same keys and times;
+* tablets in both block formats (the checked-in v1 row-major tablet
+  forces the per-tablet row fallback, v2 goes columnar) plus unflushed
+  memtable rows overlapping the same keys and times;
 * DOUBLE values are dyadic rationals (multiples of 0.25) so SUM/AVG
   are exact in IEEE doubles and the partial-aggregation merge order
   cannot introduce rounding differences — any mismatch is a real bug;
@@ -28,10 +28,12 @@ import random
 
 import pytest
 
-from repro.core import LittleTable
+from repro.core import LittleTable, Query
 from repro.net.shard import ShardRouter
 from repro.sqlapi import SqlSession
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
+
+from ..conftest import load_v1_datadir
 
 BASE = 10_000 * MICROS_PER_DAY
 MINUTE = MICROS_PER_MINUTE
@@ -104,18 +106,20 @@ def random_rows(rng, count, networks=4, devices=6):
     return rows
 
 
-def build_mixed_db(seed=11, count=600):
-    """v1 tablets + v2 tablets + a populated memtable, keys interleaved."""
+def build_mixed_db():
+    """v1 tablets + v2 tablets + a populated memtable, keys interleaved.
+
+    The v1 third is data, not a writer: the fixture directory's
+    ``usage`` table holds exactly ``rows[:third]`` of this seed.
+    """
     clock = VirtualClock(start=BASE + WINDOW)
-    db = LittleTable(clock=clock)
-    SqlSession(db).execute(CREATE)
-    rng = random.Random(seed)
-    rows = random_rows(rng, count)
-    third = count // 3
-    db.config.block_format_version = 1
-    db.insert("usage", rows[:third])
-    db.table("usage").flush_all()
-    db.config.block_format_version = 2
+    disk, recorded = load_v1_datadir()
+    db = LittleTable(disk=disk, clock=clock)
+    rows = random_rows(random.Random(11), 600)
+    third = len(rows) // 3
+    assert recorded["usage"] == rows[:third]
+    assert db.table("usage").query(Query()).rows == sorted(
+        tuple(row.values()) for row in rows[:third])
     db.insert("usage", rows[third:2 * third])
     db.table("usage").flush_all()
     db.insert("usage", rows[2 * third:])   # stays in the memtable

@@ -1,0 +1,38 @@
+"""Spellings that once worked behind a shim are plain ``TypeError``s.
+
+Each was a second way to say something one config object already
+says (``ClientConfig``, ``EngineConfig``, ``MaintenancePolicy``) or a
+selector for a code path that no longer exists (the v1 block writer);
+none of them connects, opens or binds anything before failing.
+"""
+
+import pytest
+
+from repro.core import (DurabilityPolicy, EngineConfig, LittleTable,
+                        MaintenanceReport, TableMaintenanceReport)
+from repro.net import AsyncLittleTableServer, LittleTableClient
+
+
+@pytest.mark.parametrize("old_spelling", [
+    pytest.param(
+        lambda: LittleTableClient("127.0.0.1", 1, insert_batch_rows=1),
+        id="client-loose-kwarg"),
+    pytest.param(lambda: LittleTableClient("127.0.0.1", 1, 64),
+                 id="client-positional-int"),
+    pytest.param(lambda: LittleTable(startup_scrub=False),
+                 id="db-startup-scrub"),
+    pytest.param(lambda: DurabilityPolicy(checksums=False),
+                 id="policy-checksums"),
+    pytest.param(lambda: EngineConfig(block_format_version=1),
+                 id="config-block-format"),
+    pytest.param(
+        lambda: AsyncLittleTableServer(LittleTable(),
+                                       maintenance_interval_s=1),
+        id="server-interval"),
+    pytest.param(lambda: TableMaintenanceReport(flushed=1)["flushed"],
+                 id="table-report-item"),
+    pytest.param(lambda: MaintenanceReport()["usage"], id="report-item"),
+])
+def test_old_spelling_is_a_type_error(old_spelling):
+    with pytest.raises(TypeError):
+        old_spelling()
