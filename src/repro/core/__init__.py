@@ -41,9 +41,10 @@ from .readcache import LatestRowCache, ReadCache, TabletPruneIndex
 from .recovery import ScrubReport, startup_scrub
 from .snapshot import create_snapshot, load_manifest, restore_into
 from .wal import WalRecord, WalReplayReport, WriteAheadLog
-from .row import ASCENDING, DESCENDING, KeyRange, Query, QueryStats, TimeRange
+from .row import (ASCENDING, DESCENDING, KeyRange, Query, QueryResult,
+                  QueryStats, TimeRange)
 from .schema import Column, ColumnType, Schema
-from .table import QueryResult, Table
+from .table import Table
 from .tablet import TabletMeta, TabletReader, TabletWriter
 
 __all__ = [

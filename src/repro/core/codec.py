@@ -68,10 +68,6 @@ RESTART_INTERVAL = 16
 _INT_TYPES = (ColumnType.INT32, ColumnType.INT64)
 
 
-def _uvarint_size(value: int) -> int:
-    return 1 if value < 0x80 else (value.bit_length() + 6) // 7
-
-
 # --------------------------------------------------------------------------
 # code generation helpers
 #
@@ -714,6 +710,28 @@ def _decode_restart_value(buf: bytes, schema: Schema, index: int,
     raise CorruptTabletError(f"{t} cannot be a key column")
 
 
+def prefix_column_encoders(schema: Schema):
+    """Per-column encoders for Bloom prefix parts (key cols sans ts)."""
+
+    def string_encoder(value: str) -> bytes:
+        raw = value.encode("utf-8")
+        return encode_uvarint(len(raw)) + raw
+
+    def int_encoder(value: int) -> bytes:
+        return encode_uvarint((value << 1) ^ (value >> 63))
+
+    encoders = []
+    for index in schema.key_indexes[:-1]:
+        t = schema.columns[index].type
+        if t is ColumnType.STRING:
+            encoders.append(string_encoder)
+        elif t is ColumnType.TIMESTAMP:
+            encoders.append(encode_uvarint)
+        else:
+            encoders.append(int_encoder)
+    return encoders
+
+
 class SchemaCodec:
     """One schema's compiled codec plus its metrics hooks.
 
@@ -880,32 +898,13 @@ class SchemaCodec:
             for index in indexes
         ]
 
-    def block_row_count(self, buf: bytes) -> int:
-        """The row count recorded in a v2 block header."""
-        return _parse_v2_layout(buf, self.schema).n
-
     # --------------------------------------------------------- key level
 
     def encode_key_prefix(self, values: Sequence[Any]) -> List[bytes]:
-        """Per-column v1 encodings of a key prefix (for Bloom filters).
-
-        Unlike ``RowCodec.encode_key_columns(key)[:-1]`` this never
-        encodes (then discards) the trailing timestamp.
-        """
-        schema = self.schema
-        out: List[bytes] = []
-        for position, value in enumerate(values):
-            t = schema.columns[schema.key_indexes[position]].type
-            if t in _INT_TYPES:
-                out.append(encode_uvarint((value << 1) ^ (value >> 63)))
-            elif t is ColumnType.TIMESTAMP:
-                out.append(encode_uvarint(value))
-            elif t is ColumnType.STRING:
-                raw = value.encode("utf-8")
-                out.append(encode_uvarint(len(raw)) + raw)
-            else:
-                raise ValueError(f"{t} cannot be a key column")
-        return out
+        """Per-column v1 encodings of a key prefix, timestamp excluded
+        (what Bloom filters are fed and probed with)."""
+        return [encode(value) for encode, value
+                in zip(prefix_column_encoders(self.schema), values)]
 
     # ----------------------------------------------------------- metrics
 

@@ -33,10 +33,6 @@ class EngineConfig:
     flush_age_micros: int = 10 * MICROS_PER_MINUTE
     max_merged_tablet_bytes: int = 128 * MIB
     merge_min_age_micros: int = micros_from_seconds(90)
-    # Cap on flushed-but-not-yet-merged backlog used by the Figure 3
-    # benchmark ("at any time there are at most 100 outstanding tablets
-    # waiting to be flushed to disk"); None disables the cap.
-    max_unflushed_tablets: int = 100
     # Server-side limit on rows returned per query command; the client
     # adaptor re-submits with an updated start bound (§3.5).
     server_row_limit: int = 65536

@@ -26,9 +26,9 @@ from .iosched import IORateLimiter
 from .maintenance import MaintenancePolicy, MaintenanceReport
 from .readcache import ReadCache
 from .recovery import ScrubReport, startup_scrub
-from .row import Query
+from .row import Query, QueryResult
 from .schema import Schema
-from .table import QueryResult, Table
+from .table import Table
 
 # Environment hook for the failpoint framework: arms the disk with a
 # registry parsed from e.g. "flush.before_descriptor=crash*1" without
@@ -153,23 +153,41 @@ class LittleTable:
 
     def _open_existing_tables(self) -> None:
         for name in TableDescriptor.list_tables(self.disk):
-            descriptor = TableDescriptor.load(self.disk, name)
-            # Per-table policy layers over the database default; the
-            # persisted tier wins so WAL-covered tables replay even
-            # when the engine opens with a plain default policy.
-            effective = self.durability.merged_with(
-                DurabilityPolicy.from_dict(descriptor.durability))
-            table = Table(self.disk, descriptor, self.config,
-                          self.clock, cold_disk=self.cold_disk,
-                          metrics=self.metrics,
-                          tracer=self.tracer,
-                          read_cache=self.read_cache,
-                          durability=effective)
-            table._fault_listener = self._note_storage_failure
-            table.io_limiter = self.io_limiter
-            if table.wal is not None:
-                table.replay_wal()
-            self._tables[name] = table
+            self.open_table(TableDescriptor.load(self.disk, name))
+
+    def effective_durability(self, descriptor: TableDescriptor
+                             ) -> DurabilityPolicy:
+        """The table's persisted policy layered over the database
+        default; the persisted tier wins, so WAL-covered tables replay
+        even when the engine opens with a plain default policy."""
+        return self.durability.merged_with(
+            DurabilityPolicy.from_dict(descriptor.durability))
+
+    def open_table(self, descriptor: TableDescriptor,
+                   standby: bool = False) -> Table:
+        """Build the :class:`Table` for an on-disk descriptor and
+        enter it in the catalog, replacing any table of that name.
+
+        The one place a table is wired to its database - shared
+        disks, clock, registry, tracer and read cache, the storage
+        fault listener, the IO limiter, the effective durability -
+        used by startup, ``create_table``, ``restore`` and the
+        follower's resync and ``promote``.  A WAL table replays its
+        log, which also primes LSN bookkeeping past surviving
+        segments.  ``standby`` builds a warm standby's copy, which
+        runs WAL-less: streaming is its durability while it follows.
+        """
+        table = Table(self.disk, descriptor, self.config, self.clock,
+                      cold_disk=self.cold_disk, metrics=self.metrics,
+                      tracer=self.tracer, read_cache=self.read_cache,
+                      durability=(None if standby else
+                                  self.effective_durability(descriptor)),
+                      fault_listener=self._note_storage_failure,
+                      io_limiter=self.io_limiter)
+        if table.wal is not None:
+            table.replay_wal()
+        self._tables[descriptor.name] = table
+        return table
 
     # ----------------------------------------------------------- catalog
 
@@ -214,14 +232,7 @@ class LittleTable:
                      if key in table_fields}
         descriptor.durability = persisted or None
         descriptor.save(self.disk)
-        table = Table(self.disk, descriptor, self.config, self.clock,
-                      cold_disk=self.cold_disk, metrics=self.metrics,
-                      tracer=self.tracer, read_cache=self.read_cache,
-                      durability=effective)
-        table._fault_listener = self._note_storage_failure
-        table.io_limiter = self.io_limiter
-        self._tables[name] = table
-        return table
+        return self.open_table(descriptor)
 
     def drop_table(self, name: str) -> None:
         """Drop a table and delete its files.
@@ -230,24 +241,9 @@ class LittleTable:
         schema ... frequently during new feature development".
         """
         table = self.table(name)
-        # Serialize with in-flight maintenance and swaps: once both
-        # locks are held no flush/merge is mid-write and no new one
-        # can start; the catalog entry goes away before the files.
-        with table._maintenance_lock, table.lock:
-            del self._tables[name]
-            metas = list(table.descriptor.tablets)
-            table.descriptor.tablets = []
-            pending = list(table._pending_deletes)
-            table._pending_deletes = []
-        for meta in metas:
-            table._delete_tablet_file(meta)
-        # Deferred deletes carry their target disk explicitly (a
-        # migrated tablet's hot copy must not route by its new tier).
-        table._dispose(pending)
-        if table.wal is not None:
-            table.wal.delete_files()
-        if self.disk.exists(table.descriptor.path()):
-            self.disk.delete(table.descriptor.path())
+        # The catalog entry goes away before the files.
+        del self._tables[name]
+        table.drop()
 
     # -------------------------------------------------------- operations
     #
@@ -280,11 +276,9 @@ class LittleTable:
     def maintenance(self) -> MaintenanceReport:
         """Run one maintenance tick on every table.
 
-        Returns a typed :class:`MaintenanceReport` (the old
-        ``Dict[str, Dict[str, int]]`` shape remains readable through
-        its mapping accessors and ``.as_dict()``, deprecated).  One
-        table failing never stops the pass: the error lands on that
-        table's entry.
+        Returns a typed :class:`MaintenanceReport`.  One table
+        failing never stops the pass: the error lands on that table's
+        entry.
         """
         report = MaintenanceReport()
         streak_before = self._io_failure_streak

@@ -120,13 +120,6 @@ class RowCodec:
             values.append(value)
         return tuple(values), pos
 
-    def encode_key_columns(self, key: Sequence[Any]) -> List[bytes]:
-        """Per-column encodings of a key (for prefix Bloom filters)."""
-        return [
-            encode_value(column_type, value)
-            for column_type, value in zip(self._key_types, key)
-        ]
-
     def encode_prefix_columns(self, prefix: Sequence[Any]) -> List[bytes]:
         """Per-column encodings of a key *prefix* (shorter than the key)."""
         if len(prefix) > len(self._key_types):

@@ -83,9 +83,3 @@ class FlushDependencies:
     def dependencies_of(self, memtable_id: int) -> Set[int]:
         """Direct dependencies (for tests and introspection)."""
         return set(self._must_flush_first.get(memtable_id, ()))
-
-    @property
-    def edge_count(self) -> int:
-        """Total direct dependencies (observability: how entangled the
-        unflushed memtables are; big groups mean big atomic flushes)."""
-        return sum(len(deps) for deps in self._must_flush_first.values())

@@ -33,7 +33,6 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from ..util.skiplist import SkipList
 from .codec import compiled_ops
-from .encoding import RowCodec
 from .periods import Period
 from .row import KeyRange
 from .schema import Schema
@@ -42,8 +41,7 @@ from .schema import Schema
 class MemTable:
     """One filling (or flush-pending) in-memory tablet."""
 
-    def __init__(self, memtable_id: int, schema: Schema, period: Period,
-                 row_codec: Optional[RowCodec] = None):
+    def __init__(self, memtable_id: int, schema: Schema, period: Period):
         self.memtable_id = memtable_id
         self.schema = schema
         self.period = period
@@ -55,20 +53,17 @@ class MemTable:
         self.read_only = False
         self._ops = compiled_ops(schema)
         self._max_key: Optional[Tuple[Any, ...]] = None
-        # WAL bookkeeping (durability tiers): the LSN range of the log
+        # WAL bookkeeping (durability tiers): the lowest LSN of the log
         # records whose rows live here.  None until the first logged
-        # batch touches this memtable; flushing every memtable at or
-        # below an LSN lets the table advance the WAL low-water mark
-        # past it and recycle covered segments.
+        # batch touches this memtable; once every memtable at or below
+        # an LSN is flushed the table advances the WAL low-water mark
+        # past it and recycles covered segments.
         self.min_wal_lsn: Optional[int] = None
-        self.max_wal_lsn: Optional[int] = None
 
     def note_wal_lsn(self, lsn: int) -> None:
         """Record that log record ``lsn`` put rows into this memtable."""
         if self.min_wal_lsn is None or lsn < self.min_wal_lsn:
             self.min_wal_lsn = lsn
-        if self.max_wal_lsn is None or lsn > self.max_wal_lsn:
-            self.max_wal_lsn = lsn
 
     def __len__(self) -> int:
         return len(self.rows)

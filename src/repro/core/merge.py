@@ -20,16 +20,27 @@ Two further rules from §3.4.2 and §5.1.3:
 * a tablet may not be merged until ``merge_min_age`` (90 s by default)
   after it was written, "to maximize the number of tablets available to
   any one merge".
+
+The second half of the module is the merge *executor*
+(:func:`merge_tablets`): a function of a plan, the plan's readers and
+a writer that needs no table state, so the table only chooses the
+plan, calls it off-lock, and publishes the result with its swap.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
+from .block import decompress
+from .codec import BLOCK_FORMAT_V1, BLOCK_FORMAT_V2
 from .config import EngineConfig
 from .periods import Period, period_for, rollover_delay
-from .tablet import TabletMeta
+from .readpath import translated_rows
+from .schema import Schema
+from .tablet import TabletMeta, TabletReader, TabletWriter
 
 
 @dataclass
@@ -185,3 +196,202 @@ def merge_debt_bytes(tablets: List[TabletMeta], now: int,
     return sum(plan.total_bytes
                for plan in pending_merge_runs(tablets, now, table_name,
                                               config, limit=limit))
+
+
+# ------------------------------------------------------------- executor
+
+class _MergeSource:
+    """Streaming cursor over one merge input tablet.
+
+    At any moment the source is either *decoded* - ``rows``/``keys``
+    hold the remainder of the current block, ``pos`` the read point -
+    or sitting at a *block boundary* (``rows is None``).  ``lo_bound``
+    is the last key already consumed, so every remaining key is known
+    to be strictly greater; that is what lets whole untouched blocks
+    from other sources pass through without being decoded.
+    """
+
+    __slots__ = ("reader", "entries", "index", "rows", "keys", "pos",
+                 "lo_bound", "_entry_last")
+
+    def __init__(self, reader: TabletReader):
+        self.reader = reader
+        self.entries = reader.block_entries()
+        self.index = 0
+        self.rows: Optional[List[Tuple[Any, ...]]] = None
+        self.keys: Optional[List[Tuple[Any, ...]]] = None
+        self.pos = 0
+        self.lo_bound: Optional[Tuple[Any, ...]] = None
+        self._entry_last: Optional[Tuple[Any, ...]] = None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.rows is None and self.index >= len(self.entries)
+
+    def decode_next(self) -> None:
+        """Decode the block at the boundary and step past it."""
+        entry = self.entries[self.index]
+        payload = self.reader.read_block_payload(self.index)
+        self.rows, self.keys = self.reader.decode_payload(
+            self.index, payload)
+        self.pos = 0
+        self._entry_last = entry.last_key
+        self.index += 1
+
+    def skip_block(self) -> None:
+        """Step past the boundary block (it was passed through)."""
+        self.lo_bound = self.entries[self.index].last_key
+        self.index += 1
+
+    def finish_pending(self) -> None:
+        """Drop the fully-consumed decoded block."""
+        self.rows = None
+        self.keys = None
+        self.lo_bound = self._entry_last
+
+
+def merge_tablets(plan: MergePlan, readers: List[TabletReader],
+                  writer: TabletWriter, schema: Schema, filename: str,
+                  tablet_id: int, now: int
+                  ) -> Tuple[Optional[TabletMeta], int]:
+    """Write the merge of ``plan.tablets`` as one tablet.
+
+    ``readers`` are the plan's sources in plan order and ``schema`` is
+    the table's current schema (the writer's).  Returns the new
+    tablet's metadata (None if every source was empty) and the number
+    of v1 source blocks the output upgraded to v2.
+    """
+    for reader in readers:
+        reader.ensure_loaded()
+    same_schema = all(r.schema.version == schema.version for r in readers)
+    have_zone_maps = all(
+        t.min_key is not None and t.max_key is not None
+        for t in plan.tablets)
+    if same_schema and have_zone_maps:
+        # Common case: block-at-a-time merge.  Non-overlapping v2
+        # source blocks are copied compressed-payload-verbatim;
+        # overlapping runs are batch-decoded and re-encoded whole
+        # blocks at a time; v1 sources come out upgraded to v2.
+        return _merge_blockwise(plan, readers, writer, filename,
+                                tablet_id, now)
+    # Mixed schema versions (or sources without zone maps):
+    # translating while merging also upgrades old rows to the
+    # current schema (§3.5).
+    merged = heapq.merge(
+        *[translated_rows(reader, schema) for reader in readers],
+        key=schema.key_of)
+    meta = writer.write(filename, merged, tablet_id, created_at=now,
+                        expected_rows=plan.total_rows)
+    return meta, 0
+
+
+def _merge_blockwise(plan: MergePlan, readers: List[TabletReader],
+                     writer: TabletWriter, filename: str, tablet_id: int,
+                     now: int) -> Tuple[Optional[TabletMeta], int]:
+    """Merge same-schema sources block-at-a-time into a v2 tablet.
+
+    Time-partitioned tablets rarely interleave, so most blocks'
+    key ranges are disjoint from every other source's remaining
+    keys; those are appended as raw compressed payloads without
+    decoding.  Only genuinely overlapping stretches are decoded -
+    whole blocks at a time through the compiled codec - and even
+    then rows are emitted in provably-least *runs* (bisect against
+    the other sources' frontier) rather than one heap pop per row.
+    v1 source blocks are always decoded, so the output upgrades
+    them to v2.
+    """
+    sink = writer.sink(expected_rows=plan.total_rows)
+    # Every source row survives a merge, so the output's timespan
+    # and zone map are exactly the union of the sources' metadata;
+    # passthrough blocks never reveal their rows, so these cannot
+    # be tracked per-row.
+    sink.note_ts_bounds(min(t.min_ts for t in plan.tablets),
+                        max(t.max_ts for t in plan.tablets))
+    min_key = min(t.min_key for t in plan.tablets)
+    max_key = max(t.max_key for t in plan.tablets)
+    # Don't interleave passthrough blocks with tiny row-built
+    # fragments: require the pending block to be empty or at least
+    # a quarter full before sealing it early.
+    frag_floor = sink.block_size // 4
+    upgraded = 0
+    sources = [_MergeSource(r) for r in readers]
+    while True:
+        sources = [s for s in sources if not s.exhausted]
+        if not sources:
+            break
+        # A block at some source's boundary whose keys all precede
+        # every other source's remaining keys can move as a unit.
+        best = best_entry = None
+        for s in sources:
+            if s.rows is not None:
+                continue
+            entry = s.entries[s.index]
+            last = entry.last_key
+            ok = True
+            for t in sources:
+                if t is s:
+                    continue
+                if t.rows is not None:
+                    if t.keys[t.pos] <= last:
+                        ok = False
+                        break
+                elif t.lo_bound is None or t.lo_bound < last:
+                    # t's remaining keys are only known to exceed
+                    # its lo_bound; that bound must cover ``last``.
+                    ok = False
+                    break
+            if ok and (best is None or last < best_entry.last_key):
+                best, best_entry = s, entry
+        if best is not None:
+            reader = best.reader
+            if (reader.block_format == BLOCK_FORMAT_V2
+                    and reader.codec_byte == sink.codec
+                    and (sink.pending_bytes == 0
+                         or sink.pending_bytes >= frag_floor)):
+                payload = reader.read_block_payload(best.index)
+                sink.add_block_passthrough(
+                    payload, best_entry.row_count, best_entry.last_key)
+                if sink.wants_bloom:
+                    raw = decompress(reader.codec_byte, payload)
+                    cols = reader.schema_codec.decode_key_columns(
+                        raw, include_ts=False)
+                    if cols:
+                        sink.add_bloom_prefixes(zip(*cols))
+                best.skip_block()
+            else:
+                # Right block, wrong format/codec/fill: take the
+                # row path (decoding a v1 block here is what
+                # upgrades it to v2 in the output).
+                if reader.block_format == BLOCK_FORMAT_V1:
+                    upgraded += 1
+                best.decode_next()
+            continue
+        # Overlap: decode every boundary source's next block, then
+        # emit the longest provably-least run in bulk.
+        for s in sources:
+            if s.rows is None:
+                if s.reader.block_format == BLOCK_FORMAT_V1:
+                    upgraded += 1
+                s.decode_next()
+        add_row = sink.add_row
+        while True:
+            winner = min(sources, key=lambda s: s.keys[s.pos])
+            others = [s.keys[s.pos] for s in sources
+                      if s is not winner]
+            if others:
+                cut = bisect.bisect_left(winner.keys, min(others),
+                                         winner.pos)
+                if cut <= winner.pos:
+                    cut = winner.pos + 1
+            else:
+                cut = len(winner.rows)
+            rows, keys = winner.rows, winner.keys
+            for i in range(winner.pos, cut):
+                add_row(rows[i], key=keys[i])
+            winner.pos = cut
+            if cut == len(rows):
+                winner.finish_pending()
+                break  # boundary reached: passthrough gets a shot
+    meta = sink.finish(filename, tablet_id, created_at=now,
+                       min_key=min_key, max_key=max_key)
+    return meta, upgraded

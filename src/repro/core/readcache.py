@@ -363,8 +363,6 @@ class LatestEntry:
 
 
 _MISS = object()
-#: Sentinel distinguishing "no cached answer" from a cached None.
-LATEST_MISS = _MISS
 
 
 class LatestRowCache:

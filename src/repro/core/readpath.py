@@ -1,0 +1,393 @@
+"""The read path: functions over one immutable snapshot of a table.
+
+"LittleTable opens a cursor on each tablet, filters any rows that
+fall outside the query's timestamp bounds ... and merge-sorts the
+resulting streams" (§3.2), after picking the tablets by timespan and
+key range (§3.4.5).  Every read - ``scan``/``query``, the vectorized
+``aggregate_partials``, ``latest``, ``EXPLAIN``'s prune preview and
+bulk delete's candidate pass - starts from the :class:`ReadPlan` that
+:meth:`repro.core.table.Table._read_plan` captures and pins in one
+state-lock hold, so the pruning, the schema translation and the
+corruption guard below apply to all of them alike.  Nothing here
+touches a ``Table``: tests run these functions on a hand-built plan.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
+
+from ..disk.storage import StorageError
+from ..obs.metrics import NULL_REGISTRY
+from .codec import BLOCK_FORMAT_V2
+from .cursor import execute_query
+from .errors import CorruptTabletError
+from .memtable import MemTable
+from .readcache import TabletPruneIndex
+from .row import DESCENDING, KeyRange, Query, QueryStats, TimeRange
+from .schema import Schema
+from .tablet import TabletMeta, TabletReader
+from .vector import (AggregatePartials, AggregateSpec, accumulate,
+                     accumulate_rows, key_bounds, residual_filter,
+                     resolve_time_bounds, time_filter)
+
+Row = Tuple[Any, ...]
+#: What a damaged or vanished tablet file raises when read.
+CORRUPTION = (CorruptTabletError, StorageError)
+
+
+class ReadMetrics:
+    """The ``query.*`` counters the read functions advance, looked up
+    once per table so no read does a registry lookup."""
+
+    def __init__(self, registry=NULL_REGISTRY):
+        counter = registry.counter
+        self.tablets_pruned = counter("query.tablets_pruned")
+        self.push_blocks = counter("query.pushdown.blocks_columnar")
+        self.push_blocks_fallback = counter("query.pushdown.blocks_fallback")
+        self.push_rows_columnar = counter("query.pushdown.rows_columnar")
+        self.push_rows_fallback = counter("query.pushdown.rows_fallback")
+        self.push_rows_filtered = counter(
+            "query.pushdown.rows_kernel_filtered")
+
+
+def translated_rows(reader: TabletReader, schema: Schema,
+                    key_range: Optional[KeyRange] = None,
+                    descending: bool = False) -> Iterator[Row]:
+    """Scan a tablet, translating old-schema rows (§3.5)."""
+    reader.ensure_loaded()
+    rows = reader.scan(key_range or KeyRange.all(), descending)
+    if reader.schema.version == schema.version:
+        return rows
+    return (schema.translate_row(row, reader.schema) for row in rows)
+
+
+@dataclass
+class ReadPlan:
+    """One consistent snapshot of a table's sources.
+
+    ``tablets`` is the copy-on-write list the descriptor was bound to
+    at capture (never mutated afterwards) and ``memtables`` the
+    non-empty unflushed ones; memtables are safe for concurrent reads
+    (a scan racing an insert sees some, all, or none of it, §3.1).
+    ``generation`` keys the prune index; ``cache_generation`` and
+    ``insert_seq`` let ``latest`` decide whether its answer may be
+    cached.  Used as a context manager: the table's plan carries the
+    epoch pin that keeps every file in ``tablets`` on disk, dropped
+    (``release(epoch)``) when the ``with`` block ends.
+    """
+
+    schema: Schema
+    ttl_micros: Optional[int]
+    generation: int
+    tablets: Sequence[TabletMeta]
+    memtables: Sequence[MemTable]
+    open_reader: Callable[[TabletMeta], TabletReader]
+    cache_generation: int = 0
+    insert_seq: int = 0
+    on_corrupt: Optional[Callable[[TabletMeta, BaseException], None]] = None
+    prune_index: TabletPruneIndex = field(default_factory=TabletPruneIndex)
+    metrics: ReadMetrics = field(default_factory=ReadMetrics)
+    epoch: int = 0
+    release: Optional[Callable[[int], None]] = None
+
+    def __enter__(self) -> "ReadPlan":
+        return self
+
+    def __exit__(self, *_exc_info) -> None:
+        if self.release is not None:
+            self.release(self.epoch)
+
+    def select(self, time_range: TimeRange, key_range: Optional[KeyRange],
+               stats: Optional[QueryStats] = None) -> List[TabletMeta]:
+        """Tablets that may hold rows in the rectangle, in ``min_ts``
+        order: the zone-map + time-interval pruning every read shares.
+        Pruned tablets advance ``query.tablets_pruned``."""
+        selected, pruned = self.prune_index.select_snapshot(
+            self.generation, self.tablets, time_range, key_range)
+        if pruned:
+            if stats is not None:
+                stats.tablets_pruned += pruned
+            self.metrics.tablets_pruned.inc(pruned)
+        return selected
+
+    def corrupt(self, meta: TabletMeta, exc: BaseException) -> None:
+        """Report a checksum or structural failure (or a vanished
+        file) met while reading ``meta``; the caller re-raises.
+
+        The table quarantines the tablet - descriptor drops it, file
+        moves to ``quarantine/`` - so detection is never silent: this
+        read gets a typed error, the ``storage.checksum_failures`` /
+        ``storage.quarantined_tablets`` metrics advance, and
+        *subsequent* reads serve from the remaining tablets.  Rows
+        already yielded from the bad tablet's earlier blocks were
+        CRC-verified, so nothing corrupt was ever returned.
+        """
+        if self.on_corrupt is not None:
+            self.on_corrupt(meta, exc)
+
+    def tablet_rows(self, meta: TabletMeta,
+                    key_range: Optional[KeyRange] = None,
+                    descending: bool = False) -> Iterator[Row]:
+        """A guarded tablet scan at the plan's schema."""
+        try:
+            yield from translated_rows(self.open_reader(meta), self.schema,
+                                       key_range, descending)
+        except CORRUPTION as exc:
+            self.corrupt(meta, exc)
+            raise
+
+    def memtable_rows(self, memtable: MemTable, key_range: KeyRange,
+                      descending: bool = False) -> Iterator[Row]:
+        """Scan a memtable, translating rows written under an older
+        schema (a schema change retires filling memtables, but they
+        stay readable until flushed)."""
+        rows = memtable.scan(key_range, descending)
+        if memtable.schema.version == self.schema.version:
+            return rows
+        schema = self.schema
+        return (schema.translate_row(row, memtable.schema) for row in rows)
+
+    def may_hold_prefix(self, meta: TabletMeta,
+                        encoded_prefix: Optional[List[bytes]]) -> bool:
+        """False only when the tablet's Bloom filter rules the key
+        prefix out (§3.4.5); ``encoded_prefix`` None skips the probe."""
+        if encoded_prefix is None:
+            return True
+        try:
+            return self.open_reader(meta).may_contain_prefix(
+                encoded_prefix) is not False
+        except CORRUPTION as exc:
+            self.corrupt(meta, exc)
+            raise
+
+
+# ---------------------------------------------------------------- scans
+
+def scan_rows(plan: ReadPlan, query: Query, now: int, stats: QueryStats
+              ) -> Iterator[Row]:
+    """The merged, filtered row stream for ``query`` (§3.2)."""
+    descending = query.direction == DESCENDING
+    sources = [plan.tablet_rows(meta, query.key_range, descending)
+               for meta in plan.select(query.time_range, query.key_range,
+                                       stats)]
+    stats.tablets_opened += len(sources)
+    for memtable in plan.memtables:
+        if query.time_range.overlaps(memtable.min_ts, memtable.max_ts):
+            sources.append(plan.memtable_rows(memtable, query.key_range,
+                                              descending))
+    if not sources:
+        return iter(())
+    return execute_query(sources, plan.schema, query, now, plan.ttl_micros,
+                         stats)
+
+
+def tablets_holding(plan: ReadPlan, key_range: KeyRange,
+                    encoded_prefix: Optional[List[bytes]]
+                    ) -> List[TabletMeta]:
+    """Tablets with at least one row inside ``key_range`` (bulk
+    delete's candidate pass).  Tablets whose zone map, Bloom filter
+    or key index rules the range out are never scanned."""
+    return [
+        meta for meta in plan.select(TimeRange.all(), key_range)
+        if plan.may_hold_prefix(meta, encoded_prefix)
+        and any(True for _row in plan.tablet_rows(meta, key_range))]
+
+
+# ------------------------------------------------ vectorized aggregation
+
+def aggregate(plan: ReadPlan, spec: AggregateSpec, now: int,
+              stats: QueryStats) -> AggregatePartials:
+    """Vectorized partial aggregation over the plan's sources.
+
+    The pushed-down counterpart of :func:`scan_rows` for aggregate
+    queries: the same zone-map + time-interval tablet pruning, but v2
+    tablets are consumed column-major - whole decoded columns flow
+    through the predicate and accumulation kernels with no per-row
+    tuple materialization.  v1 tablets, old-schema tablets, and
+    memtables fall back to row-at-a-time accumulation.  Primary keys
+    are unique across sources (§3.4.4), so per-source partials combine
+    by simple merge; the executor (or the shard router) finalizes.
+
+    Accounting matches the row path: ``rows_scanned`` counts rows
+    inside the key bounds, ``rows_returned`` those alive after the
+    time/TTL filter, and pruned tablets advance the same
+    ``query.tablets_pruned`` counter plain selects use.
+    """
+    cutoff = None if plan.ttl_micros is None else now - plan.ttl_micros
+    tlo, thi = resolve_time_bounds(spec.time_range, cutoff)
+    partials = AggregatePartials()
+    groups = partials.groups
+    for meta in plan.select(spec.time_range, spec.key_range, stats):
+        stats.tablets_opened += 1
+        try:
+            _aggregate_tablet(plan, meta, spec, groups, stats, tlo, thi)
+        except CORRUPTION as exc:
+            plan.corrupt(meta, exc)
+            raise
+    for memtable in plan.memtables:
+        if spec.time_range.overlaps(memtable.min_ts, memtable.max_ts):
+            _aggregate_rows(plan, plan.memtable_rows(memtable, spec.key_range),
+                            spec, groups, stats, tlo, thi)
+    return partials
+
+
+def _aggregate_rows(plan: ReadPlan, rows: Iterator[Row], spec: AggregateSpec,
+                    groups: Dict[Any, List[List[Any]]], stats: QueryStats,
+                    tlo: Optional[int], thi: Optional[int]) -> None:
+    """Row-at-a-time fallback accumulation, with its accounting."""
+    scanned, returned, aggregated = accumulate_rows(
+        groups, spec, plan.schema.ts_index, rows, tlo, thi)
+    stats.rows_scanned += scanned
+    stats.rows_returned += returned
+    plan.metrics.push_rows_fallback.inc(scanned)
+    plan.metrics.push_rows_filtered.inc(scanned - aggregated)
+
+
+def _aggregate_tablet(plan: ReadPlan, meta: TabletMeta, spec: AggregateSpec,
+                      groups: Dict[Any, List[List[Any]]], stats: QueryStats,
+                      tlo: Optional[int], thi: Optional[int]) -> None:
+    """Fold one tablet into the partial group states.
+
+    v2 same-schema tablets take the columnar path: interior blocks
+    proven fully inside the key bounds by the block index's last
+    keys never materialize row keys at all; only the edge blocks
+    binary-search their key lists for the exact trim.
+    """
+    metrics = plan.metrics
+    ts_index = plan.schema.ts_index
+    reader = plan.open_reader(meta)
+    reader.ensure_loaded()
+    if (reader.block_format != BLOCK_FORMAT_V2
+            or reader.schema.version != plan.schema.version):
+        # v1 blocks decode row-major, and old-schema tablets need
+        # per-row translation: row-at-a-time fallback for both.
+        _aggregate_rows(plan,
+                        translated_rows(reader, plan.schema, spec.key_range),
+                        spec, groups, stats, tlo, thi)
+        metrics.push_blocks_fallback.inc(reader.block_count)
+        return
+    if reader.block_count == 0:
+        return
+    key_range = spec.key_range
+    first = reader.first_block_for(key_range)
+    last = reader.last_block_for(key_range)
+    last_keys = reader.last_keys
+    no_min = key_range.min_prefix is None
+    no_max = key_range.max_prefix is None
+    for index in range(first, last + 1):
+        full_min = no_min or (
+            index > 0
+            and not key_range.before_range(last_keys[index - 1]))
+        full_max = no_max or not key_range.after_range(last_keys[index])
+        need_keys = not (full_min and full_max)
+        columns, keys, count = reader.scan_block_columns(
+            index, need_keys=need_keys)
+        if need_keys:
+            lo, hi = key_bounds(keys, key_range)
+        else:
+            lo, hi = 0, count
+        if lo >= hi:
+            continue
+        in_bounds = hi - lo
+        stats.rows_scanned += in_bounds
+        sel = time_filter(columns[ts_index], lo, hi, tlo, thi)
+        returned = in_bounds if sel is None else len(sel)
+        stats.rows_returned += returned
+        if spec.residuals:
+            sel = residual_filter(columns, spec.residuals, sel, lo, hi)
+        aggregated = in_bounds if sel is None else len(sel)
+        metrics.push_blocks.inc()
+        metrics.push_rows_columnar.inc(in_bounds)
+        metrics.push_rows_filtered.inc(in_bounds - aggregated)
+        if aggregated:
+            accumulate(groups, spec, columns, ts_index, sel, lo, hi)
+
+
+# ----------------------------------------------- latest row for a prefix
+
+def latest_row(plan: ReadPlan, prefix: Tuple[Any, ...],
+               cutoff: Optional[int], now: int, stats: QueryStats,
+               encoded_prefix: Optional[List[bytes]] = None
+               ) -> Optional[Row]:
+    """The newest row whose key starts with ``prefix`` (§3.4.5).
+
+    Works backwards through groups of sources with overlapping
+    timespans, so it usually stops after the newest group.  When the
+    prefix covers all key columns except the timestamp, the first row
+    of a descending cursor is the answer; otherwise the whole prefix
+    within each group is scanned for the maximum timestamp.
+    ``encoded_prefix`` lets Bloom filters skip tablets that cannot
+    contain the prefix; rows older than ``cutoff`` do not count.
+    """
+    schema = plan.schema
+    ts_of = schema.ts_of
+    full_prefix = len(prefix) == schema.key_width - 1
+    key_range = KeyRange.prefix(prefix)
+    query = Query(key_range, TimeRange.all(), DESCENDING)
+    best: Optional[Row] = None
+    tablets = plan.select(TimeRange.all(), key_range)
+    for group in timespan_groups(tablets, plan.memtables):
+        if cutoff is not None and max(
+                span_max for _src, _span_min, span_max in group) < cutoff:
+            break
+        sources = []
+        for source, _span_min, _span_max in group:
+            if not isinstance(source, TabletMeta):
+                sources.append(plan.memtable_rows(source, key_range,
+                                                  descending=True))
+            elif plan.may_hold_prefix(source, encoded_prefix):
+                sources.append(plan.tablet_rows(source, key_range,
+                                                descending=True))
+        if not sources:
+            continue
+        for row in execute_query(sources, schema, query, now,
+                                 plan.ttl_micros, stats):
+            ts = ts_of(row)
+            if cutoff is not None and ts < cutoff:
+                continue
+            if full_prefix:
+                return row
+            if best is None or ts > ts_of(best):
+                best = row
+        if best is not None:
+            break
+    return best
+
+
+def timespan_groups(tablets: Sequence[TabletMeta],
+                    memtables: Sequence[MemTable]
+                    ) -> List[List[Tuple[Any, int, int]]]:
+    """Sources grouped by overlapping timespans, newest first.
+
+    Each group is a list of (source, span_min, span_max) where the
+    source is a TabletMeta or a MemTable.  Groups are maximal runs of
+    sources whose timespans form a connected interval chain.
+
+    The caller may already have dropped tablets whose key-range zone
+    map proves they cannot hold a qualifying row; removing sources
+    only splits groups into still-time-disjoint subgroups, so the
+    newest-first dominance argument in :func:`latest_row` is
+    preserved.
+    """
+    spans = [(meta, meta.min_ts, meta.max_ts) for meta in tablets]
+    spans.extend((memtable, memtable.min_ts, memtable.max_ts)
+                 for memtable in memtables if not memtable.empty)
+    spans.sort(key=lambda item: item[1])
+    groups: List[List[Tuple[Any, int, int]]] = []
+    current: List[Tuple[Any, int, int]] = []
+    current_max = None
+    for item in spans:
+        _source, span_min, span_max = item
+        if current and span_min > current_max:
+            groups.append(current)
+            current = []
+            current_max = None
+        current.append(item)
+        current_max = span_max if current_max is None else max(
+            current_max, span_max)
+    if current:
+        groups.append(current)
+    groups.reverse()
+    return groups

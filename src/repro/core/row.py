@@ -15,7 +15,7 @@ of keys, which is what lets cursors binary-search with them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import QueryError
 
@@ -164,3 +164,17 @@ class QueryStats:
         if self.rows_returned == 0:
             return float(self.rows_scanned) if self.rows_scanned else 1.0
         return self.rows_scanned / self.rows_returned
+
+
+@dataclass
+class QueryResult:
+    """What one query command returns (§3.5).
+
+    ``more_available`` is set when the server's own row limit stopped
+    the scan; the client adaptor re-submits with the start bound moved
+    past ``rows[-1]``'s key to retrieve the rest.
+    """
+
+    rows: List[Tuple[Any, ...]]
+    more_available: bool
+    stats: QueryStats

@@ -45,7 +45,6 @@ from ..disk.storage import FileStorage, Storage, StorageError
 from ..disk.vfs import SimulatedDisk
 from ..util.checksum import crc32c
 from .descriptor import TableDescriptor
-from .durability import DurabilityPolicy
 from .errors import SnapshotError
 
 SNAPSHOT_MANIFEST = "snapshot-manifest.json"
@@ -256,17 +255,7 @@ def restore_into(db, src) -> Dict[str, Any]:
         raise SnapshotError(
             f"restore aborted, no tables installed: {exc}") from exc
     # Open the freshly landed tables exactly as a normal startup would.
-    from .table import Table
-
     for name in names:
-        descriptor = TableDescriptor.load(db.disk, name)
-        effective = db.durability.merged_with(
-            DurabilityPolicy.from_dict(descriptor.durability))
-        table = Table(db.disk, descriptor, db.config, db.clock,
-                      cold_disk=db.cold_disk, metrics=db.metrics,
-                      tracer=db.tracer, read_cache=db.read_cache,
-                      durability=effective)
-        table._fault_listener = db._note_storage_failure
-        db._tables[name] = table
+        db.open_table(TableDescriptor.load(db.disk, name))
     return {"tables": names, "files_copied": copied,
             "created_at": manifest.get("created_at")}

@@ -56,12 +56,13 @@ from ..util.bloom import KeyPrefixBloom
 from ..util.checksum import crc32c
 from ..util.varint import decode_uvarint, encode_uvarint
 from .block import codec_id, compress, decode_rows, decompress
-from .codec import BLOCK_FORMAT_V1, BLOCK_FORMAT_V2, SchemaCodec
+from .codec import (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2, SchemaCodec,
+                    prefix_column_encoders)
 from .encoding import RowCodec
 from .errors import ChecksumError, CorruptTabletError
 from .readcache import NULL_READ_CACHE
 from .row import KeyRange
-from .schema import ColumnType, Schema
+from .schema import Schema
 
 TRAILER_BYTES = 16
 
@@ -87,6 +88,10 @@ class TabletMeta:
     opening their readers.  They are None for tablets written before
     zone maps existed (key columns are never BLOBs, so the values are
     JSON-safe).
+
+    Never mutated once published: a tablet list is copy-on-write all
+    the way down, so a change of tier publishes a replacement
+    (``dataclasses.replace``).
     """
 
     tablet_id: int
@@ -137,28 +142,6 @@ class _BlockEntry:
     compressed_len: int
     row_count: int
     last_key: Tuple[Any, ...]
-
-
-def _prefix_column_encoders(schema: Schema):
-    """Per-column encoders for Bloom prefix parts (key cols sans ts)."""
-
-    def string_encoder(value: str) -> bytes:
-        raw = value.encode("utf-8")
-        return encode_uvarint(len(raw)) + raw
-
-    def int_encoder(value: int) -> bytes:
-        return encode_uvarint((value << 1) ^ (value >> 63))
-
-    encoders = []
-    for index in schema.key_indexes[:-1]:
-        t = schema.columns[index].type
-        if t is ColumnType.STRING:
-            encoders.append(string_encoder)
-        elif t is ColumnType.TIMESTAMP:
-            encoders.append(encode_uvarint)
-        else:
-            encoders.append(int_encoder)
-    return encoders
 
 
 class TabletSink:
@@ -214,7 +197,7 @@ class TabletSink:
         self._bloom_state: list = []
         if bloom_bits_per_row:
             self._bloom_width = schema.key_width - 1
-            self._bloom_encoders = _prefix_column_encoders(schema)
+            self._bloom_encoders = prefix_column_encoders(schema)
             self._bloom_prev_vals: List[Any] = [_UNSET] * self._bloom_width
             self._bloom_parts: List[bytes] = [b""] * self._bloom_width
             if expected_rows > 0:

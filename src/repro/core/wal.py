@@ -21,8 +21,8 @@ A torn append persists a prefix of a record; the length/CRC frame
 detects it and replay stops at the damaged tail - exactly the prefix
 semantics the rest of the engine already guarantees.
 
-Group commit: :meth:`WriteAheadLog.log_batch` only buffers (it runs
-under the table's state lock and must stay O(memory)).
+Group commit: :meth:`WriteAheadLog.log_batch_block` only buffers (it
+runs under the table's state lock and must stay O(memory)).
 :meth:`WriteAheadLog.commit` runs off-lock: the first committer
 becomes the *leader*, takes the whole buffer - including batches other
 threads logged meanwhile - and appends it with one durable write;
@@ -57,13 +57,16 @@ from ..disk.vfs import SimulatedDisk
 from ..obs.metrics import NULL_REGISTRY
 from ..util.checksum import crc32c
 from .durability import DurabilityPolicy
+from .encoding import RowCodec
+from .errors import CorruptTabletError
 
-#: Record kinds (the u8 after the CRC).  ``KIND_ROWS`` frames each
-#: row's v1 encoding individually; ``KIND_BLOCK`` carries the whole
-#: batch as one v2 column block (the hot insert path - one compiled
-#: encode per batch, and replay decodes it in one compiled pass too).
-#: The frame leaves room for checkpoint/schema markers without a
-#: format bump.
+#: Record kinds (the u8 after the CRC).  ``KIND_BLOCK`` carries the
+#: whole batch as one v2 column block (one compiled encode per batch,
+#: and replay decodes it in one compiled pass too); it is the only
+#: kind written.  ``KIND_ROWS`` frames each row's v1 encoding
+#: individually and is read-only: segments written before
+#: ``KIND_BLOCK`` existed still replay and stream.  The frame leaves
+#: room for checkpoint/schema markers without a format bump.
 KIND_ROWS = 1
 KIND_BLOCK = 2
 
@@ -118,11 +121,6 @@ class WalRecord:
             body += _ROW_LEN.pack(len(row))
             body += row
         return _FRAME.pack(len(body) + 4, crc32c(bytes(body))) + body
-
-
-def encode_record(lsn: int, schema_version: int,
-                  rows: List[bytes]) -> bytes:
-    return WalRecord(lsn, schema_version, rows).encode()
 
 
 def iter_records(data: bytes, source: str, issues: List[str]):
@@ -212,6 +210,35 @@ class WalReplayReport:
         }
 
 
+def decode_record_rows(record: WalRecord, codec,
+                       report: WalReplayReport) -> List[Tuple[Any, ...]]:
+    """The rows one record carries, decoded through the table's
+    :class:`~repro.core.codec.SchemaCodec`.  Undecodable data is
+    noted on ``report`` and skipped, never raised."""
+    if record.block is not None:
+        # KIND_BLOCK: the whole batch decodes in one compiled pass.
+        try:
+            return codec.ops.decode_block(record.block)[0]
+        except (CorruptTabletError, ValueError, IndexError,
+                struct.error) as exc:
+            report.issues.append(
+                f"record lsn={record.lsn}: undecodable block ({exc}); "
+                f"{record.row_count} rows skipped")
+            report.rows_skipped += record.row_count
+            return []
+    decode = RowCodec(codec.schema).decode_row
+    rows = []
+    for encoded in record.rows:
+        try:
+            rows.append(decode(encoded)[0])
+        except (ValueError, IndexError, struct.error) as exc:
+            report.issues.append(
+                f"record lsn={record.lsn}: undecodable row ({exc}); "
+                f"skipped")
+            report.rows_skipped += 1
+    return rows
+
+
 class WriteAheadLog:
     """One table's segmented log with group commit."""
 
@@ -297,36 +324,22 @@ class WriteAheadLog:
 
     # ----------------------------------------------------- write path
 
-    def log_batch(self, encoded_rows: List[bytes],
-                  schema_version: int) -> int:
-        """Buffer one insert batch; returns its LSN.
-
-        Called under the table's state lock: no I/O here, ever.  The
-        batch is not durable until :meth:`commit` returns for the LSN.
-        """
-        with self._lock:
-            lsn = self._next_lsn
-            self._next_lsn = lsn + 1
-            framed = encode_record(lsn, schema_version, encoded_rows)
-            self._buffer.append((lsn, framed))
-            self._buffer_bytes += len(framed)
-            return lsn
-
     def log_batch_block(self, block: bytes, row_count: int,
                         schema_version: int) -> int:
-        """:meth:`log_batch` for a v2 column block (``KIND_BLOCK``).
+        """Buffer one insert batch as a v2 column block
+        (``KIND_BLOCK``); returns its LSN.
 
-        The hot insert path encodes its whole accepted batch with the
+        The insert path encodes its whole accepted batch with the
         schema's compiled block encoder and hands the payload over -
-        one encode, one CRC, no per-row byte strings.  Replay decodes
-        it in one compiled pass as well.
+        one encode, one CRC, no per-row byte strings.  Called under
+        the table's state lock: no I/O here, ever.  The batch is not
+        durable until :meth:`commit` returns for the LSN.
         """
         with self._lock:
             lsn = self._next_lsn
             self._next_lsn = lsn + 1
-            body = _BODY_HEAD.pack(KIND_BLOCK, lsn, schema_version,
-                                   row_count) + block
-            framed = _FRAME.pack(len(body) + 4, crc32c(body)) + body
+            framed = WalRecord(lsn, schema_version, [], block,
+                               row_count).encode()
             self._buffer.append((lsn, framed))
             self._buffer_bytes += len(framed)
             return lsn
@@ -506,14 +519,7 @@ class WriteAheadLog:
                 "segments": segments,
             }
 
-    # ------------------------------------------------------------ close
-
-    def sync(self) -> None:
-        """Force any buffered batches durable (shutdown path)."""
-        with self._lock:
-            target = self._next_lsn - 1
-        if target > self._durable_lsn:
-            self.commit(target)
+    # ------------------------------------------------------------- drop
 
     def delete_files(self) -> None:
         """Remove every segment file (drop-table path)."""

@@ -57,10 +57,6 @@ class UsageGrabber:
         # (device_id, mac) -> previous cumulative counter value.
         self._client_cache: Dict[Tuple[int, str], int] = {}
 
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
-
     def cached_entry(self, device_id: int) -> Optional[Tuple[int, int]]:
         return self._cache.get(device_id)
 

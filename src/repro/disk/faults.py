@@ -30,7 +30,7 @@ read-only degradation keys off.
 from __future__ import annotations
 
 import errno
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .storage import StorageError
 from .vfs import SimulatedDisk
@@ -148,9 +148,6 @@ class FailpointRegistry:
             self._sites.clear()
         else:
             self._sites.pop(site, None)
-
-    def armed_sites(self) -> Iterable[str]:
-        return tuple(self._sites)
 
     def _take(self, site: str) -> Optional[_Failpoint]:
         """Consume one hit at *site*; the failpoint if it fires."""

@@ -21,9 +21,8 @@ from __future__ import annotations
 import base64
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.row import DESCENDING, Query, QueryStats
+from ..core.row import DESCENDING, Query, QueryResult, QueryStats
 from ..core.schema import Column, Schema
-from ..core.table import QueryResult
 from .client import LittleTableClient
 from .protocol import encode_key
 

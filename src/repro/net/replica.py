@@ -48,10 +48,8 @@ import time
 from typing import Any, Dict, Optional
 
 from ..core.descriptor import TableDescriptor
-from ..core.durability import DurabilityPolicy
 from ..core.errors import LittleTableError, ReplicaDivergedError
 from ..core.schema import Schema
-from ..core.table import Table
 from ..core.tablet import TabletMeta
 from ..core.wal import iter_records
 from .client import ClientConfig, LittleTableClient
@@ -125,25 +123,15 @@ class Follower:
         memtables carry the *old primary's* LSNs, which mean nothing
         to the new log)."""
         db = self.db
-        for name in sorted(db._tables):
-            descriptor = TableDescriptor.load(db.disk, name)
-            effective = db.durability.merged_with(
-                DurabilityPolicy.from_dict(descriptor.durability))
-            if not effective.wal_enabled:
+        for name in db.table_names():
+            table = db.table(name)
+            if not db.effective_durability(table.descriptor).wal_enabled:
                 continue
-            db._tables[name].flush_all()
-            descriptor = TableDescriptor.load(db.disk, name)
-            table = Table(db.disk, descriptor, db.config, db.clock,
-                          cold_disk=db.cold_disk, metrics=db.metrics,
-                          tracer=db.tracer, read_cache=db.read_cache,
-                          durability=effective)
-            table._fault_listener = db._note_storage_failure
-            if table.wal is not None:
-                # Primes LSN/segment bookkeeping past any segment
-                # files that survived on this side; replayed rows
-                # dedup against the tablets just flushed.
-                table.replay_wal()
-            db._tables[name] = table
+            table.flush_all()
+            # Replaying primes LSN/segment bookkeeping past any
+            # segment files that survived on this side; replayed rows
+            # dedup against the tablets just flushed.
+            db.open_table(TableDescriptor.load(db.disk, name))
 
     def __enter__(self) -> "Follower":
         return self.start()
@@ -246,12 +234,7 @@ class Follower:
             durability=info.get("durability") or None,
         )
         descriptor.save(self.db.disk)
-        table = Table(self.db.disk, descriptor, self.db.config,
-                      self.db.clock, cold_disk=self.db.cold_disk,
-                      metrics=self.db.metrics, tracer=self.db.tracer,
-                      read_cache=self.db.read_cache)
-        table._fault_listener = self.db._note_storage_failure
-        self.db._tables[name] = table
+        self.db.open_table(descriptor, standby=True)
 
     def _fetch_tablet(self, name: str, filename: str) -> None:
         chunks = bytearray()

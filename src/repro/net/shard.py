@@ -48,9 +48,9 @@ from ..core.errors import (LittleTableError, OverloadedError,
                            ShardDegradedError)
 from ..core.maintenance import MaintenancePolicy, MaintenanceReport
 from ..core.periods import FOUR_HOURS
-from ..core.row import DESCENDING, KeyRange, Query, QueryStats, TimeRange
+from ..core.row import (DESCENDING, KeyRange, Query, QueryResult, QueryStats,
+                        TimeRange)
 from ..core.schema import Schema
-from ..core.table import QueryResult
 from ..core.vector import AggregatePartials, AggregateSpec
 from ..obs.metrics import MetricsRegistry
 from ..util.clock import Clock

@@ -16,7 +16,7 @@ key.  Keys arrive as tuples of encoded column bytes.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 DEFAULT_BITS_PER_KEY = 10
 
@@ -53,11 +53,6 @@ class BloomFilter:
         """Build a filter sized for ``expected_keys`` entries."""
         num_bits = max(64, expected_keys * bits_per_key)
         return cls(num_bits, optimal_hash_count(bits_per_key))
-
-    def _positions(self, item: bytes) -> Iterable[int]:
-        h1, h2 = _hash_pair(item)
-        return [(h1 + i * h2) % self.num_bits
-                for i in range(self.num_hashes)]
 
     def add(self, item: bytes) -> None:
         """Insert raw bytes into the filter."""

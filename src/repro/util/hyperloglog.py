@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable
 
 
 class HyperLogLog:
@@ -52,11 +51,6 @@ class HyperLogLog:
         rank = (64 - self.precision) - remaining.bit_length() + 1
         if rank > self._registers[index]:
             self._registers[index] = rank
-
-    def add_all(self, items: Iterable[bytes]) -> None:
-        """Add many items."""
-        for item in items:
-            self.add(item)
 
     def cardinality(self) -> float:
         """Estimate the number of distinct items added."""

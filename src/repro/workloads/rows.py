@@ -103,7 +103,3 @@ class BenchRowGenerator:
         while produced < total_bytes:
             yield self.next_row(ts)
             produced += self.row_size
-
-    def rows_for_count(self, count: int, ts: int = None) -> Iterator[Tuple]:
-        for _ in range(count):
-            yield self.next_row(ts)

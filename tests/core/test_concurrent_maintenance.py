@@ -347,6 +347,68 @@ class TestSwapRace:
         for filename in live - now_live:
             assert not table.disk.exists(filename), filename
 
+    @pytest.mark.parametrize("read", ["query", "latest",
+                                      "aggregate_partials"])
+    def test_snapshot_is_pinned_before_any_merge_can_land(self, read):
+        """The ordering this pins down: a read's epoch pin and its
+        tablet snapshot are taken in ONE state-lock hold
+        (``Table._read_plan``), so there is no point at which a read
+        holds a tablet list whose files a merge may already reclaim.
+        The parent took the snapshot first and pinned second (for
+        ``latest`` and ``aggregate_partials``); a merge landing in
+        that gap deleted the files and the read died with
+        ``StorageError: no such file``.  With the gap gone, the
+        earliest a merge can land is right after the plan is handed
+        out - before the read has opened a single tablet - which is
+        where this test runs merges to quiescence."""
+        from repro.core.row import KeyRange, TimeRange
+        from repro.core.vector import AggregateSpec
+
+        db = make_db()
+        table = db.create_table("usage", usage_schema())
+        checker = instrument_table_locks(table, LockOrderChecker())
+        clock = db.clock
+        for batch in range(4):
+            table.insert([row(batch * 300 + i, clock.now())
+                          for i in range(300)])
+            table.flush_all()
+        calls = {
+            "query": lambda: table.query(Query()).rows,
+            "latest": lambda: table.latest((1,)),
+            "aggregate_partials": lambda: table.aggregate_partials(
+                AggregateSpec(KeyRange.all(), TimeRange.all(), (), None,
+                              (("COUNT", None),), ())).groups,
+        }
+        expected = calls[read]()
+        before = {t.filename for t in table.on_disk_tablets}
+        assert len(before) >= 4
+        table.evict_reader_cache()  # the read must go to the files
+        plan_read = table._read_plan
+        merges = []
+
+        def plan_then_merge():
+            plan = plan_read()
+            while table.maybe_merge() is not None:
+                merges.append(len(table._pending_deletes))
+            return plan
+
+        table._read_plan = plan_then_merge
+        try:
+            assert calls[read]() == expected
+        finally:
+            table._read_plan = plan_read
+        # The merges really ran inside the read, and their source
+        # files really were held back for it...
+        assert merges and all(pending > 0 for pending in merges)
+        # ...and were reclaimed the moment it ended: nothing leaks.
+        assert table._pending_deletes == []
+        live = {t.filename for t in table.on_disk_tablets}
+        assert not (live & before)
+        on_disk = {name for name in table.disk.list("tables/usage/")
+                   if name.endswith(".lt")}
+        assert on_disk == live
+        assert not checker.violations, checker.violations[:5]
+
     def test_scan_pins_files_across_a_merge(self):
         """An in-flight generator keeps its snapshot readable while a
         merge replaces the tablets underneath it."""

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import CorruptTabletError, LittleTable, Query
 from repro.core.descriptor import TableDescriptor
-from repro.core.row import KeyRange
+from repro.core.row import KeyRange, TimeRange
 from repro.core.tablet import TabletReader
 from repro.disk import MemoryStorage, SimulatedDisk
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
@@ -140,6 +140,73 @@ class TestTabletCorruption:
             db.disk.model.release(filename)
             db.disk.model.allocate(filename, size)
             table.evict_reader_cache()
+
+
+def _read_query(table):
+    return table.query(Query()).rows
+
+
+def _read_latest(table):
+    return table.latest((1,))
+
+
+def _read_aggregate(table):
+    from repro.core.vector import AggregateSpec
+
+    return table.aggregate_partials(AggregateSpec(
+        key_range=KeyRange.all(), time_range=TimeRange.all(),
+        group_indexes=(), bucket_width=None,
+        aggregates=(("COUNT", None),), residuals=())).groups
+
+
+class TestReadPathIsolation:
+    """Every read goes through the read plan's guard, so corruption
+    met by any of them is isolated the same way."""
+
+    def two_tablets(self, **config):
+        from repro.core import EngineConfig
+
+        clock = VirtualClock(start=BASE)
+        db = LittleTable(disk=SimulatedDisk(), clock=clock,
+                         config=EngineConfig(merge_policy="never", **config))
+        table = db.create_table("t", usage_schema())
+        for batch in range(2):
+            table.insert([
+                {"network": 1, "device": d, "ts": clock.now() + d,
+                 "bytes": d, "rate": 0.0}
+                for d in range(batch * 50, batch * 50 + 50)])
+            table.flush_all()
+        # The newer tablet: latest() opens its group first.
+        victim = table.on_disk_tablets[1].filename
+        corrupt_file(db.disk, victim, 4, 8)  # inside block 0
+        table.evict_reader_cache()
+        return db, table, victim
+
+    @pytest.mark.parametrize("read", [_read_query, _read_latest,
+                                      _read_aggregate])
+    def test_first_read_quarantines_second_serves(self, read):
+        db, table, victim = self.two_tablets()
+        quarantined = db.metrics.counter("storage.quarantined_tablets")
+        with pytest.raises(CorruptTabletError):
+            read(table)
+        assert quarantined.value == 1
+        assert db.disk.exists(f"quarantine/{victim}")
+        assert [t.filename for t in table.on_disk_tablets] != [victim]
+        assert len(table.on_disk_tablets) == 1
+        read(table)  # served from the remaining tablet
+        assert quarantined.value == 1
+        assert table._pending_deletes == []
+
+    @pytest.mark.parametrize("read", [_read_query, _read_latest,
+                                      _read_aggregate])
+    def test_quarantine_disabled_raises_every_time(self, read):
+        db, table, victim = self.two_tablets(quarantine_on_corruption=False)
+        for _attempt in range(2):
+            with pytest.raises(CorruptTabletError):
+                read(table)
+        assert db.metrics.counter("storage.quarantined_tablets").value == 0
+        assert db.disk.exists(victim)
+        assert len(table.on_disk_tablets) == 2
 
 
 class TestDescriptorCorruption:

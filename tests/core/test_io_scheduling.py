@@ -158,6 +158,57 @@ class TestWritePathsMetered:
         assert isinstance(db.io_limiter, IORateLimiter)
         assert table.io_limiter is db.io_limiter
 
+    def test_restored_tables_keep_the_limiter(self, clock, tmp_path):
+        """``restore`` builds its tables through the same wiring as
+        startup, so their flushes debit the database's limiter."""
+        config = EngineConfig(io_rate_limit_bytes_s=10**9)
+        source = LittleTable(disk=SimulatedDisk(), config=config,
+                             clock=clock)
+        source.create_table("usage", usage_schema()).insert(
+            [row(d, clock.now()) for d in range(50)])
+        source.snapshot(str(tmp_path / "snap"))
+        db = LittleTable(disk=SimulatedDisk(), config=config, clock=clock)
+        db.io_limiter = RecordingLimiter()
+        db.restore(str(tmp_path / "snap"))
+        table = db.table("usage")
+        assert table.io_limiter is db.io_limiter
+        table.insert([row(d, clock.now() + 1) for d in range(500)])
+        table.flush_all()
+        assert db.io_limiter.total_bytes > 0
+
+    def test_follower_tables_keep_the_limiter_through_promote(self):
+        """Resync and ``promote`` swap fresh table objects in; each
+        must stay wired to the standby's limiter."""
+        from repro.core import DurabilityPolicy
+        from repro.net.async_server import AsyncLittleTableServer
+        from repro.net.replica import Follower
+
+        primary = LittleTable(
+            disk=SimulatedDisk(),
+            durability=DurabilityPolicy(tier="replicated"))
+        primary.create_table("t", usage_schema())
+        primary.insert("t", [row(d, d + 1) for d in range(20)])
+        primary.table("t").flush_all()
+        standby = LittleTable(
+            disk=SimulatedDisk(),
+            config=EngineConfig(io_rate_limit_bytes_s=10**9))
+        standby.io_limiter = RecordingLimiter()
+        with AsyncLittleTableServer(primary) as server:
+            follower = Follower(standby, *server.address)
+            try:
+                follower.sync_once()
+                assert standby.table("t").io_limiter is standby.io_limiter
+                follower.promote()
+            finally:
+                follower.stop()
+        table = standby.table("t")
+        assert table.wal is not None            # re-armed by promote
+        assert table.io_limiter is standby.io_limiter
+        table.insert([row(d, 1000 + d) for d in range(500)])
+        table.flush_all()
+        assert standby.io_limiter.total_bytes > 0
+        primary.close()
+
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(io_rate_limit_bytes_s=0).validate()

@@ -280,13 +280,13 @@ class TestWalLifecycle:
 
         wal = WriteAheadLog(SimulatedDisk(), "t",
                             DurabilityPolicy(tier="wal"))
-        wal.log_batch([b"row-1"], schema_version=1)
+        wal.log_batch_block(b"block-1", 1, schema_version=1)
         wal.commit(1)
         active = wal.status()["segments"][0]["filename"]
         assert wal.disk.exists(active)
         # Freeze the moment inside commit(): the leader has taken the
         # buffered lsn=2 batch and is appending off-lock.
-        wal.log_batch([b"row-2"], schema_version=1)
+        wal.log_batch_block(b"block-2", 1, schema_version=1)
         with wal._lock:
             pending = wal._buffer
             wal._buffer = []
@@ -388,3 +388,64 @@ class TestLegacyKnobFolding:
         # Reading a field always sees the resolved default.
         assert DurabilityPolicy().tier == "none"
         assert DurabilityPolicy().group_commit_ms == 2.0
+
+
+class TestApplyRecords:
+    """``apply_wal_records`` - crash replay and a warm standby's
+    streamed apply - runs the same admit loop inserts do."""
+
+    def test_standby_latest_sees_newer_streamed_rows(self):
+        """A follower applying record 2 after ``latest()`` cached the
+        row of record 1 must serve the newer row: applying rows
+        invalidates covering latest-cache entries exactly as an insert
+        does, so ``latest()`` and ``query()`` agree."""
+        from repro.core.codec import compiled_ops
+        from repro.core.wal import WalRecord
+
+        clock = VirtualClock(start=BASE)
+        standby = LittleTable(disk=SimulatedDisk(), clock=clock)
+        table = standby.create_table("t", usage_schema())
+        encode = compiled_ops(table.schema).encode_rows
+        older = (1, 1, BASE + 1, 10, 0.0)
+        newer = (1, 1, BASE + 2, 20, 0.0)
+
+        def record(lsn, row):
+            return WalRecord(lsn, table.schema.version, [],
+                             block=encode([row]), row_count=1)
+
+        table.apply_wal_records([record(1, older)])
+        assert table.latest((1, 1)) == older          # fills the cache
+        table.apply_wal_records([record(2, newer)])
+        assert table.query(Query()).rows == [older, newer]
+        assert table.latest((1, 1)) == newer
+
+    def test_recorded_kind_rows_segment_replays(self):
+        """``KIND_ROWS`` records are read-only: nothing writes them any
+        more, but a segment written before ``KIND_BLOCK`` existed must
+        still replay.  The fixture was recorded once with the last
+        ``WriteAheadLog.log_batch``."""
+        import json
+        from pathlib import Path
+
+        fixtures = Path(__file__).parent / "fixtures"
+        recorded = json.loads((fixtures / "wal_kind_rows.json").read_text())
+        disk = SimulatedDisk()
+        clock = VirtualClock(start=BASE)
+        db = LittleTable(disk=disk, clock=clock, durability=WAL_POLICY)
+        db.create_table("t", usage_schema())
+        assert recorded["schema_version"] == db.table("t").schema.version
+        disk.write_file(
+            recorded["segment"],
+            (fixtures / "wal_kind_rows_segment.bin").read_bytes())
+        recovered = db.simulate_crash()
+        report = recovered.table("t").last_wal_replay
+        expected = sorted(tuple(row) for batch in recorded["batches"]
+                          for row in batch)
+        assert report.records == len(recorded["batches"])
+        assert report.rows_applied == len(expected)
+        assert report.issues == []
+        assert recovered.table("t").query(Query()).rows == expected
+        # The replayed memtables carry the records' LSNs: a flush
+        # covers them and recycles the old-format segment.
+        recovered.table("t").flush_all()
+        assert wal_files(disk) == []

@@ -1,0 +1,66 @@
+"""Each table decision is written once: mechanical guards.
+
+The tablet set changes in one place (``Table._swap_tablets``), removed
+files are queued behind the read epoch in one place (the same), reads
+obtain tablets and memtables in one place (``Table._read_plan``), and
+a ``Table`` gets its fault listener and IO limiter in one place (its
+constructor, called by ``LittleTable.open_table``).  ``snapshot.py``
+and ``recovery.py`` assign to descriptors of their own and are out of
+scope.
+"""
+
+import ast
+from pathlib import Path
+
+CORE = Path(__file__).parent.parent / "src" / "repro" / "core"
+FAMILY = [CORE / name for name in (
+    "table.py", "readpath.py", "maintenance.py", "merge.py",
+    "uniqueness.py", "database.py")]
+
+
+def sites(predicate):
+    found = []
+    for path in FAMILY:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if predicate(node):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def is_attr(node, name, of=None):
+    return (isinstance(node, ast.Attribute) and node.attr == name
+            and (of is None or is_attr(node.value, of)))
+
+
+def test_one_site_assigns_a_live_tablet_list():
+    assert len(sites(lambda n: isinstance(n, ast.Assign) and any(
+        is_attr(t, "tablets", of="descriptor") for t in n.targets))) == 1
+
+
+def test_one_site_queues_deferred_deletes():
+    assert len(sites(lambda n: isinstance(n, ast.Call) and (
+        is_attr(n.func, "append") or is_attr(n.func, "extend"))
+        and is_attr(n.func.value, "_pending_deletes"))) == 1
+
+
+def test_reads_get_their_sources_from_the_plan_only():
+    """Outside ``Table`` itself nothing in the read path or the
+    maintenance operations touches the memtable maps."""
+    for path in (CORE / "readpath.py", CORE / "maintenance.py"):
+        names = {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Attribute)}
+        assert not names & {"_unflushed", "_filling", "_flush_pending"}, path
+
+
+def test_only_the_constructor_wires_a_table():
+    """No caller pokes a listener or limiter into a built table."""
+    for path in CORE.parent.rglob("*.py"):
+        if path.name == "table.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            for target in getattr(node, "targets", ()):
+                where = f"{path}:{node.lineno}"
+                assert not is_attr(target, "_fault_listener"), where
+                if is_attr(target, "io_limiter"):
+                    assert (isinstance(target.value, ast.Name)
+                            and target.value.id == "self"), where
