@@ -3,16 +3,12 @@
 
 Boots a 2-shard router behind the asyncio front end, then issues the
 same 800 latest-row lookups through one connection twice: first
-sequentially (one round trip per request, the v1 behaviour), then
-pipelined (v2 ids, up to 256 requests in flight).  Latest-row lookups
+sequentially (untagged, one round trip per request), then pipelined
+(id-tagged, up to 256 requests in flight).  Latest-row lookups
 are the paper's cheapest hot-path request (§3.4.5), so the round trip
 dominates and pipelining's amortization must win by at least 2x even
 on loopback; CI fails the build if that regresses.  Both sides take
 the best of three trials to shave scheduler noise.
-
-Also sanity-checks the interop matrix both directions: a
-``negotiate=False`` legacy client against the new server, and a new
-client against a server whose dispatch predates HELLO.
 
 Run:  PYTHONPATH=src python benchmarks/shard_pipeline_smoke.py
 """
@@ -27,7 +23,6 @@ from repro.net import (
     LittleTableClient,
     ShardRouter,
 )
-from repro.net.server import RequestDispatcher
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 BASE = 20_000 * MICROS_PER_DAY
@@ -54,7 +49,6 @@ def main() -> int:
 
         client = LittleTableClient(
             host, port, config=ClientConfig(pipeline_depth=256))
-        assert client.pipelined, "v2 negotiation failed"
         client.insert("usage", [
             {"device": d, "ts": BASE + d, "bytes": d}
             for d in range(DEVICES)])
@@ -76,25 +70,6 @@ def main() -> int:
         sequential_s = min(sequential_trial() for _ in range(TRIALS))
         pipelined_s = min(pipelined_trial() for _ in range(TRIALS))
         client.close()
-
-        # Interop: a legacy client that never negotiates still works.
-        legacy = LittleTableClient(
-            host, port, config=ClientConfig(negotiate=False))
-        assert legacy.server_version == 1
-        assert legacy.ping()
-        legacy.close()
-
-        # Interop: a new client against a pre-HELLO server dispatch.
-        hello = RequestDispatcher._cmd_hello
-        del RequestDispatcher._cmd_hello
-        try:
-            downgraded = LittleTableClient(host, port)
-            assert downgraded.server_version == 1
-            assert not downgraded.pipelined
-            assert downgraded.ping()
-            downgraded.close()
-        finally:
-            RequestDispatcher._cmd_hello = hello
     router.close()
 
     speedup = sequential_s / pipelined_s
@@ -103,8 +78,6 @@ def main() -> int:
     print(f"pipelined:  {pipelined_s:.3f} s "
           f"({REQUESTS / pipelined_s:,.0f} req/s)")
     print(f"speedup:    {speedup:.2f}x (gate: >= {MIN_SPEEDUP}x)")
-    print("interop: legacy-client/new-server and "
-          "new-client/old-server both OK")
     if speedup < MIN_SPEEDUP:
         print(f"FAIL: pipelining under {MIN_SPEEDUP}x", file=sys.stderr)
         return 1

@@ -8,9 +8,8 @@ function and runs it unchanged against:
 
 1. an in-process engine (no network at all);
 2. a single engine behind the server front end;
-3. a 4-shard `ShardRouter` behind the same front end, where the v2
-   protocol pipelines requests and scatter-gather queries merge rows
-   from every shard in key order.
+3. a 4-shard `ShardRouter` behind the same front end, where
+   scatter-gather queries merge rows from every shard in key order.
 
 Run:  python examples/scale_out.py
 """
@@ -71,17 +70,14 @@ def main() -> None:
         with repro.connect(server.address) as db:
             workload(db, "1 server")
 
-    print("3. The server over a 4-shard router, pipelined v2 client:")
+    print("3. The server over a 4-shard router:")
     router = ShardRouter(shards=4)
     with AsyncLittleTableServer(router) as server:
         host, port = server.address
         with repro.connect(f"{host}:{port}",
                            config=ClientConfig(pipeline_depth=64)) as db:
             workload(db, "4 shards")
-            client = db.client
-            print(f"     negotiated protocol v{client.server_version}, "
-                  f"features={list(client.server_features)}, "
-                  f"server reports {client.server_shards} shards")
+            print(f"     server reports {db.client.server_shards} shards")
             snapshot = db.stats()
             scatter = snapshot["counters"].get("shard.scatter_queries", 0)
             single = snapshot["counters"].get(

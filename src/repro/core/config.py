@@ -45,10 +45,9 @@ class EngineConfig:
     bloom_bits_per_row: int = 10
     # Byte budget for the engine-wide decoded-block read cache (shared
     # across all tables of a database, LRU by decoded payload bytes
-    # plus a per-row overhead estimate).  0 disables block caching;
-    # footer caching rides on the same switch.  Warm queries served
-    # from the cache skip the disk model, decompression, and row
-    # decoding entirely.
+    # plus a per-row overhead estimate).  0 disables it.  Warm queries
+    # served from the cache skip the disk model, decompression, and
+    # row decoding entirely.
     read_cache_bytes: int = 32 * MIB
     # Entry cap for each table's latest(prefix) hot-row cache
     # (invalidated by covering inserts and by any tablet-set or schema

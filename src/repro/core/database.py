@@ -87,7 +87,7 @@ class LittleTable:
         self.disk.attach_metrics(self.metrics)
         if self.cold_disk is not None:
             self.cold_disk.attach_metrics(self.metrics)
-        # One engine-wide read cache (decoded blocks + parsed footers):
+        # One engine-wide read cache (decoded blocks):
         # the byte budget is shared across all tables, like an OS page
         # cache.  ``config.read_cache_bytes = 0`` disables it.
         self.read_cache = ReadCache(self.config.read_cache_bytes,

@@ -1,5 +1,5 @@
-"""The read-path cache subsystem: decoded blocks, parsed footers,
-tablet pruning, and hot latest-row lookups.
+"""The read-path cache subsystem: decoded blocks, tablet pruning,
+and hot latest-row lookups.
 
 The paper's two-dimensional clustering (§3) exists so a dashboard's
 read rectangles touch few tablets and few blocks - but without a
@@ -8,9 +8,10 @@ time, and every query still sweeps the whole tablet list to find the
 overlapping ones.  This module removes both costs:
 
 * :class:`ReadCache` - one engine-wide, byte-budgeted LRU over
-  **decoded blocks** (row tuples, ready to merge) plus a side cache of
-  **parsed footers**, shared by every table of a database.  A warm
-  query never touches the disk model, zlib, or the row codec.
+  **decoded blocks** (row tuples, ready to merge), shared by every
+  table of a database.  A warm query never touches the disk model,
+  zlib, or the row codec.  (A parsed footer lives on its tablet's
+  :class:`~repro.core.tablet.TabletReader`, §3.2, not here.)
 * :class:`TabletPruneIndex` - a per-table interval index over tablet
   timespans (sorted by ``min_ts`` with a running ``max_ts`` prefix
   maximum), plus per-tablet key-range zone maps, so query planning is
@@ -22,15 +23,15 @@ overlapping ones.  This module removes both costs:
 Invalidation model
 ------------------
 
-Tablet files are immutable, so a cached block or footer can only go
-stale by *identity* confusion, never by content change.  The cache
-therefore never trusts caller-supplied tablet ids (which recur across
-drop/recreate): each live tablet is registered and assigned a
-process-unique **uid**, and all cache keys embed that uid.  Every
-mutation that removes or replaces a tablet (merge, TTL expiry,
-bulk-delete rewrite, cold migration, drop) invalidates the uid; a new
-tablet - even one reusing a tablet id or filename - gets a fresh uid
-and can never alias the old entries.
+Tablet files are immutable, so a cached block can only go stale by
+*identity* confusion, never by content change.  The cache therefore
+never trusts caller-supplied tablet ids (which recur across
+drop/recreate): each tablet reader takes a process-unique **uid**
+when it is built, and all cache keys embed that uid.  Every mutation
+that removes or replaces a tablet (merge, TTL expiry, bulk-delete
+rewrite, cold migration, drop) drops the reader and invalidates its
+uid; a new tablet - even one reusing a tablet id or filename - gets a
+new reader with a fresh uid and can never alias the old entries.
 
 The latest-row cache has real content staleness (a newer row can
 arrive), so it carries a per-table **generation counter**: bumped by
@@ -77,7 +78,7 @@ class CachedBlock:
 
 
 class ReadCache:
-    """Engine-wide byte-budgeted LRU over decoded blocks and footers.
+    """Engine-wide byte-budgeted LRU over decoded blocks.
 
     One instance is shared by every table of a :class:`LittleTable`
     (the budget is global, like an OS page cache); a standalone
@@ -85,29 +86,23 @@ class ReadCache:
     are thread-safe: the network server runs tables on separate
     connection threads, and they share this cache.
 
-    ``budget_bytes <= 0`` disables block caching entirely (gets miss,
-    puts drop) while keeping uid registration and footer caching
-    available; pass ``footer_cache=False`` too for a fully inert cache.
+    ``budget_bytes <= 0`` disables caching entirely (gets miss, puts
+    drop); uids are still handed out.
     """
 
-    def __init__(self, budget_bytes: int, metrics=None,
-                 footer_cache: bool = True):
+    def __init__(self, budget_bytes: int, metrics=None):
         self.budget_bytes = budget_bytes
-        self.footer_cache_enabled = footer_cache
         m = metrics if metrics is not None else NULL_REGISTRY
         self._m_hits = m.counter("readcache.block.hits")
         self._m_misses = m.counter("readcache.block.misses")
         self._m_evictions = m.counter("readcache.block.evictions")
         self._m_invalidations = m.counter("readcache.invalidations")
-        self._m_footer_hits = m.counter("readcache.footer.hits")
-        self._m_footer_misses = m.counter("readcache.footer.misses")
         self._g_resident = m.gauge("readcache.block.resident_bytes")
         self._g_entries = m.gauge("readcache.block.entries")
         self._lock = threading.Lock()
         self._uids = itertools.count(1)
         self._blocks: "OrderedDict[Tuple[int, int], CachedBlock]" = \
             OrderedDict()
-        self._footers: Dict[int, Any] = {}
         # uid -> block indexes currently cached, for O(entries-of-uid)
         # invalidation instead of a full-cache sweep.
         self._uid_blocks: Dict[int, Set[int]] = {}
@@ -168,38 +163,16 @@ class ReadCache:
         self._g_resident.set(self._resident_bytes)
         self._g_entries.set(len(self._blocks))
 
-    # ----------------------------------------------------------- footers
-
-    def get_footer(self, uid: int) -> Optional[Any]:
-        """The cached parsed footer for a tablet uid, or None."""
-        if not self.footer_cache_enabled:
-            return None
-        with self._lock:
-            footer = self._footers.get(uid)
-        if footer is None:
-            self._m_footer_misses.inc()
-        else:
-            self._m_footer_hits.inc()
-        return footer
-
-    def put_footer(self, uid: int, footer: Any) -> None:
-        if not self.footer_cache_enabled:
-            return
-        with self._lock:
-            self._footers[uid] = footer
-
     # ------------------------------------------------------ invalidation
 
     def invalidate_tablet(self, uid: int) -> int:
-        """Drop every entry (blocks + footer) for one tablet uid.
+        """Drop every cached block of one tablet uid.
 
         Called whenever the tablet's file is deleted or replaced;
         returns the number of entries dropped.
         """
         dropped = 0
         with self._lock:
-            if self._footers.pop(uid, None) is not None:
-                dropped += 1
             for index in self._uid_blocks.pop(uid, ()):  # noqa: B020
                 entry = self._blocks.pop((uid, index), None)
                 if entry is not None:
@@ -224,9 +197,9 @@ class ReadCache:
         return len(self._blocks)
 
 
-#: Cache used when none is supplied: registration works (uids are
-#: process-unique) but nothing is ever stored.
-NULL_READ_CACHE = ReadCache(budget_bytes=0, footer_cache=False)
+#: Cache used when none is supplied: uids are process-unique but
+#: nothing is ever stored.
+NULL_READ_CACHE = ReadCache(budget_bytes=0)
 
 
 class TabletPruneIndex:

@@ -46,10 +46,10 @@ from typing import List, Optional
 from ..disk.storage import StorageError
 from ..disk.vfs import SimulatedDisk
 from ..obs.metrics import NULL_REGISTRY
-from ..util.checksum import crc32c
 from .descriptor import DESCRIPTOR_FILENAME, TableDescriptor
 from .durability import DurabilityPolicy
-from .tablet import CHECKSUM_MAGIC, CHECKSUM_TRAILER_BYTES, TRAILER_BYTES, TabletMeta
+from .errors import CorruptTabletError
+from .tablet import TabletMeta, read_footer
 from .wal import is_wal_filename
 
 QUARANTINE_PREFIX = "quarantine/"
@@ -94,30 +94,10 @@ def verify_tablet_file(storage, meta: TabletMeta) -> Optional[str]:
         return "missing file"
     if size != meta.size_bytes:
         return f"size {size} != descriptor size {meta.size_bytes}"
-    if size < TRAILER_BYTES:
-        return f"file too small ({size} bytes)"
-    tail_len = min(size, CHECKSUM_TRAILER_BYTES)
-    tail = storage.read(meta.filename, size - tail_len, tail_len)
-    if (tail_len == CHECKSUM_TRAILER_BYTES
-            and tail[20:24] == CHECKSUM_MAGIC):
-        footer_size = int.from_bytes(tail[0:8], "little")
-        footer_offset = int.from_bytes(tail[8:16], "little")
-        footer_crc = int.from_bytes(tail[16:20], "little")
-        trailer_bytes = CHECKSUM_TRAILER_BYTES
-    else:
-        trailer = tail[-TRAILER_BYTES:]
-        footer_size = int.from_bytes(trailer[:8], "little")
-        footer_offset = int.from_bytes(trailer[8:16], "little")
-        footer_crc = None
-        trailer_bytes = TRAILER_BYTES
-    compressed_len = size - trailer_bytes - footer_offset
-    if compressed_len < 0 or footer_offset > size or footer_size <= 0:
-        return "bad trailer"
-    if footer_crc is not None:
-        compressed = storage.read(meta.filename, footer_offset,
-                                  compressed_len)
-        if crc32c(compressed) != footer_crc:
-            return "footer checksum mismatch"
+    try:
+        read_footer(storage, meta.filename, size)
+    except CorruptTabletError as exc:
+        return str(exc).removeprefix(f"{meta.filename}: ")
     return None
 
 

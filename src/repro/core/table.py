@@ -186,16 +186,12 @@ class Table:
         # The schema-compiled batch codec: validates, sizes, keys, and
         # block-encodes rows without per-value dispatch (core/codec.py).
         self._codec = SchemaCodec(descriptor.schema, self.metrics)
-        # Read-path caches: a database passes its shared block/footer
-        # cache (one budget across all tables); a standalone table
+        # Read-path caches: a database passes its shared block cache
+        # (one budget across all tables); a standalone table
         # builds a private one from its config.
         self._read_cache = (read_cache if read_cache is not None
                             else ReadCache(config.read_cache_bytes,
                                            metrics=self.metrics))
-        # tablet_id -> process-unique cache uid for the live file; a
-        # replacement tablet (merge, rewrite) gets a fresh uid so old
-        # cache entries can never alias it.
-        self._tablet_uids: Dict[int, int] = {}
         self._prune_index = TabletPruneIndex()
         self._latest_cache = LatestRowCache(config.latest_cache_entries,
                                             metrics=self.metrics)
@@ -307,15 +303,14 @@ class Table:
         """Drop in-memory read state, as a server restart would (§3.5:
         footers are reloaded "into memory on demand after a restart").
         Benchmarks call this to measure cold-cache behaviour; the
-        table's block/footer cache entries and the latest-row cache go
-        with it, since none would survive a real restart."""
+        table's cached blocks and the latest-row cache go with it,
+        since none would survive a real restart."""
         with self.lock:
             self._uniqueness.forget()
             self._latest_cache.clear()
             with self._reader_lock:
+                uids = [r.cache_uid for r in self._readers.values()]
                 self._readers.clear()
-                uids = list(self._tablet_uids.values())
-                self._tablet_uids.clear()
         self._read_cache.invalidate_tablets(uids)
 
     def _disk_for(self, meta: TabletMeta) -> SimulatedDisk:
@@ -330,22 +325,20 @@ class Table:
 
     def _drop_reader_state(self, tablet_id: int) -> None:
         with self._reader_lock:
-            self._readers.pop(tablet_id, None)
-            uid = self._tablet_uids.pop(tablet_id, None)
-        if uid is not None:
-            self._read_cache.invalidate_tablet(uid)
+            reader = self._readers.pop(tablet_id, None)
+        if reader is not None:
+            self._read_cache.invalidate_tablet(reader.cache_uid)
 
     def _reader(self, meta: TabletMeta) -> TabletReader:
         with self._reader_lock:
             reader = self._readers.get(meta.tablet_id)
             if reader is None:
-                uid = self._tablet_uids.get(meta.tablet_id)
-                if uid is None:
-                    uid = self._read_cache.allocate_uid()
-                    self._tablet_uids[meta.tablet_id] = uid
+                # A replacement tablet (merge, rewrite) gets a new
+                # reader, so a fresh uid: old cache entries can never
+                # alias it.
                 reader = TabletReader(self._disk_for(meta), meta.filename,
                                       metrics=self.metrics,
-                                      cache=self._read_cache, cache_uid=uid)
+                                      cache=self._read_cache)
                 self._readers[meta.tablet_id] = reader
         return reader
 
@@ -1138,6 +1131,6 @@ class Table:
             # is rare enough to drop the table's read-cache entries
             # wholesale and orphan every cached latest() answer.
             with self._reader_lock:
-                uids = list(self._tablet_uids.values())
+                uids = [r.cache_uid for r in self._readers.values()]
             self._bump_cache_generation()
         self._read_cache.invalidate_tablets(uids)

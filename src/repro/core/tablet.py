@@ -465,33 +465,38 @@ class TabletWriter:
         return sink.finish(filename, tablet_id, created_at)
 
 
-class _ParsedFooter:
-    """The reader state a parsed footer yields, cacheable by uid.
+def read_footer(source, filename: str, size: int
+                ) -> Tuple[bytes, int, int, bool]:
+    """Find and check the footer of a ``size``-byte tablet file.
 
-    Reopening a reader for a tablet whose footer is resident (same
-    file identity, tracked by the read cache's uid) restores this
-    without the three cold seeks or the parse.
+    ``source`` is whatever the caller reads files through: the charged
+    disk for a :class:`TabletReader`, the raw storage backend for the
+    startup scrub.  Returns ``(compressed_footer, footer_size,
+    footer_offset, has_checksums)``; raises :class:`CorruptTabletError`
+    for a trailer that cannot be right and :class:`ChecksumError` for a
+    footer that fails its v2.1 CRC.
     """
-
-    __slots__ = ("schema", "row_codec", "min_ts", "max_ts", "row_count",
-                 "codec", "entries", "last_keys", "bloom", "body_size",
-                 "block_format", "block_crcs")
-
-    def __init__(self, schema, row_codec, min_ts, max_ts, row_count,
-                 codec, entries, last_keys, bloom, body_size,
-                 block_format, block_crcs=None):
-        self.schema = schema
-        self.row_codec = row_codec
-        self.min_ts = min_ts
-        self.max_ts = max_ts
-        self.row_count = row_count
-        self.codec = codec
-        self.entries = entries
-        self.last_keys = last_keys
-        self.bloom = bloom
-        self.body_size = body_size
-        self.block_format = block_format
-        self.block_crcs = block_crcs
+    if size < TRAILER_BYTES:
+        raise CorruptTabletError(f"{filename}: too small ({size} bytes)")
+    # v2.1 files end in a 24-byte trailer tagged with the magic; a
+    # legacy trailer's last 4 bytes are the high bytes of the footer
+    # offset (always zero), so the magic cannot collide.
+    tail_len = min(size, CHECKSUM_TRAILER_BYTES)
+    tail = source.read(filename, size - tail_len, tail_len)
+    footer_crc: Optional[int] = None
+    if tail_len == CHECKSUM_TRAILER_BYTES and tail[20:24] == CHECKSUM_MAGIC:
+        footer_crc = int.from_bytes(tail[16:20], "little")
+    else:
+        tail = tail[-TRAILER_BYTES:]
+    footer_size = int.from_bytes(tail[0:8], "little")
+    footer_offset = int.from_bytes(tail[8:16], "little")
+    compressed_len = size - len(tail) - footer_offset
+    if compressed_len < 0 or footer_size <= 0:
+        raise CorruptTabletError(f"{filename}: bad trailer")
+    compressed = source.read(filename, footer_offset, compressed_len)
+    if footer_crc is not None and crc32c(compressed) != footer_crc:
+        raise ChecksumError(f"{filename}: footer checksum mismatch")
+    return compressed, footer_size, footer_offset, footer_crc is not None
 
 
 class TabletReader:
@@ -502,17 +507,15 @@ class TabletReader:
     memory."  The table keeps one reader per live tablet.
 
     ``cache`` (a :class:`~repro.core.readcache.ReadCache`) holds
-    decoded blocks and parsed footers across readers, keyed by
-    ``cache_uid`` - the tablet's process-unique identity, allocated
-    when the table registers the tablet and invalidated when its file
-    is deleted or replaced.  Without a cache every read decodes from
-    the (simulated) disk, exactly the pre-cache behaviour.  Lists
-    returned from cached blocks are shared: callers must not mutate
-    them.
+    decoded blocks, keyed by ``cache_uid`` - this reader's
+    process-unique identity, which whoever drops the reader
+    invalidates.  Without a cache every read decodes from the
+    (simulated) disk, exactly the pre-cache behaviour.  Lists returned
+    from cached blocks are shared: callers must not mutate them.
     """
 
     def __init__(self, disk: SimulatedDisk, filename: str, metrics=None,
-                 cache=None, cache_uid: Optional[int] = None):
+                 cache=None):
         self.disk = disk
         self.filename = filename
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -527,8 +530,7 @@ class TabletReader:
         # decode_rows takes a real registry or None (never the null).
         self._decode_metrics = metrics if metrics is not None else None
         self._cache = cache if cache is not None else NULL_READ_CACHE
-        self._cache_uid = (cache_uid if cache_uid is not None
-                           else self._cache.allocate_uid())
+        self.cache_uid = self._cache.allocate_uid()
         self._loaded = False
         self.schema: Optional[Schema] = None
         self.min_ts = 0
@@ -553,73 +555,21 @@ class TabletReader:
     # ----------------------------------------------------------- footer
 
     def ensure_loaded(self) -> None:
-        """Load and parse the footer on first use (3 cold seeks).
-
-        A footer already resident in the read cache (keyed by the
-        tablet's uid) is restored without touching the disk.
-        """
+        """Load and parse the footer on first use (3 cold seeks)."""
         if self._loaded:
-            return
-        cached = self._cache.get_footer(self._cache_uid)
-        if cached is not None:
-            self._install_footer(cached)
-            self._loaded = True
             return
         disk = self.disk
         disk.open(self.filename)  # inode
-        size = disk.size(self.filename)
-        if size < TRAILER_BYTES:
-            raise CorruptTabletError(f"{self.filename}: too small")
-        # v2.1 files end in a 24-byte trailer tagged with the magic; a
-        # legacy trailer's last 4 bytes are the high bytes of the
-        # footer offset (always zero), so the magic cannot collide.
-        tail_len = min(size, CHECKSUM_TRAILER_BYTES)
-        tail = disk.read(self.filename, size - tail_len, tail_len)
-        footer_crc: Optional[int] = None
-        if (tail_len == CHECKSUM_TRAILER_BYTES
-                and tail[20:24] == CHECKSUM_MAGIC):
-            footer_size = int.from_bytes(tail[0:8], "little")
-            footer_offset = int.from_bytes(tail[8:16], "little")
-            footer_crc = int.from_bytes(tail[16:20], "little")
-            trailer_bytes = CHECKSUM_TRAILER_BYTES
-        else:
-            trailer = tail[-TRAILER_BYTES:]
-            footer_size = int.from_bytes(trailer[:8], "little")
-            footer_offset = int.from_bytes(trailer[8:16], "little")
-            trailer_bytes = TRAILER_BYTES
-        compressed_len = size - trailer_bytes - footer_offset
-        if compressed_len < 0 or footer_offset > size:
-            raise CorruptTabletError(f"{self.filename}: bad trailer")
-        compressed = disk.read(self.filename, footer_offset, compressed_len)
-        if footer_crc is not None and crc32c(compressed) != footer_crc:
+        try:
+            compressed, footer_size, self._body_size, has_checksums = \
+                read_footer(disk, self.filename, disk.size(self.filename))
+        except ChecksumError:
             self._m_checksum_failures.inc()
-            raise ChecksumError(
-                f"{self.filename}: footer checksum mismatch")
-        self._body_size = footer_offset
+            raise
         self._parse_footer(compressed, footer_size,
-                           has_checksums=footer_crc is not None)
+                           has_checksums=has_checksums)
         self._loaded = True
         self._m_footer_loads.inc()
-        self._cache.put_footer(self._cache_uid, _ParsedFooter(
-            self.schema, self._row_codec, self.min_ts, self.max_ts,
-            self.row_count, self._codec, self._entries, self._last_keys,
-            self._bloom, self._body_size, self.block_format,
-            self._block_crcs))
-
-    def _install_footer(self, footer: _ParsedFooter) -> None:
-        self.schema = footer.schema
-        self._row_codec = footer.row_codec
-        self.min_ts = footer.min_ts
-        self.max_ts = footer.max_ts
-        self.row_count = footer.row_count
-        self._codec = footer.codec
-        self._entries = footer.entries
-        self._last_keys = footer.last_keys
-        self._bloom = footer.bloom
-        self._body_size = footer.body_size
-        self.block_format = footer.block_format
-        self._block_crcs = footer.block_crcs
-        self._schema_codec = SchemaCodec(self.schema, self._decode_metrics)
 
     def _parse_footer(self, compressed: bytes, footer_size: int,
                       has_checksums: bool = False) -> None:
@@ -792,11 +742,11 @@ class TabletReader:
         the returned list is shared with the cache - do not mutate.
         """
         self.ensure_loaded()
-        cached = self._cache.get_block(self._cache_uid, index)
+        cached = self._cache.get_block(self.cache_uid, index)
         if cached is not None:
             return cached.rows
         rows, raw_len, keys = self._read_block_uncached(index)
-        self._cache.put_block(self._cache_uid, index, rows, raw_len,
+        self._cache.put_block(self.cache_uid, index, rows, raw_len,
                               keys=keys)
         return rows
 
@@ -831,10 +781,10 @@ class TabletReader:
         the cache entry), so warm scans skip both the decode and the
         per-row key extraction.
         """
-        cached = self._cache.get_block(self._cache_uid, index)
+        cached = self._cache.get_block(self.cache_uid, index)
         if cached is None:
             rows, raw_len, keys = self._read_block_uncached(index)
-            cached = self._cache.put_block(self._cache_uid, index, rows,
+            cached = self._cache.put_block(self.cache_uid, index, rows,
                                            raw_len, keys=keys)
             if cached is None:  # caching disabled
                 if keys is None:
@@ -873,7 +823,7 @@ class TabletReader:
         """
         self.ensure_loaded()
         entry = self._entries[index]
-        cached = self._cache.get_block(self._cache_uid, index)
+        cached = self._cache.get_block(self.cache_uid, index)
         if cached is not None:
             columns = cached.columns
             if columns is None:
@@ -909,7 +859,7 @@ class TabletReader:
         index = bisect.bisect_left(self._last_keys, key)
         if index >= len(self._entries):
             return False
-        cached = self._cache.get_block(self._cache_uid, index)
+        cached = self._cache.get_block(self.cache_uid, index)
         if cached is not None:
             if cached.keys is None:
                 key_of = self.schema.key_of

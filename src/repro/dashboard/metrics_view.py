@@ -92,8 +92,6 @@ def cache_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
 
     block_hits = counters.get("readcache.block.hits", 0)
     block_misses = counters.get("readcache.block.misses", 0)
-    footer_hits = counters.get("readcache.footer.hits", 0)
-    footer_misses = counters.get("readcache.footer.misses", 0)
     latest_hits = counters.get("readcache.latest.hits", 0)
     latest_misses = counters.get("readcache.latest.misses", 0)
     return {
@@ -105,11 +103,6 @@ def cache_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
             "resident_bytes": gauges.get(
                 "readcache.block.resident_bytes", 0),
             "entries": gauges.get("readcache.block.entries", 0),
-        },
-        "footer": {
-            "hits": footer_hits,
-            "misses": footer_misses,
-            "hit_rate": rate(footer_hits, footer_misses),
         },
         "latest": {
             "hits": latest_hits,
@@ -313,7 +306,7 @@ def render_metrics_page(page: Dict[str, Any]) -> str:
     cache = cache_summary(page.get("metrics", {}))
     lines.append("")
     lines.append("== read cache ==")
-    for section in ("block", "footer", "latest"):
+    for section in ("block", "latest"):
         parts = ", ".join(
             f"{key}={'n/a' if value is None else value}"
             for key, value in cache[section].items())

@@ -1,9 +1,8 @@
 """TCP client/server protocol (the paper's adaptor <-> server link).
 
 :class:`AsyncLittleTableServer` is the one server front: an asyncio
-loop that multiplexes pipelined v2 requests and serves HELLO-less v1
-clients sequentially, handing every command to
-:class:`RequestDispatcher`.  :class:`ShardRouter` partitions tables
+loop that runs id-tagged requests concurrently and untagged ones in
+arrival order, handing every command to :class:`RequestDispatcher`.  :class:`ShardRouter` partitions tables
 across N engines behind the same database facade, so the front scales
 out without a protocol change.
 """

@@ -1,6 +1,6 @@
 """The TCP front end: many pipelined requests per connection.
 
-A single event loop owns every connection: v2 clients tag requests
+A single event loop owns every connection: a client may tag requests
 with ``id`` fields and keep many in flight, and responses stream back
 as each command finishes (possibly out of order).  Engine calls still
 block - tables lock themselves, the simulated disk seeks - so dispatch
@@ -9,9 +9,9 @@ connections *and* within one pipelined connection.
 
 :class:`~repro.net.server.RequestDispatcher` handles the commands,
 over a single :class:`~repro.core.database.LittleTable` or a
-:class:`~repro.net.shard.ShardRouter` alike; old (v1) clients that
-never send HELLO or ids are served by the same connection loop,
-sequentially in arrival order.
+:class:`~repro.net.shard.ShardRouter` alike; requests without an id
+are served by the same connection loop, one at a time in arrival
+order.
 
 Observability: ``server.pipeline_depth`` (histogram, sampled at each
 enqueue) records how deep clients actually pipeline, and
@@ -221,10 +221,9 @@ class AsyncLittleTableServer:
                 # Stamp the frame's arrival so time spent queued on the
                 # dispatch executor counts against the request's
                 # propagated deadline (the dispatcher pops this key).
-                if isinstance(request, dict):
-                    request["_arrival_monotonic"] = time.monotonic()
+                request["_arrival_monotonic"] = time.monotonic()
                 if request.get("id") is not None:
-                    # v2 pipelined: run concurrently, answer when done.
+                    # Tagged: run concurrently, answer when done.
                     self._m_pipelined.inc()
                     self._m_depth.observe(len(in_flight) + 1)
                     task = asyncio.ensure_future(self._dispatch_and_reply(
@@ -232,7 +231,7 @@ class AsyncLittleTableServer:
                     in_flight.add(task)
                     task.add_done_callback(in_flight.discard)
                 else:
-                    # v1 sequential: strict request/response order.
+                    # Untagged: strict request/response order.
                     self._m_sequential.inc()
                     if not await self._dispatch_and_reply(
                             request, writer, write_lock):

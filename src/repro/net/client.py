@@ -25,7 +25,7 @@ import itertools
 import random
 import socket
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core import errors as _errors
@@ -34,14 +34,17 @@ from ..core.errors import (
     LittleTableError,
     NoSuchTableError,
     OverloadedError,
+    ProtocolViolationError,
     ServerError,
     ValidationError,
 )
+from ..core.row import (ASCENDING, DESCENDING, KeyRange, Query,
+                        TimeRange)
 from ..core.schema import Schema
 from .protocol import (
-    FEATURE_PIPELINE,
     PROTOCOL_VERSION,
     ConnectionLost,
+    ProtocolError,
     encode_frame,
     encode_key,
     encode_row,
@@ -72,14 +75,70 @@ def _dict_insert_request(table: str,
             "columns": columns, "dicts": True}
 
 
+def _query_request(table: str, query: Query) -> Dict[str, Any]:
+    """One query command's wire request."""
+    key_range = query.key_range
+    time_range = query.time_range
+    request: Dict[str, Any] = {
+        "cmd": "query", "table": table,
+        "key_min": encode_key(key_range.min_prefix),
+        "key_max": encode_key(key_range.max_prefix),
+        "key_min_inclusive": key_range.min_inclusive,
+        "key_max_inclusive": key_range.max_inclusive,
+        "ts_min": time_range.min_ts,
+        "ts_min_inclusive": time_range.min_inclusive,
+        "ts_max": time_range.max_ts,
+        "ts_max_inclusive": time_range.max_inclusive,
+        "descending": query.direction == DESCENDING,
+    }
+    if query.limit is not None:
+        request["limit"] = query.limit
+    return request
+
+
+def _bounds_query(key_min: Optional[Sequence[Any]] = None,
+                  key_max: Optional[Sequence[Any]] = None,
+                  key_min_inclusive: bool = True,
+                  key_max_inclusive: bool = True,
+                  ts_min: Optional[int] = None,
+                  ts_max: Optional[int] = None,
+                  descending: bool = False,
+                  limit: Optional[int] = None) -> Query:
+    """The :class:`Query` that :meth:`LittleTableClient.query`'s
+    keyword bounds spell."""
+    return Query(
+        KeyRange(None if key_min is None else tuple(key_min),
+                 key_min_inclusive,
+                 None if key_max is None else tuple(key_max),
+                 key_max_inclusive),
+        TimeRange.between(ts_min, ts_max),
+        DESCENDING if descending else ASCENDING, limit)
+
+
+def _latest_request(table: str, prefix: Sequence[Any],
+                    max_lookback_micros: Optional[int]) -> Dict[str, Any]:
+    return {"cmd": "latest", "table": table,
+            "prefix": encode_key(tuple(prefix)),
+            "max_lookback_micros": max_lookback_micros}
+
+
+def _as_lost(exc: Exception) -> ConnectionLost:
+    """A broken socket or a reply that cannot be parsed both leave the
+    stream unusable: one error for either."""
+    if isinstance(exc, ConnectionLost):
+        return exc
+    lost = ConnectionLost(str(exc))
+    lost.__cause__ = exc
+    return lost
+
+
 def _error_from_response(response: Dict[str, Any]) -> LittleTableError:
     """Map a wire error response to the exception to raise.
 
-    Known codes (negotiated in HELLO; in practice the names of the
-    :mod:`repro.core.errors` classes) become their local class.  An
-    unknown code - a newer server's error type, or a pre-HELLO
-    server's legacy spelling - raises :class:`ServerError` carrying
-    the original code string on ``.code`` so nothing is lost.
+    Known codes (the names of the :mod:`repro.core.errors` classes)
+    become their local class.  An unknown code raises
+    :class:`ServerError` carrying the original code string on
+    ``.code`` so nothing is lost.
     """
     code = response.get("error", "")
     message = response.get("message", "server error")
@@ -103,15 +162,14 @@ class ClientConfig:
     """Connection behaviour, in one place.
 
     * ``insert_batch_rows`` - buffered-insert flush threshold (§3.1);
-    * ``connect_timeout_s`` - bound on connection establishment;
+    * ``connect_timeout_s`` - bound on connection establishment,
+      the ``hello`` exchange included;
     * ``request_timeout_s`` - bound on each round trip (None = wait
       forever, the historic behaviour);
     * ``max_retries`` / ``retry_backoff_s`` / ``retry_backoff_max_s``
       / ``auto_reconnect`` - the idempotent-only retry loop: broken
       idempotent requests resend through a fresh connection with
       jittered exponential backoff; writes never auto-retry (§4.1);
-    * ``negotiate`` - send the v2 HELLO on connect (disable to force
-      v1 sequential mode against any server);
     * ``pipeline_depth`` - max in-flight requests a
       :meth:`LittleTableClient.pipeline` batch keeps before draining;
     * ``durability`` - default :class:`~repro.core.durability
@@ -127,7 +185,6 @@ class ClientConfig:
     retry_backoff_s: float = 0.05
     retry_backoff_max_s: float = 2.0
     auto_reconnect: bool = True
-    negotiate: bool = True
     pipeline_depth: int = 128
     durability: Optional[DurabilityPolicy] = None
 
@@ -155,21 +212,7 @@ class LittleTableClient:
         self.config = config
         self._address = (host, port)
         self._sock: Optional[socket.socket] = None
-        # Mirrored as plain attributes: the historic public surface,
-        # and still mutable per-instance (tests tune retries live).
-        self.insert_batch_rows = config.insert_batch_rows
-        self.connect_timeout_s = config.connect_timeout_s
-        self.request_timeout_s = config.request_timeout_s
-        self.max_retries = config.max_retries
-        self.retry_backoff_s = config.retry_backoff_s
-        self.retry_backoff_max_s = config.retry_backoff_max_s
-        self.auto_reconnect = config.auto_reconnect
-        # Negotiated state (filled by the HELLO handshake; v1 values
-        # until/unless a v2 server answers).
-        self.server_version = 1
-        self.server_features: Tuple[str, ...] = ()
         self.server_shards = 1
-        self._server_error_codes: Optional[frozenset] = None
         self._request_ids = itertools.count(1)
         # Injectable for deterministic tests (resilience suite swaps
         # these to count sleeps instead of waiting them out).
@@ -190,53 +233,37 @@ class LittleTableClient:
     # ------------------------------------------------------- connection
 
     def connect(self) -> None:
-        """(Re)establish the persistent connection (and re-negotiate:
-        the server may have been upgraded or downgraded between
-        reconnects)."""
+        """(Re)establish the persistent connection."""
         self.close()
-        sock = socket.create_connection(self._address,
-                                        timeout=self.connect_timeout_s)
+        sock = socket.create_connection(
+            self._address, timeout=self.config.connect_timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # After the handshake the socket switches to the per-request
-        # read timeout; None restores blocking mode.
-        sock.settimeout(self.request_timeout_s)
         self._sock = sock
         # The server may have restarted with different tables.
         self.invalidate_schema_cache()
+        # The hello exchange still runs under the connect timeout: a
+        # peer that accepts and never answers must not hang connect().
         self._handshake()
+        # From here on, the per-request read timeout; None restores
+        # blocking mode.
+        sock.settimeout(self.config.request_timeout_s)
 
     def _handshake(self) -> None:
-        """The v2 HELLO: negotiate version, features, error codes.
-
-        A v1 server answers with an unknown-command error; the client
-        then simply stays in v1 sequential mode (no ids, no
-        pipelining) - the fallback the protocol docstring promises.
-        """
-        self.server_version = 1
-        self.server_features = ()
-        self.server_shards = 1
-        self._server_error_codes = None
-        if not self.config.negotiate:
-            return
-        send_message(self._sock, {
-            "cmd": "hello", "version": PROTOCOL_VERSION,
-            "features": [FEATURE_PIPELINE],
-        })
-        response = recv_message(self._sock)
+        """Check that the peer is a LittleTable server of this
+        protocol version, and learn how many shards it fronts."""
+        response = self._exchange(
+            {"cmd": "hello", "version": PROTOCOL_VERSION})
         if not response.get("ok"):
-            return  # pre-v2 server: unknown command, speak v1
-        self.server_version = int(response.get("version", 1))
-        self.server_features = tuple(response.get("features", ()))
-        codes = response.get("error_codes")
-        self._server_error_codes = (
-            frozenset(codes) if codes is not None else None)
-        self.server_shards = int(response.get("shards", 1))
-
-    @property
-    def pipelined(self) -> bool:
-        """True when the server negotiated pipelined requests."""
-        return (self.server_version >= 2
-                and FEATURE_PIPELINE in self.server_features)
+            problem = f"server refused hello: {response.get('message')}"
+        elif response.get("version") != PROTOCOL_VERSION:
+            problem = (f"server speaks protocol version "
+                       f"{response.get('version')!r}, this client "
+                       f"{PROTOCOL_VERSION}")
+        else:
+            self.server_shards = int(response.get("shards", 1))
+            return
+        self.close()
+        raise ProtocolViolationError(problem)
 
     def close(self) -> None:
         if self._sock is not None:
@@ -277,18 +304,19 @@ class LittleTableClient:
         was never started, so *any* request retries through them,
         honouring the server's ``retry_after`` hint.
         """
+        config = self.config
         deadline: Optional[float] = None
-        if self.request_timeout_s is not None:
-            deadline = time.monotonic() + self.request_timeout_s
+        if config.request_timeout_s is not None:
+            deadline = time.monotonic() + config.request_timeout_s
             # Propagate the budget so the server can shed (rather than
             # execute) a request that already overran it while queued.
             message = dict(message)
-        retry_connection = idempotent and self.auto_reconnect
+        retry_connection = idempotent and config.auto_reconnect
         last_error: Optional[Exception] = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(config.max_retries + 1):
             try:
                 if self._sock is None:
-                    can_reconnect = self.auto_reconnect and (
+                    can_reconnect = config.auto_reconnect and (
                         idempotent or isinstance(last_error,
                                                  OverloadedError))
                     if not can_reconnect:
@@ -301,7 +329,10 @@ class LittleTableClient:
                     self._sock.settimeout(max(remaining, 0.001))
                     message["deadline_ms"] = max(
                         int(remaining * 1000), 1)
-                return self._call_once(message)
+                response = self._exchange(message)
+                if response.get("ok"):
+                    return response
+                raise self._error(response)
             except (ConnectionLost, OSError) as exc:
                 self.close()
                 last_error = exc
@@ -311,7 +342,7 @@ class LittleTableClient:
                 # Shed before execution - never partially applied, so
                 # even non-idempotent requests resend safely.
                 last_error = exc
-            if attempt >= self.max_retries:
+            if attempt >= config.max_retries:
                 break
             if not self._backoff_within(attempt, deadline,
                                         getattr(last_error,
@@ -319,24 +350,20 @@ class LittleTableClient:
                 break  # the shared budget cannot fund another attempt
         if isinstance(last_error, OverloadedError):
             raise last_error
-        if isinstance(last_error, ConnectionLost):
-            raise last_error
-        raise ConnectionLost(str(last_error)) from last_error
+        raise _as_lost(last_error)
 
-    def _call_once(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _exchange(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one frame and read one back.  Anything short of a
+        parsed reply - a broken socket, a timeout, bytes that are not a
+        frame - closes the connection and surfaces as
+        :class:`ConnectionLost`, so the caller (or ``_call``'s retry
+        loop) can run recovery (§4.1)."""
         try:
             send_message(self._sock, message)
-            response = recv_message(self._sock)
-        except (ConnectionLost, OSError) as exc:
-            # The persistent connection broke: surface it so the
-            # caller (or _call's retry loop) can run recovery (§4.1).
+            return recv_message(self._sock)
+        except (ConnectionLost, ProtocolError, OSError) as exc:
             self.close()
-            if isinstance(exc, ConnectionLost):
-                raise
-            raise ConnectionLost(str(exc)) from exc
-        if response.get("ok"):
-            return response
-        raise self._error(response)
+            raise _as_lost(exc)
 
     def _error(self, response: Dict[str, Any]) -> LittleTableError:
         error = _error_from_response(response)
@@ -344,11 +371,6 @@ class LittleTableClient:
             # A refused row may have been shaped by a stale schema.
             self.invalidate_schema_cache()
         return error
-
-    def _backoff(self, attempt: int) -> None:
-        delay = min(self.retry_backoff_max_s,
-                    self.retry_backoff_s * (2 ** attempt))
-        self._sleep(delay * (0.5 + 0.5 * self._rng.random()))
 
     def _backoff_within(self, attempt: int, deadline: Optional[float],
                         retry_after_s: Optional[float] = None) -> bool:
@@ -360,8 +382,8 @@ class LittleTableClient:
         if retry_after_s is not None:
             delay = float(retry_after_s)
         else:
-            delay = min(self.retry_backoff_max_s,
-                        self.retry_backoff_s * (2 ** attempt))
+            delay = min(self.config.retry_backoff_max_s,
+                        self.config.retry_backoff_s * (2 ** attempt))
             delay *= (0.5 + 0.5 * self._rng.random())
         if deadline is not None:
             remaining = deadline - time.monotonic()
@@ -381,12 +403,10 @@ class LittleTableClient:
     def pipeline(self, depth: Optional[int] = None) -> "Pipeline":
         """A batch of pipelined requests over this connection.
 
-        Against a v2 server, enqueued requests are written back to
-        back without waiting for responses (up to ``depth`` in
-        flight, then the batch drains), and responses - which may
-        arrive out of order - are matched by request id.  Against a
-        v1 server the same code runs sequentially, one round trip per
-        request: the fallback promised by the HELLO negotiation.
+        Enqueued requests are written back to back without waiting
+        for responses (up to ``depth`` in flight, then the batch
+        drains), and responses - which may arrive out of order - are
+        matched by request id.
 
             with client.pipeline() as batch:
                 replies = [batch.insert("t", rows) for rows in chunks]
@@ -501,7 +521,7 @@ class LittleTableClient:
         """Queue one positional row; flushes at the batch size (§3.1)."""
         queue = self._pending.setdefault(table, [])
         queue.append(tuple(row))
-        if len(queue) >= self.insert_batch_rows:
+        if len(queue) >= self.config.insert_batch_rows:
             self.flush_inserts(table)
 
     def flush_inserts(self, table: Optional[str] = None) -> int:
@@ -537,26 +557,19 @@ class LittleTableClient:
         last returned key, exclusive (§3.5) - for descending queries,
         the *end* bound moves instead.
         """
+        return self._scan(table, _bounds_query(
+            key_min, key_max, key_min_inclusive, key_max_inclusive,
+            ts_min, ts_max, descending, limit))
+
+    def _scan(self, table: str, query: Query) -> Iterator[Tuple[Any, ...]]:
+        """:meth:`query` for a :class:`Query` value."""
+        limit = query.limit
         returned = 0
-        current_min = encode_key(key_min)
-        current_max = encode_key(key_max)
-        min_inclusive = key_min_inclusive
-        max_inclusive = key_max_inclusive
         while True:
-            request = {
-                "cmd": "query", "table": table,
-                "key_min": current_min, "key_max": current_max,
-                "key_min_inclusive": min_inclusive,
-                "key_max_inclusive": max_inclusive,
-                "ts_min": ts_min, "ts_max": ts_max,
-                "descending": descending,
-            }
-            if limit is not None:
-                request["limit"] = limit - returned
-            response = self._call(request, idempotent=True)
-            rows = self._decode_rows(table, response["rows"])
+            response = self._call(_query_request(table, query),
+                                  idempotent=True)
             last_row: Optional[Tuple[Any, ...]] = None
-            for row in rows:
+            for row in self._decode_rows(table, response["rows"]):
                 yield row
                 last_row = row
                 returned += 1
@@ -564,27 +577,27 @@ class LittleTableClient:
                     return
             if not response.get("more_available") or last_row is None:
                 return
-            # Continue from just past the last key we saw.  The key is
-            # the row's leading columns per the schema; clients that
-            # stream know their schema, but to stay schema-agnostic we
-            # ask the server for it lazily.
-            key = self._key_of(table, last_row)
-            if descending:
-                current_max = encode_key(key)
-                max_inclusive = False
+            # Continue from just past the last key we saw (the row's
+            # leading columns, per the lazily fetched schema).
+            key = self._schema(table).key_of(last_row)
+            key_range = query.key_range
+            if query.direction == DESCENDING:
+                key_range = replace(key_range, max_prefix=key,
+                                    max_inclusive=False)
             else:
-                current_min = encode_key(key)
-                min_inclusive = False
+                key_range = replace(key_range, min_prefix=key,
+                                    min_inclusive=False)
+            query = replace(
+                query, key_range=key_range,
+                limit=None if limit is None else limit - returned)
 
     def latest(self, table: str, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None
                ) -> Optional[Tuple[Any, ...]]:
         """Latest row for a key prefix (§3.4.5)."""
-        response = self._call({
-            "cmd": "latest", "table": table,
-            "prefix": encode_key(tuple(prefix)),
-            "max_lookback_micros": max_lookback_micros,
-        }, idempotent=True)
+        response = self._call(
+            _latest_request(table, prefix, max_lookback_micros),
+            idempotent=True)
         return self._decode_row(table, response.get("row"))
 
     def flush(self, table: str, before_ts: Optional[int] = None) -> int:
@@ -603,10 +616,6 @@ class LittleTableClient:
         return response["rows_removed"]
 
     # ---------------------------------------------------------- helpers
-
-    def _key_of(self, table: str, row: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        schema = self._schema(table)
-        return schema.key_of(row)
 
     def _catalog(self) -> Dict[str, Schema]:
         """Every table's schema (and TTL, for :class:`~repro.net
@@ -652,8 +661,7 @@ class PendingReply:
 
     __slots__ = ("request_id", "_response", "_error", "_decode", "_done")
 
-    def __init__(self, request_id: Optional[int],
-                 decode: Optional[Any] = None):
+    def __init__(self, request_id: int, decode: Optional[Any] = None):
         self.request_id = request_id
         self._response: Optional[Dict[str, Any]] = None
         self._error: Optional[BaseException] = None
@@ -691,7 +699,7 @@ class PendingReply:
 
 
 class Pipeline:
-    """Many in-flight requests over one connection (protocol v2).
+    """Many in-flight requests over one connection.
 
     Writes are *not* auto-retried here for the same §4.1 reason as in
     :meth:`LittleTableClient._call`: a batch may be half-applied when
@@ -706,24 +714,14 @@ class Pipeline:
         self._depth = max(1, depth)
         self._frames: List[bytes] = []
         self._awaiting: Dict[int, PendingReply] = {}
-        # Sequential fallback (v1 server): each call() is one round
-        # trip through the ordinary request path.
-        self._sequential = not client.pipelined
 
     # ------------------------------------------------------------ core
 
     def call(self, message: Dict[str, Any],
              idempotent: bool = False,
              decode: Optional[Any] = None) -> PendingReply:
-        """Enqueue one raw protocol request."""
-        if self._sequential:
-            reply = PendingReply(None, decode)
-            try:
-                reply._resolve(self._client._call(dict(message),
-                                                  idempotent=idempotent))
-            except (LittleTableError, ConnectionLost) as exc:
-                reply._fail(exc)
-            return reply
+        """Enqueue one raw protocol request.  ``idempotent`` changes
+        nothing: a pipeline never resends (see the class docstring)."""
         request_id = next(self._client._request_ids)
         tagged = dict(message)
         tagged["id"] = request_id
@@ -738,7 +736,7 @@ class Pipeline:
 
     def drain(self) -> None:
         """Send everything buffered and collect every response."""
-        if self._sequential or not self._awaiting:
+        if not self._awaiting:
             return
         sock = self._client._sock
         if sock is None:
@@ -761,12 +759,11 @@ class Pipeline:
                     reply._resolve(response)
                 else:
                     reply._fail(self._client._error(response))
-        except (ConnectionLost, OSError) as exc:
+        except (ConnectionLost, ProtocolError, OSError) as exc:
             self._client.close()
-            lost = exc if isinstance(exc, ConnectionLost) \
-                else ConnectionLost(str(exc))
+            lost = _as_lost(exc)
             self._fail_all(lost)
-            raise lost from (None if lost is exc else exc)
+            raise lost
 
     def _fail_all(self, error: BaseException) -> None:
         for reply in self._awaiting.values():
@@ -786,7 +783,7 @@ class Pipeline:
     # ------------------------------------------------- typed commands
 
     def ping(self) -> PendingReply:
-        return self.call({"cmd": "ping"}, idempotent=True,
+        return self.call({"cmd": "ping"},
                          decode=lambda r: bool(r.get("pong")))
 
     def insert(self, table: str,
@@ -801,20 +798,16 @@ class Pipeline:
                          decode=lambda r: r["inserted"])
 
     def query_page(self, table: str, **bounds: Any) -> PendingReply:
-        """One query command (no continuation); resolves to
+        """One query command (no continuation) over the keyword
+        bounds of :meth:`LittleTableClient.query`; resolves to
         ``(rows, more_available)``."""
-        request = {"cmd": "query", "table": table}
-        request.update(bounds)
         return self.call(
-            request, idempotent=True,
+            _query_request(table, _bounds_query(**bounds)),
             decode=lambda r: (self._client._decode_rows(table, r["rows"]),
                               bool(r.get("more_available"))))
 
     def latest(self, table: str, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None) -> PendingReply:
         return self.call(
-            {"cmd": "latest", "table": table,
-             "prefix": encode_key(tuple(prefix)),
-             "max_lookback_micros": max_lookback_micros},
-            idempotent=True,
+            _latest_request(table, prefix, max_lookback_micros),
             decode=lambda r: self._client._decode_row(table, r.get("row")))

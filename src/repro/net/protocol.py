@@ -14,20 +14,14 @@ hold; bytes survive JSON wrapped as ``{"$b": <base64>}``, which in a
 positional row appears only at BLOB column positions
 (:class:`RowMarshaller`).
 
-Protocol versions:
-
-* **v1** (the original wire format): strict request/response — the
-  client sends one command frame and reads one response frame.
-* **v2** adds an optional HELLO handshake and per-message request
-  ids.  A client opens with ``{"cmd": "hello", "version": 2}``; a v2
-  server answers with its version, feature list, and the error codes
-  it may emit.  Any request may then carry an ``"id"`` field, which
-  the server echoes in the matching response, allowing many requests
-  to be in flight on one connection (responses may arrive out of
-  order).  Both sides stay interoperable with v1 peers: a v1 server
-  rejects HELLO with an unknown-command error (the client falls back
-  to sequential mode), and a v1 client simply never sends HELLO or
-  ids (the server answers in order, as before).
+There is one protocol version.  Any request may carry an ``"id"``
+field, which the server echoes in the matching response: tagged
+requests run concurrently on one connection and their responses may
+arrive out of order; untagged requests are answered strictly in order.
+A client opens with ``{"cmd": "hello", "version": 2}``, a one-shot
+identity check the server answers with ``{"version", "shards"}``; a
+refusal or another version is a :class:`ProtocolViolationError` at
+connect time, not a different way of speaking.
 """
 
 from __future__ import annotations
@@ -44,17 +38,8 @@ from ..core.schema import ColumnType, Schema
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
 
-#: Highest protocol version this build speaks.
+#: The protocol version both peers must name in ``hello``.
 PROTOCOL_VERSION = 2
-
-#: Feature flags advertised in the HELLO exchange.  ``pipeline``
-#: means the peer accepts multiple in-flight requests tagged with
-#: ``id`` fields and may answer them out of order.
-FEATURE_PIPELINE = "pipeline"
-#: The server's HELLO response enumerates the error codes it emits,
-#: so clients map codes to local exception types by negotiation
-#: instead of by guessing.
-FEATURE_ERROR_CODES = "error_codes"
 
 
 class ProtocolError(Exception):

@@ -21,31 +21,9 @@ from __future__ import annotations
 import base64
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.row import DESCENDING, Query, QueryResult, QueryStats
+from ..core.row import Query, QueryResult, QueryStats
 from ..core.schema import Column, Schema
-from .client import LittleTableClient
-from .protocol import encode_key
-
-
-def _query_request(table: str, query: Query) -> Dict[str, Any]:
-    """One query command's wire request (shared by query and scan)."""
-    key_range = query.key_range
-    time_range = query.time_range
-    request: Dict[str, Any] = {
-        "cmd": "query", "table": table,
-        "key_min": encode_key(key_range.min_prefix),
-        "key_max": encode_key(key_range.max_prefix),
-        "key_min_inclusive": key_range.min_inclusive,
-        "key_max_inclusive": key_range.max_inclusive,
-        "ts_min": time_range.min_ts,
-        "ts_min_inclusive": time_range.min_inclusive,
-        "ts_max": time_range.max_ts,
-        "ts_max_inclusive": time_range.max_inclusive,
-        "descending": query.direction == DESCENDING,
-    }
-    if query.limit is not None:
-        request["limit"] = query.limit
-    return request
+from .client import LittleTableClient, _query_request
 
 
 class RemoteTable:
@@ -93,26 +71,7 @@ class RemoteTable:
         The client adaptor transparently continues past the server's
         row limit (§3.5).
         """
-        key_range = query.key_range
-        time_range = query.time_range
-        # Exclusive ts bounds become half-open integer bounds (ts is
-        # integer microseconds).
-        ts_min = time_range.min_ts
-        if ts_min is not None and not time_range.min_inclusive:
-            ts_min += 1
-        ts_max = time_range.max_ts
-        if ts_max is not None and not time_range.max_inclusive:
-            ts_max -= 1
-        return self._client.query(
-            self.name,
-            key_min=key_range.min_prefix,
-            key_max=key_range.max_prefix,
-            key_min_inclusive=key_range.min_inclusive,
-            key_max_inclusive=key_range.max_inclusive,
-            ts_min=ts_min, ts_max=ts_max,
-            descending=query.direction == DESCENDING,
-            limit=query.limit,
-        )
+        return self._client._scan(self.name, query)
 
     def latest(self, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None

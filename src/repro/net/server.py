@@ -47,16 +47,6 @@ from .shard import ShardRouter
 REPL_CHUNK_BYTES = 4 * 1024 * 1024
 
 
-def known_error_codes() -> list:
-    """Error codes this server may put on the wire: the names of every
-    :class:`LittleTableError` subclass, plus the generic ServerError.
-    Sent in the HELLO response so clients map codes by negotiation."""
-    return sorted(
-        name for name, cls in vars(_errors).items()
-        if isinstance(cls, type) and issubclass(cls, LittleTableError)
-    )
-
-
 def start_maintenance(db: Any, policy: MaintenancePolicy
                       ) -> Callable[[], None]:
     """Start background maintenance for what a server front serves;
@@ -184,11 +174,15 @@ class RequestDispatcher:
         handler = getattr(self, f"_cmd_{command}", None)
         self._m_requests.inc()
         request_id = request.get("id")
-        if handler is None:
+
+        def refuse(kind: str, message: str, **fields: Any) -> Dict[str, Any]:
             self._m_errors.inc()
-            return self._tag(protocol.error_response(
-                "ProtocolViolationError", f"unknown command {command!r}"),
-                request_id)
+            return self._tag(
+                protocol.error_response(kind, message, **fields), request_id)
+
+        if handler is None:
+            return refuse("ProtocolViolationError",
+                          f"unknown command {command!r}")
         # Deadline propagation: the client stamps its remaining budget
         # (``deadline_ms``); the async front stamps the frame's arrival
         # time so executor queueing counts against it too.
@@ -204,43 +198,33 @@ class RequestDispatcher:
                 self.admission.admit(deadline)
                 admitted = True
             except OverloadedError as exc:
-                self._m_errors.inc()
-                return self._tag(protocol.error_response(
-                    "OverloadedError", str(exc),
-                    retry_after=exc.retry_after_s), request_id)
+                return refuse("OverloadedError", str(exc),
+                              retry_after=exc.retry_after_s)
         try:
             if command in _WRITE_COMMANDS and self.db.read_only:
-                self._m_errors.inc()
                 self.metrics.counter("fault.read_only_rejections").inc()
-                return self._tag(protocol.error_response(
+                return refuse(
                     "ReadOnlyModeError",
-                    f"server is read-only: {self.db.read_only_reason}"),
-                    request_id)
+                    f"server is read-only: {self.db.read_only_reason}")
             # A request that overran its deadline while queued is shed
             # *before* the handler: nothing was executed, so nothing is
             # partially applied and the client may retry freely.
             if deadline is not None and time.monotonic() > deadline:
-                self._m_errors.inc()
                 self.metrics.counter("server.admission.deadline_sheds").inc()
-                return self._tag(protocol.error_response(
-                    "OverloadedError",
-                    "request deadline expired before execution",
-                    retry_after=0.0), request_id)
+                return refuse("OverloadedError",
+                              "request deadline expired before execution",
+                              retry_after=0.0)
             started = time.perf_counter()
             try:
                 response = handler(request)
             except LittleTableError as exc:
-                self._m_errors.inc()
                 fields = {}
                 retry_after = getattr(exc, "retry_after_s", None)
                 if retry_after is not None:
                     fields["retry_after"] = retry_after
-                return self._tag(protocol.error_response(
-                    type(exc).__name__, str(exc), **fields), request_id)
+                return refuse(type(exc).__name__, str(exc), **fields)
             except Exception as exc:  # defensive: keep the server up
-                self._m_errors.inc()
-                return self._tag(protocol.error_response(
-                    "ServerError", str(exc)), request_id)
+                return refuse("ServerError", str(exc))
             # Latency is recorded after the handler so a STATS snapshot
             # never includes the request that carried it.
             self.metrics.histogram(
@@ -254,36 +238,24 @@ class RequestDispatcher:
     @staticmethod
     def _tag(response: Dict[str, Any],
              request_id: Optional[Any]) -> Dict[str, Any]:
-        """Echo the v2 request id so pipelined clients can match the
-        response; v1 requests carry no id and get none back."""
+        """Echo the request id so a pipelining client can match the
+        response; an untagged request gets none back."""
         if request_id is not None:
             response["id"] = request_id
         return response
 
     def _cmd_hello(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """The v2 handshake: negotiate version, features, error codes.
-
-        The agreed version is the minimum of both sides' maxima, so a
-        future v3 client still lands on 2 here; servers predating v2
-        never reach this handler (their dispatch rejects the unknown
-        command, which v2 clients treat as "speak v1").
-        """
-        client_version = request.get("version", 1)
-        if not isinstance(client_version, int) or client_version < 1:
+        """The connect-time identity check: this is a LittleTable
+        server speaking the client's protocol version, over this many
+        shards.  Any other version is refused, not adapted to."""
+        version = request.get("version")
+        if version != protocol.PROTOCOL_VERSION:
             raise _errors.ProtocolViolationError(
-                f"bad hello version {client_version!r}")
-        version = min(client_version, protocol.PROTOCOL_VERSION)
-        features = []
-        if version >= 2:
-            features = [protocol.FEATURE_PIPELINE,
-                        protocol.FEATURE_ERROR_CODES]
+                f"hello names protocol version {version!r}; this server "
+                f"speaks {protocol.PROTOCOL_VERSION}")
         return protocol.ok_response(
-            version=version,
-            features=features,
-            error_codes=known_error_codes(),
-            shards=getattr(self.db, "shard_count", 1),
-            server="littletable",
-        )
+            version=protocol.PROTOCOL_VERSION,
+            shards=getattr(self.db, "shard_count", 1))
 
     def _cmd_ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return protocol.ok_response(pong=True)

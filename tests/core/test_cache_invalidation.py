@@ -162,19 +162,6 @@ class TestInsertInvalidation:
 
 
 class TestFooterCache:
-    def test_reopened_reader_skips_footer_parse(self, db, usage_table,
-                                                clock):
-        usage_table.insert([row(d, clock.now()) for d in range(10)])
-        usage_table.flush_all()
-        usage_table.query(Query())
-        loads_before = counter(db, "tablet.footer_loads")
-        # Drop only the reader objects (not the cache): a reopened
-        # reader must find its parsed footer by uid.
-        usage_table._readers.clear()
-        usage_table.query(Query())
-        assert counter(db, "tablet.footer_loads") == loads_before
-        assert counter(db, "readcache.footer.hits") > 0
-
     def test_evict_reader_cache_is_a_real_restart(self, db, usage_table,
                                                   clock):
         usage_table.insert([row(d, clock.now()) for d in range(10)])
@@ -185,6 +172,25 @@ class TestFooterCache:
         usage_table.query(Query())
         # Post-"restart" the first query misses again.
         assert counter(db, "readcache.block.misses") > misses_before
+
+    def test_evict_reader_cache_reloads_every_footer(self, db, usage_table,
+                                                     clock):
+        """The reader is the one holder of its parsed footer (§3.2):
+        a warm query loads none, the first query after an eviction
+        loads one per tablet."""
+        for _batch in range(3):
+            usage_table.insert([row(d, clock.now()) for d in range(10)])
+            usage_table.flush_all()
+            clock.advance_seconds(3600)
+        tablets = len(usage_table.on_disk_tablets)
+        assert tablets == 3
+        usage_table.query(Query())
+        loads_before = counter(db, "tablet.footer_loads")
+        usage_table.query(Query())
+        assert counter(db, "tablet.footer_loads") == loads_before
+        usage_table.evict_reader_cache()
+        usage_table.query(Query())
+        assert counter(db, "tablet.footer_loads") == loads_before + tablets
 
 
 class TestPruneIndexThroughTable:

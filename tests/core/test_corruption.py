@@ -5,12 +5,16 @@ The engine must turn damaged tablets and descriptors into
 uncontrolled exceptions.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import CorruptTabletError, LittleTable, Query
 from repro.core.descriptor import TableDescriptor
+from repro.core.recovery import verify_tablet_file
 from repro.core.row import KeyRange, TimeRange
-from repro.core.tablet import TabletReader
+from repro.core.tablet import (CHECKSUM_MAGIC, CHECKSUM_TRAILER_BYTES,
+                               TabletReader)
 from repro.disk import MemoryStorage, SimulatedDisk
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 from repro.util.xorshift import Xorshift64Star
@@ -140,6 +144,55 @@ class TestTabletCorruption:
             db.disk.model.release(filename)
             db.disk.model.allocate(filename, size)
             table.evict_reader_cache()
+
+
+def _with_trailer_word(data, index, value):
+    """``data`` with one 8-byte word of its 24-byte trailer replaced."""
+    at = len(data) - CHECKSUM_TRAILER_BYTES + 8 * index
+    return data[:at] + value.to_bytes(8, "little") + data[at + 8:]
+
+
+DAMAGED_TAILS = [
+    ("intact", lambda data: data, None),
+    ("legacy 16-byte trailer", lambda data: data[:-8], None),
+    ("short file", lambda data: data[-10:], "too small (10 bytes)"),
+    ("bad offset",
+     lambda data: _with_trailer_word(data, 1, len(data) + 100),
+     "bad trailer"),
+    ("zero footer size", lambda data: _with_trailer_word(data, 0, 0),
+     "bad trailer"),
+    ("wrong footer CRC",
+     lambda data: data[:-8] + bytes([data[-8] ^ 0xFF]) + data[-7:],
+     "footer checksum mismatch"),
+]
+
+
+class TestOneFooterReader:
+    """The read path and the startup scrub locate and check a footer
+    with the same code, so they give the same verdict on every tail."""
+
+    @pytest.mark.parametrize("damage,problem",
+                             [case[1:] for case in DAMAGED_TAILS],
+                             ids=[case[0] for case in DAMAGED_TAILS])
+    def test_reader_and_scrub_agree(self, damage, problem):
+        db, table = build_table(VirtualClock(start=BASE))
+        meta = table.on_disk_tablets[0]
+        data = db.disk.storage.read_all(meta.filename)
+        assert data[-4:] == CHECKSUM_MAGIC
+        damaged = damage(data)
+        db.disk.write_file("damaged.lt", damaged)
+        reader = TabletReader(db.disk, "damaged.lt")
+        if problem is None:
+            reader.ensure_loaded()
+            assert reader.row_count == meta.row_count
+        else:
+            with pytest.raises(CorruptTabletError) as caught:
+                reader.ensure_loaded()
+            assert str(caught.value) == f"damaged.lt: {problem}"
+        assert verify_tablet_file(
+            db.disk.storage,
+            replace(meta, filename="damaged.lt",
+                    size_bytes=len(damaged))) == problem
 
 
 def _read_query(table):

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import (
     CorruptTabletError,
+    DurabilityPolicy,
     EngineConfig,
     LittleTable,
     Query,
@@ -152,6 +153,29 @@ class TestCrashMatrix:
         with pytest.raises(CrashPoint):
             table.flush_all()
         assert db.metrics.snapshot()["counters"]["fault.injected"] == 1
+
+    def test_env_hook_reaches_wal_sites(self, monkeypatch):
+        """The operator-facing hook (``site=action@skip``) arms a WAL
+        site too: crash a wal-tier engine mid-append, and every
+        acknowledged insert survives recovery."""
+        monkeypatch.setenv("LITTLETABLE_FAILPOINTS",
+                           "wal.before_append=crash@25")
+        disk = SimulatedDisk()
+        db = LittleTable(disk=disk, clock=VirtualClock(start=BASE),
+                         durability=DurabilityPolicy(tier="wal"))
+        table = db.create_table("t", usage_schema())
+        acked = []
+        with pytest.raises(CrashPoint):
+            for index in range(100):
+                table.insert([row_for(index)])
+                acked.append(BASE + index)
+        assert 0 < len(acked) < 100
+        disk.failpoints.clear()
+        recovered = LittleTable(disk=disk, clock=VirtualClock(start=BASE))
+        got = [row[2] for row in recovered.query("t", Query()).rows]
+        assert got[:len(acked)] == acked
+        assert len(got) <= len(acked) + 1
+        assert is_healthy(recovered)
 
 
 class TestScrub:

@@ -60,14 +60,12 @@ class TestReadCacheBlocks:
         assert cache.get_block(uid, 1) is None
 
     def test_disabled_cache_is_inert(self):
-        cache = ReadCache(budget_bytes=0, footer_cache=False)
+        cache = ReadCache(budget_bytes=0)
         uid = cache.allocate_uid()
         assert cache.put_block(uid, 0, [(1,)], payload_bytes=10) is None
         assert cache.get_block(uid, 0) is None
-        cache.put_footer(uid, object())
-        assert cache.get_footer(uid) is None
 
-    def test_invalidate_tablet_drops_blocks_and_footer(self):
+    def test_invalidate_tablet_drops_its_blocks(self):
         metrics = MetricsRegistry()
         cache = ReadCache(budget_bytes=1 << 20, metrics=metrics)
         uid = cache.allocate_uid()
@@ -75,13 +73,11 @@ class TestReadCacheBlocks:
         cache.put_block(uid, 0, [(1,)], payload_bytes=10)
         cache.put_block(uid, 1, [(2,)], payload_bytes=10)
         cache.put_block(other, 0, [(3,)], payload_bytes=10)
-        cache.put_footer(uid, "footer")
         dropped = cache.invalidate_tablet(uid)
-        assert dropped == 3
+        assert dropped == 2
         assert cache.get_block(uid, 0) is None
-        assert cache.get_footer(uid) is None
         assert cache.get_block(other, 0) is not None
-        assert metrics.counter("readcache.invalidations").value == 3
+        assert metrics.counter("readcache.invalidations").value == 2
 
     def test_resident_bytes_gauge_published(self):
         metrics = MetricsRegistry()

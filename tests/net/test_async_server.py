@@ -1,10 +1,5 @@
-"""The asyncio front end: HELLO negotiation, pipelining, interop.
-
-The interop matrix is the protocol's compatibility promise, so both
-directions are tested for real: a legacy client (no HELLO, no ids)
-against the new server, and a new client against a server with the
-HELLO handler removed - which is exactly what a pre-v2 dispatch does
-with an unknown command.
+"""The asyncio front end: the hello check, pipelined (id-tagged) and
+in-order (untagged) requests on one connection.
 """
 
 import pytest
@@ -16,6 +11,7 @@ from repro.core import (
     EngineConfig,
     LittleTable,
     NoSuchTableError,
+    ProtocolViolationError,
     Schema,
     ServerError,
 )
@@ -25,7 +21,7 @@ from repro.net import (
     LittleTableClient,
     ShardRouter,
 )
-from repro.net.protocol import FEATURE_ERROR_CODES, FEATURE_PIPELINE
+from repro.net import protocol
 from repro.net.server import RequestDispatcher
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
@@ -69,35 +65,38 @@ def connect_client(server, **config_fields):
 class TestHello:
     def test_v2_negotiation(self, sharded_server):
         client = connect_client(sharded_server)
-        assert client.server_version == 2
-        assert FEATURE_PIPELINE in client.server_features
-        assert FEATURE_ERROR_CODES in client.server_features
         assert client.server_shards == 3
-        assert client.pipelined
         client.close()
+        dispatcher = sharded_server.dispatcher
+        assert dispatcher.dispatch(
+            {"cmd": "hello", "version": protocol.PROTOCOL_VERSION}) == {
+                "ok": True, "version": protocol.PROTOCOL_VERSION,
+                "shards": 3}
 
-    def test_negotiation_disabled_stays_v1(self, sharded_server):
-        client = connect_client(sharded_server, negotiate=False)
-        assert client.server_version == 1
-        assert not client.pipelined
-        assert client.ping()
-        client.close()
-
-    def test_new_client_against_old_server_falls_back(
+    def test_refused_hello_raises_typed_at_connect(
             self, single_server, monkeypatch):
-        # A pre-v2 server has no HELLO handler: dispatch answers
-        # "unknown command", and the client must settle on v1.
+        """A peer that does not know ``hello`` is not a server this
+        client can talk to: no silent downgrade."""
         monkeypatch.delattr(RequestDispatcher, "_cmd_hello")
-        client = connect_client(single_server)
-        assert client.server_version == 1
-        assert not client.pipelined
-        assert client.ping()
-        client.close()
+        with pytest.raises(ProtocolViolationError, match="refused hello"):
+            connect_client(single_server)
 
-    def test_error_codes_are_negotiated(self, single_server):
-        client = connect_client(single_server)
-        assert "DuplicateKeyError" in (client._server_error_codes or ())
-        client.close()
+    @pytest.mark.parametrize("theirs", [1, 3])
+    def test_server_refuses_a_client_of_another_version(
+            self, single_server, monkeypatch, theirs):
+        monkeypatch.setattr("repro.net.client.PROTOCOL_VERSION", theirs)
+        with pytest.raises(ProtocolViolationError, match="refused hello"):
+            connect_client(single_server)
+
+    @pytest.mark.parametrize("theirs", [1, 3])
+    def test_client_refuses_a_server_of_another_version(
+            self, single_server, monkeypatch, theirs):
+        monkeypatch.setattr(
+            RequestDispatcher, "_cmd_hello",
+            lambda self, request: protocol.ok_response(version=theirs,
+                                                       shards=1))
+        with pytest.raises(ProtocolViolationError, match="version"):
+            connect_client(single_server)
 
 
 class TestPipelining:
@@ -146,16 +145,6 @@ class TestPipelining:
         assert also_good.result() is not None
         client.close()
 
-    def test_pipeline_falls_back_sequential_on_v1(self, sharded_server):
-        client = connect_client(sharded_server, negotiate=False)
-        client.create_table("usage", usage_schema())
-        with client.pipeline(depth=8) as batch:
-            replies = [batch.insert_dicts("usage", [
-                {"device": f"d{i}", "ts": BASE, "bytes": i}])
-                for i in range(12)]
-        assert sum(r.result() for r in replies) == 12
-        client.close()
-
     def test_pipeline_depth_metric_observed(self, sharded_server):
         client = connect_client(sharded_server)
         with client.pipeline(depth=4) as batch:
@@ -171,8 +160,8 @@ class TestPipelining:
 
 class TestSequentialInterop:
     def test_legacy_sequential_commands_still_served(self, sharded_server):
-        """A v1 client (no ids at all) against the async front end."""
-        client = connect_client(sharded_server, negotiate=False)
+        """Requests with no ids at all against the async front end."""
+        client = connect_client(sharded_server)
         client.create_table("usage", usage_schema())
         client.insert("usage", [{"device": "a", "ts": BASE, "bytes": 7}])
         assert client.latest("usage", ("a",))[2] == 7

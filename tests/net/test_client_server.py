@@ -179,7 +179,7 @@ class TestInsertAndQuery:
 
     def test_batched_buffer_insert(self, client, clock):
         client.create_table("events", event_schema())
-        client.insert_batch_rows = 10
+        client.config.insert_batch_rows = 10
         for device in range(25):
             client.buffer_insert(
                 "events", (1, device, clock.now() + device, b""))

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import (Column, ColumnType, LittleTable, OverloadedError,
                         Query, Schema, ShardDegradedError)
+from repro.disk import FaultyVFS
 from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
                        LittleTableClient)
 from repro.net.server import AdmissionController, RequestDispatcher
@@ -126,7 +127,7 @@ class TestDispatcherShedding:
         _db, admission, dispatcher = self.make_dispatcher()
         admission.admit()
         for cmd in ("ping", "stats", "hello"):
-            assert dispatcher.dispatch({"cmd": cmd})["ok"], cmd
+            assert dispatcher.dispatch({"cmd": cmd, "version": 2})["ok"], cmd
 
     def test_expired_deadline_shed_before_handler(self):
         db = LittleTable(clock=VirtualClock(start=BASE))
@@ -230,7 +231,7 @@ class TestClientRetryBudget:
 
             server.dispatcher.dispatch = spying
             client = self.make_client_against(
-                server, request_timeout_s=5.0, negotiate=False)
+                server, request_timeout_s=5.0)
             assert client.ping()
             client.close()
         assert 0 < captured["deadline_ms"] <= 5000
@@ -321,4 +322,30 @@ class TestShardOverloadCooldown:
         router._down[2] = "crashed"
         with pytest.raises(ShardDegradedError):
             router.query("t", Query())
+        router.close()
+
+    def test_overload_sheds_typed_once_a_crashed_shard_is_revived(self):
+        """Overload and a real injected crash combined: the crash
+        degrades its shard, outranks another shard's overload, and
+        after the revive the overload alone sheds fast and typed."""
+        router = ShardRouter(engines=[
+            LittleTable(disk=FaultyVFS(), clock=VirtualClock(start=BASE))
+            for _ in range(3)])
+        router.create_table("t", make_schema())
+        router.insert("t", [{"k": k, "ts": BASE, "v": k}
+                            for k in range(30)])
+        router.engines[2].disk.failpoints.set("disk.write", "crash")
+        with pytest.raises(ShardDegradedError):
+            router.flush_all()
+        router.mark_overloaded(1)
+        with pytest.raises(ShardDegradedError):
+            router.query("t", Query())
+        router.engines[2].disk.failpoints.clear()
+        router.revive_shard(2)
+        router.mark_overloaded(1)
+        started = time.monotonic()
+        with pytest.raises(OverloadedError) as info:
+            router.query("t", Query())
+        assert time.monotonic() - started < 0.2
+        assert info.value.retry_after_s is not None
         router.close()

@@ -7,6 +7,9 @@ inspecting recorded delays instead of waiting them out; server
 persistent connection breaks, §3.1/§4.1).
 """
 
+import socket
+import threading
+
 import pytest
 
 from repro.core import (
@@ -19,7 +22,7 @@ from repro.core import (
 )
 from repro.disk import DiskFullError, FaultyVFS
 from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
-                       LittleTableClient)
+                       LittleTableClient, protocol)
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 BASE = 10_000 * MICROS_PER_DAY
@@ -89,6 +92,70 @@ class TestTimeoutKnobs:
             assert seen["timeout"] == 2.5
 
 
+class TestBrokenPeers:
+    def test_silent_peer_cannot_hang_connect(self):
+        """The hello exchange runs under ``connect_timeout_s``: a peer
+        that accepts (here: the kernel's listen queue) and never
+        answers is a lost connection, not a constructor that never
+        returns."""
+        outcome = []
+
+        def attempt(address):
+            try:
+                LittleTableClient(*address, config=ClientConfig(
+                    connect_timeout_s=0.2))
+            except BaseException as exc:
+                outcome.append(exc)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            thread = threading.Thread(
+                target=attempt, args=(listener.getsockname(),), daemon=True)
+            thread.start()
+            thread.join(timeout=2)
+            assert not thread.is_alive(), "connect() is still waiting"
+        assert isinstance(outcome[0], ConnectionLost)
+
+    @pytest.fixture
+    def garbling_server(self):
+        """Answers hello, then one frame that is not JSON."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                protocol.recv_message(conn)
+                protocol.send_message(conn, protocol.ok_response(
+                    version=protocol.PROTOCOL_VERSION, shards=1))
+                protocol.recv_message(conn)
+                conn.sendall(b"\x00\x00\x00\x08not json")
+                conn.recv(1)    # hold the socket open until the client drops it
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield listener.getsockname()
+        listener.close()
+        thread.join(timeout=5)
+
+    def test_unparseable_reply_is_a_lost_connection(self, garbling_server):
+        client = LittleTableClient(*garbling_server, config=ClientConfig(
+            auto_reconnect=False))
+        with pytest.raises(ConnectionLost):
+            client.ping()
+        assert not client.connected
+
+    def test_unparseable_reply_fails_the_whole_pipeline(
+            self, garbling_server):
+        client = LittleTableClient(*garbling_server)
+        batch = client.pipeline()
+        replies = [batch.ping() for _ in range(3)]
+        with pytest.raises(ConnectionLost):
+            batch.drain()
+        assert not client.connected
+        for reply in replies:
+            with pytest.raises(ConnectionLost):
+                reply.result()
+
+
 class TestBackoff:
     def test_exponential_with_cap(self, server):
         client = fast_client(server, retry_backoff_s=0.1,
@@ -96,7 +163,7 @@ class TestBackoff:
         with client:
             client._rng = type("R", (), {"random": lambda self: 1.0})()
             for attempt in range(4):
-                client._backoff(attempt)
+                client._backoff_within(attempt, None)
             assert client.sleeps == [0.1, 0.2, 0.3, 0.3]
 
     def test_jitter_halves_at_minimum(self, server):
@@ -104,7 +171,7 @@ class TestBackoff:
                              retry_backoff_max_s=1.0)
         with client:
             client._rng = type("R", (), {"random": lambda self: 0.0})()
-            client._backoff(0)
+            client._backoff_within(0, None)
             assert client.sleeps == [pytest.approx(0.1)]
 
 

@@ -144,7 +144,7 @@ class TestStatsCache:
         assert main(["stats", "--data", data, "--json"]) == 0
         page = json.loads(capsys.readouterr().out)
         cache = page["cache"]
-        for section in ("block", "footer", "latest"):
+        for section in ("block", "latest"):
             assert {"hits", "misses", "hit_rate"} <= set(cache[section])
         assert "evictions" in cache["block"]
         assert "resident_bytes" in cache["block"]

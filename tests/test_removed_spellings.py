@@ -2,15 +2,17 @@
 
 Each was a second way to say something one config object already
 says (``ClientConfig``, ``EngineConfig``, ``MaintenancePolicy``) or a
-selector for a code path that no longer exists (the v1 block writer);
-none of them connects, opens or binds anything before failing.
+selector for a code path that no longer exists (the v1 block writer,
+the v1 wire dialect, the read cache's footer side cache); none of them
+connects, opens or binds anything before failing.
 """
 
 import pytest
 
 from repro.core import (DurabilityPolicy, EngineConfig, LittleTable,
                         MaintenanceReport, TableMaintenanceReport)
-from repro.net import AsyncLittleTableServer, LittleTableClient
+from repro.core.readcache import ReadCache
+from repro.net import AsyncLittleTableServer, ClientConfig, LittleTableClient
 
 
 @pytest.mark.parametrize("old_spelling", [
@@ -32,6 +34,10 @@ from repro.net import AsyncLittleTableServer, LittleTableClient
     pytest.param(lambda: TableMaintenanceReport(flushed=1)["flushed"],
                  id="table-report-item"),
     pytest.param(lambda: MaintenanceReport()["usage"], id="report-item"),
+    pytest.param(lambda: ClientConfig(negotiate=False),
+                 id="client-negotiate"),
+    pytest.param(lambda: ReadCache(0, footer_cache=False),
+                 id="readcache-footer-cache"),
 ])
 def test_old_spelling_is_a_type_error(old_spelling):
     with pytest.raises(TypeError):

@@ -6,7 +6,9 @@ obtain tablets and memtables in one place (``Table._read_plan``), and
 a ``Table`` gets its fault listener and IO limiter in one place (its
 constructor, called by ``LittleTable.open_table``).  ``snapshot.py``
 and ``recovery.py`` assign to descriptors of their own and are out of
-scope.
+scope.  Across all of ``src/``: a tablet file's trailer is told apart
+(v2.1 or legacy) in one function, and a ``query`` request is built in
+one.
 """
 
 import ast
@@ -64,3 +66,31 @@ def test_only_the_constructor_wires_a_table():
                 if is_attr(target, "io_limiter"):
                     assert (isinstance(target.value, ast.Name)
                             and target.value.id == "self"), where
+
+
+def functions_where(predicate):
+    """``file:function`` of every function in ``src/`` (enclosing
+    ones included) with a node that satisfies ``predicate``."""
+    found = set()
+    for path in sorted(CORE.parent.rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(predicate(n) for n in ast.walk(function)):
+                found.add(f"{path.name}:{function.name}")
+    return found
+
+
+def test_one_function_tells_the_trailer_formats_apart():
+    assert functions_where(lambda n: isinstance(n, ast.Compare) and any(
+        isinstance(name, ast.Name) and name.id == "CHECKSUM_MAGIC"
+        for name in ast.walk(n))) == {"tablet.py:read_footer"}
+
+
+def test_one_function_builds_a_query_request():
+    def is_query_request(node):
+        return isinstance(node, ast.Dict) and any(
+            isinstance(key, ast.Constant) and key.value == "cmd"
+            and isinstance(value, ast.Constant) and value.value == "query"
+            for key, value in zip(node.keys, node.values))
+
+    assert functions_where(is_query_request) == {"client.py:_query_request"}
