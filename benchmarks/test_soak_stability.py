@@ -1,33 +1,42 @@
-"""Soak stability: flat p99 under sustained ingest + dashboard load.
+"""Soak stability: flat p99 under sustained ingest + dashboard load,
+with the merger running.
 
-The robustness tentpole's headline claim: with the IO rate limiter
-and the SLO controller driving maintenance, the insert/query p99 stays
-flat while background merges churn - instead of spiking every time an
-unthrottled merge hogs the interpreter.  Both configurations run in
-the same process, same workload, same wall-clock budget:
-
-* **baseline** - scheduler on, but no IO rate limit and no SLO
-  (merges run flat-out, the pre-PR behaviour);
-* **scheduled** - ``io_rate_limit_bytes_s`` set and
-  ``MaintenancePolicy(slo_p99_ms=...)`` armed.
-
-Each phase ingests continuously (batched inserts, advancing virtual
-timestamps so tablets retire and merge) while a second thread runs
+One configuration, the default scheduler (flush-before-merge queue
+priorities, fixed-depth insert backpressure, ``merge_budget_per_tick``).
+It ingests continuously (batched inserts, advancing virtual timestamps
+so tablets retire and merge) while a second thread runs
 dashboard-style latest/range queries.  Latencies are bucketed into
 wall-clock windows; the *spike amplitude* is the worst windowed p99
-over the median windowed p99.  Gates (the PR acceptance criteria):
+over the median windowed p99.  Two gates, and the second is what keeps
+the first honest:
 
-* scheduled amplitude <= 3.0x;
-* scheduled steady-state ingest throughput >= 90% of baseline.
+* insert and query amplitude <= 3.0x;
+* maintenance kept up: the run ends on no more tablets than the
+  appendix's bound for what it flushed (``max_tablets_at_end``).
 
-``LT_SOAK_SECONDS`` scales the whole run (per-phase duration is half;
-default 8 s keeps the local suite quick, CI's soak job runs 60 s for
-a sustained million-row ingest).  Results land in
-``BENCH_soak_p99.json`` at the repo root, written before the gates
-assert so a regression still leaves the series behind for charting.
+A p99 that is flat because nothing merged is the deferred stall Luo &
+Carey (PAPERS.md: On Performance Stability in LSM-based Storage
+Systems) say a scheduler must not be credited for; PR 10's SLO
+controller passed the amplitude gate exactly that way (EXPERIMENTS
+"PR 17": 1 merge and 166-212 tablets after 30 s against 34-42 merges
+and 1-3 tablets here).
+
+What the amplitude does not see: a window holds ~38 insert batches, so
+its p99 is the second-largest sample and one stalled insert per window
+is invisible.  The report therefore also carries the backpressure
+stall count and the worst single insert, ungated: every 30 s run has
+a 2-4 s insert stall behind a merge of 150k+ rows (ROADMAP item 4).
+
+``LT_SOAK_SECONDS`` is the length of the run (default 8 s keeps the
+local suite quick; CI's soak job runs 30 s, and at 60 s the stall
+above outgrows the backpressure budget and fails the amplitude gate).
+Results land in ``BENCH_soak_p99.json`` at the repo root
+(git-ignored; CI uploads it), written before the gates assert so a
+regression still leaves the series behind for charting.
 """
 
 import json
+import math
 import os
 import pathlib
 import threading
@@ -44,6 +53,7 @@ from repro.core import (
     Query,
     Schema,
 )
+from repro.core.periods import FOUR_HOURS
 from repro.disk import SimulatedDisk
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
@@ -52,8 +62,11 @@ SOAK_SECONDS = float(os.environ.get("LT_SOAK_SECONDS", "8"))
 WINDOW_S = 0.5
 BATCH = 200
 DEVICES = 64
+ROW_SPACING_MICROS = 1_000
 MAX_AMPLITUDE = 3.0     # worst windowed p99 / median windowed p99
-MIN_THROUGHPUT = 0.9    # scheduled rows/s vs baseline rows/s
+# Tablets flushed since the merger's last pass when the run is cut off
+# mid-flight: a tick is 50 ms and a flush lands every ~250 ms.
+IN_FLIGHT_TABLETS = 2
 
 
 def usage_schema() -> Schema:
@@ -99,19 +112,32 @@ def amplitude(series):
     return max(core) / steady if steady > 0 else 1.0
 
 
-def run_phase(name, seconds, io_rate=None, slo_ms=None):
-    """One soak phase: ingest + dashboard threads, latency samples."""
+def max_tablets_at_end(flushes, rows):
+    """The appendix's bound on tablets once merging has kept up.
+
+    Adjacent-half merging leaves, within one period, tablets that each
+    more than halve in size toward the newer end, so ``k`` survivors
+    of ``n`` equal flushes need ``2**k - 1 <= n``: at most
+    ``log2(n + 1)`` per period.  The periods are the four-hour bins
+    the rows' timestamps span (one, for any run under ~10 minutes),
+    and a run that short stays far below ``max_merged_tablet_bytes``,
+    the other thing that would stop a merge.
+    """
+    periods = rows * ROW_SPACING_MICROS // FOUR_HOURS + 1
+    return periods * int(math.log2(flushes + 1)) + IN_FLIGHT_TABLETS
+
+
+def run_soak(seconds):
+    """Ingest + dashboard threads for ``seconds``; latency samples."""
     clock = VirtualClock(start=BASE)
     config = EngineConfig(
         flush_size_bytes=96 * 1024,
         max_merged_tablet_bytes=8 * 1024 * 1024,
         merge_min_age_micros=0,
         merge_rollover_delay_fraction=0.0,
-        io_rate_limit_bytes_s=io_rate,
     )
     policy = MaintenancePolicy(
-        tick_interval_s=0.05, workers=1, merge_budget_per_tick=4,
-        slo_p99_ms=slo_ms)
+        tick_interval_s=0.05, workers=1, merge_budget_per_tick=4)
     db = LittleTable(disk=SimulatedDisk(), config=config, clock=clock)
     db.create_table("usage", usage_schema())
     table = db.table("usage")
@@ -127,7 +153,7 @@ def run_phase(name, seconds, io_rate=None, slo_ms=None):
         while not stop.is_set():
             batch = [
                 {"network": 1, "device": (sequence + i) % DEVICES,
-                 "ts": BASE + (sequence + i) * 1_000,
+                 "ts": BASE + (sequence + i) * ROW_SPACING_MICROS,
                  "bytes": i, "rate": 0.5}
                 for i in range(BATCH)
             ]
@@ -165,16 +191,23 @@ def run_phase(name, seconds, io_rate=None, slo_ms=None):
         thread.join(timeout=10)
     elapsed = time.perf_counter() - began
     scheduler.stop()
-    merges = int(db.metrics.snapshot()["counters"].get("merge.count", 0))
+    # Read before close(), which flushes the open memtable.
+    counters = db.metrics.snapshot()["counters"]
+    tablets_at_end = len(table.descriptor.tablets)
+    worst_insert_s = max(latency for _at, latency in inserts)
     db.close()
     insert_series = windowed_p99(inserts)
     query_series = windowed_p99(queries)
     return {
-        "phase": name,
         "seconds": round(elapsed, 2),
         "rows": rows_done[0],
         "rows_per_s": round(rows_done[0] / elapsed, 1),
-        "merges": merges,
+        "flushes": int(counters.get("flush.count", 0)),
+        "merges": int(counters.get("merge.count", 0)),
+        "tablets_at_end": tablets_at_end,
+        "backpressure_stalls": int(
+            counters.get("insert.backpressure_stalls", 0)),
+        "worst_insert_ms": round(worst_insert_s * 1e3, 1),
         "insert_p99_windows_us": [round(v * 1e6, 1)
                                   for v in insert_series],
         "query_p99_windows_us": [round(v * 1e6, 1)
@@ -184,45 +217,39 @@ def run_phase(name, seconds, io_rate=None, slo_ms=None):
     }
 
 
-def test_soak_p99_stays_flat_under_scheduling():
-    per_phase = max(SOAK_SECONDS / 2, 2.0)
-    baseline = run_phase("baseline", per_phase)
-    scheduled = run_phase("scheduled", per_phase,
-                          io_rate=24 * 1024 * 1024, slo_ms=20.0)
-
-    worst = max(scheduled["insert_amplitude"],
-                scheduled["query_amplitude"])
+def test_soak_p99_stays_flat_while_merging():
+    run = run_soak(max(SOAK_SECONDS, 2.0))
+    worst = max(run["insert_amplitude"], run["query_amplitude"])
+    tablet_bound = max_tablets_at_end(run["flushes"], run["rows"])
     report = {
         "benchmark": "soak_stability",
         "unit": "p99_microseconds_per_window",
         "window_s": WINDOW_S,
         "soak_seconds": SOAK_SECONDS,
         "gate_amplitude": MAX_AMPLITUDE,
-        "gate_throughput_fraction": MIN_THROUGHPUT,
-        "baseline": baseline,
-        "scheduled": scheduled,
-        "scheduled_worst_amplitude": worst,
-        "throughput_fraction": round(
-            scheduled["rows_per_s"] / baseline["rows_per_s"], 3),
+        "gate_tablets_at_end": tablet_bound,
+        "worst_amplitude": worst,
+        **run,
     }
     out = pathlib.Path(__file__).resolve().parent.parent / \
         "BENCH_soak_p99.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    print(f"\nbaseline: {baseline['rows_per_s']:,.0f} rows/s, "
-          f"insert amp {baseline['insert_amplitude']:.2f}x, "
-          f"query amp {baseline['query_amplitude']:.2f}x "
-          f"({baseline['merges']} merges)")
-    print(f"scheduled: {scheduled['rows_per_s']:,.0f} rows/s, "
-          f"insert amp {scheduled['insert_amplitude']:.2f}x, "
-          f"query amp {scheduled['query_amplitude']:.2f}x "
-          f"({scheduled['merges']} merges)  "
+    print(f"\nsoak: {run['rows_per_s']:,.0f} rows/s, "
+          f"insert amp {run['insert_amplitude']:.2f}x, "
+          f"query amp {run['query_amplitude']:.2f}x, "
+          f"{run['flushes']} flushes, {run['merges']} merges, "
+          f"{run['tablets_at_end']} tablets at end, "
+          f"{run['backpressure_stalls']} insert stalls "
+          f"(worst insert {run['worst_insert_ms']:,.0f} ms)  "
           f"[gates: amp <= {MAX_AMPLITUDE}x, "
-          f"throughput >= {MIN_THROUGHPUT:.0%} of baseline]")
+          f"tablets <= {tablet_bound}]")
 
     assert worst <= MAX_AMPLITUDE, (
-        f"scheduled p99 spike amplitude {worst:.2f}x exceeds the "
+        f"p99 spike amplitude {worst:.2f}x exceeds the "
         f"{MAX_AMPLITUDE}x gate (see BENCH_soak_p99.json)")
-    assert report["throughput_fraction"] >= MIN_THROUGHPUT, (
-        f"scheduling costs {1 - report['throughput_fraction']:.0%} of "
-        f"ingest throughput (gate {1 - MIN_THROUGHPUT:.0%})")
+    assert run["merges"] > 0 and run["tablets_at_end"] <= tablet_bound, (
+        f"maintenance fell behind: {run['merges']} merges left "
+        f"{run['tablets_at_end']} tablets after {run['flushes']} flushes "
+        f"(appendix bound {tablet_bound}); a flat p99 without merging "
+        f"is a deferred stall, not stability")

@@ -215,16 +215,13 @@ def open_database(data_dir: Optional[str],
 
 def _parse_durability(args) -> Optional["object"]:
     """Fold the serve durability flags into one policy (or None)."""
-    if (args.durability is None and args.group_commit_ms is None
-            and args.wal_segment_bytes is None):
+    if args.durability is None and args.wal_segment_bytes is None:
         return None
     from .core.durability import DurabilityPolicy
 
     fields = {}
     if args.durability is not None:
         fields["tier"] = args.durability
-    if args.group_commit_ms is not None:
-        fields["group_commit_ms"] = args.group_commit_ms
     if args.wal_segment_bytes is not None:
         fields["wal_segment_bytes"] = args.wal_segment_bytes
     policy = DurabilityPolicy(**fields)
@@ -275,14 +272,13 @@ def stats_main(argv: list) -> int:
     from .dashboard.metrics_view import (admission_summary, cache_summary,
                                          codec_summary, fault_summary,
                                          maintenance_summary,
-                                         pushdown_summary, sched_summary)
+                                         pushdown_summary)
 
     page["cache"] = cache_summary(page.get("metrics", {}))
     page["codec"] = codec_summary(page.get("metrics", {}))
     page["maintenance"] = maintenance_summary(page.get("metrics", {}))
     page["fault"] = fault_summary(page.get("metrics", {}))
     page["query"] = pushdown_summary(page.get("metrics", {}))
-    page["sched"] = sched_summary(page.get("metrics", {}))
     page["admission"] = admission_summary(page.get("metrics", {}))
     if args.json:
         import json as _json
@@ -361,8 +357,8 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
     N=1 still routes, through a single worker) through the asyncio
     pipelined front end.
 
-    ``--durability TIER`` (with ``--group-commit-ms`` and
-    ``--wal-segment-bytes``) sets the served engines' default
+    ``--durability TIER`` (with ``--wal-segment-bytes``) sets the
+    served engines' default
     :class:`~repro.core.durability.DurabilityPolicy`.  ``--follow
     HOST:PORT`` runs a warm standby instead: a single read-only
     engine that streams sealed WAL segments and tablet manifests from
@@ -393,9 +389,6 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
                         help="default durability tier for new tables "
                              "(default: none, the paper's prefix "
                              "durability)")
-    parser.add_argument("--group-commit-ms", type=float, default=None,
-                        metavar="MS",
-                        help="WAL group-commit fsync interval")
     parser.add_argument("--wal-segment-bytes", type=int, default=None,
                         metavar="BYTES",
                         help="WAL segment size before sealing")

@@ -31,7 +31,6 @@ from .errors import (
     TableExistsError,
     ValidationError,
 )
-from .iosched import IORateLimiter, SLOController
 from .maintenance import (MaintenancePolicy, MaintenanceReport,
                           TableMaintenanceReport)
 from .merge import MergePlan, choose_merge, pending_merge_runs
@@ -62,8 +61,6 @@ __all__ = [
     "MaintenanceReport",
     "MaintenanceScheduler",
     "TableMaintenanceReport",
-    "IORateLimiter",
-    "SLOController",
     "pending_merge_runs",
     "EngineConfig",
     "LittleTable",

@@ -16,8 +16,6 @@ Defaults mirror the values the paper states explicitly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from ..util.clock import MICROS_PER_MINUTE, micros_from_seconds
 
 KIB = 1024
@@ -81,14 +79,6 @@ class EngineConfig:
     # amplification); "never" disables merging (the §3.4.1 seek storm).
     time_partitioning: bool = True
     merge_policy: str = "adjacent-half"
-    # Background-write IO budget (bytes/second) shared by every flush
-    # and merge writer of the database: a token bucket paces tablet
-    # block writes so a due merge dribbles its rewrite out instead of
-    # monopolising the disk and spiking insert/query p99.  None
-    # disables pacing.  When a latency SLO is set on the maintenance
-    # policy (``slo_p99_ms``) the scheduler's controller modulates the
-    # effective rate between 10% and 100% of this value.
-    io_rate_limit_bytes_s: Optional[int] = None
 
     def validate(self) -> None:
         """Raise ValueError on nonsensical settings."""
@@ -108,10 +98,6 @@ class EngineConfig:
             raise ValueError("read_cache_bytes must be >= 0 (0 disables)")
         if self.latest_cache_entries < 0:
             raise ValueError("latest_cache_entries must be >= 0 (0 disables)")
-        if (self.io_rate_limit_bytes_s is not None
-                and self.io_rate_limit_bytes_s <= 0):
-            raise ValueError(
-                "io_rate_limit_bytes_s must be positive (or None to disable)")
 
 
 DEFAULT_CONFIG = EngineConfig()

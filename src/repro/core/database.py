@@ -22,7 +22,6 @@ from .config import DEFAULT_CONFIG, EngineConfig
 from .descriptor import TableDescriptor
 from .durability import DurabilityPolicy
 from .errors import NoSuchTableError, ReadOnlyModeError, TableExistsError
-from .iosched import IORateLimiter
 from .maintenance import MaintenancePolicy, MaintenanceReport
 from .readcache import ReadCache
 from .recovery import ScrubReport, startup_scrub
@@ -99,14 +98,6 @@ class LittleTable:
             maintenance_policy if maintenance_policy is not None
             else MaintenancePolicy())
         self.maintenance_policy.validate()
-        # One token bucket pacing background writes (flush + merge)
-        # across all tables: a merge on one table competes with every
-        # other table's IO exactly as they share the real disk.  The
-        # SLO controller (when armed) modulates the rate live.
-        self.io_limiter = None
-        if self.config.io_rate_limit_bytes_s is not None:
-            self.io_limiter = IORateLimiter(
-                self.config.io_rate_limit_bytes_s, metrics=self.metrics)
         self._scheduler = None
         self._tables: Dict[str, Table] = {}
         # Read-only degradation state (ISSUE: "the server degrades to
@@ -170,20 +161,19 @@ class LittleTable:
 
         The one place a table is wired to its database - shared
         disks, clock, registry, tracer and read cache, the storage
-        fault listener, the IO limiter, the effective durability -
-        used by startup, ``create_table``, ``restore`` and the
-        follower's resync and ``promote``.  A WAL table replays its
-        log, which also primes LSN bookkeeping past surviving
-        segments.  ``standby`` builds a warm standby's copy, which
-        runs WAL-less: streaming is its durability while it follows.
+        fault listener, the effective durability - used by startup,
+        ``create_table``, ``restore`` and the follower's resync and
+        ``promote``.  A WAL table replays its log, which also primes
+        LSN bookkeeping past surviving segments.  ``standby`` builds a
+        warm standby's copy, which runs WAL-less: streaming is its
+        durability while it follows.
         """
         table = Table(self.disk, descriptor, self.config, self.clock,
                       cold_disk=self.cold_disk, metrics=self.metrics,
                       tracer=self.tracer, read_cache=self.read_cache,
                       durability=(None if standby else
                                   self.effective_durability(descriptor)),
-                      fault_listener=self._note_storage_failure,
-                      io_limiter=self.io_limiter)
+                      fault_listener=self._note_storage_failure)
         if table.wal is not None:
             table.replay_wal()
         self._tables[descriptor.name] = table
@@ -223,14 +213,10 @@ class LittleTable:
         effective.validate()
         descriptor = TableDescriptor(name=name, schema=schema,
                                      ttl_micros=ttl_micros)
-        # Persist only the table-level fields (engine-level knobs like
-        # follow_addr / scrub overrides don't belong to one table); a
-        # none-tier policy persists nothing, keeping the descriptor
-        # byte-identical to pre-durability engines.
-        table_fields = ("tier", "group_commit_ms", "wal_segment_bytes")
-        persisted = {key: value for key, value in effective.to_dict().items()
-                     if key in table_fields}
-        descriptor.durability = persisted or None
+        # Every policy field is table-level; a default policy persists
+        # nothing, keeping the descriptor byte-identical to
+        # pre-durability engines.
+        descriptor.durability = effective.to_dict() or None
         descriptor.save(self.disk)
         return self.open_table(descriptor)
 
@@ -290,8 +276,7 @@ class LittleTable:
             try:
                 report.add(table.maintenance(
                     merge_budget=self.maintenance_policy
-                    .merge_budget_per_tick,
-                    expire_ttl=self.maintenance_policy.expire_ttl))
+                    .merge_budget_per_tick))
             except Exception as exc:  # crash isolation per table
                 from .maintenance import TableMaintenanceReport
 

@@ -52,9 +52,7 @@ _UNSET = _Unset()
 #: The resolved value each field takes when not passed explicitly.
 _DEFAULTS: Dict[str, Any] = {
     "tier": "none",
-    "group_commit_ms": 2.0,
     "wal_segment_bytes": 4 * _MIB,
-    "follow_addr": None,
 }
 
 
@@ -76,18 +74,10 @@ class DurabilityPolicy:
     #: One of :data:`TIERS`.  ``none`` (the default) keeps the paper's
     #: prefix durability and guarantees no WAL file is ever created.
     tier: str = _UNSET  # type: ignore[assignment]
-    #: Group-commit window (default 2.0 ms): an acknowledged insert
-    #: waits at most this long for the leader's batched append before
-    #: its own fsync.  0 disables batching (every insert appends
-    #: immediately).
-    group_commit_ms: float = _UNSET  # type: ignore[assignment]
     #: Roll the active WAL segment once it exceeds this size (default
     #: 4 MiB); sealed segments are what replication streams and
     #: recycling reclaims.
     wal_segment_bytes: int = _UNSET  # type: ignore[assignment]
-    #: ``host:port`` of a primary to follow (replica side only); set
-    #: by ``ltdb serve --follow``.  None (the default) for a primary.
-    follow_addr: Optional[str] = _UNSET  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         explicit = frozenset(name for name in _DEFAULTS
@@ -109,15 +99,8 @@ class DurabilityPolicy:
         if self.tier not in TIERS:
             raise ValueError(
                 f"unknown durability tier {self.tier!r} (want one of {TIERS})")
-        if self.group_commit_ms < 0:
-            raise ValueError("group_commit_ms must be >= 0")
         if self.wal_segment_bytes <= 0:
             raise ValueError("wal_segment_bytes must be positive")
-        if self.follow_addr is not None:
-            host, sep, port = str(self.follow_addr).rpartition(":")
-            if not sep or not port.isdigit():
-                raise ValueError(
-                    f"follow_addr must be 'host:port', got {self.follow_addr!r}")
 
     @property
     def wal_enabled(self) -> bool:

@@ -68,22 +68,6 @@ class MaintenancePolicy:
         Merges one table may execute per maintenance tick.  The
         paper's merger does one at a time; a larger budget drains
         merge debt faster at the cost of burstier I/O.
-    ``expire_ttl``
-        Whether the scheduler reclaims TTL-expired tablets (on by
-        default; benchmarks that measure merge behaviour in isolation
-        turn it off).
-    ``slo_p99_ms``
-        Target p99 latency (milliseconds) for inserts and queries.
-        When set, the scheduler runs an adaptive controller
-        (:class:`~repro.core.iosched.SLOController`) that tunes the
-        merge IO rate and the effective flush-pending limit against
-        this target instead of treating ``max_flush_pending`` as a
-        fixed depth - ``max_flush_pending`` then acts as the relaxed
-        (healthy-system) ceiling.  ``None`` keeps the fixed-depth
-        behaviour.
-    ``slo_recover_fraction``
-        Hysteresis band: the controller only relaxes its throttle
-        once the observed p99 drops below this fraction of the SLO.
     """
 
     tick_interval_s: float = 1.0
@@ -91,9 +75,6 @@ class MaintenancePolicy:
     max_flush_pending: Optional[int] = 8
     backpressure_wait_s: float = 5.0
     merge_budget_per_tick: int = 1
-    expire_ttl: bool = True
-    slo_p99_ms: Optional[float] = None
-    slo_recover_fraction: float = 0.7
 
     def validate(self) -> None:
         """Raise ValueError on nonsensical settings."""
@@ -108,11 +89,6 @@ class MaintenancePolicy:
             raise ValueError("backpressure_wait_s must be >= 0")
         if self.merge_budget_per_tick < 0:
             raise ValueError("merge_budget_per_tick must be >= 0")
-        if self.slo_p99_ms is not None and self.slo_p99_ms <= 0:
-            raise ValueError(
-                "slo_p99_ms must be positive (or None to disable)")
-        if not 0 < self.slo_recover_fraction <= 1:
-            raise ValueError("slo_recover_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -278,8 +254,7 @@ def _write_memtable(table: "Table", memtable: MemTable, now: int
         return None
     descriptor = table.descriptor
     tablet_id = descriptor.allocate_tablet_id()
-    writer = table._tablet_writer(table.disk, memtable.schema,
-                                  table.io_limiter)
+    writer = table._tablet_writer(table.disk, memtable.schema)
     meta = writer.write(
         descriptor.tablet_filename(tablet_id), (),
         tablet_id, created_at=now, expected_rows=len(memtable),
@@ -318,8 +293,7 @@ def merge_once(table: "Table") -> Optional[MergePlan]:
             tablet_id = table.descriptor.allocate_tablet_id()
             meta, upgraded = merge_tablets(
                 plan, [table._reader(t) for t in plan.tablets],
-                table._tablet_writer(table.disk, table.schema,
-                                     table.io_limiter),
+                table._tablet_writer(table.disk, table.schema),
                 table.schema, table.descriptor.tablet_filename(tablet_id),
                 tablet_id, now)
             if upgraded:
@@ -457,8 +431,7 @@ def _rewrite_tablet_without(table: "Table", plan: readpath.ReadPlan,
 
     The replacement is installed by the swap; the old file is
     reclaimed once in-flight readers drain.  A crash in between
-    leaves either version, never both.  The rewrite is deliberately
-    not paced by the IO limiter.  Returns rows dropped.
+    leaves either version, never both.  Returns rows dropped.
     """
     tablet_id = table.descriptor.allocate_tablet_id()
     writer = table._tablet_writer(table._disk_for(meta), table.schema)
@@ -481,8 +454,7 @@ def _rewrite_tablet_without(table: "Table", plan: readpath.ReadPlan,
 
 # ------------------------------------------------------------- the tick
 
-def run_tick(table: "Table", merge_budget: int,
-             expire_ttl: bool) -> TableMaintenanceReport:
+def run_tick(table: "Table", merge_budget: int) -> TableMaintenanceReport:
     """One background tick: due flushes, budgeted merges, TTL.
 
     Each work kind is isolated: a failing flush still lets merges and
@@ -508,11 +480,10 @@ def run_tick(table: "Table", merge_budget: int,
             report.merged += 1
     except Exception as exc:
         failed("merge", exc)
-    if expire_ttl:
-        try:
-            report.expired = table.expire_tablets()
-        except Exception as exc:
-            failed("ttl", exc)
+    try:
+        report.expired = table.expire_tablets()
+    except Exception as exc:
+        failed("ttl", exc)
     return report
 
 

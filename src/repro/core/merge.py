@@ -190,8 +190,8 @@ def merge_debt_bytes(tablets: List[TabletMeta], now: int,
     """Bytes the pending merge plans would rewrite (advisory).
 
     The scheduler's ``sched.merge_debt_bytes`` gauge sums this across
-    tables: it is the backlog the IO rate limiter will eventually have
-    to pay down, and the quantity flush debt is prioritised against.
+    tables: it is the backlog the merger still has to pay down, and
+    the quantity flush debt is prioritised against.
     """
     return sum(plan.total_bytes
                for plan in pending_merge_runs(tablets, now, table_name,

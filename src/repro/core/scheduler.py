@@ -20,15 +20,6 @@ the reproduction, shared by the embedded and served configurations:
   every tick, so tables created after ``start()`` pick it up too),
   and ``stop()`` disarms it.
 
-When the policy sets a latency SLO (``slo_p99_ms``) the ticker runs an
-:class:`~repro.core.iosched.SLOController` step each pass: the
-controller watches the insert/query p99 histograms and adapts the
-merge IO rate (through the database's shared
-:class:`~repro.core.iosched.IORateLimiter`), the effective
-flush-pending limit, and the per-tick merge budget - replacing the
-fixed ``max_flush_pending`` depth with a closed loop around tail
-latency.
-
 Crash isolation is per table per tick: a failing flush on one table is
 recorded on that table's report (and the ``maintenance.errors``
 counter) while every other table's work proceeds.  The ticker itself
@@ -37,8 +28,8 @@ never dies to an exception.
 Observability: ``maintenance.queue_depth`` (gauge),
 ``maintenance.ticks``, ``maintenance.table_runs``,
 ``maintenance.tick_duration_us``, ``sched.flush_priority_runs`` /
-``sched.merge_priority_runs``, ``sched.merge_debt_bytes``, the
-controller's ``sched.*`` gauges, plus everything the tables record.
+``sched.merge_priority_runs``, ``sched.merge_debt_bytes``, plus
+everything the tables record.
 """
 
 from __future__ import annotations
@@ -50,7 +41,6 @@ import time
 from typing import Optional, Set
 
 from .errors import NoSuchTableError
-from .iosched import SLOController
 from .maintenance import MaintenancePolicy, MaintenanceReport
 from .merge import merge_debt_bytes
 
@@ -100,9 +90,6 @@ class MaintenanceScheduler:
         self._workers: list = []
         self._report_lock = threading.Lock()
         self._lifetime = MaintenanceReport()
-        # The SLO control loop, armed lazily on the first tick when
-        # the policy asks for one (policy edits take effect live).
-        self.controller: Optional[SLOController] = None
         self._g_depth = self.metrics.gauge("maintenance.queue_depth")
         self._m_ticks = self.metrics.counter("maintenance.ticks")
         self._m_runs = self.metrics.counter("maintenance.table_runs")
@@ -189,45 +176,14 @@ class MaintenanceScheduler:
             except Exception:  # keep the loop alive, count the wound
                 self._m_errors.inc()
 
-    def _ensure_controller(self) -> Optional[SLOController]:
-        if self.policy.slo_p99_ms is None:
-            self.controller = None
-            return None
-        if (self.controller is None
-                or self.controller.slo_us != self.policy.slo_p99_ms * 1000.0):
-            limiter = getattr(self.db, "io_limiter", None)
-            config = getattr(self.db, "config", None)
-            base_rate = getattr(config, "io_rate_limit_bytes_s", None)
-            self.controller = SLOController(
-                self.metrics, self.policy.slo_p99_ms,
-                limiter=limiter, base_rate_bytes_s=base_rate,
-                max_flush_pending=self.policy.max_flush_pending,
-                recover_fraction=self.policy.slo_recover_fraction)
-        return self.controller
-
-    def _flush_pending_limit(self) -> Optional[int]:
-        if self.controller is not None:
-            return self.controller.flush_pending_limit()
-        return self.policy.max_flush_pending
-
-    def _merge_budget(self) -> int:
-        if self.controller is not None:
-            return self.controller.merge_budget(
-                self.policy.merge_budget_per_tick)
-        return self.policy.merge_budget_per_tick
-
     def tick(self) -> int:
-        """One scheduling pass: step the controller, arm backpressure,
-        enqueue due tables (flush debt ahead of merge debt).
+        """One scheduling pass: arm backpressure, enqueue due tables
+        (flush debt ahead of merge debt).
 
         Returns the number of tables enqueued.  Runs in the ticker
         normally; tests call it directly for determinism.
         """
         started = time.perf_counter()
-        controller = self._ensure_controller()
-        if controller is not None:
-            controller.step()
-        flush_limit = self._flush_pending_limit()
         enqueued = 0
         merge_debt = 0
         for name in self.db.table_names():
@@ -236,10 +192,10 @@ class MaintenanceScheduler:
             except NoSuchTableError:  # dropped between list and lookup
                 continue
             # Re-armed every tick: tables created after start() get
-            # backpressure too, and a policy (or controller) change
-            # takes effect live.
+            # backpressure too, and a policy change takes effect live.
             table.set_flush_backpressure(
-                flush_limit, wait_s=self.policy.backpressure_wait_s)
+                self.policy.max_flush_pending,
+                wait_s=self.policy.backpressure_wait_s)
             now = table.clock.now()
             flush_due = bool(table.flush_pending_count
                              or table.pending_flush_work(now))
@@ -281,8 +237,7 @@ class MaintenanceScheduler:
             return
         try:
             report = table.maintenance(
-                merge_budget=self._merge_budget(),
-                expire_ttl=self.policy.expire_ttl)
+                merge_budget=self.policy.merge_budget_per_tick)
         except Exception as exc:  # Table.maintenance isolates per work
             # kind already; this catches the truly unexpected.
             from .maintenance import TableMaintenanceReport

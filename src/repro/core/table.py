@@ -119,8 +119,7 @@ class Table:
                  read_cache: Optional[ReadCache] = None,
                  durability: Optional[DurabilityPolicy] = None,
                  fault_listener: Optional[
-                     Callable[[BaseException], None]] = None,
-                 io_limiter=None):
+                     Callable[[BaseException], None]] = None):
         self.disk = disk
         self.cold_disk = cold_disk
         self.descriptor = descriptor
@@ -168,15 +167,10 @@ class Table:
         self._m_generation_bumps = m.counter("readcache.generation")
         self._m_backpressure = m.counter("insert.backpressure_stalls")
         self._h_backpressure_wait = m.histogram("insert.backpressure_wait_us")
-        # End-to-end latency per insert batch / query call: what the
-        # SLO controller watches in embedded mode (the served mode
-        # adds server.cmd.*.latency_us on top).
+        # End-to-end latency per insert batch / query call (the served
+        # mode adds server.cmd.*.latency_us on top).
         self._h_insert_latency = m.histogram("insert.latency_us")
         self._h_query_latency = m.histogram("query.latency_us")
-        # Shared token bucket pacing this table's flush/merge writes
-        # (the database's when io_rate_limit_bytes_s is configured;
-        # None = unmetered).
-        self.io_limiter = io_limiter
         self._h_swap_hold = m.histogram("maintenance.swap_lock_hold_us")
         self._m_deferred = m.counter("maintenance.deferred_deletes")
         self._m_quarantined = m.counter("storage.quarantined_tablets")
@@ -576,8 +570,7 @@ class Table:
         if commit_lsn is not None:
             wal.commit(commit_lsn)
         # Observed whether or not a duplicate surfaced: the batch still
-        # traversed the full path (backpressure stall included), which
-        # is the latency signal the SLO controller watches.
+        # traversed the full path (backpressure stall included).
         self._h_insert_latency.observe(
             (time.perf_counter() - batch_started) * 1e6)
         if error is not None:
@@ -756,17 +749,16 @@ class Table:
         self._deps.mark_flushed(group)
         self._flush_cond.notify_all()
 
-    def _tablet_writer(self, disk: SimulatedDisk, schema: Schema,
-                       io_limiter=None) -> TabletWriter:
+    def _tablet_writer(self, disk: SimulatedDisk,
+                       schema: Schema) -> TabletWriter:
         """The one place that turns :class:`EngineConfig` into tablet
-        writer settings; callers choose only where the file goes, the
-        schema its rows have, and whether block writes are paced."""
+        writer settings; callers choose only where the file goes and
+        the schema its rows have."""
         config = self.config
         return TabletWriter(
             disk, schema, config.block_size_bytes, config.compression,
             config.bloom_bits_per_row if config.bloom_filters else 0,
-            metrics=self.metrics, checksums=config.checksums,
-            io_limiter=io_limiter)
+            metrics=self.metrics, checksums=config.checksums)
 
     def _advance_wal_low_water(self) -> None:
         """Recycle WAL segments wholly covered by sealed tablets.
@@ -917,12 +909,11 @@ class Table:
         returns the number of rows deleted."""
         return ops.bulk_delete(self, prefix)
 
-    def maintenance(self, merge_budget: int = 1,
-                    expire_ttl: bool = True
-                    ) -> ops.TableMaintenanceReport:
+    def maintenance(self,
+                    merge_budget: int = 1) -> ops.TableMaintenanceReport:
         """One background tick: due flushes, budgeted merges, TTL,
         each isolated from the others' failures."""
-        return ops.run_tick(self, merge_budget, expire_ttl)
+        return ops.run_tick(self, merge_budget)
 
     def maintenance_due(self, now: Optional[int] = None,
                         include_merge: bool = True) -> bool:

@@ -164,16 +164,12 @@ class TabletSink:
                  block_size: int, compression: str,
                  bloom_bits_per_row: int = 0,
                  metrics=None, expected_rows: int = 0,
-                 checksums: bool = True, io_limiter=None):
+                 checksums: bool = True):
         self.disk = disk
         self.schema = schema
         self.codec = codec_id(compression)
         self.block_size = block_size
         self.checksums = checksums
-        # Optional token bucket pacing background writes: debited once
-        # per compressed block as it is cut, so a large merge yields
-        # between blocks instead of bursting the whole rewrite.
-        self.io_limiter = io_limiter
         self._block_crcs: List[int] = []
         self.bloom_bits_per_row = bloom_bits_per_row
         self.schema_codec = SchemaCodec(schema, metrics)
@@ -274,8 +270,6 @@ class TabletSink:
             return
         raw = self.schema_codec.encode_rows(self._rows)
         payload = compress(self.codec, raw)
-        if self.io_limiter is not None:
-            self.io_limiter.acquire(len(payload))
         self._entries.append(_BlockEntry(
             len(self._body), len(payload), len(self._rows), self._keys[-1]))
         if self.checksums:
@@ -296,8 +290,6 @@ class TabletSink:
         / ``note_ts_bounds``) since the rows are never decoded here.
         """
         self._cut_block()
-        if self.io_limiter is not None:
-            self.io_limiter.acquire(len(payload))
         self._entries.append(_BlockEntry(
             len(self._body), len(payload), row_count, last_key))
         if self.checksums:
@@ -366,8 +358,6 @@ class TabletSink:
             trailer += (crc32c(compressed_footer).to_bytes(4, "little")
                         + CHECKSUM_MAGIC)
         file_bytes = bytes(self._body) + compressed_footer + trailer
-        if self.io_limiter is not None:
-            self.io_limiter.acquire(len(compressed_footer) + len(trailer))
         self.disk.fire("tablet.write")
         self.disk.write_file(filename, file_bytes)
         return TabletMeta(
@@ -421,7 +411,7 @@ class TabletWriter:
     def __init__(self, disk: SimulatedDisk, schema: Schema,
                  block_size: int, compression: str,
                  bloom_bits_per_row: int = 0,
-                 metrics=None, checksums: bool = True, io_limiter=None):
+                 metrics=None, checksums: bool = True):
         self.disk = disk
         self.schema = schema
         self.codec = codec_id(compression)
@@ -430,7 +420,6 @@ class TabletWriter:
         self.bloom_bits_per_row = bloom_bits_per_row
         self.checksums = checksums
         self.metrics = metrics
-        self.io_limiter = io_limiter
 
     def sink(self, expected_rows: int = 0) -> TabletSink:
         """A fresh sink for one tablet file under this writer's
@@ -439,8 +428,7 @@ class TabletWriter:
                           self.compression, self.bloom_bits_per_row,
                           metrics=self.metrics,
                           expected_rows=expected_rows,
-                          checksums=self.checksums,
-                          io_limiter=self.io_limiter)
+                          checksums=self.checksums)
 
     def write(self, filename: str, rows: Iterable[Tuple[Any, ...]],
               tablet_id: int, created_at: int, expected_rows: int = 0,

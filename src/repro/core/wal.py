@@ -76,6 +76,11 @@ _ROW_LEN = struct.Struct("<I")
 
 _SEGMENT_RE = re.compile(r"wal-(\d{8})\.log$")
 
+#: How often a committer waiting behind the group-commit leader
+#: re-checks its LSN; the leader's ``notify_all`` normally wakes it
+#: first, this only bounds a missed wake-up.
+_COMMIT_RECHECK_S = 0.002
+
 
 def wal_segment_filename(table_name: str, seq: int) -> str:
     """``tables/<name>/wal-<seq>.log`` - deliberately distinct from the
@@ -349,16 +354,15 @@ class WriteAheadLog:
 
         Group commit: the first thread to arrive leads, appending the
         whole buffer in one durable write; threads arriving while the
-        leader's I/O is in flight wait at most ``group_commit_ms`` per
-        check and usually find their LSN already covered.
+        leader's I/O is in flight wait for its ``notify_all`` and
+        usually find their LSN already covered.
         """
-        wait_s = max(self.policy.group_commit_ms, 1.0) / 1000.0
         while True:
             with self._cond:
                 if self._durable_lsn >= lsn:
                     return
                 if self._leader_active:
-                    self._cond.wait(wait_s)
+                    self._cond.wait(_COMMIT_RECHECK_S)
                     continue
                 self._leader_active = True
                 pending = self._buffer

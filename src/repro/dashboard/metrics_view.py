@@ -186,8 +186,9 @@ def maintenance_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     scheduler keeping up (queue depth, ticks, per-table runs), are
     swaps actually brief (``swap_lock_hold_us`` percentiles - this is
     the *only* time maintenance holds the state lock), is the writer
-    being stalled (backpressure), and is deferred file reclamation
-    draining (``deferred_deletes``).
+    being stalled (backpressure), is deferred file reclamation
+    draining (``deferred_deletes``), and how much merge debt is queued
+    behind flush work (the scheduler's two queue priorities).
     """
     counters = snapshot.get("counters", {})
     gauges = snapshot.get("gauges", {})
@@ -210,36 +211,9 @@ def maintenance_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
             "stalls": counters.get("insert.backpressure_stalls", 0),
             "wait_p99_us": stall_wait.get("p99"),
         },
-    }
-
-
-def sched_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """The SLO scheduler / IO throttle corner of a snapshot.
-
-    Is the adaptive controller engaged (``throttle_pct`` nonzero, SLO
-    breaches counted), what merge IO rate is it currently granting,
-    how much merge debt is queued behind flush work, and how much the
-    rate limiter actually held writes back.  The ``sched`` subsection
-    of ``ltdb stats --json`` and the engine-health page both render
-    this.
-    """
-    counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    histograms = snapshot.get("histograms", {})
-    wait = histograms.get("io.throttle_wait_us", {})
-    return {
-        "throttle_pct": gauges.get("sched.throttle_pct", 0),
-        "watched_p99_us": gauges.get("sched.watched_p99_us", 0),
-        "slo_breaches": counters.get("sched.slo_breaches", 0),
-        "merge_rate_bytes_s": gauges.get("sched.merge_rate_bytes_s", 0),
-        "io_rate_bytes_s": gauges.get("io.rate_bytes_s", 0),
-        "flush_pending_limit": gauges.get("sched.flush_pending_limit", 0),
         "merge_debt_bytes": gauges.get("sched.merge_debt_bytes", 0),
         "flush_priority_runs": counters.get("sched.flush_priority_runs", 0),
         "merge_priority_runs": counters.get("sched.merge_priority_runs", 0),
-        "throttle_waits": counters.get("io.throttle_waits", 0),
-        "throttled_bytes": counters.get("io.throttled_bytes", 0),
-        "throttle_wait_p99_us": wait.get("p99"),
     }
 
 
@@ -351,23 +325,10 @@ def render_metrics_page(page: Dict[str, Any]) -> str:
     lines.append(
         f"backpressure: stalls={stalls['stalls']}, "
         f"wait_p99={us(stalls['wait_p99_us'])}")
-    sched = sched_summary(page.get("metrics", {}))
-    lines.append("")
-    lines.append("== slo scheduler ==")
     lines.append(
-        f"throttle={sched['throttle_pct']}%, "
-        f"watched_p99={us(sched['watched_p99_us'])}, "
-        f"slo_breaches={sched['slo_breaches']}, "
-        f"merge_rate={sched['merge_rate_bytes_s']}B/s")
-    lines.append(
-        f"priorities: flush_runs={sched['flush_priority_runs']}, "
-        f"merge_runs={sched['merge_priority_runs']}, "
-        f"merge_debt={sched['merge_debt_bytes']}B, "
-        f"flush_pending_limit={sched['flush_pending_limit']}")
-    lines.append(
-        f"io throttle: waits={sched['throttle_waits']}, "
-        f"throttled_bytes={sched['throttled_bytes']}, "
-        f"wait_p99={us(sched['throttle_wait_p99_us'])}")
+        f"priorities: flush_runs={upkeep['flush_priority_runs']}, "
+        f"merge_runs={upkeep['merge_priority_runs']}, "
+        f"merge_debt={upkeep['merge_debt_bytes']}B")
     admission = admission_summary(page.get("metrics", {}))
     lines.append("")
     lines.append("== admission ==")

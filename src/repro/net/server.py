@@ -403,8 +403,7 @@ class RequestDispatcher:
         elif action == "set_ttl":
             table.set_ttl(request.get("ttl_micros"))
         else:
-            return protocol.error_response(
-                "ProtocolViolationError",
+            raise _errors.ProtocolViolationError(
                 f"unknown alter action {action!r}")
         return protocol.ok_response()
 
@@ -440,14 +439,6 @@ class RequestDispatcher:
                 metas = [meta.to_dict() for meta in
                          table.descriptor.tablets if meta.tier == "hot"]
                 next_tablet_id = table.descriptor.next_tablet_id
-            # Table-level durability fields travel with the manifest so
-            # a promoted standby re-arms the same protection the
-            # primary acknowledged writes under (engine-level fields
-            # like follow_addr stay out - they describe this server).
-            durability = {key: value
-                          for key, value in table.durability.to_dict().items()
-                          if key in ("tier", "group_commit_ms",
-                                     "wal_segment_bytes")}
             tables[name] = {
                 "schema": table.schema.to_dict(),
                 "ttl_micros": table.ttl_micros,
@@ -455,7 +446,9 @@ class RequestDispatcher:
                 "next_tablet_id": next_tablet_id,
                 "durable_lsn": table.wal.durable_lsn,
                 "low_water": table.wal.low_water,
-                "durability": durability,
+                # So a promoted standby re-arms the same protection
+                # the primary acknowledged writes under.
+                "durability": table.durability.to_dict(),
             }
         return protocol.ok_response(tables=tables)
 

@@ -117,10 +117,15 @@ class ShardedTable:
     # ---------------------------------------------------------- writes
 
     def insert(self, rows: Sequence[Dict[str, Any]]) -> int:
-        return self._router._insert(self.name, rows, dicts=True)
+        """Dict rows are laid out positionally and take the positional
+        path, exactly as :meth:`Table.insert` does."""
+        now = self._router.clock.now()
+        positional = self.schema.positional_from_dict
+        return self._router._insert(
+            self.name, [positional(row, now) for row in rows])
 
     def insert_tuples(self, rows: Sequence[Tuple[Any, ...]]) -> int:
-        return self._router._insert(self.name, rows, dicts=False)
+        return self._router._insert(self.name, rows)
 
     # --------------------------------------------------------- queries
 
@@ -340,7 +345,7 @@ class ShardRouter:
     def _shard_for_leading(self, leading: Tuple[Any, ...]) -> int:
         return shard_of(leading, None, len(self.engines))
 
-    def _route_row(self, leading_indexes: List[int], ts_index: int,
+    def _route_row(self, leading_indexes: Sequence[int], ts_index: int,
                    row: Sequence[Any]) -> int:
         """The shard a positional row belongs to.  The row is not yet
         validated: one too short to hold its key, or whose bare ``ts``
@@ -424,28 +429,31 @@ class ShardRouter:
     def _live_indexes(self) -> List[int]:
         return [i for i in range(len(self.engines)) if i not in self._down]
 
-    def _fanout(self, fn: Callable[[LittleTable], Any],
-                indexes: Optional[List[int]] = None) -> List[Any]:
-        """Run ``fn`` on every live worker in parallel; results in
-        shard order.  Any worker crash degrades that shard and the
-        whole operation raises ShardDegradedError."""
-        if indexes is None:
-            indexes = self._live_indexes()
-        if self._down:
-            down = ", ".join(f"{i} ({r})" for i, r in
-                             sorted(self._down.items()))
+    def _scatter(self, work: Dict[int, Callable[[LittleTable], Any]]
+                 ) -> List[Any]:
+        """Run one callable per target shard in parallel; results in
+        shard order.  The one scatter: fan-outs and multi-shard
+        inserts both go through it.
+
+        It refuses up front - before any worker runs anything - when a
+        target shard is down or in overload cooldown, so a refused
+        operation is never partially applied and a client may resend
+        a shed request verbatim.  A shard that fails mid-flight is
+        ranked after the fact: degradation (data unavailable) outranks
+        overload (transient), and among overloads the longest hint
+        surfaces so the client's single backoff clears every cooldown.
+        """
+        indexes = sorted(work)
+        down = ", ".join(f"{i} ({self._down[i]})" for i in indexes
+                         if i in self._down)
+        if down:
             raise ShardDegradedError(
-                f"operation spans all shards but some are down: {down}")
-        # Health-aware scatter: a shard in overload cooldown sheds the
-        # whole fan-out up front - a fast typed retryable error -
-        # rather than letting one slow worker set every query's tail.
-        for index in indexes:
-            self._check_overloaded(index)
+                f"operation needs shards that are down: {down}")
+        self._check_overloaded(max(indexes, key=self._overload_remaining))
         if len(indexes) == 1:
-            return [self._run(indexes[0], fn)]
-        futures = [
-            self._pool.submit(self._run, index, fn) for index in indexes
-        ]
+            return [self._run(indexes[0], work[indexes[0]])]
+        futures = [self._pool.submit(self._run, index, work[index])
+                   for index in indexes]
         results = []
         errors: List[BaseException] = []
         for future in futures:
@@ -454,9 +462,6 @@ class ShardRouter:
             except BaseException as exc:
                 errors.append(exc)
         if errors:
-            # Degradation (data unavailable) outranks overload
-            # (transient); among overloads surface the longest hint so
-            # the client's single backoff clears every cooldown.
             for error in errors:
                 if isinstance(error, ShardDegradedError):
                     raise error
@@ -467,6 +472,11 @@ class ShardRouter:
                           key=lambda e: e.retry_after_s or 0)
             raise errors[0]
         return results
+
+    def _fanout(self, fn: Callable[[LittleTable], Any]) -> List[Any]:
+        """Run ``fn`` on every worker; a downed or cooling shard
+        refuses the whole operation (:meth:`_scatter`)."""
+        return self._scatter(dict.fromkeys(range(len(self.engines)), fn))
 
     def _fanout_table(self, name: str,
                       fn: Callable[[Any], Any]) -> List[Any]:
@@ -511,11 +521,11 @@ class ShardRouter:
 
     def insert(self, table_name: str,
                rows: Sequence[Dict[str, Any]]) -> int:
-        return self._insert(table_name, rows, dicts=True)
+        return self.table(table_name).insert(rows)
 
-    def _insert(self, table_name: str, rows: Sequence[Any],
-                dicts: bool) -> int:
-        """Partition a batch by routing key and insert shard-locally.
+    def _insert(self, table_name: str, rows: Sequence[Any]) -> int:
+        """Partition a positional batch by routing key and insert
+        shard-locally.
 
         Validation and uniqueness stay with the owning worker; the
         router only reads the raw leading values (or ts) to route.
@@ -523,54 +533,20 @@ class ShardRouter:
         if not rows:
             return 0
         schema = self._any_live_table(table_name).schema
-        leading_names = list(schema.key[:-1])
+        leading_indexes = schema.key_indexes[:-1]
+        ts_index = schema.ts_index
         by_shard: Dict[int, List[Any]] = {}
-        if dicts:
-            for row in rows:
-                if leading_names:
-                    leading = tuple(row.get(name)
-                                    for name in leading_names)
-                    index = shard_of(leading, None, len(self.engines))
-                else:
-                    ts = row.get("ts")
-                    index = shard_of(
-                        (), ts if ts is not None else self.clock.now(),
-                        len(self.engines))
-                by_shard.setdefault(index, []).append(row)
-        else:
-            leading_indexes = [schema.column_index(name)
-                               for name in leading_names]
-            ts_index = schema.ts_index
-            for row in rows:
-                by_shard.setdefault(
-                    self._route_row(leading_indexes, ts_index, row),
-                    []).append(row)
+        for row in rows:
+            by_shard.setdefault(
+                self._route_row(leading_indexes, ts_index, row),
+                []).append(row)
         self._m_routed.inc(len(rows))
 
-        def insert_on(index: int) -> int:
-            batch = by_shard[index]
-            if dicts:
-                return self._run(
-                    index, lambda db: db.table(table_name).insert(batch))
-            return self._run(
-                index,
-                lambda db: db.table(table_name).insert_tuples(batch))
+        def insert_batch(batch: List[Any]) -> Callable[[LittleTable], int]:
+            return lambda db: db.table(table_name).insert_tuples(batch)
 
-        indexes = sorted(by_shard)
-        if len(indexes) == 1:
-            return insert_on(indexes[0])
-        futures = [(self._pool.submit(insert_on, index))
-                   for index in indexes]
-        inserted = 0
-        errors: List[BaseException] = []
-        for future in futures:
-            try:
-                inserted += future.result()
-            except BaseException as exc:
-                errors.append(exc)
-        if errors:
-            raise errors[0]
-        return inserted
+        return sum(self._scatter({index: insert_batch(batch)
+                                  for index, batch in by_shard.items()}))
 
     def _pinned_shard(self, schema: Schema, query: Query) -> Optional[int]:
         """The single shard a query is confined to, or None.

@@ -14,6 +14,8 @@ The contract under test (ISSUE PR 8 acceptance criteria):
   log.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -365,18 +367,35 @@ class TestLegacyKnobFolding:
             DurabilityPolicy(tier="wal", wal_segment_bytes=0).validate()
 
     def test_policy_merging_and_round_trip(self):
-        base = DurabilityPolicy(tier="wal", group_commit_ms=5.0)
+        base = DurabilityPolicy(tier="wal", wal_segment_bytes=65536)
         assert DurabilityPolicy().to_dict() == {}
         merged = base.merged_with(DurabilityPolicy.from_dict(
             {"tier": "replicated", "unknown_future_field": 1}))
         assert merged.tier == "replicated"
-        assert merged.group_commit_ms == 5.0
+        assert merged.wal_segment_bytes == 65536
+
+    def test_descriptor_recorded_with_group_commit_ms_still_opens(self):
+        """A descriptor the last commit with
+        ``DurabilityPolicy.group_commit_ms`` persisted: the retired
+        key is ignored like any unknown one, the rest still applies."""
+        recorded = (Path(__file__).parent / "fixtures"
+                    / "descriptor_group_commit_ms.json").read_bytes()
+        assert b'"group_commit_ms": 5.0' in recorded
+        disk = SimulatedDisk()
+        disk.write_file("tables/t/descriptor.json", recorded)
+        db = LittleTable(disk=disk, clock=VirtualClock(start=BASE))
+        table = db.table("t")
+        assert table.durability.tier == "wal"
+        assert table.durability.wal_segment_bytes == 65536
+        assert table.insert([{"network": 1, "device": 1, "ts": BASE,
+                              "bytes": 1, "rate": 0.0}]) == 1
+        assert any(is_wal_filename(path) for path in disk.list("tables/t/"))
 
     def test_explicit_default_value_still_overrides(self):
         """An override explicitly set to a field's default value must
         win the merge - 'unset' and 'set to the default' are different
         intents - and must survive a to_dict round trip."""
-        base = DurabilityPolicy(tier="wal", group_commit_ms=5.0)
+        base = DurabilityPolicy(tier="wal", wal_segment_bytes=65536)
         assert base.merged_with(DurabilityPolicy(tier="none")).tier == "none"
         assert DurabilityPolicy(tier="none").to_dict() == {"tier": "none"}
         assert base.merged_with(
@@ -387,7 +406,7 @@ class TestLegacyKnobFolding:
         assert DurabilityPolicy().explicit_fields == frozenset()
         # Reading a field always sees the resolved default.
         assert DurabilityPolicy().tier == "none"
-        assert DurabilityPolicy().group_commit_ms == 2.0
+        assert DurabilityPolicy().wal_segment_bytes == 4 * 1024 * 1024
 
 
 class TestApplyRecords:

@@ -324,6 +324,72 @@ class TestShardOverloadCooldown:
             router.query("t", Query())
         router.close()
 
+    @pytest.mark.parametrize("dicts", [True, False],
+                             ids=["dict-rows", "positional-rows"])
+    def test_shed_insert_applies_nothing_and_retries_whole(self, dicts):
+        """Zero partial writes on shed: a batch touching a cooling
+        shard is refused before any worker runs, so the resend after
+        the cooldown inserts every row (no DuplicateKeyError)."""
+        router = self.make_router()
+        router.create_table("t", make_schema())
+        if dicts:
+            rows = [{"k": k, "ts": BASE, "v": k} for k in range(12)]
+            insert = router.table("t").insert
+        else:
+            rows = [(k, BASE, k) for k in range(12)]
+            insert = router.table("t").insert_tuples
+        router.overload_cooldown_s = 0.05
+        router.mark_overloaded(1)
+
+        def rows_held():
+            return [len(engine.table("t").query(Query()).rows)
+                    for engine in router.engines]
+
+        with pytest.raises(OverloadedError):
+            insert(rows)
+        assert rows_held() == [0, 0, 0]
+        time.sleep(0.1)
+        assert insert(rows) == 12
+        assert sum(rows_held()) == 12 and all(rows_held())
+        router.close()
+
+    def test_client_resends_a_shed_sharded_insert_exactly_once(self):
+        """The production shape: the client resends through a shed
+        because nothing was executed - true on a sharded server too."""
+        router = self.make_router()
+        with AsyncLittleTableServer(router) as server:
+            host, port = server.address
+            client = LittleTableClient(host, port, config=ClientConfig(
+                max_retries=3, retry_backoff_s=0.01))
+            client.create_table("t", make_schema())
+            router.mark_overloaded(1, retry_after_s=0.05)
+            rows = [{"k": k, "ts": BASE, "v": k} for k in range(12)]
+            assert client.insert("t", rows) == 12
+            assert len(list(client.query("t"))) == 12
+            client.close()
+        router.close()
+
+    def test_insert_ranks_errors_like_a_fanout(self):
+        router = self.make_router()
+        router.create_table("t", make_schema())
+        rows = [(k, BASE, k) for k in range(12)]  # touches every shard
+        router.mark_overloaded(0, retry_after_s=0.5)
+        router.mark_overloaded(1, retry_after_s=5.0)
+        hints = []
+        for call in (lambda: router.query("t", Query()),
+                     lambda: router.table("t").insert_tuples(rows)):
+            with pytest.raises(OverloadedError) as info:
+                call()
+            hints.append(info.value.retry_after_s)
+        # The longest cooldown surfaces: one backoff clears them all.
+        assert all(4.0 < hint <= 5.0 for hint in hints), hints
+        router._down[2] = "crashed"
+        with pytest.raises(ShardDegradedError):
+            router.query("t", Query())
+        with pytest.raises(ShardDegradedError):
+            router.table("t").insert_tuples(rows)
+        router.close()
+
     def test_overload_sheds_typed_once_a_crashed_shard_is_revived(self):
         """Overload and a real injected crash combined: the crash
         degrades its shard, outranks another shard's overload, and

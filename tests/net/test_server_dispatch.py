@@ -111,6 +111,20 @@ class TestDispatch:
                                "action": "rename"})
         assert not bad["ok"]
 
+    def test_unknown_alter_action_is_a_counted_refusal(self, server):
+        """A refusal goes through dispatch's error path: counted in
+        ``server.errors``, not timed as a served ``alter``."""
+        ok(server.dispatch({"cmd": "create_table", "table": "t",
+                            "schema": make_schema().to_dict()}))
+        bad = server.dispatch({"cmd": "alter", "table": "t",
+                               "action": "rename", "id": 7})
+        assert bad == {"ok": False, "id": 7,
+                       "error": "ProtocolViolationError",
+                       "message": "unknown alter action 'rename'"}
+        snapshot = server.db.metrics.snapshot()
+        assert snapshot["counters"]["server.errors"] == 1
+        assert "server.cmd.alter.latency_us" not in snapshot["histograms"]
+
     def test_list_tables_includes_schema_and_ttl(self, server):
         ok(server.dispatch({"cmd": "create_table", "table": "t",
                             "schema": make_schema().to_dict(),

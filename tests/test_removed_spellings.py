@@ -3,15 +3,19 @@
 Each was a second way to say something one config object already
 says (``ClientConfig``, ``EngineConfig``, ``MaintenancePolicy``) or a
 selector for a code path that no longer exists (the v1 block writer,
-the v1 wire dialect, the read cache's footer side cache); none of them
-connects, opens or binds anything before failing.
+the v1 wire dialect, the read cache's footer side cache, the IO rate
+limiter and its SLO controller) or an option nothing read; none of
+them connects, opens or binds anything before failing.
 """
 
 import pytest
 
 from repro.core import (DurabilityPolicy, EngineConfig, LittleTable,
-                        MaintenanceReport, TableMaintenanceReport)
+                        MaintenancePolicy, MaintenanceReport,
+                        TableMaintenanceReport)
 from repro.core.readcache import ReadCache
+from repro.core.table import Table
+from repro.core.tablet import TabletWriter
 from repro.net import AsyncLittleTableServer, ClientConfig, LittleTableClient
 
 
@@ -38,6 +42,23 @@ from repro.net import AsyncLittleTableServer, ClientConfig, LittleTableClient
                  id="client-negotiate"),
     pytest.param(lambda: ReadCache(0, footer_cache=False),
                  id="readcache-footer-cache"),
+    pytest.param(lambda: EngineConfig(io_rate_limit_bytes_s=1 << 20),
+                 id="config-io-rate-limit"),
+    pytest.param(lambda: MaintenancePolicy(slo_p99_ms=25.0),
+                 id="maintenance-slo-p99"),
+    pytest.param(lambda: MaintenancePolicy(slo_recover_fraction=0.7),
+                 id="maintenance-slo-recover"),
+    pytest.param(lambda: MaintenancePolicy(expire_ttl=False),
+                 id="maintenance-expire-ttl"),
+    pytest.param(lambda: DurabilityPolicy(group_commit_ms=2.0),
+                 id="policy-group-commit"),
+    pytest.param(lambda: DurabilityPolicy(follow_addr="127.0.0.1:1"),
+                 id="policy-follow-addr"),
+    pytest.param(lambda: Table(None, None, None, None, io_limiter=None),
+                 id="table-io-limiter"),
+    pytest.param(
+        lambda: TabletWriter(None, None, 0, "none", io_limiter=None),
+        id="tablet-writer-io-limiter"),
 ])
 def test_old_spelling_is_a_type_error(old_spelling):
     with pytest.raises(TypeError):

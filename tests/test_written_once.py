@@ -3,12 +3,12 @@
 The tablet set changes in one place (``Table._swap_tablets``), removed
 files are queued behind the read epoch in one place (the same), reads
 obtain tablets and memtables in one place (``Table._read_plan``), and
-a ``Table`` gets its fault listener and IO limiter in one place (its
-constructor, called by ``LittleTable.open_table``).  ``snapshot.py``
-and ``recovery.py`` assign to descriptors of their own and are out of
+a ``Table`` gets its fault listener in one place (its constructor,
+called by ``LittleTable.open_table``).  ``snapshot.py`` and
+``recovery.py`` assign to descriptors of their own and are out of
 scope.  Across all of ``src/``: a tablet file's trailer is told apart
-(v2.1 or legacy) in one function, and a ``query`` request is built in
-one.
+(v2.1 or legacy) in one function, a ``query`` request is built in
+one, and the shard router hands work to its pool at one site.
 """
 
 import ast
@@ -55,17 +55,14 @@ def test_reads_get_their_sources_from_the_plan_only():
 
 
 def test_only_the_constructor_wires_a_table():
-    """No caller pokes a listener or limiter into a built table."""
+    """No caller pokes a listener into a built table."""
     for path in CORE.parent.rglob("*.py"):
         if path.name == "table.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             for target in getattr(node, "targets", ()):
-                where = f"{path}:{node.lineno}"
-                assert not is_attr(target, "_fault_listener"), where
-                if is_attr(target, "io_limiter"):
-                    assert (isinstance(target.value, ast.Name)
-                            and target.value.id == "self"), where
+                assert not is_attr(target, "_fault_listener"), \
+                    f"{path}:{node.lineno}"
 
 
 def functions_where(predicate):
@@ -94,3 +91,13 @@ def test_one_function_builds_a_query_request():
             for key, value in zip(node.keys, node.values))
 
     assert functions_where(is_query_request) == {"client.py:_query_request"}
+
+
+def test_one_site_submits_to_the_shard_pool():
+    """Fan-outs and multi-shard inserts share one scatter
+    (``ShardRouter._scatter``), so the up-front down/cooldown refusal
+    and the error ranking cannot drift apart again."""
+    shard = ast.parse((CORE.parent / "net" / "shard.py").read_text())
+    assert sum(isinstance(n, ast.Call)
+               and is_attr(n.func, "submit", of="_pool")
+               for n in ast.walk(shard)) == 1
