@@ -17,7 +17,6 @@ CODEC_NONE = 0
 CODEC_ZLIB = 1
 
 _CODEC_IDS = {"none": CODEC_NONE, "zlib": CODEC_ZLIB}
-_CODEC_NAMES = {v: k for k, v in _CODEC_IDS.items()}
 
 
 def codec_id(name: str) -> int:
@@ -26,14 +25,6 @@ def codec_id(name: str) -> int:
         return _CODEC_IDS[name]
     except KeyError:
         raise ValueError(f"unknown compression codec {name!r}") from None
-
-
-def codec_name(ident: int) -> str:
-    """Inverse of :func:`codec_id`."""
-    try:
-        return _CODEC_NAMES[ident]
-    except KeyError:
-        raise CorruptTabletError(f"unknown codec id {ident}") from None
 
 
 def compress(codec: int, data: bytes) -> bytes:
@@ -103,16 +94,9 @@ class BlockBuilder:
         return compress(codec, raw), row_count, raw_size
 
 
-def decode_rows(raw: bytes, codec_rows: RowCodec, row_count: int,
-                metrics=None) -> List[Tuple[Any, ...]]:
-    """Decode an already-decompressed block body into row tuples.
-
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`, or
-    None) counts decoded blocks/rows/bytes - the decode side of the
-    tablet reader's block-read accounting.  The read cache calls this
-    at most once per resident block; :func:`decode_block` wraps it for
-    callers holding the compressed payload.
-    """
+def decode_rows(raw: bytes, codec_rows: RowCodec, row_count: int
+                ) -> List[Tuple[Any, ...]]:
+    """Decode an already-decompressed v1 block body into row tuples."""
     rows: List[Tuple[Any, ...]] = []
     offset = 0
     for _ in range(row_count):
@@ -120,15 +104,4 @@ def decode_rows(raw: bytes, codec_rows: RowCodec, row_count: int,
         rows.append(row)
     if offset != len(raw):
         raise CorruptTabletError("trailing bytes after last row in block")
-    if metrics is not None:
-        metrics.counter("block.decoded").inc()
-        metrics.counter("block.rows_decoded").inc(row_count)
-        metrics.counter("block.decoded_bytes").inc(len(raw))
     return rows
-
-
-def decode_block(payload: bytes, codec: int, codec_rows: RowCodec,
-                 row_count: int, metrics=None) -> List[Tuple[Any, ...]]:
-    """Decompress and decode a block into row tuples."""
-    raw = decompress(codec, payload)
-    return decode_rows(raw, codec_rows, row_count, metrics=metrics)

@@ -36,9 +36,13 @@ Segment bodies by column type:
     ``shared = 0`` at every restart row;
   - non-key ``STRING`` and ``BLOB``: ``[uvarint len][bytes]``.
 
-Restart rows always carry complete values, so :meth:`decode_range` can
-binary-search restart points by decoding only key columns and then
-decode just the covering restart span instead of the whole block.
+Restart rows always carry complete values: a timestamp delta or a
+shared key prefix never reaches back past one, and the restart offsets
+say where each one starts.  Every decoder reads whole columns - the
+compiled ones all of them, skipping the offset tables,
+:meth:`SchemaCodec.decode_key_columns` the key columns alone, checking
+them - because a row reader wants the whole block
+(``TabletReader._scan_block`` keeps the decode cached).
 
 v1 blocks carry no version byte; the tablet footer's trailing
 ``block_format`` field (absent in old footers, so absence means v1)
@@ -51,7 +55,7 @@ from __future__ import annotations
 import struct
 import time
 import weakref
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from ..obs.metrics import NULL_REGISTRY
 from ..util.varint import decode_uvarint, encode_uvarint
@@ -62,7 +66,7 @@ BLOCK_FORMAT_V1 = 1
 BLOCK_FORMAT_V2 = 2
 
 #: Restart interval: one complete (non-delta, non-prefix-compressed)
-#: row every K rows, the granularity of ``decode_range``.
+#: row every K rows.
 RESTART_INTERVAL = 16
 
 _INT_TYPES = (ColumnType.INT32, ColumnType.INT64)
@@ -527,11 +531,11 @@ def compiled_ops(schema: Schema) -> _CompiledOps:
 
 
 # --------------------------------------------------------------------------
-# generic (interpreted) v2 readers: partial decode paths
+# generic (interpreted) v2 reader: the key columns alone
 #
-# ``decode_range`` and ``decode_key_columns`` run on small spans (point
-# probes, bloom keys for passed-through blocks), so they stay generic:
-# they share one layout parser and per-type span decoders instead of
+# ``decode_key_columns`` feeds Bloom filters for blocks a merge passes
+# through undecoded; it reads a few columns of a block, so it stays
+# generic: one layout parser and per-type column decoders instead of
 # per-schema generated code.
 
 
@@ -591,55 +595,40 @@ def _segment_offsets(buf: bytes, seg: Tuple[int, int],
     return offsets, offs_end
 
 
-def _decode_span(buf: bytes, schema: Schema, index: int,
-                 layout: _V2Layout, chunk0: int, count: int,
-                 offsets: Optional[List[int]] = None) -> List[Any]:
-    """Decode ``count`` values of one column starting at restart
-    ``chunk0`` (so the first decoded row is ``chunk0 * K``)."""
-    column = schema.columns[index]
-    t = column.type
+def _decode_column(buf: bytes, schema: Schema, index: int,
+                   layout: _V2Layout) -> List[Any]:
+    """Decode all of one column's values."""
+    t = schema.columns[index].type
     seg = layout.segs[index]
     n, k = layout.n, layout.k
     out: List[Any] = []
-    if count <= 0:
+    if n <= 0:
         return out
     try:
         if t is ColumnType.DOUBLE:
-            start = seg[0] + 8 * chunk0 * k
-            end = start + 8 * count
+            end = seg[0] + 8 * n
             if end > seg[1]:
                 raise CorruptTabletError("bad double column segment")
-            return list(struct.unpack(f"<{count}d", buf[start:end]))
-        if offsets is None:
-            offsets, data_start = _segment_offsets(buf, seg, layout.r)
-        else:
-            _, data_start = _segment_offsets(buf, seg, layout.r)
-        p = data_start + offsets[chunk0]
-        row = chunk0 * k
-        limit_row = row + count
+            return list(struct.unpack(f"<{n}d", buf[seg[0]:end]))
+        offsets, data_start = _segment_offsets(buf, seg, layout.r)
+        p = data_start + offsets[0]
         if t in _INT_TYPES:
-            for _ in range(count):
+            for _ in range(n):
                 z, p = decode_uvarint(buf, p)
                 out.append((z >> 1) ^ -(z & 1))
         elif t is ColumnType.TIMESTAMP:
-            while row < limit_row:
+            for row in range(0, n, k):
                 value, p = decode_uvarint(buf, p)
                 out.append(value)
-                lim = min(row + k, n, limit_row)
-                j = row + 1
-                while j < lim:
+                for _ in range(row + 1, min(row + k, n)):
                     z, p = decode_uvarint(buf, p)
                     value += (z >> 1) ^ -(z & 1)
                     out.append(value)
-                    j += 1
-                row = min(row + k, n)
         elif t is ColumnType.STRING and index in schema.key_indexes:
-            while row < limit_row:
+            for row in range(0, n, k):
                 prev_b = b""
                 prev_s = ""
-                lim = min(row + k, n, limit_row)
-                j = row
-                while j < lim:
+                for _ in range(row, min(row + k, n)):
                     shared, p = decode_uvarint(buf, p)
                     unshared, p = decode_uvarint(buf, p)
                     if unshared == 0 and shared == len(prev_b):
@@ -656,10 +645,8 @@ def _decode_span(buf: bytes, schema: Schema, index: int,
                         p = end
                         prev_s = prev_b.decode("utf-8")
                         out.append(prev_s)
-                    j += 1
-                row = min(row + k, n)
         elif t is ColumnType.STRING:
-            for _ in range(count):
+            for _ in range(n):
                 length, p = decode_uvarint(buf, p)
                 end = p + length
                 if end > seg[1]:
@@ -667,7 +654,7 @@ def _decode_span(buf: bytes, schema: Schema, index: int,
                 out.append(buf[p:end].decode("utf-8"))
                 p = end
         else:  # BLOB
-            for _ in range(count):
+            for _ in range(n):
                 length, p = decode_uvarint(buf, p)
                 end = p + length
                 if end > seg[1]:
@@ -679,35 +666,6 @@ def _decode_span(buf: bytes, schema: Schema, index: int,
         if isinstance(exc, CorruptTabletError):
             raise
         raise CorruptTabletError(f"corrupt v2 block: {exc}") from exc
-
-
-def _decode_restart_value(buf: bytes, schema: Schema, index: int,
-                          layout: _V2Layout, chunk: int,
-                          offsets: List[int]) -> Any:
-    """Decode one column's complete value at restart ``chunk``."""
-    t = schema.columns[index].type
-    seg = layout.segs[index]
-    if t is ColumnType.DOUBLE:
-        start = seg[0] + 8 * chunk * layout.k
-        return struct.unpack_from("<d", buf, start)[0]
-    _, data_start = _segment_offsets(buf, seg, layout.r)
-    p = data_start + offsets[chunk]
-    if t in _INT_TYPES:
-        z, _ = decode_uvarint(buf, p)
-        return (z >> 1) ^ -(z & 1)
-    if t is ColumnType.TIMESTAMP:
-        value, _ = decode_uvarint(buf, p)
-        return value
-    if t is ColumnType.STRING:
-        shared, p = decode_uvarint(buf, p)
-        unshared, p = decode_uvarint(buf, p)
-        if shared != 0:
-            raise CorruptTabletError("restart row with nonzero prefix")
-        end = p + unshared
-        if end > seg[1]:
-            raise CorruptTabletError("truncated string value")
-        return buf[p:end].decode("utf-8")
-    raise CorruptTabletError(f"{t} cannot be a key column")
 
 
 def prefix_column_encoders(schema: Schema):
@@ -743,7 +701,7 @@ class SchemaCodec:
     __slots__ = ("schema", "ops", "validate_and_size", "size_of", "key_of",
                  "_m_rows_encoded", "_m_rows_decoded",
                  "_m_blocks_encoded", "_m_blocks_decoded", "_m_encode_ns",
-                 "_m_decode_ns", "_m_upgraded", "_offsets_cache")
+                 "_m_decode_ns", "_m_upgraded")
 
     def __init__(self, schema: Schema, metrics=None):
         self.schema = schema
@@ -799,89 +757,6 @@ class SchemaCodec:
         self._m_blocks_decoded.inc()
         return columns
 
-    def decode_range(self, buf: bytes,
-                     lo_key: Optional[Tuple[Any, ...]] = None,
-                     hi_prefix: Optional[Tuple[Any, ...]] = None
-                     ) -> Tuple[List[Tuple[Any, ...]],
-                                List[Tuple[Any, ...]], int]:
-        """Decode only the restart spans covering ``[lo_key, hi_prefix]``.
-
-        Binary-searches the restart table (decoding just the restart
-        rows' key columns), then decodes the covering span of every
-        column.  Returns ``(rows, keys, base_row_index)``; callers
-        apply their exact range filter to the returned keys.  ``lo_key``
-        is a full or prefix key tuple (plain tuple comparison);
-        ``hi_prefix`` is a key prefix - rows whose key's leading
-        columns exceed it are outside the range.
-        """
-        schema = self.schema
-        layout = _parse_v2_layout(buf, schema)
-        n, k, r = layout.n, layout.k, layout.r
-        key_indexes = schema.key_indexes
-        offsets_by_col = {}
-
-        def offsets_for(index: int) -> List[int]:
-            offs = offsets_by_col.get(index)
-            if offs is None:
-                offs = _segment_offsets(buf, layout.segs[index], r)[0]
-                offsets_by_col[index] = offs
-            return offs
-
-        restart_keys: dict = {}
-
-        def restart_key(chunk: int) -> Tuple[Any, ...]:
-            key = restart_keys.get(chunk)
-            if key is None:
-                key = tuple(
-                    _decode_restart_value(buf, schema, index, layout,
-                                          chunk, offsets_for(index))
-                    for index in key_indexes
-                )
-                restart_keys[chunk] = key
-            return key
-
-        chunk0 = 0
-        if lo_key is not None:
-            lo, hi = 0, r
-            # First restart whose key is > lo_key; the span starts one
-            # chunk earlier (its restart key is <= lo_key).
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if restart_key(mid) > lo_key:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            chunk0 = max(0, lo - 1)
-        chunk1 = r
-        if hi_prefix is not None:
-            width = len(hi_prefix)
-            lo, hi = chunk0, r
-            # First restart whose key prefix is beyond hi_prefix; rows
-            # from that restart on cannot be in range.
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if restart_key(mid)[:width] > hi_prefix:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            chunk1 = lo
-        row_lo = chunk0 * k
-        row_hi = min(n, chunk1 * k)
-        count = row_hi - row_lo
-        if count <= 0:
-            return [], [], row_lo
-        started = time.perf_counter_ns()
-        columns = [
-            _decode_span(buf, schema, index, layout, chunk0, count,
-                         offsets_by_col.get(index))
-            for index in range(len(schema.columns))
-        ]
-        rows = list(zip(*columns))
-        keys = list(zip(*(columns[index] for index in key_indexes)))
-        self._m_decode_ns.inc(time.perf_counter_ns() - started)
-        self._m_rows_decoded.inc(count)
-        return rows, keys, row_lo
-
     def decode_key_columns(self, buf: bytes,
                            include_ts: bool = True) -> List[List[Any]]:
         """Decode only the key columns of a v2 block (schema key order).
@@ -893,10 +768,8 @@ class SchemaCodec:
         indexes = self.schema.key_indexes
         if not include_ts:
             indexes = indexes[:-1]
-        return [
-            _decode_span(buf, self.schema, index, layout, 0, layout.n)
-            for index in indexes
-        ]
+        return [_decode_column(buf, self.schema, index, layout)
+                for index in indexes]
 
     # --------------------------------------------------------- key level
 

@@ -119,12 +119,3 @@ class RowCodec:
             value, pos = decode_value(column_type, buf, pos)
             values.append(value)
         return tuple(values), pos
-
-    def encode_prefix_columns(self, prefix: Sequence[Any]) -> List[bytes]:
-        """Per-column encodings of a key *prefix* (shorter than the key)."""
-        if len(prefix) > len(self._key_types):
-            raise ValueError("prefix longer than the key")
-        return [
-            encode_value(column_type, value)
-            for column_type, value in zip(self._key_types, prefix)
-        ]

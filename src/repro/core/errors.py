@@ -85,9 +85,10 @@ class ReplicaDivergedError(LittleTableError):
 
 
 class OverloadedError(LittleTableError):
-    """The server shed this request *before executing it* - admission
-    control found the in-flight cap saturated, the request overran its
-    queue-time deadline, or a shard is in overload cooldown.
+    """The server front shed this request *before executing it* -
+    admission control found the in-flight cap saturated, or the
+    request overran its queue-time deadline.  No engine and no shard
+    router raises it.
 
     Always retryable regardless of idempotence: a shed request was
     never started, so nothing - not even partially - was applied.

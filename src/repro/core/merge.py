@@ -232,7 +232,7 @@ class _MergeSource:
         """Decode the block at the boundary and step past it."""
         entry = self.entries[self.index]
         payload = self.reader.read_block_payload(self.index)
-        self.rows, self.keys = self.reader.decode_payload(
+        self.rows, self.keys, _raw_len = self.reader.decode_payload(
             self.index, payload)
         self.pos = 0
         self._entry_last = entry.last_key

@@ -58,10 +58,8 @@ ROW_OVERHEAD_BYTES = 56
 
 
 class CachedBlock:
-    """One decoded block: row tuples plus (lazily) their keys.
+    """One decoded block: row tuples plus their keys.
 
-    ``keys`` is filled by the first scan that needs it, so the key
-    extraction cost is also paid at most once per cached block.
     ``columns`` is the column-major transpose, filled by the first
     vectorized aggregate that hits a warm block; it shares the same
     value objects as ``rows``, so only the container overhead is new.
@@ -70,7 +68,7 @@ class CachedBlock:
     __slots__ = ("rows", "keys", "columns", "nbytes")
 
     def __init__(self, rows: List[Tuple[Any, ...]], nbytes: int,
-                 keys: Optional[List[Tuple[Any, ...]]] = None):
+                 keys: List[Tuple[Any, ...]]):
         self.rows = rows
         self.keys = keys
         self.columns = None
@@ -131,15 +129,10 @@ class ReadCache:
 
     def put_block(self, uid: int, index: int,
                   rows: List[Tuple[Any, ...]], payload_bytes: int,
-                  keys: Optional[List[Tuple[Any, ...]]] = None
-                  ) -> Optional[CachedBlock]:
-        """Admit one decoded block; evicts LRU entries past the budget.
-
-        Returns the cache entry (so the caller can keep using the
-        shared object), or None when caching is disabled.
-        """
+                  keys: List[Tuple[Any, ...]]) -> None:
+        """Admit one decoded block; evicts LRU entries past the budget."""
         if self.budget_bytes <= 0:
-            return None
+            return
         nbytes = payload_bytes + ROW_OVERHEAD_BYTES * len(rows)
         entry = CachedBlock(rows, nbytes, keys)
         with self._lock:
@@ -157,7 +150,6 @@ class ReadCache:
                     evicted_key[1])
                 self._m_evictions.inc()
             self._publish_gauges()
-        return entry
 
     def _publish_gauges(self) -> None:
         self._g_resident.set(self._resident_bytes)

@@ -500,6 +500,14 @@ class TabletReader:
     invalidates.  Without a cache every read decodes from the
     (simulated) disk, exactly the pre-cache behaviour.  Lists returned
     from cached blocks are shared: callers must not mutate them.
+
+    There is one way from a block to its rows: :meth:`_scan_block`,
+    the cached entry, which scans and the uniqueness probe share and
+    which :meth:`decode_payload` fills.  Two readers go around the
+    cache on purpose, because what they read once would evict what is
+    read often: the merge (``decode_payload`` directly) and a cold
+    vectorized aggregate (:meth:`scan_block_columns`, which decodes
+    straight into columns and builds no rows).
     """
 
     def __init__(self, disk: SimulatedDisk, filename: str, metrics=None,
@@ -515,8 +523,9 @@ class TabletReader:
         self._m_bloom_probes = self.metrics.counter("bloom.probes")
         self._m_bloom_negative = self.metrics.counter("bloom.negatives")
         self._m_bloom_positive = self.metrics.counter("bloom.positives")
-        # decode_rows takes a real registry or None (never the null).
-        self._decode_metrics = metrics if metrics is not None else None
+        self._m_decoded = self.metrics.counter("block.decoded")
+        self._m_rows_decoded = self.metrics.counter("block.rows_decoded")
+        self._m_decoded_bytes = self.metrics.counter("block.decoded_bytes")
         self._cache = cache if cache is not None else NULL_READ_CACHE
         self.cache_uid = self._cache.allocate_uid()
         self._loaded = False
@@ -651,7 +660,7 @@ class TabletReader:
             offset += 4 * crc_count
         self._entries = entries
         self._last_keys = [entry.last_key for entry in entries]
-        self._schema_codec = SchemaCodec(self.schema, self._decode_metrics)
+        self._schema_codec = SchemaCodec(self.schema, self.metrics)
 
     # ------------------------------------------------------------ blocks
 
@@ -699,90 +708,49 @@ class TabletReader:
 
     def decode_payload(self, index: int, payload: bytes
                        ) -> Tuple[List[Tuple[Any, ...]],
-                                  List[Tuple[Any, ...]]]:
-        """Decode one block's compressed payload into (rows, keys)."""
-        entry = self._entries[index]
+                                  List[Tuple[Any, ...]], int]:
+        """Decode one block's compressed payload: (rows, keys, raw
+        size).  The one row decode: every other reader of rows goes
+        through :meth:`_scan_block`, and the merge calls this directly
+        so that its one-off blocks stay out of the cache."""
         raw = decompress(self._codec, payload)
         if self.block_format == BLOCK_FORMAT_V2:
             rows, keys = self._schema_codec.decode_block(raw)
-            if len(rows) != entry.row_count:
-                raise CorruptTabletError(
-                    f"{self.filename}: block {index} row count mismatch")
-            self._count_decoded(len(rows), len(raw))
         else:
-            rows = decode_rows(raw, self._row_codec, entry.row_count,
-                               metrics=self._decode_metrics)
+            rows = decode_rows(raw, self._row_codec,
+                               self._entries[index].row_count)
             key_of = self.schema.key_of
             keys = [key_of(row) for row in rows]
-        return rows, keys
+        self._note_decoded(index, len(rows), len(raw))
+        return rows, keys, len(raw)
 
-    def _count_decoded(self, row_count: int, raw_len: int) -> None:
-        metrics = self._decode_metrics
-        if metrics is not None:
-            metrics.counter("block.decoded").inc()
-            metrics.counter("block.rows_decoded").inc(row_count)
-            metrics.counter("block.decoded_bytes").inc(raw_len)
-
-    def read_block(self, index: int) -> List[Tuple[Any, ...]]:
-        """Read and decode block ``index`` (one seek if uncached).
-
-        Served from the read cache when the decoded block is resident;
-        the returned list is shared with the cache - do not mutate.
-        """
-        self.ensure_loaded()
-        cached = self._cache.get_block(self.cache_uid, index)
-        if cached is not None:
-            return cached.rows
-        rows, raw_len, keys = self._read_block_uncached(index)
-        self._cache.put_block(self.cache_uid, index, rows, raw_len,
-                              keys=keys)
-        return rows
-
-    def _read_block_uncached(self, index: int
-                             ) -> Tuple[List[Tuple[Any, ...]], int,
-                                        Optional[List[Tuple[Any, ...]]]]:
-        """Disk read + decompress + decode; (rows, raw bytes, keys).
-
-        v2 blocks decode rows and keys in one batch pass; for v1
-        blocks keys are None and extracted lazily by scans.
-        """
-        entry = self._entries[index]
-        payload = self.read_block_payload(index)
-        raw = decompress(self._codec, payload)
-        if self.block_format == BLOCK_FORMAT_V2:
-            rows, keys = self._schema_codec.decode_block(raw)
-            if len(rows) != entry.row_count:
-                raise CorruptTabletError(
-                    f"{self.filename}: block {index} row count mismatch")
-            self._count_decoded(len(rows), len(raw))
-            return rows, len(raw), keys
-        rows = decode_rows(raw, self._row_codec, entry.row_count,
-                           metrics=self._decode_metrics)
-        return rows, len(raw), None
+    def _note_decoded(self, index: int, row_count: int,
+                      raw_len: int) -> None:
+        """Check a decoded block against the footer's row count and
+        count it (once per decode, whatever shape it decoded into)."""
+        if row_count != self._entries[index].row_count:
+            raise CorruptTabletError(
+                f"{self.filename}: block {index} row count mismatch")
+        self._m_decoded.inc()
+        self._m_rows_decoded.inc(row_count)
+        self._m_decoded_bytes.inc(raw_len)
 
     def _scan_block(self, index: int) -> Tuple[List[Tuple[Any, ...]],
                                                List[Tuple[Any, ...]]]:
-        """Block rows plus their keys, both cache-resident when warm.
+        """Block ``index`` as (rows, keys): the cached decode, filled
+        on a miss by one disk read and one :meth:`decode_payload`.
 
-        Keys come straight out of the v2 batch decode; for v1 blocks
-        they are extracted at most once per cached block (stored on
-        the cache entry), so warm scans skip both the decode and the
-        per-row key extraction.
+        Scans, ``latest`` and the uniqueness probe all read rows
+        through here.  The lists are shared with the cache - do not
+        mutate.
         """
         cached = self._cache.get_block(self.cache_uid, index)
-        if cached is None:
-            rows, raw_len, keys = self._read_block_uncached(index)
-            cached = self._cache.put_block(self.cache_uid, index, rows,
-                                           raw_len, keys=keys)
-            if cached is None:  # caching disabled
-                if keys is None:
-                    key_of = self.schema.key_of
-                    keys = [key_of(row) for row in rows]
-                return rows, keys
-        if cached.keys is None:
-            key_of = self.schema.key_of
-            cached.keys = [key_of(row) for row in cached.rows]
-        return cached.rows, cached.keys
+        if cached is not None:
+            return cached.rows, cached.keys
+        rows, keys, raw_len = self.decode_payload(
+            index, self.read_block_payload(index))
+        self._cache.put_block(self.cache_uid, index, rows, raw_len, keys)
+        return rows, keys
 
     @property
     def last_keys(self) -> List[Tuple[Any, ...]]:
@@ -799,37 +767,29 @@ class TabletReader:
     def scan_block_columns(self, index: int, need_keys: bool = True
                            ) -> Tuple[List[List[Any]],
                                       Optional[List[Tuple[Any, ...]]], int]:
-        """Block ``index`` as per-column value lists (vectorized path).
+        """Block ``index`` of a v2 tablet as per-column value lists
+        (vectorized path).
 
         Returns ``(columns, keys, row_count)``; ``keys`` is None when
         ``need_keys`` is false (interior blocks proven fully in range
         never pay for key materialization).  A warm cache entry is
         transposed once and the column view is kept on the entry;
-        a cold read decodes columns straight from the v2 block body
+        a cold read decodes columns straight from the block body
         and deliberately does not populate the row cache - one-off
         rollup scans should not evict hot row blocks.
         """
         self.ensure_loaded()
-        entry = self._entries[index]
         cached = self._cache.get_block(self.cache_uid, index)
         if cached is not None:
             columns = cached.columns
             if columns is None:
                 columns = cached.columns = list(zip(*cached.rows))
-            if not need_keys:
-                return columns, None, len(cached.rows)
-            if cached.keys is None:
-                key_of = self.schema.key_of
-                cached.keys = [key_of(row) for row in cached.rows]
-            return columns, cached.keys, len(cached.rows)
-        payload = self.read_block_payload(index)
-        raw = decompress(self._codec, payload)
+            return (columns, cached.keys if need_keys else None,
+                    len(cached.rows))
+        raw = decompress(self._codec, self.read_block_payload(index))
         columns = self._schema_codec.decode_block_columns(raw)
         count = len(columns[0]) if columns else 0
-        if count != entry.row_count:
-            raise CorruptTabletError(
-                f"{self.filename}: block {index} row count mismatch")
-        self._count_decoded(count, len(raw))
+        self._note_decoded(index, count, len(raw))
         keys = None
         if need_keys:
             key_indexes = self.schema.key_indexes
@@ -837,29 +797,13 @@ class TabletReader:
         return columns, keys, count
 
     def probe_key(self, key: Tuple[Any, ...]) -> bool:
-        """Does this tablet hold exactly ``key``?  (Duplicate checks.)
-
-        Warm blocks answer from the cache; cold v2 blocks decode only
-        the restart span covering the key via ``decode_range`` and do
-        not pollute the cache.
-        """
+        """Does this tablet hold exactly ``key``?  (Duplicate checks:
+        a point read of the one block that could hold it.)"""
         self.ensure_loaded()
         index = bisect.bisect_left(self._last_keys, key)
         if index >= len(self._entries):
             return False
-        cached = self._cache.get_block(self.cache_uid, index)
-        if cached is not None:
-            if cached.keys is None:
-                key_of = self.schema.key_of
-                cached.keys = [key_of(row) for row in cached.rows]
-            keys = cached.keys
-        elif self.block_format == BLOCK_FORMAT_V2:
-            payload = self.read_block_payload(index)
-            raw = decompress(self._codec, payload)
-            _rows, keys, _base = self._schema_codec.decode_range(
-                raw, lo_key=key, hi_prefix=key)
-        else:
-            _rows, keys = self._scan_block(index)
+        _rows, keys = self._scan_block(index)
         position = bisect.bisect_left(keys, key)
         return position < len(keys) and keys[position] == key
 

@@ -9,7 +9,10 @@ against cached metadata."  Three tiers, cheapest first:
 2. the key is larger than any other key in its time period, checkable
    from tablet zone maps and memtable maxima;
 3. a point query, possibly touching disk, with Bloom filters skipping
-   most tablets (§3.4.5).
+   most tablets (§3.4.5): ``TabletReader.probe_key`` bisects the keys
+   of the one block that could hold the row, read through the same
+   cached decode a scan uses, so a run of late rows (a WAL replay over
+   flushed rows) reads a block once for as long as the cache holds it.
 
 The checker owns only what the fast paths cache (the newest timestamp
 and the per-period maximum key); the memtables and the tablet list

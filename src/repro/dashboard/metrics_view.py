@@ -235,8 +235,6 @@ def admission_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
         "shed": counters.get("server.admission.shed", 0),
         "deadline_sheds": counters.get("server.admission.deadline_sheds", 0),
         "queue_wait_p99_us": wait.get("p99"),
-        "shard_overload_sheds": counters.get("shard.overload_sheds", 0),
-        "shard_cooldown_skips": counters.get("shard.cooldown_skips", 0),
     }
 
 
@@ -336,9 +334,6 @@ def render_metrics_page(page: Dict[str, Any]) -> str:
         f"inflight={admission['inflight']}, shed={admission['shed']}, "
         f"deadline_sheds={admission['deadline_sheds']}, "
         f"queue_wait_p99={us(admission['queue_wait_p99_us'])}")
-    lines.append(
-        f"shard overloads: sheds={admission['shard_overload_sheds']}, "
-        f"cooldown_skips={admission['shard_cooldown_skips']}")
     push = pushdown_summary(page.get("metrics", {}))
     lines.append("")
     lines.append("== query pushdown ==")

@@ -20,7 +20,7 @@ Routing is deterministic per row key:
 
 Queries outside a single shard scatter to every live worker and merge
 into one run ordered by the schema's key tuples (the same plain tuple
-comparison the codec's decode_range uses), preserving the
+comparison a tablet's block index is bisected with), preserving the
 server row limit's ``more_available`` continuation contract across
 shard boundaries: merged rows are only emitted up to the smallest
 last-key any truncated shard reached, so a client resuming past the
@@ -35,7 +35,6 @@ workers - and the router itself - keep serving.
 
 from __future__ import annotations
 
-import time
 import zlib
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -44,8 +43,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from ..core.codec import compiled_ops
 from ..core.config import EngineConfig
 from ..core.database import LittleTable
-from ..core.errors import (LittleTableError, OverloadedError,
-                           ShardDegradedError)
+from ..core.errors import LittleTableError, ShardDegradedError
 from ..core.maintenance import MaintenancePolicy, MaintenanceReport
 from ..core.periods import FOUR_HOURS
 from ..core.row import (DESCENDING, KeyRange, Query, QueryResult, QueryStats,
@@ -81,7 +79,7 @@ def merge_sorted_runs(runs: Sequence[Sequence[Tuple[Any, ...]]],
     """Merge per-shard sorted runs into one ordered list.
 
     Plain tuple comparison on the schema's key tuples - the same
-    ordering the codec's ``decode_range`` binary-searches with.  The
+    ordering a tablet's block index is bisected with.  The
     runs are concatenated and sorted: Timsort finds each presorted run
     and merges them in C, which beats popping a Python heap per row.
     Keys are globally unique (each full key routes to exactly one
@@ -296,14 +294,6 @@ class ShardRouter:
         # until revive_shard; guarded only by the GIL (reads are
         # racy-but-monotonic, which is fine for routing decisions).
         self._down: Dict[int, str] = {}
-        # Overload cooldowns: shard index -> monotonic deadline.  A
-        # worker that shed with OverloadedError is skipped - fast,
-        # with a typed retryable error - until the deadline passes,
-        # so one overloaded shard cannot drag every fan-out query's
-        # tail behind its admission queue.  Non-sticky by design:
-        # unlike a crash, overload heals by itself.
-        self._overloaded_until: Dict[int, float] = {}
-        self.overload_cooldown_s = 1.0
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, len(self.engines)),
             thread_name_prefix="shard")
@@ -312,9 +302,6 @@ class ShardRouter:
         self._m_degraded = self.metrics.gauge("shard.degraded")
         self._m_crashes = self.metrics.counter("shard.worker_crashes")
         self._m_routed = self.metrics.counter("shard.rows_routed")
-        self._m_overload_sheds = self.metrics.counter("shard.overload_sheds")
-        self._m_cooldown_skips = self.metrics.counter(
-            "shard.cooldown_skips")
 
     # ------------------------------------------------------------ shape
 
@@ -361,59 +348,22 @@ class ShardRouter:
             ts = self.clock.now()
         return shard_of((), ts, len(self.engines))
 
-    def mark_overloaded(self, index: int,
-                        retry_after_s: Optional[float] = None) -> None:
-        """Put one shard into overload cooldown: requests touching it
-        shed immediately (typed, retryable) until the cooldown lapses.
-        Called internally when a worker raises
-        :class:`OverloadedError`; also an operator/test hook."""
-        cooldown = (retry_after_s if retry_after_s is not None
-                    else self.overload_cooldown_s)
-        self._overloaded_until[index] = time.monotonic() + cooldown
-        self._m_overload_sheds.inc()
-
-    def _overload_remaining(self, index: int) -> float:
-        """Seconds of cooldown left for one shard (<= 0 when healthy).
-        A lapsed entry is reaped so the dict never grows."""
-        until = self._overloaded_until.get(index)
-        if until is None:
-            return 0.0
-        remaining = until - time.monotonic()
-        if remaining <= 0:
-            self._overloaded_until.pop(index, None)
-        return remaining
-
-    def _check_overloaded(self, index: int) -> None:
-        remaining = self._overload_remaining(index)
-        if remaining > 0:
-            self._m_cooldown_skips.inc()
-            raise OverloadedError(
-                f"shard {index} is overloaded (cooldown "
-                f"{remaining:.2f}s remaining)",
-                retry_after_s=remaining)
-
     def _run(self, index: int, fn: Callable[[LittleTable], Any]) -> Any:
         """Run one operation on one worker, with crash isolation.
 
         Engine errors (validation, duplicate keys, read-only mode...)
         pass through: they are the worker answering, not dying.
-        :class:`OverloadedError` additionally puts the shard into a
-        short cooldown so follow-up fan-outs shed fast instead of
-        queueing behind it.  Anything else - failpoint CrashPoints,
-        torn I/O, internal bugs - marks the worker down and surfaces
-        as :class:`ShardDegradedError` so the router keeps serving the
+        Anything else - failpoint CrashPoints, torn I/O, internal
+        bugs - marks the worker down and surfaces as
+        :class:`ShardDegradedError` so the router keeps serving the
         surviving shards.
         """
         reason = self._down.get(index)
         if reason is not None:
             raise ShardDegradedError(
                 f"shard {index} is down: {reason}")
-        self._check_overloaded(index)
         try:
             return fn(self.engines[index])
-        except OverloadedError as exc:
-            self.mark_overloaded(index, exc.retry_after_s)
-            raise
         except LittleTableError:
             raise
         except BaseException as exc:
@@ -436,12 +386,10 @@ class ShardRouter:
         inserts both go through it.
 
         It refuses up front - before any worker runs anything - when a
-        target shard is down or in overload cooldown, so a refused
-        operation is never partially applied and a client may resend
-        a shed request verbatim.  A shard that fails mid-flight is
-        ranked after the fact: degradation (data unavailable) outranks
-        overload (transient), and among overloads the longest hint
-        surfaces so the client's single backoff clears every cooldown.
+        target shard is down, so a refused operation is never
+        partially applied.  Of the errors of shards that fail
+        mid-flight, a degradation (data unavailable) surfaces before
+        an engine's own answer.
         """
         indexes = sorted(work)
         down = ", ".join(f"{i} ({self._down[i]})" for i in indexes
@@ -449,7 +397,6 @@ class ShardRouter:
         if down:
             raise ShardDegradedError(
                 f"operation needs shards that are down: {down}")
-        self._check_overloaded(max(indexes, key=self._overload_remaining))
         if len(indexes) == 1:
             return [self._run(indexes[0], work[indexes[0]])]
         futures = [self._pool.submit(self._run, index, work[index])
@@ -465,17 +412,12 @@ class ShardRouter:
             for error in errors:
                 if isinstance(error, ShardDegradedError):
                     raise error
-            overloads = [e for e in errors
-                         if isinstance(e, OverloadedError)]
-            if overloads:
-                raise max(overloads,
-                          key=lambda e: e.retry_after_s or 0)
             raise errors[0]
         return results
 
     def _fanout(self, fn: Callable[[LittleTable], Any]) -> List[Any]:
-        """Run ``fn`` on every worker; a downed or cooling shard
-        refuses the whole operation (:meth:`_scatter`)."""
+        """Run ``fn`` on every worker; a downed shard refuses the
+        whole operation (:meth:`_scatter`)."""
         return self._scatter(dict.fromkeys(range(len(self.engines)), fn))
 
     def _fanout_table(self, name: str,
@@ -745,8 +687,7 @@ class ShardRouter:
     def close(self) -> None:
         """Clean shutdown of every live worker, then the pool.
 
-        Bypasses :meth:`_run`: shutdown must proceed even through an
-        overload cooldown, and a worker dying mid-close changes
+        Bypasses :meth:`_run`: a worker dying mid-close changes
         nothing about closing the rest.
         """
         for index in self._live_indexes():

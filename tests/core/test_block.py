@@ -7,9 +7,8 @@ from repro.core.block import (
     CODEC_ZLIB,
     BlockBuilder,
     codec_id,
-    codec_name,
     compress,
-    decode_block,
+    decode_rows,
     decompress,
 )
 from repro.core.encoding import RowCodec
@@ -29,13 +28,10 @@ class TestCodecs:
     def test_codec_ids(self):
         assert codec_id("none") == CODEC_NONE
         assert codec_id("zlib") == CODEC_ZLIB
-        assert codec_name(CODEC_ZLIB) == "zlib"
 
     def test_unknown_codec(self):
         with pytest.raises(ValueError):
             codec_id("lzo")
-        with pytest.raises(CorruptTabletError):
-            codec_name(99)
 
     def test_zlib_round_trip(self):
         data = b"hello " * 100
@@ -93,7 +89,8 @@ class TestDecodeBlock:
         for row in rows:
             builder.add(codec.encode_row(row))
         payload, count, _raw = builder.finish(CODEC_ZLIB)
-        assert decode_block(payload, CODEC_ZLIB, codec, count) == rows
+        raw = decompress(CODEC_ZLIB, payload)
+        assert decode_rows(raw, codec, count) == rows
 
     def test_row_count_mismatch_raises(self):
         schema = tiny_schema()
@@ -103,4 +100,4 @@ class TestDecodeBlock:
         builder.add(codec.encode_row((2, 3, "b")))
         payload, _count, _raw = builder.finish(CODEC_NONE)
         with pytest.raises(CorruptTabletError):
-            decode_block(payload, CODEC_NONE, codec, 1)  # too few
+            decode_rows(payload, codec, 1)  # too few

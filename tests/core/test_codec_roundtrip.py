@@ -8,8 +8,8 @@ encode/decode functions.  These tests pin down:
   strings, zero-byte blobs);
 * agreement between the compiled row sizer and the reference
   ``RowCodec``'s v1 encoding;
-* ``decode_range`` returning exactly the rows a brute-force decode
-  and filter would;
+* the interpreted key-column reader agreeing with the compiled
+  whole-block decoder;
 * corrupt or truncated buffers failing with ``CorruptTabletError``
   and nothing else;
 * the checked-in v1 tablet fixture (written before format v2 existed)
@@ -160,31 +160,19 @@ class TestFuzzRoundtrip:
             assert size == len(reference.encode_row(validated))
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_decode_range_matches_bruteforce(self, seed):
+    def test_decode_key_columns_matches_full_decode(self, seed):
+        """The interpreted key-column reader (Bloom prefixes of
+        passed-through blocks) agrees with the compiled decoder."""
         rng = random.Random(0xD00D + seed)
         schema = random_schema(rng)
         codec = SchemaCodec(schema)
-        key_of = compiled_ops(schema).key_of
         rows = random_rows(rng, schema, 200)
         block = codec.encode_rows(rows)
-        all_keys = [key_of(r) for r in rows]
-        for _ in range(20):
-            probe = key_of(rows[rng.randrange(len(rows))])
-            width = rng.randint(1, len(probe))
-            lo = probe
-            hi = probe[:width]
-            got_rows, got_keys, base = codec.decode_range(
-                block, lo_key=lo, hi_prefix=hi)
-            want = [(i, k) for i, k in enumerate(all_keys)
-                    if k >= lo and k[:width] <= hi]
-            if want:
-                lo_i, hi_i = want[0][0], want[-1][0]
-                window = list(range(base, base + len(got_keys)))
-                assert set(range(lo_i, hi_i + 1)) <= set(window)
-                for offset, k in enumerate(got_keys):
-                    assert k == all_keys[base + offset]
-                assert rows_equal(got_rows,
-                                  rows[base:base + len(got_rows)])
+        _rows, keys = codec.decode_block(block)
+        assert list(zip(*codec.decode_key_columns(block))) == keys
+        prefixes = codec.decode_key_columns(block, include_ts=False)
+        if prefixes:    # a bare-ts key has no prefix columns
+            assert list(zip(*prefixes)) == [key[:-1] for key in keys]
 
 
 class TestBoundaryValues:

@@ -94,13 +94,6 @@ class TestRowCodec:
         decoded, pos = codec.decode_key(codec.encode_key(key))
         assert decoded == key
 
-    def test_prefix_columns(self):
-        codec = RowCodec(blob_schema())
-        parts = codec.encode_prefix_columns((7, -9))
-        assert len(parts) == 2
-        with pytest.raises(ValueError):
-            codec.encode_prefix_columns((1, 2, 3, 4))
-
     @settings(max_examples=50, deadline=None)
     @given(
         a=st.integers(-(1 << 31), (1 << 31) - 1),

@@ -30,10 +30,10 @@ class TestReadCacheBlocks:
         cache = ReadCache(budget_bytes=1 << 20)
         uid = cache.allocate_uid()
         rows = [(1, 2, 3)]
-        entry = cache.put_block(uid, 0, rows, payload_bytes=100)
-        assert entry is not None and entry.rows is rows
+        keys = [(1, 2)]
+        cache.put_block(uid, 0, rows, payload_bytes=100, keys=keys)
         got = cache.get_block(uid, 0)
-        assert got is entry
+        assert got.rows is rows and got.keys is keys
         assert cache.get_block(uid, 1) is None
 
     def test_byte_budget_evicts_lru(self):
@@ -42,7 +42,8 @@ class TestReadCacheBlocks:
         uid = cache.allocate_uid()
         # Each entry charges payload + ROW_OVERHEAD * rows = 400 + 56.
         for index in range(3):
-            cache.put_block(uid, index, [(index,)], payload_bytes=400)
+            cache.put_block(uid, index, [(index,)], payload_bytes=400,
+                            keys=[(index,)])
         assert cache.entry_count == 2  # third put evicted block 0
         assert cache.get_block(uid, 0) is None
         assert cache.get_block(uid, 2) is not None
@@ -52,17 +53,17 @@ class TestReadCacheBlocks:
     def test_lru_order_follows_access(self):
         cache = ReadCache(budget_bytes=1000)
         uid = cache.allocate_uid()
-        cache.put_block(uid, 0, [(0,)], payload_bytes=400)
-        cache.put_block(uid, 1, [(1,)], payload_bytes=400)
+        cache.put_block(uid, 0, [(0,)], payload_bytes=400, keys=[(0,)])
+        cache.put_block(uid, 1, [(1,)], payload_bytes=400, keys=[(1,)])
         cache.get_block(uid, 0)  # touch 0 so 1 is now the LRU entry
-        cache.put_block(uid, 2, [(2,)], payload_bytes=400)
+        cache.put_block(uid, 2, [(2,)], payload_bytes=400, keys=[(2,)])
         assert cache.get_block(uid, 0) is not None
         assert cache.get_block(uid, 1) is None
 
     def test_disabled_cache_is_inert(self):
         cache = ReadCache(budget_bytes=0)
         uid = cache.allocate_uid()
-        assert cache.put_block(uid, 0, [(1,)], payload_bytes=10) is None
+        cache.put_block(uid, 0, [(1,)], payload_bytes=10, keys=[(1,)])
         assert cache.get_block(uid, 0) is None
 
     def test_invalidate_tablet_drops_its_blocks(self):
@@ -70,9 +71,9 @@ class TestReadCacheBlocks:
         cache = ReadCache(budget_bytes=1 << 20, metrics=metrics)
         uid = cache.allocate_uid()
         other = cache.allocate_uid()
-        cache.put_block(uid, 0, [(1,)], payload_bytes=10)
-        cache.put_block(uid, 1, [(2,)], payload_bytes=10)
-        cache.put_block(other, 0, [(3,)], payload_bytes=10)
+        cache.put_block(uid, 0, [(1,)], payload_bytes=10, keys=[(1,)])
+        cache.put_block(uid, 1, [(2,)], payload_bytes=10, keys=[(2,)])
+        cache.put_block(other, 0, [(3,)], payload_bytes=10, keys=[(3,)])
         dropped = cache.invalidate_tablet(uid)
         assert dropped == 2
         assert cache.get_block(uid, 0) is None
@@ -83,7 +84,7 @@ class TestReadCacheBlocks:
         metrics = MetricsRegistry()
         cache = ReadCache(budget_bytes=1 << 20, metrics=metrics)
         uid = cache.allocate_uid()
-        cache.put_block(uid, 0, [(1,)], payload_bytes=100)
+        cache.put_block(uid, 0, [(1,)], payload_bytes=100, keys=[(1,)])
         snap = metrics.snapshot()
         assert snap["gauges"]["readcache.block.resident_bytes"] > 0
         assert snap["gauges"]["readcache.block.entries"] == 1

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import DuplicateKeyError, Query
+from repro.core import (Column, ColumnType, DuplicateKeyError, LittleTable,
+                        Query)
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE
 
-from ..conftest import BASE_TIME
+from ..conftest import BASE_TIME, load_v1_datadir, usage_schema
 
 
 def row(network, device, ts, value=0):
@@ -67,8 +68,6 @@ class TestFastPaths:
         assert len(usage_table.query(Query()).rows) == 2
 
     def test_bloom_filters_skip_non_matching_tablets(self, db, clock):
-        from ..conftest import usage_schema
-
         table = db.create_table("bloomed", usage_schema())
         ts = clock.now()
         table.insert([row(n, d, ts) for n in range(5) for d in range(5)])
@@ -84,6 +83,51 @@ class TestFastPaths:
         data_read = db.disk.stats.bytes_read - before
         assert data_read < db.disk.size(
             table.on_disk_tablets[0].filename)
+
+
+class TestSlowPathIsAPointRead:
+    """§3.4.4's third tier reads the one block that could hold the
+    key through the cached decode every row reader shares - whatever
+    wrote the tablet - so a block is read from disk once."""
+
+    @pytest.mark.parametrize("written", [
+        "as-v2", "as-v1", "before-an-append-column"])
+    def test_late_rows_share_one_block_read(self, db, clock, written):
+        if written == "as-v1":
+            disk, _recorded = load_v1_datadir()
+            clock.advance_seconds(120)
+            table = LittleTable(disk=disk, clock=clock).table("usage")
+        else:
+            table = db.create_table("late", usage_schema())
+            ts = clock.now()
+            table.insert([row(n, d, ts + 10 * s) for n in range(5)
+                          for d in range(5) for s in range(4)])
+            table.flush_all()
+        if written == "before-an-append-column":
+            table.append_column(Column("flags", ColumnType.INT64, default=7))
+        held = table.query(Query()).rows
+        table.evict_reader_cache()
+        # A row in the middle of the key order, two timestamps after
+        # its predecessor of the same device: older than the table's
+        # newest row and below its largest key, so neither fast path
+        # answers, and the gap before it is in the same block.
+        index = next(i for i in range(len(held) // 2, len(held))
+                     if held[i][:2] == held[i - 1][:2]
+                     and held[i][2] - held[i - 1][2] > 1)
+        network, device, ts = held[index][:3]
+
+        def counters():
+            snapshot = table.metrics.snapshot()["counters"]
+            return (snapshot["insert.uniqueness.slow_path"],
+                    snapshot["tablet.blocks_read"])
+
+        slow, read = counters()
+        with pytest.raises(DuplicateKeyError):
+            table.insert([row(network, device, ts)])
+        assert counters() == (slow + 1, read + 1)
+        table.insert([row(network, device, ts - 1)])
+        assert counters() == (slow + 2, read + 1)
+        assert len(table.query(Query()).rows) == len(held) + 1
 
 
 class TestBatchSemantics:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.codec import SchemaCodec
 from repro.core.errors import CorruptTabletError
 from repro.core.row import KeyRange
 from repro.core.schema import Column, ColumnType, Schema
@@ -150,27 +151,23 @@ class TestReaderRoundTrip:
 
 class TestBloomIntegration:
     def test_present_prefix_probes_true(self, disk):
-        from repro.core.encoding import RowCodec
-
         rows = make_rows()
         write_tablet(disk, rows)
         reader = TabletReader(disk, "t/tab-1.lt")
-        codec = RowCodec(make_schema())
+        codec = SchemaCodec(make_schema())
         assert reader.may_contain_prefix(
-            codec.encode_prefix_columns((1,))) is True
+            codec.encode_key_prefix((1,))) is True
         assert reader.may_contain_prefix(
-            codec.encode_prefix_columns((1, 2))) is True
+            codec.encode_key_prefix((1, 2))) is True
 
     def test_absent_prefix_mostly_false(self, disk):
-        from repro.core.encoding import RowCodec
-
         rows = make_rows()
         write_tablet(disk, rows)
         reader = TabletReader(disk, "t/tab-1.lt")
-        codec = RowCodec(make_schema())
+        codec = SchemaCodec(make_schema())
         hits = sum(
             bool(reader.may_contain_prefix(
-                codec.encode_prefix_columns((1000 + i,))))
+                codec.encode_key_prefix((1000 + i,))))
             for i in range(100)
         )
         assert hits < 10
@@ -204,7 +201,7 @@ class TestSeekAccounting:
         reader = TabletReader(disk, "t/tab-1.lt")
         reader.ensure_loaded()
         before = disk.stats.seeks
-        reader.read_block(0)
+        next(reader.scan(KeyRange.all()))
         assert disk.stats.seeks - before == 1
 
     def test_warm_footer_free(self, disk):

@@ -25,6 +25,7 @@ from repro.core import (
     Query,
     is_healthy,
 )
+from repro.core.tablet import TabletReader
 from repro.core.wal import is_wal_filename
 from repro.disk import CrashPoint, FaultyVFS, SimulatedDisk
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
@@ -351,6 +352,58 @@ class TestWalLifecycle:
         got_ts = {row[2] for row in recovered.query("t", Query()).rows}
         missing = [ts for ts in acked if ts not in got_ts]
         assert not missing, f"lost {len(missing)} acknowledged rows"
+
+
+class TestReplayOverFlushedRows:
+    """A crash finds flushed rows still covered by the log whenever
+    the active segment outlived their flush (a default-size segment
+    holds far more than one memtable).  Replay drops them as
+    duplicates through the uniqueness slow path, which must cost a
+    block read per *block*, not per row."""
+
+    ROWS, BATCH = 1200, 60
+
+    def crashed(self, **config):
+        """Crash with one memtable flushed on size and the next one,
+        logged to the same segment, still filling.  Returns the
+        reopened database, how many rows the tablet held and in how
+        many blocks."""
+        disk = SimulatedDisk()
+        db = LittleTable(disk=disk, clock=VirtualClock(start=BASE),
+                         config=crash_config(**config),
+                         durability=DurabilityPolicy(tier="wal"))
+        table = db.create_table("t", usage_schema())
+        for first in range(0, self.ROWS, self.BATCH):
+            table.insert([
+                {"network": 1, "device": index % 4, "ts": BASE + index,
+                 "bytes": index, "rate": 0.0}
+                for index in range(first, first + self.BATCH)])
+        db.maintenance()
+        flushed = sum(meta.row_count for meta in table.on_disk_tablets)
+        blocks = sum(TabletReader(disk, meta.filename).block_count
+                     for meta in table.on_disk_tablets)
+        assert 0 < flushed < self.ROWS and 1 < blocks < flushed // 8
+        return db.simulate_crash(), flushed, blocks
+
+    @pytest.mark.parametrize("config", [{}, {"read_cache_bytes": 0}],
+                             ids=["cached", "no-read-cache"])
+    def test_replay_applies_exactly_the_unflushed_tail(self, config):
+        recovered, flushed, _blocks = self.crashed(**config)
+        table = recovered.table("t")
+        report = table.last_wal_replay
+        assert report.issues == []
+        assert (report.rows_applied, report.rows_skipped) == \
+            (self.ROWS - flushed, flushed)
+        assert sorted(row[2] - BASE for row in table.query(Query()).rows) \
+            == list(range(self.ROWS))
+
+    def test_replay_reads_each_covering_block_at_most_once(self):
+        recovered, flushed, blocks = self.crashed()
+        counters = recovered.metrics.snapshot()["counters"]
+        # Every flushed row but the few above the tablet's largest key
+        # takes the slow path; the blocks they share are read once.
+        assert counters["insert.uniqueness.slow_path"] > flushed // 2
+        assert counters["tablet.blocks_read"] <= blocks
 
 
 class TestLegacyKnobFolding:

@@ -4,8 +4,8 @@ The guarantee under test is the tentpole's net-layer contract: a shed
 request is refused *before* any handler runs (zero partial writes),
 surfaces as the typed retryable ``OverloadedError`` with a
 ``retry_after`` hint, the client's retry loop honours both the hint
-and its one shared deadline, and the shard router's fan-out sheds
-around an overloaded worker instead of queueing behind it.
+and its one shared deadline, and a shard router refuses whole what
+it cannot run on every target shard.
 """
 
 import threading
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import (Column, ColumnType, LittleTable, OverloadedError,
                         Query, Schema, ShardDegradedError)
-from repro.disk import FaultyVFS
 from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
                        LittleTableClient)
 from repro.net.server import AdmissionController, RequestDispatcher
@@ -257,79 +256,23 @@ class TestEndToEndOverload:
 
 
 class TestShardOverloadCooldown:
+    """What a shard router refuses, and that it refuses it whole.
+
+    No engine raises ``OverloadedError`` - only the server front does,
+    before a request reaches the router - so the router keeps no
+    overload cooldown: it refuses for a shard that is *down*.
+    """
+
     def make_router(self, shards=3):
         return ShardRouter(shards=shards,
                            clock=VirtualClock(start=BASE))
 
-    def test_marked_shard_sheds_fanout_fast(self):
-        router = self.make_router()
-        router.create_table("t", make_schema())
-        router.insert("t", [{"k": k, "ts": BASE, "v": k}
-                            for k in range(12)])
-        router.mark_overloaded(1, retry_after_s=5.0)
-        started = time.monotonic()
-        with pytest.raises(OverloadedError) as info:
-            router.query("t", Query())  # fan-out hits every shard
-        elapsed = time.monotonic() - started
-        assert elapsed < 1.0, "fan-out queued behind the overload"
-        assert info.value.retry_after_s is not None
-        assert info.value.retry_after_s <= 5.0
-        snapshot = router.metrics.snapshot()
-        assert snapshot["counters"]["shard.cooldown_skips"] >= 1
-        router.close()
-
-    def test_cooldown_lapses_and_shard_serves_again(self):
-        router = self.make_router()
-        router.create_table("t", make_schema())
-        rows = [{"k": k, "ts": BASE, "v": k} for k in range(12)]
-        router.insert("t", rows)
-        router.overload_cooldown_s = 0.05
-        router.mark_overloaded(1)
-        with pytest.raises(OverloadedError):
-            router.query("t", Query())
-        time.sleep(0.1)  # cooldown is non-sticky: it heals by itself
-        assert len(router.query("t", Query()).rows) == len(rows)
-        router.close()
-
-    def test_worker_shed_marks_cooldown(self):
-        router = self.make_router()
-        router.create_table("t", make_schema())
-
-        calls = {"n": 0}
-        victim = router.engines[1]
-        original = victim.table
-
-        def overloaded_table(name):
-            calls["n"] += 1
-            raise OverloadedError("worker jammed", retry_after_s=2.0)
-
-        victim.table = overloaded_table
-        with pytest.raises(OverloadedError):
-            router.query("t", Query())
-        victim.table = original
-        assert calls["n"] == 1
-        # The cooldown now sheds without touching the worker at all.
-        calls["n"] = 0
-        with pytest.raises(OverloadedError):
-            router.query("t", Query())
-        assert calls["n"] == 0
-        router.close()
-
-    def test_degradation_outranks_overload_in_fanout_errors(self):
-        router = self.make_router()
-        router.create_table("t", make_schema())
-        router.mark_overloaded(1)
-        router._down[2] = "crashed"
-        with pytest.raises(ShardDegradedError):
-            router.query("t", Query())
-        router.close()
-
     @pytest.mark.parametrize("dicts", [True, False],
                              ids=["dict-rows", "positional-rows"])
     def test_shed_insert_applies_nothing_and_retries_whole(self, dicts):
-        """Zero partial writes on shed: a batch touching a cooling
+        """Zero partial writes on a refusal: a batch touching a downed
         shard is refused before any worker runs, so the resend after
-        the cooldown inserts every row (no DuplicateKeyError)."""
+        the revive inserts every row (no DuplicateKeyError)."""
         router = self.make_router()
         router.create_table("t", make_schema())
         if dicts:
@@ -338,34 +281,42 @@ class TestShardOverloadCooldown:
         else:
             rows = [(k, BASE, k) for k in range(12)]
             insert = router.table("t").insert_tuples
-        router.overload_cooldown_s = 0.05
-        router.mark_overloaded(1)
+        router._down[1] = "crashed"
 
         def rows_held():
             return [len(engine.table("t").query(Query()).rows)
                     for engine in router.engines]
 
-        with pytest.raises(OverloadedError):
+        with pytest.raises(ShardDegradedError):
             insert(rows)
         assert rows_held() == [0, 0, 0]
-        time.sleep(0.1)
+        router.revive_shard(1)
         assert insert(rows) == 12
         assert sum(rows_held()) == 12 and all(rows_held())
         router.close()
 
     def test_client_resends_a_shed_sharded_insert_exactly_once(self):
-        """The production shape: the client resends through a shed
-        because nothing was executed - true on a sharded server too."""
+        """The production shape: the front door sheds before the
+        router sees the request, so the client resends and every row
+        lands once - on a sharded server too."""
         router = self.make_router()
-        with AsyncLittleTableServer(router) as server:
+        with AsyncLittleTableServer(
+                router, max_inflight_requests=1,
+                admission_queue_timeout_s=0.02) as server:
             host, port = server.address
             client = LittleTableClient(host, port, config=ClientConfig(
-                max_retries=3, retry_backoff_s=0.01))
+                max_retries=10, retry_backoff_s=0.05))
             client.create_table("t", make_schema())
-            router.mark_overloaded(1, retry_after_s=0.05)
+            server.admission.admit()        # the one slot is taken...
+            release = threading.Timer(0.1, server.admission.release)
+            release.start()                 # ...for the first attempt
             rows = [{"k": k, "ts": BASE, "v": k} for k in range(12)]
             assert client.insert("t", rows) == 12
+            release.join(timeout=5)
             assert len(list(client.query("t"))) == 12
+            shed = router.metrics.snapshot()["counters"][
+                "server.admission.shed"]
+            assert shed >= 1
             client.close()
         router.close()
 
@@ -373,45 +324,23 @@ class TestShardOverloadCooldown:
         router = self.make_router()
         router.create_table("t", make_schema())
         rows = [(k, BASE, k) for k in range(12)]  # touches every shard
-        router.mark_overloaded(0, retry_after_s=0.5)
-        router.mark_overloaded(1, retry_after_s=5.0)
-        hints = []
-        for call in (lambda: router.query("t", Query()),
-                     lambda: router.table("t").insert_tuples(rows)):
-            with pytest.raises(OverloadedError) as info:
-                call()
-            hints.append(info.value.retry_after_s)
-        # The longest cooldown surfaces: one backoff clears them all.
-        assert all(4.0 < hint <= 5.0 for hint in hints), hints
+        calls = (lambda: router.query("t", Query()),
+                 lambda: router.table("t").insert_tuples(rows))
+        # Up front: a downed target refuses both before anything runs.
         router._down[2] = "crashed"
-        with pytest.raises(ShardDegradedError):
-            router.query("t", Query())
-        with pytest.raises(ShardDegradedError):
-            router.table("t").insert_tuples(rows)
-        router.close()
-
-    def test_overload_sheds_typed_once_a_crashed_shard_is_revived(self):
-        """Overload and a real injected crash combined: the crash
-        degrades its shard, outranks another shard's overload, and
-        after the revive the overload alone sheds fast and typed."""
-        router = ShardRouter(engines=[
-            LittleTable(disk=FaultyVFS(), clock=VirtualClock(start=BASE))
-            for _ in range(3)])
-        router.create_table("t", make_schema())
-        router.insert("t", [{"k": k, "ts": BASE, "v": k}
-                            for k in range(30)])
-        router.engines[2].disk.failpoints.set("disk.write", "crash")
-        with pytest.raises(ShardDegradedError):
-            router.flush_all()
-        router.mark_overloaded(1)
-        with pytest.raises(ShardDegradedError):
-            router.query("t", Query())
-        router.engines[2].disk.failpoints.clear()
+        for call in calls:
+            with pytest.raises(ShardDegradedError):
+                call()
         router.revive_shard(2)
-        router.mark_overloaded(1)
-        started = time.monotonic()
-        with pytest.raises(OverloadedError) as info:
-            router.query("t", Query())
-        assert time.monotonic() - started < 0.2
-        assert info.value.retry_after_s is not None
+        assert router.table("t").insert_tuples(rows) == 12
+        # Mid-flight: one worker answers (a duplicate key), another
+        # dies; the degradation surfaces, whichever shard came first.
+        def dead(name):
+            raise RuntimeError("worker died")
+
+        router.engines[2].table = dead
+        for call in calls:
+            router._down.clear()
+            with pytest.raises(ShardDegradedError):
+                call()
         router.close()

@@ -168,6 +168,32 @@ class TestQueryAccounting:
         assert snap["query.rows_scanned"] >= snap["query.rows_returned"]
 
 
+class TestBlockDecodeAccounting:
+    def test_slow_path_burst_decodes_every_block_it_reads(self, db, clock):
+        """Every tablet block read from disk is decoded once and
+        counted once, the uniqueness slow path's included."""
+        from ..conftest import usage_schema
+
+        table = db.create_table("usage", usage_schema())
+        ts = clock.now()
+        table.insert([row(d, ts + 10 * s) for s in range(40)
+                      for d in range(20)])
+        table.flush_all()
+        table.evict_reader_cache()      # cold cache, no merge running
+        before = counters(db)
+        # Late rows: older than the newest row, below the largest key.
+        table.insert([row(d, ts + 10 * s + 1) for s in range(0, 40, 4)
+                      for d in range(0, 18, 3)])
+        after = counters(db)
+
+        def advanced(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert advanced("insert.uniqueness.slow_path") == 60
+        assert advanced("tablet.blocks_read") > 1
+        assert advanced("block.decoded") == advanced("tablet.blocks_read")
+
+
 class TestSharedRegistry:
     def test_all_tables_and_disk_share_one_registry(self, db, clock):
         from ..conftest import event_schema, usage_schema

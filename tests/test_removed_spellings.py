@@ -6,7 +6,13 @@ selector for a code path that no longer exists (the v1 block writer,
 the v1 wire dialect, the read cache's footer side cache, the IO rate
 limiter and its SLO controller) or an option nothing read; none of
 them connects, opens or binds anything before failing.
+
+The names themselves stay out of ``src/``: a second path, a shim or an
+option nothing reads coming back fails here, in any tier-1 run.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +69,36 @@ from repro.net import AsyncLittleTableServer, ClientConfig, LittleTableClient
 def test_old_spelling_is_a_type_error(old_spelling):
     with pytest.raises(TypeError):
         old_spelling()
+
+
+SRC = Path(__file__).parent.parent / "src"
+
+
+@pytest.mark.parametrize("pattern, exempt", [
+    pytest.param(
+        r"DeprecationWarning|legacy_kwargs|block_format_version|--legacy",
+        (), id="second-path-or-shim"),
+    pytest.param(r"\._fault_listener = ", ("table.py",),
+                 id="second-table-wiring"),
+    pytest.param(
+        "negotiate|server_version|FEATURE_|_ParsedFooter|put_footer"
+        "|_tablet_uids", (), id="wire-dialect-or-footer-cache"),
+    pytest.param(
+        "io_limiter|IORateLimiter|SLOController|slo_p99_ms"
+        "|slo_recover_fraction|io_rate_limit_bytes_s|group_commit_ms"
+        "|follow_addr", (), id="io-limiter-or-slo-controller"),
+    pytest.param(
+        "decode_range|_decode_restart_value|_read_block_uncached"
+        "|mark_overloaded|overload_cooldown_s|cooldown_skips"
+        "|overload_sheds|encode_prefix_columns", (),
+        id="partial-decoder-or-shard-cooldown"),
+])
+def test_removed_name_stays_out_of_src(pattern, exempt):
+    removed = re.compile(pattern)
+    found = [f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+             for path in sorted(SRC.rglob("*.py"))
+             if path.name not in exempt
+             for number, line in enumerate(
+                 path.read_text().splitlines(), 1)
+             if removed.search(line)]
+    assert not found, "\n".join(found)

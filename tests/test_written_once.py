@@ -8,7 +8,10 @@ called by ``LittleTable.open_table``).  ``snapshot.py`` and
 ``recovery.py`` assign to descriptors of their own and are out of
 scope.  Across all of ``src/``: a tablet file's trailer is told apart
 (v2.1 or legacy) in one function, a ``query`` request is built in
-one, and the shard router hands work to its pool at one site.
+one, and the shard router hands work to its pool at one site.  In
+``tablet.py`` a block becomes rows in one function
+(``decode_payload``) and enters the read cache in one
+(``_scan_block``).
 """
 
 import ast
@@ -65,11 +68,12 @@ def test_only_the_constructor_wires_a_table():
                     f"{path}:{node.lineno}"
 
 
-def functions_where(predicate):
-    """``file:function`` of every function in ``src/`` (enclosing
-    ones included) with a node that satisfies ``predicate``."""
+def functions_where(predicate, paths=None):
+    """``file:function`` of every function in ``src/`` - or in
+    ``paths`` - (enclosing ones included) with a node that satisfies
+    ``predicate``."""
     found = set()
-    for path in sorted(CORE.parent.rglob("*.py")):
+    for path in paths or sorted(CORE.parent.rglob("*.py")):
         for function in ast.walk(ast.parse(path.read_text())):
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and any(predicate(n) for n in ast.walk(function)):
@@ -95,9 +99,30 @@ def test_one_function_builds_a_query_request():
 
 def test_one_site_submits_to_the_shard_pool():
     """Fan-outs and multi-shard inserts share one scatter
-    (``ShardRouter._scatter``), so the up-front down/cooldown refusal
-    and the error ranking cannot drift apart again."""
+    (``ShardRouter._scatter``), so the up-front refusal for a downed
+    shard and the error ranking cannot drift apart again."""
     shard = ast.parse((CORE.parent / "net" / "shard.py").read_text())
     assert sum(isinstance(n, ast.Call)
                and is_attr(n.func, "submit", of="_pool")
                for n in ast.walk(shard)) == 1
+
+
+def test_one_way_from_a_block_to_its_rows():
+    """One function tells a v1 block from a v2 one, one admits a
+    decoded block to the read cache, and a block body is decompressed
+    where it is decoded: the row decode, the cold columnar decode, and
+    the footer (its own parser)."""
+    def in_tablet(predicate):
+        return functions_where(predicate, [CORE / "tablet.py"])
+
+    def calls(name):
+        return lambda n: isinstance(n, ast.Call) and (
+            is_attr(n.func, name)
+            or isinstance(n.func, ast.Name) and n.func.id == name)
+
+    assert in_tablet(lambda n: is_attr(n, "block_format") and isinstance(
+        n.ctx, ast.Load)) == {"tablet.py:decode_payload"}
+    assert in_tablet(calls("put_block")) == {"tablet.py:_scan_block"}
+    assert in_tablet(calls("decompress")) == {
+        "tablet.py:decode_payload", "tablet.py:scan_block_columns",
+        "tablet.py:_parse_footer"}
