@@ -52,7 +52,7 @@ def decompress(codec: int, data: bytes) -> bytes:
 class BlockBuilder:
     """Accumulates encoded rows until the block-size target is reached.
 
-    The v1 (row-major) block writer.  The engine writes v2 blocks only
+    The v1 (row-major) block writer.  The engine writes v3 blocks only
     and imports this nowhere; it stays as the reference the v1 reader
     tests and the codec throughput gate build their inputs with.
 

@@ -1,114 +1,86 @@
-"""Schema-compiled batch codecs and block format v2.
+"""Per-schema row functions and the block codecs (format v3; v2 read-only).
 
-The v1 row format (``encoding.py``) encodes one field at a time through
-``encode_value``/``decode_value`` dispatch: every row pays one Python
-call per column plus a type test per value.  Profiles of insert, flush,
-merge, and scan are dominated by that interpreter overhead, not by the
-bytes themselves.  This module removes it the way real LSM engines do
-(Real-Time LSM-Trees; RocksDB's BlockBuilder): each :class:`Schema` is
-*compiled once* into specialized batch encoders and decoders - plain
-generated Python functions with the per-column work inlined - and rows
-move through the engine in whole-block batches.
+Two things live here.  Each :class:`Schema` is *compiled once* into
+plain generated Python functions for the per-row work the insert path
+cannot avoid - ``validate_and_size``, ``size_of``, ``key_of`` - with
+the per-column tests inlined.  And rows move between memory and disk
+in whole-block batches through the block codec below, which is not
+generated at all: every column of a block is handed to one C call.
 
-Block format v2 (one block = one column-major batch)::
+Block format v3 (one block = one column-major batch; tablet blocks and
+``KIND_BLOCK`` WAL bodies alike), all integers little-endian::
 
-    [0x02]                      format byte (redundant with the footer)
-    [uvarint n]                 row count
-    [uvarint K]                 restart interval
-    [uvarint R]                 number of restarts = ceil(n / K)
+    [u8 0x03]                   format byte (redundant with the footer)
+    [u32 n]                     row count, n >= 1
     then one segment per column, in schema order:
-      [uvarint seg_len][segment bytes]
 
-Segment bodies by column type:
+    INT32 / INT64   [i64 lo][u8 w][w planes of n bytes]
+    TIMESTAMP       [u64 first value][i64 lo][u8 w][w planes of n-1 bytes]
+    DOUBLE          [8 planes of n bytes]
+    STRING          [i64 lo][u8 w][w planes of n bytes][u32 len][UTF-8 body]
+    BLOB            [i64 lo][u8 w][w planes of n bytes][u32 len][body]
 
-* ``DOUBLE``: one ``struct`` pack of all n values (``<nd``), no
-  restart table (offsets are computable).
-* every other type: ``[uvarint offs_len][R uvarint restart offsets]``
-  (byte offsets of each restart row, relative to the data that
-  follows) then the data:
+An integer column is stored *frame of reference*: ``lo`` is subtracted
+from every value (``lo`` is the column's minimum, or 0 when that costs
+no extra plane) and the offsets are packed as ``u64``s.  The packed
+array is then *byte-plane transposed* - plane ``i`` holds byte ``i`` of
+every value (``raw[i::8]``) - and the all-zero high planes are dropped:
+``w = ceil(bit_length(max - lo) / 8)``, anything from 0 (a constant
+column) to 8, from one array typecode.  Planes are what zlib wants (the
+high bytes of neighbouring values are runs of equal bytes) and what
+keeps the *raw* size at or below v2's varints; raw size is paid twice,
+by the uncompressed WAL body and by the read cache's byte charge.  A
+timestamp column stores its first value and the same encoding over the
+n-1 successive differences, so decoding is one ``accumulate``; doubles
+are ``array('d')`` through the same transposition, all 8 planes kept;
+strings and blobs are a length column (characters for strings, so the
+body is decoded once and sliced) plus one joined body.
 
-  - ``TIMESTAMP``: the restart row's value as a full uvarint, then
-    zigzag svarint deltas within the restart run;
-  - ``INT32``/``INT64``: plain zigzag svarints (fused run, no
-    per-value dispatch);
-  - key ``STRING`` columns: prefix compression against the previous
-    value - ``[uvarint shared][uvarint unshared][bytes]`` with
-    ``shared = 0`` at every restart row;
-  - non-key ``STRING`` and ``BLOB``: ``[uvarint len][bytes]``.
+Nothing in encode or decode runs per value in Python beyond the one
+subtract/add comprehension of a frame of reference: ``zip(*rows)``,
+``min``/``max``, ``array.tobytes``/``frombytes``, strided ``bytes``
+slices and ``itertools.accumulate`` do the work.  Every segment says
+how long it is, so :meth:`SchemaCodec.decode_key_columns` skips to the
+key columns in O(columns).
 
-Restart rows always carry complete values: a timestamp delta or a
-shared key prefix never reaches back past one, and the restart offsets
-say where each one starts.  Every decoder reads whole columns - the
-compiled ones all of them, skipping the offset tables,
-:meth:`SchemaCodec.decode_key_columns` the key columns alone, checking
-them - because a row reader wants the whole block
-(``TabletReader._scan_block`` keeps the decode cached).
-
-v1 blocks carry no version byte; the tablet footer's trailing
-``block_format`` field (absent in old footers, so absence means v1)
-tells the reader which decoder to use.  Merges rewrite v1 blocks into
-v2, upgrading old tablets in place over time.
+Older bodies are read-only.  v2 (format byte ``0x02``: varint columns
+with restart points) keeps one interpreted decoder here; the decoders
+dispatch on the body's first byte.  v1 blocks are row-major, carry no
+format byte and are told apart by the tablet footer's ``block_format``
+(absent in the oldest footers, so absence means v1); ``core/block.py``
+decodes them.  Merges rewrite v1 and v2 blocks as v3, upgrading old
+tablets in place over time.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 import time
 import weakref
-from typing import Any, List, Sequence, Tuple
+from array import array
+from itertools import accumulate, chain
+from operator import sub
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import NULL_REGISTRY
 from ..util.varint import decode_uvarint, encode_uvarint
 from .errors import CorruptTabletError, ValidationError
-from .schema import ColumnType, Schema, check_value
+from .schema import TIMESTAMP_MAX, ColumnType, Schema, check_value
 
 BLOCK_FORMAT_V1 = 1
 BLOCK_FORMAT_V2 = 2
-
-#: Restart interval: one complete (non-delta, non-prefix-compressed)
-#: row every K rows.
-RESTART_INTERVAL = 16
+BLOCK_FORMAT_V3 = 3
 
 _INT_TYPES = (ColumnType.INT32, ColumnType.INT64)
 
 
 # --------------------------------------------------------------------------
-# code generation helpers
+# per-row functions, generated
 #
 # The generators below build the source of one specialized function per
-# schema and ``exec`` it once.  Inlined loops beat per-value dispatch by
-# 3-5x in CPython: no call frames, no enum identity tests, and varint
-# emission appends straight into a shared bytearray.
-
-
-def _emit_uvarint(var: str, out: str, indent: str) -> str:
-    """Source lines appending ``var`` (consumed) as a uvarint to ``out``."""
-    return (
-        f"{indent}while {var} > 127:\n"
-        f"{indent}    {out}({var} & 127 | 128)\n"
-        f"{indent}    {var} >>= 7\n"
-        f"{indent}{out}({var})\n"
-    )
-
-
-def _emit_read_uvarint(var: str, indent: str) -> str:
-    """Source lines decoding a uvarint from ``buf`` at ``_p`` into ``var``."""
-    return (
-        f"{indent}{var} = buf[_p]; _p += 1\n"
-        f"{indent}if {var} > 127:\n"
-        f"{indent}    {var} &= 127\n"
-        f"{indent}    _sh2 = 7\n"
-        f"{indent}    while True:\n"
-        f"{indent}        _byt = buf[_p]; _p += 1\n"
-        f"{indent}        if _byt > 127:\n"
-        f"{indent}            {var} |= (_byt & 127) << _sh2\n"
-        f"{indent}            _sh2 += 7\n"
-        f"{indent}            if _sh2 > 70:\n"
-        f"{indent}                raise _corrupt('uvarint too long')\n"
-        f"{indent}        else:\n"
-        f"{indent}            {var} |= _byt << _sh2\n"
-        f"{indent}            break\n"
-    )
+# schema and ``exec`` it once.  Inlined tests beat per-value dispatch by
+# 3-5x in CPython: no call frames, no enum identity tests.
 
 
 def _gen_validate_and_size(schema: Schema) -> str:
@@ -139,8 +111,8 @@ def _gen_validate_and_size(schema: Schema) -> str:
             lines += [
                 f"    if type({v}) is not int:",
                 f"        {v} = _cv(_t{i}, {v})",
-                f"    elif {v} < 0:",
-                f"        raise _VE('timestamps must be non-negative: %d'"
+                f"    elif {v} < 0 or {v} > {TIMESTAMP_MAX}:",
+                f"        raise _VE('timestamps must be in [0, 2**63): %d'"
                 f" % ({v},))",
                 f"    _s += 1 if {v} < 128 else"
                 f" ({v}.bit_length() + 6) // 7",
@@ -217,257 +189,8 @@ def _gen_key_of(schema: Schema) -> str:
     return f"def key_of(row):\n    return ({parts}{tail})"
 
 
-def _varwidth_segment_tail(indent: str = "    ") -> str:
-    """Shared assembly: append [seg_len][offs_len][offs][data] to parts."""
-    return (
-        f"{indent}_ob = bytes(_offs)\n"
-        f"{indent}_sb = bytes(_seg)\n"
-        f"{indent}_h = _euv(len(_ob))\n"
-        f"{indent}_pa(_euv(len(_h) + len(_ob) + len(_sb)))\n"
-        f"{indent}_pa(_h)\n"
-        f"{indent}_pa(_ob)\n"
-        f"{indent}_pa(_sb)\n"
-    )
-
-
-def _gen_encode_rows_v2(schema: Schema, K: int) -> str:
-    ncols = len(schema.columns)
-    cols = ", ".join(f"_c{i}" for i in range(ncols))
-    tail = "," if ncols == 1 else ""
-    key_set = set(schema.key_indexes)
-    src = [
-        "def encode_rows(rows):",
-        "    n = len(rows)",
-        "    if n == 0:",
-        "        raise ValueError('cannot encode an empty block')",
-        f"    ({cols}{tail}) = zip(*rows)",
-        f"    _parts = [b'\\x02', _euv(n), _KB, _euv((n + {K - 1}) // {K})]",
-        "    _pa = _parts.append",
-    ]
-    open_chunk = (
-        "    _seg = bytearray()\n"
-        "    _sa = _seg.append\n"
-        "    _offs = bytearray()\n"
-        "    _oa = _offs.append\n"
-        "    _i = 0\n"
-        "    while _i < n:\n"
-        "        _x = len(_seg)\n"
-        + _emit_uvarint("_x", "_oa", "        ")
-    )
-    for i, column in enumerate(schema.columns):
-        t = column.type
-        c = f"_c{i}"
-        if t is ColumnType.DOUBLE:
-            src.append("    _pa(_euv(8 * n))")
-            src.append(f"    _pa(_pack('<%dd' % n, *{c}))")
-            continue
-        body = open_chunk
-        if t in _INT_TYPES:
-            body += (
-                f"        for _v in {c}[_i:_i + {K}]:\n"
-                "            _z = (_v << 1) ^ (_v >> 63)\n"
-                + _emit_uvarint("_z", "_sa", "            ")
-            )
-        elif t is ColumnType.TIMESTAMP:
-            body += (
-                f"        _chunk = {c}[_i:_i + {K}]\n"
-                "        _prev = _chunk[0]\n"
-                "        _x = _prev\n"
-                + _emit_uvarint("_x", "_sa", "        ")
-                + "        for _v in _chunk[1:]:\n"
-                "            _d = _v - _prev\n"
-                "            _prev = _v\n"
-                "            _z = (_d << 1) ^ (_d >> 63)\n"
-                + _emit_uvarint("_z", "_sa", "            ")
-            )
-        elif t is ColumnType.STRING and i in key_set:
-            body += (
-                "        _pb = b''\n"
-                f"        for _v in {c}[_i:_i + {K}]:\n"
-                "            _b = _v.encode('utf-8')\n"
-                "            if _b == _pb:\n"
-                "                _sh = len(_b)\n"
-                "            else:\n"
-                "                _m = len(_b)\n"
-                "                if len(_pb) < _m:\n"
-                "                    _m = len(_pb)\n"
-                "                _sh = 0\n"
-                "                while _sh < _m and _b[_sh] == _pb[_sh]:\n"
-                "                    _sh += 1\n"
-                "            _u = len(_b) - _sh\n"
-                "            _x = _sh\n"
-                + _emit_uvarint("_x", "_sa", "            ")
-                + "            _x = _u\n"
-                + _emit_uvarint("_x", "_sa", "            ")
-                + "            if _u:\n"
-                "                _seg += _b[_sh:]\n"
-                "            _pb = _b\n"
-            )
-        elif t is ColumnType.STRING:
-            body += (
-                f"        for _v in {c}[_i:_i + {K}]:\n"
-                "            _b = _v.encode('utf-8')\n"
-                "            _x = len(_b)\n"
-                + _emit_uvarint("_x", "_sa", "            ")
-                + "            _seg += _b\n"
-            )
-        else:  # BLOB
-            body += (
-                f"        for _v in {c}[_i:_i + {K}]:\n"
-                "            _x = len(_v)\n"
-                + _emit_uvarint("_x", "_sa", "            ")
-                + "            _seg += _v\n"
-            )
-        body += f"        _i += {K}\n"
-        body += _varwidth_segment_tail()
-        src.append(body.rstrip("\n"))
-    src.append("    return b''.join(_parts)")
-    return "\n".join(src)
-
-
-def _gen_decode_block_v2(schema: Schema, columns: bool = False) -> str:
-    ncols = len(schema.columns)
-    key_set = set(schema.key_indexes)
-    name = "decode_block_columns" if columns else "decode_block"
-    src = [
-        f"def {name}(buf):",
-        "    try:",
-        "        if buf[0] != 2:",
-        "            raise _corrupt('bad v2 block format byte %d'"
-        " % (buf[0],))",
-        "        _p = 1",
-        _emit_read_uvarint("n", "        ").rstrip("\n"),
-        _emit_read_uvarint("_k", "        ").rstrip("\n"),
-        _emit_read_uvarint("_r", "        ").rstrip("\n"),
-        "        if _k <= 0 or _r != (n + _k - 1) // _k:",
-        "            raise _corrupt('bad v2 block restart table')",
-    ]
-    var_hdr = (
-        _emit_read_uvarint("_sl", "        ")
-        + "        _end = _p + _sl\n"
-        "        if _end > len(buf):\n"
-        "            raise _corrupt('truncated column segment')\n"
-        + _emit_read_uvarint("_ol", "        ")
-        + "        _p += _ol\n"
-    )
-    for i, column in enumerate(schema.columns):
-        t = column.type
-        c = f"_c{i}"
-        if t is ColumnType.DOUBLE:
-            src.append(
-                _emit_read_uvarint("_sl", "        ")
-                + "        _end = _p + _sl\n"
-                "        if _sl != 8 * n or _end > len(buf):\n"
-                "            raise _corrupt('bad double column segment')\n"
-                + f"        {c} = _unpack('<%dd' % n, buf[_p:_end])\n"
-                "        _p = _end"
-            )
-            continue
-        body = var_hdr + f"        {c} = []\n        _ap = {c}.append\n"
-        if t in _INT_TYPES:
-            body += (
-                "        for _j in range(n):\n"
-                + _emit_read_uvarint("_z", "            ")
-                + "            _ap((_z >> 1) ^ -(_z & 1))\n"
-            )
-        elif t is ColumnType.TIMESTAMP:
-            body += (
-                "        _i2 = 0\n"
-                "        while _i2 < n:\n"
-                + _emit_read_uvarint("_v", "            ")
-                + "            _ap(_v)\n"
-                "            _lim = _i2 + _k\n"
-                "            if _lim > n:\n"
-                "                _lim = n\n"
-                "            _j = _i2 + 1\n"
-                "            while _j < _lim:\n"
-                + _emit_read_uvarint("_z", "                ")
-                + "                _v += (_z >> 1) ^ -(_z & 1)\n"
-                "                _ap(_v)\n"
-                "                _j += 1\n"
-                "            _i2 = _lim\n"
-            )
-        elif t is ColumnType.STRING and i in key_set:
-            body += (
-                "        _i2 = 0\n"
-                "        while _i2 < n:\n"
-                "            _pb = b''\n"
-                "            _ps = ''\n"
-                "            _lim = _i2 + _k\n"
-                "            if _lim > n:\n"
-                "                _lim = n\n"
-                "            _j = _i2\n"
-                "            while _j < _lim:\n"
-                + _emit_read_uvarint("_sh", "                ")
-                + _emit_read_uvarint("_u", "                ")
-                + "                if _u == 0 and _sh == len(_pb):\n"
-                "                    _ap(_ps)\n"
-                "                else:\n"
-                "                    if _sh > len(_pb):\n"
-                "                        raise _corrupt('bad shared"
-                " prefix length')\n"
-                "                    _e2 = _p + _u\n"
-                "                    if _e2 > _end:\n"
-                "                        raise _corrupt('truncated"
-                " string value')\n"
-                "                    _pb = _pb[:_sh] + buf[_p:_e2]\n"
-                "                    _p = _e2\n"
-                "                    _ps = _pb.decode('utf-8')\n"
-                "                    _ap(_ps)\n"
-                "                _j += 1\n"
-                "            _i2 = _lim\n"
-            )
-        elif t is ColumnType.STRING:
-            body += (
-                "        for _j in range(n):\n"
-                + _emit_read_uvarint("_l", "            ")
-                + "            _e2 = _p + _l\n"
-                "            if _e2 > _end:\n"
-                "                raise _corrupt('truncated string value')\n"
-                "            _ap(buf[_p:_e2].decode('utf-8'))\n"
-                "            _p = _e2\n"
-            )
-        else:  # BLOB
-            body += (
-                "        for _j in range(n):\n"
-                + _emit_read_uvarint("_l", "            ")
-                + "            _e2 = _p + _l\n"
-                "            if _e2 > _end:\n"
-                "                raise _corrupt('truncated blob value')\n"
-                "            _ap(buf[_p:_e2])\n"
-                "            _p = _e2\n"
-            )
-        body += (
-            "        if _p != _end:\n"
-            "            raise _corrupt('column segment length mismatch')"
-        )
-        src.append(body)
-    cols = ", ".join(f"_c{i}" for i in range(ncols))
-    keys = ", ".join(f"_c{i}" for i in schema.key_indexes)
-    src += [
-        "        if _p != len(buf):",
-        "            raise _corrupt('trailing bytes after last column')",
-    ]
-    if columns:
-        # The vectorized read path wants the column segments themselves:
-        # no per-row tuple materialization, just the decoded value lists
-        # in schema column order.
-        src.append(f"        return [{cols}]")
-    else:
-        src += [
-            f"        _rows = list(zip({cols}))",
-            f"        _keys = list(zip({keys}))",
-            "        return _rows, _keys",
-        ]
-    src += [
-        "    except (IndexError, _StructError, UnicodeDecodeError) as _exc:",
-        "        raise _corrupt('corrupt v2 block: %s' % (_exc,))",
-    ]
-    return "\n".join(src)
-
-
 class _CompiledOps:
-    """The per-schema compiled function bundle (no metrics, no state).
+    """The per-schema function bundle (no metrics, no state).
 
     One instance per schema *value*, memoized on every :class:`Schema`
     object of that value, so writers/readers/memtables constructed per
@@ -476,20 +199,14 @@ class _CompiledOps:
     """
 
     __slots__ = ("schema", "validate_and_size", "size_of", "key_of",
-                 "encode_rows", "decode_block",
-                 "decode_block_columns", "__weakref__")
+                 "_types", "__weakref__")
 
     def __init__(self, schema: Schema):
         self.schema = schema
+        self._types = tuple(column.type for column in schema.columns)
         namespace = {
             "_cv": check_value,
             "_VE": ValidationError,
-            "_corrupt": CorruptTabletError,
-            "_euv": encode_uvarint,
-            "_pack": struct.pack,
-            "_unpack": struct.unpack,
-            "_StructError": struct.error,
-            "_KB": encode_uvarint(RESTART_INTERVAL),
         }
         for i, column in enumerate(schema.columns):
             namespace[f"_t{i}"] = column.type
@@ -497,17 +214,38 @@ class _CompiledOps:
             _gen_validate_and_size(schema),
             _gen_size_of(schema),
             _gen_key_of(schema),
-            _gen_encode_rows_v2(schema, RESTART_INTERVAL),
-            _gen_decode_block_v2(schema),
-            _gen_decode_block_v2(schema, columns=True),
         ])
         exec(compile(source, f"<codec:{schema!r}>", "exec"), namespace)
         self.validate_and_size = namespace["validate_and_size"]
         self.size_of = namespace["size_of"]
         self.key_of = namespace["key_of"]
-        self.encode_rows = namespace["encode_rows"]
-        self.decode_block = namespace["decode_block"]
-        self.decode_block_columns = namespace["decode_block_columns"]
+
+    def encode_rows(self, rows: Sequence[Tuple[Any, ...]]) -> bytes:
+        """Encode a row batch (validated rows, any order) into one v3
+        block body."""
+        return _encode_v3(self._types, rows)
+
+    def decode_block_columns(self, buf: bytes,
+                             indexes: Optional[Sequence[int]] = None
+                             ) -> List[List[Any]]:
+        """Decode a v3 or v2 block body into per-column value lists:
+        every column in schema order, or just ``indexes``.  Anything
+        wrong with the bytes is a :class:`CorruptTabletError`."""
+        try:
+            if buf[0] == BLOCK_FORMAT_V3:
+                return _decode_v3(self._types, buf, indexes)
+            if buf[0] == BLOCK_FORMAT_V2:
+                return _decode_v2(self.schema, buf, indexes)
+            raise CorruptTabletError(f"bad block format byte {buf[0]}")
+        except (IndexError, ValueError, struct.error) as exc:
+            raise CorruptTabletError(f"corrupt block: {exc}") from exc
+
+    def decode_block(self, buf: bytes) -> Tuple[List[Tuple[Any, ...]],
+                                                List[Tuple[Any, ...]]]:
+        """Decode a v3 or v2 block body into ``(rows, keys)``."""
+        columns = self.decode_block_columns(buf)
+        return (list(zip(*columns)),
+                list(zip(*[columns[i] for i in self.schema.key_indexes])))
 
 
 #: Bundles by schema value.  Weak: an entry lasts as long as some
@@ -531,12 +269,161 @@ def compiled_ops(schema: Schema) -> _CompiledOps:
 
 
 # --------------------------------------------------------------------------
-# generic (interpreted) v2 reader: the key columns alone
+# block format v3: frame-of-reference byte planes, one C call per column
+
+_HEAD = struct.Struct("<BI")       # format byte, row count
+_INT_HEAD = struct.Struct("<qB")   # frame of reference, planes kept
+_U64 = struct.Struct("<Q")
+_U32 = struct.Struct("<I")
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _append_planes(packed: array, width: int, parts: List[bytes]) -> None:
+    """Append the ``width`` low byte planes of an 8-byte-item array."""
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    raw = packed.tobytes()
+    for plane in range(width):
+        parts.append(raw[plane::8])
+
+
+def _append_ints(values: Sequence[int], parts: List[bytes]) -> None:
+    """Append one integer column: ``[i64 lo][u8 w][w planes]``."""
+    if not values:      # the differences of a one-row timestamp column
+        parts.append(_INT_HEAD.pack(0, 0))
+        return
+    lo = min(values)
+    hi = max(values)
+    width = ((hi - lo).bit_length() + 7) >> 3
+    if lo > 0 and (hi.bit_length() + 7) >> 3 == width:
+        lo = 0          # same planes without the subtract (or the add)
+    parts.append(_INT_HEAD.pack(lo, width))
+    if width:
+        if lo:
+            values = [value - lo for value in values]
+        _append_planes(array("Q", values), width, parts)
+
+
+def _encode_v3(types: Sequence[ColumnType],
+               rows: Sequence[Tuple[Any, ...]]) -> bytes:
+    if not rows:
+        raise ValueError("cannot encode an empty block")
+    parts = [_HEAD.pack(BLOCK_FORMAT_V3, len(rows))]
+    for t, column in zip(types, zip(*rows)):
+        if t is ColumnType.TIMESTAMP:
+            parts.append(_U64.pack(column[0]))
+            _append_ints(list(map(sub, column[1:], column)), parts)
+        elif t is ColumnType.DOUBLE:
+            _append_planes(array("d", column), 8, parts)
+        elif t is ColumnType.STRING:
+            _append_ints(list(map(len, column)), parts)
+            body = "".join(column).encode("utf-8")
+            parts.append(_U32.pack(len(body)))
+            parts.append(body)
+        elif t is ColumnType.BLOB:
+            lengths = list(map(len, column))
+            _append_ints(lengths, parts)
+            parts.append(_U32.pack(sum(lengths)))
+            parts.extend(column)
+        else:
+            _append_ints(column, parts)
+    return b"".join(parts)
+
+
+def _from_planes(typecode: str, view: memoryview, start: int, count: int,
+                 width: int) -> array:
+    """``count`` 8-byte items from their ``width`` low byte planes."""
+    raw = bytearray(8 * count)
+    for plane in range(width):
+        raw[plane::8] = view[start:start + count]
+        start += count
+    items = array(typecode)
+    items.frombytes(raw)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items
+
+
+def _decode_v3(types: Sequence[ColumnType], buf: bytes,
+               indexes: Optional[Sequence[int]]) -> List[List[Any]]:
+    """Walk the segments checking every bound, then build the wanted
+    columns: a damaged row count must fail a bound, not size a list."""
+    view = memoryview(buf)
+    _format, n = _HEAD.unpack_from(view, 0)
+    if n == 0:
+        raise CorruptTabletError("v3 block with no rows")
+    p = _HEAD.size
+    segments = []
+    for t in types:
+        if t is ColumnType.DOUBLE:
+            segments.append((p, 0, 8, n, 0, 0))
+            p += 8 * n
+        else:
+            first, count = 0, n
+            if t is ColumnType.TIMESTAMP:
+                (first,) = _U64.unpack_from(view, p)
+                p += _U64.size
+                count = n - 1
+            lo, width = _INT_HEAD.unpack_from(view, p)
+            if width > 8:
+                raise CorruptTabletError(f"plane count {width} > 8")
+            p += _INT_HEAD.size
+            planes = p
+            p += width * count
+            if t is ColumnType.STRING or t is ColumnType.BLOB:
+                if lo < 0:
+                    raise CorruptTabletError("negative value length")
+                (body_len,) = _U32.unpack_from(view, p)
+                p += _U32.size + body_len
+            segments.append((planes, lo, width, count, first, p))
+        if p > len(view):
+            raise CorruptTabletError("truncated column segment")
+    if p != len(view):
+        raise CorruptTabletError("trailing bytes after last column")
+    columns = []
+    for index in range(len(types)) if indexes is None else indexes:
+        t = types[index]
+        planes, lo, width, count, first, end = segments[index]
+        if t is ColumnType.DOUBLE:
+            values = _from_planes("d", view, planes, n, 8).tolist()
+        elif not width:
+            values = [lo] * count
+        elif lo:
+            values = [offset + lo for offset in
+                      _from_planes("Q", view, planes, count, width)]
+        else:
+            values = _from_planes("Q", view, planes, count, width).tolist()
+        if t is ColumnType.TIMESTAMP:
+            values = list(accumulate(values, initial=first))
+        elif t is ColumnType.STRING or t is ColumnType.BLOB:
+            body_start = planes + width * count + _U32.size
+            body = (str(view[body_start:end], "utf-8")
+                    if t is ColumnType.STRING
+                    else bytes(view[body_start:end]))
+            ends = list(accumulate(values))
+            if ends[-1] != len(body):
+                raise CorruptTabletError(
+                    "value lengths do not sum to the body")
+            values = [body[a:b] for a, b in zip(chain((0,), ends), ends)]
+        columns.append(values)
+    return columns
+
+
+# --------------------------------------------------------------------------
+# block format v2, read-only: varint columns with restart points
 #
-# ``decode_key_columns`` feeds Bloom filters for blocks a merge passes
-# through undecoded; it reads a few columns of a block, so it stays
-# generic: one layout parser and per-type column decoders instead of
-# per-schema generated code.
+#     [0x02][uvarint n][uvarint K][uvarint R = ceil(n / K)]
+#     then per column, in schema order: [uvarint seg_len][segment]
+#
+# A ``DOUBLE`` segment is one ``<nd`` pack.  Every other segment is
+# ``[uvarint offs_len][R uvarint restart offsets]`` then the data:
+# zigzag svarints (``INT32``/``INT64``); the restart row's value as a
+# uvarint then zigzag deltas within the run (``TIMESTAMP``);
+# ``[uvarint shared][uvarint unshared][bytes]`` against the previous
+# value, ``shared = 0`` at every restart row (key ``STRING``);
+# ``[uvarint len][bytes]`` (other ``STRING``, ``BLOB``).  Nothing writes
+# this any more; what follows is its one decoder, interpreted and a
+# byte at a time, which is why a merge upgrades what it touches.
 
 
 class _V2Layout:
@@ -553,28 +440,22 @@ class _V2Layout:
 
 
 def _parse_v2_layout(buf: bytes, schema: Schema) -> _V2Layout:
-    try:
-        if buf[0] != BLOCK_FORMAT_V2:
-            raise CorruptTabletError(
-                f"bad v2 block format byte {buf[0]}")
-        n, p = decode_uvarint(buf, 1)
-        k, p = decode_uvarint(buf, p)
-        r, p = decode_uvarint(buf, p)
-        if k <= 0 or r != (n + k - 1) // k:
-            raise CorruptTabletError("bad v2 block restart table")
-        segs: List[Tuple[int, int]] = []
-        for _column in schema.columns:
-            seg_len, p = decode_uvarint(buf, p)
-            end = p + seg_len
-            if end > len(buf):
-                raise CorruptTabletError("truncated column segment")
-            segs.append((p, end))
-            p = end
-        if p != len(buf):
-            raise CorruptTabletError("trailing bytes after last column")
-        return _V2Layout(n, k, r, segs)
-    except (IndexError, ValueError) as exc:
-        raise CorruptTabletError(f"corrupt v2 block: {exc}") from exc
+    n, p = decode_uvarint(buf, 1)
+    k, p = decode_uvarint(buf, p)
+    r, p = decode_uvarint(buf, p)
+    if k <= 0 or r != (n + k - 1) // k:
+        raise CorruptTabletError("bad v2 block restart table")
+    segs: List[Tuple[int, int]] = []
+    for _column in schema.columns:
+        seg_len, p = decode_uvarint(buf, p)
+        end = p + seg_len
+        if end > len(buf):
+            raise CorruptTabletError("truncated column segment")
+        segs.append((p, end))
+        p = end
+    if p != len(buf):
+        raise CorruptTabletError("trailing bytes after last column")
+    return _V2Layout(n, k, r, segs)
 
 
 def _segment_offsets(buf: bytes, seg: Tuple[int, int],
@@ -604,68 +485,72 @@ def _decode_column(buf: bytes, schema: Schema, index: int,
     out: List[Any] = []
     if n <= 0:
         return out
-    try:
-        if t is ColumnType.DOUBLE:
-            end = seg[0] + 8 * n
-            if end > seg[1]:
-                raise CorruptTabletError("bad double column segment")
-            return list(struct.unpack(f"<{n}d", buf[seg[0]:end]))
-        offsets, data_start = _segment_offsets(buf, seg, layout.r)
-        p = data_start + offsets[0]
-        if t in _INT_TYPES:
-            for _ in range(n):
+    if t is ColumnType.DOUBLE:
+        if seg[1] - seg[0] != 8 * n:
+            raise CorruptTabletError("bad double column segment")
+        return list(struct.unpack(f"<{n}d", buf[seg[0]:seg[1]]))
+    offsets, data_start = _segment_offsets(buf, seg, layout.r)
+    p = data_start + offsets[0]
+    if t in _INT_TYPES:
+        for _ in range(n):
+            z, p = decode_uvarint(buf, p)
+            out.append((z >> 1) ^ -(z & 1))
+    elif t is ColumnType.TIMESTAMP:
+        for row in range(0, n, k):
+            value, p = decode_uvarint(buf, p)
+            out.append(value)
+            for _ in range(row + 1, min(row + k, n)):
                 z, p = decode_uvarint(buf, p)
-                out.append((z >> 1) ^ -(z & 1))
-        elif t is ColumnType.TIMESTAMP:
-            for row in range(0, n, k):
-                value, p = decode_uvarint(buf, p)
+                value += (z >> 1) ^ -(z & 1)
                 out.append(value)
-                for _ in range(row + 1, min(row + k, n)):
-                    z, p = decode_uvarint(buf, p)
-                    value += (z >> 1) ^ -(z & 1)
-                    out.append(value)
-        elif t is ColumnType.STRING and index in schema.key_indexes:
-            for row in range(0, n, k):
-                prev_b = b""
-                prev_s = ""
-                for _ in range(row, min(row + k, n)):
-                    shared, p = decode_uvarint(buf, p)
-                    unshared, p = decode_uvarint(buf, p)
-                    if unshared == 0 and shared == len(prev_b):
-                        out.append(prev_s)
-                    else:
-                        if shared > len(prev_b):
-                            raise CorruptTabletError(
-                                "bad shared prefix length")
-                        end = p + unshared
-                        if end > seg[1]:
-                            raise CorruptTabletError(
-                                "truncated string value")
-                        prev_b = prev_b[:shared] + buf[p:end]
-                        p = end
-                        prev_s = prev_b.decode("utf-8")
-                        out.append(prev_s)
-        elif t is ColumnType.STRING:
-            for _ in range(n):
-                length, p = decode_uvarint(buf, p)
-                end = p + length
-                if end > seg[1]:
-                    raise CorruptTabletError("truncated string value")
-                out.append(buf[p:end].decode("utf-8"))
-                p = end
-        else:  # BLOB
-            for _ in range(n):
-                length, p = decode_uvarint(buf, p)
-                end = p + length
-                if end > seg[1]:
-                    raise CorruptTabletError("truncated blob value")
-                out.append(buf[p:end])
-                p = end
-        return out
-    except (IndexError, ValueError, struct.error) as exc:
-        if isinstance(exc, CorruptTabletError):
-            raise
-        raise CorruptTabletError(f"corrupt v2 block: {exc}") from exc
+    elif t is ColumnType.STRING and index in schema.key_indexes:
+        for row in range(0, n, k):
+            prev_b = b""
+            prev_s = ""
+            for _ in range(row, min(row + k, n)):
+                shared, p = decode_uvarint(buf, p)
+                unshared, p = decode_uvarint(buf, p)
+                if unshared == 0 and shared == len(prev_b):
+                    out.append(prev_s)
+                else:
+                    if shared > len(prev_b):
+                        raise CorruptTabletError(
+                            "bad shared prefix length")
+                    end = p + unshared
+                    if end > seg[1]:
+                        raise CorruptTabletError(
+                            "truncated string value")
+                    prev_b = prev_b[:shared] + buf[p:end]
+                    p = end
+                    prev_s = prev_b.decode("utf-8")
+                    out.append(prev_s)
+    elif t is ColumnType.STRING:
+        for _ in range(n):
+            length, p = decode_uvarint(buf, p)
+            end = p + length
+            if end > seg[1]:
+                raise CorruptTabletError("truncated string value")
+            out.append(buf[p:end].decode("utf-8"))
+            p = end
+    else:  # BLOB
+        for _ in range(n):
+            length, p = decode_uvarint(buf, p)
+            end = p + length
+            if end > seg[1]:
+                raise CorruptTabletError("truncated blob value")
+            out.append(buf[p:end])
+            p = end
+    if p != seg[1]:
+        raise CorruptTabletError("column segment length mismatch")
+    return out
+
+
+def _decode_v2(schema: Schema, buf: bytes,
+               indexes: Optional[Sequence[int]]) -> List[List[Any]]:
+    layout = _parse_v2_layout(buf, schema)
+    if indexes is None:
+        indexes = range(len(schema.columns))
+    return [_decode_column(buf, schema, index, layout) for index in indexes]
 
 
 def prefix_column_encoders(schema: Schema):
@@ -691,9 +576,9 @@ def prefix_column_encoders(schema: Schema):
 
 
 class SchemaCodec:
-    """One schema's compiled codec plus its metrics hooks.
+    """One schema's function bundle plus its metrics hooks.
 
-    Thin per-holder wrapper: the compiled function bundle is shared via
+    Thin per-holder wrapper: the bundle is shared via
     :func:`compiled_ops`; each holder (table, reader, writer) gets its
     own counter objects from its registry.
     """
@@ -717,12 +602,12 @@ class SchemaCodec:
         self._m_blocks_decoded = m.counter("codec.blocks_decoded")
         self._m_encode_ns = m.counter("codec.encode_ns")
         self._m_decode_ns = m.counter("codec.decode_ns")
-        self._m_upgraded = m.counter("codec.blocks_upgraded_v1_to_v2")
+        self._m_upgraded = m.counter("codec.blocks_upgraded")
 
     # ------------------------------------------------------- block level
 
     def encode_rows(self, rows: Sequence[Tuple[Any, ...]]) -> bytes:
-        """Encode a sorted row batch into one v2 block body."""
+        """Encode a sorted row batch into one v3 block body."""
         started = time.perf_counter_ns()
         buf = self.ops.encode_rows(rows)
         self._m_encode_ns.inc(time.perf_counter_ns() - started)
@@ -733,7 +618,7 @@ class SchemaCodec:
     def decode_block(self, buf: bytes
                      ) -> Tuple[List[Tuple[Any, ...]],
                                 List[Tuple[Any, ...]]]:
-        """Decode a whole v2 block body into ``(rows, keys)``."""
+        """Decode a whole v3 (or v2) block body into ``(rows, keys)``."""
         started = time.perf_counter_ns()
         rows, keys = self.ops.decode_block(buf)
         self._m_decode_ns.inc(time.perf_counter_ns() - started)
@@ -742,34 +627,31 @@ class SchemaCodec:
         return rows, keys
 
     def decode_block_columns(self, buf: bytes) -> List[List[Any]]:
-        """Decode a whole v2 block body into per-column value lists.
+        """Decode a whole v3 (or v2) block body into per-column value
+        lists, one per schema column in schema order: the same walk as
+        :meth:`decode_block` without the final ``zip``.
 
         The vectorized aggregate path consumes columns directly; no row
-        tuples are materialized.  Returns one list per schema column, in
-        schema order (DOUBLE columns come back as tuples from
-        ``struct.unpack``; slicing and indexing work the same).
+        tuples are materialized.
         """
         started = time.perf_counter_ns()
         columns = self.ops.decode_block_columns(buf)
         self._m_decode_ns.inc(time.perf_counter_ns() - started)
-        if columns:
-            self._m_rows_decoded.inc(len(columns[0]))
+        self._m_rows_decoded.inc(len(columns[0]))
         self._m_blocks_decoded.inc()
         return columns
 
     def decode_key_columns(self, buf: bytes,
                            include_ts: bool = True) -> List[List[Any]]:
-        """Decode only the key columns of a v2 block (schema key order).
+        """Decode only the key columns of a block (schema key order).
 
         The merge path uses this to feed Bloom filters for blocks that
         pass through without a full decode or re-encode.
         """
-        layout = _parse_v2_layout(buf, self.schema)
         indexes = self.schema.key_indexes
         if not include_ts:
             indexes = indexes[:-1]
-        return [_decode_column(buf, self.schema, index, layout)
-                for index in indexes]
+        return self.ops.decode_block_columns(buf, indexes)
 
     # --------------------------------------------------------- key level
 
@@ -782,5 +664,5 @@ class SchemaCodec:
     # ----------------------------------------------------------- metrics
 
     def note_upgraded_blocks(self, count: int = 1) -> None:
-        """Record v1 blocks rewritten as v2 (merge upgrades)."""
+        """Record v1 and v2 blocks rewritten as v3 (merge upgrades)."""
         self._m_upgraded.inc(count)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from .block import decompress
-from .codec import BLOCK_FORMAT_V1, BLOCK_FORMAT_V2
+from .codec import BLOCK_FORMAT_V3
 from .config import EngineConfig
 from .periods import Period, period_for, rollover_delay
 from .readpath import translated_rows
@@ -259,7 +259,7 @@ def merge_tablets(plan: MergePlan, readers: List[TabletReader],
     ``readers`` are the plan's sources in plan order and ``schema`` is
     the table's current schema (the writer's).  Returns the new
     tablet's metadata (None if every source was empty) and the number
-    of v1 source blocks the output upgraded to v2.
+    of v1 and v2 source blocks the output upgraded to v3.
     """
     for reader in readers:
         reader.ensure_loaded()
@@ -268,10 +268,10 @@ def merge_tablets(plan: MergePlan, readers: List[TabletReader],
         t.min_key is not None and t.max_key is not None
         for t in plan.tablets)
     if same_schema and have_zone_maps:
-        # Common case: block-at-a-time merge.  Non-overlapping v2
+        # Common case: block-at-a-time merge.  Non-overlapping v3
         # source blocks are copied compressed-payload-verbatim;
         # overlapping runs are batch-decoded and re-encoded whole
-        # blocks at a time; v1 sources come out upgraded to v2.
+        # blocks at a time; v1 and v2 sources come out upgraded to v3.
         return _merge_blockwise(plan, readers, writer, filename,
                                 tablet_id, now)
     # Mixed schema versions (or sources without zone maps):
@@ -288,17 +288,17 @@ def merge_tablets(plan: MergePlan, readers: List[TabletReader],
 def _merge_blockwise(plan: MergePlan, readers: List[TabletReader],
                      writer: TabletWriter, filename: str, tablet_id: int,
                      now: int) -> Tuple[Optional[TabletMeta], int]:
-    """Merge same-schema sources block-at-a-time into a v2 tablet.
+    """Merge same-schema sources block-at-a-time into a v3 tablet.
 
     Time-partitioned tablets rarely interleave, so most blocks'
     key ranges are disjoint from every other source's remaining
     keys; those are appended as raw compressed payloads without
     decoding.  Only genuinely overlapping stretches are decoded -
-    whole blocks at a time through the compiled codec - and even
+    whole blocks at a time through the block codec - and even
     then rows are emitted in provably-least *runs* (bisect against
     the other sources' frontier) rather than one heap pop per row.
-    v1 source blocks are always decoded, so the output upgrades
-    them to v2.
+    v1 and v2 source blocks are always decoded, so the output
+    upgrades them to v3 (the footer names one format per tablet).
     """
     sink = writer.sink(expected_rows=plan.total_rows)
     # Every source row survives a merge, so the output's timespan
@@ -344,7 +344,7 @@ def _merge_blockwise(plan: MergePlan, readers: List[TabletReader],
                 best, best_entry = s, entry
         if best is not None:
             reader = best.reader
-            if (reader.block_format == BLOCK_FORMAT_V2
+            if (reader.block_format == BLOCK_FORMAT_V3
                     and reader.codec_byte == sink.codec
                     and (sink.pending_bytes == 0
                          or sink.pending_bytes >= frag_floor)):
@@ -360,9 +360,9 @@ def _merge_blockwise(plan: MergePlan, readers: List[TabletReader],
                 best.skip_block()
             else:
                 # Right block, wrong format/codec/fill: take the
-                # row path (decoding a v1 block here is what
-                # upgrades it to v2 in the output).
-                if reader.block_format == BLOCK_FORMAT_V1:
+                # row path (decoding a v1 or v2 block here is what
+                # upgrades it to v3 in the output).
+                if reader.block_format != BLOCK_FORMAT_V3:
                     upgraded += 1
                 best.decode_next()
             continue
@@ -370,7 +370,7 @@ def _merge_blockwise(plan: MergePlan, readers: List[TabletReader],
         # emit the longest provably-least run in bulk.
         for s in sources:
             if s.rows is None:
-                if s.reader.block_format == BLOCK_FORMAT_V1:
+                if s.reader.block_format != BLOCK_FORMAT_V3:
                     upgraded += 1
                 s.decode_next()
         add_row = sink.add_row

@@ -20,7 +20,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..disk.storage import StorageError
 from ..obs.metrics import NULL_REGISTRY
-from .codec import BLOCK_FORMAT_V2
+from .codec import BLOCK_FORMAT_V1
 from .cursor import execute_query
 from .errors import CorruptTabletError
 from .memtable import MemTable
@@ -203,7 +203,7 @@ def aggregate(plan: ReadPlan, spec: AggregateSpec, now: int,
 
     The pushed-down counterpart of :func:`scan_rows` for aggregate
     queries: the same zone-map + time-interval tablet pruning, but v2
-    tablets are consumed column-major - whole decoded columns flow
+    and v3 tablets are consumed column-major - whole decoded columns flow
     through the predicate and accumulation kernels with no per-row
     tuple materialization.  v1 tablets, old-schema tablets, and
     memtables fall back to row-at-a-time accumulation.  Primary keys
@@ -250,7 +250,7 @@ def _aggregate_tablet(plan: ReadPlan, meta: TabletMeta, spec: AggregateSpec,
                       tlo: Optional[int], thi: Optional[int]) -> None:
     """Fold one tablet into the partial group states.
 
-    v2 same-schema tablets take the columnar path: interior blocks
+    v2 and v3 same-schema tablets take the columnar path: interior blocks
     proven fully inside the key bounds by the block index's last
     keys never materialize row keys at all; only the edge blocks
     binary-search their key lists for the exact trim.
@@ -259,7 +259,7 @@ def _aggregate_tablet(plan: ReadPlan, meta: TabletMeta, spec: AggregateSpec,
     ts_index = plan.schema.ts_index
     reader = plan.open_reader(meta)
     reader.ensure_loaded()
-    if (reader.block_format != BLOCK_FORMAT_V2
+    if (reader.block_format == BLOCK_FORMAT_V1
             or reader.schema.version != plan.schema.version):
         # v1 blocks decode row-major, and old-schema tablets need
         # per-row translation: row-at-a-time fallback for both.

@@ -27,6 +27,10 @@ INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+#: Timestamps are microseconds in ``[0, 2**63)``: a signed 64-bit word
+#: on every wire and disk format, and the bound that keeps the
+#: difference of any two inside 64 bits (block format v3 stores those).
+TIMESTAMP_MAX = INT64_MAX
 
 TIMESTAMP_COLUMN = "ts"
 
@@ -80,8 +84,9 @@ def check_value(column_type: ColumnType, value: Any) -> Any:
     if column_type is ColumnType.TIMESTAMP:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(f"expected timestamp (int micros), got {value!r}")
-        if value < 0:
-            raise ValidationError(f"timestamps must be non-negative: {value}")
+        if not 0 <= value <= TIMESTAMP_MAX:
+            raise ValidationError(
+                f"timestamps must be in [0, 2**63): {value}")
         return value
     if column_type is ColumnType.STRING:
         if not isinstance(value, str):

@@ -9,7 +9,7 @@ File layout (paper §3.2, §3.5):
   with the **last key in each block**, (optionally) a key-prefix
   Bloom filter (§3.4.5), and - for tablets written since block format
   v2 - the block format version.  Old footers end at the Bloom bytes,
-  so a missing version field means v1; v1 blocks carry no version
+  so a missing version field means v1; v1 blocks carry no format
   byte of their own, which is why the negotiation lives here.
 * The trailer is the "final two words of the file": the footer's
   decompressed size and its offset within the file, 8 bytes each,
@@ -30,12 +30,13 @@ in a block (block CRC), in the footer (footer CRC), or in the trailer
 itself (magic/offset validation or footer CRC mismatch).
 
 
-Block bodies come in two formats.  v1 is row-major: each row's v1
-encoding concatenated.  v2 (``core/codec.py``) is column-major with
-delta timestamps, prefix-compressed key strings, and restart points;
-whole blocks encode and decode through the schema-compiled batch
-codec.  v1 is read-only: the writer emits v2 alone, readers handle
-both, and merges rewrite v1 blocks as v2.
+Block bodies come in three formats.  v1 is row-major: each row's v1
+encoding concatenated.  v2 and v3 (``core/codec.py``) are column-major
+and start with their format byte: v2 is varint columns with restart
+points, v3 frame-of-reference byte planes that encode and decode with
+one C call per column.  v1 and v2 are read-only: the writer emits v3
+alone, readers handle all three, and merges rewrite v1 and v2 blocks
+as v3.
 
 Reading a footer costs three seeks on a cold cache (inode, trailer,
 footer - §3.5); once cached in memory the reader answers block lookups
@@ -56,8 +57,8 @@ from ..util.bloom import KeyPrefixBloom
 from ..util.checksum import crc32c
 from ..util.varint import decode_uvarint, encode_uvarint
 from .block import codec_id, compress, decode_rows, decompress
-from .codec import (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2, SchemaCodec,
-                    prefix_column_encoders)
+from .codec import (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2, BLOCK_FORMAT_V3,
+                    SchemaCodec, prefix_column_encoders)
 from .encoding import RowCodec
 from .errors import ChecksumError, CorruptTabletError
 from .readcache import NULL_READ_CACHE
@@ -149,7 +150,7 @@ class TabletSink:
     tablet file.
 
     The flush path feeds it (row, size) pairs from a memtable; the
-    merge path feeds it decoded rows and, when an entire v2 block from
+    merge path feeds it decoded rows and, when an entire v3 block from
     one source survives unmodified, the block's compressed payload
     verbatim (``add_block_passthrough``), skipping the decode and
     re-encode entirely.
@@ -281,7 +282,7 @@ class TabletSink:
 
     def add_block_passthrough(self, payload: bytes, row_count: int,
                               last_key: Tuple[Any, ...]) -> None:
-        """Append one already-compressed v2 block verbatim.
+        """Append one already-compressed v3 block verbatim.
 
         The caller guarantees the block's rows are sorted after
         everything added so far and before everything added later,
@@ -394,7 +395,7 @@ class TabletSink:
         out += bloom_bytes
         # Trailing fields: absent in pre-v2 footers (which end at the
         # Bloom bytes), so readers treat a missing version as v1.
-        out += encode_uvarint(BLOCK_FORMAT_V2)
+        out += encode_uvarint(BLOCK_FORMAT_V3)
         # v2.1: one CRC per block, over the compressed payload.  The
         # reader only looks for these when the trailer carries the
         # v2.1 magic, so legacy parsers stay compatible.
@@ -631,7 +632,8 @@ class TabletReader:
         # field's absence means the blocks are row-major v1.
         if offset < len(footer):
             block_format, offset = decode_uvarint(footer, offset)
-            if block_format not in (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2):
+            if block_format not in (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2,
+                                    BLOCK_FORMAT_V3):
                 raise CorruptTabletError(
                     f"{self.filename}: unknown block format {block_format}")
             self.block_format = block_format
@@ -714,13 +716,14 @@ class TabletReader:
         through :meth:`_scan_block`, and the merge calls this directly
         so that its one-off blocks stay out of the cache."""
         raw = decompress(self._codec, payload)
-        if self.block_format == BLOCK_FORMAT_V2:
-            rows, keys = self._schema_codec.decode_block(raw)
-        else:
+        if self.block_format == BLOCK_FORMAT_V1:
             rows = decode_rows(raw, self._row_codec,
                                self._entries[index].row_count)
             key_of = self.schema.key_of
             keys = [key_of(row) for row in rows]
+        else:
+            # v2 or v3: the body's own first byte says which.
+            rows, keys = self._schema_codec.decode_block(raw)
         self._note_decoded(index, len(rows), len(raw))
         return rows, keys, len(raw)
 
@@ -767,8 +770,8 @@ class TabletReader:
     def scan_block_columns(self, index: int, need_keys: bool = True
                            ) -> Tuple[List[List[Any]],
                                       Optional[List[Tuple[Any, ...]]], int]:
-        """Block ``index`` of a v2 tablet as per-column value lists
-        (vectorized path).
+        """Block ``index`` of a v2 or v3 tablet as per-column value
+        lists (vectorized path).
 
         Returns ``(columns, keys, row_count)``; ``keys`` is None when
         ``need_keys`` is false (interior blocks proven fully in range

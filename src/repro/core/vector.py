@@ -1,8 +1,8 @@
 """Vectorized query execution: column batches and aggregate kernels.
 
 The paper's rollup/dashboard queries are scan-and-aggregate shaped
-(Fig 9's scan mix is the canonical example).  Block format v2 already
-stores tablets column-major; this module lets the aggregate path consume
+(Fig 9's scan mix is the canonical example).  Block formats v2 and v3
+store tablets column-major; this module lets the aggregate path consume
 those columns directly instead of round-tripping every value through a
 per-row Python tuple and a per-row accumulator call:
 

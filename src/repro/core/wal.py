@@ -15,7 +15,9 @@ Record frame (little-endian)::
     [u32 crc32c]  over the body
     body: [u8 kind][u64 lsn][u32 schema_version][u32 row_count]
           kind 1 (ROWS):  row_count x ([u32 len][v1-encoded row bytes])
-          kind 2 (BLOCK): one v2 column block holding the whole batch
+          kind 2 (BLOCK): one column block holding the whole batch
+                          (format v3, ``core/codec.py``; v2 bodies from
+                          older segments replay through the same call)
 
 A torn append persists a prefix of a record; the length/CRC frame
 detects it and replay stops at the damaged tail - exactly the prefix
@@ -61,9 +63,10 @@ from .encoding import RowCodec
 from .errors import CorruptTabletError
 
 #: Record kinds (the u8 after the CRC).  ``KIND_BLOCK`` carries the
-#: whole batch as one v2 column block (one compiled encode per batch,
-#: and replay decodes it in one compiled pass too); it is the only
-#: kind written.  ``KIND_ROWS`` frames each row's v1 encoding
+#: whole batch as one v3 column block (one encode per batch, a C call
+#: per column, and replay decodes it the same way); it is the only
+#: kind written.  The body is not compressed, so the block's raw size
+#: is the log's size.  ``KIND_ROWS`` frames each row's v1 encoding
 #: individually and is read-only: segments written before
 #: ``KIND_BLOCK`` existed still replay and stream.  The frame leaves
 #: room for checkpoint/schema markers without a format bump.
@@ -99,8 +102,8 @@ class WalRecord:
     """One decoded log record: an insert batch.
 
     Exactly one of ``rows`` (per-row v1 encodings, ``KIND_ROWS``) or
-    ``block`` (a v2 column block, ``KIND_BLOCK``) carries the data;
-    ``row_count`` is authoritative either way.
+    ``block`` (a v3 or v2 column block, ``KIND_BLOCK``) carries the
+    data; ``row_count`` is authoritative either way.
     """
 
     lsn: int
@@ -218,14 +221,20 @@ class WalReplayReport:
 def decode_record_rows(record: WalRecord, codec,
                        report: WalReplayReport) -> List[Tuple[Any, ...]]:
     """The rows one record carries, decoded through the table's
-    :class:`~repro.core.codec.SchemaCodec`.  Undecodable data is
-    noted on ``report`` and skipped, never raised."""
+    :class:`~repro.core.codec.SchemaCodec`.  Undecodable data - and
+    a block that does not hold the record header's ``row_count`` rows
+    - is noted on ``report`` and skipped, never raised."""
     if record.block is not None:
-        # KIND_BLOCK: the whole batch decodes in one compiled pass.
+        # KIND_BLOCK: the body's format byte picks the decoder (v3, or
+        # v2 from a segment written before v3 existed).
         try:
-            return codec.ops.decode_block(record.block)[0]
-        except (CorruptTabletError, ValueError, IndexError,
-                struct.error) as exc:
+            rows = codec.ops.decode_block(record.block)[0]
+            if len(rows) != record.row_count:
+                raise CorruptTabletError(
+                    f"block holds {len(rows)} rows, not the header's "
+                    f"{record.row_count}")
+            return rows
+        except CorruptTabletError as exc:
             report.issues.append(
                 f"record lsn={record.lsn}: undecodable block ({exc}); "
                 f"{record.row_count} rows skipped")
@@ -331,11 +340,11 @@ class WriteAheadLog:
 
     def log_batch_block(self, block: bytes, row_count: int,
                         schema_version: int) -> int:
-        """Buffer one insert batch as a v2 column block
+        """Buffer one insert batch as a v3 column block
         (``KIND_BLOCK``); returns its LSN.
 
         The insert path encodes its whole accepted batch with the
-        schema's compiled block encoder and hands the payload over -
+        schema's block encoder and hands the payload over -
         one encode, one CRC, no per-row byte strings.  Called under
         the table's state lock: no I/O here, ever.  The batch is not
         durable until :meth:`commit` returns for the LSN.

@@ -120,9 +120,9 @@ def cache_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
 def codec_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     """The block-codec corner of a snapshot.
 
-    Encode/decode volume and cost of the schema-compiled codec
-    (``core/codec.py``), plus how many legacy v1 blocks merges have
-    rewritten into format v2.  Throughputs are derived from the
+    Encode/decode volume and cost of the block codec
+    (``core/codec.py``), plus how many v1 and v2 blocks merges have
+    rewritten into format v3.  Throughputs are derived from the
     ``codec.*_ns`` counters; None until the first block moves.
     """
     counters = snapshot.get("counters", {})
@@ -139,8 +139,7 @@ def codec_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
         "rows_decoded": rows_decoded,
         "blocks_encoded": counters.get("codec.blocks_encoded", 0),
         "blocks_decoded": counters.get("codec.blocks_decoded", 0),
-        "blocks_upgraded_v1_to_v2": counters.get(
-            "codec.blocks_upgraded_v1_to_v2", 0),
+        "blocks_upgraded": counters.get("codec.blocks_upgraded", 0),
         "encode_ms": encode_ns / 1e6,
         "decode_ms": decode_ns / 1e6,
         "encode_mrows_per_s": mrows_per_s(rows_encoded, encode_ns),
@@ -302,8 +301,7 @@ def render_metrics_page(page: Dict[str, Any]) -> str:
         f"time={codec['decode_ms']:.1f}ms, "
         + ("throughput=n/a" if codec['decode_mrows_per_s'] is None else
            f"throughput={codec['decode_mrows_per_s']:.2f}Mrows/s"))
-    lines.append(
-        f"blocks_upgraded_v1_to_v2={codec['blocks_upgraded_v1_to_v2']}")
+    lines.append(f"blocks_upgraded={codec['blocks_upgraded']}")
     upkeep = maintenance_summary(page.get("metrics", {}))
     lines.append("")
     lines.append("== maintenance ==")

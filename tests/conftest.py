@@ -14,7 +14,21 @@ from repro.util.clock import MICROS_PER_DAY, VirtualClock
 BASE_TIME = 10_000 * MICROS_PER_DAY + 5 * 3_600_000_000
 
 
-V1_DATADIR = Path(__file__).parent / "core" / "fixtures" / "v1_datadir"
+FIXTURES = Path(__file__).parent / "core" / "fixtures"
+
+
+def _load_datadir(root):
+    """A checked-in data directory on a fresh in-memory disk, plus the
+    rows its ``rows.json`` records as ``{table: [dict, ...]}``."""
+    disk = SimulatedDisk()
+    for path in root.glob("tables/**/*"):
+        if path.is_file():
+            disk.write_file(path.relative_to(root).as_posix(),
+                            path.read_bytes())
+    recorded = json.loads((root / "rows.json").read_text())
+    rows = {name: [dict(zip(recorded["columns"], row)) for row in table]
+            for name, table in recorded["tables"].items()}
+    return disk, rows
 
 
 def load_v1_datadir():
@@ -28,15 +42,26 @@ def load_v1_datadir():
     .build_mixed_db``'s seeded rows.  Nothing in the tree can
     regenerate it; it is data the reader must keep opening.
     """
-    disk = SimulatedDisk()
-    for path in V1_DATADIR.glob("tables/**/*"):
-        if path.is_file():
-            disk.write_file(path.relative_to(V1_DATADIR).as_posix(),
-                            path.read_bytes())
-    recorded = json.loads((V1_DATADIR / "rows.json").read_text())
-    rows = {name: [dict(zip(recorded["columns"], row)) for row in table]
-            for name, table in recorded["tables"].items()}
-    return disk, rows
+    return _load_datadir(FIXTURES / "v1_datadir")
+
+
+def load_v2_datadir():
+    """The checked-in data directory of the last commit whose block
+    writer emitted format v2 (PR 18), on a fresh in-memory disk:
+    ``(disk, rows, manifest)``.  Nothing in the tree can regenerate it.
+
+    Table ``mixed`` (this file's ``usage_schema()``) is ``v1_datadir``'s
+    two v1 tablets as that engine inherited them plus two v2 tablets it
+    flushed; ``rows`` holds all its rows.  Tables ``usage`` and
+    ``events`` (``repro.dashboard.schemas``) are ten v2 tablets each of
+    the benchmark's preload for networks 0-3; ``manifest["tables"]``
+    records their row count, the sum of ``crc32(repr(row))`` over their
+    rows, and the raw v2 size of those rows as sorted 2,000-row blocks
+    and as insertion-order (timestamp-order) batches.
+    """
+    root = FIXTURES / "v2_datadir"
+    disk, rows = _load_datadir(root)
+    return disk, rows, json.loads((root / "manifest.json").read_text())
 
 
 def usage_schema():

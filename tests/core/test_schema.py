@@ -56,6 +56,12 @@ class TestCheckValue:
         with pytest.raises(ValidationError):
             check_value(ColumnType.TIMESTAMP, -1)
 
+    def test_timestamp_fits_63_bits(self):
+        assert check_value(ColumnType.TIMESTAMP, (1 << 63) - 1) == \
+            (1 << 63) - 1
+        with pytest.raises(ValidationError):
+            check_value(ColumnType.TIMESTAMP, 1 << 63)
+
     def test_string_type(self):
         assert check_value(ColumnType.STRING, "héllo") == "héllo"
         with pytest.raises(ValidationError):

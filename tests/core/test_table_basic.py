@@ -63,6 +63,27 @@ class TestInsert:
             usage_table.insert([{"network": "not-an-int", "device": 1,
                                  "ts": 1, "bytes": 1, "rate": 0.0}])
 
+    @pytest.mark.parametrize("ts, prev_ts", [
+        (BASE_TIME, 1 << 80), (BASE_TIME, 1 << 63), (1 << 63, 0)])
+    def test_timestamp_past_63_bits_rejected(self, db, ts, prev_ts):
+        """A ``TIMESTAMP`` is in ``[0, 2**63)`` in every column, key or
+        not.  An unbounded one used to ack, flush, and leave a tablet
+        no scan could decode."""
+        from repro.dashboard.schemas import usage_schema
+
+        table = db.create_table("samples", usage_schema())
+        with pytest.raises(ValidationError):
+            table.insert_tuples([(1, 1, ts, prev_ts, 5, 1.0)])
+        with pytest.raises(ValidationError):
+            table.insert([{"network": 1, "device": 1, "ts": ts,
+                           "prev_ts": prev_ts, "counter": 5, "rate": 1.0}])
+        assert table.counters.rows_inserted == 0
+        # The largest one there is round-trips through a tablet.
+        row = (1, 1, BASE_TIME, (1 << 63) - 1, 5, 1.0)
+        assert table.insert_tuples([row, (1, 2, BASE_TIME, 0, 5, 1.0)]) == 2
+        table.flush_all()
+        assert table.query(Query()).rows[0] == row
+
     def test_duplicate_key_raises(self, usage_table):
         row = {"network": 1, "device": 1, "ts": BASE_TIME, "bytes": 5,
                "rate": 1.0}

@@ -14,6 +14,8 @@ The contract under test (ISSUE PR 8 acceptance criteria):
   log.
 """
 
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -25,8 +27,10 @@ from repro.core import (
     Query,
     is_healthy,
 )
+from repro.core.codec import BLOCK_FORMAT_V2, compiled_ops
 from repro.core.tablet import TabletReader
-from repro.core.wal import is_wal_filename
+from repro.core.wal import (WalRecord, is_wal_filename, iter_records,
+                            wal_segment_filename)
 from repro.disk import CrashPoint, FaultyVFS, SimulatedDisk
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
@@ -471,9 +475,6 @@ class TestApplyRecords:
         row of record 1 must serve the newer row: applying rows
         invalidates covering latest-cache entries exactly as an insert
         does, so ``latest()`` and ``query()`` agree."""
-        from repro.core.codec import compiled_ops
-        from repro.core.wal import WalRecord
-
         clock = VirtualClock(start=BASE)
         standby = LittleTable(disk=SimulatedDisk(), clock=clock)
         table = standby.create_table("t", usage_schema())
@@ -491,24 +492,18 @@ class TestApplyRecords:
         assert table.query(Query()).rows == [older, newer]
         assert table.latest((1, 1)) == newer
 
-    def test_recorded_kind_rows_segment_replays(self):
-        """``KIND_ROWS`` records are read-only: nothing writes them any
-        more, but a segment written before ``KIND_BLOCK`` existed must
-        still replay.  The fixture was recorded once with the last
-        ``WriteAheadLog.log_batch``."""
-        import json
-        from pathlib import Path
-
+    def _replay_recorded(self, fixture):
+        """Crash onto a recorded segment: every recorded row comes
+        back, then a flush recycles the old-format segment."""
         fixtures = Path(__file__).parent / "fixtures"
-        recorded = json.loads((fixtures / "wal_kind_rows.json").read_text())
+        recorded = json.loads((fixtures / f"{fixture}.json").read_text())
+        segment = (fixtures / f"{fixture}_segment.bin").read_bytes()
         disk = SimulatedDisk()
         clock = VirtualClock(start=BASE)
         db = LittleTable(disk=disk, clock=clock, durability=WAL_POLICY)
         db.create_table("t", usage_schema())
         assert recorded["schema_version"] == db.table("t").schema.version
-        disk.write_file(
-            recorded["segment"],
-            (fixtures / "wal_kind_rows_segment.bin").read_bytes())
+        disk.write_file(recorded["segment"], segment)
         recovered = db.simulate_crash()
         report = recovered.table("t").last_wal_replay
         expected = sorted(tuple(row) for batch in recorded["batches"]
@@ -516,8 +511,54 @@ class TestApplyRecords:
         assert report.records == len(recorded["batches"])
         assert report.rows_applied == len(expected)
         assert report.issues == []
-        assert recovered.table("t").query(Query()).rows == expected
+        got = recovered.table("t").query(Query()).rows
+        assert [(row, math.copysign(1, row[4])) for row in got] == \
+            [(row, math.copysign(1, row[4])) for row in expected]
         # The replayed memtables carry the records' LSNs: a flush
         # covers them and recycles the old-format segment.
         recovered.table("t").flush_all()
         assert wal_files(disk) == []
+        return list(iter_records(segment, fixture, []))
+
+    def test_recorded_kind_rows_segment_replays(self):
+        """``KIND_ROWS`` records are read-only: nothing writes them any
+        more, but a segment written before ``KIND_BLOCK`` existed must
+        still replay.  The fixture was recorded once with the last
+        ``WriteAheadLog.log_batch``."""
+        records = self._replay_recorded("wal_kind_rows")
+        assert all(record.block is None for record in records)
+
+    def test_recorded_v2_kind_block_segment_replays(self):
+        """``KIND_BLOCK`` records whose body is a v2 block, recorded
+        with the last v2 block writer (``INT64`` min and max, ``-0.0``,
+        a 40-row batch): the body's format byte picks the decoder."""
+        records = self._replay_recorded("wal_kind_block_v2")
+        assert {record.block[0] for record in records} == {BLOCK_FORMAT_V2}
+
+    def test_replay_checks_a_blocks_rows_against_the_record_header(self):
+        """The header's ``row_count`` is authoritative: a record whose
+        frame and CRC are sound but whose block holds another number of
+        rows is noted and skipped, like an undecodable block, and the
+        records around it still apply."""
+        clock = VirtualClock(start=BASE)
+        disk = SimulatedDisk()
+        db = LittleTable(disk=disk, clock=clock, durability=WAL_POLICY)
+        table = db.create_table("t", usage_schema())
+        encode = compiled_ops(table.schema).encode_rows
+        rows = [(1, d, BASE + d, d, 0.5) for d in range(6)]
+        frames = [
+            WalRecord(1, 1, [], block=encode(rows[:2]), row_count=2),
+            WalRecord(2, 1, [], block=encode(rows[2:5]), row_count=2),
+            WalRecord(3, 1, [], block=encode(rows[5:]), row_count=1),
+        ]
+        segment = b"".join(frame.encode() for frame in frames)
+        assert len(list(iter_records(segment, "s", []))) == 3   # CRCs hold
+        disk.write_file(wal_segment_filename("t", 1), segment)
+        recovered = db.simulate_crash()
+        report = recovered.table("t").last_wal_replay
+        assert report.records == 3
+        assert report.rows_applied == 3
+        assert report.rows_skipped == 2
+        assert len(report.issues) == 1 and "lsn=2" in report.issues[0]
+        assert recovered.table("t").query(Query()).rows == \
+            rows[:2] + rows[5:]

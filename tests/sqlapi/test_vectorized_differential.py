@@ -2,15 +2,16 @@
 
 Every aggregate query here runs twice over the same engine — once with
 ``SqlSession(db, vectorized=True)`` (partial aggregation inside the
-tablet scan, columnar kernels over v2 blocks) and once with
+tablet scan, columnar kernels over v3 and v2 blocks) and once with
 ``vectorized=False`` (the row cursor oracle) — and must produce
 identical columns and identical rows, in the same order.
 
 The data is adversarial on purpose:
 
-* tablets in both block formats (the checked-in v1 row-major tablet
-  forces the per-tablet row fallback, v2 goes columnar) plus unflushed
-  memtable rows overlapping the same keys and times;
+* tablets in every block format (the checked-in v1 row-major tablet
+  forces the per-tablet row fallback; v3, and the checked-in v2
+  tablets, go columnar) plus unflushed memtable rows overlapping the
+  same keys and times;
 * DOUBLE values are dyadic rationals (multiples of 0.25) so SUM/AVG
   are exact in IEEE doubles and the partial-aggregation merge order
   cannot introduce rounding differences — any mismatch is a real bug;
@@ -33,7 +34,7 @@ from repro.net.shard import ShardRouter
 from repro.sqlapi import SqlSession
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
 
-from ..conftest import load_v1_datadir
+from ..conftest import load_v1_datadir, load_v2_datadir
 
 BASE = 10_000 * MICROS_PER_DAY
 MINUTE = MICROS_PER_MINUTE
@@ -107,7 +108,7 @@ def random_rows(rng, count, networks=4, devices=6):
 
 
 def build_mixed_db():
-    """v1 tablets + v2 tablets + a populated memtable, keys interleaved.
+    """v1 tablets + v3 tablets + a populated memtable, keys interleaved.
 
     The v1 third is data, not a writer: the fixture directory's
     ``usage`` table holds exactly ``rows[:third]`` of this seed.
@@ -159,6 +160,39 @@ class TestDifferential:
             db.insert("usage", random_rows(random.Random(seed), 300))
             db.table("usage").flush_all()
             assert_identical(db, format_queries(bucket=11 * MINUTE))
+            # What the engine writes today goes columnar, all of it.
+            counters = db.metrics.snapshot()["counters"]
+            assert counters["query.pushdown.blocks_columnar"] > 0
+            assert counters.get("query.pushdown.blocks_fallback", 0) == 0
+
+    def test_recorded_v2_tablets_go_columnar(self):
+        """Tablets the last v2 block writer left (``v2_datadir``'s
+        ``usage``: the benchmark's preload, ``repro.dashboard``'s
+        schema) answer from the columnar path too, block for block."""
+        disk, _rows, manifest = load_v2_datadir()
+        db = LittleTable(disk=disk,
+                         clock=VirtualClock(start=20_006 * MICROS_PER_DAY))
+        day = MICROS_PER_DAY
+        mid = 20_001 * day
+        assert_identical(db, [
+            "SELECT COUNT(*), SUM(counter), MIN(counter), MAX(counter), "
+            "MAX(prev_ts) FROM usage",
+            "SELECT network, device, COUNT(*), AVG(counter) FROM usage "
+            "GROUP BY network, device",
+            "SELECT network, MIN(rate), MAX(rate) FROM usage GROUP BY network",
+            f"SELECT TIME_BUCKET(ts, {day}), COUNT(*), SUM(counter) "
+            f"FROM usage GROUP BY TIME_BUCKET(ts, {day})",
+            f"SELECT device, COUNT(*) FROM usage WHERE network = 2 AND "
+            f"device >= 5 AND ts >= {mid} AND ts < {mid + 2 * day} "
+            f"GROUP BY device",
+            "SELECT COUNT(*), MAX(ts) FROM usage WHERE counter > 1000000000",
+        ])
+        counters = db.metrics.snapshot()["counters"]
+        assert SqlSession(db).execute("SELECT COUNT(*) FROM usage").rows \
+            == [(manifest["tables"]["usage"]["rows"],)]
+        assert counters["query.pushdown.blocks_columnar"] > 0
+        assert counters.get("query.pushdown.blocks_fallback", 0) == 0
+        assert counters.get("codec.blocks_encoded", 0) == 0
 
     def test_empty_table(self):
         db = LittleTable(clock=VirtualClock(start=BASE))

@@ -2,10 +2,10 @@
 
 Each was a second way to say something one config object already
 says (``ClientConfig``, ``EngineConfig``, ``MaintenancePolicy``) or a
-selector for a code path that no longer exists (the v1 block writer,
-the v1 wire dialect, the read cache's footer side cache, the IO rate
-limiter and its SLO controller) or an option nothing read; none of
-them connects, opens or binds anything before failing.
+selector for a code path that no longer exists (the v1 and v2 block
+writers, the v1 wire dialect, the read cache's footer side cache, the
+IO rate limiter and its SLO controller) or an option nothing read;
+none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
 option nothing reads coming back fails here, in any tier-1 run.
@@ -92,6 +92,10 @@ SRC = Path(__file__).parent.parent / "src"
         "|mark_overloaded|overload_cooldown_s|cooldown_skips"
         "|overload_sheds|encode_prefix_columns", (),
         id="partial-decoder-or-shard-cooldown"),
+    pytest.param(
+        "_gen_encode_rows_v2|_gen_decode_block_v2|_emit_read_uvarint"
+        "|RESTART_INTERVAL|blocks_upgraded_v1_to_v2", (),
+        id="v2-block-writer"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)

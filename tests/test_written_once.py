@@ -108,10 +108,12 @@ def test_one_site_submits_to_the_shard_pool():
 
 
 def test_one_way_from_a_block_to_its_rows():
-    """One function tells a v1 block from a v2 one, one admits a
-    decoded block to the read cache, and a block body is decompressed
-    where it is decoded: the row decode, the cold columnar decode, and
-    the footer (its own parser)."""
+    """One function tells a v1 block (which has no format byte) from
+    the later ones, one admits a decoded block to the read cache, and
+    a block body is decompressed where it is decoded: the row decode,
+    the cold columnar decode, and the footer (its own parser).  v2 and
+    v3 bodies are told apart in ``codec.py``, by their first byte, in
+    one function too."""
     def in_tablet(predicate):
         return functions_where(predicate, [CORE / "tablet.py"])
 
@@ -126,3 +128,7 @@ def test_one_way_from_a_block_to_its_rows():
     assert in_tablet(calls("decompress")) == {
         "tablet.py:decode_payload", "tablet.py:scan_block_columns",
         "tablet.py:_parse_footer"}
+    assert functions_where(
+        lambda n: isinstance(n, ast.Name) and n.id == "BLOCK_FORMAT_V2"
+        and isinstance(n.ctx, ast.Load), [CORE / "codec.py"]) == {
+            "codec.py:decode_block_columns"}
