@@ -24,12 +24,14 @@ and 1-3 tablets here).
 What the amplitude does not see: a window holds ~38 insert batches, so
 its p99 is the second-largest sample and one stalled insert per window
 is invisible.  The report therefore also carries the backpressure
-stall count and the worst single insert, ungated: every 30 s run has
-a 2-4 s insert stall behind a merge of 150k+ rows (ROADMAP item 4).
+stall count and the worst single insert, ungated: every run of 30 s or
+more has a 2-4 s insert stall behind its largest merge (ROADMAP
+item 4).
 
 ``LT_SOAK_SECONDS`` is the length of the run (default 8 s keeps the
-local suite quick; CI's soak job runs 30 s, and at 60 s the stall
-above outgrows the backpressure budget and fails the amplitude gate).
+local suite quick; CI's soak job runs 30 s; at 60 s the stall above
+sits on the edge of the amplitude gate and about one run in six fails
+it - EXPERIMENTS "PR 20").
 Results land in ``BENCH_soak_p99.json`` at the repo root
 (git-ignored; CI uploads it), written before the gates assert so a
 regression still leaves the series behind for charting.

@@ -223,6 +223,10 @@ class _CompiledOps:
     def encode_rows(self, rows: Sequence[Tuple[Any, ...]]) -> bytes:
         """Encode a row batch (validated rows, any order) into one v3
         block body."""
+        # ``zip`` would drop the columns that do not pair up.
+        if rows and len(rows[0]) != len(self._types):
+            raise ValueError(f"rows of {len(rows[0])} values, schema has "
+                             f"{len(self._types)}")
         return _encode_v3(self._types, rows)
 
     def decode_block_columns(self, buf: bytes,

@@ -255,11 +255,10 @@ def _write_memtable(table: "Table", memtable: MemTable, now: int
     descriptor = table.descriptor
     tablet_id = descriptor.allocate_tablet_id()
     writer = table._tablet_writer(table.disk, memtable.schema)
+    rows, sizes = memtable.sorted_run()
     meta = writer.write(
-        descriptor.tablet_filename(tablet_id), (),
-        tablet_id, created_at=now, expected_rows=len(memtable),
-        sized_pairs=memtable.sorted_sized(),
-    )
+        descriptor.tablet_filename(tablet_id), rows,
+        tablet_id, created_at=now, expected_rows=len(rows), sizes=sizes)
     if meta is not None:
         table.counters.bytes_flushed += meta.size_bytes
         table.counters.flushes += 1
@@ -291,11 +290,19 @@ def merge_once(table: "Table") -> Optional[MergePlan]:
             started = time.perf_counter()
             table.disk.fire("merge.before_write")
             tablet_id = table.descriptor.allocate_tablet_id()
-            meta, upgraded = merge_tablets(
-                plan, [table._reader(t) for t in plan.tablets],
-                table._tablet_writer(table.disk, table.schema),
-                table.schema, table.descriptor.tablet_filename(tablet_id),
-                tablet_id, now)
+            try:
+                meta, upgraded = merge_tablets(
+                    plan, [table._reader(t) for t in plan.tablets],
+                    table._tablet_writer(table.disk, table.schema),
+                    table.schema,
+                    table.descriptor.tablet_filename(tablet_id),
+                    tablet_id, now)
+            except readpath.CORRUPTION as exc:
+                # Isolate the source the executor names, as a guarded
+                # read would: the policy chooses this run every tick.
+                if getattr(exc, "tablet", None) is not None:
+                    table._isolate_corrupt(exc.tablet, exc)
+                raise
             if upgraded:
                 table._codec.note_upgraded_blocks(upgraded)
             table._swap_tablets(plan.tablets,

@@ -13,8 +13,9 @@ rows with timestamps other than "now".
 Each memtable remembers, alongside the row, its encoded *size* (not the
 bytes): size accounting still matches on-disk v1 bytes (the 16 MB
 flush threshold is about disk write efficiency, §3.3), but rows are
-not serialized until flush, which batch-encodes whole sorted runs
-through the schema-compiled codec (``core/codec.py``).
+not serialized until flush, which takes the memtable as one sorted
+run (:meth:`MemTable.sorted_run`: the rows and their sizes) and
+batch-encodes it through the block codec (``core/codec.py``).
 
 Concurrency: a memtable has no lock of its own.  Inserts are
 serialized by the owning table's state lock; scans may run off-lock
@@ -117,15 +118,12 @@ class MemTable:
 
     # ----------------------------------------------------------- reading
 
-    def sorted_rows(self) -> Iterator[Tuple[Any, ...]]:
-        """All rows in ascending key order (used by flush)."""
-        for _key, (row, _size) in self.rows.items():
-            yield row
-
-    def sorted_sized(self) -> Iterator[Tuple[Tuple[Any, ...], int]]:
-        """All (row, encoded size) pairs in ascending key order."""
-        for _key, pair in self.rows.items():
-            yield pair
+    def sorted_run(self) -> Tuple[List[Tuple[Any, ...]], List[int]]:
+        """Every row in ascending key order and, beside it, each row's
+        encoded size: ``(rows, sizes)``, the run a flush or a snapshot
+        hands to ``TabletWriter.write``."""
+        pairs = [pair for _key, pair in self.rows.items()]
+        return [row for row, _size in pairs], [size for _row, size in pairs]
 
     def last_key(self) -> Optional[Tuple[Any, ...]]:
         """The largest key currently held, or None (O(1))."""

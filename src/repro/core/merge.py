@@ -31,16 +31,17 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from .block import decompress
 from .codec import BLOCK_FORMAT_V3
 from .config import EngineConfig
 from .periods import Period, period_for, rollover_delay
-from .readpath import translated_rows
+from .readpath import CORRUPTION, translated_rows
 from .schema import Schema
-from .tablet import TabletMeta, TabletReader, TabletWriter
+from .tablet import TabletMeta, TabletReader, TabletSink, TabletWriter
 
 
 @dataclass
@@ -200,54 +201,97 @@ def merge_debt_bytes(tablets: List[TabletMeta], now: int,
 
 # ------------------------------------------------------------- executor
 
+@contextmanager
+def _blaming(meta: TabletMeta) -> Iterator[None]:
+    """Damage met while reading a source leaves with ``exc.tablet`` set
+    to that source's ``meta``: a merge reads around the ``ReadPlan``
+    guard, so this is how its caller learns what to quarantine."""
+    try:
+        yield
+    except CORRUPTION as exc:
+        exc.tablet = meta
+        raise
+
+
 class _MergeSource:
-    """Streaming cursor over one merge input tablet.
+    """Streaming cursor over one merge input tablet; every read of
+    it is here, under :func:`_blaming`.
 
     At any moment the source is either *decoded* - ``rows``/``keys``
-    hold the remainder of the current block, ``pos`` the read point -
-    or sitting at a *block boundary* (``rows is None``).  ``lo_bound``
-    is the last key already consumed, so every remaining key is known
-    to be strictly greater; that is what lets whole untouched blocks
-    from other sources pass through without being decoded.
+    hold the current block, ``pos`` the read point - or sitting at a
+    *block boundary* (``rows is None``).  ``lo_bound`` is the last key
+    already consumed, so every remaining key is known to be strictly
+    greater; that is what lets whole untouched blocks from other
+    sources pass through without being decoded.
     """
 
-    __slots__ = ("reader", "entries", "index", "rows", "keys", "pos",
-                 "lo_bound", "_entry_last")
+    __slots__ = ("meta", "reader", "entries", "index", "rows", "keys",
+                 "pos", "lo_bound")
 
-    def __init__(self, reader: TabletReader):
+    def __init__(self, meta: TabletMeta, reader: TabletReader):
+        self.meta = meta
         self.reader = reader
-        self.entries = reader.block_entries()
+        with _blaming(meta):
+            self.entries = reader.block_entries()   # loads the footer
         self.index = 0
         self.rows: Optional[List[Tuple[Any, ...]]] = None
         self.keys: Optional[List[Tuple[Any, ...]]] = None
         self.pos = 0
         self.lo_bound: Optional[Tuple[Any, ...]] = None
-        self._entry_last: Optional[Tuple[Any, ...]] = None
 
     @property
     def exhausted(self) -> bool:
         return self.rows is None and self.index >= len(self.entries)
 
-    def decode_next(self) -> None:
-        """Decode the block at the boundary and step past it."""
-        entry = self.entries[self.index]
-        payload = self.reader.read_block_payload(self.index)
-        self.rows, self.keys, _raw_len = self.reader.decode_payload(
-            self.index, payload)
+    def translated(self, schema: Schema) -> Iterator[Tuple[Any, ...]]:
+        """Every row, at ``schema`` (the translating merge)."""
+        with _blaming(self.meta):
+            yield from translated_rows(self.reader, schema)
+
+    def may_hold(self, key: Tuple[Any, ...]) -> bool:
+        """Could a remaining row have a key <= ``key``?  At a boundary
+        the remaining keys are only known to exceed ``lo_bound``."""
+        if self.rows is not None:
+            return self.keys[self.pos] <= key
+        return self.lo_bound is None or self.lo_bound < key
+
+    def decode_next(self) -> int:
+        """Decode the block at the boundary and step past it; 1 if
+        that upgrades a v1 or v2 block (they are written back as v3)."""
+        with _blaming(self.meta):
+            self.rows, self.keys, _raw_len = self.reader.decode_payload(
+                self.index, self.reader.read_block_payload(self.index))
         self.pos = 0
-        self._entry_last = entry.last_key
+        self.index += 1
+        return int(self.reader.block_format != BLOCK_FORMAT_V3)
+
+    def pass_block(self, sink: TabletSink) -> None:
+        """Move the boundary block into ``sink`` compressed-payload-
+        verbatim and step past it."""
+        entry, reader = self.entries[self.index], self.reader
+        with _blaming(self.meta):
+            payload = reader.read_block_payload(self.index)
+            sink.add_block_passthrough(payload, entry.row_count,
+                                       entry.last_key)
+            if sink.bloom_bits_per_row:
+                cols = reader.schema_codec.decode_key_columns(
+                    decompress(reader.codec_byte, payload), include_ts=False)
+                if cols:
+                    sink.add_bloom_prefixes(zip(*cols))
+        self.lo_bound = entry.last_key
         self.index += 1
 
-    def skip_block(self) -> None:
-        """Step past the boundary block (it was passed through)."""
-        self.lo_bound = self.entries[self.index].last_key
-        self.index += 1
-
-    def finish_pending(self) -> None:
-        """Drop the fully-consumed decoded block."""
-        self.rows = None
-        self.keys = None
-        self.lo_bound = self._entry_last
+    def take_through(self, limit: Tuple[Any, ...], rows: list,
+                     keys: list) -> None:
+        """Move the decoded rows with keys <= ``limit`` onto ``rows``
+        and ``keys``; a block consumed whole leaves a boundary."""
+        start = self.pos
+        self.pos = cut = bisect.bisect_right(self.keys, limit, start)
+        rows += self.rows[start:cut]
+        keys += self.keys[start:cut]
+        if cut == len(self.keys):
+            self.rows = self.keys = None
+            self.lo_bound = self.entries[self.index - 1].last_key
 
 
 def merge_tablets(plan: MergePlan, readers: List[TabletReader],
@@ -259,10 +303,11 @@ def merge_tablets(plan: MergePlan, readers: List[TabletReader],
     ``readers`` are the plan's sources in plan order and ``schema`` is
     the table's current schema (the writer's).  Returns the new
     tablet's metadata (None if every source was empty) and the number
-    of v1 and v2 source blocks the output upgraded to v3.
+    of v1 and v2 source blocks the output upgraded to v3.  A damaged or
+    vanished source raises with its ``TabletMeta`` as ``exc.tablet``.
     """
-    for reader in readers:
-        reader.ensure_loaded()
+    sources = [_MergeSource(meta, reader)
+               for meta, reader in zip(plan.tablets, readers)]
     same_schema = all(r.schema.version == schema.version for r in readers)
     have_zone_maps = all(
         t.min_key is not None and t.max_key is not None
@@ -270,22 +315,22 @@ def merge_tablets(plan: MergePlan, readers: List[TabletReader],
     if same_schema and have_zone_maps:
         # Common case: block-at-a-time merge.  Non-overlapping v3
         # source blocks are copied compressed-payload-verbatim;
-        # overlapping runs are batch-decoded and re-encoded whole
-        # blocks at a time; v1 and v2 sources come out upgraded to v3.
-        return _merge_blockwise(plan, readers, writer, filename,
+        # overlapping stretches are batch-decoded, sorted and
+        # re-encoded whole blocks at a time; v1 and v2 sources come
+        # out upgraded to v3.
+        return _merge_blockwise(plan, sources, writer, filename,
                                 tablet_id, now)
     # Mixed schema versions (or sources without zone maps):
     # translating while merging also upgrades old rows to the
     # current schema (§3.5).
-    merged = heapq.merge(
-        *[translated_rows(reader, schema) for reader in readers],
-        key=schema.key_of)
+    merged = heapq.merge(*[s.translated(schema) for s in sources],
+                         key=schema.key_of)
     meta = writer.write(filename, merged, tablet_id, created_at=now,
                         expected_rows=plan.total_rows)
     return meta, 0
 
 
-def _merge_blockwise(plan: MergePlan, readers: List[TabletReader],
+def _merge_blockwise(plan: MergePlan, sources: List[_MergeSource],
                      writer: TabletWriter, filename: str, tablet_id: int,
                      now: int) -> Tuple[Optional[TabletMeta], int]:
     """Merge same-schema sources block-at-a-time into a v3 tablet.
@@ -294,9 +339,12 @@ def _merge_blockwise(plan: MergePlan, readers: List[TabletReader],
     key ranges are disjoint from every other source's remaining
     keys; those are appended as raw compressed payloads without
     decoding.  Only genuinely overlapping stretches are decoded -
-    whole blocks at a time through the block codec - and even
-    then rows are emitted in provably-least *runs* (bisect against
-    the other sources' frontier) rather than one heap pop per row.
+    whole blocks at a time through the block codec - and a stretch
+    enters the sink as one run: every decoded row up to the least of
+    the decoded blocks' last keys, concatenated in plan order and put
+    in key order by one stable sort (which finds each source's
+    presorted slice and gallops).  The source that set the limit is
+    then at a boundary, so passthrough gets its next shot.
     v1 and v2 source blocks are always decoded, so the output
     upgrades them to v3 (the footer names one format per tablet).
     """
@@ -314,84 +362,42 @@ def _merge_blockwise(plan: MergePlan, readers: List[TabletReader],
     # a quarter full before sealing it early.
     frag_floor = sink.block_size // 4
     upgraded = 0
-    sources = [_MergeSource(r) for r in readers]
     while True:
         sources = [s for s in sources if not s.exhausted]
         if not sources:
             break
         # A block at some source's boundary whose keys all precede
-        # every other source's remaining keys can move as a unit.
-        best = best_entry = None
-        for s in sources:
-            if s.rows is not None:
-                continue
-            entry = s.entries[s.index]
-            last = entry.last_key
-            ok = True
-            for t in sources:
-                if t is s:
-                    continue
-                if t.rows is not None:
-                    if t.keys[t.pos] <= last:
-                        ok = False
-                        break
-                elif t.lo_bound is None or t.lo_bound < last:
-                    # t's remaining keys are only known to exceed
-                    # its lo_bound; that bound must cover ``last``.
-                    ok = False
-                    break
-            if ok and (best is None or last < best_entry.last_key):
-                best, best_entry = s, entry
+        # every other source's remaining keys can move as a unit; of
+        # several, the least (the first, among equals).
+        best = min((s for s in sources if s.rows is None and not any(
+                        t.may_hold(s.entries[s.index].last_key)
+                        for t in sources if t is not s)),
+                   key=lambda s: s.entries[s.index].last_key, default=None)
         if best is not None:
             reader = best.reader
             if (reader.block_format == BLOCK_FORMAT_V3
                     and reader.codec_byte == sink.codec
                     and (sink.pending_bytes == 0
                          or sink.pending_bytes >= frag_floor)):
-                payload = reader.read_block_payload(best.index)
-                sink.add_block_passthrough(
-                    payload, best_entry.row_count, best_entry.last_key)
-                if sink.wants_bloom:
-                    raw = decompress(reader.codec_byte, payload)
-                    cols = reader.schema_codec.decode_key_columns(
-                        raw, include_ts=False)
-                    if cols:
-                        sink.add_bloom_prefixes(zip(*cols))
-                best.skip_block()
+                best.pass_block(sink)
             else:
                 # Right block, wrong format/codec/fill: take the
                 # row path (decoding a v1 or v2 block here is what
                 # upgrades it to v3 in the output).
-                if reader.block_format != BLOCK_FORMAT_V3:
-                    upgraded += 1
-                best.decode_next()
+                upgraded += best.decode_next()
             continue
         # Overlap: decode every boundary source's next block, then
-        # emit the longest provably-least run in bulk.
+        # move one stretch.
+        upgraded += sum(s.decode_next() for s in sources if s.rows is None)
+        limit = min(s.keys[-1] for s in sources)
+        rows, keys = [], []
         for s in sources:
-            if s.rows is None:
-                if s.reader.block_format != BLOCK_FORMAT_V3:
-                    upgraded += 1
-                s.decode_next()
-        add_row = sink.add_row
-        while True:
-            winner = min(sources, key=lambda s: s.keys[s.pos])
-            others = [s.keys[s.pos] for s in sources
-                      if s is not winner]
-            if others:
-                cut = bisect.bisect_left(winner.keys, min(others),
-                                         winner.pos)
-                if cut <= winner.pos:
-                    cut = winner.pos + 1
-            else:
-                cut = len(winner.rows)
-            rows, keys = winner.rows, winner.keys
-            for i in range(winner.pos, cut):
-                add_row(rows[i], key=keys[i])
-            winner.pos = cut
-            if cut == len(rows):
-                winner.finish_pending()
-                break  # boundary reached: passthrough gets a shot
+            s.take_through(limit, rows, keys)
+        # Positions are sorted by key, never the rows themselves: a
+        # row may hold a NaN, and equal keys must keep plan order.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        sink.add_rows(list(map(rows.__getitem__, order)),
+                      list(map(keys.__getitem__, order)))
     meta = sink.finish(filename, tablet_id, created_at=now,
                        min_key=min_key, max_key=max_key)
     return meta, upgraded

@@ -111,11 +111,13 @@ def load_manifest(storage: Storage) -> Dict[str, Any]:
     return json.loads(storage.read_all(SNAPSHOT_MANIFEST).decode("utf-8"))
 
 
-def _capture_table(table) -> Tuple[TableDescriptor, List[List[Tuple]], int]:
+def _capture_table(table) -> Tuple[TableDescriptor, List[Tuple], int]:
     """Phase 1: the O(1) cut, under the table's state lock.
 
-    Returns (descriptor copy, materialized memtable (row, size) runs,
-    row total).  Caller already holds the maintenance lock.
+    Returns (descriptor copy, one ``(schema, rows, sizes)`` run per
+    non-empty memtable - its own schema: one that predates a schema
+    change holds rows of the old width - and the row total).  Caller
+    already holds the maintenance lock.
     """
     with table.lock:
         snap = TableDescriptor(
@@ -127,9 +129,9 @@ def _capture_table(table) -> Tuple[TableDescriptor, List[List[Tuple]], int]:
             durability=(dict(table.descriptor.durability)
                         if table.descriptor.durability else None),
         )
-        runs = [list(m.sorted_sized())
+        runs = [(m.schema, *m.sorted_run())
                 for m in table._unflushed.values() if not m.empty]
-    return snap, runs, sum(len(r) for r in runs)
+    return snap, runs, sum(len(rows) for _schema, rows, _sizes in runs)
 
 
 def create_snapshot(db, dest) -> Dict[str, Any]:
@@ -167,16 +169,16 @@ def create_snapshot(db, dest) -> Dict[str, Any]:
                 # of the original tier.
                 metas.append(dataclasses.replace(meta, tier="hot")
                              if meta.tier != "hot" else meta)
-            # Captured memtable rows become ordinary sidecar tablets:
-            # the snapshot needs no WAL and no replay to be complete.
-            for run in runs:
+            # Captured memtable rows become ordinary sidecar tablets
+            # (each under its memtable's schema, as a flush writes
+            # it): the snapshot needs no WAL and no replay.
+            for schema, rows, sizes in runs:
                 tablet_id = snap_desc.allocate_tablet_id()
-                writer = table._tablet_writer(snap_disk, table.schema)
+                writer = table._tablet_writer(snap_disk, schema)
                 meta = writer.write(
-                    snap_desc.tablet_filename(tablet_id), (),
+                    snap_desc.tablet_filename(tablet_id), rows,
                     tablet_id, created_at=now,
-                    expected_rows=len(run),
-                    sized_pairs=iter(run))
+                    expected_rows=len(rows), sizes=sizes)
                 if meta is not None:
                     metas.append(meta)
             snap_desc.tablets = metas

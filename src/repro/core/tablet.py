@@ -49,7 +49,10 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from functools import partial
+from itertools import accumulate, islice
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..disk.vfs import SimulatedDisk
 from ..obs.metrics import NULL_REGISTRY
@@ -71,7 +74,9 @@ TRAILER_BYTES = 16
 CHECKSUM_TRAILER_BYTES = 24
 CHECKSUM_MAGIC = b"LT21"
 
-_UNSET = object()
+# Rows ``TabletWriter.write`` takes from an iterator at a time (a few
+# blocks' worth: per-run work amortizes, memory stays bounded).
+WRITE_RUN_ROWS = 8192
 
 
 @dataclass
@@ -146,19 +151,19 @@ class _BlockEntry:
 
 
 class TabletSink:
-    """Streams sorted rows - or whole pre-compressed blocks - into one
-    tablet file.
+    """Streams sorted runs of rows - or whole pre-compressed blocks -
+    into one tablet file.
 
-    The flush path feeds it (row, size) pairs from a memtable; the
-    merge path feeds it decoded rows and, when an entire v3 block from
-    one source survives unmodified, the block's compressed payload
-    verbatim (``add_block_passthrough``), skipping the decode and
-    re-encode entirely.
-
-    Bloom filters are fed incrementally as keys arrive (sorted keys
-    repeat their leading columns, so most prefix levels are skipped);
-    when the expected row count is unknown the per-key prefix parts
-    are buffered and the filter is sized and filled at finish.
+    Rows enter one way, :meth:`add_rows`, a sorted unique *run* at a
+    time: flush hands over a memtable with the sizes it knows, the
+    merge a stretch of decoded blocks with their keys; an entire v3
+    block that survives a merge unmodified moves compressed-payload-
+    verbatim instead (``add_block_passthrough``).  Per run the sink
+    works in C loops (block cuts from the running sum of v1 sizes,
+    the timespan from ``min``/``max``) and the file's bytes do not
+    depend on how rows were split into runs.  The Bloom filter is fed
+    each run's distinct key prefixes - it is a set - and when the
+    expected row count is unknown they wait for ``finish`` to size it.
     """
 
     def __init__(self, disk: SimulatedDisk, schema: Schema,
@@ -174,94 +179,85 @@ class TabletSink:
         self._block_crcs: List[int] = []
         self.bloom_bits_per_row = bloom_bits_per_row
         self.schema_codec = SchemaCodec(schema, metrics)
-        self._key_of = self.schema_codec.key_of
-        self._size_of = self.schema_codec.size_of
-        self._ts_index = schema.ts_index
+        # One C call per row; with one index it would return no tuple.
+        self._key_of = (itemgetter(*schema.key_indexes)
+                        if schema.key_width > 1 else self.schema_codec.key_of)
+        self._ts_of = itemgetter(schema.ts_index)
         self._row_codec = RowCodec(schema)  # footer keys only
         self._body = bytearray()
         self._entries: List[_BlockEntry] = []
         self._rows: List[Tuple[Any, ...]] = []
-        self._keys: List[Tuple[Any, ...]] = []
-        self._pending_bytes = 0
+        #: Estimated uncompressed (v1) size of the block being built.
+        self.pending_bytes = 0
         self.row_count = 0
         self.min_ts: Optional[int] = None
         self.max_ts: Optional[int] = None
         self.first_key: Optional[Tuple[Any, ...]] = None
         self.last_key: Optional[Tuple[Any, ...]] = None
-        self._expected_rows = expected_rows
         self._bloom: Optional[KeyPrefixBloom] = None
-        self._bloom_buffered: Optional[List[Tuple[bytes, ...]]] = None
         self._bloom_state: list = []
+        #: Distinct prefixes held back until ``finish`` can size the
+        #: filter: no expected row count was given.
+        self._bloom_buffered: List[Tuple[Any, ...]] = []
+        self._bloom_prefix_of = itemgetter(slice(0, schema.key_width - 1))
         if bloom_bits_per_row:
-            self._bloom_width = schema.key_width - 1
             self._bloom_encoders = prefix_column_encoders(schema)
-            self._bloom_prev_vals: List[Any] = [_UNSET] * self._bloom_width
-            self._bloom_parts: List[bytes] = [b""] * self._bloom_width
             if expected_rows > 0:
-                self._bloom = KeyPrefixBloom(
-                    expected_keys=expected_rows,
-                    key_width=max(1, self._bloom_width),
-                    bits_per_key=bloom_bits_per_row,
-                )
-            else:
-                self._bloom_buffered = []
-
-    @property
-    def wants_bloom(self) -> bool:
-        return bool(self.bloom_bits_per_row)
-
-    @property
-    def pending_bytes(self) -> int:
-        """Estimated uncompressed size of the block being built."""
-        return self._pending_bytes
+                self._size_bloom(expected_rows)
 
     # ------------------------------------------------------------- rows
 
-    def _note_row(self, key: Tuple[Any, ...], ts: int) -> None:
-        if self.min_ts is None or ts < self.min_ts:
-            self.min_ts = ts
-        if self.max_ts is None or ts > self.max_ts:
-            self.max_ts = ts
-        if self.first_key is None:
-            self.first_key = key
-        self.last_key = key
-        self.row_count += 1
-        if self.bloom_bits_per_row:
-            self._bloom_add(key)
-
-    def _bloom_add(self, key: Tuple[Any, ...]) -> None:
-        prev_vals = self._bloom_prev_vals
-        parts = self._bloom_parts
-        encoders = self._bloom_encoders
-        for level in range(self._bloom_width):
-            value = key[level]
-            if value != prev_vals[level]:
-                parts[level] = encoders[level](value)
-                prev_vals[level] = value
-        if self._bloom is not None:
-            self._bloom.add_key_incremental(parts, self._bloom_state)
-        else:
-            self._bloom_buffered.append(tuple(parts))
-
-    def add_row(self, row: Tuple[Any, ...],
-                key: Optional[Tuple[Any, ...]] = None,
-                size: Optional[int] = None) -> None:
-        """Append one decoded row (sorted, unique).
-
-        ``size`` is the row's v1-encoded size when the caller already
-        knows it (memtables do); it only drives block cutting.
+    def add_rows(self, rows: Sequence[Tuple[Any, ...]],
+                 keys: Optional[Sequence[Tuple[Any, ...]]] = None,
+                 sizes: Optional[Sequence[int]] = None) -> None:
+        """Append a run of decoded rows: sorted, unique, and after
+        every row added so far.  ``keys`` and ``sizes`` (v1-encoded,
+        they only drive block cutting) are for callers that already
+        have them.  A row that would overflow a non-empty block opens
+        the next one; a block's first row is always admitted.
         """
-        if key is None:
-            key = self._key_of(row)
-        if size is None:
-            size = self._size_of(row)
-        if self._pending_bytes and \
-                self._pending_bytes + size > self.block_size:
+        if not rows:
+            return
+        if keys is None:
+            keys = list(map(self._key_of, rows))
+        if sizes is None:
+            sizes = map(self.schema_codec.size_of, rows)
+        # ends[i] is the size of rows[:i]; rows[start:cut] fit the
+        # pending block while ends[cut] stays within ``room``.
+        ends = list(accumulate(sizes, initial=0))
+        start = 0
+        while True:
+            room = self.block_size - self.pending_bytes + ends[start]
+            cut = bisect.bisect_right(ends, room, start + 1) - 1
+            if cut == start and not self.pending_bytes:
+                cut += 1
+            if cut > start:
+                self._rows += rows[start:cut]
+                self.pending_bytes += ends[cut] - ends[start]
+                self.last_key = keys[cut - 1]
+            if cut == len(rows):
+                break
             self._cut_block()
-        self._rows.append(row)
-        self._keys.append(key)
-        self._pending_bytes += size
-        self._note_row(key, row[self._ts_index])
+            start = cut
+        timestamps = list(map(self._ts_of, rows))
+        self.note_ts_bounds(min(timestamps), max(timestamps))
+        if self.first_key is None:
+            self.first_key = keys[0]
+        self.row_count += len(rows)
+        self.add_bloom_prefixes(map(self._bloom_prefix_of, keys))
+
+    def _size_bloom(self, expected_keys: int) -> None:
+        self._bloom = KeyPrefixBloom(
+            expected_keys, key_width=max(1, self.schema.key_width - 1),
+            bits_per_key=self.bloom_bits_per_row)
+
+    def _bloom_add(self, prefix: Tuple[Any, ...]) -> None:
+        if self._bloom is None:
+            self._bloom_buffered.append(prefix)
+            return
+        parts = [encode(value) for encode, value
+                 in zip(self._bloom_encoders, prefix)]
+        self._bloom.add_key_incremental(parts, self._bloom_state)
 
     # ----------------------------------------------------------- blocks
 
@@ -272,13 +268,12 @@ class TabletSink:
         raw = self.schema_codec.encode_rows(self._rows)
         payload = compress(self.codec, raw)
         self._entries.append(_BlockEntry(
-            len(self._body), len(payload), len(self._rows), self._keys[-1]))
+            len(self._body), len(payload), len(self._rows), self.last_key))
         if self.checksums:
             self._block_crcs.append(crc32c(payload))
         self._body += payload
         self._rows = []
-        self._keys = []
-        self._pending_bytes = 0
+        self.pending_bytes = 0
 
     def add_block_passthrough(self, payload: bytes, row_count: int,
                               last_key: Tuple[Any, ...]) -> None:
@@ -306,12 +301,13 @@ class TabletSink:
         """Feed Bloom prefixes for rows added via passthrough blocks.
 
         ``prefix_rows`` yields key tuples *without* the trailing
-        timestamp (e.g. ``zip(*decoded key columns)``).
+        timestamp (e.g. ``zip(*decoded key columns)``), one per row;
+        each distinct one is added once.
         """
         if not self.bloom_bits_per_row:
             return
-        for values in prefix_rows:
-            self._bloom_add(values)
+        for prefix in dict.fromkeys(prefix_rows):
+            self._bloom_add(prefix)
 
     def note_ts_bounds(self, min_ts: int, max_ts: int) -> None:
         """Widen the tablet's timespan (passthrough bookkeeping)."""
@@ -339,17 +335,11 @@ class TabletSink:
             return None
         bloom_bytes = b""
         if self.bloom_bits_per_row:
-            bloom = self._bloom
-            if bloom is None:
-                bloom = KeyPrefixBloom(
-                    expected_keys=max(self._expected_rows, self.row_count),
-                    key_width=max(1, self._bloom_width),
-                    bits_per_key=self.bloom_bits_per_row,
-                )
-                state: list = []
-                for parts in self._bloom_buffered:
-                    bloom.add_key_incremental(parts, state)
-            bloom_bytes = bloom.serialize()
+            if self._bloom is None:
+                self._size_bloom(self.row_count)
+                for prefix in self._bloom_buffered:
+                    self._bloom_add(prefix)
+            bloom_bytes = self._bloom.serialize()
         footer = self._encode_footer(bloom_bytes)
         compressed_footer = compress(self.codec, footer)
         footer_offset = len(self._body)
@@ -407,50 +397,43 @@ class TabletSink:
 
 
 class TabletWriter:
-    """Writes one tablet file from an iterator of sorted rows."""
+    """Writes one tablet file from sorted rows (a run or an iterator)."""
 
     def __init__(self, disk: SimulatedDisk, schema: Schema,
                  block_size: int, compression: str,
                  bloom_bits_per_row: int = 0,
                  metrics=None, checksums: bool = True):
-        self.disk = disk
-        self.schema = schema
-        self.codec = codec_id(compression)
-        self.compression = compression
-        self.block_size = block_size
-        self.bloom_bits_per_row = bloom_bits_per_row
-        self.checksums = checksums
-        self.metrics = metrics
+        codec_id(compression)   # an unknown name fails here, not per file
+        self._new_sink = partial(
+            TabletSink, disk, schema, block_size, compression,
+            bloom_bits_per_row, metrics=metrics, checksums=checksums)
 
     def sink(self, expected_rows: int = 0) -> TabletSink:
         """A fresh sink for one tablet file under this writer's
         settings (the block-wise merge drives it directly)."""
-        return TabletSink(self.disk, self.schema, self.block_size,
-                          self.compression, self.bloom_bits_per_row,
-                          metrics=self.metrics,
-                          expected_rows=expected_rows,
-                          checksums=self.checksums)
+        return self._new_sink(expected_rows=expected_rows)
 
     def write(self, filename: str, rows: Iterable[Tuple[Any, ...]],
               tablet_id: int, created_at: int, expected_rows: int = 0,
-              sized_pairs: Optional[Iterable[Tuple[Tuple[Any, ...], int]]]
-              = None) -> Optional[TabletMeta]:
+              sizes: Optional[Sequence[int]] = None
+              ) -> Optional[TabletMeta]:
         """Encode and write ``rows`` (already sorted by key, unique).
 
         Returns the tablet's metadata, or None if ``rows`` was empty
         (no file is written).  ``expected_rows`` sizes the Bloom
-        filter up front (0 defers sizing to the actual count).  When
-        the caller already knows each row's encoded size
-        (memtables do, §3.2's flush path), ``sized_pairs`` supplies
-        (row, size) pairs and ``rows`` is ignored.
+        filter up front (0 defers sizing to the actual count).  A
+        list or tuple is one run, with each row's encoded size in
+        ``sizes`` when the caller knows them (memtables do, §3.2's
+        flush path); anything else is consumed as an iterator,
+        ``WRITE_RUN_ROWS`` rows at a time, so streaming callers stay so.
         """
         sink = self.sink(expected_rows)
-        if sized_pairs is not None:
-            for row, size in sized_pairs:
-                sink.add_row(row, size=size)
+        if isinstance(rows, (list, tuple)):
+            sink.add_rows(rows, sizes=sizes)
         else:
-            for row in rows:
-                sink.add_row(row)
+            rows = iter(rows)
+            for run in iter(lambda: list(islice(rows, WRITE_RUN_ROWS)), []):
+                sink.add_rows(run)
         return sink.finish(filename, tablet_id, created_at)
 
 

@@ -293,6 +293,15 @@ class TestBoundaryValues:
             codec.validate_and_size((100, "nope"))      # wrong type
         assert codec.validate_and_size((2**63 - 1, 0))[0] == (2**63 - 1, 0)
 
+    @pytest.mark.parametrize("row", [(100,), (100, 1, 2)])
+    def test_rows_of_another_width_are_refused(self, row):
+        """``zip`` pairs what it can: rows a column short (a memtable
+        from before an ``append_column``) once encoded without it."""
+        schema = Schema([Column("ts", ColumnType.TIMESTAMP),
+                         Column("n", ColumnType.INT32)], key=["ts"])
+        with pytest.raises(ValueError, match="schema has 2"):
+            SchemaCodec(schema).encode_rows([row])
+
 
 # ------------------------------------------------------------ corruption
 

@@ -212,33 +212,36 @@ def _read_aggregate(table):
         aggregates=(("COUNT", None),), residuals=())).groups
 
 
+def two_tablets(merge_policy="never", **config):
+    """Two flushed tablets of 50 devices each, the newer one (the one
+    ``latest()`` opens first) damaged inside block 0."""
+    from repro.core import EngineConfig
+
+    clock = VirtualClock(start=BASE)
+    db = LittleTable(disk=SimulatedDisk(), clock=clock,
+                     config=EngineConfig(merge_policy=merge_policy,
+                                         **config))
+    table = db.create_table("t", usage_schema())
+    for batch in range(2):
+        table.insert([
+            {"network": 1, "device": d, "ts": clock.now() + d,
+             "bytes": d, "rate": 0.0}
+            for d in range(batch * 50, batch * 50 + 50)])
+        table.flush_all()
+    victim = table.on_disk_tablets[1].filename
+    corrupt_file(db.disk, victim, 4, 8)
+    table.evict_reader_cache()
+    return db, table, victim
+
+
 class TestReadPathIsolation:
     """Every read goes through the read plan's guard, so corruption
     met by any of them is isolated the same way."""
 
-    def two_tablets(self, **config):
-        from repro.core import EngineConfig
-
-        clock = VirtualClock(start=BASE)
-        db = LittleTable(disk=SimulatedDisk(), clock=clock,
-                         config=EngineConfig(merge_policy="never", **config))
-        table = db.create_table("t", usage_schema())
-        for batch in range(2):
-            table.insert([
-                {"network": 1, "device": d, "ts": clock.now() + d,
-                 "bytes": d, "rate": 0.0}
-                for d in range(batch * 50, batch * 50 + 50)])
-            table.flush_all()
-        # The newer tablet: latest() opens its group first.
-        victim = table.on_disk_tablets[1].filename
-        corrupt_file(db.disk, victim, 4, 8)  # inside block 0
-        table.evict_reader_cache()
-        return db, table, victim
-
     @pytest.mark.parametrize("read", [_read_query, _read_latest,
                                       _read_aggregate])
     def test_first_read_quarantines_second_serves(self, read):
-        db, table, victim = self.two_tablets()
+        db, table, victim = two_tablets()
         quarantined = db.metrics.counter("storage.quarantined_tablets")
         with pytest.raises(CorruptTabletError):
             read(table)
@@ -253,13 +256,56 @@ class TestReadPathIsolation:
     @pytest.mark.parametrize("read", [_read_query, _read_latest,
                                       _read_aggregate])
     def test_quarantine_disabled_raises_every_time(self, read):
-        db, table, victim = self.two_tablets(quarantine_on_corruption=False)
+        db, table, victim = two_tablets(quarantine_on_corruption=False)
         for _attempt in range(2):
             with pytest.raises(CorruptTabletError):
                 read(table)
         assert db.metrics.counter("storage.quarantined_tablets").value == 0
         assert db.disk.exists(victim)
         assert len(table.on_disk_tablets) == 2
+
+
+class TestMergeIsolation:
+    """A merge reads its sources' blocks itself, around the read
+    plan's guard.  It isolates a damaged source all the same: the
+    policy chooses by size and age, so it would choose the same run
+    on every tick and the table would never merge again."""
+
+    MERGING = dict(merge_policy="adjacent-half", merge_min_age_micros=0,
+                   merge_rollover_delay_fraction=0.0)
+
+    def test_first_tick_quarantines_second_is_clean(self):
+        db, table, victim = two_tablets(**self.MERGING)
+        errors = db.metrics.counter("maintenance.errors")
+        quarantined = db.metrics.counter("storage.quarantined_tablets")
+        report = db.maintenance()
+        assert report.errors == [
+            f"t: merge: ChecksumError: {victim}: block 0 checksum mismatch"]
+        assert (errors.value, quarantined.value) == (1, 1)
+        assert db.disk.exists(f"quarantine/{victim}")
+        assert not db.disk.exists(victim)
+        assert db.maintenance().errors == []
+        assert (errors.value, quarantined.value) == (1, 1)
+        assert [row[1] for row in table.query(Query()).rows] \
+            == list(range(50))
+
+    def test_quarantine_disabled_raises_every_tick(self):
+        db, table, victim = two_tablets(quarantine_on_corruption=False,
+                                        **self.MERGING)
+        for tick in range(1, 3):
+            assert len(db.maintenance().errors) == 1
+            assert db.metrics.counter("maintenance.errors").value == tick
+        assert db.metrics.counter("storage.quarantined_tablets").value == 0
+        assert db.disk.exists(victim)
+        assert len(table.on_disk_tablets) == 2
+
+    def test_vanished_source_is_isolated_too(self):
+        db, table, victim = two_tablets(**self.MERGING)
+        db.disk.delete(victim)
+        assert len(db.maintenance().errors) == 1
+        assert [t.filename for t in table.on_disk_tablets] != [victim]
+        assert len(table.on_disk_tablets) == 1
+        assert db.maintenance().errors == []
 
 
 class TestDescriptorCorruption:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.encoding import RowCodec
 from repro.core.memtable import MemTable
 from repro.core.periods import Period, PeriodLevel
 from repro.core.row import KeyRange
@@ -86,9 +87,14 @@ class TestIteration:
             mt.insert(row, now=0)
         return mt, sorted(rows)
 
-    def test_sorted_rows(self):
+    def test_sorted_run(self):
         mt, expected = self._filled()
-        assert list(mt.sorted_rows()) == expected
+        rows, sizes = mt.sorted_run()
+        assert rows == expected
+        encode = RowCodec(mt.schema).encode_row
+        assert sizes == [len(encode(row)) for row in rows]
+        assert sum(sizes) == mt.size_bytes
+        assert make_memtable().sorted_run() == ([], [])
 
     def test_last_key(self):
         mt, expected = self._filled()

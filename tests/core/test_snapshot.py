@@ -14,6 +14,8 @@ import pytest
 
 import repro
 from repro.core import (
+    Column,
+    ColumnType,
     DurabilityPolicy,
     EngineConfig,
     LittleTable,
@@ -74,6 +76,24 @@ class TestRoundTrip:
         assert rows == db.query("t", Query()).rows
         assert restored.table("t").schema.to_dict() == \
             table.schema.to_dict()
+        restored.close()
+
+    def test_memtable_older_than_a_schema_change(self):
+        """A memtable filled before ``append_column`` holds rows of
+        the old width until it is flushed; its sidecar tablet is
+        written under that schema, as the flush would write it."""
+        db, clock = build_db()
+        table = db.table("t")
+        table.insert([row_for(1, i) for i in range(50)])
+        table.append_column(Column("extra", ColumnType.INT64, default=7))
+        table.insert([dict(row_for(2, i), extra=i) for i in range(5)])
+        dest = MemoryStorage()
+        summary = db.snapshot(dest)
+        assert summary["tables"]["t"]["memtable_rows_captured"] == 55
+        restored = repro.restore(dest)
+        rows = restored.query("t", Query()).rows
+        assert rows == db.query("t", Query()).rows
+        assert [row[-1] for row in rows] == [7] * 50 + list(range(5))
         restored.close()
 
     def test_snapshot_of_wal_tier_restores_without_wal(self):

@@ -49,6 +49,30 @@ class TestWriter:
         assert meta is None
         assert disk.list() == []
 
+    def test_an_iterator_is_consumed_in_bounded_runs(self, disk,
+                                                     monkeypatch):
+        """A streaming caller (the translating merge, the bulk-delete
+        rewrite) stays streaming, and writes the bytes a list does."""
+        from repro.core import tablet
+
+        rows = make_rows()
+        write_tablet(disk, rows, filename="t/list.lt")
+        monkeypatch.setattr(tablet, "WRITE_RUN_ROWS", 7)
+        taken = []
+
+        class Sink(tablet.TabletSink):
+            def add_rows(self, run, keys=None, sizes=None):
+                taken.append(len(run))
+                super().add_rows(run, keys, sizes)
+
+        monkeypatch.setattr(tablet, "TabletSink", Sink)
+        meta = write_tablet(disk, iter(rows), filename="t/iterator.lt")
+        assert meta.row_count == len(rows) == 60
+        assert taken == [7] * 8 + [4]
+        assert disk.storage.read_all("t/iterator.lt") \
+            == disk.storage.read_all("t/list.lt")
+        assert write_tablet(disk, iter(()), filename="t/none.lt") is None
+
     def test_meta_fields(self, disk):
         rows = make_rows()
         meta = write_tablet(disk, rows)

@@ -4,7 +4,8 @@ Each was a second way to say something one config object already
 says (``ClientConfig``, ``EngineConfig``, ``MaintenancePolicy``) or a
 selector for a code path that no longer exists (the v1 and v2 block
 writers, the v1 wire dialect, the read cache's footer side cache, the
-IO rate limiter and its SLO controller) or an option nothing read;
+IO rate limiter and its SLO controller, the tablet sink's row-at-a-time
+entry) or an option nothing read;
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
@@ -65,6 +66,10 @@ from repro.net import AsyncLittleTableServer, ClientConfig, LittleTableClient
     pytest.param(
         lambda: TabletWriter(None, None, 0, "none", io_limiter=None),
         id="tablet-writer-io-limiter"),
+    pytest.param(
+        lambda: TabletWriter(None, None, 0, "none").write(
+            "t/tab.lt", (), 1, 0, sized_pairs=()),
+        id="tablet-writer-sized-pairs"),
 ])
 def test_old_spelling_is_a_type_error(old_spelling):
     with pytest.raises(TypeError):
@@ -96,6 +101,8 @@ SRC = Path(__file__).parent.parent / "src"
         "_gen_encode_rows_v2|_gen_decode_block_v2|_emit_read_uvarint"
         "|RESTART_INTERVAL|blocks_upgraded_v1_to_v2", (),
         id="v2-block-writer"),
+    pytest.param(r"\badd_row\b|_note_row|sized_pairs|sorted_sized", (),
+                 id="row-at-a-time-sink"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)
