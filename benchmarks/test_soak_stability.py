@@ -1,8 +1,8 @@
 """Soak stability: flat p99 under sustained ingest + dashboard load,
 with the merger running.
 
-One configuration, the default scheduler (flush-before-merge queue
-priorities, fixed-depth insert backpressure, ``merge_budget_per_tick``).
+One configuration, the default maintenance loop (flush debt first in
+each pass, fixed-depth insert backpressure, ``merge_budget_per_tick``).
 It ingests continuously (batched inserts, advancing virtual timestamps
 so tablets retire and merge) while a second thread runs
 dashboard-style latest/range queries.  Latencies are bucketed into

@@ -276,7 +276,8 @@ def stats_main(argv: list) -> int:
 
     page["cache"] = cache_summary(page.get("metrics", {}))
     page["codec"] = codec_summary(page.get("metrics", {}))
-    page["maintenance"] = maintenance_summary(page.get("metrics", {}))
+    page["maintenance"] = maintenance_summary(page.get("metrics", {}),
+                                              page.get("tables", {}))
     page["fault"] = fault_summary(page.get("metrics", {}))
     page["query"] = pushdown_summary(page.get("metrics", {}))
     page["admission"] = admission_summary(page.get("metrics", {}))
@@ -355,7 +356,9 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
 
     Serves a :class:`~repro.net.shard.ShardRouter` (``--shards N``;
     N=1 still routes, through a single worker) through the asyncio
-    pipelined front end.
+    pipelined front end, with every engine's background maintenance
+    (flush by age, merge, TTL expiry: §3.3's always-on merger) running
+    under its default :class:`~repro.core.maintenance.MaintenancePolicy`.
 
     ``--durability TIER`` (with ``--wal-segment-bytes``) sets the
     served engines' default
@@ -382,8 +385,6 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
     parser.add_argument("--shards", type=int, default=4, metavar="N",
                         help="engine workers to partition tables "
                              "across (default: 4)")
-    parser.add_argument("--maintenance", action="store_true",
-                        help="run the background maintenance scheduler")
     parser.add_argument("--durability", default=None,
                         choices=["none", "wal", "replicated"],
                         help="default durability tier for new tables "
@@ -404,9 +405,6 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .core.maintenance import MaintenancePolicy
-
-    policy = MaintenancePolicy() if args.maintenance else None
     if args.follow is not None:
         if args.shards != parser.get_default("shards") and args.shards != 1:
             print("error: --follow runs a single-engine standby; "
@@ -419,13 +417,13 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
 
     db = ShardRouter(shards=args.shards, data_dir=args.data,
                      durability=durability)
-    server = AsyncLittleTableServer(db, host=args.host, port=args.port,
-                                    policy=policy)
+    server = AsyncLittleTableServer(db, host=args.host, port=args.port)
     import threading
 
     if stop_event is None:
         stop_event = threading.Event()
     try:
+        db.start_maintenance()
         with server:
             host, port = server.address
             print(f"serving on {host}:{port} (async pipelined, "

@@ -10,6 +10,7 @@ benchmarks, the Dashboard applications) can use it directly.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..disk.faults import FailpointRegistry, classify_storage_error
@@ -22,7 +23,8 @@ from .config import DEFAULT_CONFIG, EngineConfig
 from .descriptor import TableDescriptor
 from .durability import DurabilityPolicy
 from .errors import NoSuchTableError, ReadOnlyModeError, TableExistsError
-from .maintenance import MaintenancePolicy, MaintenanceReport
+from .maintenance import (MaintenancePolicy, MaintenanceReport,
+                          TableMaintenanceReport)
 from .readcache import ReadCache
 from .recovery import ScrubReport, startup_scrub
 from .row import Query, QueryResult
@@ -92,13 +94,17 @@ class LittleTable:
         self.read_cache = ReadCache(self.config.read_cache_bytes,
                                     metrics=self.metrics)
         # How background maintenance behaves (tick interval, workers,
-        # insert backpressure, merge budget).  The scheduler itself is
-        # lazy: start_maintenance() spins it up, close() stops it.
+        # insert backpressure, merge budget).  Every pass reads it
+        # afresh, so a newly assigned policy takes effect live (its
+        # thread count at the next start_maintenance()).  The scheduler
+        # is lazy: start_maintenance() spins it up, close() stops it.
         self.maintenance_policy = (
             maintenance_policy if maintenance_policy is not None
             else MaintenancePolicy())
         self.maintenance_policy.validate()
         self._scheduler = None
+        self._m_maintenance_errors = self.metrics.counter(
+            "maintenance.errors")
         self._tables: Dict[str, Table] = {}
         # Read-only degradation state (ISSUE: "the server degrades to
         # read-only on ENOSPC or persistent EIO").  Inserts are
@@ -185,6 +191,11 @@ class LittleTable:
         """Names of all tables, sorted."""
         return sorted(self._tables)
 
+    def tables(self) -> List[Table]:
+        """All tables in name order: a snapshot, so a caller on
+        another thread may iterate it across creates and drops."""
+        return sorted(self._tables.values(), key=lambda table: table.name)
+
     def table(self, name: str) -> Table:
         """Look up a table by name."""
         try:
@@ -259,30 +270,42 @@ class LittleTable:
         return self.table(table_name).latest(
             prefix, max_lookback_micros=max_lookback_micros)
 
-    def maintenance(self) -> MaintenanceReport:
-        """Run one maintenance tick on every table.
+    def maintenance(self, stop: Optional[threading.Event] = None
+                    ) -> MaintenanceReport:
+        """Run one maintenance pass: a tick on every table.
 
-        Returns a typed :class:`MaintenanceReport`.  One table
-        failing never stops the pass: the error lands on that table's
-        entry.
+        The one driver of maintenance, inline or (with ``stop``) from
+        each :class:`MaintenanceScheduler` thread.  Tables with
+        memtables queued for flush go first: those hold up the writer
+        (backpressure) and WAL recycling, where merge debt only costs
+        read amplification.  One table failing never stops the pass:
+        the error lands on its entry and in ``maintenance.errors``.
+
+        A table is ticked by one pass at a time.  An inline pass waits
+        its turn; a background one moves on to the next table, leaves
+        once ``stop`` is set, and skips a table dropped since it began.
         """
         report = MaintenanceReport()
         streak_before = self._io_failure_streak
-        for name in self.table_names():
-            try:
-                table = self._tables[name]
-            except KeyError:  # dropped concurrently
+        budget = self.maintenance_policy.merge_budget_per_tick
+        for table in sorted(
+                self.tables(),
+                key=lambda table: not table.flush_pending_count):
+            if stop is not None and stop.is_set():
+                return report
+            if self._tables.get(table.name) is not table:
+                continue
+            if not table.tick_lock.acquire(blocking=stop is None):
                 continue
             try:
-                report.add(table.maintenance(
-                    merge_budget=self.maintenance_policy
-                    .merge_budget_per_tick))
+                report.add(table.maintenance(merge_budget=budget))
             except Exception as exc:  # crash isolation per table
-                from .maintenance import TableMaintenanceReport
-
+                self._m_maintenance_errors.inc()
                 report.add(TableMaintenanceReport(
-                    table=name,
+                    table=table.name,
                     errors=[f"maintenance: {type(exc).__name__}: {exc}"]))
+            finally:
+                table.tick_lock.release()
         # A full pass with no fresh storage failure breaks the EIO
         # streak: only *consecutive* errors count toward read-only.
         if self._io_failure_streak == streak_before:
@@ -304,12 +327,12 @@ class LittleTable:
 
     def start_maintenance(self):
         """Start the background :class:`MaintenanceScheduler` under
-        :attr:`maintenance_policy` (idempotent).  Returns it."""
+        :attr:`maintenance_policy` (idempotent): the one way
+        background maintenance starts.  Returns the scheduler."""
         from .scheduler import MaintenanceScheduler
 
         if self._scheduler is None:
-            self._scheduler = MaintenanceScheduler(
-                self, self.maintenance_policy)
+            self._scheduler = MaintenanceScheduler(self)
         self._scheduler.start()
         return self._scheduler
 
@@ -317,11 +340,6 @@ class LittleTable:
         """Stop the background scheduler, if running (idempotent)."""
         if self._scheduler is not None:
             self._scheduler.stop()
-
-    @property
-    def scheduler(self):
-        """The background scheduler, or None before start_maintenance."""
-        return self._scheduler
 
     def flush_all(self) -> None:
         """Flush every table's memtables (clean shutdown)."""

@@ -6,8 +6,8 @@ holds its API objects:
 
 * :class:`MaintenancePolicy` - one config object for *how* background
   maintenance runs (tick interval, worker count, insert backpressure,
-  merge budget), consumed by both :class:`~repro.core.LittleTable`
-  and the server front (``policy=``).
+  merge budget).  A database owns one (``db.maintenance_policy``) and
+  its ``start_maintenance()`` runs the loop under it.
 * :class:`TableMaintenanceReport` / :class:`MaintenanceReport` - typed
   returns for ``Table.maintenance()`` / ``Database.maintenance()``.
   Read the attributes (``report.tables["usage"].flushed``);
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 from . import readpath
 from .errors import QueryError
 from .memtable import MemTable
-from .merge import MergePlan, choose_merge, is_quiescent, merge_tablets
+from .merge import MergePlan, choose_merge, merge_tablets
 from .row import KeyRange
 from .tablet import TabletMeta
 
@@ -49,11 +49,13 @@ class MaintenancePolicy:
     """How background maintenance runs for one database instance.
 
     ``tick_interval_s``
-        Seconds between scheduler ticks (each tick scans every table
-        for due work and feeds the worker pool).
+        Seconds from the start of one of a worker's passes to the
+        start of its next (a pass ticks every table, flush debt
+        first; one that outlasts the interval is followed at once).
     ``workers``
-        Background worker threads.  Tables are independent units of
-        work; two workers never touch the same table concurrently.
+        Background threads, each looping over the pass.  Tables are
+        independent units of work; two workers never tick the same
+        table at once.
     ``max_flush_pending``
         Insert backpressure threshold: when a table has this many
         flush-pending memtables, inserts wait (up to
@@ -493,18 +495,3 @@ def run_tick(table: "Table", merge_budget: int) -> TableMaintenanceReport:
         failed("ttl", exc)
     return report
 
-
-def work_due(table: "Table", now: int, include_merge: bool) -> bool:
-    """Cheap work-selection probe for the scheduler: True when a tick
-    would (probably) do something - a queued or due flush, a file
-    awaiting reclaim, an expirable tablet, or a mergeable run."""
-    if table.pending_flush_work(now) or table._pending_deletes:
-        return True
-    tablets = table.descriptor.tablets
-    ttl = table.descriptor.ttl_micros
-    if ttl is not None and any(t.max_ts < now - ttl for t in tablets):
-        return True
-    if include_merge:
-        hot = [t for t in tablets if t.tier != "cold"]
-        return not is_quiescent(hot, now, table.name, table.config)
-    return False

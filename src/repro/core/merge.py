@@ -142,12 +142,6 @@ def _choose_merge_all(ordered: List[TabletMeta], now: int, table_name: str,
     return MergePlan(eligible, period)
 
 
-def is_quiescent(tablets: List[TabletMeta], now: int, table_name: str,
-                 config: EngineConfig) -> bool:
-    """True when :func:`choose_merge` would find nothing to do."""
-    return choose_merge(tablets, now, table_name, config) is None
-
-
 def pending_merge_runs(tablets: List[TabletMeta], now: int,
                        table_name: str, config: EngineConfig,
                        limit: int = 8) -> List[MergePlan]:
@@ -157,9 +151,10 @@ def pending_merge_runs(tablets: List[TabletMeta], now: int,
     set, replacing each chosen run with the pseudo-tablet the merge
     would produce (``created_at=now``, so - as in reality - the
     product's own re-merge is blocked by the minimum age).  Purely
-    advisory: the scheduler's queue-depth gauge and ``.stats`` use the
-    count to show how far behind maintenance is.  Stops after
-    ``limit`` plans.
+    advisory: it shows how far behind maintenance is, and is computed
+    when an operator asks (``Table.stats_summary()`` sums the plans'
+    bytes), never on the maintenance path.  Stops after ``limit``
+    plans.
     """
     simulated = list(tablets)
     plans: List[MergePlan] = []
@@ -183,20 +178,6 @@ def pending_merge_runs(tablets: List[TabletMeta], now: int,
                      if t.tablet_id not in merged_ids]
         simulated.append(product)
     return plans
-
-
-def merge_debt_bytes(tablets: List[TabletMeta], now: int,
-                     table_name: str, config: EngineConfig,
-                     limit: int = 8) -> int:
-    """Bytes the pending merge plans would rewrite (advisory).
-
-    The scheduler's ``sched.merge_debt_bytes`` gauge sums this across
-    tables: it is the backlog the merger still has to pay down, and
-    the quantity flush debt is prioritised against.
-    """
-    return sum(plan.total_bytes
-               for plan in pending_merge_runs(tablets, now, table_name,
-                                              config, limit=limit))
 
 
 # ------------------------------------------------------------- executor

@@ -43,11 +43,12 @@ Removed tablets' files enter a **deferred-delete queue** tagged with a
 read epoch and are reclaimed only once every reader that could have
 seen the old tablet list has finished (epoch-based reclamation).
 
-Insert backpressure: when a :class:`~repro.core.scheduler.`
-``MaintenanceScheduler`` is running it arms a flush-pending threshold;
-an insert batch finding that many memtables awaiting flush waits on
-the state lock's condition (bounded by the policy's wait budget) for
-the flushers to drain, observable via ``insert.backpressure_stalls``.
+Insert backpressure: while the database's maintenance loop
+(:mod:`~repro.core.scheduler`) runs, each pass arms a flush-pending
+threshold; an insert batch finding that many memtables awaiting flush
+waits on the state lock's condition (bounded by the policy's wait
+budget) for the flushers to drain, observable via
+``insert.backpressure_stalls``.  Stopping the loop disarms it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .errors import (CorruptTabletError, DuplicateKeyError, LittleTableError,
                      QueryError, SchemaError, ValidationError)
 from .flushdeps import FlushDependencies
 from .memtable import MemTable
-from .merge import MergePlan
+from .merge import MergePlan, pending_merge_runs
 from .periods import period_for
 from .readcache import LatestRowCache, ReadCache, TabletPruneIndex
 from .row import KeyRange, Query, QueryResult, QueryStats, TimeRange
@@ -137,6 +138,10 @@ class Table:
             if self.durability.wal_enabled else None)
         self.last_wal_replay: Optional[WalReplayReport] = None
         self._maintenance_lock = threading.RLock()
+        # Held by a database maintenance pass around its tick of this
+        # table (LittleTable.maintenance): a background worker that
+        # finds it taken moves on to the next table.
+        self.tick_lock = threading.Lock()
         self.lock = threading.RLock()
         self._reader_lock = threading.Lock()
         # Inserts wait here when flush-pending memtables pile up past
@@ -253,8 +258,8 @@ class Table:
 
         Everything an operator needs to recognize the paper's failure
         modes at a glance: tablet counts per period (seek storms,
-        §3.4.1), write amplification (merge pathologies), and the
-        Figure 9 scan ratio.
+        §3.4.1), write amplification (merge pathologies), the merge
+        backlog in bytes, and the Figure 9 scan ratio.
         """
         now = self.clock.now()
         tablets = self.descriptor.tablets
@@ -284,6 +289,10 @@ class Table:
             "unflushed_memtables": self.unflushed_memtable_count,
             "flush_pending": len(self._flush_pending),
             "deferred_deletes": len(self._pending_deletes),
+            "merge_debt_bytes": sum(
+                plan.total_bytes for plan in pending_merge_runs(
+                    [t for t in tablets if t.tier != "cold"], now,
+                    self.name, self.config)),
             "write_amplification": round(amplification, 2),
             "scan_ratio": round(scanned / returned, 2) if returned else None,
             "ttl_micros": self.descriptor.ttl_micros,
@@ -656,8 +665,9 @@ class Table:
                                wait_s: float = 5.0) -> None:
         """Arm (or with ``limit=None`` disarm) insert backpressure.
 
-        The :class:`~repro.core.scheduler.MaintenanceScheduler` wires
-        this from its policy on start and disarms it on stop.
+        The :class:`~repro.core.scheduler.MaintenanceScheduler` arms
+        this from the database's policy before every pass and disarms
+        it on stop.
         """
         with self.lock:
             self._backpressure_limit = limit
@@ -914,12 +924,6 @@ class Table:
         """One background tick: due flushes, budgeted merges, TTL,
         each isolated from the others' failures."""
         return ops.run_tick(self, merge_budget)
-
-    def maintenance_due(self, now: Optional[int] = None,
-                        include_merge: bool = True) -> bool:
-        """Cheap probe for the scheduler: would a tick do anything?"""
-        return ops.work_due(
-            self, self.clock.now() if now is None else now, include_merge)
 
     def _notify_fault(self, exc: BaseException) -> None:
         """Tell the database about a storage-level failure (it decides

@@ -178,24 +178,25 @@ def pushdown_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def maintenance_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """The background-maintenance corner of a snapshot.
+def maintenance_summary(snapshot: Dict[str, Any],
+                        tables: Dict[str, Dict[str, Any]]
+                        ) -> Dict[str, Any]:
+    """The background-maintenance corner of a page.
 
     What an operator needs to judge the non-blocking engine: is the
-    scheduler keeping up (queue depth, ticks, per-table runs), are
-    swaps actually brief (``swap_lock_hold_us`` percentiles - this is
-    the *only* time maintenance holds the state lock), is the writer
-    being stalled (backpressure), is deferred file reclamation
-    draining (``deferred_deletes``), and how much merge debt is queued
-    behind flush work (the scheduler's two queue priorities).
+    loop running (ticks, per-table runs), are swaps actually brief
+    (``swap_lock_hold_us`` percentiles - this is the *only* time
+    maintenance holds the state lock), is the writer being stalled
+    (backpressure), is deferred file reclamation draining
+    (``deferred_deletes``), and how much merge debt each table owes
+    (``merge_debt_bytes`` from the page's per-table
+    ``stats_summary()``, computed when the page is built).
     """
     counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
     histograms = snapshot.get("histograms", {})
     swap = histograms.get("maintenance.swap_lock_hold_us", {})
     stall_wait = histograms.get("insert.backpressure_wait_us", {})
     return {
-        "queue_depth": gauges.get("maintenance.queue_depth", 0),
         "ticks": counters.get("maintenance.ticks", 0),
         "table_runs": counters.get("maintenance.table_runs", 0),
         "errors": counters.get("maintenance.errors", 0),
@@ -210,9 +211,9 @@ def maintenance_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
             "stalls": counters.get("insert.backpressure_stalls", 0),
             "wait_p99_us": stall_wait.get("p99"),
         },
-        "merge_debt_bytes": gauges.get("sched.merge_debt_bytes", 0),
-        "flush_priority_runs": counters.get("sched.flush_priority_runs", 0),
-        "merge_priority_runs": counters.get("sched.merge_priority_runs", 0),
+        "merge_debt_bytes": {
+            name: summary.get("merge_debt_bytes", 0)
+            for name, summary in sorted(tables.items())},
     }
 
 
@@ -302,11 +303,12 @@ def render_metrics_page(page: Dict[str, Any]) -> str:
         + ("throughput=n/a" if codec['decode_mrows_per_s'] is None else
            f"throughput={codec['decode_mrows_per_s']:.2f}Mrows/s"))
     lines.append(f"blocks_upgraded={codec['blocks_upgraded']}")
-    upkeep = maintenance_summary(page.get("metrics", {}))
+    upkeep = maintenance_summary(page.get("metrics", {}),
+                                 page.get("tables", {}))
     lines.append("")
     lines.append("== maintenance ==")
     lines.append(
-        f"queue_depth={upkeep['queue_depth']}, ticks={upkeep['ticks']}, "
+        f"ticks={upkeep['ticks']}, "
         f"table_runs={upkeep['table_runs']}, errors={upkeep['errors']}, "
         f"deferred_deletes={upkeep['deferred_deletes']}")
     swap = upkeep["swap_lock_hold_us"]
@@ -321,10 +323,9 @@ def render_metrics_page(page: Dict[str, Any]) -> str:
     lines.append(
         f"backpressure: stalls={stalls['stalls']}, "
         f"wait_p99={us(stalls['wait_p99_us'])}")
-    lines.append(
-        f"priorities: flush_runs={upkeep['flush_priority_runs']}, "
-        f"merge_runs={upkeep['merge_priority_runs']}, "
-        f"merge_debt={upkeep['merge_debt_bytes']}B")
+    lines.append("merge_debt: " + (", ".join(
+        f"{name}={debt}B"
+        for name, debt in upkeep["merge_debt_bytes"].items()) or "n/a"))
     admission = admission_summary(page.get("metrics", {}))
     lines.append("")
     lines.append("== admission ==")

@@ -27,12 +27,10 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
-from ..core.maintenance import MaintenancePolicy
 from . import protocol
-from .server import (AdmissionController, RequestDispatcher,
-                     start_maintenance)
+from .server import AdmissionController, RequestDispatcher
 
 logger = logging.getLogger(__name__)
 
@@ -45,11 +43,11 @@ class AsyncLittleTableServer:
     ``start``/``stop``/``close``, ``address`` and the context manager
     are synchronous: the event loop runs on a dedicated thread, so
     tests and the CLI drive the server from ordinary code.  A stopped
-    server can be started again.
+    server can be started again.  Background maintenance is the
+    database's, not the front's: ``db.start_maintenance()``.
     """
 
     def __init__(self, db: Any, host: str = "127.0.0.1", port: int = 0,
-                 policy: Optional[MaintenancePolicy] = None,
                  max_workers: Optional[int] = None,
                  max_inflight_requests: Optional[int] = None,
                  admission_queue_timeout_s: float = 0.25):
@@ -66,7 +64,6 @@ class AsyncLittleTableServer:
                 metrics=db.metrics)
         self.dispatcher = RequestDispatcher(db, admission=self.admission)
         self.metrics = db.metrics
-        self.policy = policy
         self._host = host
         self._port = port
         self._address: Optional[tuple] = None
@@ -75,7 +72,6 @@ class AsyncLittleTableServer:
         self._stop_event: Optional[asyncio.Event] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
-        self._stop_maintenance: Optional[Callable[[], None]] = None
         if max_workers is None:
             max_workers = min(32, (os.cpu_count() or 4) * 4)
         self._max_workers = max_workers
@@ -118,14 +114,9 @@ class AsyncLittleTableServer:
             raise error
         if self._address is None:
             raise RuntimeError("async server failed to start in 10s")
-        if self.policy is not None:
-            self._stop_maintenance = start_maintenance(self.db, self.policy)
 
     def stop(self) -> None:
         """Stop serving; drops connections like a crash (§3.1)."""
-        if self._stop_maintenance is not None:
-            self._stop_maintenance()
-            self._stop_maintenance = None
         loop, self._loop = self._loop, None
         if loop is not None and self._stop_event is not None:
             try:

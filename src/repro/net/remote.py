@@ -18,11 +18,11 @@ changing statement invalidates them.
 
 from __future__ import annotations
 
-import base64
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.row import Query, QueryResult, QueryStats
 from ..core.schema import Column, Schema
+from . import protocol
 from .client import LittleTableClient, _query_request
 
 
@@ -128,14 +128,10 @@ class RemoteDatabase:
     def _alter(self, table: str, action: str, **fields: Any) -> None:
         if "column" in fields:
             column = fields.pop("column")
-            default = column.default
-            if isinstance(default, (bytes, bytearray)):
-                default = {"b64": base64.b64encode(
-                    bytes(default)).decode("ascii")}
             fields["column"] = {
                 "name": column.name,
                 "type": column.type.value,
-                "default": default,
+                "default": protocol.encode_value(column.default),
             }
         self.client.alter(table, action, **fields)
 

@@ -11,17 +11,17 @@ front that feeds it is :mod:`repro.net.async_server`.
 Tables do their own locking (the paper's small-lock design, §3.4.4):
 inserts serialize through each table's state lock, queries snapshot
 the copy-on-write tablet list and run off-lock, and background
-maintenance - driven by a :class:`~repro.core.scheduler.MaintenanceScheduler`
-under a :class:`~repro.core.maintenance.MaintenancePolicy` - builds new
-tablets outside the lock entirely.  Queries concurrent with an insert
-may see some, all, or none of its rows (§3.1).
+maintenance - the served database's own loop, started with its
+``start_maintenance()`` and not by this layer - builds new tablets
+outside the lock entirely.  Queries concurrent with an insert may see
+some, all, or none of its rows (§3.1).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 # Commands refused while the engine is degraded to read-only (disk
 # full / persistent I/O errors).  Reads and stats keep serving; the
@@ -35,29 +35,13 @@ from ..core import errors as _errors
 from ..core.database import LittleTable
 from ..core.durability import DurabilityPolicy
 from ..core.errors import LittleTableError, OverloadedError
-from ..core.maintenance import MaintenancePolicy
 from ..core.row import ASCENDING, DESCENDING, KeyRange, Query, TimeRange
-from ..core.scheduler import MaintenanceScheduler
 from ..core.schema import Schema
 from . import protocol
-from .shard import ShardRouter
 
 # One replication fetch is bounded so a follower's poll can never pin
 # a frame larger than the protocol maximum.
 REPL_CHUNK_BYTES = 4 * 1024 * 1024
-
-
-def start_maintenance(db: Any, policy: MaintenancePolicy
-                      ) -> Callable[[], None]:
-    """Start background maintenance for what a server front serves;
-    returns the call that stops it.  A scheduler drives one engine's
-    tables, so a shard router starts one per worker."""
-    if isinstance(db, ShardRouter):
-        db.start_maintenance(policy)
-        return db.stop_maintenance
-    scheduler = MaintenanceScheduler(db, policy)
-    scheduler.start()
-    return scheduler.stop
 
 
 #: Commands admission control never sheds: the handshake, liveness
@@ -385,19 +369,15 @@ class RequestDispatcher:
 
     def _cmd_alter(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Schema changes (§3.5): append column, widen int32, set TTL."""
-        import base64
-
         from ..core.schema import Column, ColumnType
 
         table = self.db.table(request["table"])
         action = request.get("action")
         if action == "add_column":
             spec = request["column"]
-            default = spec.get("default")
-            if isinstance(default, dict) and "b64" in default:
-                default = base64.b64decode(default["b64"])
             table.append_column(Column(
-                spec["name"], ColumnType(spec["type"]), default))
+                spec["name"], ColumnType(spec["type"]),
+                protocol.decode_value(spec.get("default"))))
         elif action == "widen_column":
             table.widen_column(request["column_name"])
         elif action == "set_ttl":

@@ -663,16 +663,11 @@ class ShardRouter:
                 return round_index
         return max_rounds
 
-    def start_maintenance(self,
-                          policy: Optional[MaintenancePolicy] = None
-                          ) -> None:
+    def start_maintenance(self) -> None:
         """Start every worker's own background scheduler (idempotent),
-        under ``policy`` when one is given and each engine's
-        ``maintenance_policy`` otherwise.  A scheduler drives one
-        engine's tables; it cannot drive this facade's."""
+        each under its engine's ``maintenance_policy``.  A scheduler
+        drives one engine's tables; it cannot drive this facade's."""
         for engine in self.engines:
-            if policy is not None and engine.scheduler is None:
-                engine.maintenance_policy = policy
             engine.start_maintenance()
 
     def stop_maintenance(self) -> None:

@@ -159,21 +159,13 @@ class TestCrashIsolation:
 
 
 class TestScheduler:
-    def test_tick_enqueues_only_due_tables(self, db, clock):
-        idle = db.create_table("idle", usage_schema())
-        busy = db.create_table("busy", usage_schema())
-        busy.insert([row(d, clock.now()) for d in range(RETIRE_ROWS)])
-        scheduler = MaintenanceScheduler(db, MaintenancePolicy())
-        assert busy.maintenance_due()
-        assert not idle.maintenance_due()
-        assert scheduler.tick() == 1
-
     def test_tick_arms_backpressure_from_policy(self, db, clock):
         table = db.create_table("usage", usage_schema())
         policy = MaintenancePolicy(max_flush_pending=3,
                                    backpressure_wait_s=0.01)
         scheduler = MaintenanceScheduler(db, policy)
-        scheduler.tick()
+        assert db.maintenance_policy is policy  # the database owns it
+        scheduler.run_pass()
         assert table._backpressure_limit == 3
 
     def test_start_stop_runs_work_and_disarms(self, clock, small_config):
@@ -191,35 +183,123 @@ class TestScheduler:
             time.sleep(0.005)
         db.stop_maintenance()
         assert not scheduler.running
-        assert table.on_disk_tablets  # the pool flushed it
+        assert table.on_disk_tablets  # the loop flushed it
         assert table._backpressure_limit is None  # disarmed on stop
-        assert scheduler.lifetime_report().flushed >= 1
+        counters = db.metrics.snapshot()["counters"]
+        assert counters["maintenance.ticks"] >= 1
+        assert counters["maintenance.table_runs"] >= 1
 
     def test_scheduler_survives_dropped_table(self, db, clock):
-        table = db.create_table("doomed", usage_schema())
-        table.insert([row(d, clock.now()) for d in range(RETIRE_ROWS)])
-        scheduler = MaintenanceScheduler(db, MaintenancePolicy())
-        assert scheduler.tick() == 1
-        db.drop_table("doomed")
-        # The queued name now points at nothing; the worker must skip.
-        scheduler._run_table("doomed")
-        assert scheduler.lifetime_report().is_quiet
+        """A table dropped mid-pass is skipped, not ticked and not an
+        error: the pass snapshots the catalog, then re-checks each
+        table is still the catalog's before its tick."""
+        first = db.create_table("a_first", usage_schema())
+        doomed = db.create_table("doomed", usage_schema())
+        doomed.insert([row(d, clock.now()) for d in range(50)])
+        ticked = []
+        original = first.maintenance
 
-    def test_run_once_accumulates(self, db, clock):
+        def drop_the_next_table(**kwargs):
+            db.drop_table("doomed")
+            return original(**kwargs)
+
+        first.maintenance = drop_the_next_table
+        doomed.maintenance = lambda **kwargs: ticked.append("doomed")
+        report = MaintenanceScheduler(db, MaintenancePolicy()).run_pass()
+        assert not ticked
+        assert set(report.tables) == {"a_first"}
+        assert not report.errors and report.is_quiet
+
+    def test_run_pass_accumulates(self, db, clock):
         table = db.create_table("usage", usage_schema())
         table.insert([row(d, clock.now()) for d in range(RETIRE_ROWS)])
-        scheduler = MaintenanceScheduler(db, MaintenancePolicy())
-        report = scheduler.run_once()
+        report = MaintenanceScheduler(db, MaintenancePolicy()).run_pass()
         assert report.flushed >= 1
-        assert scheduler.lifetime_report().flushed >= 1
+        counters = db.metrics.snapshot()["counters"]
+        assert counters["maintenance.ticks"] == 1
+        assert counters["maintenance.table_runs"] == 1
 
-    def test_queue_depth_gauge_published(self, db, clock):
+    def test_two_workers_never_tick_one_table_at_once(self, clock,
+                                                      small_config):
+        """50 rounds of a two-thread loop over three tables: no table
+        is ever inside two ``Table.maintenance`` calls at once, and
+        distinct tables do overlap (``workers=2`` is honoured)."""
+        db = LittleTable(
+            disk=SimulatedDisk(), config=small_config, clock=clock,
+            maintenance_policy=MaintenancePolicy(tick_interval_s=0.001,
+                                                 workers=2))
+        guard = threading.Lock()
+        inside = {}
+        calls = {}
+        doubled = []
+        overlapped = []
+
+        def instrument(table):
+            original = table.maintenance
+
+            def tracked(**kwargs):
+                with guard:
+                    inside[table.name] = inside.get(table.name, 0) + 1
+                    if inside[table.name] > 1:
+                        doubled.append(table.name)
+                    if sum(inside.values()) > 1:
+                        overlapped.append(table.name)
+                time.sleep(0.002)   # widen the window for a collision
+                try:
+                    return original(**kwargs)
+                finally:
+                    with guard:
+                        inside[table.name] -= 1
+                        calls[table.name] = calls.get(table.name, 0) + 1
+
+            table.maintenance = tracked
+
+        for name in ("a", "b", "c"):
+            instrument(db.create_table(name, usage_schema()))
+        db.start_maintenance()
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline:
+            with guard:
+                if len(calls) == 3 and min(calls.values()) >= 50:
+                    break
+            time.sleep(0.01)
+        db.stop_maintenance()
+        assert len(calls) == 3 and min(calls.values()) >= 50
+        assert not doubled
+        assert overlapped   # two tables were in flight together
+
+    def test_restart_picks_up_changed_policy(self, clock, small_config):
+        db = LittleTable(
+            disk=SimulatedDisk(), config=small_config, clock=clock,
+            maintenance_policy=MaintenancePolicy(tick_interval_s=0.01))
         table = db.create_table("usage", usage_schema())
+
+        before = set(threading.enumerate())
+
+        def maintenance_threads():
+            return set(threading.enumerate()) - before
+
+        scheduler = db.start_maintenance()
+        # One worker is one thread: there is no separate ticker.
+        assert len(maintenance_threads()) == 1
+        db.stop_maintenance()
+        assert not maintenance_threads()
+        db.maintenance_policy = MaintenancePolicy(
+            tick_interval_s=0.01, workers=2, max_flush_pending=5)
+        assert db.start_maintenance() is scheduler
+        assert len(maintenance_threads()) == 2
+        deadline = time.monotonic() + 5
+        while (table._backpressure_limit != 5
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        assert table._backpressure_limit == 5
         table.insert([row(d, clock.now()) for d in range(RETIRE_ROWS)])
-        scheduler = MaintenanceScheduler(db, MaintenancePolicy())
-        scheduler.tick()
-        gauges = db.metrics.snapshot()["gauges"]
-        assert gauges.get("maintenance.queue_depth", 0) >= 1
+        while (not table.on_disk_tablets
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        db.stop_maintenance()
+        assert table.on_disk_tablets
+        assert table._backpressure_limit is None
 
 
 class TestBackpressure:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
-from repro.core.merge import choose_merge, is_quiescent, order_by_timespan
+from repro.core.merge import choose_merge, order_by_timespan
 from repro.core.periods import period_for
 from repro.core.tablet import TabletMeta
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_WEEK
@@ -165,11 +165,6 @@ class TestChooseMerge:
         assert choose_merge(tablets, just_after, "t", config) is None
         much_later = period_start + 3 * MICROS_PER_WEEK
         assert choose_merge(tablets, much_later, "t", config) is not None
-
-    def test_is_quiescent(self):
-        config = lenient_config()
-        assert is_quiescent(make_tablets([100, 49, 24]), NOW, "t", config)
-        assert not is_quiescent(make_tablets([100, 50]), NOW, "t", config)
 
 
 class TestAppendixBounds:

@@ -112,6 +112,44 @@ class TestFacadeParity:
         assert results[0] == results[1] == results[2]
 
 
+class TestBlobDefaultOnTheWire:
+    """An ``add_column`` default is a value like any other: it travels
+    as ``protocol.encode_value`` spells it (``{"$b": ...}``), where it
+    once had a ``{"b64": ...}`` spelling of its own."""
+
+    BLOB = Column("payload", ColumnType.BLOB, b"\x00\xff dflt")
+
+    @pytest.mark.parametrize("deployment", ["engine", "two-shards"])
+    def test_blob_default_round_trips(self, deployment, monkeypatch):
+        if deployment == "engine":
+            served = LittleTable(clock=VirtualClock(start=BASE))
+        else:
+            served = ShardRouter(shards=2, clock=VirtualClock(start=BASE))
+        with AsyncLittleTableServer(served) as server:
+            with connect(server.address) as db:
+                db.create_table("usage", usage_schema())
+                db.insert("usage", SAMPLE)
+                sent = []
+                real = db.client._call
+
+                def recording(message, idempotent=False):
+                    sent.append(message)
+                    return real(message, idempotent=idempotent)
+
+                monkeypatch.setattr(db.client, "_call", recording)
+                db.table("usage").append_column(self.BLOB)
+                alter, = [m for m in sent if m["cmd"] == "alter"]
+                assert set(alter["column"]["default"]) == {"$b"}
+                assert db.table("usage").schema.column(
+                    "payload").default == self.BLOB.default
+                db.insert("usage", [{"device": "dev-99", "ts": BASE,
+                                     "bytes": 1, "payload": b"\x01"}])
+                rows = db.query("usage", Query(limit=1000)).rows
+                assert [r[3] for r in rows] == (
+                    [self.BLOB.default] * len(SAMPLE) + [b"\x01"])
+        served.close()
+
+
 class TestConnectAddresses:
     @pytest.fixture
     def server(self):
@@ -195,6 +233,56 @@ class TestServeCli:
                         stop_event=stop, on_ready=on_ready)
         assert rc == 0
         assert seen == {"rows": 6, "shards": 2}
+
+    def test_served_database_runs_maintenance_unasked(self, tmp_path):
+        """No flag turns maintenance on: a served database flushes by
+        age, merges and expires on its own (§3.3's always-on merger).
+        An aged memtable reaches disk under the default policy."""
+        import threading
+        import time
+
+        from repro.cli import serve_main
+        from repro.util.clock import MICROS_PER_HOUR
+
+        stop = threading.Event()
+        seen = {}
+
+        def on_ready(server):
+            def probe():
+                try:
+                    with connect(server.address) as db:
+                        db.create_table("usage", usage_schema())
+                        db.insert("usage", SAMPLE[:6])
+                    engine, = server.db.engines
+                    table = engine.table("usage")
+                    seen["on_disk_before"] = len(table.on_disk_tablets)
+                    with table.lock:
+                        for memtable in table._filling.values():
+                            memtable.first_insert_at -= MICROS_PER_HOUR
+                    deadline = time.monotonic() + 10
+                    while (not table.on_disk_tablets
+                           and time.monotonic() < deadline):
+                        time.sleep(0.05)
+                    seen["on_disk_after"] = len(table.on_disk_tablets)
+                    seen["files"] = len(list(tmp_path.rglob("*.lt")))
+                finally:
+                    stop.set()
+
+            threading.Thread(target=probe, daemon=True).start()
+
+        rc = serve_main(["--port", "0", "--shards", "1",
+                         "--data", str(tmp_path)],
+                        stop_event=stop, on_ready=on_ready)
+        assert rc == 0
+        assert seen == {"on_disk_before": 0, "on_disk_after": 1,
+                        "files": 1}
+
+    def test_serve_has_no_maintenance_flag(self):
+        from repro.cli import serve_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(["--maintenance", "--port", "0"])
+        assert excinfo.value.code == 2      # argparse: unrecognized
 
     def test_serve_rejects_bad_shards(self):
         from repro.cli import serve_main

@@ -47,9 +47,10 @@ class TestMaintenanceThread:
             clock=SystemClock(),
             config=EngineConfig(flush_age_micros=1, flush_size_bytes=4096,
                                 merge_min_age_micros=0,
-                                merge_rollover_delay_fraction=0.0))
-        server = AsyncLittleTableServer(
-            db, policy=MaintenancePolicy(tick_interval_s=0.02))
+                                merge_rollover_delay_fraction=0.0),
+            maintenance_policy=MaintenancePolicy(tick_interval_s=0.02))
+        db.start_maintenance()
+        server = AsyncLittleTableServer(db)
         server.start()
         try:
             client = LittleTableClient(*server.address)
@@ -71,6 +72,7 @@ class TestMaintenanceThread:
             client.close()
         finally:
             server.stop()
+            db.stop_maintenance()
         assert is_healthy(db)
 
     def test_queries_race_maintenance_safely(self):
@@ -78,9 +80,10 @@ class TestMaintenanceThread:
             clock=SystemClock(),
             config=EngineConfig(flush_age_micros=1, flush_size_bytes=2048,
                                 merge_min_age_micros=0,
-                                merge_rollover_delay_fraction=0.0))
-        server = AsyncLittleTableServer(
-            db, policy=MaintenancePolicy(tick_interval_s=0.005))
+                                merge_rollover_delay_fraction=0.0),
+            maintenance_policy=MaintenancePolicy(tick_interval_s=0.005))
+        db.start_maintenance()
+        server = AsyncLittleTableServer(db)
         server.start()
         errors = []
         try:
@@ -123,20 +126,24 @@ class TestMaintenanceThread:
             setup.close()
         finally:
             server.stop()
+            db.stop_maintenance()
         assert is_healthy(db)
 
 
 class TestShardedServerMaintenance:
-    """``ltdb serve --shards N --maintenance``: one scheduler per
-    worker engine, not one over the router's table facades (which it
-    cannot drive: every tick raised and nothing ever flushed)."""
+    """``ltdb serve --shards N``: one scheduler per worker engine
+    (``router.start_maintenance()``), each under the policy the router
+    handed its engines - not one over the router's table facades,
+    which a scheduler cannot drive."""
 
     def test_policy_on_a_router_flushes_per_engine(self, tmp_path):
+        before = set(threading.enumerate())
         router = ShardRouter(
             shards=2, data_dir=str(tmp_path / "data"),
-            config=EngineConfig(flush_size_bytes=4096))
-        server = AsyncLittleTableServer(router, policy=MaintenancePolicy(
-            tick_interval_s=0.01))
+            config=EngineConfig(flush_size_bytes=4096),
+            maintenance_policy=MaintenancePolicy(tick_interval_s=0.01))
+        router.start_maintenance()
+        server = AsyncLittleTableServer(router)
         server.start()
         try:
             client = LittleTableClient(*server.address)
@@ -154,9 +161,10 @@ class TestShardedServerMaintenance:
                 time.sleep(0.02)
             client.close()
         finally:
-            server.stop()       # raised AttributeError before the fix
-        assert all(not engine.scheduler.running
-                   for engine in router.engines)
+            server.stop()
+            router.stop_maintenance()
+        assert not any(thread.name.startswith("lt-maintenance-")
+                       for thread in set(threading.enumerate()) - before)
         assert counters.get("maintenance.ticks", 0) > 0
         assert counters.get("maintenance.errors", 0) == 0
         assert list((tmp_path / "data").rglob("*.lt"))

@@ -103,6 +103,48 @@ class TestMergeAccounting:
         assert snap["merge.bytes_written"] == table.counters.bytes_merge_written
 
 
+class TestMergeDebtOffTheHotPath:
+    """``merge_debt_bytes`` simulates up to eight merges per table, so
+    it is a field of ``stats_summary()`` computed when an operator
+    asks - not a gauge the maintenance loop refreshes every tick."""
+
+    def test_quiet_pass_plans_once_per_table(self, db, clock, monkeypatch):
+        from repro.core import MaintenanceScheduler, maintenance, merge
+
+        from ..conftest import usage_schema
+
+        for name in ("events", "usage"):
+            table = db.create_table(name, usage_schema())
+            for batch in range(3):
+                table.insert([row(d, clock.now(), value=batch)
+                              for d in range(40)])
+                table.flush_all()
+                clock.advance_seconds(60)
+        clock.advance_seconds(600)
+        assert db.table("usage").stats_summary()["merge_debt_bytes"] > 0
+        db.maintenance_until_quiet()
+        assert db.table("usage").stats_summary()["merge_debt_bytes"] == 0
+
+        planned = {"tick": 0, "simulated": 0}
+
+        def counting(kind, real):
+            def choose(*args, **kwargs):
+                planned[kind] += 1
+                return real(*args, **kwargs)
+            return choose
+
+        # merge_once plans through maintenance.py's name; the debt
+        # simulation through merge.py's own.
+        monkeypatch.setattr(maintenance, "choose_merge",
+                            counting("tick", maintenance.choose_merge))
+        monkeypatch.setattr(merge, "choose_merge",
+                            counting("simulated", merge.choose_merge))
+        report = MaintenanceScheduler(db).run_pass()
+        assert report.is_quiet
+        assert planned == {"tick": 2, "simulated": 0}
+        assert "sched.merge_debt_bytes" not in db.metrics.snapshot()["gauges"]
+
+
 class TestTtlAccounting:
     def test_expiry_counters_match_reclaim(self, db, clock):
         from ..conftest import usage_schema

@@ -163,6 +163,24 @@ class TestStatsCache:
         assert "tablets_pruned_per_query" in out
 
 
+class TestStatsMaintenance:
+    def test_merge_debt_is_rendered_per_table(self, tmp_path, capsys):
+        import json
+
+        data = str(tmp_path / "lt")
+        assert main(["--data", data, "-e", CREATE.rstrip(";"),
+                     "-e", "INSERT INTO t (k, ts, v) VALUES (1, 10, 5)",
+                     "-e", "FLUSH t"]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--data", data, "--json"]) == 0
+        page = json.loads(capsys.readouterr().out)
+        assert page["tables"]["t"]["merge_debt_bytes"] == 0
+        assert page["maintenance"]["merge_debt_bytes"] == {"t": 0}
+        assert "queue_depth" not in page["maintenance"]
+        assert main(["stats", "--data", data]) == 0
+        assert "merge_debt: t=0B" in capsys.readouterr().out
+
+
 class TestPersistence:
     def test_data_dir_round_trip(self, tmp_path, capsys):
         data = str(tmp_path / "lt")

@@ -5,7 +5,9 @@ says (``ClientConfig``, ``EngineConfig``, ``MaintenancePolicy``) or a
 selector for a code path that no longer exists (the v1 and v2 block
 writers, the v1 wire dialect, the read cache's footer side cache, the
 IO rate limiter and its SLO controller, the tablet sink's row-at-a-time
-entry) or an option nothing read;
+entry, the maintenance scheduler's queue and its work probe, a server
+front or shard router that starts maintenance under a policy of its
+own) or an option nothing read;
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
@@ -23,7 +25,8 @@ from repro.core import (DurabilityPolicy, EngineConfig, LittleTable,
 from repro.core.readcache import ReadCache
 from repro.core.table import Table
 from repro.core.tablet import TabletWriter
-from repro.net import AsyncLittleTableServer, ClientConfig, LittleTableClient
+from repro.net import (AsyncLittleTableServer, ClientConfig,
+                       LittleTableClient, ShardRouter)
 
 
 @pytest.mark.parametrize("old_spelling", [
@@ -70,6 +73,13 @@ from repro.net import AsyncLittleTableServer, ClientConfig, LittleTableClient
         lambda: TabletWriter(None, None, 0, "none").write(
             "t/tab.lt", (), 1, 0, sized_pairs=()),
         id="tablet-writer-sized-pairs"),
+    pytest.param(
+        lambda: AsyncLittleTableServer(LittleTable(),
+                                       policy=MaintenancePolicy()),
+        id="server-policy"),
+    pytest.param(
+        lambda: ShardRouter.start_maintenance(None, MaintenancePolicy()),
+        id="router-start-maintenance-policy"),
 ])
 def test_old_spelling_is_a_type_error(old_spelling):
     with pytest.raises(TypeError):
@@ -103,6 +113,11 @@ SRC = Path(__file__).parent.parent / "src"
         id="v2-block-writer"),
     pytest.param(r"\badd_row\b|_note_row|sized_pairs|sorted_sized", (),
                  id="row-at-a-time-sink"),
+    pytest.param(
+        "maintenance_due|work_due|is_quiescent|PriorityQueue|_PRIORITY_"
+        r"|sched\.flush_priority_runs|sched\.merge_priority_runs"
+        r"|maintenance\.queue_depth|sched\.merge_debt_bytes", (),
+        id="maintenance-queue-or-probe"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)

@@ -11,7 +11,10 @@ scope.  Across all of ``src/``: a tablet file's trailer is told apart
 one, and the shard router hands work to its pool at one site.  In
 ``tablet.py`` a block becomes rows in one function
 (``decode_payload``) and enters the read cache in one
-(``_scan_block``).
+(``_scan_block``).  Background maintenance starts in one place
+(``LittleTable.start_maintenance`` builds the only
+``MaintenanceScheduler``) and a failing table is isolated in one (the
+pass, ``LittleTable.maintenance``), not again in the loop around it.
 """
 
 import ast
@@ -132,3 +135,22 @@ def test_one_way_from_a_block_to_its_rows():
         lambda n: isinstance(n, ast.Name) and n.id == "BLOCK_FORMAT_V2"
         and isinstance(n.ctx, ast.Load), [CORE / "codec.py"]) == {
             "codec.py:decode_block_columns"}
+
+
+def test_one_site_builds_the_maintenance_scheduler():
+    def builds_scheduler(node):
+        return isinstance(node, ast.Call) and (
+            is_attr(node.func, "MaintenanceScheduler")
+            or isinstance(node.func, ast.Name)
+            and node.func.id == "MaintenanceScheduler")
+
+    assert functions_where(builds_scheduler) == {
+        "database.py:start_maintenance"}
+
+
+def test_the_loop_isolates_nothing_itself():
+    """Per-table crash isolation is the pass's; ``scheduler.py`` is
+    threads around it and catches nothing."""
+    scheduler = ast.parse((CORE / "scheduler.py").read_text())
+    assert not [n.lineno for n in ast.walk(scheduler)
+                if isinstance(n, ast.ExceptHandler)]
