@@ -25,8 +25,8 @@ What the amplitude does not see: a window holds ~38 insert batches, so
 its p99 is the second-largest sample and one stalled insert per window
 is invisible.  The report therefore also carries the backpressure
 stall count and the worst single insert, ungated: every run of 30 s or
-more has a 2-4 s insert stall behind its largest merge (ROADMAP
-item 4).
+more has a 1-2 s insert stall behind its largest merge (ROADMAP
+item 3; EXPERIMENTS "PR 22").
 
 ``LT_SOAK_SECONDS`` is the length of the run (default 8 s keeps the
 local suite quick; CI's soak job runs 30 s; at 60 s the stall above

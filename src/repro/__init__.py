@@ -11,7 +11,7 @@ Subpackages:
 * ``repro.workloads`` - workload and synthetic-fleet generators;
 * ``repro.bench`` - the evaluation harness;
 * ``repro.obs`` - the metrics registry and trace hooks;
-* ``repro.util`` - clocks, PRNG, skip list, HLL, Bloom filters, stats.
+* ``repro.util`` - clocks, PRNG, HLL, Bloom filters, stats.
 """
 
 from typing import Any, Optional, Tuple, Union

@@ -466,6 +466,8 @@ def _rewrite_tablet_without(table: "Table", plan: readpath.ReadPlan,
 def run_tick(table: "Table", merge_budget: int) -> TableMaintenanceReport:
     """One background tick: due flushes, budgeted merges, TTL.
 
+    Flushes are due again before every merge: a writer at the
+    backpressure limit waits behind one merge, not the whole budget.
     Each work kind is isolated: a failing flush still lets merges and
     TTL reclaim run, with the error recorded on the returned report
     and counted by the ``maintenance.errors`` metric.
@@ -477,13 +479,18 @@ def run_tick(table: "Table", merge_budget: int) -> TableMaintenanceReport:
         table.metrics.counter("maintenance.errors").inc()
         table._notify_fault(exc)
 
+    def flush_due() -> None:
+        try:
+            for memtable_id in table.pending_flush_work(table.clock.now()):
+                report.flushed += len(table.flush_memtable(memtable_id))
+        except Exception as exc:  # crash isolation per work kind
+            failed("flush", exc)
+
+    flush_due()
     try:
-        for memtable_id in table.pending_flush_work(table.clock.now()):
-            report.flushed += len(table.flush_memtable(memtable_id))
-    except Exception as exc:  # crash isolation per work kind
-        failed("flush", exc)
-    try:
-        for _ in range(max(int(merge_budget), 0)):
+        for turn in range(max(int(merge_budget), 0)):
+            if turn:
+                flush_due()
             if table.maybe_merge() is None:
                 break
             report.merged += 1

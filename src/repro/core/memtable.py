@@ -17,26 +17,128 @@ not serialized until flush, which takes the memtable as one sorted
 run (:meth:`MemTable.sorted_run`: the rows and their sizes) and
 batch-encodes it through the block codec (``core/codec.py``).
 
+Not a tree: the paper's in-memory tablet is "a balanced binary tree",
+whose jobs are to refuse a duplicate key, to answer ordered range
+reads and to hand the flusher one sorted run.  Here a ``dict`` keyed by
+primary key does the first in O(1), and the order lives in a few
+sorted key lists ("runs") consolidated by the paper's own merge rule
+(§3.4.1, in memory: merge while the older run is at most twice the
+newer), so there are O(log n) of them and a key is re-sorted O(log n)
+times, each time by one C ``sorted()`` over presorted stretches.  Poll
+cycles arrive as batches that are sorted or nearly so; a per-row
+ordered insert pays for an order nobody reads until the batch is in.
+
 Concurrency: a memtable has no lock of its own.  Inserts are
-serialized by the owning table's state lock; scans may run off-lock
-concurrently with an insert because the skiplist links a new node's
-forward pointers before splicing it into its predecessors, so a
-concurrent reader sees "some, all, or none" of an in-flight batch
-(exactly the paper's §3.1 read semantics) but never a broken chain.
-Once a memtable is marked read-only (flush-pending) it is immutable:
-the off-lock flush writer and any number of readers can walk it
-freely.
+serialized by the owning table's state lock; scans run off-lock
+concurrently with an insert.  What a reader sees is the one published
+state ``(runs, tail)``: ``runs`` a tuple of sorted key lists never
+mutated once published, ``tail`` the keys of the batch in flight in
+arrival order, only ever appended to.  The table's admit loop *seals*
+every memtable it touched before it lets go of the lock
+(:meth:`MemTable.seal`: sort the tail, add it as a run, consolidate,
+publish the new tuple with one attribute store).  A reader loads the
+attribute once and copies the tail in one C call, so it sees every
+sealed batch whole and a prefix of the one in flight - "some, all, or
+none" of it, §3.1 - and a later reader sees at least as much.  The
+dict is written before the tail and never shrinks, so a key a reader
+holds resolves however late it is looked up (a scan merges and looks
+up only as far as it is read).  Once marked read-only (flush-pending)
+a memtable is immutable: the off-lock flush writer and any number of
+readers can use it freely.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..util.skiplist import SkipList
 from .codec import compiled_ops
 from .periods import Period
 from .row import KeyRange
 from .schema import Schema
+
+Key = Tuple[Any, ...]
+Row = Tuple[Any, ...]
+#: What a reader works from: sorted runs, oldest and longest first, and
+#: the unsorted keys of the batch in flight.
+State = Tuple[Tuple[List[Key], ...], List[Key]]
+
+_row_of = itemgetter(0)
+_size_of = itemgetter(1)
+
+
+def _merged(parts) -> List[Key]:
+    """One sorted list out of several (sorted parts are only merged)."""
+    keys: List[Key] = []
+    for part in parts:
+        keys += part
+    keys.sort()
+    return keys
+
+
+class _Top:
+    """Sorts after everything: ``prefix + (_TOP,)`` is a bound just
+    past the last key that begins with ``prefix``."""
+
+    def __lt__(self, other):
+        return False
+
+    def __gt__(self, other):
+        return True
+
+
+_TOP = _Top()
+
+
+def _span(run: List[Key], key_range: KeyRange) -> Tuple[int, int]:
+    """Where the keys ``key_range`` selects start and stop in a sorted
+    run.  A bound is a key *prefix*, which as a tuple sorts just before
+    every key it begins: right for a low bound that takes those keys in
+    and a high one that leaves them out.  The other two add ``_TOP``."""
+    low, high = key_range.min_prefix, key_range.max_prefix
+    start, stop = 0, len(run)
+    if low is not None:
+        start = bisect_left(
+            run, low if key_range.min_inclusive else low + (_TOP,))
+    if high is not None:
+        stop = bisect_left(
+            run, high + (_TOP,) if key_range.max_inclusive else high, start)
+    return start, stop
+
+
+def _chunks(spans: List[list], descending: bool, step: int = 256
+            ) -> Iterator[List[Key]]:
+    """Several sorted spans ``[run, start, stop]`` as one walk, up or
+    down, in sorted chunks.  While some span is longer than ``step``, a
+    round takes from every span the keys not past the nearest of those
+    spans' ``step``-th keys - at most ``step`` each, and nothing left
+    behind comes before them - and ``step`` doubles; then the rest goes
+    as one chunk.  The first row costs a small sort however long the
+    spans are, a whole walk about one sort of everything."""
+    while spans:
+        longer = [span for span in spans if span[2] - span[1] > step]
+        chunk: List[Key] = []
+        if not longer:
+            for run, start, stop in spans:
+                chunk += run[start:stop]
+            spans = []
+        elif descending:
+            edge = max(run[stop - step] for run, _, stop in longer)
+            for span in spans:
+                run, start, stop = span
+                span[2] = bisect_left(run, edge, start, stop)
+                chunk += run[span[2]:stop]
+        else:
+            edge = min(run[start + step - 1] for run, start, _ in longer)
+            for span in spans:
+                run, start, stop = span
+                span[1] = bisect_right(run, edge, start, stop)
+                chunk += run[start:span[1]]
+        chunk.sort()
+        yield chunk[::-1] if descending else chunk
+        step *= 2
 
 
 class MemTable:
@@ -46,14 +148,17 @@ class MemTable:
         self.memtable_id = memtable_id
         self.schema = schema
         self.period = period
-        self.rows = SkipList(seed=0xBADC0DE ^ memtable_id)
+        # key -> (row, encoded size): the uniqueness probe, and where
+        # a reader turns the keys it selected into rows.
+        self._index: Dict[Key, Tuple[Row, int]] = {}
+        self._state: State = ((), [])
         self.size_bytes = 0
         self.min_ts: Optional[int] = None
         self.max_ts: Optional[int] = None
         self.first_insert_at: Optional[int] = None
         self.read_only = False
         self._ops = compiled_ops(schema)
-        self._max_key: Optional[Tuple[Any, ...]] = None
+        self._max_key: Optional[Key] = None
         # WAL bookkeeping (durability tiers): the lowest LSN of the log
         # records whose rows live here.  None until the first logged
         # batch touches this memtable; once every memtable at or below
@@ -67,30 +172,33 @@ class MemTable:
             self.min_wal_lsn = lsn
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._index)
 
     @property
     def empty(self) -> bool:
-        return len(self.rows) == 0
+        return not self._index
 
-    def insert(self, row: Tuple[Any, ...], now: int) -> bool:
+    def insert(self, row: Row, now: int) -> bool:
         """Add a validated row.  Returns False on duplicate key."""
         ops = self._ops
         return self.insert_sized(ops.key_of(row), row, ops.size_of(row),
                                  now)
 
-    def insert_sized(self, key: Tuple[Any, ...], row: Tuple[Any, ...],
-                     size: int, now: int) -> bool:
+    def insert_sized(self, key: Key, row: Row, size: int, now: int) -> bool:
         """Fast-path insert: key and encoded size already computed.
 
         The table's batch insert path validates and sizes each row once
         through the compiled codec and hands the results straight here,
-        so nothing on the insert path walks the schema twice.
+        so nothing on the insert path walks the schema twice.  The row
+        is readable at once (it is in the tail); :meth:`seal` at the
+        end of the batch gives it its place in a run.
         """
         if self.read_only:
             raise RuntimeError("insert into a read-only memtable")
-        if not self.rows.insert(key, (row, size)):
+        pair = (row, size)
+        if self._index.setdefault(key, pair) is not pair:
             return False
+        self._state[1].append(key)
         self.size_bytes += size
         ts = row[self.schema.ts_index]
         if self.min_ts is None or ts < self.min_ts:
@@ -103,11 +211,27 @@ class MemTable:
             self.first_insert_at = now
         return True
 
-    def contains_key(self, key: Tuple[Any, ...]) -> bool:
-        return key in self.rows
+    def seal(self) -> None:
+        """End of a batch: the tail becomes the newest run, merged with
+        the runs before it while the older is at most twice the newer
+        (§3.4.1's rule, so run lengths more than double from newest to
+        oldest), and the result is published in one store.  Caller
+        holds the table's state lock."""
+        runs, tail = self._state
+        if not tail:
+            return
+        keep, total = len(runs), len(tail)
+        while keep and len(runs[keep - 1]) <= 2 * total:
+            keep -= 1
+            total += len(runs[keep])
+        self._state = (runs[:keep] + (_merged(runs[keep:] + (tail,)),), [])
+
+    def contains_key(self, key: Key) -> bool:
+        return key in self._index
 
     def mark_read_only(self) -> None:
         """Freeze the memtable ahead of flushing (§3.2)."""
+        self.seal()
         self.read_only = True
 
     def age_micros(self, now: int) -> int:
@@ -118,43 +242,35 @@ class MemTable:
 
     # ----------------------------------------------------------- reading
 
-    def sorted_run(self) -> Tuple[List[Tuple[Any, ...]], List[int]]:
+    def capture(self) -> State:
+        """What a reader arriving now works from, detached from later
+        inserts: O(runs) plus the batch in flight (none, under the
+        state lock).  :meth:`sorted_run` lays it out, off the lock."""
+        runs, tail = self._state
+        return runs, list(tail)
+
+    def sorted_run(self, state: Optional[State] = None
+                   ) -> Tuple[List[Row], List[int]]:
         """Every row in ascending key order and, beside it, each row's
         encoded size: ``(rows, sizes)``, the run a flush or a snapshot
-        hands to ``TabletWriter.write``."""
-        pairs = [pair for _key, pair in self.rows.items()]
-        return [row for row, _size in pairs], [size for _row, size in pairs]
+        hands to ``TabletWriter.write`` - of the memtable as it is, or
+        as it was at an earlier :meth:`capture`."""
+        runs, tail = self._state if state is None else state
+        pairs = list(map(self._index.__getitem__, _merged(runs + (tail,))))
+        return list(map(_row_of, pairs)), list(map(_size_of, pairs))
 
-    def last_key(self) -> Optional[Tuple[Any, ...]]:
+    def last_key(self) -> Optional[Key]:
         """The largest key currently held, or None (O(1))."""
         return self._max_key
 
     def scan(self, key_range: KeyRange, descending: bool = False
-             ) -> Iterator[Tuple[Any, ...]]:
-        """Yield rows within the key range, in key order.
-
-        Descending scans materialize the matching run (the skip list is
-        singly linked); memtables are bounded by the flush size, so
-        this is at most a few MB.
-        """
-        seek = key_range.seek_min()
-        if seek is None:
-            source = self.rows.items()
-        else:
-            source = self.rows.items_from(seek)
-        if not descending:
-            for key, (row, _size) in source:
-                if key_range.before_range(key):
-                    continue
-                if key_range.after_range(key):
-                    return
-                yield row
-            return
-        matched: List[Tuple[Any, ...]] = []
-        for key, (row, _size) in source:
-            if key_range.before_range(key):
-                continue
-            if key_range.after_range(key):
-                break
-            matched.append(row)
-        yield from reversed(matched)
+             ) -> Iterator[Row]:
+        """Rows within the key range, in key order, as of the call:
+        each run is bisected at both ends of the range, and the spans
+        inside it are merged as far as the caller reads."""
+        runs, tail = self._state
+        if tail:
+            runs += (sorted(tail),)
+        spans = [[run, *_span(run, key_range)] for run in runs]
+        keys = chain.from_iterable(_chunks(spans, descending))
+        return map(_row_of, map(self._index.__getitem__, keys))

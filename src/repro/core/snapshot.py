@@ -9,9 +9,10 @@ the sealed tablets they reference, and a root manifest
 Capture is two-phase per table:
 
 1. **O(1) cut** - under the table's state lock, the COW tablet list,
-   descriptor fields, and the rows of every unflushed memtable are
-   captured.  The lock hold is proportional to memtable row count
-   (bounded by the flush threshold), never to on-disk size.
+   descriptor fields, and the published state of every unflushed
+   memtable (``MemTable.capture``: a tuple of sorted runs, laid out as
+   rows once the lock is let go) are captured.  The hold touches no
+   row: it grows neither with memtable row count nor on-disk size.
 2. **Off-lock copy** - while holding only the table's maintenance
    lock (which stalls background flush/merge for that table but not
    inserts or queries), sealed tablets are hard-linked into the
@@ -112,12 +113,14 @@ def load_manifest(storage: Storage) -> Dict[str, Any]:
 
 
 def _capture_table(table) -> Tuple[TableDescriptor, List[Tuple], int]:
-    """Phase 1: the O(1) cut, under the table's state lock.
+    """Phase 1: the cut, then the rows.
 
-    Returns (descriptor copy, one ``(schema, rows, sizes)`` run per
-    non-empty memtable - its own schema: one that predates a schema
-    change holds rows of the old width - and the row total).  Caller
-    already holds the maintenance lock.
+    Under the table's state lock: a descriptor copy and each non-empty
+    memtable's published state (``MemTable.capture``, O(log n)).  Off
+    it: one ``(schema, rows, sizes)`` run per captured memtable (its
+    own schema: one that predates a schema change holds rows of the
+    old width), without batches admitted since.  Returns (descriptor
+    copy, runs, row total).  Caller already holds the maintenance lock.
     """
     with table.lock:
         snap = TableDescriptor(
@@ -129,8 +132,9 @@ def _capture_table(table) -> Tuple[TableDescriptor, List[Tuple], int]:
             durability=(dict(table.descriptor.durability)
                         if table.descriptor.durability else None),
         )
-        runs = [(m.schema, *m.sorted_run())
-                for m in table._unflushed.values() if not m.empty]
+        captured = [(m, m.capture())
+                    for m in table._unflushed.values() if not m.empty]
+    runs = [(m.schema, *m.sorted_run(state)) for m, state in captured]
     return snap, runs, sum(len(rows) for _schema, rows, _sizes in runs)
 
 

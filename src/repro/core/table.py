@@ -597,8 +597,13 @@ class Table:
         the row is already in a tablet or a memtable) is passed over.
         Memtables that received rows are appended to ``touched`` and
         admitted rows to ``accepted`` (when given), so the caller can
-        tie them to a WAL record even if the loop stops early.  Caller
-        holds the state lock.  Returns rows admitted.
+        tie them to a WAL record even if the loop stops early.  A row
+        is in its memtable's hash index and unsorted tail as soon as
+        it is admitted, so uniqueness, ``size_bytes`` and the
+        flush-size retirement see every earlier row of the batch;
+        however the loop ends, each touched memtable is sealed (the
+        tail becomes a sorted run) before the state lock is let go.
+        Caller holds the state lock.  Returns rows admitted.
         """
         codec = self._codec
         validate = codec.validate_and_size
@@ -623,38 +628,42 @@ class Table:
         # Bumped up front: a batch refused part way has still admitted
         # rows a racing latest() must not cache over.
         self._insert_seq += 1
-        for row in rows:
-            # One pass: the compiled codec validates, coerces, and
-            # returns the row's on-disk encoded size.
-            row, size = validate(row)
-            ts = row[ts_index]
-            key = key_of(row)
-            if not is_unique(key, ts, now, memtables, descriptor):
-                if skip_duplicates:
-                    continue
-                raise self._duplicate_key(key)
-            if cur_mt is None or ts < cur_lo or ts >= cur_hi:
-                cur_mt = self._memtable_for(ts, now)
-                cur_lo = cur_mt.period.start
-                cur_hi = cur_mt.period.end
-                record_insert(cur_mt.memtable_id)
-                touched.append(cur_mt)
-            if not cur_mt.insert_sized(key, row, size, now):
-                if skip_duplicates:
-                    continue
-                raise self._duplicate_key(key)
-            if accepted is not None:
-                accepted.append(row)
-            invalidate_key(key)
-            if max_ts_ever is None or ts > max_ts_ever:
-                # Written through immediately: the uniqueness
-                # check's fast path 1 reads it for the *next* row.
-                max_ts_ever = ts
-                uniqueness.max_ts_ever = ts
-            inserted += 1
-            if cur_mt.size_bytes >= flush_limit:
-                self._retire_memtable(cur_mt)
-                cur_mt = None
+        try:
+            for row in rows:
+                # One pass: the compiled codec validates, coerces, and
+                # returns the row's on-disk encoded size.
+                row, size = validate(row)
+                ts = row[ts_index]
+                key = key_of(row)
+                if not is_unique(key, ts, now, memtables, descriptor):
+                    if skip_duplicates:
+                        continue
+                    raise self._duplicate_key(key)
+                if cur_mt is None or ts < cur_lo or ts >= cur_hi:
+                    cur_mt = self._memtable_for(ts, now)
+                    cur_lo = cur_mt.period.start
+                    cur_hi = cur_mt.period.end
+                    record_insert(cur_mt.memtable_id)
+                    touched.append(cur_mt)
+                if not cur_mt.insert_sized(key, row, size, now):
+                    if skip_duplicates:
+                        continue
+                    raise self._duplicate_key(key)
+                if accepted is not None:
+                    accepted.append(row)
+                invalidate_key(key)
+                if max_ts_ever is None or ts > max_ts_ever:
+                    # Written through immediately: the uniqueness
+                    # check's fast path 1 reads it for the *next* row.
+                    max_ts_ever = ts
+                    uniqueness.max_ts_ever = ts
+                inserted += 1
+                if cur_mt.size_bytes >= flush_limit:
+                    self._retire_memtable(cur_mt)
+                    cur_mt = None
+        finally:
+            for memtable in touched:
+                memtable.seal()
         return inserted
 
     def _duplicate_key(self, key: Tuple[Any, ...]) -> DuplicateKeyError:

@@ -1,4 +1,4 @@
-"""Shared utility substrates: clocks, PRNG, skip list, statistics,
+"""Shared utility substrates: clocks, PRNG, statistics,
 HyperLogLog, Bloom filters, and varint codecs."""
 
 from .bloom import BloomFilter, KeyPrefixBloom
@@ -15,7 +15,6 @@ from .clock import (
     seconds_from_micros,
 )
 from .hyperloglog import HyperLogLog
-from .skiplist import SkipList
 from .xorshift import Xorshift64Star
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "SystemClock",
     "VirtualClock",
     "HyperLogLog",
-    "SkipList",
     "Xorshift64Star",
     "micros_from_seconds",
     "seconds_from_micros",

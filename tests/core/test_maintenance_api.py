@@ -350,6 +350,42 @@ class TestBackpressure:
         thread.join(timeout=5)
 
 
+class TestFlushDebtFirst:
+    def test_memtable_queued_during_a_merge_is_flushed_within_the_tick(
+            self, usage_table, clock, monkeypatch):
+        """A writer at the backpressure limit waits behind one merge,
+        not behind the tick's whole merge budget."""
+        for batch in range(4):
+            usage_table.insert([row(d, clock.now() + batch)
+                                for d in range(RETIRE_ROWS)])
+            usage_table.flush_all()
+        events = []
+        real_merge = usage_table.maybe_merge
+        real_flush = usage_table.flush_memtable
+
+        def merge():
+            plan = real_merge()
+            if plan is not None:
+                events.append("merge")
+                # What a writer did while the worker was merging.
+                usage_table.insert([row(d, clock.now() + 10 * len(events))
+                                    for d in range(RETIRE_ROWS)])
+                assert usage_table.flush_pending_count >= 1
+            return plan
+
+        def flush(memtable_id):
+            events.append("flush")
+            return real_flush(memtable_id)
+
+        monkeypatch.setattr(usage_table, "maybe_merge", merge)
+        monkeypatch.setattr(usage_table, "flush_memtable", flush)
+        report = usage_table.maintenance(merge_budget=4)
+        assert events[:2] == ["merge", "flush"], events
+        assert report.merged >= 1 and report.flushed >= 1
+        # ... and never two merges back to back with a memtable queued.
+        assert "merge merge" not in " ".join(events)
+
+
 class TestLockOrderChecker:
     def test_wrong_order_raises(self):
         checker = LockOrderChecker()

@@ -23,6 +23,7 @@ from repro.core import (
     SnapshotError,
     is_healthy,
 )
+from repro.core.memtable import MemTable
 from repro.core.snapshot import SNAPSHOT_MANIFEST, load_manifest
 from repro.disk import MemoryStorage, SimulatedDisk
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
@@ -254,4 +255,70 @@ class TestPointInTime:
                 f"device {device}: snapshot cut is not a contiguous "
                 f"prefix (holes or reordering)")
         assert is_healthy(restored)
+        restored.close()
+
+
+class WatchedLock:
+    """``table.lock`` with a depth count and a one-shot hook that runs
+    right after its next outermost release."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.depth = 0
+        self.after_release = None
+
+    def __enter__(self):
+        self.lock.acquire()
+        self.depth += 1
+
+    def __exit__(self, *_exc_info):
+        self.depth -= 1
+        self.lock.release()
+        if not self.depth and self.after_release is not None:
+            hook, self.after_release = self.after_release, None
+            hook()
+
+
+class TestTheCut:
+    """Phase 1 holds the state lock for the cut only: a memtable's
+    rows are laid out as a run after it is let go."""
+
+    @pytest.mark.parametrize("rows", [500, 8000])
+    def test_no_row_is_touched_under_the_state_lock(self, rows, monkeypatch):
+        db = LittleTable(disk=SimulatedDisk(),
+                         clock=VirtualClock(start=BASE))
+        table = db.create_table("t", usage_schema())
+        for start in range(0, rows, 100):
+            table.insert([row_for(1, start + i) for i in range(100)])
+        watched = table.lock = WatchedLock(table.lock)
+        under_lock = []
+        sorted_run = MemTable.sorted_run
+
+        def counting(memtable, *args):
+            run = sorted_run(memtable, *args)
+            if watched.depth:
+                under_lock.append(len(run[0]))
+            return run
+
+        monkeypatch.setattr(MemTable, "sorted_run", counting)
+        summary = db.snapshot(MemoryStorage())
+        assert summary["tables"]["t"]["memtable_rows_captured"] == rows
+        assert not under_lock
+
+    def test_a_batch_admitted_after_the_cut_is_not_in_the_snapshot(self):
+        db, _clock = build_db()
+        table = db.table("t")
+        table.insert([row_for(1, i) for i in range(50)])
+        watched = table.lock = WatchedLock(table.lock)
+        # Between the cut and the laying-out of the captured rows.
+        watched.after_release = lambda: table.insert(
+            [row_for(1, 50 + i) for i in range(10)])
+        dest = MemoryStorage()
+        summary = db.snapshot(dest)
+        assert watched.after_release is None
+        assert summary["tables"]["t"]["memtable_rows_captured"] == 50
+        assert len(db.query("t", Query()).rows) == 60
+        restored = repro.restore(dest)
+        assert [row[2] - BASE for row in restored.query("t", Query()).rows] \
+            == list(range(50))
         restored.close()

@@ -5,9 +5,9 @@ says (``ClientConfig``, ``EngineConfig``, ``MaintenancePolicy``) or a
 selector for a code path that no longer exists (the v1 and v2 block
 writers, the v1 wire dialect, the read cache's footer side cache, the
 IO rate limiter and its SLO controller, the tablet sink's row-at-a-time
-entry, the maintenance scheduler's queue and its work probe, a server
-front or shard router that starts maintenance under a policy of its
-own) or an option nothing read;
+entry, the maintenance scheduler's queue and its work probe, the
+memtable's skip list, a server front or shard router that starts
+maintenance under a policy of its own) or an option nothing read;
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
@@ -118,6 +118,8 @@ SRC = Path(__file__).parent.parent / "src"
         r"|sched\.flush_priority_runs|sched\.merge_priority_runs"
         r"|maintenance\.queue_depth|sched\.merge_debt_bytes", (),
         id="maintenance-queue-or-probe"),
+    pytest.param("SkipList|skiplist|items_from", (),
+                 id="skip-list-memtable"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)

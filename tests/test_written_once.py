@@ -154,3 +154,34 @@ def test_the_loop_isolates_nothing_itself():
     scheduler = ast.parse((CORE / "scheduler.py").read_text())
     assert not [n.lineno for n in ast.walk(scheduler)
                 if isinstance(n, ast.ExceptHandler)]
+
+
+def test_a_memtable_publishes_its_state_in_two_places():
+    """Readers race ``MemTable._state`` off-lock, so it is stored whole
+    where it is born and where a batch is sealed, and nowhere else; and
+    what is behind it (the hash index, the runs) is nobody else's to
+    read: outside ``memtable.py`` only a ``self.`` of some other class
+    may spell one of its underscore names."""
+    memtable = CORE / "memtable.py"
+
+    def targets(node):
+        return getattr(node, "targets", None) or [
+            getattr(node, "target", None)]
+
+    assert functions_where(
+        lambda n: isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and any(is_attr(t, "_state") for t in targets(n)),
+        [memtable]) == {"memtable.py:__init__", "memtable.py:seal"}
+
+    private = {t.attr for n in ast.walk(ast.parse(memtable.read_text()))
+               if isinstance(n, (ast.Assign, ast.AnnAssign))
+               for t in targets(n)
+               if isinstance(t, ast.Attribute) and t.attr.startswith("_")}
+    assert {"_state", "_index"} <= private
+    for path in sorted(CORE.parent.rglob("*.py")):
+        if path == memtable:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                assert isinstance(node.value, ast.Name) \
+                    and node.value.id == "self", f"{path}:{node.lineno}"
