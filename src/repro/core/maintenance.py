@@ -420,7 +420,7 @@ def bulk_delete(table: "Table", prefix: Sequence[Any]) -> int:
     with table._maintenance_lock:
         with table._read_plan() as plan:
             holding = [memtable for memtable in plan.memtables
-                       if any(True for _row in memtable.scan(key_range))]
+                       if any(memtable.scan_runs(key_range))]
         for memtable in holding:
             table.flush_memtable(memtable.memtable_id)
         removed = 0

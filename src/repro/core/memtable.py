@@ -50,13 +50,12 @@ readers can use it freely.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .codec import compiled_ops
 from .periods import Period
-from .row import KeyRange
+from .row import FIRST_RUN_ROWS, KeyRange, Run, rows_of
 from .schema import Schema
 
 Key = Tuple[Any, ...]
@@ -78,45 +77,16 @@ def _merged(parts) -> List[Key]:
     return keys
 
 
-class _Top:
-    """Sorts after everything: ``prefix + (_TOP,)`` is a bound just
-    past the last key that begins with ``prefix``."""
-
-    def __lt__(self, other):
-        return False
-
-    def __gt__(self, other):
-        return True
-
-
-_TOP = _Top()
-
-
-def _span(run: List[Key], key_range: KeyRange) -> Tuple[int, int]:
-    """Where the keys ``key_range`` selects start and stop in a sorted
-    run.  A bound is a key *prefix*, which as a tuple sorts just before
-    every key it begins: right for a low bound that takes those keys in
-    and a high one that leaves them out.  The other two add ``_TOP``."""
-    low, high = key_range.min_prefix, key_range.max_prefix
-    start, stop = 0, len(run)
-    if low is not None:
-        start = bisect_left(
-            run, low if key_range.min_inclusive else low + (_TOP,))
-    if high is not None:
-        stop = bisect_left(
-            run, high + (_TOP,) if key_range.max_inclusive else high, start)
-    return start, stop
-
-
-def _chunks(spans: List[list], descending: bool, step: int = 256
-            ) -> Iterator[List[Key]]:
+def _chunks(spans: List[list], descending: bool,
+            step: int = FIRST_RUN_ROWS) -> Iterator[List[Key]]:
     """Several sorted spans ``[run, start, stop]`` as one walk, up or
-    down, in sorted chunks.  While some span is longer than ``step``, a
-    round takes from every span the keys not past the nearest of those
-    spans' ``step``-th keys - at most ``step`` each, and nothing left
-    behind comes before them - and ``step`` doubles; then the rest goes
-    as one chunk.  The first row costs a small sort however long the
-    spans are, a whole walk about one sort of everything."""
+    down, in chunks that each ascend.  While some span is longer than
+    ``step``, a round takes from every span the keys not past the
+    nearest of those spans' ``step``-th keys - at most ``step`` each,
+    and nothing left behind comes before them - and ``step`` doubles;
+    then the rest goes as one chunk.  The first row costs a small sort
+    however long the spans are, a whole walk about one sort of
+    everything."""
     while spans:
         longer = [span for span in spans if span[2] - span[1] > step]
         chunk: List[Key] = []
@@ -137,7 +107,7 @@ def _chunks(spans: List[list], descending: bool, step: int = 256
                 span[1] = bisect_right(run, edge, start, stop)
                 chunk += run[start:span[1]]
         chunk.sort()
-        yield chunk[::-1] if descending else chunk
+        yield chunk
         step *= 2
 
 
@@ -263,14 +233,23 @@ class MemTable:
         """The largest key currently held, or None (O(1))."""
         return self._max_key
 
-    def scan(self, key_range: KeyRange, descending: bool = False
-             ) -> Iterator[Row]:
-        """Rows within the key range, in key order, as of the call:
-        each run is bisected at both ends of the range, and the spans
-        inside it are merged as far as the caller reads."""
+    def scan_runs(self, key_range: KeyRange, descending: bool = False
+                  ) -> Iterator[Run]:
+        """The rows within the key range, as of the call, as
+        ``(rows, keys)`` runs in scan order (each run ascends): each
+        sorted run is bisected at both ends of the range, and the spans
+        inside it are merged, a doubling chunk at a time, as far as
+        the caller reads."""
         runs, tail = self._state
         if tail:
             runs += (sorted(tail),)
-        spans = [[run, *_span(run, key_range)] for run in runs]
-        keys = chain.from_iterable(_chunks(spans, descending))
-        return map(_row_of, map(self._index.__getitem__, keys))
+        spans = [[run, *key_range.span(run)] for run in runs]
+        spans = [span for span in spans if span[1] < span[2]]
+        lookup = self._index.__getitem__
+        for keys in _chunks(spans, descending):
+            yield list(map(_row_of, map(lookup, keys))), keys
+
+    def scan(self, key_range: KeyRange, descending: bool = False
+             ) -> Iterator[Row]:
+        """The rows within the key range, in key order."""
+        return rows_of(self.scan_runs(key_range, descending), descending)

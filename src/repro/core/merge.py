@@ -29,8 +29,6 @@ plan, calls it off-lock, and publishes the result with its swap.
 
 from __future__ import annotations
 
-import bisect
-import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
@@ -39,7 +37,9 @@ from .block import decompress
 from .codec import BLOCK_FORMAT_V3
 from .config import EngineConfig
 from .periods import Period, period_for, rollover_delay
-from .readpath import CORRUPTION, translated_rows
+from .cursor import merge_runs, take_stretch
+from .readpath import CORRUPTION, reader_runs
+from .row import Run
 from .schema import Schema
 from .tablet import TabletMeta, TabletReader, TabletSink, TabletWriter
 
@@ -199,15 +199,16 @@ class _MergeSource:
     it is here, under :func:`_blaming`.
 
     At any moment the source is either *decoded* - ``rows``/``keys``
-    hold the current block, ``pos`` the read point - or sitting at a
-    *block boundary* (``rows is None``).  ``lo_bound`` is the last key
-    already consumed, so every remaining key is known to be strictly
-    greater; that is what lets whole untouched blocks from other
-    sources pass through without being decoded.
+    hold the current block, ``[pos, end)`` the part of it not yet
+    taken (a head for :func:`repro.core.cursor.take_stretch`) - or
+    sitting at a *block boundary* (``rows is None``).  ``lo_bound`` is
+    the last key already consumed, so every remaining key is known to
+    be strictly greater; that is what lets whole untouched blocks from
+    other sources pass through without being decoded.
     """
 
     __slots__ = ("meta", "reader", "entries", "index", "rows", "keys",
-                 "pos", "lo_bound")
+                 "pos", "end", "lo_bound")
 
     def __init__(self, meta: TabletMeta, reader: TabletReader):
         self.meta = meta
@@ -217,17 +218,17 @@ class _MergeSource:
         self.index = 0
         self.rows: Optional[List[Tuple[Any, ...]]] = None
         self.keys: Optional[List[Tuple[Any, ...]]] = None
-        self.pos = 0
+        self.pos = self.end = 0
         self.lo_bound: Optional[Tuple[Any, ...]] = None
 
     @property
     def exhausted(self) -> bool:
         return self.rows is None and self.index >= len(self.entries)
 
-    def translated(self, schema: Schema) -> Iterator[Tuple[Any, ...]]:
+    def translated(self, schema: Schema) -> Iterator[Run]:
         """Every row, at ``schema`` (the translating merge)."""
         with _blaming(self.meta):
-            yield from translated_rows(self.reader, schema)
+            yield from reader_runs(self.reader, schema)
 
     def may_hold(self, key: Tuple[Any, ...]) -> bool:
         """Could a remaining row have a key <= ``key``?  At a boundary
@@ -242,7 +243,7 @@ class _MergeSource:
         with _blaming(self.meta):
             self.rows, self.keys, _raw_len = self.reader.decode_payload(
                 self.index, self.reader.read_block_payload(self.index))
-        self.pos = 0
+        self.pos, self.end = 0, len(self.keys)
         self.index += 1
         return int(self.reader.block_format != BLOCK_FORMAT_V3)
 
@@ -262,15 +263,10 @@ class _MergeSource:
         self.lo_bound = entry.last_key
         self.index += 1
 
-    def take_through(self, limit: Tuple[Any, ...], rows: list,
-                     keys: list) -> None:
-        """Move the decoded rows with keys <= ``limit`` onto ``rows``
-        and ``keys``; a block consumed whole leaves a boundary."""
-        start = self.pos
-        self.pos = cut = bisect.bisect_right(self.keys, limit, start)
-        rows += self.rows[start:cut]
-        keys += self.keys[start:cut]
-        if cut == len(self.keys):
+    def settle(self) -> None:
+        """After a stretch was taken: a block consumed whole leaves a
+        boundary."""
+        if self.pos == self.end:
             self.rows = self.keys = None
             self.lo_bound = self.entries[self.index - 1].last_key
 
@@ -304,11 +300,10 @@ def merge_tablets(plan: MergePlan, readers: List[TabletReader],
     # Mixed schema versions (or sources without zone maps):
     # translating while merging also upgrades old rows to the
     # current schema (§3.5).
-    merged = heapq.merge(*[s.translated(schema) for s in sources],
-                         key=schema.key_of)
-    meta = writer.write(filename, merged, tablet_id, created_at=now,
-                        expected_rows=plan.total_rows)
-    return meta, 0
+    sink = writer.sink(expected_rows=plan.total_rows)
+    for run in merge_runs([s.translated(schema) for s in sources]):
+        sink.add_rows(*run)
+    return sink.finish(filename, tablet_id, created_at=now), 0
 
 
 def _merge_blockwise(plan: MergePlan, sources: List[_MergeSource],
@@ -370,15 +365,9 @@ def _merge_blockwise(plan: MergePlan, sources: List[_MergeSource],
         # Overlap: decode every boundary source's next block, then
         # move one stretch.
         upgraded += sum(s.decode_next() for s in sources if s.rows is None)
-        limit = min(s.keys[-1] for s in sources)
-        rows, keys = [], []
+        sink.add_rows(*take_stretch(sources))
         for s in sources:
-            s.take_through(limit, rows, keys)
-        # Positions are sorted by key, never the rows themselves: a
-        # row may hold a NaN, and equal keys must keep plan order.
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        sink.add_rows(list(map(rows.__getitem__, order)),
-                      list(map(keys.__getitem__, order)))
+            s.settle()
     meta = sink.finish(filename, tablet_id, created_at=now,
                        min_key=min_key, max_key=max_key)
     return meta, upgraded

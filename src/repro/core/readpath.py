@@ -10,11 +10,18 @@ bulk delete's candidate pass - starts from the :class:`ReadPlan` that
 state-lock hold, so the pruning, the schema translation and the
 corruption guard below apply to all of them alike.  Nothing here
 touches a ``Table``: tests run these functions on a hand-built plan.
+
+What a source hands the cursor is a *run* (:data:`repro.core.row.Run`):
+the in-range slice of one block, or one chunk of a memtable, with its
+keys - :meth:`ReadPlan.tablet_runs` / :meth:`ReadPlan.memtable_runs`.
+``tablet_rows`` / ``memtable_rows`` flatten the same runs for the few
+callers that want rows (bulk delete's rewrite, the aggregate fallback).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -25,12 +32,13 @@ from .cursor import execute_query
 from .errors import CorruptTabletError
 from .memtable import MemTable
 from .readcache import TabletPruneIndex
-from .row import DESCENDING, KeyRange, Query, QueryStats, TimeRange
+from .row import (DESCENDING, KeyRange, Query, QueryStats, Run, TimeRange,
+                  rows_of)
 from .schema import Schema
 from .tablet import TabletMeta, TabletReader
 from .vector import (AggregatePartials, AggregateSpec, accumulate,
-                     accumulate_rows, key_bounds, residual_filter,
-                     resolve_time_bounds, time_filter)
+                     accumulate_rows, residual_filter, resolve_time_bounds,
+                     time_filter)
 
 Row = Tuple[Any, ...]
 #: What a damaged or vanished tablet file raises when read.
@@ -52,15 +60,25 @@ class ReadMetrics:
             "query.pushdown.rows_kernel_filtered")
 
 
-def translated_rows(reader: TabletReader, schema: Schema,
-                    key_range: Optional[KeyRange] = None,
-                    descending: bool = False) -> Iterator[Row]:
-    """Scan a tablet, translating old-schema rows (§3.5)."""
+def translated_runs(runs: Iterator[Run], schema: Schema, written: Schema
+                    ) -> Iterator[Run]:
+    """``runs`` of rows ``written`` under an older schema, at
+    ``schema`` (§3.5); a translation never touches a key column."""
+    if written.version == schema.version:
+        return runs
+    translate = schema.translate_row
+    return (([translate(row, written) for row in rows], keys)
+            for rows, keys in runs)
+
+
+def reader_runs(reader: TabletReader, schema: Schema,
+                key_range: Optional[KeyRange] = None,
+                descending: bool = False) -> Iterator[Run]:
+    """Scan a tablet's runs, translating old-schema rows (§3.5)."""
     reader.ensure_loaded()
-    rows = reader.scan(key_range or KeyRange.all(), descending)
-    if reader.schema.version == schema.version:
-        return rows
-    return (schema.translate_row(row, reader.schema) for row in rows)
+    return translated_runs(
+        reader.scan_runs(key_range or KeyRange.all(), descending),
+        schema, reader.schema)
 
 
 @dataclass
@@ -127,27 +145,36 @@ class ReadPlan:
         if self.on_corrupt is not None:
             self.on_corrupt(meta, exc)
 
-    def tablet_rows(self, meta: TabletMeta,
+    def tablet_runs(self, meta: TabletMeta,
                     key_range: Optional[KeyRange] = None,
-                    descending: bool = False) -> Iterator[Row]:
-        """A guarded tablet scan at the plan's schema."""
+                    descending: bool = False) -> Iterator[Run]:
+        """A guarded tablet scan at the plan's schema, a run (one
+        block's in-range slice) at a time; nothing is opened or read
+        before the first ``next()``."""
         try:
-            yield from translated_rows(self.open_reader(meta), self.schema,
-                                       key_range, descending)
+            yield from reader_runs(self.open_reader(meta), self.schema,
+                                   key_range, descending)
         except CORRUPTION as exc:
             self.corrupt(meta, exc)
             raise
 
-    def memtable_rows(self, memtable: MemTable, key_range: KeyRange,
-                      descending: bool = False) -> Iterator[Row]:
-        """Scan a memtable, translating rows written under an older
-        schema (a schema change retires filling memtables, but they
-        stay readable until flushed)."""
-        rows = memtable.scan(key_range, descending)
-        if memtable.schema.version == self.schema.version:
-            return rows
-        schema = self.schema
-        return (schema.translate_row(row, memtable.schema) for row in rows)
+    def tablet_rows(self, meta: TabletMeta,
+                    key_range: Optional[KeyRange] = None) -> Iterator[Row]:
+        """The same scan for a caller that wants rows."""
+        return rows_of(self.tablet_runs(meta, key_range))
+
+    def memtable_runs(self, memtable: MemTable, key_range: KeyRange,
+                      descending: bool = False) -> Iterator[Run]:
+        """Scan a memtable's runs, translating rows written under an
+        older schema (a schema change retires filling memtables, but
+        they stay readable until flushed)."""
+        return translated_runs(memtable.scan_runs(key_range, descending),
+                               self.schema, memtable.schema)
+
+    def memtable_rows(self, memtable: MemTable, key_range: KeyRange
+                      ) -> Iterator[Row]:
+        """The same scan for a caller that wants rows."""
+        return rows_of(self.memtable_runs(memtable, key_range))
 
     def may_hold_prefix(self, meta: TabletMeta,
                         encoded_prefix: Optional[List[bytes]]) -> bool:
@@ -165,20 +192,20 @@ class ReadPlan:
 
 # ---------------------------------------------------------------- scans
 
-def scan_rows(plan: ReadPlan, query: Query, now: int, stats: QueryStats
-              ) -> Iterator[Row]:
-    """The merged, filtered row stream for ``query`` (§3.2)."""
+def scan_stretches(plan: ReadPlan, query: Query, now: int, stats: QueryStats
+                   ) -> Iterator[List[Row]]:
+    """The merged, filtered result of ``query`` (§3.2) as lists of rows
+    in result order (:func:`repro.core.cursor.execute_query`).  Lazy:
+    the first ``next()`` reads one block of each selected tablet."""
     descending = query.direction == DESCENDING
-    sources = [plan.tablet_rows(meta, query.key_range, descending)
+    sources = [plan.tablet_runs(meta, query.key_range, descending)
                for meta in plan.select(query.time_range, query.key_range,
                                        stats)]
     stats.tablets_opened += len(sources)
     for memtable in plan.memtables:
         if query.time_range.overlaps(memtable.min_ts, memtable.max_ts):
-            sources.append(plan.memtable_rows(memtable, query.key_range,
+            sources.append(plan.memtable_runs(memtable, query.key_range,
                                               descending))
-    if not sources:
-        return iter(())
     return execute_query(sources, plan.schema, query, now, plan.ttl_micros,
                          stats)
 
@@ -192,7 +219,7 @@ def tablets_holding(plan: ReadPlan, key_range: KeyRange,
     return [
         meta for meta in plan.select(TimeRange.all(), key_range)
         if plan.may_hold_prefix(meta, encoded_prefix)
-        and any(True for _row in plan.tablet_rows(meta, key_range))]
+        and any(plan.tablet_runs(meta, key_range))]
 
 
 # ------------------------------------------------ vectorized aggregation
@@ -201,7 +228,7 @@ def aggregate(plan: ReadPlan, spec: AggregateSpec, now: int,
               stats: QueryStats) -> AggregatePartials:
     """Vectorized partial aggregation over the plan's sources.
 
-    The pushed-down counterpart of :func:`scan_rows` for aggregate
+    The pushed-down counterpart of :func:`scan_stretches` for aggregate
     queries: the same zone-map + time-interval tablet pruning, but v2
     and v3 tablets are consumed column-major - whole decoded columns flow
     through the predicate and accumulation kernels with no per-row
@@ -264,28 +291,25 @@ def _aggregate_tablet(plan: ReadPlan, meta: TabletMeta, spec: AggregateSpec,
         # v1 blocks decode row-major, and old-schema tablets need
         # per-row translation: row-at-a-time fallback for both.
         _aggregate_rows(plan,
-                        translated_rows(reader, plan.schema, spec.key_range),
+                        rows_of(reader_runs(reader, plan.schema,
+                                            spec.key_range)),
                         spec, groups, stats, tlo, thi)
         metrics.push_blocks_fallback.inc(reader.block_count)
         return
-    if reader.block_count == 0:
-        return
     key_range = spec.key_range
-    first = reader.first_block_for(key_range)
-    last = reader.last_block_for(key_range)
-    last_keys = reader.last_keys
+    # Blocks [first, inside) end on an in-range key, so every block
+    # after ``first`` also begins on one; block ``inside`` ends past
+    # the range but may begin inside it.
+    first, inside = key_range.span(reader.last_keys)
     no_min = key_range.min_prefix is None
     no_max = key_range.max_prefix is None
-    for index in range(first, last + 1):
-        full_min = no_min or (
-            index > 0
-            and not key_range.before_range(last_keys[index - 1]))
-        full_max = no_max or not key_range.after_range(last_keys[index])
-        need_keys = not (full_min and full_max)
+    for index in range(first, min(inside + 1, reader.block_count)):
+        need_keys = not ((no_min or index > first)
+                         and (no_max or index < inside))
         columns, keys, count = reader.scan_block_columns(
             index, need_keys=need_keys)
         if need_keys:
-            lo, hi = key_bounds(keys, key_range)
+            lo, hi = key_range.span(keys)
         else:
             lo, hi = 0, count
         if lo >= hi:
@@ -325,7 +349,9 @@ def latest_row(plan: ReadPlan, prefix: Tuple[Any, ...],
     ts_of = schema.ts_of
     full_prefix = len(prefix) == schema.key_width - 1
     key_range = KeyRange.prefix(prefix)
-    query = Query(key_range, TimeRange.all(), DESCENDING)
+    # Under a full prefix the cursor's first row is the group's newest.
+    query = Query(key_range, TimeRange.all(), DESCENDING,
+                  limit=1 if full_prefix else None)
     best: Optional[Row] = None
     tablets = plan.select(TimeRange.all(), key_range)
     for group in timespan_groups(tablets, plan.memtables):
@@ -335,15 +361,13 @@ def latest_row(plan: ReadPlan, prefix: Tuple[Any, ...],
         sources = []
         for source, _span_min, _span_max in group:
             if not isinstance(source, TabletMeta):
-                sources.append(plan.memtable_rows(source, key_range,
+                sources.append(plan.memtable_runs(source, key_range,
                                                   descending=True))
             elif plan.may_hold_prefix(source, encoded_prefix):
-                sources.append(plan.tablet_rows(source, key_range,
+                sources.append(plan.tablet_runs(source, key_range,
                                                 descending=True))
-        if not sources:
-            continue
-        for row in execute_query(sources, schema, query, now,
-                                 plan.ttl_micros, stats):
+        for row in chain.from_iterable(execute_query(
+                sources, schema, query, now, plan.ttl_micros, stats)):
             ts = ts_of(row)
             if cutoff is not None and ts < cutoff:
                 continue

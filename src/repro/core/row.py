@@ -8,19 +8,55 @@ inclusive or exclusive."
 Keys are tuples of column values ordered as the schema's key columns
 (ending in the timestamp).  A *prefix* bound compares only the first
 ``len(prefix)`` key columns; tuple truncation preserves lexicographic
-order, so the bound predicates below are monotone along any sorted run
-of keys, which is what lets cursors binary-search with them.
+order, so a bound cuts any sorted run of keys at one place:
+:meth:`KeyRange.span` bisects for it, and is the one way from a key
+range to a slice of sorted keys (a block's keys, a block index, a
+memtable run).  The per-key predicates remain for testing one key.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import QueryError
 
 ASCENDING = "asc"
 DESCENDING = "desc"
+
+Row = Tuple[Any, ...]
+Key = Tuple[Any, ...]
+#: The unit the read path moves: a stretch of rows in ascending key
+#: order and, beside it, their keys.  A source yields its runs in scan
+#: order - last run first when descending - but every run ascends.
+Run = Tuple[List[Row], List[Key]]
+#: A source's first run is at most this long and each later one may be
+#: twice the last: the first row of a scan costs a short stretch, a
+#: whole scan a few more runs than there are blocks.
+FIRST_RUN_ROWS = 64
+
+
+def rows_of(runs: Iterable[Run], descending: bool = False) -> Iterator[Row]:
+    """The rows of ``runs``, one at a time, in scan order."""
+    if descending:
+        return chain.from_iterable(reversed(rows) for rows, _keys in runs)
+    return chain.from_iterable(rows for rows, _keys in runs)
+
+
+class _Top:
+    """Sorts after everything: ``prefix + (_TOP,)`` is a bound just
+    past the last key that begins with ``prefix``."""
+
+    def __lt__(self, other):
+        return False
+
+    def __gt__(self, other):
+        return True
+
+
+_TOP = _Top()
 
 
 @dataclass(frozen=True)
@@ -72,14 +108,24 @@ class KeyRange:
         """True if ``key`` lies within both bounds."""
         return not self.before_range(key) and not self.after_range(key)
 
-    def seek_min(self) -> Optional[Tuple[Any, ...]]:
-        """A key tuple at or below the first in-range key.
-
-        Ascending cursors position here and then skip any rows for
-        which :meth:`before_range` still holds (only possible for an
-        exclusive prefix bound).
-        """
-        return self.min_prefix
+    def span(self, keys: Sequence[Tuple[Any, ...]], lo: int = 0,
+             hi: Optional[int] = None) -> Tuple[int, int]:
+        """Where the keys this range selects start and stop in sorted
+        ``keys[lo:hi]`` - a block's keys, a block index's last keys, a
+        memtable run - by two C bisects.  A bound is a key *prefix*,
+        which as a tuple sorts just before every key it begins: right
+        for a low bound that takes those keys in and a high one that
+        leaves them out.  The other two add ``_TOP``."""
+        if hi is None:
+            hi = len(keys)
+        low, high = self.min_prefix, self.max_prefix
+        if low is not None:
+            lo = bisect_left(
+                keys, low if self.min_inclusive else low + (_TOP,), lo, hi)
+        if high is not None:
+            hi = bisect_left(
+                keys, high + (_TOP,) if self.max_inclusive else high, lo, hi)
+        return lo, hi
 
 
 @dataclass(frozen=True)

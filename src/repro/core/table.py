@@ -56,6 +56,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -952,8 +953,9 @@ class Table:
         stats = QueryStats()
         with self._read_plan() as plan:
             try:
-                yield from readpath.scan_rows(plan, query, self.clock.now(),
-                                              stats)
+                for stretch in readpath.scan_stretches(
+                        plan, query, self.clock.now(), stats):
+                    yield from stretch
             finally:
                 self._count_read(stats.rows_scanned, stats.rows_returned,
                                  queries=0)
@@ -967,17 +969,18 @@ class Table:
         query_started = time.perf_counter()
         stats = QueryStats()
         limit = self.config.server_row_limit
-        if query.limit is not None:
-            limit = min(limit, query.limit)
-        rows: List[Tuple[Any, ...]] = []
-        more_available = False
+        if query.limit is not None and query.limit <= limit:
+            limit = query.limit
+        else:
+            # The server's limit binds: one row past it, if there is
+            # one, is what says more is available.
+            query = Query(query.key_range, query.time_range,
+                          query.direction, limit + 1)
         with self._read_plan() as plan:
-            for row in readpath.scan_rows(plan, query, self.clock.now(),
-                                          stats):
-                if len(rows) == limit:
-                    more_available = True
-                    break
-                rows.append(row)
+            rows = list(chain.from_iterable(readpath.scan_stretches(
+                plan, query, self.clock.now(), stats)))
+        more_available = len(rows) > limit
+        del rows[limit:]
         self._count_read(stats.rows_scanned, stats.rows_returned)
         self._h_query_latency.observe(
             (time.perf_counter() - query_started) * 1e6)

@@ -65,7 +65,7 @@ from .codec import (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2, BLOCK_FORMAT_V3,
 from .encoding import RowCodec
 from .errors import ChecksumError, CorruptTabletError
 from .readcache import NULL_READ_CACHE
-from .row import KeyRange
+from .row import FIRST_RUN_ROWS, KeyRange, Run, rows_of
 from .schema import Schema
 
 TRAILER_BYTES = 16
@@ -742,10 +742,10 @@ class TabletReader:
     def last_keys(self) -> List[Tuple[Any, ...]]:
         """Each block's last key (the block index's search structure).
 
-        The vectorized scan uses these to prove a block lies entirely
-        inside the key bounds (so it can skip materializing keys):
-        every key of block ``i`` is > ``last_keys[i-1]`` and <=
-        ``last_keys[i]``, and the range predicates are monotone.
+        ``KeyRange.span`` over them finds the blocks a range touches,
+        and lets the vectorized scan prove a block lies entirely inside
+        the key bounds (so it can skip materializing keys): every key
+        of block ``i`` is > ``last_keys[i-1]`` and <= ``last_keys[i]``.
         """
         self.ensure_loaded()
         return self._last_keys
@@ -793,33 +793,6 @@ class TabletReader:
         position = bisect.bisect_left(keys, key)
         return position < len(keys) and keys[position] == key
 
-    def first_block_for(self, key_range: KeyRange) -> int:
-        """Index of the first block that may hold in-range keys."""
-        self.ensure_loaded()
-        seek = key_range.seek_min()
-        if seek is None:
-            return 0
-        # First block whose last key is >= the seek prefix.  Tuple
-        # comparison does the right thing for prefixes: (a,) <= (a, b).
-        return bisect.bisect_left(self._last_keys, seek)
-
-    def last_block_for(self, key_range: KeyRange) -> int:
-        """Index of the last block that may hold in-range keys."""
-        self.ensure_loaded()
-        if key_range.max_prefix is None:
-            return len(self._entries) - 1
-        # First block whose last key is beyond the max bound may still
-        # contain in-range keys (its earlier rows); blocks after it
-        # cannot.
-        low, high = 0, len(self._entries)
-        while low < high:
-            mid = (low + high) // 2
-            if key_range.after_range(self._last_keys[mid]):
-                high = mid
-            else:
-                low = mid + 1
-        return min(low, len(self._entries) - 1)
-
     def may_contain_prefix(self, encoded_columns: List[bytes]) -> Optional[bool]:
         """Bloom-filter probe; None when no filter is stored.
 
@@ -840,51 +813,41 @@ class TabletReader:
 
     # ----------------------------------------------------------- cursors
 
-    def scan(self, key_range: KeyRange, descending: bool = False
-             ) -> Iterator[Tuple[Any, ...]]:
-        """Yield rows within the key range, in key order.
+    def scan_runs(self, key_range: KeyRange, descending: bool = False
+                  ) -> Iterator[Run]:
+        """The in-range slice of each block, as ``(rows, keys)`` runs
+        in scan order (each run ascends; descending starts at the last
+        block).  A block is read when the run before it has been
+        taken, and a run is a fresh slice - never the cache's list.
+        The first run is at most ``FIRST_RUN_ROWS`` long and the
+        allowance doubles from there, so the first row of a scan costs
+        a short slice and a whole scan a few more runs than blocks.
 
         Rows are *not* filtered by timestamp here; the merge cursor
         does that (and counts them as scanned, which is what Figure 9
         measures).
         """
-        self.ensure_loaded()
-        if not self._entries:
-            return
-        if descending:
-            yield from self._scan_desc(key_range)
-        else:
-            yield from self._scan_asc(key_range)
-
-    def _scan_asc(self, key_range: KeyRange) -> Iterator[Tuple[Any, ...]]:
-        start_block = self.first_block_for(key_range)
-        for index in range(start_block, len(self._entries)):
+        # The blocks that end on an in-range key, and the one after
+        # them: it ends past the range but may begin inside it.
+        first, inside = key_range.span(self.last_keys)
+        stop = min(inside + 1, len(self._entries))
+        step = FIRST_RUN_ROWS
+        for index in (range(stop - 1, first - 1, -1) if descending
+                      else range(first, stop)):
             rows, keys = self._scan_block(index)
-            position = 0
-            if index == start_block:
-                seek = key_range.seek_min()
-                if seek is not None:
-                    position = bisect.bisect_left(keys, seek)
-            for row_index in range(position, len(rows)):
-                key = keys[row_index]
-                # An exclusive prefix bound can exclude rows beyond the
-                # seek position (and past the first block); the check is
-                # monotone, so it stops firing once the scan passes it.
-                if key_range.before_range(key):
-                    continue
-                if key_range.after_range(key):
-                    return
-                yield rows[row_index]
+            lo, hi = key_range.span(keys)
+            while lo < hi:
+                if descending:
+                    cut = max(lo, hi - step)
+                    yield rows[cut:hi], keys[cut:hi]
+                    hi = cut
+                else:
+                    cut = min(hi, lo + step)
+                    yield rows[lo:cut], keys[lo:cut]
+                    lo = cut
+                step *= 2
 
-    def _scan_desc(self, key_range: KeyRange) -> Iterator[Tuple[Any, ...]]:
-        start_block = self.last_block_for(key_range)
-        for index in range(start_block, -1, -1):
-            rows, keys = self._scan_block(index)
-            position = len(rows) - 1
-            for row_index in range(position, -1, -1):
-                key = keys[row_index]
-                if key_range.after_range(key):
-                    continue
-                if key_range.before_range(key):
-                    return
-                yield rows[row_index]
+    def scan(self, key_range: KeyRange, descending: bool = False
+             ) -> Iterator[Tuple[Any, ...]]:
+        """The rows within the key range, in key order."""
+        return rows_of(self.scan_runs(key_range, descending), descending)

@@ -9,9 +9,9 @@ per-row Python tuple and a per-row accumulator call:
 * :class:`AggregateSpec` is the pushed-down plan fragment: the 2-D
   bounding box, the grouping dimensions (key columns and/or a timestamp
   bucket), the aggregate functions, and the residual comparisons.
-* The kernels (:func:`key_bounds`, :func:`time_filter`,
-  :func:`residual_filter`, :func:`accumulate`) work on whole decoded
-  columns, refining a selection index list; the hot loops are slice
+* The kernels (:func:`time_filter`, :func:`residual_filter`,
+  :func:`accumulate`; the key bounds are ``KeyRange.span``) work on
+  whole decoded columns, refining a selection index list; the hot loops are slice
   operations and list comprehensions with inline comparisons.
 * :class:`AggregatePartials` is the mergeable partial-aggregation state
   produced per tablet (and per shard): partial states combine with
@@ -134,39 +134,6 @@ def resolve_time_bounds(time_range: TimeRange, cutoff: Optional[int]
         hi -= 1
     if cutoff is not None:
         lo = cutoff if lo is None else max(lo, cutoff)
-    return lo, hi
-
-
-def key_bounds(keys: List[Tuple[Any, ...]], key_range: KeyRange
-               ) -> Tuple[int, int]:
-    """The slice ``[lo, hi)`` of ``keys`` inside ``key_range``.
-
-    ``keys`` is sorted, and :meth:`KeyRange.before_range` /
-    :meth:`KeyRange.after_range` are monotone along it, so both edges
-    binary-search instead of testing every row.
-    """
-    n = len(keys)
-    lo, hi = 0, n
-    if key_range.min_prefix is not None:
-        before = key_range.before_range
-        a, b = 0, n
-        while a < b:
-            mid = (a + b) // 2
-            if before(keys[mid]):
-                a = mid + 1
-            else:
-                b = mid
-        lo = a
-    if key_range.max_prefix is not None:
-        after = key_range.after_range
-        a, b = lo, n
-        while a < b:
-            mid = (a + b) // 2
-            if after(keys[mid]):
-                b = mid
-            else:
-                a = mid + 1
-        hi = a
     return lo, hi
 
 

@@ -13,7 +13,7 @@ from repro.core import memtable
 from repro.core.encoding import RowCodec
 from repro.core.memtable import MemTable
 from repro.core.periods import Period, PeriodLevel
-from repro.core.row import KeyRange
+from repro.core.row import KeyRange, rows_of
 from repro.core.schema import Column, ColumnType, Schema
 
 
@@ -185,7 +185,7 @@ def test_matches_a_sorted_dict_through_any_interleaving(script):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(steps, min_size=8, max_size=60), st.integers(1, 3))
 def test_matches_a_sorted_dict_when_scans_take_many_rounds(script, step):
-    # At the real first step (256 keys a run) these small memtables are
+    # At the real first step (64 keys a run) these small memtables are
     # always merged in one round.
     with mock.patch.object(memtable, "_chunks",
                            partial(memtable._chunks, step=step)):
@@ -223,6 +223,13 @@ def run_against_a_sorted_dict(script):
             if descending:
                 expected.reverse()
             assert list(mt.scan(key_range, descending)) == expected
+            # The same walk as runs: each ascends, none is empty, the
+            # keys ride along, and descending only reorders the runs.
+            runs = list(mt.scan_runs(key_range, descending))
+            for run_rows, run_keys in runs:
+                assert run_keys and run_keys == sorted(run_keys)
+                assert run_keys == [row[:3] for row in run_rows]
+            assert list(rows_of(runs, descending)) == expected
         elif step == "probe":
             assert mt.contains_key(argument) == (argument in oracle)
         else:
@@ -283,7 +290,7 @@ def test_first_row_of_an_unbounded_scan_does_not_sort_the_memtable(
             scan = mt.scan(KeyRange.all(), descending)
             assert not taken                    # nothing before the first read
             assert next(scan) == ordered[-1 if descending else 0]
-            assert taken == [sum(taken)] and 0 < taken[0] <= 256 * len(runs)
+            assert taken == [sum(taken)] and 0 < taken[0] <= 64 * len(runs)
             # ... and the rest of the walk is still whole and in order.
             rest = ordered[-2::-1] if descending else ordered[1:]
             assert list(scan) == rest

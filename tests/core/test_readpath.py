@@ -6,13 +6,15 @@ hook), so the snapshot semantics are testable in isolation: what a
 plan lists is what a read sees, whatever happens to the table after.
 """
 
+from itertools import chain
+
 import pytest
 
 from repro.core.errors import CorruptTabletError
 from repro.core.memtable import MemTable
 from repro.core.periods import period_for
 from repro.core.readpath import (ReadMetrics, ReadPlan, aggregate,
-                                 latest_row, scan_rows, tablets_holding,
+                                 latest_row, scan_stretches, tablets_holding,
                                  timespan_groups)
 from repro.core.row import (DESCENDING, KeyRange, Query, QueryStats,
                             TimeRange)
@@ -24,6 +26,10 @@ from repro.obs.metrics import MetricsRegistry
 from ..conftest import usage_schema
 
 NOW = 10_000 * 86_400_000_000
+
+
+def scan_rows(plan, query, now, stats):
+    return chain.from_iterable(scan_stretches(plan, query, now, stats))
 
 
 def usage_row(device, ts, value=0):

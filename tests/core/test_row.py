@@ -64,9 +64,49 @@ class TestKeyRange:
         assert befores == sorted(befores, reverse=True)
         assert afters == sorted(afters)
 
-    def test_seek_min(self):
-        assert KeyRange.all().seek_min() is None
-        assert KeyRange.prefix((1, 2)).seek_min() == (1, 2)
+    def test_span_of_sorted_keys(self):
+        keys = sorted((i, j) for i in range(10) for j in range(3))
+        assert KeyRange.all().span(keys) == (0, 30)
+        assert KeyRange.all().span([]) == (0, 0)
+        assert KeyRange.prefix((4,)).span(keys) == (12, 15)
+        assert KeyRange.prefix((4, 1)).span(keys) == (13, 14)
+        assert KeyRange.prefix((10,)).span(keys) == (30, 30)
+        exclusive = KeyRange(min_prefix=(3,), min_inclusive=False,
+                             max_prefix=(6,), max_inclusive=False)
+        assert exclusive.span(keys) == (12, 18)
+        # Within a window: never outside it, and empty when inverted.
+        assert KeyRange.prefix((4,)).span(keys, 13, 20) == (13, 15)
+        assert KeyRange.prefix((4,)).span(keys, 20) == (20, 20)
+        assert KeyRange(min_prefix=(6,), max_prefix=(3,)).span(keys) == (
+            18, 18)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.integers(0, 4)), max_size=40),
+           st.data())
+    def test_span_is_where_contains_holds(self, keys, data):
+        """Every bound kind x every prefix length, bounds on, between
+        and outside the keys held: the bisected span is exactly the
+        stretch the per-key predicates select."""
+        keys = sorted(set(keys))
+        bound = st.one_of(st.none(), st.builds(
+            lambda key, width: key[:width],
+            st.tuples(*[st.integers(-1, 5)] * 3), st.integers(0, 3)))
+        key_range = data.draw(st.builds(
+            KeyRange, min_prefix=bound, min_inclusive=st.booleans(),
+            max_prefix=bound, max_inclusive=st.booleans()))
+        lo, hi = key_range.span(keys)
+        inside = [key for key in keys if key_range.contains(key)]
+        assert keys[lo:hi] == inside
+        if inside:
+            assert all(key_range.before_range(key) for key in keys[:lo])
+            assert all(key_range.after_range(key) for key in keys[hi:])
+        start = data.draw(st.integers(0, len(keys)))
+        stop = data.draw(st.integers(start, len(keys)))
+        lo, hi = key_range.span(keys, start, stop)
+        assert start <= lo <= hi <= stop
+        assert keys[lo:hi] == [key for key in keys[start:stop]
+                               if key_range.contains(key)]
 
 
 class TestTimeRange:

@@ -158,6 +158,92 @@ class TestQuery:
         assert not result.more_available
 
 
+class TestScanContract:
+    """What the stretch cursor must keep of the row cursor's manners."""
+
+    def _four_tablets(self, table, clock):
+        """Four multi-block tablets whose keys interleave, no merge."""
+        table.config.merge_policy = "never"
+        for _tablet in range(4):
+            fill_usage(table, clock, networks=4, devices=8, samples=6)
+            table.flush_all()
+        assert len(table.descriptor.tablets) == 4
+        assert all(table._reader(meta).block_count > 2
+                   for meta in table.descriptor.tablets)
+        table.evict_reader_cache()
+
+    @pytest.mark.parametrize("direction", ["asc", DESCENDING])
+    def test_first_row_costs_one_block_a_tablet(self, db, usage_table,
+                                                clock, direction):
+        """Figure 6's contract: nothing is decoded before the first
+        ``next()``, and the first row costs a block per source."""
+        self._four_tablets(usage_table, clock)
+        decoded = db.metrics.counter("block.decoded")
+        before = decoded.value
+        scan = usage_table.scan(Query(direction=direction))
+        assert decoded.value == before
+        first = next(scan)
+        assert 1 <= decoded.value - before <= 4
+        rest = list(scan)
+        everything = usage_table.query(Query(direction=direction)).rows
+        assert [first] + rest == everything
+        assert len(everything) == 4 * 4 * 8 * 6
+
+    def test_latest_under_a_full_prefix_stops_at_its_first_row(
+            self, usage_table, clock):
+        self._four_tablets(usage_table, clock)
+        before = usage_table.counters.rows_scanned
+        row = usage_table.latest((2, 3))
+        assert row[:2] == (2, 3)
+        assert usage_table.counters.rows_scanned - before == 1
+
+    def test_a_result_is_the_callers_own(self, usage_table, clock):
+        """Rows reach the caller in lists the read cache never sees
+        again: emptying an answer does not change the next one."""
+        fill_usage(usage_table, clock)
+        usage_table.flush_all()
+        fill_usage(usage_table, clock, samples=2)
+        for query in (Query(), Query(KeyRange.prefix((1,))),
+                      Query(direction=DESCENDING), Query(limit=5)):
+            first = usage_table.query(query).rows     # fills the cache
+            expected = list(first)
+            assert expected
+            first.clear()
+            again = usage_table.query(query).rows
+            assert again == expected
+            again.reverse()
+            assert usage_table.query(query).rows == expected
+            assert list(usage_table.scan(query)) == expected
+
+    def test_limit_zero_is_an_empty_complete_answer(self, usage_table,
+                                                    clock):
+        """``limit=0`` once yielded a row from ``scan`` and told
+        ``query``'s caller the *server* limit had cut an empty page."""
+        fill_usage(usage_table, clock)
+        for query in (Query(limit=0),
+                      Query(KeyRange.prefix((1,)), limit=0,
+                            direction=DESCENDING)):
+            assert list(usage_table.scan(query)) == []
+            result = usage_table.query(query)
+            assert result.rows == [] and not result.more_available
+            assert result.stats.rows_scanned == 0
+
+    def test_query_counts_through_the_row_that_says_more(self, db, clock):
+        """The server limit is found by reading one row past it; that
+        row is scanned and counted, no more."""
+        from ..conftest import usage_schema
+
+        db.config.server_row_limit = 10
+        table = db.create_table("limited", usage_schema())
+        fill_usage(table, clock, networks=1, devices=25, samples=1)
+        result = table.query(Query())
+        assert len(result.rows) == 10 and result.more_available
+        assert result.stats.rows_scanned == 11
+        exact = table.query(Query(limit=10))
+        assert len(exact.rows) == 10 and not exact.more_available
+        assert exact.stats.rows_scanned == 10
+
+
 class TestServerRowLimit:
     def test_more_available_and_continuation(self, db, clock):
         from ..conftest import usage_schema

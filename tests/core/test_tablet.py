@@ -8,6 +8,7 @@ from repro.core.row import KeyRange
 from repro.core.schema import Column, ColumnType, Schema
 from repro.core.tablet import TabletReader, TabletWriter
 from repro.disk import SimulatedDisk
+from repro.obs.metrics import MetricsRegistry
 
 
 def make_schema():
@@ -171,6 +172,86 @@ class TestReaderRoundTrip:
         assert reader.min_ts == 1000
         assert reader.max_ts == 1004
         assert reader.schema == make_schema()
+
+
+class TestScanRuns:
+    """``scan_runs``: the in-range slice of a block at a time."""
+
+    def _reader(self, disk, cache=None):
+        rows = make_rows(networks=4, devices=6, samples=8)
+        write_tablet(disk, rows, block_size=128)
+        self.blocks_read = MetricsRegistry()
+        reader = TabletReader(disk, "t/tab-1.lt", self.blocks_read,
+                              cache=cache)
+        self.blocks_read = self.blocks_read.counter("tablet.blocks_read")
+        assert reader.block_count > 8
+        return reader, rows
+
+    def test_runs_ascend_and_carry_their_keys(self, disk):
+        reader, rows = self._reader(disk)
+        key_of = make_schema().key_of
+        for descending in (False, True):
+            runs = list(reader.scan_runs(KeyRange.prefix((2,)), descending))
+            assert len(runs) > 2
+            for run_rows, keys in runs:
+                assert run_rows and keys == [key_of(r) for r in run_rows]
+                assert keys == sorted(keys)
+            firsts = [keys[0] for _rows, keys in runs]
+            assert firsts == sorted(firsts, reverse=descending)
+            flat = [r for run_rows, _keys in runs for r in run_rows]
+            assert sorted(flat) == [r for r in rows if r[0] == 2]
+
+    def test_only_blocks_that_may_hold_the_range_are_read(self, disk):
+        reader, rows = self._reader(disk)
+        reader.ensure_loaded()
+        last_keys = reader.last_keys
+        for key_range in (KeyRange.prefix((1, 3)),
+                          KeyRange(min_prefix=(1,), min_inclusive=False,
+                                   max_prefix=(3, 2), max_inclusive=False),
+                          KeyRange(max_prefix=(0, 1)),
+                          KeyRange(min_prefix=(9,))):
+            may_hold = [
+                index for index, last in enumerate(last_keys)
+                if not key_range.before_range(last) and (
+                    index == 0
+                    or not key_range.after_range(last_keys[index - 1]))]
+            before = self.blocks_read.value
+            got = list(reader.scan(key_range))
+            assert got == [r for r in rows if key_range.contains(r[:3])]
+            assert self.blocks_read.value - before == len(may_hold)
+
+    def test_a_block_is_read_when_the_run_before_it_is_taken(self, disk):
+        reader, _rows = self._reader(disk)
+        runs = reader.scan_runs(KeyRange.all())
+        assert self.blocks_read.value == 0
+        next(runs)
+        assert self.blocks_read.value == 1
+        next(runs)
+        assert self.blocks_read.value == 2
+
+    def test_runs_start_short_and_double(self, disk):
+        """The first row of a scan costs a 64-row slice, not a block."""
+        rows = make_rows(networks=4, devices=10, samples=25)
+        write_tablet(disk, rows, block_size=1 << 20)
+        reader = TabletReader(disk, "t/tab-1.lt")
+        assert reader.block_count == 1
+        for descending in (False, True):
+            lengths = [len(keys) for _rows, keys in reader.scan_runs(
+                KeyRange.all(), descending)]
+            assert lengths == [64, 128, 256, 512, 40]
+            assert list(reader.scan(KeyRange.all(), descending)) == (
+                rows[::-1] if descending else rows)
+
+    def test_a_run_is_never_the_caches_list(self, disk):
+        from repro.core.readcache import ReadCache
+
+        cache = ReadCache(1 << 20)
+        reader, rows = self._reader(disk, cache)
+        for run_rows, keys in reader.scan_runs(KeyRange.all()):
+            run_rows.clear()
+            keys.clear()
+        assert list(reader.scan(KeyRange.all())) == rows
+        assert cache.get_block(reader.cache_uid, 0) is not None
 
 
 class TestBloomIntegration:

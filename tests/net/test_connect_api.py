@@ -63,6 +63,12 @@ def run_workload(db):
     page = db.query("usage", Query(limit=10))
     assert len(page.rows) == 10 and not page.more_available
 
+    # ... and so is a limit of nothing: an empty page that does not
+    # claim the server limit cut it short.
+    empty = db.query("usage", Query(limit=0))
+    assert empty.rows == [] and not empty.more_available
+    assert list(db.table("usage").scan(Query(limit=0))) == []
+
     table_page = db.table("usage").query(Query(limit=10))
     assert [r[:2] for r in table_page.rows] == [r[:2] for r in page.rows]
 

@@ -223,6 +223,22 @@ class TestMerge:
         router.close()
 
 
+    @pytest.mark.parametrize("direction", [ASCENDING, DESCENDING])
+    def test_limit_zero_is_an_empty_complete_page(self, direction):
+        """Scattered or pinned to one shard, ``limit=0`` is nothing
+        and nothing more: a continuation loop must not be told the
+        server limit cut an empty page."""
+        router = make_router(shards=2, row_limit=5)
+        router.create_table("usage", usage_schema())
+        router.insert("usage", sample_rows(devices=12, samples=3))
+        for key_range in (KeyRange(), KeyRange.prefix(("dev-03",))):
+            query = Query(key_range, direction=direction, limit=0)
+            result = router.query("usage", query)
+            assert result.rows == [] and not result.more_available
+            assert list(router.table("usage").scan(query)) == []
+        router.close()
+
+
 def crashable_router(shards=3):
     """A router whose workers sit on FaultyVFS disks (failpoints)."""
     clock = VirtualClock(start=BASE)

@@ -15,6 +15,9 @@ one, and the shard router hands work to its pool at one site.  In
 (``LittleTable.start_maintenance`` builds the only
 ``MaintenanceScheduler``) and a failing table is isolated in one (the
 pass, ``LittleTable.maintenance``), not again in the loop around it.
+Sorted runs from several sources are put in order in one function
+(``cursor.take_stretch``), which the read cursor and the merge
+executor both call.
 """
 
 import ast
@@ -135,6 +138,26 @@ def test_one_way_from_a_block_to_its_rows():
         lambda n: isinstance(n, ast.Name) and n.id == "BLOCK_FORMAT_V2"
         and isinstance(n.ctx, ast.Load), [CORE / "codec.py"]) == {
             "codec.py:decode_block_columns"}
+
+
+def test_one_function_sorts_positions_by_key():
+    """The stretch merge - take from every source up to the nearest
+    far end, stable-sort positions - is written once: the read cursor
+    loops over it and the merge executor calls it between block
+    passthroughs, rather than each keeping a copy."""
+    def sorts_positions(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sorted"
+                and any(keyword.arg == "key"
+                        and is_attr(keyword.value, "__getitem__")
+                        for keyword in node.keywords))
+
+    assert functions_where(sorts_positions, sorted(CORE.glob("*.py"))) == {
+        "cursor.py:take_stretch"}
+    merge = ast.parse((CORE / "merge.py").read_text())
+    assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "take_stretch" for n in ast.walk(merge))
 
 
 def test_one_site_builds_the_maintenance_scheduler():
