@@ -1,9 +1,13 @@
-"""Aggregate pushdown gate: vectorized execution vs the row oracle.
+"""Aggregate pushdown gate: the aggregate engine vs the row oracle.
 
-The vectorized query path exists to keep aggregate-heavy monitoring
+Aggregation inside the scan exists to keep aggregate-heavy monitoring
 queries (the Figure 9 mix: rollups, top-level sums, bounded scans)
-from materializing a Python tuple per row.  CI enforces that the
-speedup stays real in both regimes the engine runs in:
+from materializing a Python tuple per row.  The row-at-a-time
+aggregator it is measured against was ``SqlSession``'s second engine
+until PR 24 and lives on as the differential test's reference
+(``tests/sqlapi/row_oracle.py``; run this from the repo root so that
+``tests`` is importable).  CI enforces that the speedup stays real in
+both regimes the engine runs in:
 
 * **cold** - read cache disabled, every block decoded from disk per
   query, so the comparison is decode+aggregate work.  Floor 2x (the
@@ -25,6 +29,7 @@ import time
 from repro.core import EngineConfig, LittleTable
 from repro.sqlapi import SqlSession
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
+from tests.sqlapi.row_oracle import RowOracle
 
 MIN_SPEEDUP_COLD = 2.0
 MIN_SPEEDUP_WARM = 3.0
@@ -95,8 +100,8 @@ def best_of(fn, rounds=ROUNDS):
 
 def measure(read_cache):
     db, row_count = build_db(read_cache=read_cache)
-    vec = SqlSession(db, vectorized=True)
-    row = SqlSession(db, vectorized=False)
+    vec = SqlSession(db)
+    row = RowOracle(db)
     # Warm up codegen, file handles, and (in the warm regime) the
     # block cache outside the timed region.
     run_mix(vec)

@@ -3,7 +3,7 @@
 "LittleTable opens a cursor on each tablet, filters any rows that
 fall outside the query's timestamp bounds ... and merge-sorts the
 resulting streams" (§3.2), after picking the tablets by timespan and
-key range (§3.4.5).  Every read - ``scan``/``query``, the vectorized
+key range (§3.4.5).  Every read - ``scan``/``query``,
 ``aggregate_partials``, ``latest``, ``EXPLAIN``'s prune preview and
 bulk delete's candidate pass - starts from the :class:`ReadPlan` that
 :meth:`repro.core.table.Table._read_plan` captures and pins in one
@@ -14,15 +14,15 @@ touches a ``Table``: tests run these functions on a hand-built plan.
 What a source hands the cursor is a *run* (:data:`repro.core.row.Run`):
 the in-range slice of one block, or one chunk of a memtable, with its
 keys - :meth:`ReadPlan.tablet_runs` / :meth:`ReadPlan.memtable_runs`.
-``tablet_rows`` / ``memtable_rows`` flatten the same runs for the few
-callers that want rows (bulk delete's rewrite, the aggregate fallback).
+``tablet_rows`` flattens the same runs for the one caller that wants
+rows (bulk delete's rewrite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+from typing import (Any, Callable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..disk.storage import StorageError
@@ -37,8 +37,7 @@ from .row import (DESCENDING, KeyRange, Query, QueryStats, Run, TimeRange,
 from .schema import Schema
 from .tablet import TabletMeta, TabletReader
 from .vector import (AggregatePartials, AggregateSpec, accumulate,
-                     accumulate_rows, residual_filter, resolve_time_bounds,
-                     time_filter)
+                     residual_filter, resolve_time_bounds, time_filter)
 
 Row = Tuple[Any, ...]
 #: What a damaged or vanished tablet file raises when read.
@@ -171,11 +170,6 @@ class ReadPlan:
         return translated_runs(memtable.scan_runs(key_range, descending),
                                self.schema, memtable.schema)
 
-    def memtable_rows(self, memtable: MemTable, key_range: KeyRange
-                      ) -> Iterator[Row]:
-        """The same scan for a caller that wants rows."""
-        return rows_of(self.memtable_runs(memtable, key_range))
-
     def may_hold_prefix(self, meta: TabletMeta,
                         encoded_prefix: Optional[List[bytes]]) -> bool:
         """False only when the tablet's Bloom filter rules the key
@@ -222,81 +216,97 @@ def tablets_holding(plan: ReadPlan, key_range: KeyRange,
         and any(plan.tablet_runs(meta, key_range))]
 
 
-# ------------------------------------------------ vectorized aggregation
+# ------------------------------------------------------------ aggregation
+
+#: ``fold(columns, lo, hi, lane)``: rows ``[lo, hi)`` of one column
+#: batch, all inside the key bounds, go through the kernels; ``lane``
+#: is the ``query.pushdown.rows_*`` counter of the way they came.
+Fold = Callable[[Sequence[Sequence[Any]], int, int, Any], None]
+
 
 def aggregate(plan: ReadPlan, spec: AggregateSpec, now: int,
               stats: QueryStats) -> AggregatePartials:
-    """Vectorized partial aggregation over the plan's sources.
+    """Partial aggregation over the plan's sources: the one aggregate
+    engine, whichever facade was asked.
 
-    The pushed-down counterpart of :func:`scan_stretches` for aggregate
-    queries: the same zone-map + time-interval tablet pruning, but v2
-    and v3 tablets are consumed column-major - whole decoded columns flow
-    through the predicate and accumulation kernels with no per-row
-    tuple materialization.  v1 tablets, old-schema tablets, and
-    memtables fall back to row-at-a-time accumulation.  Primary keys
-    are unique across sources (§3.4.4), so per-source partials combine
-    by simple merge; the executor (or the shard router) finalizes.
+    The counterpart of :func:`scan_stretches` for aggregate queries:
+    the same zone-map + time-interval tablet pruning, and every source
+    goes through the same column kernels (``time_filter`` /
+    ``residual_filter`` / ``accumulate``).  v2 and v3 tablets hand over
+    whole decoded columns with no per-row tuple; what exists only as
+    rows - a memtable, a v1 tablet, a tablet written under an older
+    schema - arrives as the runs a scan would read and is transposed,
+    one ``zip(*rows)`` a run.  Primary keys are unique across sources
+    (§3.4.4), so per-source partials combine by simple merge; the
+    executor (or the shard router) finalizes.
 
-    Accounting matches the row path: ``rows_scanned`` counts rows
-    inside the key bounds, ``rows_returned`` those alive after the
-    time/TTL filter, and pruned tablets advance the same
+    Accounting matches a scan's: ``rows_scanned`` counts rows inside
+    the key bounds, ``rows_returned`` those alive after the time/TTL
+    filter, and pruned tablets advance the same
     ``query.tablets_pruned`` counter plain selects use.
     """
     cutoff = None if plan.ttl_micros is None else now - plan.ttl_micros
     tlo, thi = resolve_time_bounds(spec.time_range, cutoff)
     partials = AggregatePartials()
     groups = partials.groups
+    ts_index = plan.schema.ts_index
+    filtered = plan.metrics.push_rows_filtered
+
+    def fold(columns: Sequence[Sequence[Any]], lo: int, hi: int,
+             lane: Any) -> None:
+        in_bounds = hi - lo
+        stats.rows_scanned += in_bounds
+        sel = time_filter(columns[ts_index], lo, hi, tlo, thi)
+        stats.rows_returned += in_bounds if sel is None else len(sel)
+        if spec.residuals:
+            sel = residual_filter(columns, spec.residuals, sel, lo, hi)
+        aggregated = in_bounds if sel is None else len(sel)
+        lane.inc(in_bounds)
+        filtered.inc(in_bounds - aggregated)
+        if aggregated:
+            accumulate(groups, spec, columns, ts_index, sel, lo, hi)
+
     for meta in plan.select(spec.time_range, spec.key_range, stats):
         stats.tablets_opened += 1
         try:
-            _aggregate_tablet(plan, meta, spec, groups, stats, tlo, thi)
+            _fold_tablet(plan, meta, spec.key_range, fold)
         except CORRUPTION as exc:
             plan.corrupt(meta, exc)
             raise
     for memtable in plan.memtables:
         if spec.time_range.overlaps(memtable.min_ts, memtable.max_ts):
-            _aggregate_rows(plan, plan.memtable_rows(memtable, spec.key_range),
-                            spec, groups, stats, tlo, thi)
+            _fold_runs(plan, plan.memtable_runs(memtable, spec.key_range),
+                       fold)
     return partials
 
 
-def _aggregate_rows(plan: ReadPlan, rows: Iterator[Row], spec: AggregateSpec,
-                    groups: Dict[Any, List[List[Any]]], stats: QueryStats,
-                    tlo: Optional[int], thi: Optional[int]) -> None:
-    """Row-at-a-time fallback accumulation, with its accounting."""
-    scanned, returned, aggregated = accumulate_rows(
-        groups, spec, plan.schema.ts_index, rows, tlo, thi)
-    stats.rows_scanned += scanned
-    stats.rows_returned += returned
-    plan.metrics.push_rows_fallback.inc(scanned)
-    plan.metrics.push_rows_filtered.inc(scanned - aggregated)
+def _fold_runs(plan: ReadPlan, runs: Iterator[Run], fold: Fold) -> None:
+    """Sources that exist only as rows: each run a scan would read,
+    transposed into the column batch the kernels take."""
+    lane = plan.metrics.push_rows_fallback
+    for rows, _keys in runs:
+        fold(list(zip(*rows)), 0, len(rows), lane)
 
 
-def _aggregate_tablet(plan: ReadPlan, meta: TabletMeta, spec: AggregateSpec,
-                      groups: Dict[Any, List[List[Any]]], stats: QueryStats,
-                      tlo: Optional[int], thi: Optional[int]) -> None:
+def _fold_tablet(plan: ReadPlan, meta: TabletMeta, key_range: KeyRange,
+                 fold: Fold) -> None:
     """Fold one tablet into the partial group states.
 
-    v2 and v3 same-schema tablets take the columnar path: interior blocks
-    proven fully inside the key bounds by the block index's last
-    keys never materialize row keys at all; only the edge blocks
+    v2 and v3 same-schema tablets are column-major already: interior
+    blocks proven fully inside the key bounds by the block index's
+    last keys never materialize row keys at all; only the edge blocks
     binary-search their key lists for the exact trim.
     """
     metrics = plan.metrics
-    ts_index = plan.schema.ts_index
     reader = plan.open_reader(meta)
     reader.ensure_loaded()
     if (reader.block_format == BLOCK_FORMAT_V1
             or reader.schema.version != plan.schema.version):
-        # v1 blocks decode row-major, and old-schema tablets need
-        # per-row translation: row-at-a-time fallback for both.
-        _aggregate_rows(plan,
-                        rows_of(reader_runs(reader, plan.schema,
-                                            spec.key_range)),
-                        spec, groups, stats, tlo, thi)
+        # v1 blocks decode row-major, and old-schema rows are
+        # translated one by one: rows either way.
+        _fold_runs(plan, reader_runs(reader, plan.schema, key_range), fold)
         metrics.push_blocks_fallback.inc(reader.block_count)
         return
-    key_range = spec.key_range
     # Blocks [first, inside) end on an in-range key, so every block
     # after ``first`` also begins on one; block ``inside`` ends past
     # the range but may begin inside it.
@@ -308,25 +318,10 @@ def _aggregate_tablet(plan: ReadPlan, meta: TabletMeta, spec: AggregateSpec,
                          and (no_max or index < inside))
         columns, keys, count = reader.scan_block_columns(
             index, need_keys=need_keys)
-        if need_keys:
-            lo, hi = key_range.span(keys)
-        else:
-            lo, hi = 0, count
-        if lo >= hi:
-            continue
-        in_bounds = hi - lo
-        stats.rows_scanned += in_bounds
-        sel = time_filter(columns[ts_index], lo, hi, tlo, thi)
-        returned = in_bounds if sel is None else len(sel)
-        stats.rows_returned += returned
-        if spec.residuals:
-            sel = residual_filter(columns, spec.residuals, sel, lo, hi)
-        aggregated = in_bounds if sel is None else len(sel)
-        metrics.push_blocks.inc()
-        metrics.push_rows_columnar.inc(in_bounds)
-        metrics.push_rows_filtered.inc(in_bounds - aggregated)
-        if aggregated:
-            accumulate(groups, spec, columns, ts_index, sel, lo, hi)
+        lo, hi = key_range.span(keys) if need_keys else (0, count)
+        if lo < hi:
+            metrics.push_blocks.inc()
+            fold(columns, lo, hi, metrics.push_rows_columnar)
 
 
 # ----------------------------------------------- latest row for a prefix

@@ -1,18 +1,22 @@
-"""Vectorized query execution: column batches and aggregate kernels.
+"""The aggregate engine: column batches and aggregate kernels.
 
 The paper's rollup/dashboard queries are scan-and-aggregate shaped
 (Fig 9's scan mix is the canonical example).  Block formats v2 and v3
-store tablets column-major; this module lets the aggregate path consume
+store tablets column-major; this module lets an aggregate consume
 those columns directly instead of round-tripping every value through a
-per-row Python tuple and a per-row accumulator call:
+per-row Python tuple and a per-row accumulator call.  It is the only
+aggregator: sources that exist as rows (memtables, v1 and old-schema
+tablets) are transposed a run at a time into the same column batches
+(:func:`repro.core.readpath.aggregate`).
 
 * :class:`AggregateSpec` is the pushed-down plan fragment: the 2-D
   bounding box, the grouping dimensions (key columns and/or a timestamp
-  bucket), the aggregate functions, and the residual comparisons.
+  bucket), the aggregate functions, and the residual comparisons;
+  :func:`build_spec` makes one from column names, checked.
 * The kernels (:func:`time_filter`, :func:`residual_filter`,
   :func:`accumulate`; the key bounds are ``KeyRange.span``) work on
-  whole decoded columns, refining a selection index list; the hot loops are slice
-  operations and list comprehensions with inline comparisons.
+  whole columns, refining a selection index list; the hot loops are
+  slice operations and list comprehensions with inline comparisons.
 * :class:`AggregatePartials` is the mergeable partial-aggregation state
   produced per tablet (and per shard): partial states combine with
   :meth:`~AggregatePartials.merge`, so sharded scatter-gather ships a
@@ -22,31 +26,35 @@ Partial aggregation is correct without any cross-source deduplication
 because primary keys are unique across memtables and tablets (§3.4.4):
 every logical row is aggregated exactly once no matter which source
 holds it.  Each group's partial state is ``[count, total, min, max]``
-per aggregate, which finalizes to the exact semantics of the row
-oracle's accumulator (COUNT/SUM/AVG/MIN/MAX, AVG = total/count with
-0.0 for empty, MIN/MAX None for empty).
+per aggregate, which finalizes to the exact semantics of the
+row-at-a-time reference (``tests/sqlapi/row_oracle.py``:
+COUNT/SUM/AVG/MIN/MAX, AVG = total/count with 0.0 for empty, MIN/MAX
+None for empty).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .errors import QueryError
 from .row import KeyRange, TimeRange
+from .schema import Column, ColumnType, Schema
 
 # Group label -> per-aggregate [count, total, min, max] slots.
 GroupState = Dict[Any, List[List[Any]]]
 
-_OPS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+AGGREGATE_FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: The Python types a literal may have to be compared with a column.
+_COMPARABLE = {
+    ColumnType.INT32: (int,),
+    ColumnType.INT64: (int,),
+    ColumnType.TIMESTAMP: (int,),
+    ColumnType.DOUBLE: (int, float),
+    ColumnType.STRING: (str,),
+    ColumnType.BLOB: (bytes,),
 }
-
 
 @dataclass(frozen=True)
 class AggregateSpec:
@@ -70,6 +78,70 @@ class AggregateSpec:
     @property
     def group_dims(self) -> int:
         return len(self.group_indexes) + (self.bucket_width is not None)
+
+
+def check_comparable(column: Column, value: Any) -> None:
+    """Refuse a literal that cannot be compared with ``column``'s
+    values (a kernel would meet it as a ``TypeError`` mid-scan)."""
+    if isinstance(value, bool) or not isinstance(
+            value, _COMPARABLE[column.type]):
+        raise QueryError(f"cannot compare column {column.name!r} "
+                         f"({column.type.value}) with {value!r}")
+
+
+def build_spec(schema: Schema, key_range: KeyRange, time_range: TimeRange,
+               group_by: Sequence[str], bucket_width: Optional[int],
+               aggregates: Sequence[Tuple[str, Optional[str]]],
+               residuals: Sequence[Tuple[str, str, Any]]) -> AggregateSpec:
+    """The :class:`AggregateSpec` of a statement that names its columns,
+    resolved against ``schema``.
+
+    Both doors come through here - the SQL planner and the wire's
+    ``aggregate`` command - so it checks every field as outside input
+    and refuses with :class:`QueryError` what the kernels would
+    otherwise meet as a ``TypeError`` halfway through a scan.
+    """
+    def index_of(name: Any) -> int:
+        if not isinstance(name, str) or not schema.has_column(name):
+            raise QueryError(f"no such column: {name!r}")
+        return schema.column_index(name)
+
+    for prefix in (key_range.min_prefix, key_range.max_prefix):
+        if len(prefix or ()) > schema.key_width:
+            raise QueryError(f"key bound {prefix!r} is longer than the key")
+        for name, value in zip(schema.key, prefix or ()):
+            check_comparable(schema.column(name), value)
+    for ts in (time_range.min_ts, time_range.max_ts):
+        if ts is not None and type(ts) is not int:
+            raise QueryError(f"ts bounds must be integers, not {ts!r}")
+    if bucket_width is not None and (
+            type(bucket_width) is not int or bucket_width <= 0):
+        raise QueryError("TIME_BUCKET width must be a positive integer "
+                         f"(microseconds), not {bucket_width!r}")
+    aggs = []
+    for func, name in aggregates:
+        if func not in AGGREGATE_FUNCS:
+            raise QueryError(f"unknown aggregate function {func!r}")
+        index = None if name is None else index_of(name)
+        if index is not None and func in ("SUM", "AVG"):
+            column = schema.columns[index]
+            if int not in _COMPARABLE[column.type]:
+                raise QueryError(
+                    f"{func}({name}) needs a numeric column; {name!r} is "
+                    f"{column.type.value}")
+        aggs.append((func, index))
+    checked = []
+    for name, op, value in residuals:
+        if op not in COMPARISON_OPS:
+            raise QueryError(f"unknown comparison operator {op!r}")
+        index = index_of(name)
+        check_comparable(schema.columns[index], value)
+        checked.append((index, op, value))
+    return AggregateSpec(
+        key_range=key_range, time_range=time_range,
+        group_indexes=tuple(index_of(name) for name in group_by),
+        bucket_width=bucket_width, aggregates=tuple(aggs),
+        residuals=tuple(checked))
 
 
 class AggregatePartials:
@@ -104,7 +176,7 @@ def empty_slot() -> List[Any]:
 def finalize_value(func: str, slot: List[Any]) -> Any:
     """One aggregate's final value from its partial slot.
 
-    Mirrors the row oracle's accumulator: AVG of an empty group is 0.0,
+    Mirrors the reference accumulator: AVG of an empty group is 0.0,
     MIN/MAX of an empty group are None, SUM starts from integer zero.
     """
     if func == "COUNT":
@@ -194,8 +266,9 @@ def _labels(spec: AggregateSpec, columns: List[List[Any]], ts_index: int,
     """Per-row group labels for the selection; None when ungrouped.
 
     With a single grouping dimension labels are the raw values; with
-    several they are tuples.  The row fallback and the executor use the
-    same convention, so partial states merge label-for-label.
+    several they are tuples.  The executor and the wire's
+    ``aggregate`` reply use the same convention, so partial states
+    merge label-for-label.
     """
     group_indexes = spec.group_indexes
     width = spec.bucket_width
@@ -212,22 +285,6 @@ def _labels(spec: AggregateSpec, columns: List[List[Any]], ts_index: int,
     if len(dims) == 1:
         return list(dims[0])
     return list(zip(*dims))
-
-
-def row_label(spec: AggregateSpec, row: Tuple[Any, ...], ts: int) -> Any:
-    """The group label for one row (fallback sources)."""
-    group_indexes = spec.group_indexes
-    width = spec.bucket_width
-    if not group_indexes and width is None:
-        return ()
-    if spec.group_dims == 1:
-        if width is not None:
-            return ts - ts % width
-        return row[group_indexes[0]]
-    parts = [row[i] for i in group_indexes]
-    if width is not None:
-        parts.append(ts - ts % width)
-    return tuple(parts)
 
 
 def accumulate(groups: GroupState, spec: AggregateSpec,
@@ -286,52 +343,3 @@ def _update(groups: GroupState, label: Any,
             high = max(values)
             if slot[3] is None or high > slot[3]:
                 slot[3] = high
-
-
-def accumulate_rows(groups: GroupState, spec: AggregateSpec, ts_index: int,
-                    rows: Iterable[Tuple[Any, ...]],
-                    tlo: Optional[int], thi: Optional[int]
-                    ) -> Tuple[int, int, int]:
-    """Row-at-a-time fallback for v1 blocks, old-schema tablets, and
-    memtable rows.  ``rows`` must already be key-range trimmed.
-
-    Returns ``(scanned, returned, aggregated)`` so callers keep the
-    oracle's counting: scanned = in key bounds, returned = alive after
-    the time/TTL filter, aggregated = surviving residual predicates.
-    """
-    aggs = spec.aggregates
-    residuals = spec.residuals
-    scanned = returned = aggregated = 0
-    for row in rows:
-        scanned += 1
-        ts = row[ts_index]
-        if tlo is not None and ts < tlo:
-            continue
-        if thi is not None and ts > thi:
-            continue
-        returned += 1
-        passed = True
-        for index, op, value in residuals:
-            if not _OPS[op](row[index], value):
-                passed = False
-                break
-        if not passed:
-            continue
-        aggregated += 1
-        label = row_label(spec, row, ts)
-        state = groups.get(label)
-        if state is None:
-            state = groups[label] = [empty_slot() for _ in aggs]
-        for slot, (func, index) in zip(state, aggs):
-            slot[0] += 1
-            if index is None or func == "COUNT":
-                continue
-            value = row[index]
-            if func == "SUM" or func == "AVG":
-                slot[1] += value
-            elif func == "MIN":
-                if slot[2] is None or value < slot[2]:
-                    slot[2] = value
-            elif slot[3] is None or value > slot[3]:
-                slot[3] = value
-    return scanned, returned, aggregated

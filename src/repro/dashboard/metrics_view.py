@@ -148,14 +148,15 @@ def codec_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def pushdown_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """The vectorized-query corner of a snapshot.
+    """The aggregate-query corner of a snapshot.
 
-    How much aggregate work ran columnar inside the scan
-    (``core/table.py:aggregate_partials``) versus fell back to rows:
-    pushed queries, blocks consumed column-major vs row-at-a-time,
-    rows entering the kernels on each path, rows the predicate kernels
-    short-circuited before aggregation, and whole queries the planner
-    kept on the row path (remote tables, descending scans).
+    Every aggregate runs inside the scan
+    (``core/table.py:aggregate_partials``); what differs is how its
+    input arrived: blocks that were column-major already against
+    blocks of tablets that exist only as rows (block format v1, an
+    older schema), rows entering the kernels as decoded columns
+    against rows transposed from runs (those tablets, and memtables),
+    and rows the predicate kernels short-circuited before aggregation.
     """
     counters = snapshot.get("counters", {})
     rows_columnar = counters.get("query.pushdown.rows_columnar", 0)
@@ -163,8 +164,6 @@ def pushdown_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     total_rows = rows_columnar + rows_fallback
     return {
         "queries": counters.get("query.pushdown.queries", 0),
-        "fallback_queries": counters.get(
-            "query.pushdown.fallback_queries", 0),
         "blocks_columnar": counters.get(
             "query.pushdown.blocks_columnar", 0),
         "blocks_fallback": counters.get(
@@ -336,9 +335,7 @@ def render_metrics_page(page: Dict[str, Any]) -> str:
     push = pushdown_summary(page.get("metrics", {}))
     lines.append("")
     lines.append("== query pushdown ==")
-    lines.append(
-        f"queries: pushed={push['queries']}, "
-        f"fallback={push['fallback_queries']}")
+    lines.append(f"queries: pushed={push['queries']}")
     lines.append(
         f"blocks: columnar={push['blocks_columnar']}, "
         f"fallback={push['blocks_fallback']}")

@@ -11,8 +11,8 @@ Plays the role of the paper's SQLite-side adaptor (§3.1, §3.5):
 * transparently continues queries that hit the server's row limit by
   re-submitting with the start bound moved past the last returned key
   (§3.5);
-* retries *idempotent* commands (queries, latest, stats, schema
-  listing, ping) through a bounded auto-reconnect with exponential
+* retries *idempotent* commands (queries, aggregates, latest, stats,
+  schema listing, ping) through a bounded auto-reconnect with exponential
   backoff and jitter.  Writes and DDL are never retried: a connection
   can break after the server applied an insert but before the reply
   arrived, and a blind resend would duplicate rows - exactly the
@@ -41,13 +41,17 @@ from ..core.errors import (
 from ..core.row import (ASCENDING, DESCENDING, KeyRange, Query,
                         TimeRange)
 from ..core.schema import Schema
+from ..core.vector import AggregatePartials, AggregateSpec
 from .protocol import (
     PROTOCOL_VERSION,
     ConnectionLost,
     ProtocolError,
+    decode_key,
+    decode_value,
     encode_frame,
     encode_key,
     encode_row,
+    encode_value,
     recv_message,
     row_marshaller,
     send_message,
@@ -75,12 +79,11 @@ def _dict_insert_request(table: str,
             "columns": columns, "dicts": True}
 
 
-def _query_request(table: str, query: Query) -> Dict[str, Any]:
-    """One query command's wire request."""
-    key_range = query.key_range
-    time_range = query.time_range
-    request: Dict[str, Any] = {
-        "cmd": "query", "table": table,
+def _bounds_fields(key_range: KeyRange,
+                   time_range: TimeRange) -> Dict[str, Any]:
+    """A bounding box's wire fields, the same in every request that
+    carries one (read back by ``server.decode_bounds``)."""
+    return {
         "key_min": encode_key(key_range.min_prefix),
         "key_max": encode_key(key_range.max_prefix),
         "key_min_inclusive": key_range.min_inclusive,
@@ -89,11 +92,40 @@ def _query_request(table: str, query: Query) -> Dict[str, Any]:
         "ts_min_inclusive": time_range.min_inclusive,
         "ts_max": time_range.max_ts,
         "ts_max_inclusive": time_range.max_inclusive,
+    }
+
+
+def _query_request(table: str, query: Query) -> Dict[str, Any]:
+    """One query command's wire request."""
+    request: Dict[str, Any] = {
+        "cmd": "query", "table": table,
+        **_bounds_fields(query.key_range, query.time_range),
         "descending": query.direction == DESCENDING,
     }
     if query.limit is not None:
         request["limit"] = query.limit
     return request
+
+
+def _aggregate_request(table: str, schema: Schema,
+                       spec: AggregateSpec) -> Dict[str, Any]:
+    """One aggregate command's wire request.  Columns cross by *name*
+    and the server resolves them against its own current schema, so
+    the positions of the schema this client happens to have cached
+    never reach the engine."""
+    def name(index: int) -> str:
+        return schema.columns[index].name
+
+    return {
+        "cmd": "aggregate", "table": table,
+        **_bounds_fields(spec.key_range, spec.time_range),
+        "group_by": [name(index) for index in spec.group_indexes],
+        "bucket": spec.bucket_width,
+        "aggregates": [[func, None if index is None else name(index)]
+                       for func, index in spec.aggregates],
+        "residuals": [[name(index), op, encode_value(value)]
+                      for index, op, value in spec.residuals],
+    }
 
 
 def _bounds_query(key_min: Optional[Sequence[Any]] = None,
@@ -599,6 +631,22 @@ class LittleTableClient:
             _latest_request(table, prefix, max_lookback_micros),
             idempotent=True)
         return self._decode_row(table, response.get("row"))
+
+    def aggregate(self, table: str, spec: AggregateSpec) -> AggregatePartials:
+        """Partial aggregation where the columns are: one request, one
+        reply of group states - never the rows they summarize.  ``spec``
+        indexes this client's cached schema of ``table``."""
+        response = self._call(
+            _aggregate_request(table, self._schema(table), spec),
+            idempotent=True)
+        # One grouping dimension labels a group by the bare value,
+        # none or several by a tuple (``vector._labels``).
+        decode_label = decode_value if spec.group_dims == 1 else decode_key
+        return AggregatePartials({
+            decode_label(label): [
+                [count, total, decode_value(low), decode_value(high)]
+                for count, total, low, high in slots]
+            for label, slots in response["groups"]})
 
     def flush(self, table: str, before_ts: Optional[int] = None) -> int:
         """Force rows to disk; with ``before_ts``, only rows older

@@ -12,8 +12,9 @@ every operation actually crosses the TCP connection:
     sql.execute("SELECT ... FROM usage WHERE ...")
 
 Queries stream with the server row limit and more-available
-continuation; schemas are fetched lazily and cached until a schema-
-changing statement invalidates them.
+continuation; an aggregate statement is one ``aggregate`` command whose
+reply is its groups, not the rows under them; schemas are fetched
+lazily and cached until a schema-changing statement invalidates them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.row import Query, QueryResult, QueryStats
 from ..core.schema import Column, Schema
+from ..core.vector import AggregatePartials, AggregateSpec
 from . import protocol
 from .client import LittleTableClient, _query_request
 
@@ -78,6 +80,11 @@ class RemoteTable:
                ) -> Optional[Tuple[Any, ...]]:
         return self._client.latest(self.name, prefix,
                                    max_lookback_micros=max_lookback_micros)
+
+    def aggregate_partials(self, spec: AggregateSpec) -> AggregatePartials:
+        """One aggregate command, one round trip: the server folds the
+        rows where the columns are and replies with group states."""
+        return self._client.aggregate(self.name, spec)
 
     # ----------------------------------------------- admin & lifecycle
 

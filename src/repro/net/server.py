@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 # Commands refused while the engine is degraded to read-only (disk
 # full / persistent I/O errors).  Reads and stats keep serving; the
@@ -37,6 +37,7 @@ from ..core.durability import DurabilityPolicy
 from ..core.errors import LittleTableError, OverloadedError
 from ..core.row import ASCENDING, DESCENDING, KeyRange, Query, TimeRange
 from ..core.schema import Schema
+from ..core.vector import build_spec
 from . import protocol
 
 # One replication fetch is bounded so a follower's poll can never pin
@@ -129,6 +130,24 @@ class AdmissionController:
             if self._g_inflight is not None:
                 self._g_inflight.set(self._inflight)
             self._cond.notify()
+
+
+def decode_bounds(request: Dict[str, Any]) -> Tuple[KeyRange, TimeRange]:
+    """The bounding box of a request that carries one (written by
+    ``client._bounds_fields``)."""
+    key_range = KeyRange(
+        min_prefix=protocol.decode_key(request.get("key_min")),
+        min_inclusive=request.get("key_min_inclusive", True),
+        max_prefix=protocol.decode_key(request.get("key_max")),
+        max_inclusive=request.get("key_max_inclusive", True),
+    )
+    time_range = TimeRange(
+        min_ts=request.get("ts_min"),
+        min_inclusive=request.get("ts_min_inclusive", True),
+        max_ts=request.get("ts_max"),
+        max_inclusive=request.get("ts_max_inclusive", True),
+    )
+    return key_range, time_range
 
 
 class RequestDispatcher:
@@ -296,18 +315,7 @@ class RequestDispatcher:
         # until the scan's read epoch drains, so an active merge never
         # blocks this command (§3.4.4).
         table = self.db.table(request["table"])
-        key_range = KeyRange(
-            min_prefix=protocol.decode_key(request.get("key_min")),
-            min_inclusive=request.get("key_min_inclusive", True),
-            max_prefix=protocol.decode_key(request.get("key_max")),
-            max_inclusive=request.get("key_max_inclusive", True),
-        )
-        time_range = TimeRange(
-            min_ts=request.get("ts_min"),
-            min_inclusive=request.get("ts_min_inclusive", True),
-            max_ts=request.get("ts_max"),
-            max_inclusive=request.get("ts_max_inclusive", True),
-        )
+        key_range, time_range = decode_bounds(request)
         direction = (DESCENDING if request.get("descending") else ASCENDING)
         query = Query(key_range, time_range, direction,
                       request.get("limit"))
@@ -319,6 +327,37 @@ class RequestDispatcher:
             more_available=result.more_available,
             rows_scanned=result.stats.rows_scanned,
         )
+
+    def _cmd_aggregate(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Partial aggregation over a bounding box: the reply is
+        ``[[label, slots], ...]``, one entry a group, never rows.
+
+        Columns arrive by name and are resolved - and every field
+        checked as outside input - against the table's current schema
+        by the same :func:`~repro.core.vector.build_spec` the SQL
+        planner uses.  ``db.table(...)`` answers for one engine and
+        for a shard router (pinned shard, or scatter-gather merge)."""
+        table = self.db.table(request["table"])
+        try:
+            key_range, time_range = decode_bounds(request)
+            group_by = list(request.get("group_by") or ())
+            aggregates = [(func, name)
+                          for func, name in request["aggregates"]]
+            residuals = [(name, op, protocol.decode_value(value))
+                         for name, op, value in request.get("residuals") or ()]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _errors.ProtocolViolationError(
+                f"malformed aggregate request: {exc!r}") from None
+        spec = build_spec(table.schema, key_range, time_range, group_by,
+                          request.get("bucket"), aggregates, residuals)
+        groups = table.aggregate_partials(spec).groups
+        encode = protocol.encode_value
+        encode_label = encode if spec.group_dims == 1 else protocol.encode_key
+        return protocol.ok_response(groups=[
+            [encode_label(label),
+             [[count, total, encode(low), encode(high)]
+              for count, total, low, high in slots]]
+            for label, slots in groups.items()])
 
     def _cmd_latest(self, request: Dict[str, Any]) -> Dict[str, Any]:
         table = self.db.table(request["table"])

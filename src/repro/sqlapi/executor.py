@@ -1,16 +1,21 @@
 """SQL execution against a LittleTable database.
 
 :class:`SqlSession` plays the role of the paper's SQLite adaptor
-(§3.1): it knows each table's schema and sort order, translates SQL
-into bounding-box queries, and - because the server returns rows in
-primary-key order - can aggregate GROUP BY prefixes of the key without
-resorting the data.
+(§3.1): it knows each table's schema and sort order and translates SQL
+into bounding-box queries.  An aggregate SELECT is one of those too:
+its box, grouping and functions go to the table's
+``aggregate_partials`` - an engine's, a shard router's or a remote
+session's - which folds rows where the columns are and hands back
+mergeable group states; the session only orders and finalizes them.
+Rows are sorted by primary key, so a GROUP BY on a key prefix meets
+each group as one contiguous run, the paper's aggregation "without
+resorting".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from ..core.database import LittleTable
 from ..core.row import ASCENDING, DESCENDING, Query
@@ -20,8 +25,7 @@ from ..util.clock import MICROS_PER_SECOND
 from . import ast
 from .lexer import SqlError
 from .parser import parse
-from .planner import (Plan, evaluate_residuals, plan_pushdown,
-                      plan_where)
+from .planner import Plan, evaluate_residuals, plan_pushdown, plan_where
 
 _TYPES = {
     "int32": ColumnType.INT32,
@@ -52,22 +56,11 @@ class SqlResult:
 
 
 class SqlSession:
-    """Executes SQL statements against a LittleTable instance.
+    """Executes SQL statements against a database facade: a
+    :class:`LittleTable`, a shard router or a remote session alike."""
 
-    ``vectorized`` controls aggregate pushdown: when True (the
-    default), eligible aggregate queries run column-at-a-time inside
-    the tablet scan; when False every query takes the row-at-a-time
-    path (the oracle the differential tests and benchmarks compare
-    against).
-    """
-
-    def __init__(self, db: LittleTable, vectorized: bool = True):
+    def __init__(self, db: LittleTable):
         self.db = db
-        self.vectorized = vectorized
-        metrics = getattr(db, "metrics", None)
-        self._m_push_fallback = (
-            metrics.counter("query.pushdown.fallback_queries")
-            if metrics is not None else None)
 
     def execute(self, sql: str) -> SqlResult:
         """Parse and execute one statement."""
@@ -166,25 +159,15 @@ class SqlSession:
                       if isinstance(i, ast.Aggregate)]
         if (aggregates or statement.group_by
                 or statement.group_bucket is not None):
-            key_without_ts = [n for n in schema.key if n != "ts"]
-            streaming = (statement.group_bucket is None
-                         and statement.group_by
-                         == key_without_ts[:len(statement.group_by)])
             lines.append(("aggregation",
-                          "streaming (group = key prefix)" if streaming
+                          "streaming (group = key prefix)"
+                          if _groups_a_key_prefix(schema, statement)
                           else "hashed (group not a key prefix)"))
-            decision = plan_pushdown(
-                schema, statement, plan, aggregates,
-                supports_partials=hasattr(table, "aggregate_partials"))
-            if not self.vectorized:
-                lines.append(("pushdown",
-                              "off (session vectorized=False)"))
-            elif decision.pushed:
-                lines.append(("pushdown",
-                              "vectorized (partial aggregation in scan)"))
-            else:
-                lines.append(("pushdown",
-                              f"row fallback: {decision.reason}"))
+            # Planned for its refusals (SUM of a string), which are the
+            # SELECT's own; there is one way for an aggregate to run.
+            plan_pushdown(schema, statement, plan, aggregates)
+            lines.append(("pushdown",
+                          "vectorized (partial aggregation in scan)"))
         return SqlResult(["property", "value"], lines)
 
     def _delete(self, statement: ast.Delete) -> SqlResult:
@@ -271,10 +254,10 @@ class SqlSession:
                 "TIME_BUCKET requires GROUP BY TIME_BUCKET and aggregates")
         return self._select_plain(statement, table, plan, plain)
 
-    def _rows(self, table, statement: ast.Select, plan: Plan,
-              push_limit: bool) -> Iterator[Tuple[Any, ...]]:
+    def _rows(self, table, statement: ast.Select, plan: Plan
+              ) -> Iterator[Tuple[Any, ...]]:
         direction = DESCENDING if statement.order_desc else ASCENDING
-        limit = statement.limit if (push_limit and not plan.residuals) else None
+        limit = None if plan.residuals else statement.limit
         query = Query(plan.key_range, plan.time_range, direction, limit)
         schema = table.schema
         for row in table.scan(query):
@@ -293,7 +276,7 @@ class SqlSession:
             names = [item.alias or item.column for item in plain]
             indexes = [schema.column_index(item.column) for item in plain]
         rows: List[Tuple[Any, ...]] = []
-        for row in self._rows(table, statement, plan, push_limit=True):
+        for row in self._rows(table, statement, plan):
             rows.append(tuple(row[i] for i in indexes))
             if statement.limit is not None and len(rows) >= statement.limit:
                 break
@@ -319,54 +302,8 @@ class SqlSession:
         if not aggregates and (group_by or bucket is not None):
             raise SqlError("GROUP BY without aggregates is not supported")
 
-        decision = plan_pushdown(
-            table.schema, statement, plan, aggregates,
-            supports_partials=hasattr(table, "aggregate_partials"))
-        if self.vectorized and decision.pushed:
-            return self._select_aggregate_pushdown(
-                statement, table, decision.spec, aggregates, plain, buckets)
-        if self.vectorized and self._m_push_fallback is not None:
-            self._m_push_fallback.inc()
-        return self._select_aggregate_rows(statement, table, plan,
-                                           aggregates, plain, buckets)
-
-    def _aggregate_output(self, statement: ast.Select,
-                          aggregates: List[ast.Aggregate],
-                          plain: List[ast.SelectItem],
-                          buckets: List[ast.TimeBucket]
-                          ) -> Tuple[List[str], bool]:
-        """Output column names, and whether the grouping columns are
-        emitted implicitly (bare GROUP BY with nothing plain selected).
-        """
-        group_by = list(statement.group_by)
-        bucket = statement.group_bucket
-        output_names = (
-            [item.alias or item.column for item in plain]
-            + [item.alias or "time_bucket" for item in buckets]
-            + [agg.alias or _aggregate_name(agg) for agg in aggregates]
-        )
-        bare = (not plain and not buckets
-                and (bool(group_by) or bucket is not None))
-        if bare:
-            # Bare GROUP BY: emit the grouping columns for usability.
-            prefix_names = list(group_by)
-            if bucket is not None:
-                prefix_names.append("time_bucket")
-            output_names = prefix_names + output_names
-        return output_names, bare
-
-    def _select_aggregate_pushdown(self, statement: ast.Select, table,
-                                   spec, aggregates: List[ast.Aggregate],
-                                   plain: List[ast.SelectItem],
-                                   buckets: List[ast.TimeBucket]
-                                   ) -> SqlResult:
-        """The vectorized path: merge per-tablet (or per-shard) partial
-        aggregates and finalize.  Group labels sort ascending, which is
-        exactly the order the row path emits (streaming groups arrive
-        in key order; hashed groups are sorted before emission)."""
-        group_by = list(statement.group_by)
-        bucket = statement.group_bucket
-        output_names, bare = self._aggregate_output(
+        spec = plan_pushdown(table.schema, statement, plan, aggregates)
+        output_names, bare = aggregate_output(
             statement, aggregates, plain, buckets)
         dims = spec.group_dims
         # Positions into the group label for each emitted prefix value.
@@ -377,20 +314,20 @@ class SqlSession:
                                 for item in plain]
             prefix_positions += [len(group_by)] * len(buckets)
 
-        partials = table.aggregate_partials(spec)
-        groups = partials.groups
+        groups = table.aggregate_partials(spec).groups
         funcs = [func for func, _index in spec.aggregates]
+        # Groups come out in label order, as a key-ordered scan meets
+        # them; ORDER BY KEY DESC reverses that where the labels *are*
+        # the key order (a key-prefix GROUP BY) and nowhere else.
+        descending = (statement.order_desc
+                      and _groups_a_key_prefix(table.schema, statement))
         rows_out: List[Tuple[Any, ...]] = []
-        for label in (sorted(groups) if dims else list(groups)):
-            slots = groups[label]
-            if dims:
-                label_tuple = (label,) if dims == 1 else label
-                prefix = tuple(label_tuple[p] for p in prefix_positions)
-            else:
-                prefix = ()
-            rows_out.append(prefix + tuple(
-                finalize_value(func, slot)
-                for func, slot in zip(funcs, slots)))
+        for label in sorted(groups, reverse=descending) if dims else groups:
+            label_tuple = (label,) if dims == 1 else label
+            rows_out.append(
+                tuple(label_tuple[p] for p in prefix_positions)
+                + tuple(finalize_value(func, slot)
+                        for func, slot in zip(funcs, groups[label])))
         if not dims and not rows_out:
             # Aggregates over an empty table still return one row.
             rows_out.append(tuple(
@@ -399,92 +336,39 @@ class SqlSession:
             rows_out = rows_out[:statement.limit]
         return SqlResult(output_names, rows_out)
 
-    def _select_aggregate_rows(self, statement: ast.Select, table,
-                               plan: Plan,
-                               aggregates: List[ast.Aggregate],
-                               plain: List[ast.SelectItem],
-                               buckets: List[ast.TimeBucket]) -> SqlResult:
-        """The row-at-a-time path: the oracle the vectorized engine is
-        differentially tested against, and the fallback for remote
-        tables and descending scans."""
-        schema = table.schema
-        group_by = list(statement.group_by)
-        bucket = statement.group_bucket
-        ts_index = schema.ts_index
 
-        group_indexes = [schema.column_index(name) for name in group_by]
-        # Rows arrive sorted by primary key; if the GROUP BY columns are
-        # a prefix of the key, groups are contiguous and we can stream
-        # (the §3.1 "perform the aggregation without resorting" path).
-        # A time bucket breaks that contiguity, so it always hashes.
-        key_without_ts = [name for name in schema.key if name != "ts"]
-        streaming = (bucket is None
-                     and group_by == key_without_ts[:len(group_by)])
+def aggregate_output(statement: ast.Select,
+                     aggregates: List[ast.Aggregate],
+                     plain: List[ast.SelectItem],
+                     buckets: List[ast.TimeBucket]
+                     ) -> Tuple[List[str], bool]:
+    """Output column names, and whether the grouping columns are
+    emitted implicitly (bare GROUP BY with nothing plain selected).
+    """
+    group_by = list(statement.group_by)
+    bucket = statement.group_bucket
+    output_names = (
+        [item.alias or item.column for item in plain]
+        + [item.alias or "time_bucket" for item in buckets]
+        + [agg.alias or _aggregate_name(agg) for agg in aggregates]
+    )
+    bare = (not plain and not buckets
+            and (bool(group_by) or bucket is not None))
+    if bare:
+        # Bare GROUP BY: emit the grouping columns for usability.
+        prefix_names = list(group_by)
+        if bucket is not None:
+            prefix_names.append("time_bucket")
+        output_names = prefix_names + output_names
+    return output_names, bare
 
-        output_names, bare = self._aggregate_output(
-            statement, aggregates, plain, buckets)
-        plain_indexes = [schema.column_index(item.column) for item in plain]
-        if bare:
-            plain_indexes = group_indexes
-        # How many copies of the bucket value each output row carries.
-        bucket_copies = len(buckets) + (
-            1 if (bare and bucket is not None) else 0)
 
-        rows_out: List[Tuple[Any, ...]] = []
-
-        def finish_group(group_row, bucket_value, accumulators):
-            prefix = tuple(group_row[i] for i in plain_indexes)
-            prefix += (bucket_value,) * bucket_copies
-            rows_out.append(prefix + tuple(a.result() for a in accumulators))
-
-        if streaming:
-            current_key = None
-            current_row = None
-            accumulators = None
-            for row in self._rows(table, statement, plan, push_limit=False):
-                group_key = tuple(row[i] for i in group_indexes)
-                if group_key != current_key:
-                    if current_key is not None:
-                        finish_group(current_row, None, accumulators)
-                        if (statement.limit is not None
-                                and len(rows_out) >= statement.limit):
-                            return SqlResult(output_names, rows_out)
-                    current_key = group_key
-                    current_row = row
-                    accumulators = [_Accumulator(agg, schema)
-                                    for agg in aggregates]
-                for accumulator in accumulators:
-                    accumulator.add(row)
-            if current_key is not None:
-                finish_group(current_row, None, accumulators)
-        else:
-            groups: Dict[Tuple[Any, ...], Tuple[Any, List[_Accumulator]]] = {}
-            order: List[Tuple[Any, ...]] = []
-            for row in self._rows(table, statement, plan, push_limit=False):
-                group_key = tuple(row[i] for i in group_indexes)
-                if bucket is not None:
-                    ts = row[ts_index]
-                    group_key += (ts - ts % bucket,)
-                if group_key not in groups:
-                    groups[group_key] = (
-                        row, [_Accumulator(agg, schema) for agg in aggregates]
-                    )
-                    order.append(group_key)
-                for accumulator in groups[group_key][1]:
-                    accumulator.add(row)
-            grouped = bool(group_by) or bucket is not None
-            for group_key in sorted(order) if grouped else order:
-                group_row, accumulators = groups[group_key]
-                bucket_value = group_key[-1] if bucket is not None else None
-                finish_group(group_row, bucket_value, accumulators)
-
-        if not group_by and bucket is None and not rows_out:
-            # Aggregates over an empty table still return one row.
-            rows_out.append(tuple(
-                _Accumulator(agg, schema).result() for agg in aggregates))
-        if statement.limit is not None:
-            rows_out = rows_out[:statement.limit]
-        return SqlResult(output_names, rows_out)
+def _groups_a_key_prefix(schema: Schema, statement: ast.Select) -> bool:
+    """Whether a key-ordered scan meets each group as one contiguous
+    run of rows (§3.1's aggregation "without resorting")."""
+    key_without_ts = [name for name in schema.key if name != "ts"]
+    return (statement.group_bucket is None and statement.group_by
+            == key_without_ts[:len(statement.group_by)])
 
 
 def _aggregate_name(agg: ast.Aggregate) -> str:
@@ -497,43 +381,3 @@ def _make_column(definition: ast.ColumnDef) -> Column:
     except KeyError:
         raise SqlError(f"unknown type {definition.type_name!r}") from None
     return Column(definition.name, column_type, definition.default)
-
-
-class _Accumulator:
-    """One aggregate function over one group."""
-
-    def __init__(self, agg: ast.Aggregate, schema: Schema):
-        self.func = agg.func
-        self.index = (None if agg.column == "*"
-                      else schema.column_index(agg.column))
-        self.count = 0
-        self.total: Any = 0
-        self.minimum: Any = None
-        self.maximum: Any = None
-
-    def add(self, row: Tuple[Any, ...]) -> None:
-        self.count += 1
-        if self.index is None:
-            return
-        value = row[self.index]
-        if self.func in ("SUM", "AVG"):
-            self.total += value
-        elif self.func == "MIN":
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif self.func == "MAX":
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-
-    def result(self) -> Any:
-        if self.func == "COUNT":
-            return self.count
-        if self.func == "SUM":
-            return self.total
-        if self.func == "AVG":
-            return self.total / self.count if self.count else 0.0
-        if self.func == "MIN":
-            return self.minimum
-        if self.func == "MAX":
-            return self.maximum
-        raise SqlError(f"unknown aggregate {self.func!r}")

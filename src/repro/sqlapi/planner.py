@@ -21,21 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
+from ..core.errors import QueryError
 from ..core.row import KeyRange, TimeRange
-from ..core.schema import ColumnType, Schema
-from ..core.vector import AggregateSpec
+from ..core.schema import Schema
+from ..core.vector import AggregateSpec, build_spec, check_comparable
 from . import ast
 from .ast import Comparison
 from .lexer import SqlError
-
-_COMPARABLE = {
-    ColumnType.INT32: (int,),
-    ColumnType.INT64: (int,),
-    ColumnType.TIMESTAMP: (int,),
-    ColumnType.DOUBLE: (int, float),
-    ColumnType.STRING: (str,),
-    ColumnType.BLOB: (bytes,),
-}
 
 
 @dataclass
@@ -55,14 +47,10 @@ class Plan:
 
 
 def _check_comparable(schema: Schema, comparison: Comparison) -> None:
-    column = schema.column(comparison.column)
-    allowed = _COMPARABLE[column.type]
-    if isinstance(comparison.value, bool) or not isinstance(
-            comparison.value, allowed):
-        raise SqlError(
-            f"cannot compare column {comparison.column!r} "
-            f"({column.type.value}) with {comparison.value!r}"
-        )
+    try:
+        check_comparable(schema.column(comparison.column), comparison.value)
+    except QueryError as exc:
+        raise SqlError(str(exc)) from None
 
 
 def _evaluate(op: str, left: Any, right: Any) -> bool:
@@ -91,57 +79,24 @@ def evaluate_residuals(residuals: Sequence[Comparison], schema: Schema,
     return True
 
 
-@dataclass(frozen=True)
-class PushdownDecision:
-    """Whether an aggregate SELECT runs vectorized inside the scan.
-
-    ``spec`` is the pushed plan fragment when eligible; otherwise
-    ``reason`` says why the executor keeps the row-at-a-time path
-    (surfaced verbatim by ``EXPLAIN``).
-    """
-
-    spec: Optional[AggregateSpec]
-    reason: Optional[str] = None
-
-    @property
-    def pushed(self) -> bool:
-        return self.spec is not None
-
-
 def plan_pushdown(schema: Schema, statement: "ast.Select", plan: Plan,
-                  aggregates: Sequence["ast.Aggregate"],
-                  supports_partials: bool) -> PushdownDecision:
-    """Decide aggregate pushdown and build the :class:`AggregateSpec`.
-
-    Every aggregate function and grouping shape the SQL subset parses
-    is vectorizable; what disqualifies a query is the execution
-    surface: a remote table has no partial-aggregation API (the spec
-    cannot cross the v1 wire protocol), and ``ORDER BY KEY DESC``
-    asks for the cursor's row order, which partial aggregation does
-    not preserve.
+                  aggregates: Sequence["ast.Aggregate"]) -> AggregateSpec:
+    """The :class:`AggregateSpec` of an aggregate SELECT: its bounding
+    box, grouping, functions and residuals, as the table's
+    ``aggregate_partials`` takes them - in process, across shards or
+    over the wire.  Every statement the SQL subset parses has one;
+    what it cannot mean (``SUM`` of a string) is refused here, at plan
+    time, not halfway through a scan.
     """
-    if not aggregates:
-        return PushdownDecision(None, "no aggregates to push")
-    if not supports_partials:
-        return PushdownDecision(
-            None, "table has no partial-aggregation API (remote session)")
-    if statement.order_desc:
-        return PushdownDecision(
-            None, "ORDER BY KEY DESC requires the row cursor")
-    group_indexes = tuple(schema.column_index(name)
-                          for name in statement.group_by)
-    aggs = tuple(
-        (agg.func, None if agg.column == "*"
-         else schema.column_index(agg.column))
-        for agg in aggregates)
-    residuals = tuple(
-        (schema.column_index(c.column), c.op, c.value)
-        for c in plan.residuals)
-    spec = AggregateSpec(
-        key_range=plan.key_range, time_range=plan.time_range,
-        group_indexes=group_indexes, bucket_width=statement.group_bucket,
-        aggregates=aggs, residuals=residuals)
-    return PushdownDecision(spec)
+    try:
+        return build_spec(
+            schema, plan.key_range, plan.time_range, statement.group_by,
+            statement.group_bucket,
+            [(agg.func, None if agg.column == "*" else agg.column)
+             for agg in aggregates],
+            [(c.column, c.op, c.value) for c in plan.residuals])
+    except QueryError as exc:
+        raise SqlError(str(exc)) from None
 
 
 def plan_where(schema: Schema, comparisons: Sequence[Comparison]) -> Plan:

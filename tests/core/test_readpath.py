@@ -18,6 +18,7 @@ from repro.core.readpath import (ReadMetrics, ReadPlan, aggregate,
                                  timespan_groups)
 from repro.core.row import (DESCENDING, KeyRange, Query, QueryStats,
                             TimeRange)
+from repro.core.schema import Column, ColumnType
 from repro.core.tablet import TabletReader, TabletWriter
 from repro.core.vector import AggregateSpec
 from repro.disk import SimulatedDisk
@@ -147,9 +148,43 @@ class TestAggregate:
         partials = aggregate(world.plan(), self.spec(), NOW, stats)
         (slots,) = partials.groups.values()
         assert slots[0][0] == len(world.everything())
+        assert (stats.rows_scanned, stats.rows_returned) == (82, 82)
         counters = world.metrics.snapshot()["counters"]
         assert counters["query.pushdown.rows_columnar"] == 80
-        assert counters["query.pushdown.rows_fallback"] == 2  # memtable
+        # Rows that arrived as runs and were transposed: the memtable's.
+        assert counters["query.pushdown.rows_fallback"] == 2
+
+    def test_runs_go_through_the_same_filters_and_accounting(self, world):
+        """A source that exists only as rows (here the memtable, and
+        the tablets read under a newer schema) is key-trimmed by its
+        scan, then time- and residual-filtered by the kernels, with a
+        scan's accounting: scanned = inside the key bounds, returned =
+        inside the time bounds too."""
+        newer = world.schema.with_appended_column(
+            Column("hops", ColumnType.INT64, 7))
+        plan = ReadPlan(newer, None, 1, [world.old, world.new],
+                        [world.memtable],
+                        lambda meta: world.readers[meta.tablet_id],
+                        metrics=ReadMetrics(world.metrics))
+        hops = newer.column_index("hops")
+        device = newer.column_index("device")
+        spec = AggregateSpec(
+            KeyRange(min_prefix=(1, 3), max_prefix=(1, 9)),
+            TimeRange.between(NOW + 5, NOW + 2003), (), None,
+            (("COUNT", None), ("SUM", hops), ("MAX", device)),
+            ((device, "!=", 7),))
+        stats = QueryStats()
+        (slots,) = aggregate(plan, spec, NOW, stats).groups.values()
+        # Devices 3..9 of each tablet and device 3, 5 of the memtable
+        # are in the key box; ts bounds drop old devices 3, 4 and the
+        # memtable's device 5; the residual drops device 7 twice.
+        assert (stats.rows_scanned, stats.rows_returned) == (16, 13)
+        assert [slot[0] for slot in slots] == [11, 11, 11]
+        assert slots[1][1] == 11 * 7 and slots[2][3] == 9
+        counters = world.metrics.snapshot()["counters"]
+        assert counters["query.pushdown.rows_fallback"] == 16
+        assert counters["query.pushdown.rows_kernel_filtered"] == 5
+        assert counters.get("query.pushdown.rows_columnar", 0) == 0
 
 
 class TestIsolation:

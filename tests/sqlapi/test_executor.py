@@ -181,6 +181,40 @@ class TestAggregates:
             "SELECT network, COUNT(*) FROM usage GROUP BY network LIMIT 1")
         assert result.rows == [(1, 9)]
 
+    def test_limit_zero_returns_no_groups(self, usage):
+        for statement in (
+                "SELECT network, COUNT(*) FROM usage GROUP BY network",
+                "SELECT device, COUNT(*) FROM usage GROUP BY device",
+                "SELECT COUNT(*) FROM usage"):
+            assert usage.execute(statement + " LIMIT 0").rows == []
+
+    def test_order_desc_reverses_key_prefix_groups_only(self, usage):
+        prefix = "SELECT network, device, COUNT(*) FROM usage " \
+                 "GROUP BY network, device"
+        assert usage.execute(prefix + " ORDER BY KEY DESC").rows \
+            == usage.execute(prefix).rows[::-1]
+        hashed = "SELECT device, COUNT(*) FROM usage GROUP BY device"
+        assert usage.execute(hashed + " ORDER BY KEY DESC").rows \
+            == usage.execute(hashed).rows
+
+    def test_sum_and_avg_need_a_numeric_column(self, session):
+        session.execute(
+            "CREATE TABLE logs (ts TIMESTAMP, msg STRING, raw BLOB, "
+            "PRIMARY KEY (ts))")
+        session.execute(f"INSERT INTO logs (ts, msg, raw) VALUES "
+                        f"({BASE}, 'b', X'02'), ({BASE + 1}, 'a', X'01')")
+        for func, column in (("SUM", "msg"), ("AVG", "msg"),
+                             ("SUM", "raw"), ("AVG", "raw")):
+            with pytest.raises(SqlError, match=rf"{func}\({column}\)"):
+                session.execute(f"SELECT {func}({column}) FROM logs")
+            with pytest.raises(SqlError, match=rf"{func}\({column}\)"):
+                session.execute(f"EXPLAIN SELECT {func}({column}) FROM logs")
+        # Ordering and counting a string or a blob stay legal.
+        assert session.execute(
+            "SELECT MIN(msg), MAX(msg), COUNT(msg), MIN(raw), MAX(raw), "
+            "SUM(ts) FROM logs").rows == [
+                ("a", "b", 2, b"\x01", b"\x02", 2 * BASE + 1)]
+
     def test_bare_group_by_emits_group_columns(self, usage):
         result = usage.execute(
             "SELECT COUNT(*) FROM usage GROUP BY network")

@@ -1,40 +1,45 @@
-"""Differential tests: vectorized pushdown vs the row-at-a-time oracle.
+"""Differential tests: the aggregate engine vs the row-at-a-time oracle.
 
-Every aggregate query here runs twice over the same engine — once with
-``SqlSession(db, vectorized=True)`` (partial aggregation inside the
-tablet scan, columnar kernels over v3 and v2 blocks) and once with
-``vectorized=False`` (the row cursor oracle) — and must produce
-identical columns and identical rows, in the same order.
+Every aggregate query here runs twice over the same database — once
+through ``SqlSession`` (``aggregate_partials``: partial aggregation
+inside the tablet scan, one set of column kernels) and once through
+``row_oracle.RowOracle`` (the row-at-a-time GROUP BY that used to be
+the session's second engine, driven by ``table.scan``) — and must
+produce identical columns and identical rows, in the same order.  And
+it does so through four doors: an embedded ``LittleTable``, a 4-shard
+``ShardRouter``, ``repro.connect`` to a one-engine server and
+``repro.connect`` to a 4-shard server.
 
 The data is adversarial on purpose:
 
 * tablets in every block format (the checked-in v1 row-major tablet
-  forces the per-tablet row fallback; v3, and the checked-in v2
-  tablets, go columnar) plus unflushed memtable rows overlapping the
-  same keys and times;
+  arrives as runs and is transposed; v3, and the checked-in v2
+  tablets, are columnar already) plus unflushed memtable rows
+  overlapping the same keys and times, plus tablets and memtables
+  written under an older schema;
 * DOUBLE values are dyadic rationals (multiples of 0.25) so SUM/AVG
   are exact in IEEE doubles and the partial-aggregation merge order
   cannot introduce rounding differences — any mismatch is a real bug;
 * empty results (MIN/MAX of nothing), AVG over integer columns,
-  TIME_BUCKET grids, residual predicates, LIMIT, and the ORDER BY KEY
-  DESC fallback are all exercised;
-* the same identity is asserted through the shard router's
-  scatter-gather merge of partial aggregates.
+  TIME_BUCKET grids, residual predicates, LIMIT (0 included), and
+  ORDER BY KEY DESC over every grouping shape are all exercised.
 
 There are no NULLs to worry about: the engine rejects missing values
 at insert, so COUNT(col) == COUNT(*) by construction.
 """
 
 import random
+from contextlib import contextmanager
 
-import pytest
-
+import repro
 from repro.core import LittleTable, Query
+from repro.net import AsyncLittleTableServer
 from repro.net.shard import ShardRouter
 from repro.sqlapi import SqlSession
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
 
 from ..conftest import load_v1_datadir, load_v2_datadir
+from .row_oracle import RowOracle
 
 BASE = 10_000 * MICROS_PER_DAY
 MINUTE = MICROS_PER_MINUTE
@@ -77,11 +82,24 @@ QUERIES = [
     "SELECT network, COUNT(*) FROM usage WHERE network = 99 "
     "GROUP BY network",
     "SELECT COUNT(*) FROM usage WHERE ts > {b3}",
-    # ORDER BY KEY DESC keeps the row cursor on both sessions; the
-    # differential here proves the fallback itself, not the kernels.
     "SELECT network, COUNT(*) FROM usage GROUP BY network "
     "ORDER BY KEY DESC",
+    "SELECT network, COUNT(*) FROM usage GROUP BY network LIMIT 0",
 ]
+
+# ORDER BY KEY DESC is an emission order, not another engine: groups
+# come out descending exactly when the GROUP BY is a key prefix (a
+# descending row scan meets them that way) and ascending otherwise.
+DESC_SHAPES = [
+    "SELECT network, device, COUNT(*), SUM(bytes) FROM usage "
+    "GROUP BY network, device",                              # key prefix
+    "SELECT device, COUNT(*), MIN(rate) FROM usage GROUP BY device",
+    "SELECT TIME_BUCKET(ts, {bucket}), COUNT(*) FROM usage "
+    "GROUP BY TIME_BUCKET(ts, {bucket})",
+    "SELECT COUNT(*), MAX(bytes) FROM usage",                # ungrouped
+]
+QUERIES += [f"{shape} ORDER BY KEY DESC{limit}" for shape in DESC_SHAPES
+            for limit in ("", " LIMIT 0", " LIMIT 2")]
 
 
 def format_queries(bucket=7 * MINUTE):
@@ -127,14 +145,25 @@ def build_mixed_db():
     return db
 
 
+@contextmanager
+def connected(db):
+    """``db`` (an engine or a shard router) behind a server, as the
+    ``repro.connect`` facade a client holds."""
+    with AsyncLittleTableServer(db) as server:
+        with repro.connect(server.address) as remote:
+            yield remote
+
+
 def assert_identical(db, queries):
-    vec = SqlSession(db, vectorized=True)
-    row = SqlSession(db, vectorized=False)
-    for query in queries:
-        fast = vec.execute(query)
-        oracle = row.execute(query)
-        assert fast.columns == oracle.columns, query
-        assert fast.rows == oracle.rows, query
+    """Engine == oracle for every query, embedded and over the wire."""
+    with connected(db) as remote:
+        for door in (db, remote):
+            session, oracle = SqlSession(door), RowOracle(door)
+            for query in queries:
+                fast = session.execute(query)
+                slow = oracle.execute(query)
+                assert fast.columns == slow.columns, query
+                assert fast.rows == slow.rows, query
 
 
 class TestDifferential:
@@ -145,8 +174,8 @@ class TestDifferential:
         assert_identical(db, format_queries())
         counters = db.metrics.snapshot()["counters"]
         # Prove the fast side actually pushed down (not oracle-vs-oracle)
-        # and that both the columnar and the v1/memtable fallback lanes
-        # saw rows.
+        # and that both lanes saw rows: blocks that were columnar
+        # already, and v1/memtable runs that were transposed.
         assert counters["query.pushdown.queries"] > before
         assert counters["query.pushdown.rows_columnar"] > 0
         assert counters["query.pushdown.rows_fallback"] > 0
@@ -194,6 +223,29 @@ class TestDifferential:
         assert counters.get("query.pushdown.blocks_fallback", 0) == 0
         assert counters.get("codec.blocks_encoded", 0) == 0
 
+    def test_old_schema_tablets_and_memtables(self):
+        """A tablet and a memtable written before ``ADD COLUMN`` are
+        translated on read (§3.5) and aggregate like the rest - the new
+        column too, at its default."""
+        db = LittleTable(clock=VirtualClock(start=BASE + WINDOW))
+        sql = SqlSession(db)
+        sql.execute(CREATE)
+        rows = random_rows(random.Random(29), 450)
+        db.insert("usage", rows[:150])
+        db.table("usage").flush_all()
+        db.insert("usage", rows[150:300])        # old-schema memtable
+        sql.execute("ALTER TABLE usage ADD COLUMN hops INT64 DEFAULT 3")
+        db.insert("usage", [dict(row, hops=row["bytes"] % 5)
+                            for row in rows[300:]])
+        assert_identical(db, format_queries() + [
+            "SELECT hops, COUNT(*), SUM(bytes) FROM usage GROUP BY hops",
+            "SELECT network, SUM(hops), MIN(hops), MAX(hops) FROM usage "
+            "GROUP BY network",
+            "SELECT COUNT(*) FROM usage WHERE hops != 3",
+        ])
+        counters = db.metrics.snapshot()["counters"]
+        assert counters["query.pushdown.blocks_fallback"] > 0
+
     def test_empty_table(self):
         db = LittleTable(clock=VirtualClock(start=BASE))
         SqlSession(db).execute(CREATE)
@@ -238,17 +290,22 @@ class TestDifferential:
                       f"device = {sample['device']}")
             assert_identical(router, [pinned])
 
+            # Rows still in the shards' memtables, beside the tablets.
+            more = [dict(row, ts=row["ts"] + 1) for row in rows[:120]]
+            router.table("usage").insert(more)
+            rows = rows + more
+            assert_identical(router, format_queries())
+
             # The sharded answer must also equal a single engine holding
             # the identical rows (scatter-gather merge == global oracle).
             solo = LittleTable(clock=VirtualClock(start=BASE + WINDOW))
             SqlSession(solo).execute(CREATE)
             solo.insert("usage", rows)
             solo.table("usage").flush_all()
-            solo_vec = SqlSession(solo, vectorized=True)
-            sharded_vec = SqlSession(router, vectorized=True)
+            solo_sql = SqlSession(solo)
             for query in format_queries():
-                assert (sharded_vec.execute(query).rows
-                        == solo_vec.execute(query).rows), query
+                assert (sql.execute(query).rows
+                        == solo_sql.execute(query).rows), query
         finally:
             router.close()
 

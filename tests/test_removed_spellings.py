@@ -8,7 +8,8 @@ IO rate limiter and its SLO controller, the tablet sink's row-at-a-time
 entry, the maintenance scheduler's queue and its work probe, the
 memtable's skip list, the row-at-a-time read cursor and its heap, a
 server front or shard router that starts maintenance under a policy
-of its own) or an option nothing read;
+of its own, the SQL session's row-at-a-time aggregator and the engine's
+per-row aggregate fallback) or an option nothing read;
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
@@ -28,6 +29,7 @@ from repro.core.table import Table
 from repro.core.tablet import TabletWriter
 from repro.net import (AsyncLittleTableServer, ClientConfig,
                        LittleTableClient, ShardRouter)
+from repro.sqlapi import SqlSession
 
 
 @pytest.mark.parametrize("old_spelling", [
@@ -81,6 +83,8 @@ from repro.net import (AsyncLittleTableServer, ClientConfig,
     pytest.param(
         lambda: ShardRouter.start_maintenance(None, MaintenancePolicy()),
         id="router-start-maintenance-policy"),
+    pytest.param(lambda: SqlSession(LittleTable(), vectorized=False),
+                 id="session-vectorized"),
 ])
 def test_old_spelling_is_a_type_error(old_spelling):
     with pytest.raises(TypeError):
@@ -127,6 +131,13 @@ SRC = Path(__file__).parent.parent / "src"
         r"merge_sorted\b|_scan_asc|_scan_desc|key_bounds|\bheapq\b"
         "|seek_min|first_block_for|last_block_for", ("harness.py",),
         id="row-at-a-time-cursor"),
+    # One aggregate engine (the kernels in core/vector.py under every
+    # table facade's aggregate_partials); the row-at-a-time one is the
+    # reference in tests/sqlapi/row_oracle.py.
+    pytest.param(
+        r"vectorized\s*=|_Accumulator|accumulate_rows|row_label"
+        "|supports_partials|_select_aggregate_rows|PushdownDecision"
+        "|fallback_queries", (), id="row-at-a-time-aggregator"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)

@@ -8,7 +8,10 @@ called by ``LittleTable.open_table``).  ``snapshot.py`` and
 ``recovery.py`` assign to descriptors of their own and are out of
 scope.  Across all of ``src/``: a tablet file's trailer is told apart
 (v2.1 or legacy) in one function, a ``query`` request is built in
-one, and the shard router hands work to its pool at one site.  In
+one, a bounding box is put on the wire in one and read off it in one
+(``query`` and ``aggregate`` share both), values are folded into an
+aggregate slot in one (``vector._update``), and the shard router hands
+work to its pool at one site.  In
 ``tablet.py`` a block becomes rows in one function
 (``decode_payload``) and enters the read cache in one
 (``_scan_block``).  Background maintenance starts in one place
@@ -101,6 +104,40 @@ def test_one_function_builds_a_query_request():
             for key, value in zip(node.keys, node.values))
 
     assert functions_where(is_query_request) == {"client.py:_query_request"}
+
+
+def test_one_function_each_side_carries_a_bounding_box():
+    """``query`` and ``aggregate`` requests spell their key and time
+    bounds through one builder, and the server reads both through one
+    decoder, so the two commands cannot come to disagree about a
+    default or an inclusive flag."""
+    def names_a_bound(node):
+        return isinstance(node, ast.Constant) \
+            and node.value == "key_min_inclusive"
+
+    assert functions_where(names_a_bound) == {
+        "client.py:_bounds_fields", "server.py:decode_bounds"}
+
+
+def test_one_function_folds_values_into_an_aggregate_slot():
+    """A slot is ``[count, total, min, max]``.  Column values reach
+    one in ``vector._update`` alone - there is no second, row-at-a-time
+    aggregator in ``src/`` (the reference one is
+    ``tests/sqlapi/row_oracle.py``); ``AggregatePartials.merge`` adds a
+    slot to a slot and reads no rows."""
+    def adds_to_a_total(node):
+        return (isinstance(node, ast.AugAssign)
+                and isinstance(node.target, ast.Subscript)
+                and isinstance(node.target.slice, ast.Constant)
+                and node.target.slice.value == 1)
+
+    def from_a_slot(node):
+        return adds_to_a_total(node) and isinstance(
+            node.value, ast.Subscript)
+
+    assert functions_where(adds_to_a_total) == {
+        "vector.py:_update", "vector.py:merge"}
+    assert functions_where(from_a_slot) == {"vector.py:merge"}
 
 
 def test_one_site_submits_to_the_shard_pool():
