@@ -3,7 +3,8 @@
 Two things live here.  Each :class:`Schema` is *compiled once* into
 plain generated Python functions for the per-row work the insert path
 cannot avoid - ``validate_and_size``, ``size_of``, ``key_of`` - with
-the per-column tests inlined.  And rows move between memory and disk
+the per-column tests inlined (``key_of`` is an ``itemgetter`` once the
+key has two columns).  And rows move between memory and disk
 in whole-block batches through the block codec below, which is not
 generated at all: every column of a block is handed to one C call.
 
@@ -60,7 +61,7 @@ import time
 import weakref
 from array import array
 from itertools import accumulate, chain
-from operator import sub
+from operator import itemgetter, sub
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import NULL_REGISTRY
@@ -218,7 +219,9 @@ class _CompiledOps:
         exec(compile(source, f"<codec:{schema!r}>", "exec"), namespace)
         self.validate_and_size = namespace["validate_and_size"]
         self.size_of = namespace["size_of"]
-        self.key_of = namespace["key_of"]
+        # One C call a row; of one index itemgetter would return no tuple.
+        self.key_of = (itemgetter(*schema.key_indexes)
+                       if len(schema.key_indexes) > 1 else namespace["key_of"])
 
     def encode_rows(self, rows: Sequence[Tuple[Any, ...]]) -> bytes:
         """Encode a row batch (validated rows, any order) into one v3

@@ -14,7 +14,9 @@ ends - one stable sort of positions when more than one source had any,
 nothing at all for a lone source - and :func:`execute_query` filters
 and counts a stretch at a time.  :func:`take_stretch` is that round,
 shared with the merge executor (``merge._merge_blockwise``), which runs
-the same loop between block passthroughs.
+the same loop between block passthroughs.  It is the only reader of a
+run's keys: a tablet hands its runs over without them, and they are
+derived from the rows only for the rounds where sources interleave.
 
 Lazy: a source is not touched before the first ``next()``, which reads
 one run (one block) from each; a later run is read only when the one
@@ -37,8 +39,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from math import inf
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, List, Optional, Sequence
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence)
 
+from .codec import compiled_ops
 from .row import DESCENDING, Key, Query, QueryStats, Row, Run
 from .schema import Schema
 from .vector import resolve_time_bounds
@@ -55,9 +59,9 @@ class _Head:
     def advance(self) -> bool:
         """Step to the source's next run; False once it has none."""
         for rows, keys in self.runs:
-            if keys:
+            if rows:
                 self.rows, self.keys = rows, keys
-                self.pos, self.end = 0, len(keys)
+                self.pos, self.end = 0, len(rows)
                 return True
         return False
 
@@ -67,13 +71,13 @@ def take_stretch(heads: Sequence[Any], descending: bool = False) -> Run:
     past the nearest of their runs' far ends, after which no head has
     a row left that sorts among them.
 
-    A head holds a run in ``rows``/``keys`` and the non-empty window
-    ``[pos, end)`` of it still to take, which is narrowed here (from
-    the top when descending; the stretch ascends either way).  What
-    several heads gave is put in order by one stable sort of
-    *positions* - never of the rows, which may hold a NaN - that finds
-    each head's presorted slice and gallops; equal keys keep head
-    order.  What one head gave is already in order.
+    A head holds a run in ``rows``/``keys`` (keys present) and the
+    non-empty window ``[pos, end)`` of it still to take, which is
+    narrowed here (from the top when descending; the stretch ascends
+    either way).  What several heads gave is put in order by one stable
+    sort of *positions* - never of the rows, which may hold a NaN -
+    that finds each head's presorted slice and gallops; equal keys keep
+    head order.  What one head gave is already in order.
     """
     rows: List[Row] = []
     keys: List[Key] = []
@@ -103,24 +107,32 @@ def take_stretch(heads: Sequence[Any], descending: bool = False) -> Run:
     return rows, keys
 
 
-def merge_runs(sources: Iterable[Iterable[Run]], descending: bool = False
+def merge_runs(sources: Iterable[Iterable[Run]], descending: bool = False,
+               key_of: Optional[Callable[[Row], Key]] = None
                ) -> Iterator[Run]:
     """The sources' runs merged into one sequence of runs in scan
     order (every run ascends; descending, the last comes first).
 
     Each source yields its own runs in that order.  Keys are unique
     across sources (primary-key uniqueness, §3.4.4), so no shadowing
-    logic is needed.  Once one source is left its runs pass through
-    untouched.
+    logic is needed.  A run that came without its keys (a tablet's)
+    gets them from ``key_of`` only while another source is live -
+    only interleaving needs them.  Once one source is left its runs
+    pass through untouched, keys or None as they came.
     """
     live = [head for head in map(_Head, sources) if head.advance()]
     while len(live) > 1:
+        for head in live:
+            if head.keys is None:
+                head.keys = list(map(key_of, head.rows))
         yield take_stretch(live, descending)
         live = [head for head in live
                 if head.pos < head.end or head.advance()]
     for head in live:
-        if head.end - head.pos < len(head.keys):
-            yield (head.rows[head.pos:head.end], head.keys[head.pos:head.end])
+        if head.end - head.pos < len(head.rows):
+            keys = head.keys
+            yield (head.rows[head.pos:head.end],
+                   None if keys is None else keys[head.pos:head.end])
         else:
             yield head.rows, head.keys
         yield from head.runs
@@ -153,7 +165,8 @@ def execute_query(sources: Iterable[Iterable[Run]],
     hi = inf if hi is None else hi
     ts_index = schema.ts_index
     ts_of = itemgetter(ts_index)
-    for rows, _keys in merge_runs(sources, descending):
+    for rows, _keys in merge_runs(sources, descending,
+                                  compiled_ops(schema).key_of):
         if descending:
             rows = rows[::-1]
         kept = rows

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from .block import decompress
-from .codec import BLOCK_FORMAT_V3
+from .codec import BLOCK_FORMAT_V3, compiled_ops
 from .config import EngineConfig
 from .periods import Period, period_for, rollover_delay
 from .cursor import merge_runs, take_stretch
@@ -240,10 +240,13 @@ class _MergeSource:
     def decode_next(self) -> int:
         """Decode the block at the boundary and step past it; 1 if
         that upgrades a v1 or v2 block (they are written back as v3)."""
+        reader = self.reader
         with _blaming(self.meta):
-            self.rows, self.keys, _raw_len = self.reader.decode_payload(
-                self.index, self.reader.read_block_payload(self.index))
-        self.pos, self.end = 0, len(self.keys)
+            columns, _raw_len = reader.decode_payload(
+                self.index, reader.read_block_payload(self.index))
+        self.rows = list(zip(*columns))
+        self.keys = list(zip(*[columns[i] for i in reader.schema.key_indexes]))
+        self.pos, self.end = 0, len(self.rows)
         self.index += 1
         return int(self.reader.block_format != BLOCK_FORMAT_V3)
 
@@ -301,7 +304,8 @@ def merge_tablets(plan: MergePlan, readers: List[TabletReader],
     # translating while merging also upgrades old rows to the
     # current schema (§3.5).
     sink = writer.sink(expected_rows=plan.total_rows)
-    for run in merge_runs([s.translated(schema) for s in sources]):
+    for run in merge_runs([s.translated(schema) for s in sources],
+                          key_of=compiled_ops(schema).key_of):
         sink.add_rows(*run)
     return sink.finish(filename, tablet_id, created_at=now), 0
 

@@ -8,9 +8,10 @@ time, and every query still sweeps the whole tablet list to find the
 overlapping ones.  This module removes both costs:
 
 * :class:`ReadCache` - one engine-wide, byte-budgeted LRU over
-  **decoded blocks** (row tuples, ready to merge), shared by every
-  table of a database.  A warm query never touches the disk model,
-  zlib, or the row codec.  (A parsed footer lives on its tablet's
+  **decoded blocks** (a block's columns, and row tuples for the
+  stretches scans have taken), shared by every table of a database.
+  A warm query never touches the disk model, zlib, or the block codec.
+  (A parsed footer lives on its tablet's
   :class:`~repro.core.tablet.TabletReader`, §3.2, not here.)
 * :class:`TabletPruneIndex` - a per-table interval index over tablet
   timespans (sorted by ``min_ts`` with a running ``max_ts`` prefix
@@ -46,7 +47,8 @@ import bisect
 import itertools
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..obs.metrics import NULL_REGISTRY
 from .row import KeyRange, TimeRange
@@ -58,21 +60,27 @@ ROW_OVERHEAD_BYTES = 56
 
 
 class CachedBlock:
-    """One decoded block: row tuples plus their keys.
+    """One decoded block: its columns, and its rows as scans take them.
 
-    ``columns`` is the column-major transpose, filled by the first
-    vectorized aggregate that hits a warm block; it shares the same
-    value objects as ``rows``, so only the container overhead is new.
+    ``columns`` holds one value list per schema column, in schema
+    order: what the vectorized aggregate reads, and what a scan
+    bisects (the key columns) to find its range.  ``rows`` starts as
+    ``count`` Nones; a scan fills the stretch it takes with row tuples
+    zipped from the columns (``TabletReader._built_rows``), so a tuple
+    is built once, for a row some scan wanted, and shares its values
+    with the columns.  No key tuples are kept.  ``nbytes`` is the
+    budget's charge, fixed at admission: the block's raw (uncompressed)
+    length plus ``ROW_OVERHEAD_BYTES`` a row, however many rows are
+    built later.
     """
 
-    __slots__ = ("rows", "keys", "columns", "nbytes")
+    __slots__ = ("columns", "rows", "nbytes")
 
-    def __init__(self, rows: List[Tuple[Any, ...]], nbytes: int,
-                 keys: List[Tuple[Any, ...]]):
-        self.rows = rows
-        self.keys = keys
-        self.columns = None
-        self.nbytes = nbytes
+    def __init__(self, columns: List[Sequence[Any]], count: int,
+                 payload_bytes: int):
+        self.columns = columns
+        self.rows: List[Optional[Tuple[Any, ...]]] = [None] * count
+        self.nbytes = payload_bytes + ROW_OVERHEAD_BYTES * count
 
 
 class ReadCache:
@@ -127,14 +135,14 @@ class ReadCache:
             self._m_hits.inc()
             return entry
 
-    def put_block(self, uid: int, index: int,
-                  rows: List[Tuple[Any, ...]], payload_bytes: int,
-                  keys: List[Tuple[Any, ...]]) -> None:
-        """Admit one decoded block; evicts LRU entries past the budget."""
-        if self.budget_bytes <= 0:
+    def put_block(self, uid: int, index: int, entry: CachedBlock) -> None:
+        """Admit one decoded block; evicts LRU entries past the budget.
+
+        An entry whose charge alone exceeds the budget is not admitted
+        (and evicts nothing): it could only push everything else out
+        and then itself."""
+        if self.budget_bytes <= 0 or entry.nbytes > self.budget_bytes:
             return
-        nbytes = payload_bytes + ROW_OVERHEAD_BYTES * len(rows)
-        entry = CachedBlock(rows, nbytes, keys)
         with self._lock:
             key = (uid, index)
             old = self._blocks.pop(key, None)
@@ -142,7 +150,7 @@ class ReadCache:
                 self._resident_bytes -= old.nbytes
             self._blocks[key] = entry
             self._uid_blocks.setdefault(uid, set()).add(index)
-            self._resident_bytes += nbytes
+            self._resident_bytes += entry.nbytes
             while self._resident_bytes > self.budget_bytes and self._blocks:
                 evicted_key, evicted = self._blocks.popitem(last=False)
                 self._resident_bytes -= evicted.nbytes

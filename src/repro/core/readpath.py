@@ -12,8 +12,9 @@ corruption guard below apply to all of them alike.  Nothing here
 touches a ``Table``: tests run these functions on a hand-built plan.
 
 What a source hands the cursor is a *run* (:data:`repro.core.row.Run`):
-the in-range slice of one block, or one chunk of a memtable, with its
-keys - :meth:`ReadPlan.tablet_runs` / :meth:`ReadPlan.memtable_runs`.
+the in-range slice of one block (keys None: the cursor derives them
+where it needs them), or one chunk of a memtable with its keys -
+:meth:`ReadPlan.tablet_runs` / :meth:`ReadPlan.memtable_runs`.
 ``tablet_rows`` flattens the same runs for the one caller that wants
 rows (bulk delete's rewrite).
 """
@@ -292,33 +293,27 @@ def _fold_tablet(plan: ReadPlan, meta: TabletMeta, key_range: KeyRange,
                  fold: Fold) -> None:
     """Fold one tablet into the partial group states.
 
-    v2 and v3 same-schema tablets are column-major already: interior
-    blocks proven fully inside the key bounds by the block index's
-    last keys never materialize row keys at all; only the edge blocks
-    binary-search their key lists for the exact trim.
+    v2 and v3 same-schema tablets are column-major already: each block
+    the key range touches hands over its columns, and bisecting its
+    key columns trims it to the range - no row or key tuple is built.
     """
     metrics = plan.metrics
     reader = plan.open_reader(meta)
     reader.ensure_loaded()
     if (reader.block_format == BLOCK_FORMAT_V1
             or reader.schema.version != plan.schema.version):
-        # v1 blocks decode row-major, and old-schema rows are
+        # v1 blocks are stored row-major, and old-schema rows are
         # translated one by one: rows either way.
         _fold_runs(plan, reader_runs(reader, plan.schema, key_range), fold)
         metrics.push_blocks_fallback.inc(reader.block_count)
         return
-    # Blocks [first, inside) end on an in-range key, so every block
-    # after ``first`` also begins on one; block ``inside`` ends past
-    # the range but may begin inside it.
+    key_indexes = reader.schema.key_indexes
+    # Blocks [first, inside) end on an in-range key; block ``inside``
+    # ends past the range but may begin inside it.
     first, inside = key_range.span(reader.last_keys)
-    no_min = key_range.min_prefix is None
-    no_max = key_range.max_prefix is None
     for index in range(first, min(inside + 1, reader.block_count)):
-        need_keys = not ((no_min or index > first)
-                         and (no_max or index < inside))
-        columns, keys, count = reader.scan_block_columns(
-            index, need_keys=need_keys)
-        lo, hi = key_range.span(keys) if need_keys else (0, count)
+        columns = reader.scan_block_columns(index)
+        lo, hi = key_range.span_columns([columns[i] for i in key_indexes])
         if lo < hi:
             metrics.push_blocks.inc()
             fold(columns, lo, hi, metrics.push_rows_columnar)

@@ -10,13 +10,15 @@ Keys are tuples of column values ordered as the schema's key columns
 ``len(prefix)`` key columns; tuple truncation preserves lexicographic
 order, so a bound cuts any sorted run of keys at one place:
 :meth:`KeyRange.span` bisects for it, and is the one way from a key
-range to a slice of sorted keys (a block's keys, a block index, a
-memtable run).  The per-key predicates remain for testing one key.
+range to a slice of sorted keys (a block index, a memtable run).  A
+decoded block keeps its key *columns*, not key tuples, and
+:meth:`KeyRange.span_columns` cuts those at the same places.  The
+per-key predicates remain for testing one key.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -29,9 +31,11 @@ DESCENDING = "desc"
 Row = Tuple[Any, ...]
 Key = Tuple[Any, ...]
 #: The unit the read path moves: a stretch of rows in ascending key
-#: order and, beside it, their keys.  A source yields its runs in scan
+#: order and, beside it, their keys - or None where the source did not
+#: build them (a tablet's runs: the cursor derives keys from the rows
+#: only where sources interleave).  A source yields its runs in scan
 #: order - last run first when descending - but every run ascends.
-Run = Tuple[List[Row], List[Key]]
+Run = Tuple[List[Row], Optional[List[Key]]]
 #: A source's first run is at most this long and each later one may be
 #: twice the last: the first row of a scan costs a short stretch, a
 #: whole scan a few more runs than there are blocks.
@@ -126,6 +130,45 @@ class KeyRange:
             hi = bisect_left(
                 keys, high + (_TOP,) if self.max_inclusive else high, lo, hi)
         return lo, hi
+
+    def span_columns(self, key_columns: Sequence[Sequence[Any]], lo: int = 0,
+                     hi: Optional[int] = None) -> Tuple[int, int]:
+        """:meth:`span` over keys held as columns - ``key_columns`` in
+        key order, their rows sorted by key - without building a key
+        tuple: the same cut for the same bounds."""
+        if hi is None:
+            hi = len(key_columns[0])
+        low, high = self.min_prefix, self.max_prefix
+        if low is not None:
+            lo = _cut_columns(key_columns, low, lo, hi,
+                              past=not self.min_inclusive)
+        if high is not None:
+            hi = _cut_columns(key_columns, high, lo, hi,
+                              past=self.max_inclusive)
+        return lo, hi
+
+
+def _cut_columns(key_columns: Sequence[Sequence[Any]],
+                 prefix: Tuple[Any, ...], lo: int, hi: int,
+                 past: bool) -> int:
+    """The first position in ``[lo, hi)`` whose key, cut to the
+    prefix's length, is at least ``prefix`` - or, ``past``, above it:
+    ``bisect_left`` of ``prefix`` / ``prefix + (_TOP,)`` in the keys.
+    Rows that tie on the columns before ``j`` are sorted by column
+    ``j``, so each prefix value narrows ``[lo, hi)`` to its ties by two
+    C bisects, the last one by one."""
+    if len(prefix) > len(key_columns):
+        # Longer than a key: a key equal to its head sorts before it.
+        prefix, past = prefix[:len(key_columns)], True
+    last = len(prefix) - 1
+    for j in range(last):
+        column, value = key_columns[j], prefix[j]
+        lo = bisect_left(column, value, lo, hi)
+        hi = bisect_right(column, value, lo, hi)
+    if last < 0:
+        return hi if past else lo
+    return (bisect_right if past else bisect_left)(
+        key_columns[last], prefix[last], lo, hi)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from .codec import (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2, BLOCK_FORMAT_V3,
                     SchemaCodec, prefix_column_encoders)
 from .encoding import RowCodec
 from .errors import ChecksumError, CorruptTabletError
-from .readcache import NULL_READ_CACHE
+from .readcache import NULL_READ_CACHE, CachedBlock
 from .row import FIRST_RUN_ROWS, KeyRange, Run, rows_of
 from .schema import Schema
 
@@ -179,9 +179,7 @@ class TabletSink:
         self._block_crcs: List[int] = []
         self.bloom_bits_per_row = bloom_bits_per_row
         self.schema_codec = SchemaCodec(schema, metrics)
-        # One C call per row; with one index it would return no tuple.
-        self._key_of = (itemgetter(*schema.key_indexes)
-                        if schema.key_width > 1 else self.schema_codec.key_of)
+        self._key_of = self.schema_codec.key_of
         self._ts_of = itemgetter(schema.ts_index)
         self._row_codec = RowCodec(schema)  # footer keys only
         self._body = bytearray()
@@ -482,16 +480,18 @@ class TabletReader:
     decoded blocks, keyed by ``cache_uid`` - this reader's
     process-unique identity, which whoever drops the reader
     invalidates.  Without a cache every read decodes from the
-    (simulated) disk, exactly the pre-cache behaviour.  Lists returned
-    from cached blocks are shared: callers must not mutate them.
+    (simulated) disk, exactly the pre-cache behaviour.  Columns
+    returned from cached blocks are shared: callers must not mutate
+    them.
 
-    There is one way from a block to its rows: :meth:`_scan_block`,
-    the cached entry, which scans and the uniqueness probe share and
-    which :meth:`decode_payload` fills.  Two readers go around the
-    cache on purpose, because what they read once would evict what is
-    read often: the merge (``decode_payload`` directly) and a cold
-    vectorized aggregate (:meth:`scan_block_columns`, which decodes
-    straight into columns and builds no rows).
+    There is one decode, :meth:`decode_payload` (payload to columns),
+    and one way from a block to its rows: :meth:`_scan_block`, the
+    cached entry, which scans, ``latest``, the uniqueness probe and a
+    warm aggregate share.  A row tuple is built only when a scan takes
+    it (:meth:`_built_rows`).  Two readers go around the cache on
+    purpose, because what they read once would evict what is read
+    often: the merge (``decode_payload`` directly) and a cold
+    vectorized aggregate (:meth:`scan_block_columns`).
     """
 
     def __init__(self, disk: SimulatedDisk, filename: str, metrics=None,
@@ -510,6 +510,7 @@ class TabletReader:
         self._m_decoded = self.metrics.counter("block.decoded")
         self._m_rows_decoded = self.metrics.counter("block.rows_decoded")
         self._m_decoded_bytes = self.metrics.counter("block.decoded_bytes")
+        self._m_rows_built = self.metrics.counter("readcache.rows_built")
         self._cache = cache if cache is not None else NULL_READ_CACHE
         self.cache_uid = self._cache.allocate_uid()
         self._loaded = False
@@ -692,95 +693,100 @@ class TabletReader:
         return payload
 
     def decode_payload(self, index: int, payload: bytes
-                       ) -> Tuple[List[Tuple[Any, ...]],
-                                  List[Tuple[Any, ...]], int]:
-        """Decode one block's compressed payload: (rows, keys, raw
-        size).  The one row decode: every other reader of rows goes
-        through :meth:`_scan_block`, and the merge calls this directly
-        so that its one-off blocks stay out of the cache."""
+                       ) -> Tuple[List[Sequence[Any]], int]:
+        """Decode one block's compressed payload into ``(columns, raw
+        size)``: one value list per schema column, in schema order.
+
+        The one decode: it checks the row count against the footer and
+        counts the decode (``block.decoded``, ``block.rows_decoded``,
+        ``block.decoded_bytes``), whoever asked.  A v1 body is
+        row-major and is transposed here; v2 and v3 are columns
+        already.  Every other reader goes through :meth:`_scan_block`
+        or :meth:`scan_block_columns`; the merge calls this directly so
+        that its one-off blocks stay out of the cache.
+        """
         raw = decompress(self._codec, payload)
+        count = self._entries[index].row_count
         if self.block_format == BLOCK_FORMAT_V1:
-            rows = decode_rows(raw, self._row_codec,
-                               self._entries[index].row_count)
-            key_of = self.schema.key_of
-            keys = [key_of(row) for row in rows]
+            rows = decode_rows(raw, self._row_codec, count)
+            columns = (list(zip(*rows)) if rows
+                       else [[] for _ in self.schema.columns])
         else:
             # v2 or v3: the body's own first byte says which.
-            rows, keys = self._schema_codec.decode_block(raw)
-        self._note_decoded(index, len(rows), len(raw))
-        return rows, keys, len(raw)
-
-    def _note_decoded(self, index: int, row_count: int,
-                      raw_len: int) -> None:
-        """Check a decoded block against the footer's row count and
-        count it (once per decode, whatever shape it decoded into)."""
-        if row_count != self._entries[index].row_count:
+            columns = self._schema_codec.decode_block_columns(raw)
+        if len(columns[0]) != count:
             raise CorruptTabletError(
                 f"{self.filename}: block {index} row count mismatch")
         self._m_decoded.inc()
-        self._m_rows_decoded.inc(row_count)
-        self._m_decoded_bytes.inc(raw_len)
+        self._m_rows_decoded.inc(count)
+        self._m_decoded_bytes.inc(len(raw))
+        return columns, len(raw)
 
-    def _scan_block(self, index: int) -> Tuple[List[Tuple[Any, ...]],
-                                               List[Tuple[Any, ...]]]:
-        """Block ``index`` as (rows, keys): the cached decode, filled
-        on a miss by one disk read and one :meth:`decode_payload`.
+    def _scan_block(self, index: int) -> CachedBlock:
+        """Block ``index`` as its cache entry - its columns, and the
+        rows scans have built so far - filled on a miss by one disk
+        read and one :meth:`decode_payload`.
 
-        Scans, ``latest`` and the uniqueness probe all read rows
-        through here.  The lists are shared with the cache - do not
-        mutate.
+        Scans, ``latest`` and the uniqueness probe all read blocks
+        through here.  The entry is shared with the cache - do not
+        mutate it, except through :meth:`_built_rows`.
         """
-        cached = self._cache.get_block(self.cache_uid, index)
-        if cached is not None:
-            return cached.rows, cached.keys
-        rows, keys, raw_len = self.decode_payload(
-            index, self.read_block_payload(index))
-        self._cache.put_block(self.cache_uid, index, rows, raw_len, keys)
-        return rows, keys
+        entry = self._cache.get_block(self.cache_uid, index)
+        if entry is None:
+            columns, raw_len = self.decode_payload(
+                index, self.read_block_payload(index))
+            entry = CachedBlock(columns, len(columns[0]), raw_len)
+            self._cache.put_block(self.cache_uid, index, entry)
+        return entry
+
+    def _key_columns(self, entry: CachedBlock) -> List[Sequence[Any]]:
+        """A block's key columns, in key order (what
+        :meth:`KeyRange.span_columns` bisects)."""
+        columns = entry.columns
+        return [columns[i] for i in self.schema.key_indexes]
+
+    def _built_rows(self, entry: CachedBlock, lo: int, hi: int
+                    ) -> List[Tuple[Any, ...]]:
+        """Rows ``[lo, hi)`` of a cached block, as a fresh list.
+
+        Where the stretch still holds a row no scan has taken, it is
+        built whole from the columns and stored back by one slice
+        assignment - atomic under the GIL, so two scans racing over
+        the same stretch each store equal tuples and neither sees a
+        half-filled slice (``readcache.rows_built`` counts them).
+        """
+        rows = entry.rows[lo:hi]
+        if not all(rows):       # a built row is a non-empty tuple
+            rows = list(zip(*[column[lo:hi] for column in entry.columns]))
+            entry.rows[lo:hi] = rows
+            self._m_rows_built.inc(hi - lo)
+        return rows
 
     @property
     def last_keys(self) -> List[Tuple[Any, ...]]:
         """Each block's last key (the block index's search structure).
 
-        ``KeyRange.span`` over them finds the blocks a range touches,
-        and lets the vectorized scan prove a block lies entirely inside
-        the key bounds (so it can skip materializing keys): every key
-        of block ``i`` is > ``last_keys[i-1]`` and <= ``last_keys[i]``.
+        ``KeyRange.span`` over them finds the blocks a range touches:
+        every key of block ``i`` is > ``last_keys[i-1]`` and <=
+        ``last_keys[i]``.
         """
         self.ensure_loaded()
         return self._last_keys
 
-    def scan_block_columns(self, index: int, need_keys: bool = True
-                           ) -> Tuple[List[List[Any]],
-                                      Optional[List[Tuple[Any, ...]]], int]:
-        """Block ``index`` of a v2 or v3 tablet as per-column value
-        lists (vectorized path).
+    def scan_block_columns(self, index: int) -> List[Sequence[Any]]:
+        """Block ``index`` as per-column value lists, in schema order
+        (the vectorized aggregate).
 
-        Returns ``(columns, keys, row_count)``; ``keys`` is None when
-        ``need_keys`` is false (interior blocks proven fully in range
-        never pay for key materialization).  A warm cache entry is
-        transposed once and the column view is kept on the entry;
-        a cold read decodes columns straight from the block body
-        and deliberately does not populate the row cache - one-off
-        rollup scans should not evict hot row blocks.
+        A warm cache entry's columns are returned as they are; a cold
+        read decodes them (:meth:`decode_payload`) and deliberately
+        does not populate the cache - one-off rollup scans should not
+        evict hot blocks.
         """
         self.ensure_loaded()
-        cached = self._cache.get_block(self.cache_uid, index)
-        if cached is not None:
-            columns = cached.columns
-            if columns is None:
-                columns = cached.columns = list(zip(*cached.rows))
-            return (columns, cached.keys if need_keys else None,
-                    len(cached.rows))
-        raw = decompress(self._codec, self.read_block_payload(index))
-        columns = self._schema_codec.decode_block_columns(raw)
-        count = len(columns[0]) if columns else 0
-        self._note_decoded(index, count, len(raw))
-        keys = None
-        if need_keys:
-            key_indexes = self.schema.key_indexes
-            keys = list(zip(*(columns[i] for i in key_indexes)))
-        return columns, keys, count
+        entry = self._cache.get_block(self.cache_uid, index)
+        if entry is not None:
+            return entry.columns
+        return self.decode_payload(index, self.read_block_payload(index))[0]
 
     def probe_key(self, key: Tuple[Any, ...]) -> bool:
         """Does this tablet hold exactly ``key``?  (Duplicate checks:
@@ -789,9 +795,9 @@ class TabletReader:
         index = bisect.bisect_left(self._last_keys, key)
         if index >= len(self._entries):
             return False
-        _rows, keys = self._scan_block(index)
-        position = bisect.bisect_left(keys, key)
-        return position < len(keys) and keys[position] == key
+        lo, hi = KeyRange.prefix(key).span_columns(
+            self._key_columns(self._scan_block(index)))
+        return lo < hi
 
     def may_contain_prefix(self, encoded_columns: List[bytes]) -> Optional[bool]:
         """Bloom-filter probe; None when no filter is stored.
@@ -815,17 +821,20 @@ class TabletReader:
 
     def scan_runs(self, key_range: KeyRange, descending: bool = False
                   ) -> Iterator[Run]:
-        """The in-range slice of each block, as ``(rows, keys)`` runs
+        """The in-range slice of each block, as ``(rows, None)`` runs
         in scan order (each run ascends; descending starts at the last
         block).  A block is read when the run before it has been
-        taken, and a run is a fresh slice - never the cache's list.
-        The first run is at most ``FIRST_RUN_ROWS`` long and the
-        allowance doubles from there, so the first row of a scan costs
-        a short slice and a whole scan a few more runs than blocks.
+        taken, and a run is a fresh list - never the cache's.  The
+        first run is at most ``FIRST_RUN_ROWS`` long and the allowance
+        doubles from there, so the first row of a scan costs a short
+        slice and a whole scan a few more runs than blocks.
 
-        Rows are *not* filtered by timestamp here; the merge cursor
-        does that (and counts them as scanned, which is what Figure 9
-        measures).
+        The range is found by bisecting the block's key columns, and
+        row tuples are built for the runs handed on, no others; no key
+        tuple is built at all (the cursor derives keys from the rows
+        where sources interleave).  Rows are *not* filtered by
+        timestamp here; the merge cursor does that (and counts them as
+        scanned, which is what Figure 9 measures).
         """
         # The blocks that end on an in-range key, and the one after
         # them: it ends past the range but may begin inside it.
@@ -834,16 +843,16 @@ class TabletReader:
         step = FIRST_RUN_ROWS
         for index in (range(stop - 1, first - 1, -1) if descending
                       else range(first, stop)):
-            rows, keys = self._scan_block(index)
-            lo, hi = key_range.span(keys)
+            entry = self._scan_block(index)
+            lo, hi = key_range.span_columns(self._key_columns(entry))
             while lo < hi:
                 if descending:
                     cut = max(lo, hi - step)
-                    yield rows[cut:hi], keys[cut:hi]
+                    yield self._built_rows(entry, cut, hi), None
                     hi = cut
                 else:
                     cut = min(hi, lo + step)
-                    yield rows[lo:cut], keys[lo:cut]
+                    yield self._built_rows(entry, lo, cut), None
                     lo = cut
                 step *= 2
 

@@ -81,7 +81,9 @@ def cache_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     """The read-cache corner of a snapshot, as one nested dict.
 
     The ``cache`` subsection of ``ltdb stats --json`` and the
-    engine-health page both render this.
+    engine-health page both render this.  ``block.rows_built`` is how
+    many row tuples scans had built from cached columns: between
+    ``block.rows_decoded`` and ``query.rows_returned``.
     """
     counters = snapshot.get("counters", {})
     gauges = snapshot.get("gauges", {})
@@ -103,6 +105,7 @@ def cache_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
             "resident_bytes": gauges.get(
                 "readcache.block.resident_bytes", 0),
             "entries": gauges.get("readcache.block.entries", 0),
+            "rows_built": counters.get("readcache.rows_built", 0),
         },
         "latest": {
             "hits": latest_hits,

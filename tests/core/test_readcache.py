@@ -5,6 +5,8 @@ import pytest
 from repro.core import KeyRange, TimeRange
 from repro.core.descriptor import TableDescriptor
 from repro.core.readcache import (
+    ROW_OVERHEAD_BYTES,
+    CachedBlock,
     LatestRowCache,
     ReadCache,
     TabletPruneIndex,
@@ -25,16 +27,34 @@ def _meta(tablet_id, min_ts, max_ts, min_key=None, max_key=None):
     )
 
 
+def _block(value, payload_bytes, count=1):
+    """A cached entry of ``count`` rows over one column of ``value``."""
+    return CachedBlock([[value] * count], count, payload_bytes)
+
+
 class TestReadCacheBlocks:
     def test_hit_after_put(self):
         cache = ReadCache(budget_bytes=1 << 20)
         uid = cache.allocate_uid()
-        rows = [(1, 2, 3)]
-        keys = [(1, 2)]
-        cache.put_block(uid, 0, rows, payload_bytes=100, keys=keys)
+        columns = [[1, 4], [2, 5], [3, 6]]
+        entry = CachedBlock(columns, 2, payload_bytes=100)
+        cache.put_block(uid, 0, entry)
         got = cache.get_block(uid, 0)
-        assert got.rows is rows and got.keys is keys
+        assert got is entry and got.columns is columns
+        # No row is built until a scan takes it, and no key ever is.
+        assert got.rows == [None, None]
+        assert not hasattr(got, "keys")
         assert cache.get_block(uid, 1) is None
+
+    def test_charge_is_payload_plus_overhead_per_row(self):
+        """What a block is charged does not depend on how many of its
+        rows are ever built, so the LRU evicts - and a scan decodes -
+        the same blocks whatever the scans took."""
+        entry = CachedBlock([list(range(37)), list(range(37))], 37, 1000)
+        assert entry.nbytes == 1000 + ROW_OVERHEAD_BYTES * 37 == 1000 + 56 * 37
+        cache = ReadCache(budget_bytes=1 << 20)
+        cache.put_block(cache.allocate_uid(), 0, entry)
+        assert cache.resident_bytes == entry.nbytes
 
     def test_byte_budget_evicts_lru(self):
         metrics = MetricsRegistry()
@@ -42,38 +62,55 @@ class TestReadCacheBlocks:
         uid = cache.allocate_uid()
         # Each entry charges payload + ROW_OVERHEAD * rows = 400 + 56.
         for index in range(3):
-            cache.put_block(uid, index, [(index,)], payload_bytes=400,
-                            keys=[(index,)])
+            cache.put_block(uid, index, _block(index, 400))
         assert cache.entry_count == 2  # third put evicted block 0
         assert cache.get_block(uid, 0) is None
         assert cache.get_block(uid, 2) is not None
         assert metrics.counter("readcache.block.evictions").value == 1
         assert cache.resident_bytes <= 1000
 
+    def test_an_entry_larger_than_the_budget_is_not_admitted(self):
+        """One oversized block (a big BLOB row, a small budget) used to
+        evict every other entry and then itself: the cache emptied on
+        every such miss."""
+        metrics = MetricsRegistry()
+        cache = ReadCache(budget_bytes=1000, metrics=metrics)
+        uid = cache.allocate_uid()
+        cache.put_block(uid, 0, _block(0, 400))
+        cache.put_block(uid, 1, _block(1, 400))
+        cache.put_block(uid, 2, _block(2, 1000))     # 1,056 bytes alone
+        assert cache.get_block(uid, 2) is None
+        assert cache.get_block(uid, 0) is not None
+        assert cache.get_block(uid, 1) is not None
+        assert cache.entry_count == 2
+        assert cache.resident_bytes == 2 * (400 + ROW_OVERHEAD_BYTES)
+        assert metrics.counter("readcache.block.evictions").value == 0
+
     def test_lru_order_follows_access(self):
         cache = ReadCache(budget_bytes=1000)
         uid = cache.allocate_uid()
-        cache.put_block(uid, 0, [(0,)], payload_bytes=400, keys=[(0,)])
-        cache.put_block(uid, 1, [(1,)], payload_bytes=400, keys=[(1,)])
+        cache.put_block(uid, 0, _block(0, 400))
+        cache.put_block(uid, 1, _block(1, 400))
         cache.get_block(uid, 0)  # touch 0 so 1 is now the LRU entry
-        cache.put_block(uid, 2, [(2,)], payload_bytes=400, keys=[(2,)])
+        cache.put_block(uid, 2, _block(2, 400))
         assert cache.get_block(uid, 0) is not None
         assert cache.get_block(uid, 1) is None
 
     def test_disabled_cache_is_inert(self):
         cache = ReadCache(budget_bytes=0)
         uid = cache.allocate_uid()
-        cache.put_block(uid, 0, [(1,)], payload_bytes=10, keys=[(1,)])
+        cache.put_block(uid, 0, _block(1, 10))
         assert cache.get_block(uid, 0) is None
+        assert cache.entry_count == 0
 
     def test_invalidate_tablet_drops_its_blocks(self):
         metrics = MetricsRegistry()
         cache = ReadCache(budget_bytes=1 << 20, metrics=metrics)
         uid = cache.allocate_uid()
         other = cache.allocate_uid()
-        cache.put_block(uid, 0, [(1,)], payload_bytes=10, keys=[(1,)])
-        cache.put_block(uid, 1, [(2,)], payload_bytes=10, keys=[(2,)])
-        cache.put_block(other, 0, [(3,)], payload_bytes=10, keys=[(3,)])
+        cache.put_block(uid, 0, _block(1, 10))
+        cache.put_block(uid, 1, _block(2, 10))
+        cache.put_block(other, 0, _block(3, 10))
         dropped = cache.invalidate_tablet(uid)
         assert dropped == 2
         assert cache.get_block(uid, 0) is None
@@ -84,7 +121,7 @@ class TestReadCacheBlocks:
         metrics = MetricsRegistry()
         cache = ReadCache(budget_bytes=1 << 20, metrics=metrics)
         uid = cache.allocate_uid()
-        cache.put_block(uid, 0, [(1,)], payload_bytes=100, keys=[(1,)])
+        cache.put_block(uid, 0, _block(1, 100))
         snap = metrics.snapshot()
         assert snap["gauges"]["readcache.block.resident_bytes"] > 0
         assert snap["gauges"]["readcache.block.entries"] == 1

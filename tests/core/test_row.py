@@ -108,6 +108,48 @@ class TestKeyRange:
         assert keys[lo:hi] == [key for key in keys[start:stop]
                                if key_range.contains(key)]
 
+    def test_span_columns_of_sorted_key_columns(self):
+        keys = sorted((i, j) for i in range(10) for j in range(3))
+        columns = [list(column) for column in zip(*keys)]
+        assert KeyRange.all().span_columns(columns) == (0, 30)
+        assert KeyRange.all().span_columns([[], []]) == (0, 0)
+        assert KeyRange.prefix((4,)).span_columns(columns) == (12, 15)
+        assert KeyRange.prefix((4, 1)).span_columns(columns) == (13, 14)
+        assert KeyRange.prefix((4,)).span_columns(columns, 13, 20) == (13, 15)
+        # A bound longer than the key: (4, 1) sorts before (4, 1, 0).
+        assert KeyRange(min_prefix=(4, 1, 0)).span_columns(columns) == (
+            KeyRange(min_prefix=(4, 1, 0)).span(keys)) == (14, 30)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_span_columns_is_span_over_the_zipped_keys(self, data):
+        """The block-side bisect (keys held as columns) against the
+        tuple one: INT and STRING key columns, one to three of them,
+        every prefix length from none to one past the key, both bound
+        kinds on both ends, inside any ``[lo, hi)`` window."""
+        kinds = data.draw(st.lists(st.sampled_from(["int", "str"]),
+                                   min_size=1, max_size=3))
+        value = {"int": st.integers(-1, 4),
+                 "str": st.sampled_from(["", "a", "ab", "b", "ba", "c"])}
+        keys = sorted(set(data.draw(st.lists(
+            st.tuples(*[value[kind] for kind in kinds]), max_size=40))))
+        columns = ([list(column) for column in zip(*keys)] if keys
+                   else [[] for _ in kinds])
+        # Over-long bounds end in an int: any value compares after the
+        # key's end, whatever the column types before it.
+        bound = st.one_of(st.none(), st.builds(
+            lambda key, width: key[:width],
+            st.tuples(*[value[kind] for kind in kinds], st.integers(-1, 4)),
+            st.integers(0, len(kinds) + 1)))
+        key_range = data.draw(st.builds(
+            KeyRange, min_prefix=bound, min_inclusive=st.booleans(),
+            max_prefix=bound, max_inclusive=st.booleans()))
+        assert key_range.span_columns(columns) == key_range.span(keys)
+        start = data.draw(st.integers(0, len(keys)))
+        stop = data.draw(st.integers(start, len(keys)))
+        assert key_range.span_columns(columns, start, stop) == \
+            key_range.span(keys, start, stop)
+
 
 class TestTimeRange:
     def test_all(self):

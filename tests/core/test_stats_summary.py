@@ -55,3 +55,21 @@ class TestStatsSummary:
         summary = usage_table.stats_summary()
         assert summary["unflushed_memtables"] == 1
         assert summary["ttl_micros"] == 1_000_000
+
+    def test_cache_section_counts_rows_built(self, usage_table, clock):
+        """Rows decoded -> rows built -> rows returned, read from inside
+        the engine: a scan of one device builds that device's rows out
+        of the block's columns and no others."""
+        from repro.dashboard.metrics_view import cache_summary
+
+        usage_table.insert([row(device, clock.now() + sample)
+                            for device in range(5) for sample in range(20)])
+        usage_table.flush_all()
+        got = list(usage_table.scan(Query(KeyRange.prefix((1, 3)))))
+        assert len(got) == 20
+        snapshot = usage_table.metrics.snapshot()
+        assert cache_summary(snapshot)["block"]["rows_built"] == 20
+        assert snapshot["counters"]["block.rows_decoded"] > 20
+        list(usage_table.scan(Query(KeyRange.prefix((1, 3)))))
+        assert cache_summary(usage_table.metrics.snapshot())["block"][
+            "rows_built"] == 20

@@ -1,6 +1,8 @@
 """Tests for repro.core.tablet (on-disk tablet writer/reader)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.codec import SchemaCodec
 from repro.core.errors import CorruptTabletError
@@ -180,23 +182,26 @@ class TestScanRuns:
     def _reader(self, disk, cache=None):
         rows = make_rows(networks=4, devices=6, samples=8)
         write_tablet(disk, rows, block_size=128)
-        self.blocks_read = MetricsRegistry()
-        reader = TabletReader(disk, "t/tab-1.lt", self.blocks_read,
+        self.metrics = MetricsRegistry()
+        reader = TabletReader(disk, "t/tab-1.lt", self.metrics,
                               cache=cache)
-        self.blocks_read = self.blocks_read.counter("tablet.blocks_read")
+        self.blocks_read = self.metrics.counter("tablet.blocks_read")
         assert reader.block_count > 8
         return reader, rows
 
-    def test_runs_ascend_and_carry_their_keys(self, disk):
+    def test_runs_ascend_and_carry_no_keys(self, disk):
+        """A tablet's runs are rows alone: the cursor derives keys from
+        them where sources interleave, and nowhere else."""
         reader, rows = self._reader(disk)
         key_of = make_schema().key_of
         for descending in (False, True):
             runs = list(reader.scan_runs(KeyRange.prefix((2,)), descending))
             assert len(runs) > 2
             for run_rows, keys in runs:
-                assert run_rows and keys == [key_of(r) for r in run_rows]
-                assert keys == sorted(keys)
-            firsts = [keys[0] for _rows, keys in runs]
+                assert run_rows and keys is None
+                run_keys = [key_of(r) for r in run_rows]
+                assert run_keys == sorted(run_keys)
+            firsts = [key_of(run_rows[0]) for run_rows, _keys in runs]
             assert firsts == sorted(firsts, reverse=descending)
             flat = [r for run_rows, _keys in runs for r in run_rows]
             assert sorted(flat) == [r for r in rows if r[0] == 2]
@@ -236,7 +241,7 @@ class TestScanRuns:
         reader = TabletReader(disk, "t/tab-1.lt")
         assert reader.block_count == 1
         for descending in (False, True):
-            lengths = [len(keys) for _rows, keys in reader.scan_runs(
+            lengths = [len(run_rows) for run_rows, _keys in reader.scan_runs(
                 KeyRange.all(), descending)]
             assert lengths == [64, 128, 256, 512, 40]
             assert list(reader.scan(KeyRange.all(), descending)) == (
@@ -247,11 +252,117 @@ class TestScanRuns:
 
         cache = ReadCache(1 << 20)
         reader, rows = self._reader(disk, cache)
-        for run_rows, keys in reader.scan_runs(KeyRange.all()):
+        for run_rows, _keys in reader.scan_runs(KeyRange.all()):
             run_rows.clear()
-            keys.clear()
         assert list(reader.scan(KeyRange.all())) == rows
         assert cache.get_block(reader.cache_uid, 0) is not None
+
+    def test_rows_are_built_for_the_runs_taken_only(self, disk):
+        """A cached block keeps its columns; a row tuple exists once a
+        run handed it on - a ``LIMIT 1`` builds one short run, not the
+        block - and a second scan over it builds nothing."""
+        from repro.core.readcache import ReadCache
+
+        rows = make_rows(networks=4, devices=10, samples=25)
+        write_tablet(disk, rows, block_size=1 << 20)
+        metrics = MetricsRegistry()
+        cache = ReadCache(1 << 24)
+        reader = TabletReader(disk, "t/tab-1.lt", metrics, cache=cache)
+        built = metrics.counter("readcache.rows_built")
+        first = next(reader.scan(KeyRange.prefix((1, 2)), descending=True))
+        assert first == max(r for r in rows if r[:2] == (1, 2))
+        assert built.value == 25            # the prefix's 25 rows, no more
+        entry = cache.get_block(reader.cache_uid, 0)
+        assert sum(row is not None for row in entry.rows) == 25
+        assert [row for row in entry.rows if row is not None] == [
+            r for r in rows if r[:2] == (1, 2)]
+        assert list(reader.scan(KeyRange.prefix((1, 2)))) == [
+            r for r in rows if r[:2] == (1, 2)]
+        assert built.value == 25
+        assert list(reader.scan(KeyRange.prefix((1,)))) == [
+            r for r in rows if r[0] == 1]
+        # Runs [250, 314), [314, 442) and [442, 500) each still held an
+        # unbuilt row, so each was built whole: 64 + 128 + 58.
+        assert built.value == 25 + 250
+        assert all(entry.rows[250:500])
+        assert not any(entry.rows[:250]) and not any(entry.rows[500:])
+        # A run whose ends were built by two other scans but whose
+        # middle was not: [50, 75) and [100, 125), then [50, 114).
+        list(reader.scan(KeyRange.prefix((0, 2))))
+        list(reader.scan(KeyRange.prefix((0, 4))))
+        assert list(reader.scan(KeyRange(min_prefix=(0, 2),
+                                         max_prefix=(0, 4)))) == rows[50:125]
+        assert metrics.counter("block.decoded").value == 1
+
+    def test_concurrent_scans_of_one_cold_block_agree(self, disk):
+        """Eight threads scan overlapping ranges of one cached block
+        while its rows are being built: each gets exactly its rows."""
+        import sys
+        import threading
+
+        from repro.core.readcache import ReadCache
+
+        rows = make_rows(networks=4, devices=10, samples=25)
+        write_tablet(disk, rows, block_size=1 << 20)
+        ranges = [KeyRange.all(), KeyRange.prefix((1,)),
+                  KeyRange(min_prefix=(0, 7), max_prefix=(2, 3)),
+                  KeyRange(min_prefix=(1, 5), min_inclusive=False),
+                  KeyRange(max_prefix=(2,), max_inclusive=False),
+                  KeyRange.prefix((2, 4)), KeyRange.prefix((1, 9)),
+                  KeyRange(min_prefix=(0,), max_prefix=(3, 0))]
+        expected = [[r for r in rows if key_range.contains(r[:3])]
+                    for key_range in ranges]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(20):
+                reader = TabletReader(disk, "t/tab-1.lt",
+                                      cache=ReadCache(1 << 24))
+                reader.ensure_loaded()
+                barrier = threading.Barrier(len(ranges), timeout=10)
+                got = [None] * len(ranges)
+
+                def scan(slot, key_range, descending, reader=reader):
+                    barrier.wait()
+                    found = list(reader.scan(key_range, descending))
+                    got[slot] = found[::-1] if descending else found
+
+                threads = [threading.Thread(target=scan,
+                                            args=(slot, key_range, slot % 2))
+                           for slot, key_range in enumerate(ranges)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert got == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestProbeKey:
+    """``probe_key`` bisects the one block's key columns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.tuples(st.sampled_from(["", "a", "ab", "b"]),
+                             st.integers(0, 3), st.integers(0, 6)),
+                   min_size=1, max_size=60),
+           st.lists(st.tuples(st.sampled_from(["", "a", "ab", "b", "c"]),
+                              st.integers(-1, 4), st.integers(-1, 7)),
+                    max_size=30))
+    def test_probe_is_set_membership(self, held, probes):
+        schema = Schema([Column("name", ColumnType.STRING),
+                         Column("dev", ColumnType.INT64),
+                         Column("ts", ColumnType.TIMESTAMP)],
+                        key=["name", "dev", "ts"])
+        disk = SimulatedDisk()
+        # A few rows a block: probes land in first, middle, last blocks
+        # and past the end.
+        TabletWriter(disk, schema, 16, "zlib").write(
+            "t/tab-1.lt", sorted(held), tablet_id=1, created_at=0)
+        reader = TabletReader(disk, "t/tab-1.lt")
+        for key in list(held) + probes:
+            assert reader.probe_key(key) == (key in held)
 
 
 class TestBloomIntegration:

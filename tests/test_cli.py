@@ -148,6 +148,7 @@ class TestStatsCache:
             assert {"hits", "misses", "hit_rate"} <= set(cache[section])
         assert "evictions" in cache["block"]
         assert "resident_bytes" in cache["block"]
+        assert "rows_built" in cache["block"]
         assert "invalidations" in cache
         assert "generation_bumps" in cache
         assert "tablets_pruned" in cache
@@ -159,6 +160,7 @@ class TestStatsCache:
         assert main(["stats", "--data", data]) == 0
         out = capsys.readouterr().out
         assert "== read cache ==" in out
+        assert "rows_built=" in out
         assert "cache_hit_rate" in out
         assert "tablets_pruned_per_query" in out
 

@@ -9,7 +9,8 @@ entry, the maintenance scheduler's queue and its work probe, the
 memtable's skip list, the row-at-a-time read cursor and its heap, a
 server front or shard router that starts maintenance under a policy
 of its own, the SQL session's row-at-a-time aggregator and the engine's
-per-row aggregate fallback) or an option nothing read;
+per-row aggregate fallback, a read-cache entry of row and key tuples)
+or an option nothing read;
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
@@ -24,9 +25,9 @@ import pytest
 from repro.core import (DurabilityPolicy, EngineConfig, LittleTable,
                         MaintenancePolicy, MaintenanceReport,
                         TableMaintenanceReport)
-from repro.core.readcache import ReadCache
+from repro.core.readcache import CachedBlock, ReadCache
 from repro.core.table import Table
-from repro.core.tablet import TabletWriter
+from repro.core.tablet import TabletReader, TabletWriter
 from repro.net import (AsyncLittleTableServer, ClientConfig,
                        LittleTableClient, ShardRouter)
 from repro.sqlapi import SqlSession
@@ -85,10 +86,24 @@ from repro.sqlapi import SqlSession
         id="router-start-maintenance-policy"),
     pytest.param(lambda: SqlSession(LittleTable(), vectorized=False),
                  id="session-vectorized"),
+    pytest.param(
+        lambda: ReadCache(1 << 20).put_block(1, 0, [(1, 2)],
+                                             payload_bytes=10, keys=[(1,)]),
+        id="readcache-put-rows-and-keys"),
+    pytest.param(
+        lambda: TabletReader(None, "t/tab.lt").scan_block_columns(
+            0, need_keys=False),
+        id="scan-block-columns-need-keys"),
 ])
 def test_old_spelling_is_a_type_error(old_spelling):
     with pytest.raises(TypeError):
         old_spelling()
+
+
+def test_a_cached_block_holds_no_key_tuples():
+    """A cache entry is columns plus rows built as scans take them;
+    keys are bisected in the columns, never cached as tuples."""
+    assert set(CachedBlock.__slots__) == {"columns", "rows", "nbytes"}
 
 
 SRC = Path(__file__).parent.parent / "src"
@@ -138,6 +153,10 @@ SRC = Path(__file__).parent.parent / "src"
         r"vectorized\s*=|_Accumulator|accumulate_rows|row_label"
         "|supports_partials|_select_aggregate_rows|PushdownDecision"
         "|fallback_queries", (), id="row-at-a-time-aggregator"),
+    # A cached block is its columns plus rows built span by span: no
+    # cached keys, no whole-block transpose kept beside the rows.
+    pytest.param(r"need_keys|cached\.keys|\.columns = list\(zip\(", (),
+                 id="row-cache-keys-or-lazy-transpose"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)

@@ -12,9 +12,11 @@ one, a bounding box is put on the wire in one and read off it in one
 (``query`` and ``aggregate`` share both), values are folded into an
 aggregate slot in one (``vector._update``), and the shard router hands
 work to its pool at one site.  In
-``tablet.py`` a block becomes rows in one function
-(``decode_payload``) and enters the read cache in one
-(``_scan_block``).  Background maintenance starts in one place
+``tablet.py`` a block is decoded in one function (``decode_payload``,
+into columns) and enters the read cache in one (``_scan_block``), and
+in all of ``src/`` row tuples are built from a cached block's columns
+in one (``TabletReader._built_rows``).  Background maintenance starts
+in one place
 (``LittleTable.start_maintenance`` builds the only
 ``MaintenanceScheduler``) and a failing table is isolated in one (the
 pass, ``LittleTable.maintenance``), not again in the loop around it.
@@ -150,31 +152,45 @@ def test_one_site_submits_to_the_shard_pool():
                for n in ast.walk(shard)) == 1
 
 
+def calls(name):
+    return lambda n: isinstance(n, ast.Call) and (
+        is_attr(n.func, name)
+        or isinstance(n.func, ast.Name) and n.func.id == name)
+
+
 def test_one_way_from_a_block_to_its_rows():
     """One function tells a v1 block (which has no format byte) from
-    the later ones, one admits a decoded block to the read cache, and
-    a block body is decompressed where it is decoded: the row decode,
-    the cold columnar decode, and the footer (its own parser).  v2 and
-    v3 bodies are told apart in ``codec.py``, by their first byte, in
-    one function too."""
+    the later ones, one admits a decoded block to the read cache, and a
+    block body is decompressed where it is decoded: the one decode into
+    columns, and the footer (its own parser).  v2 and v3 bodies are
+    told apart in ``codec.py``, by their first byte, in one function
+    too."""
     def in_tablet(predicate):
         return functions_where(predicate, [CORE / "tablet.py"])
 
-    def calls(name):
-        return lambda n: isinstance(n, ast.Call) and (
-            is_attr(n.func, name)
-            or isinstance(n.func, ast.Name) and n.func.id == name)
-
     assert in_tablet(lambda n: is_attr(n, "block_format") and isinstance(
         n.ctx, ast.Load)) == {"tablet.py:decode_payload"}
-    assert in_tablet(calls("put_block")) == {"tablet.py:_scan_block"}
+    assert functions_where(calls("put_block")) == {"tablet.py:_scan_block"}
     assert in_tablet(calls("decompress")) == {
-        "tablet.py:decode_payload", "tablet.py:scan_block_columns",
-        "tablet.py:_parse_footer"}
+        "tablet.py:decode_payload", "tablet.py:_parse_footer"}
     assert functions_where(
         lambda n: isinstance(n, ast.Name) and n.id == "BLOCK_FORMAT_V2"
         and isinstance(n.ctx, ast.Load), [CORE / "codec.py"]) == {
             "codec.py:decode_block_columns"}
+
+
+def test_one_function_builds_rows_from_cached_columns():
+    """A cached block holds columns and a row list that scans fill as
+    they take stretches of it.  The fill - zip a stretch of the columns,
+    store it back by one slice assignment - is written once, so the
+    rule that makes it safe without a lock (build whole, store whole)
+    cannot be half-copied somewhere else."""
+    def stores_rows(node):
+        return isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Subscript)
+            and is_attr(target.value, "rows") for target in node.targets)
+
+    assert functions_where(stores_rows) == {"tablet.py:_built_rows"}
 
 
 def test_one_function_sorts_positions_by_key():
