@@ -29,8 +29,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core import errors as _errors
+from ..core.codec import compiled_ops
 from ..core.durability import DurabilityPolicy
 from ..core.errors import (
+    CorruptTabletError,
     LittleTableError,
     NoSuchTableError,
     OverloadedError,
@@ -254,9 +256,9 @@ class LittleTableClient:
         # Lazily-filled table -> Schema cache: positional rows are
         # typed by it in both directions, and query continuation reads
         # keys through it.  Dropped by every DDL call, on reconnect, on
-        # a server ValidationError and on a result row of another
-        # width (another client's DDL), so a stale schema never
-        # outlives the first sign of it.
+        # a server ValidationError and on a reply whose column types
+        # differ from it (another client's DDL), so a stale schema
+        # never outlives the first sign of it.
         self._schema_cache: Dict[str, Schema] = {}
         self._ttl_cache: Dict[str, Optional[int]] = {}
         self._catalog_loaded = False
@@ -601,7 +603,7 @@ class LittleTableClient:
             response = self._call(_query_request(table, query),
                                   idempotent=True)
             last_row: Optional[Tuple[Any, ...]] = None
-            for row in self._decode_rows(table, response["rows"]):
+            for row in self._decode_page(table, response):
                 yield row
                 last_row = row
                 returned += 1
@@ -630,7 +632,7 @@ class LittleTableClient:
         response = self._call(
             _latest_request(table, prefix, max_lookback_micros),
             idempotent=True)
-        return self._decode_row(table, response.get("row"))
+        return self._decode_latest(table, response)
 
     def aggregate(self, table: str, spec: AggregateSpec) -> AggregatePartials:
         """Partial aggregation where the columns are: one request, one
@@ -688,20 +690,47 @@ class LittleTableClient:
             raise NoSuchTableError(f"no such table: {table!r}")
         return cache[table]
 
-    def _decode_rows(self, table: str,
-                     rows: List[List[Any]]) -> List[Tuple[Any, ...]]:
-        """Result rows as tuples, typed by the cached schema.  A row
-        of another width says the table evolved under the cache
-        (another client's DDL): reload it, once."""
-        marshaller = row_marshaller(self._schema(table))
-        if rows and len(rows[0]) != marshaller.width:
+    def _typed_schema(self, table: str,
+                      response: Dict[str, Any]) -> Schema:
+        """The cached schema of ``table``, which must have the column
+        ``types`` the reply was encoded with.  Other types say the
+        table changed under the cache (another client's DDL): reload
+        it, once."""
+        types = response.get("types")
+        schema = self._schema(table)
+        if row_marshaller(schema).types != types:
             self.invalidate_schema_cache()
-            marshaller = row_marshaller(self._schema(table))
-        return marshaller.tuples(rows)
+            schema = self._schema(table)
+            if row_marshaller(schema).types != types:
+                raise ProtocolViolationError(
+                    f"reply rows of types {types!r}, table {table!r} now "
+                    f"has {row_marshaller(schema).types!r}")
+        return schema
 
-    def _decode_row(self, table: str, row: Optional[List[Any]]
-                    ) -> Optional[Tuple[Any, ...]]:
-        return None if row is None else self._decode_rows(table, [row])[0]
+    def _decode_page(self, table: str,
+                     response: Dict[str, Any]) -> List[Tuple[Any, ...]]:
+        """A ``query`` reply's rows, from its block attachment (none
+        for an empty page).  A block that does not decode by the
+        reply's types yields no rows at all."""
+        block = response.get("block")
+        if block is None:
+            return []
+        ops = compiled_ops(self._typed_schema(table, response))
+        try:
+            columns = ops.decode_block_columns(block)
+        except CorruptTabletError as exc:
+            raise ProtocolViolationError(
+                f"undecodable result block: {exc}") from None
+        return list(zip(*columns))
+
+    def _decode_latest(self, table: str, response: Dict[str, Any]
+                       ) -> Optional[Tuple[Any, ...]]:
+        """A ``latest`` reply's row (one JSON row, or none)."""
+        row = response.get("row")
+        if row is None:
+            return None
+        marshaller = row_marshaller(self._typed_schema(table, response))
+        return tuple(marshaller.unwrap([row])[0])
 
 
 class PendingReply:
@@ -851,11 +880,11 @@ class Pipeline:
         ``(rows, more_available)``."""
         return self.call(
             _query_request(table, _bounds_query(**bounds)),
-            decode=lambda r: (self._client._decode_rows(table, r["rows"]),
+            decode=lambda r: (self._client._decode_page(table, r),
                               bool(r.get("more_available"))))
 
     def latest(self, table: str, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None) -> PendingReply:
         return self.call(
             _latest_request(table, prefix, max_lookback_micros),
-            decode=lambda r: self._client._decode_row(table, r.get("row")))
+            decode=lambda r: self._client._decode_latest(table, r))

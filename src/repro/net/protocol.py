@@ -7,18 +7,28 @@ order of each table, and perform inserts or queries" (§3.1).  The
 adaptor "maintains a persistent TCP connection to the server in order
 to detect server crashes" (§3.1).
 
-This module defines the framing and message encoding: each frame is a
-4-byte big-endian length followed by a UTF-8 JSON document.  A data
-row is a positional JSON list typed by the table schema both peers
-hold; bytes survive JSON wrapped as ``{"$b": <base64>}``, which in a
-positional row appears only at BLOB column positions
-(:class:`RowMarshaller`).
+This module defines the framing and message encoding.  Each frame is a
+4-byte big-endian length followed by a payload of one of two forms:
+
+* a UTF-8 JSON document (every request, and every reply but one); or
+* ``[0x00][u32 header length][JSON header][block bytes]``: a JSON
+  header plus one raw binary attachment, the message's ``block``
+  field.  A ``query`` reply carries its page this way, as one v3 block
+  body (``core/codec.py``), column-major and never base64.  ``0x00``
+  cannot start a JSON document, so the first byte tells the forms apart.
+
+A data row in JSON is a positional list typed by the table schema both
+peers hold; bytes survive JSON wrapped as ``{"$b": <base64>}``, which
+in a positional row appears only at BLOB column positions
+(:class:`RowMarshaller`).  A reply that carries rows also carries
+``types``, the column types it was encoded with, so a client whose
+cached schema went stale finds out before it decodes anything.
 
 There is one protocol version.  Any request may carry an ``"id"``
 field, which the server echoes in the matching response: tagged
 requests run concurrently on one connection and their responses may
 arrive out of order; untagged requests are answered strictly in order.
-A client opens with ``{"cmd": "hello", "version": 2}``, a one-shot
+A client opens with ``{"cmd": "hello", "version": 3}``, a one-shot
 identity check the server answers with ``{"version", "shards"}``; a
 refusal or another version is a :class:`ProtocolViolationError` at
 connect time, not a different way of speaking.
@@ -39,7 +49,12 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
 
 #: The protocol version both peers must name in ``hello``.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+
+# The first payload byte of a frame with a block attachment; no JSON
+# document starts with it.
+_BLOCK_MARK = b"\x00"
+_BLOCK_HEAD = struct.Struct(">cI")
 
 
 class ProtocolError(Exception):
@@ -88,7 +103,9 @@ _LIST_ONLY = frozenset((list,))
 
 
 class RowMarshaller:
-    """Wire form of one schema's positional rows, in both directions.
+    """Wire form of one schema's JSON rows, in both directions, and
+    its column-type signature (``types``, sent with every reply that
+    carries rows).
 
     Only a BLOB column can hold bytes, so only those positions are
     wrapped and unwrapped; for a schema without one, rows pass to and
@@ -96,10 +113,10 @@ class RowMarshaller:
     (``validate_and_size``), not the wire's.
     """
 
-    __slots__ = ("width", "blobs")
+    __slots__ = ("types", "blobs")
 
     def __init__(self, schema: Schema):
-        self.width = len(schema.columns)
+        self.types = [column.type.value for column in schema.columns]
         self.blobs = tuple(i for i, column in enumerate(schema.columns)
                            if column.type is ColumnType.BLOB)
 
@@ -130,10 +147,6 @@ class RowMarshaller:
                     row[i] = decode_value(row[i])
         return rows
 
-    def tuples(self, rows: List[List[Any]]) -> List[Tuple[Any, ...]]:
-        """Result rows as the engine would have returned them."""
-        return list(map(tuple, self.unwrap(rows)))
-
 
 def row_marshaller(schema: Schema) -> RowMarshaller:
     """The marshaller for ``schema``, built once and kept on it (next
@@ -148,21 +161,48 @@ def row_marshaller(schema: Schema) -> RowMarshaller:
 # ---------------------------------------------------------------- frames
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
-    """Serialize one message to its on-the-wire frame bytes."""
-    payload = json.dumps(message).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame too large: {len(payload)} bytes")
-    return _LENGTH.pack(len(payload)) + payload
+    """Serialize one message to its on-the-wire frame bytes: a JSON
+    document, or - when the message has a ``block`` field (bytes) - a
+    JSON header of the other fields followed by those bytes as they
+    are."""
+    block = message.get("block")
+    if block is None:
+        parts = [json.dumps(message).encode("utf-8")]
+    else:
+        header = json.dumps({name: value for name, value in message.items()
+                             if name != "block"}).encode("utf-8")
+        parts = [_BLOCK_HEAD.pack(_BLOCK_MARK, len(header)), header, block]
+    size = sum(map(len, parts))
+    if size > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame too large: {size} bytes")
+    parts.insert(0, _LENGTH.pack(size))
+    return b"".join(parts)
 
 
 def decode_payload(payload: bytes) -> Dict[str, Any]:
-    """Parse one frame payload (the bytes after the length header)."""
+    """Parse one frame payload (the bytes after the length header).  A
+    payload with an attachment comes back as its header with ``block``
+    set to the attached bytes."""
+    block = None
+    if payload[:1] == _BLOCK_MARK:
+        if len(payload) < _BLOCK_HEAD.size:
+            raise ProtocolError("truncated block frame header")
+        _mark, length = _BLOCK_HEAD.unpack_from(payload)
+        end = _BLOCK_HEAD.size + length
+        if end > len(payload):
+            raise ProtocolError(
+                f"block frame header of {length} bytes overruns a "
+                f"{len(payload)}-byte payload")
+        block = payload[end:]
+        payload = payload[_BLOCK_HEAD.size:end]
     try:
         message = json.loads(payload.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"bad frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError("frame payload must be a JSON object")
+    if block is not None:
+        message["block"] = block
     return message
 
 

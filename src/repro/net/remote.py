@@ -190,7 +190,7 @@ class RemoteDatabase:
     def _query_once(self, table_name: str, query: Query) -> QueryResult:
         response = self.client._call(
             _query_request(table_name, query), idempotent=True)
-        rows = self.client._decode_rows(table_name, response["rows"])
+        rows = self.client._decode_page(table_name, response)
         return QueryResult(
             rows=rows,
             more_available=bool(response.get("more_available")),

@@ -32,6 +32,7 @@ _WRITE_COMMANDS = frozenset(
      "flush"})
 
 from ..core import errors as _errors
+from ..core.codec import compiled_ops
 from ..core.database import LittleTable
 from ..core.durability import DurabilityPolicy
 from ..core.errors import LittleTableError, OverloadedError
@@ -132,20 +133,58 @@ class AdmissionController:
             self._cond.notify()
 
 
+def _malformed(request: Dict[str, Any],
+               problem: str) -> _errors.ProtocolViolationError:
+    return _errors.ProtocolViolationError(
+        f"malformed {request.get('cmd')} request: {problem}")
+
+
+def _flag(request: Dict[str, Any], name: str, default: bool) -> bool:
+    """A boolean field, ``default`` when absent."""
+    value = request.get(name, default)
+    if type(value) is not bool:
+        raise _malformed(request, f"{name} must be a boolean, not {value!r}")
+    return value
+
+
+def _integer(request: Dict[str, Any], name: str,
+             minimum: Optional[int] = None) -> Optional[int]:
+    """An integer field (a bool is not one), ``None`` when absent."""
+    value = request.get(name)
+    if value is not None and (type(value) is not int or (
+            minimum is not None and value < minimum)):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise _malformed(
+            request, f"{name} must be an integer{at_least}, not {value!r}")
+    return value
+
+
+def _key(request: Dict[str, Any], name: str,
+         required: bool = False) -> Optional[Tuple[Any, ...]]:
+    """A key bound or prefix: a list of wire values (``None`` when an
+    optional one is absent)."""
+    value = request.get(name)
+    if value is None and not required:
+        return None
+    if type(value) is not list:
+        raise _malformed(request, f"{name} must be a list, not {value!r}")
+    return protocol.decode_key(value)
+
+
 def decode_bounds(request: Dict[str, Any]) -> Tuple[KeyRange, TimeRange]:
     """The bounding box of a request that carries one (written by
-    ``client._bounds_fields``)."""
+    ``client._bounds_fields``), every field checked as outside input."""
     key_range = KeyRange(
-        min_prefix=protocol.decode_key(request.get("key_min")),
-        min_inclusive=request.get("key_min_inclusive", True),
-        max_prefix=protocol.decode_key(request.get("key_max")),
-        max_inclusive=request.get("key_max_inclusive", True),
+        min_prefix=_key(request, "key_min"),
+        min_inclusive=_flag(request, "key_min_inclusive", True),
+        max_prefix=_key(request, "key_max"),
+        max_inclusive=_flag(request, "key_max_inclusive", True),
     )
     time_range = TimeRange(
-        min_ts=request.get("ts_min"),
-        min_inclusive=request.get("ts_min_inclusive", True),
-        max_ts=request.get("ts_max"),
-        max_inclusive=request.get("ts_max_inclusive", True),
+        min_ts=_integer(request, "ts_min"),
+        min_inclusive=_flag(request, "ts_min_inclusive", True),
+        max_ts=_integer(request, "ts_max"),
+        max_inclusive=_flag(request, "ts_max_inclusive", True),
     )
     return key_range, time_range
 
@@ -316,17 +355,22 @@ class RequestDispatcher:
         # blocks this command (§3.4.4).
         table = self.db.table(request["table"])
         key_range, time_range = decode_bounds(request)
-        direction = (DESCENDING if request.get("descending") else ASCENDING)
+        direction = (DESCENDING if _flag(request, "descending", False)
+                     else ASCENDING)
         query = Query(key_range, time_range, direction,
-                      request.get("limit"))
+                      _integer(request, "limit", minimum=0))
         result = table.query(query)
         # The schema is read after the query, so it is never older
         # than the rows it types.
-        return protocol.ok_response(
-            rows=protocol.row_marshaller(table.schema).wrap(result.rows),
+        schema = table.schema
+        response = protocol.ok_response(
+            types=protocol.row_marshaller(schema).types,
             more_available=result.more_available,
             rows_scanned=result.stats.rows_scanned,
         )
+        if result.rows:     # a v3 block holds at least one row
+            response["block"] = compiled_ops(schema).encode_rows(result.rows)
+        return response
 
     def _cmd_aggregate(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Partial aggregation over a bounding box: the reply is
@@ -360,14 +404,16 @@ class RequestDispatcher:
             for label, slots in groups.items()])
 
     def _cmd_latest(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """One JSON row, not a block: for a single row the block codec
+        costs more than it saves."""
         table = self.db.table(request["table"])
         row = table.latest(
-            protocol.decode_key(request["prefix"]) or (),
-            max_lookback_micros=request.get("max_lookback_micros"),
+            _key(request, "prefix", required=True),
+            max_lookback_micros=_integer(request, "max_lookback_micros"),
         )
         return protocol.ok_response(
-            row=None if row is None
-            else protocol.row_marshaller(table.schema).wrap([list(row)])[0])
+            types=protocol.row_marshaller(table.schema).types,
+            row=None if row is None else protocol.encode_row(row))
 
     def _cmd_maintenance(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One synchronous maintenance pass over every table."""
@@ -392,7 +438,7 @@ class RequestDispatcher:
     def _cmd_flush(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """The §4.1.2 proposed flush command: force rows to disk."""
         table = self.db.table(request["table"])
-        before_ts = request.get("before_ts")
+        before_ts = _integer(request, "before_ts")
         if before_ts is None:
             written = table.flush_all()
         else:
@@ -402,8 +448,7 @@ class RequestDispatcher:
     def _cmd_bulk_delete(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """The §7 compliance bulk delete, by key prefix."""
         table = self.db.table(request["table"])
-        prefix = protocol.decode_key(request["prefix"]) or ()
-        removed = table.bulk_delete(prefix)
+        removed = table.bulk_delete(_key(request, "prefix", required=True))
         return protocol.ok_response(rows_removed=removed)
 
     def _cmd_alter(self, request: Dict[str, Any]) -> Dict[str, Any]:

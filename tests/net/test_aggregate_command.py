@@ -196,7 +196,7 @@ MALFORMED = [
     (request(key_min=[7]), QueryError),
     (request(key_max=["h1", BASE, 9]), QueryError),
     (request(key_min=4), ProtocolViolationError),
-    (request(ts_min="yesterday"), QueryError),
+    (request(ts_min="yesterday"), ProtocolViolationError),
 ]
 
 

@@ -16,7 +16,7 @@ import pytest
 from repro.core import (Column, ColumnType, LittleTable, OverloadedError,
                         Query, Schema, ShardDegradedError)
 from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
-                       LittleTableClient)
+                       LittleTableClient, protocol)
 from repro.net.server import AdmissionController, RequestDispatcher
 from repro.net.shard import ShardRouter
 from repro.obs import MetricsRegistry
@@ -126,7 +126,8 @@ class TestDispatcherShedding:
         _db, admission, dispatcher = self.make_dispatcher()
         admission.admit()
         for cmd in ("ping", "stats", "hello"):
-            assert dispatcher.dispatch({"cmd": cmd, "version": 2})["ok"], cmd
+            assert dispatcher.dispatch(
+                {"cmd": cmd, "version": protocol.PROTOCOL_VERSION})["ok"], cmd
 
     def test_expired_deadline_shed_before_handler(self):
         db = LittleTable(clock=VirtualClock(start=BASE))

@@ -9,8 +9,10 @@ from repro.net.protocol import (
     ConnectionLost,
     ProtocolError,
     decode_key,
+    decode_payload,
     decode_row,
     decode_value,
+    encode_frame,
     encode_key,
     encode_row,
     encode_value,
@@ -138,3 +140,51 @@ class TestFraming:
             assert received["msg"]["blob"] == "x" * 1_000_000
         finally:
             pipe.close()
+
+
+class TestBlockAttachment:
+    """``[0x00][u32 header length][JSON header][block bytes]``."""
+
+    MESSAGE = {"ok": True, "types": ["int64"], "block": b"\x03\x00{\xff"}
+
+    def test_layout_and_round_trip(self):
+        frame = encode_frame(self.MESSAGE)
+        header = b'{"ok": true, "types": ["int64"]}'
+        payload = b"\x00" + len(header).to_bytes(4, "big") + header \
+            + self.MESSAGE["block"]
+        assert frame == len(payload).to_bytes(4, "big") + payload
+        pipe = _Pipe()
+        try:
+            pipe.a.sendall(frame)
+            assert recv_message(pipe.b) == self.MESSAGE
+        finally:
+            pipe.close()
+
+    def test_a_message_without_a_block_is_plain_json(self):
+        frame = encode_frame({"ok": True, "row": None})
+        assert frame[4:] == b'{"ok": true, "row": null}'
+
+    def test_an_empty_attachment_survives(self):
+        message = {"ok": True, "block": b""}
+        assert decode_payload(encode_frame(message)[4:]) == message
+
+    @pytest.mark.parametrize("payload", [
+        b"\x00",
+        b"\x00\x00\x00\x00",
+        b"\x00\x00\x00\x00\x20{}",
+        b"\x00\xff\xff\xff\xff{}",
+        b"\x00\x00\x00\x00\x02[]",
+        b"\x00\x00\x00\x00\x03{x}",
+    ], ids=["mark-only", "short-length", "overrun", "huge-overrun",
+            "header-not-object", "header-not-json"])
+    def test_a_bad_container_is_a_protocol_error(self, payload):
+        with pytest.raises(ProtocolError):
+            decode_payload(payload)
+
+    def test_a_frame_with_an_attachment_is_bounded_whole(self, monkeypatch):
+        from repro.net import protocol
+
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
+        encode_frame({"ok": True, "block": b"x" * 32})
+        with pytest.raises(ProtocolError, match="frame too large"):
+            encode_frame({"ok": True, "block": b"x" * 64})

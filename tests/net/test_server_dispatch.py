@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Column, ColumnType, LittleTable, Schema
+from repro.core.codec import compiled_ops
 from repro.net.server import RequestDispatcher
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
@@ -29,6 +30,15 @@ def ok(response):
     return response
 
 
+def rows_of(response):
+    """A ``query`` reply's rows: its block, decoded by its types."""
+    assert response["types"] == ["int64", "timestamp", "int64"]
+    if "block" not in response:
+        return []
+    return list(zip(*compiled_ops(make_schema()).decode_block_columns(
+        response["block"])))
+
+
 class TestDispatch:
     def test_ping(self, server):
         assert ok(server.dispatch({"cmd": "ping"}))["pong"]
@@ -47,8 +57,11 @@ class TestDispatch:
         ok(server.dispatch({"cmd": "insert", "table": "t",
                             "rows": [[1, BASE, 10], [2, BASE, 20]]}))
         response = ok(server.dispatch({"cmd": "query", "table": "t"}))
-        assert len(response["rows"]) == 2
+        assert rows_of(response) == [(1, BASE, 10), (2, BASE, 20)]
         assert response["rows_scanned"] == 2
+        empty = ok(server.dispatch({"cmd": "query", "table": "t",
+                                    "key_min": [3]}))
+        assert "block" not in empty and rows_of(empty) == []
 
     def test_engine_errors_become_responses(self, server):
         response = server.dispatch({"cmd": "drop_table", "table": "ghost"})
@@ -70,7 +83,7 @@ class TestDispatch:
             "key_min": [3], "key_max": [6],
             "ts_min": BASE + 4, "descending": True,
         }))
-        assert [row[0] for row in response["rows"]] == [6, 5, 4]
+        assert [row[0] for row in rows_of(response)] == [6, 5, 4]
 
     def test_latest_roundtrip(self, server):
         ok(server.dispatch({"cmd": "create_table", "table": "t",
@@ -80,6 +93,7 @@ class TestDispatch:
         response = ok(server.dispatch({"cmd": "latest", "table": "t",
                                        "prefix": [1]}))
         assert response["row"] == [1, BASE + 9, 2]
+        assert response["types"] == ["int64", "timestamp", "int64"]
         empty = ok(server.dispatch({"cmd": "latest", "table": "t",
                                     "prefix": [9]}))
         assert empty["row"] is None
@@ -133,3 +147,55 @@ class TestDispatch:
         assert listed[0]["name"] == "t"
         assert listed[0]["ttl_micros"] == 777
         assert Schema.from_dict(listed[0]["schema"]) == make_schema()
+
+
+#: ``(request fields, the field named in the refusal)``: every field of
+#: a ``query``, ``latest``, ``flush`` or ``bulk_delete`` arrives from
+#: outside the program, and a wrong type is the client's error.
+MALFORMED = [
+    ({"cmd": "query", "descending": "no"}, "descending"),
+    ({"cmd": "query", "descending": None}, "descending"),
+    ({"cmd": "query", "limit": "5"}, "limit"),
+    ({"cmd": "query", "limit": -1}, "limit"),
+    ({"cmd": "query", "limit": True}, "limit"),
+    ({"cmd": "query", "key_min": 5}, "key_min"),
+    ({"cmd": "query", "key_max": "9"}, "key_max"),
+    ({"cmd": "query", "key_min_inclusive": 1}, "key_min_inclusive"),
+    ({"cmd": "query", "ts_max_inclusive": None}, "ts_max_inclusive"),
+    ({"cmd": "query", "ts_min": "abc"}, "ts_min"),
+    ({"cmd": "query", "ts_max": 1.5}, "ts_max"),
+    ({"cmd": "query", "ts_min": True}, "ts_min"),
+    ({"cmd": "aggregate", "aggregates": [["COUNT", None]],
+      "ts_max": "abc"}, "ts_max"),
+    ({"cmd": "latest", "prefix": 7}, "prefix"),
+    ({"cmd": "latest"}, "prefix"),
+    ({"cmd": "latest", "prefix": [1], "max_lookback_micros": "x"},
+     "max_lookback_micros"),
+    ({"cmd": "flush", "before_ts": "x"}, "before_ts"),
+    ({"cmd": "flush", "before_ts": False}, "before_ts"),
+    ({"cmd": "bulk_delete", "prefix": 7}, "prefix"),
+    ({"cmd": "bulk_delete"}, "prefix"),
+]
+
+
+class TestOutsideInput:
+    @pytest.mark.parametrize("fields, named", MALFORMED,
+                             ids=[f"{i}-{fields['cmd']}-{named}"
+                                  for i, (fields, named)
+                                  in enumerate(MALFORMED)])
+    def test_a_wrong_field_is_a_counted_protocol_violation(
+            self, server, fields, named):
+        ok(server.dispatch({"cmd": "create_table", "table": "t",
+                            "schema": make_schema().to_dict()}))
+        ok(server.dispatch({"cmd": "insert", "table": "t",
+                            "rows": [[k, BASE + k, 0] for k in range(3)]}))
+        response = server.dispatch({"table": "t", **fields})
+        assert response["ok"] is False
+        assert response["error"] == "ProtocolViolationError"
+        assert response["message"].startswith(
+            f"malformed {fields['cmd']} request: {named} ")
+        assert server.db.metrics.snapshot()["counters"]["server.errors"] == 1
+        # Refused before the engine saw it: nothing flushed or deleted.
+        table = server.db.table("t")
+        assert table.stats_summary()["rows"] == 3
+        assert not table.on_disk_tablets

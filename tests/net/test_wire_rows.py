@@ -1,23 +1,33 @@
-"""Positional rows on the wire are typed by the schema both peers hold.
+"""Rows on the wire are typed by the schema both peers hold.
 
 The wire must be invisible: whatever goes in through a client comes
-back row for row as the embedded engine would return it, the bytes on
-the wire are the ones the per-value ``encode_row`` path produced, a
+back row for row as the embedded engine would return it, an insert's
+bytes are the ones the per-value ``encode_row`` path produced, a query
+page is one v3 block body exactly as a tablet would store those rows, a
 malformed row is refused with the engine's own error, and a client
 whose cached schema went stale finds out at the first sign of it.
 """
 
+import itertools
+import json
+import math
+import struct
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Column,
     ColumnType,
     EngineConfig,
     LittleTable,
+    ProtocolViolationError,
     Schema,
     ValidationError,
 )
-from repro.core.row import DESCENDING, KeyRange, Query
+from repro.core.codec import compiled_ops
+from repro.core.row import DESCENDING, KeyRange, Query, TimeRange
 from repro.dashboard.schemas import usage_schema
 from repro.net import (
     AsyncLittleTableServer,
@@ -217,18 +227,24 @@ class TestBytesOnTheWire:
 
         dispatch = front.dispatcher.dispatch
         prefix = prefixes(schema, rows)[0]
+        types = [column.type.value for column in schema.columns]
         response = dispatch({"cmd": "query", "table": "t"})
         expected = oracle.query(Query())
-        assert encode_frame(response) == encode_frame({
-            "ok": True,
-            "rows": [encode_row(row) for row in expected.rows],
+        header = json.dumps({
+            "ok": True, "types": types,
             "more_available": expected.more_available,
-            "rows_scanned": response["rows_scanned"]})
+            "rows_scanned": response["rows_scanned"]}).encode("utf-8")
+        payload = (b"\x00" + struct.pack(">I", len(header)) + header
+                   + compiled_ops(schema).encode_rows(expected.rows))
+        frame = encode_frame(response)
+        assert frame == struct.pack(">I", len(payload)) + payload
+        assert decode_payload(frame[4:]) == response
         response = dispatch({"cmd": "latest", "table": "t",
                              "prefix": encode_key(prefix),
                              "max_lookback_micros": None})
         assert encode_frame(response) == encode_frame({
-            "ok": True, "row": encode_row(oracle.latest(prefix))})
+            "ok": True, "types": types,
+            "row": encode_row(oracle.latest(prefix))})
 
     def test_a_frame_from_the_parent_client_is_still_accepted(
             self, remote, front):
@@ -378,3 +394,184 @@ class TestStaleSchema:
                 assert newest.result() == expected[-1]
         assert len(calls) == 1
         assert table.schema.has_column("extra")
+
+    @pytest.mark.parametrize("read", ["query", "scan", "latest",
+                                      "client.query", "pipeline"])
+    def test_a_table_recreated_at_the_same_width_refreshes_it_once(
+            self, read, remote, other, monkeypatch):
+        """Same width, another type: only the reply's ``types`` says
+        the cache is stale (read by it, the BLOB would come back as
+        ``{"$b": ...}``)."""
+        table = remote.create_table("t", string_schema())
+        table.insert_tuples([("h", BASE, 1.0)])
+        assert table.query(Query()).rows == [("h", BASE, 1.0)]
+        other.drop_table("t")
+        other.create_table("t", Schema(
+            [Column("host", ColumnType.STRING),
+             Column("ts", ColumnType.TIMESTAMP),
+             Column("payload", ColumnType.BLOB)],
+            key=["host", "ts"]))
+        other.table("t").insert_tuples([("h", BASE + 2, b"\x01\x02")])
+        calls = self._list_tables_calls(remote.client, monkeypatch)
+
+        newest = ("h", BASE + 2, b"\x01\x02")
+        client = remote.client
+        for _again in range(2):
+            if read == "query":
+                assert table.query(Query()).rows == [newest]
+            elif read == "scan":
+                assert list(table.scan(Query())) == [newest]
+            elif read == "latest":
+                assert table.latest(("h",)) == newest
+            elif read == "client.query":
+                assert list(client.query("t")) == [newest]
+            else:
+                with client.pipeline() as batch:
+                    page = batch.query_page("t")
+                    latest = batch.latest("t", ("h",))
+                assert page.result() == ([newest], False)
+                assert latest.result() == newest
+        assert len(calls) == 1
+        assert table.schema.has_column("payload")
+
+
+# ------------------------------------------------------------ block pages
+
+def every_type_schema():
+    return Schema(
+        [Column("k", ColumnType.INT64),
+         Column("s", ColumnType.STRING),
+         Column("ts", ColumnType.TIMESTAMP),
+         Column("i", ColumnType.INT32),
+         Column("f", ColumnType.DOUBLE),
+         Column("b", ColumnType.BLOB)],
+        key=["k", "s", "ts"])
+
+
+INT64 = (-(1 << 63), (1 << 63) - 1)
+INT32 = (-(1 << 31), (1 << 31) - 1)
+texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                max_size=12)
+every_type_row = st.tuples(
+    st.integers(*INT64) | st.sampled_from(INT64 + (-1, 0)),
+    st.just("") | texts | st.builds(lambda c, n: c * n, texts,
+                                    st.integers(100, 400)),
+    st.integers(BASE - MICROS_PER_DAY, BASE + MICROS_PER_DAY),
+    st.integers(*INT32) | st.sampled_from(INT32),
+    st.floats(allow_nan=False)
+    | st.sampled_from((-0.0, 0.0, math.inf, -math.inf)),
+    st.just(b"") | st.binary(max_size=24),
+)
+table_names = itertools.count()
+
+
+@pytest.fixture(scope="module", params=sorted(FRONTS))
+def served_front(request):
+    """A front and an embedded oracle shared by every example: each
+    example makes its own table on both, and drops them."""
+    db, server = FRONTS[request.param]()
+    oracle = _engine()
+    with server:
+        with RemoteDatabase(LittleTableClient(*server.address)) as remote:
+            yield remote, oracle
+    db.close()
+    oracle.close()
+
+
+def same(wire_rows, embedded_rows):
+    """Value for value and type for type (``-0.0`` is not ``0.0``)."""
+    assert repr(wire_rows) == repr(embedded_rows)
+
+
+class TestBlockPages:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=st.lists(every_type_row, max_size=40,
+                         unique_by=lambda row: row[:3]),
+           limit=st.integers(0, 40))
+    def test_every_type_round_trips_as_the_embedded_engine_returns_it(
+            self, served_front, rows, limit):
+        remote, oracle = served_front
+        name = f"t{next(table_names)}"
+        schema = every_type_schema()
+        table = remote.create_table(name, schema)
+        embedded = oracle.create_table(name, schema)
+        try:
+            assert table.insert_tuples(rows) == embedded.insert_tuples(rows)
+            newest = max((row[2] for row in rows), default=BASE)
+            for query in (Query(), Query(direction=DESCENDING),
+                          Query(limit=limit),
+                          Query(direction=DESCENDING, limit=limit),
+                          Query(time_range=TimeRange.between(newest + 1,
+                                                             None))):
+                page, expected = table.query(query), embedded.query(query)
+                same(page.rows, expected.rows)
+                assert page.more_available == expected.more_available
+                same(list(table.scan(query)), list(embedded.scan(query)))
+        finally:
+            remote.drop_table(name)
+            oracle.drop_table(name)
+
+
+class TestDamagedBlocks:
+    """A page that does not decode is refused whole: no row of it
+    reaches the caller, and the connection stays usable."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda block: block[:-1],
+        lambda block: block + b"\x00",
+        lambda block: bytes([block[0] ^ 0x80]) + block[1:],
+        lambda block: block[:1] + bytes([block[1] ^ 0x01]) + block[2:],
+        lambda block: b"",
+    ], ids=["truncated", "trailing", "format-bit", "row-count-bit", "empty"])
+    def test_a_damaged_block_yields_no_rows(self, damage, remote, front,
+                                            monkeypatch):
+        table = remote.create_table("t", string_schema())
+        table.insert_tuples(string_rows()[:10])
+        real = type(front.dispatcher)._cmd_query
+
+        def damaging(dispatcher, request):
+            response = real(dispatcher, request)
+            response["block"] = damage(response["block"])
+            return response
+
+        monkeypatch.setattr(type(front.dispatcher), "_cmd_query", damaging)
+        client = remote.client
+        with pytest.raises(ProtocolViolationError, match="result block"):
+            table.query(Query())
+        scanned = []
+        with pytest.raises(ProtocolViolationError, match="result block"):
+            for row in table.scan(Query()):
+                scanned.append(row)
+        assert scanned == []
+        with client.pipeline() as batch:
+            page = batch.query_page("t")
+        with pytest.raises(ProtocolViolationError, match="result block"):
+            page.result()
+        assert client.ping()
+
+    def test_a_reply_typed_unlike_the_table_is_refused(self, remote, front,
+                                                       monkeypatch):
+        """Types that even a fresh schema lacks: one reload, then a
+        refusal - never rows decoded by the wrong types."""
+        table = remote.create_table("t", string_schema())
+        table.insert_tuples(string_rows()[:3])
+        real = type(front.dispatcher)._cmd_query
+
+        def mistyped(dispatcher, request):
+            response = real(dispatcher, request)
+            response["types"] = ["string", "timestamp", "int64"]
+            return response
+
+        monkeypatch.setattr(type(front.dispatcher), "_cmd_query", mistyped)
+        commands = []
+        real_call = remote.client._call
+
+        def recording(message, idempotent=False):
+            commands.append(message["cmd"])
+            return real_call(message, idempotent=idempotent)
+
+        monkeypatch.setattr(remote.client, "_call", recording)
+        with pytest.raises(ProtocolViolationError, match="int64"):
+            table.query(Query())
+        assert commands == ["query", "list_tables"]

@@ -9,14 +9,15 @@ entry, the maintenance scheduler's queue and its work probe, the
 memtable's skip list, the row-at-a-time read cursor and its heap, a
 server front or shard router that starts maintenance under a policy
 of its own, the SQL session's row-at-a-time aggregator and the engine's
-per-row aggregate fallback, a read-cache entry of row and key tuples)
-or an option nothing read;
+per-row aggregate fallback, a read-cache entry of row and key tuples,
+a query reply's JSON rows) or an option nothing read;
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
 option nothing reads coming back fails here, in any tier-1 run.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -157,6 +158,10 @@ SRC = Path(__file__).parent.parent / "src"
     # cached keys, no whole-block transpose kept beside the rows.
     pytest.param(r"need_keys|cached\.keys|\.columns = list\(zip\(", (),
                  id="row-cache-keys-or-lazy-transpose"),
+    # A query page crosses the wire as one v3 block; the client decodes
+    # it in ``_decode_page`` and has no JSON-rows decoder beside it.
+    pytest.param(r"_decode_rows?\b|def tuples\b", (),
+                 id="json-result-rows"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)
@@ -167,3 +172,17 @@ def test_removed_name_stays_out_of_src(pattern, exempt):
                  path.read_text().splitlines(), 1)
              if removed.search(line)]
     assert not found, "\n".join(found)
+
+
+def test_a_query_reply_carries_no_json_rows():
+    """``_cmd_query`` answers with a block attachment; a ``rows``
+    field - the JSON page protocol version 2 sent - is not kept beside
+    it, under any version or option."""
+    server = ast.parse((SRC / "repro" / "net" / "server.py").read_text())
+    handler, = [node for node in ast.walk(server)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_cmd_query"]
+    rows_fields = [node.lineno for node in ast.walk(handler)
+                   if isinstance(node, ast.keyword) and node.arg == "rows"
+                   or isinstance(node, ast.Constant) and node.value == "rows"]
+    assert not rows_fields

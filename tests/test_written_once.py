@@ -9,9 +9,10 @@ called by ``LittleTable.open_table``).  ``snapshot.py`` and
 scope.  Across all of ``src/``: a tablet file's trailer is told apart
 (v2.1 or legacy) in one function, a ``query`` request is built in
 one, a bounding box is put on the wire in one and read off it in one
-(``query`` and ``aggregate`` share both), values are folded into an
-aggregate slot in one (``vector._update``), and the shard router hands
-work to its pool at one site.  In
+(``query`` and ``aggregate`` share both), a query page becomes a block
+in one server function and rows again in one client function, values
+are folded into an aggregate slot in one (``vector._update``), and the
+shard router hands work to its pool at one site.  In
 ``tablet.py`` a block is decoded in one function (``decode_payload``,
 into columns) and enters the read cache in one (``_scan_block``), and
 in all of ``src/`` row tuples are built from a cached block's columns
@@ -156,6 +157,20 @@ def calls(name):
     return lambda n: isinstance(n, ast.Call) and (
         is_attr(n.func, name)
         or isinstance(n.func, ast.Name) and n.func.id == name)
+
+
+def test_one_function_each_side_carries_a_result_block():
+    """A ``query`` page crosses the wire as one v3 block: the server
+    encodes it in ``_cmd_query`` and the client decodes it in
+    ``_decode_page``, which ``_scan``, ``RemoteDatabase._query_once``
+    and ``Pipeline.query_page`` all call."""
+    net = sorted((CORE.parent / "net").glob("*.py"))
+    assert functions_where(calls("encode_rows"), net) == {
+        "server.py:_cmd_query"}
+    assert functions_where(calls("decode_block_columns"), net) == {
+        "client.py:_decode_page"}
+    assert functions_where(calls("_decode_page"), net) == {
+        "client.py:_scan", "client.py:query_page", "remote.py:_query_once"}
 
 
 def test_one_way_from_a_block_to_its_rows():
