@@ -82,7 +82,7 @@ from .row import KeyRange, Query, QueryResult, QueryStats, TimeRange
 from .schema import Column, Schema
 from .tablet import TabletMeta, TabletReader, TabletWriter
 from .uniqueness import KeyUniqueness
-from .vector import AggregatePartials, AggregateSpec
+from .vector import AggregatePartials, AggregateSpec, check_key_prefix
 from .wal import WalReplayReport, WriteAheadLog, decode_record_rows
 
 # One deferred delete: (epoch it was queued at, the device holding the
@@ -950,6 +950,7 @@ class Table:
 
         Accounting still accumulates into :attr:`counters`.
         """
+        self._check_bounds(query.key_range)
         stats = QueryStats()
         with self._read_plan() as plan:
             try:
@@ -967,6 +968,7 @@ class Table:
         in-flight merge, flush, or TTL reclaim never blocks it.
         """
         query_started = time.perf_counter()
+        self._check_bounds(query.key_range)
         stats = QueryStats()
         limit = self.config.server_row_limit
         if query.limit is not None and query.limit <= limit:
@@ -985,6 +987,13 @@ class Table:
         self._h_query_latency.observe(
             (time.perf_counter() - query_started) * 1e6)
         return QueryResult(rows, more_available, stats)
+
+    def _check_bounds(self, key_range: KeyRange) -> None:
+        schema = self.descriptor.schema
+        check_key_prefix(schema, key_range.min_prefix)
+        # A prefix range (``KeyRange.prefix``) is one tuple both ways.
+        if key_range.max_prefix is not key_range.min_prefix:
+            check_key_prefix(schema, key_range.max_prefix)
 
     def _count_read(self, scanned: int, returned: int,
                     queries: int = 1) -> None:
@@ -1023,14 +1032,31 @@ class Table:
     def latest(self, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None
                ) -> Optional[Tuple[Any, ...]]:
-        """Find the latest row whose key starts with ``prefix``
-        (§3.4.5; the search is :func:`repro.core.readpath.latest_row`).
+        """Find the latest row whose key starts with ``prefix`` (§3.4.5):
+        a batch of one for :meth:`latest_many`."""
+        return self.latest_many((prefix,), max_lookback_micros)[0]
+
+    def latest_many(self, prefixes: Iterable[Sequence[Any]],
+                    max_lookback_micros: Optional[int] = None
+                    ) -> List[Optional[Tuple[Any, ...]]]:
+        """The latest row whose key starts with each of ``prefixes``
+        (§3.4.5; the search is :func:`repro.core.readpath.latest_row`),
+        in input order, ``None`` where there is none.
         ``max_lookback_micros`` optionally bounds the search (used by
-        EventsGrabber, §4.2).
+        EventsGrabber, §4.2, and the dashboard's device status page).
+
+        Every prefix is checked before any is looked up, and the
+        clock, the TTL/lookback cutoff and the cache's methods are read
+        once for the batch; each prefix is still one query in the
+        counters.
         """
-        prefix = tuple(prefix)
-        if len(prefix) >= self.schema.key_width:
-            raise QueryError("prefix must be shorter than the full key")
+        schema = self.schema
+        key_width = schema.key_width
+        prefixes = [tuple(prefix) for prefix in prefixes]
+        for prefix in prefixes:
+            if len(prefix) >= key_width:
+                raise QueryError("prefix must be shorter than the full key")
+            check_key_prefix(schema, prefix)
         now = self.clock.now()
         cutoff = None
         ttl = self.descriptor.ttl_micros
@@ -1048,29 +1074,38 @@ class Table:
         # no snapshot, so it takes no lock and pins nothing: reading
         # the generation is one attribute load.
         cache = self._latest_cache
-        best = cache.lookup(prefix, self._cache_generation, cutoff,
-                            self.schema.ts_of)
+        lookup = cache.lookup
+        miss = cache.miss_sentinel
+        ts_of = schema.ts_of
+        rows: List[Optional[Tuple[Any, ...]]] = []
         scanned = 0
-        if best is cache.miss_sentinel:
-            stats = QueryStats()
-            with self._read_plan() as plan:
-                best = readpath.latest_row(plan, prefix, cutoff, now, stats,
-                                           self._bloom_prefix(prefix))
-            scanned = stats.rows_scanned
-            with self.lock:
-                # Store only if no insert or mutation overtook the
-                # scan: an insert racing this lookup may have added a
-                # newer row for the prefix that the snapshot cannot
-                # see, and the insert's invalidate_key fired before
-                # this store.
-                if (self._insert_seq == plan.insert_seq
-                        and self._cache_generation == plan.cache_generation):
-                    cache.store(prefix, plan.cache_generation, best, cutoff)
+        for prefix in prefixes:
+            best = lookup(prefix, self._cache_generation, cutoff, ts_of)
+            if best is miss:
+                stats = QueryStats()
+                with self._read_plan() as plan:
+                    best = readpath.latest_row(plan, prefix, cutoff, now,
+                                               stats,
+                                               self._bloom_prefix(prefix))
+                scanned += stats.rows_scanned
+                with self.lock:
+                    # Store only if no insert or mutation overtook the
+                    # scan: an insert racing this lookup may have added
+                    # a newer row for the prefix that the snapshot
+                    # cannot see, and the insert's invalidate_key fired
+                    # before this store.
+                    if (self._insert_seq == plan.insert_seq
+                            and self._cache_generation
+                            == plan.cache_generation):
+                        cache.store(prefix, plan.cache_generation, best,
+                                    cutoff)
+            rows.append(best)
         # A latest-row query returns at most one row to the client no
         # matter how many rows it scanned - this asymmetry is exactly
         # what produces Figure 9's long tail (§5.2.4).
-        self._count_read(scanned, 1 if best is not None else 0)
-        return best
+        self._count_read(scanned, len(rows) - rows.count(None),
+                         queries=len(rows))
+        return rows
 
     # --------------------------------------------------- schema changes
 

@@ -89,6 +89,29 @@ def check_comparable(column: Column, value: Any) -> None:
                          f"({column.type.value}) with {value!r}")
 
 
+def check_key_prefix(schema: Schema,
+                     prefix: Optional[Sequence[Any]]) -> None:
+    """Refuse a key bound or prefix that is longer than the key or
+    holds a value its key column cannot be compared with.  Every read
+    that takes one checks it at the door: a bad value met halfway
+    through a bisect is a ``TypeError``, which a shard router would
+    read as its worker crashing."""
+    if not prefix:
+        return
+    key_classes = schema.__dict__.get("_key_classes")
+    if key_classes is None:
+        # Per key column, the exact classes that need no closer look;
+        # built once and kept on the schema (beside its codec bundle).
+        key_classes = schema.__dict__["_key_classes"] = tuple(
+            (frozenset(_COMPARABLE[schema.columns[index].type]),
+             schema.columns[index]) for index in schema.key_indexes)
+    if len(prefix) > len(key_classes):
+        raise QueryError(f"key bound {prefix!r} is longer than the key")
+    for value, (classes, column) in zip(prefix, key_classes):
+        if type(value) not in classes:
+            check_comparable(column, value)
+
+
 def build_spec(schema: Schema, key_range: KeyRange, time_range: TimeRange,
                group_by: Sequence[str], bucket_width: Optional[int],
                aggregates: Sequence[Tuple[str, Optional[str]]],
@@ -106,11 +129,8 @@ def build_spec(schema: Schema, key_range: KeyRange, time_range: TimeRange,
             raise QueryError(f"no such column: {name!r}")
         return schema.column_index(name)
 
-    for prefix in (key_range.min_prefix, key_range.max_prefix):
-        if len(prefix or ()) > schema.key_width:
-            raise QueryError(f"key bound {prefix!r} is longer than the key")
-        for name, value in zip(schema.key, prefix or ()):
-            check_comparable(schema.column(name), value)
+    check_key_prefix(schema, key_range.min_prefix)
+    check_key_prefix(schema, key_range.max_prefix)
     for ts in (time_range.min_ts, time_range.max_ts):
         if ts is not None and type(ts) is not int:
             raise QueryError(f"ts bounds must be integers, not {ts!r}")

@@ -149,10 +149,11 @@ def _bounds_query(key_min: Optional[Sequence[Any]] = None,
         DESCENDING if descending else ASCENDING, limit)
 
 
-def _latest_request(table: str, prefix: Sequence[Any],
+def _latest_request(table: str, prefixes: Sequence[Sequence[Any]],
                     max_lookback_micros: Optional[int]) -> Dict[str, Any]:
+    """One latest command's wire request: a batch of key prefixes."""
     return {"cmd": "latest", "table": table,
-            "prefix": encode_key(tuple(prefix)),
+            "prefixes": [encode_key(prefix) for prefix in prefixes],
             "max_lookback_micros": max_lookback_micros}
 
 
@@ -629,8 +630,15 @@ class LittleTableClient:
                max_lookback_micros: Optional[int] = None
                ) -> Optional[Tuple[Any, ...]]:
         """Latest row for a key prefix (§3.4.5)."""
+        return self.latest_many(table, (prefix,), max_lookback_micros)[0]
+
+    def latest_many(self, table: str, prefixes: Sequence[Sequence[Any]],
+                    max_lookback_micros: Optional[int] = None
+                    ) -> List[Optional[Tuple[Any, ...]]]:
+        """Each prefix's latest row, in order, ``None`` where there is
+        none: one request however many prefixes."""
         response = self._call(
-            _latest_request(table, prefix, max_lookback_micros),
+            _latest_request(table, prefixes, max_lookback_micros),
             idempotent=True)
         return self._decode_latest(table, response)
 
@@ -724,13 +732,14 @@ class LittleTableClient:
         return list(zip(*columns))
 
     def _decode_latest(self, table: str, response: Dict[str, Any]
-                       ) -> Optional[Tuple[Any, ...]]:
-        """A ``latest`` reply's row (one JSON row, or none)."""
-        row = response.get("row")
-        if row is None:
-            return None
-        marshaller = row_marshaller(self._typed_schema(table, response))
-        return tuple(marshaller.unwrap([row])[0])
+                       ) -> List[Optional[Tuple[Any, ...]]]:
+        """A ``latest`` reply's rows: a JSON row or ``null`` for each
+        prefix asked about."""
+        rows = response["rows"]
+        found = [row for row in rows if row is not None]
+        if found:
+            row_marshaller(self._typed_schema(table, response)).unwrap(found)
+        return [None if row is None else tuple(row) for row in rows]
 
 
 class PendingReply:
@@ -885,6 +894,15 @@ class Pipeline:
 
     def latest(self, table: str, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None) -> PendingReply:
+        """Resolves to the prefix's latest row, or ``None``."""
         return self.call(
-            _latest_request(table, prefix, max_lookback_micros),
+            _latest_request(table, (prefix,), max_lookback_micros),
+            decode=lambda r: self._client._decode_latest(table, r)[0])
+
+    def latest_many(self, table: str, prefixes: Sequence[Sequence[Any]],
+                    max_lookback_micros: Optional[int] = None
+                    ) -> PendingReply:
+        """Resolves to each prefix's latest row, in order."""
+        return self.call(
+            _latest_request(table, prefixes, max_lookback_micros),
             decode=lambda r: self._client._decode_latest(table, r))

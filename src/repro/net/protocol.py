@@ -24,11 +24,17 @@ in a positional row appears only at BLOB column positions
 ``types``, the column types it was encoded with, so a client whose
 cached schema went stale finds out before it decodes anything.
 
+A ``latest`` request asks about a batch of key prefixes at once,
+``{"prefixes": [[...], ...], "max_lookback_micros"}``, and its reply
+holds one JSON row (or ``null``) per prefix, in order, in ``rows``:
+a dashboard page's device statuses are one round trip, and a handful
+of rows is too few for a block to pay for itself.
+
 There is one protocol version.  Any request may carry an ``"id"``
 field, which the server echoes in the matching response: tagged
 requests run concurrently on one connection and their responses may
 arrive out of order; untagged requests are answered strictly in order.
-A client opens with ``{"cmd": "hello", "version": 3}``, a one-shot
+A client opens with ``{"cmd": "hello", "version": 4}``, a one-shot
 identity check the server answers with ``{"version", "shards"}``; a
 refusal or another version is a :class:`ProtocolViolationError` at
 connect time, not a different way of speaking.
@@ -49,7 +55,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
 
 #: The protocol version both peers must name in ``hello``.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 # The first payload byte of a frame with a block attachment; no JSON
 # document starts with it.

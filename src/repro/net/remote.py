@@ -78,8 +78,14 @@ class RemoteTable:
     def latest(self, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None
                ) -> Optional[Tuple[Any, ...]]:
-        return self._client.latest(self.name, prefix,
-                                   max_lookback_micros=max_lookback_micros)
+        return self.latest_many((prefix,), max_lookback_micros)[0]
+
+    def latest_many(self, prefixes: Sequence[Sequence[Any]],
+                    max_lookback_micros: Optional[int] = None
+                    ) -> List[Optional[Tuple[Any, ...]]]:
+        """Each prefix's latest row, in order: one frame each way."""
+        return self._client.latest_many(self.name, prefixes,
+                                        max_lookback_micros)
 
     def aggregate_partials(self, spec: AggregateSpec) -> AggregatePartials:
         """One aggregate command, one round trip: the server folds the
@@ -202,8 +208,8 @@ class RemoteDatabase:
                max_lookback_micros: Optional[int] = None
                ) -> Optional[Tuple[Any, ...]]:
         """Latest row whose key starts with ``prefix`` (§3.4.5)."""
-        return self.client.latest(table_name, prefix,
-                                  max_lookback_micros=max_lookback_micros)
+        return self.client.latest_many(table_name, (prefix,),
+                                       max_lookback_micros)[0]
 
     # ------------------------------------------------------ observability
 

@@ -404,16 +404,27 @@ class RequestDispatcher:
             for label, slots in groups.items()])
 
     def _cmd_latest(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """One JSON row, not a block: for a single row the block codec
-        costs more than it saves."""
+        """A batch of prefixes in, each one's latest row out, in order:
+        a page of device statuses is one round trip.  The rows are JSON,
+        not a block: a batch is one row per prefix, sixteen for a page,
+        and at that size the block codec costs more than it saves."""
         table = self.db.table(request["table"])
-        row = table.latest(
-            _key(request, "prefix", required=True),
-            max_lookback_micros=_integer(request, "max_lookback_micros"),
-        )
+        prefixes = request.get("prefixes")
+        if type(prefixes) is not list:
+            raise _malformed(request,
+                             f"prefixes must be a list, not {prefixes!r}")
+        for prefix in prefixes:
+            if type(prefix) is not list:
+                raise _malformed(
+                    request, f"prefixes must hold lists, not {prefix!r}")
+        max_lookback_micros = _integer(request, "max_lookback_micros")
+        rows = table.latest_many(
+            [protocol.decode_key(prefix) for prefix in prefixes],
+            max_lookback_micros) if prefixes else []
         return protocol.ok_response(
             types=protocol.row_marshaller(table.schema).types,
-            row=None if row is None else protocol.encode_row(row))
+            rows=[None if row is None else protocol.encode_row(row)
+                  for row in rows])
 
     def _cmd_maintenance(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One synchronous maintenance pass over every table."""

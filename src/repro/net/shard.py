@@ -38,7 +38,8 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..core.codec import compiled_ops
 from ..core.config import EngineConfig
@@ -139,8 +140,52 @@ class ShardedTable:
     def latest(self, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None
                ) -> Optional[Tuple[Any, ...]]:
-        return self._router._latest(
-            self.name, prefix, max_lookback_micros=max_lookback_micros)
+        return self.latest_many((prefix,), max_lookback_micros)[0]
+
+    def latest_many(self, prefixes: Sequence[Sequence[Any]],
+                    max_lookback_micros: Optional[int] = None
+                    ) -> List[Optional[Tuple[Any, ...]]]:
+        """Each prefix's latest row, in input order, from one
+        ``latest_many`` call per shard that owns any of them.
+
+        A prefix that fixes every leading key column lives on one
+        shard; a shorter one asks every shard and keeps the newest
+        answer.  A batch that needs a downed shard is refused before
+        any shard runs (:meth:`ShardRouter._refuse_down`).  The shards
+        are called in turn, not on the pool: a cached answer costs
+        about a microsecond, less than a hand-off to a thread.
+        """
+        router = self._router
+        prefixes = [tuple(prefix) for prefix in prefixes]
+        schema = self.schema
+        leading_width = schema.key_width - 1
+        positions: Dict[int, List[int]] = {}
+        fanned: List[int] = []
+        for position, prefix in enumerate(prefixes):
+            if leading_width and len(prefix) >= leading_width:
+                positions.setdefault(router._shard_for_leading(
+                    prefix[:leading_width]), []).append(position)
+            else:
+                fanned.append(position)
+        if fanned:
+            for index in range(router.shard_count):
+                positions.setdefault(index, []).extend(fanned)
+        router._refuse_down(positions)
+        router._m_single.inc(len(prefixes) - len(fanned))
+        router._m_scatter.inc(len(fanned))
+        ts_of = schema.ts_of
+        rows: List[Optional[Tuple[Any, ...]]] = [None] * len(prefixes)
+        for index in sorted(positions):
+            wanted = positions[index]
+            found = router._run(index, lambda db: db.table(
+                self.name).latest_many([prefixes[p] for p in wanted],
+                                       max_lookback_micros))
+            for position, row in zip(wanted, found):
+                best = rows[position]
+                if row is not None and (best is None
+                                        or ts_of(row) > ts_of(best)):
+                    rows[position] = row
+        return rows
 
     def aggregate_partials(self, spec: AggregateSpec) -> AggregatePartials:
         """Scatter-gather partial aggregation (vectorized pushdown).
@@ -379,6 +424,15 @@ class ShardRouter:
     def _live_indexes(self) -> List[int]:
         return [i for i in range(len(self.engines)) if i not in self._down]
 
+    def _refuse_down(self, indexes: Iterable[int]) -> None:
+        """Refuse an operation that needs a downed shard, before it
+        runs anywhere: a refused operation is never partially applied."""
+        down = ", ".join(f"{i} ({self._down[i]})" for i in sorted(indexes)
+                         if i in self._down)
+        if down:
+            raise ShardDegradedError(
+                f"operation needs shards that are down: {down}")
+
     def _scatter(self, work: Dict[int, Callable[[LittleTable], Any]]
                  ) -> List[Any]:
         """Run one callable per target shard in parallel; results in
@@ -392,11 +446,7 @@ class ShardRouter:
         an engine's own answer.
         """
         indexes = sorted(work)
-        down = ", ".join(f"{i} ({self._down[i]})" for i in indexes
-                         if i in self._down)
-        if down:
-            raise ShardDegradedError(
-                f"operation needs shards that are down: {down}")
+        self._refuse_down(indexes)
         if len(indexes) == 1:
             return [self._run(indexes[0], work[indexes[0]])]
         futures = [self._pool.submit(self._run, index, work[index])
@@ -616,31 +666,8 @@ class ShardRouter:
 
     def latest(self, table_name: str, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None):
-        return self._latest(table_name, prefix,
-                            max_lookback_micros=max_lookback_micros)
-
-    def _latest(self, table_name: str, prefix: Sequence[Any],
-                max_lookback_micros: Optional[int] = None):
-        prefix = tuple(prefix)
-        schema = self._any_live_table(table_name).schema
-        leading_width = schema.key_width - 1
-        if leading_width and len(prefix) >= leading_width:
-            shard = self._shard_for_leading(prefix[:leading_width])
-            self._m_single.inc()
-            return self._run(
-                shard, lambda db: db.table(table_name).latest(
-                    prefix, max_lookback_micros=max_lookback_micros))
-        self._m_scatter.inc()
-        candidates = self._fanout_table(
-            table_name, lambda t: t.latest(
-                prefix, max_lookback_micros=max_lookback_micros))
-        best = None
-        for row in candidates:
-            if row is None:
-                continue
-            if best is None or schema.ts_of(row) > schema.ts_of(best):
-                best = row
-        return best
+        return self.table(table_name).latest(
+            prefix, max_lookback_micros=max_lookback_micros)
 
     # ------------------------------------------------------ maintenance
 

@@ -89,14 +89,26 @@ class TestDispatch:
         ok(server.dispatch({"cmd": "create_table", "table": "t",
                             "schema": make_schema().to_dict()}))
         ok(server.dispatch({"cmd": "insert", "table": "t",
-                            "rows": [[1, BASE, 1], [1, BASE + 9, 2]]}))
+                            "rows": [[1, BASE, 1], [1, BASE + 9, 2],
+                                     [2, BASE - 100, 3]]}))
         response = ok(server.dispatch({"cmd": "latest", "table": "t",
-                                       "prefix": [1]}))
-        assert response["row"] == [1, BASE + 9, 2]
+                                       "prefixes": [[1], [9], [2], [1]]}))
+        assert response["rows"] == [[1, BASE + 9, 2], None,
+                                    [2, BASE - 100, 3], [1, BASE + 9, 2]]
         assert response["types"] == ["int64", "timestamp", "int64"]
-        empty = ok(server.dispatch({"cmd": "latest", "table": "t",
-                                    "prefix": [9]}))
-        assert empty["row"] is None
+        looked_back = ok(server.dispatch({
+            "cmd": "latest", "table": "t", "prefixes": [[1], [2]],
+            "max_lookback_micros": 10}))
+        assert looked_back["rows"] == [[1, BASE + 9, 2], None]
+
+    def test_an_empty_latest_batch_never_reaches_the_engine(self, server):
+        ok(server.dispatch({"cmd": "create_table", "table": "t",
+                            "schema": make_schema().to_dict()}))
+        queries = server.db.table("t").counters.queries
+        response = ok(server.dispatch({"cmd": "latest", "table": "t",
+                                       "prefixes": []}))
+        assert response["rows"] == []
+        assert server.db.table("t").counters.queries == queries
 
     def test_flush_and_bulk_delete(self, server):
         ok(server.dispatch({"cmd": "create_table", "table": "t",
@@ -167,9 +179,15 @@ MALFORMED = [
     ({"cmd": "query", "ts_min": True}, "ts_min"),
     ({"cmd": "aggregate", "aggregates": [["COUNT", None]],
       "ts_max": "abc"}, "ts_max"),
-    ({"cmd": "latest", "prefix": 7}, "prefix"),
-    ({"cmd": "latest"}, "prefix"),
-    ({"cmd": "latest", "prefix": [1], "max_lookback_micros": "x"},
+    ({"cmd": "latest", "prefixes": 7}, "prefixes"),
+    ({"cmd": "latest"}, "prefixes"),
+    ({"cmd": "latest", "prefixes": [[1], 7]}, "prefixes"),
+    ({"cmd": "latest", "prefixes": [[1], None]}, "prefixes"),
+    ({"cmd": "latest", "prefixes": [[1]], "max_lookback_micros": "x"},
+     "max_lookback_micros"),
+    ({"cmd": "latest", "prefixes": [[1]], "max_lookback_micros": True},
+     "max_lookback_micros"),
+    ({"cmd": "latest", "prefixes": [[1]], "max_lookback_micros": 1.5},
      "max_lookback_micros"),
     ({"cmd": "flush", "before_ts": "x"}, "before_ts"),
     ({"cmd": "flush", "before_ts": False}, "before_ts"),

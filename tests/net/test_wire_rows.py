@@ -169,13 +169,18 @@ class TestRoundTrip:
         assert list(client.query("t")) == everything
         for prefix in prefixes(schema, rows):
             assert table.latest(prefix) == oracle.latest(prefix)
-        assert table.latest(("nobody",) if kind != "usage"
-                            else (99, 99)) is None
+        missing = ("nobody",) if kind != "usage" else (99, 99)
+        assert table.latest(missing) is None
+        asked = prefixes(schema, rows) + [missing]
+        assert table.latest_many(asked) == oracle.latest_many(asked) == [
+            oracle.latest(prefix) for prefix in asked]
         with client.pipeline() as batch:
             page = batch.query_page("t", limit=7)
             newest = batch.latest("t", prefixes(schema, rows)[0])
+            many = batch.latest_many("t", asked)
         assert page.result() == (everything[:7], False)
         assert newest.result() == oracle.latest(prefixes(schema, rows)[0])
+        assert many.result() == oracle.latest_many(asked)
         for row in table.query(Query()).rows:
             assert type(row) is tuple
             assert [type(v) for v in row] == [type(v) for v in rows[0]]
@@ -239,12 +244,22 @@ class TestBytesOnTheWire:
         frame = encode_frame(response)
         assert frame == struct.pack(">I", len(payload)) + payload
         assert decode_payload(frame[4:]) == response
+        # A batched latest: one JSON row, or null, per prefix asked.
+        missing = ("nobody",) if kind != "usage" else (99, 99)
         response = dispatch({"cmd": "latest", "table": "t",
-                             "prefix": encode_key(prefix),
+                             "prefixes": [encode_key(prefix),
+                                          encode_key(missing)],
                              "max_lookback_micros": None})
         assert encode_frame(response) == encode_frame({
             "ok": True, "types": types,
-            "row": encode_row(oracle.latest(prefix))})
+            "rows": [encode_row(oracle.latest(prefix)), None]})
+        del sent[:]
+        assert table.latest_many([prefix, missing]) == [
+            oracle.latest(prefix), None]
+        assert sent == [encode_frame({
+            "cmd": "latest", "table": "t",
+            "prefixes": [encode_key(prefix), encode_key(missing)],
+            "max_lookback_micros": None})]
 
     def test_a_frame_from_the_parent_client_is_still_accepted(
             self, remote, front):

@@ -10,7 +10,8 @@ memtable's skip list, the row-at-a-time read cursor and its heap, a
 server front or shard router that starts maintenance under a policy
 of its own, the SQL session's row-at-a-time aggregator and the engine's
 per-row aggregate fallback, a read-cache entry of row and key tuples,
-a query reply's JSON rows) or an option nothing read;
+a query reply's JSON rows, a ``latest`` request of one ``prefix``
+answered by one ``row``, protocol version 3) or an option nothing read;
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
@@ -29,8 +30,10 @@ from repro.core import (DurabilityPolicy, EngineConfig, LittleTable,
 from repro.core.readcache import CachedBlock, ReadCache
 from repro.core.table import Table
 from repro.core.tablet import TabletReader, TabletWriter
+from repro.dashboard.schemas import usage_schema
 from repro.net import (AsyncLittleTableServer, ClientConfig,
                        LittleTableClient, ShardRouter)
+from repro.net.server import RequestDispatcher
 from repro.sqlapi import SqlSession
 
 
@@ -162,6 +165,13 @@ SRC = Path(__file__).parent.parent / "src"
     # it in ``_decode_page`` and has no JSON-rows decoder beside it.
     pytest.param(r"_decode_rows?\b|def tuples\b", (),
                  id="json-result-rows"),
+    # A ``latest`` request is a batch of prefixes and its reply a row
+    # per prefix (protocol version 4); the one-prefix, one-row form of
+    # version 3 is gone, not kept beside it.
+    pytest.param(
+        r'PROTOCOL_VERSION = 3\b|"version": 3\b|\.get\("row"\)'
+        r'|\["row"\]|\brow=(None|protocol)', (),
+        id="single-prefix-latest"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)
@@ -186,3 +196,37 @@ def test_a_query_reply_carries_no_json_rows():
                    if isinstance(node, ast.keyword) and node.arg == "rows"
                    or isinstance(node, ast.Constant) and node.value == "rows"]
     assert not rows_fields
+
+
+def _functions(path, names):
+    tree = ast.parse((SRC / "repro" / "net" / path).read_text())
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in names]
+
+
+def test_a_latest_exchange_names_no_single_prefix_or_row():
+    """The request builder, the server handler and the reply decoder
+    of ``latest`` spell ``prefixes`` and ``rows``; the version-3
+    ``prefix`` / ``row`` fields are not read or written beside them."""
+    found = _functions("client.py", {"_latest_request", "_decode_latest"}) \
+        + _functions("server.py", {"_cmd_latest"})
+    assert len(found) == 3
+    fields = [(function.name, node.lineno) for function in found
+              for node in ast.walk(function)
+              if isinstance(node, ast.keyword) and node.arg in ("row",
+                                                                "prefix")
+              or isinstance(node, ast.Constant)
+              and node.value in ("row", "prefix")]
+    assert not fields
+
+
+def test_a_single_prefix_latest_request_is_refused():
+    """A version-3 ``latest`` frame is a malformed request, never read
+    as a batch of one."""
+    db = LittleTable()
+    db.create_table("t", usage_schema())
+    response = RequestDispatcher(db).dispatch(
+        {"cmd": "latest", "table": "t", "prefix": [1, 2]})
+    assert response["error"] == "ProtocolViolationError"
+    assert response["message"].startswith(
+        "malformed latest request: prefixes ")

@@ -23,7 +23,9 @@ in one place
 pass, ``LittleTable.maintenance``), not again in the loop around it.
 Sorted runs from several sources are put in order in one function
 (``cursor.take_stretch``), which the read cursor and the merge
-executor both call.
+executor both call.  A ``latest`` request is built in one client
+function, the server answers it with ``latest_many`` alone, and every
+facade's ``latest`` is a batch of one for its ``latest_many``.
 """
 
 import ast
@@ -107,6 +109,53 @@ def test_one_function_builds_a_query_request():
             for key, value in zip(node.keys, node.values))
 
     assert functions_where(is_query_request) == {"client.py:_query_request"}
+
+
+def test_one_function_builds_a_latest_request():
+    def is_latest_request(node):
+        return isinstance(node, ast.Dict) and any(
+            isinstance(key, ast.Constant) and key.value == "cmd"
+            and isinstance(value, ast.Constant) and value.value == "latest"
+            for key, value in zip(node.keys, node.values))
+
+    assert functions_where(is_latest_request) == {
+        "client.py:_latest_request"}
+
+
+def test_the_server_answers_latest_with_latest_many_alone():
+    server = [CORE.parent / "net" / "server.py"]
+    assert functions_where(calls("latest_many"), server) == {
+        "server.py:_cmd_latest"}
+    assert functions_where(calls("latest"), server) == set()
+
+
+def test_every_latest_is_a_batch_of_one():
+    """Wherever ``latest_many`` is defined, ``latest`` beside it has no
+    body of its own: it returns the first answer of a one-prefix
+    ``latest_many``, so the two cannot come to disagree.  A
+    ``Pipeline`` answers with pending replies, not rows; its two
+    methods share the one request builder instead."""
+    owners = []
+    for path in sorted(CORE.parent.rglob("*.py")):
+        for owner in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(owner, ast.ClassDef):
+                continue
+            methods = {node.name: node for node in owner.body
+                       if isinstance(node, ast.FunctionDef)}
+            if "latest_many" not in methods or owner.name == "Pipeline":
+                continue
+            owners.append(f"{path.name}:{owner.name}")
+            body = [node for node in methods["latest"].body
+                    if not (isinstance(node, ast.Expr)
+                            and isinstance(node.value, ast.Constant))]
+            assert len(body) == 1 and isinstance(body[0], ast.Return), \
+                owners[-1]
+            value = body[0].value
+            assert isinstance(value, ast.Subscript) \
+                and calls("latest_many")(value.value), owners[-1]
+    assert {"table.py:Table", "shard.py:ShardedTable",
+            "remote.py:RemoteTable", "client.py:LittleTableClient"} <= set(
+                owners)
 
 
 def test_one_function_each_side_carries_a_bounding_box():
