@@ -17,9 +17,8 @@ import zlib
 
 import pytest
 
-from repro.core.block import BlockBuilder, decode_rows
 from repro.core.codec import SchemaCodec, compiled_ops
-from repro.core.encoding import RowCodec
+from repro.core.encoding import RowCodec, decode_value
 from repro.core.schema import Column, ColumnType, Schema
 
 ROWS = 40_000
@@ -90,15 +89,48 @@ def timed(fn):
     return result, time.perf_counter() - start
 
 
+# The v1 reference, moved here from core/block.py when the engine
+# stopped reading v1: a row-major block body is each row's v1 encoding
+# concatenated, built and read back one value at a time.
+
+class BlockBuilder:
+    """Accumulates v1-encoded rows into one row-major block body."""
+
+    def __init__(self):
+        self._rows = []
+
+    def add(self, encoded_row):
+        self._rows.append(encoded_row)
+
+    def finish(self):
+        """The (uncompressed) body and its row count; resets."""
+        rows, self._rows = self._rows, []
+        return b"".join(rows), len(rows)
+
+
+def decode_rows(raw, schema, row_count):
+    """A row-major v1 body back into row tuples, a value at a time."""
+    types = [column.type for column in schema.columns]
+    rows = []
+    offset = 0
+    for _ in range(row_count):
+        values = []
+        for column_type in types:
+            value, offset = decode_value(column_type, raw, offset)
+            values.append(value)
+        rows.append(tuple(values))
+    assert offset == len(raw), "trailing bytes after last row in block"
+    return rows
+
+
 def v1_blocks(reference, rows):
     """The v1 reference: blocks row-encoded one value at a time."""
     blocks = []
     for chunk in chunks(rows):
-        builder = BlockBuilder(1 << 30)
+        builder = BlockBuilder()
         for row in chunk:
             builder.add(reference.encode_row(row))
-        payload, count, _raw = builder.finish(0)   # codec 0 = none
-        blocks.append((payload, count))
+        blocks.append(builder.finish())
     return blocks
 
 
@@ -118,7 +150,7 @@ def test_v3_batch_beats_v1_per_value(make_schema, make_rows, floor):
 
     # --- decode: whole blocks back to row tuples ---
     def decode_v1():
-        return [decode_rows(payload, reference, count)
+        return [decode_rows(payload, schema, count)
                 for payload, count in v1]
 
     def decode_v3():

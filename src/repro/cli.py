@@ -300,7 +300,8 @@ def fsck_main(argv: list) -> int:
     :func:`~repro.core.check.check_database` row-level verification.
     ``--repair`` additionally quarantines every hot tablet with an
     error-severity finding.  Exit status 0 = healthy, 1 = problems
-    found (or repaired), 2 = usage/corrupt-root errors.
+    found (or repaired), 2 = usage/corrupt-root errors and bytes in a
+    format this engine no longer reads (nothing is repaired for those).
     """
     parser = argparse.ArgumentParser(
         prog="littletable fsck",
@@ -310,9 +311,8 @@ def fsck_main(argv: list) -> int:
     parser.add_argument("--repair", action="store_true",
                         help="quarantine tablets with error findings")
     args = parser.parse_args(argv)
-    from .core.check import ERROR, check_database, repair_database
     from .core.config import EngineConfig
-    from .core.errors import CorruptTabletError
+    from .core.errors import CorruptTabletError, UnsupportedFormatError
 
     # Without --repair the check is strictly read-only: no startup
     # scrub (it deletes crash garbage and moves damaged files) and no
@@ -325,30 +325,45 @@ def fsck_main(argv: list) -> int:
     except CorruptTabletError as exc:
         print(f"fsck: unrecoverable: {exc}", file=sys.stderr)
         return 2
+    except UnsupportedFormatError as exc:
+        print(f"fsck: unsupported format: {exc}", file=sys.stderr)
+        return 2
     with db:
-        scrub = db.last_scrub
-        for temp in scrub.temps_removed:
-            print(f"scrub: removed stale descriptor temp {temp}")
-        for orphan in scrub.orphans_removed:
-            print(f"scrub: removed orphan file {orphan}")
-        for moved in scrub.quarantined:
-            print(f"scrub: quarantined {moved}")
-        for issue in scrub.issues:
-            print(f"scrub: {issue}")
-        findings = check_database(db)
-        problems = 0
-        for _table, found in sorted(findings.items()):
-            for issue in found:
-                problems += issue.severity == ERROR
-                print(str(issue))
-        if args.repair and problems:
-            for table_name, moved in sorted(repair_database(db).items()):
-                for filename in moved:
-                    print(f"repaired: {table_name}: quarantined {filename}")
-        if problems == 0 and scrub.clean:
-            print("ok: all tables healthy")
-            return 0
-        return 1
+        try:
+            return _fsck_report(db, args.repair)
+        except UnsupportedFormatError as exc:
+            print(f"fsck: unsupported format: {exc}", file=sys.stderr)
+            return 2
+
+
+def _fsck_report(db: LittleTable, repair: bool) -> int:
+    """Print the scrub's and the check's findings (and ``repair``
+    them); the exit status of :func:`fsck_main`."""
+    from .core.check import ERROR, check_database, repair_database
+
+    scrub = db.last_scrub
+    for temp in scrub.temps_removed:
+        print(f"scrub: removed stale descriptor temp {temp}")
+    for orphan in scrub.orphans_removed:
+        print(f"scrub: removed orphan file {orphan}")
+    for moved in scrub.quarantined:
+        print(f"scrub: quarantined {moved}")
+    for issue in scrub.issues:
+        print(f"scrub: {issue}")
+    findings = check_database(db)
+    problems = 0
+    for _table, found in sorted(findings.items()):
+        for issue in found:
+            problems += issue.severity == ERROR
+            print(str(issue))
+    if repair and problems:
+        for table_name, moved in sorted(repair_database(db).items()):
+            for filename in moved:
+                print(f"repaired: {table_name}: quarantined {filename}")
+    if problems == 0 and scrub.clean:
+        print("ok: all tables healthy")
+        return 0
+    return 1
 
 
 def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
@@ -412,11 +427,16 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
             return 2
         return _serve_follower(args, stop_event=stop_event,
                                on_ready=on_ready)
+    from .core.errors import UnsupportedFormatError
     from .net.async_server import AsyncLittleTableServer
     from .net.shard import ShardRouter
 
-    db = ShardRouter(shards=args.shards, data_dir=args.data,
-                     durability=durability)
+    try:
+        db = ShardRouter(shards=args.shards, data_dir=args.data,
+                         durability=durability)
+    except UnsupportedFormatError as exc:
+        print(f"serve: unsupported format: {exc}", file=sys.stderr)
+        return 2
     server = AsyncLittleTableServer(db, host=args.host, port=args.port)
     import threading
 

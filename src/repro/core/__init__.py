@@ -29,6 +29,7 @@ from .errors import (
     ShardDegradedError,
     SnapshotError,
     TableExistsError,
+    UnsupportedFormatError,
     ValidationError,
 )
 from .maintenance import (MaintenancePolicy, MaintenanceReport,
@@ -88,6 +89,7 @@ __all__ = [
     "ServerError",
     "ShardDegradedError",
     "TableExistsError",
+    "UnsupportedFormatError",
     "ValidationError",
     "MergePlan",
     "choose_merge",

@@ -244,10 +244,6 @@ def _check_tablet(table: Table, meta) -> List[Issue]:
         issues.append(Issue(
             WARNING, name, meta.tablet_id,
             "no Bloom filter although the config expects one"))
-    if table.config.checksums and not reader.has_checksums:
-        issues.append(Issue(
-            WARNING, name, meta.tablet_id,
-            "no content checksums (pre-v2.1 file); a merge upgrades it"))
     return issues
 
 

@@ -1,4 +1,4 @@
-"""Per-schema row functions and the block codecs (format v3; v2 read-only).
+"""Per-schema row functions and the block codec (format v3).
 
 Two things live here.  Each :class:`Schema` is *compiled once* into
 plain generated Python functions for the per-row work the insert path
@@ -44,13 +44,11 @@ slices and ``itertools.accumulate`` do the work.  Every segment says
 how long it is, so :meth:`SchemaCodec.decode_key_columns` skips to the
 key columns in O(columns).
 
-Older bodies are read-only.  v2 (format byte ``0x02``: varint columns
-with restart points) keeps one interpreted decoder here; the decoders
-dispatch on the body's first byte.  v1 blocks are row-major, carry no
-format byte and are told apart by the tablet footer's ``block_format``
-(absent in the oldest footers, so absence means v1); ``core/block.py``
-decodes them.  Merges rewrite v1 and v2 blocks as v3, upgrading old
-tablets in place over time.
+v3 is the only body this module reads.  The older ones - row-major v1
+and varint-column v2 - are refused where their container is parsed
+(a tablet footer's ``block_format``, a WAL record's first body byte)
+with :class:`~repro.core.errors.UnsupportedFormatError`; a block body
+whose first byte is not ``0x03`` reaching the decoder is corrupt.
 """
 
 from __future__ import annotations
@@ -65,12 +63,10 @@ from operator import itemgetter, sub
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import NULL_REGISTRY
-from ..util.varint import decode_uvarint, encode_uvarint
+from ..util.varint import encode_uvarint
 from .errors import CorruptTabletError, ValidationError
 from .schema import TIMESTAMP_MAX, ColumnType, Schema, check_value
 
-BLOCK_FORMAT_V1 = 1
-BLOCK_FORMAT_V2 = 2
 BLOCK_FORMAT_V3 = 3
 
 _INT_TYPES = (ColumnType.INT32, ColumnType.INT64)
@@ -235,21 +231,19 @@ class _CompiledOps:
     def decode_block_columns(self, buf: bytes,
                              indexes: Optional[Sequence[int]] = None
                              ) -> List[List[Any]]:
-        """Decode a v3 or v2 block body into per-column value lists:
-        every column in schema order, or just ``indexes``.  Anything
-        wrong with the bytes is a :class:`CorruptTabletError`."""
+        """Decode a v3 block body into per-column value lists: every
+        column in schema order, or just ``indexes``.  Anything wrong
+        with the bytes is a :class:`CorruptTabletError`."""
         try:
-            if buf[0] == BLOCK_FORMAT_V3:
-                return _decode_v3(self._types, buf, indexes)
-            if buf[0] == BLOCK_FORMAT_V2:
-                return _decode_v2(self.schema, buf, indexes)
-            raise CorruptTabletError(f"bad block format byte {buf[0]}")
+            if buf[0] != BLOCK_FORMAT_V3:
+                raise CorruptTabletError(f"bad block format byte {buf[0]}")
+            return _decode_v3(self._types, buf, indexes)
         except (IndexError, ValueError, struct.error) as exc:
             raise CorruptTabletError(f"corrupt block: {exc}") from exc
 
     def decode_block(self, buf: bytes) -> Tuple[List[Tuple[Any, ...]],
                                                 List[Tuple[Any, ...]]]:
-        """Decode a v3 or v2 block body into ``(rows, keys)``."""
+        """Decode a v3 block body into ``(rows, keys)``."""
         columns = self.decode_block_columns(buf)
         return (list(zip(*columns)),
                 list(zip(*[columns[i] for i in self.schema.key_indexes])))
@@ -416,150 +410,6 @@ def _decode_v3(types: Sequence[ColumnType], buf: bytes,
     return columns
 
 
-# --------------------------------------------------------------------------
-# block format v2, read-only: varint columns with restart points
-#
-#     [0x02][uvarint n][uvarint K][uvarint R = ceil(n / K)]
-#     then per column, in schema order: [uvarint seg_len][segment]
-#
-# A ``DOUBLE`` segment is one ``<nd`` pack.  Every other segment is
-# ``[uvarint offs_len][R uvarint restart offsets]`` then the data:
-# zigzag svarints (``INT32``/``INT64``); the restart row's value as a
-# uvarint then zigzag deltas within the run (``TIMESTAMP``);
-# ``[uvarint shared][uvarint unshared][bytes]`` against the previous
-# value, ``shared = 0`` at every restart row (key ``STRING``);
-# ``[uvarint len][bytes]`` (other ``STRING``, ``BLOB``).  Nothing writes
-# this any more; what follows is its one decoder, interpreted and a
-# byte at a time, which is why a merge upgrades what it touches.
-
-
-class _V2Layout:
-    __slots__ = ("n", "k", "r", "segs")
-
-    def __init__(self, n: int, k: int, r: int,
-                 segs: List[Tuple[int, int]]):
-        self.n = n
-        self.k = k
-        self.r = r
-        #: per column: (segment start, segment end) - start points at
-        #: the offs_len varint (or at packed data for DOUBLE columns).
-        self.segs = segs
-
-
-def _parse_v2_layout(buf: bytes, schema: Schema) -> _V2Layout:
-    n, p = decode_uvarint(buf, 1)
-    k, p = decode_uvarint(buf, p)
-    r, p = decode_uvarint(buf, p)
-    if k <= 0 or r != (n + k - 1) // k:
-        raise CorruptTabletError("bad v2 block restart table")
-    segs: List[Tuple[int, int]] = []
-    for _column in schema.columns:
-        seg_len, p = decode_uvarint(buf, p)
-        end = p + seg_len
-        if end > len(buf):
-            raise CorruptTabletError("truncated column segment")
-        segs.append((p, end))
-        p = end
-    if p != len(buf):
-        raise CorruptTabletError("trailing bytes after last column")
-    return _V2Layout(n, k, r, segs)
-
-
-def _segment_offsets(buf: bytes, seg: Tuple[int, int],
-                     r: int) -> Tuple[List[int], int]:
-    """Parse a var-width segment's restart table.
-
-    Returns (restart byte offsets, data start).  Offsets are relative
-    to the data start.
-    """
-    offs_len, p = decode_uvarint(buf, seg[0])
-    offs_end = p + offs_len
-    offsets: List[int] = []
-    for _ in range(r):
-        value, p = decode_uvarint(buf, p)
-        offsets.append(value)
-    if p != offs_end:
-        raise CorruptTabletError("bad restart offset table")
-    return offsets, offs_end
-
-
-def _decode_column(buf: bytes, schema: Schema, index: int,
-                   layout: _V2Layout) -> List[Any]:
-    """Decode all of one column's values."""
-    t = schema.columns[index].type
-    seg = layout.segs[index]
-    n, k = layout.n, layout.k
-    out: List[Any] = []
-    if n <= 0:
-        return out
-    if t is ColumnType.DOUBLE:
-        if seg[1] - seg[0] != 8 * n:
-            raise CorruptTabletError("bad double column segment")
-        return list(struct.unpack(f"<{n}d", buf[seg[0]:seg[1]]))
-    offsets, data_start = _segment_offsets(buf, seg, layout.r)
-    p = data_start + offsets[0]
-    if t in _INT_TYPES:
-        for _ in range(n):
-            z, p = decode_uvarint(buf, p)
-            out.append((z >> 1) ^ -(z & 1))
-    elif t is ColumnType.TIMESTAMP:
-        for row in range(0, n, k):
-            value, p = decode_uvarint(buf, p)
-            out.append(value)
-            for _ in range(row + 1, min(row + k, n)):
-                z, p = decode_uvarint(buf, p)
-                value += (z >> 1) ^ -(z & 1)
-                out.append(value)
-    elif t is ColumnType.STRING and index in schema.key_indexes:
-        for row in range(0, n, k):
-            prev_b = b""
-            prev_s = ""
-            for _ in range(row, min(row + k, n)):
-                shared, p = decode_uvarint(buf, p)
-                unshared, p = decode_uvarint(buf, p)
-                if unshared == 0 and shared == len(prev_b):
-                    out.append(prev_s)
-                else:
-                    if shared > len(prev_b):
-                        raise CorruptTabletError(
-                            "bad shared prefix length")
-                    end = p + unshared
-                    if end > seg[1]:
-                        raise CorruptTabletError(
-                            "truncated string value")
-                    prev_b = prev_b[:shared] + buf[p:end]
-                    p = end
-                    prev_s = prev_b.decode("utf-8")
-                    out.append(prev_s)
-    elif t is ColumnType.STRING:
-        for _ in range(n):
-            length, p = decode_uvarint(buf, p)
-            end = p + length
-            if end > seg[1]:
-                raise CorruptTabletError("truncated string value")
-            out.append(buf[p:end].decode("utf-8"))
-            p = end
-    else:  # BLOB
-        for _ in range(n):
-            length, p = decode_uvarint(buf, p)
-            end = p + length
-            if end > seg[1]:
-                raise CorruptTabletError("truncated blob value")
-            out.append(buf[p:end])
-            p = end
-    if p != seg[1]:
-        raise CorruptTabletError("column segment length mismatch")
-    return out
-
-
-def _decode_v2(schema: Schema, buf: bytes,
-               indexes: Optional[Sequence[int]]) -> List[List[Any]]:
-    layout = _parse_v2_layout(buf, schema)
-    if indexes is None:
-        indexes = range(len(schema.columns))
-    return [_decode_column(buf, schema, index, layout) for index in indexes]
-
-
 def prefix_column_encoders(schema: Schema):
     """Per-column encoders for Bloom prefix parts (key cols sans ts)."""
 
@@ -593,7 +443,7 @@ class SchemaCodec:
     __slots__ = ("schema", "ops", "validate_and_size", "size_of", "key_of",
                  "_m_rows_encoded", "_m_rows_decoded",
                  "_m_blocks_encoded", "_m_blocks_decoded", "_m_encode_ns",
-                 "_m_decode_ns", "_m_upgraded")
+                 "_m_decode_ns")
 
     def __init__(self, schema: Schema, metrics=None):
         self.schema = schema
@@ -609,7 +459,6 @@ class SchemaCodec:
         self._m_blocks_decoded = m.counter("codec.blocks_decoded")
         self._m_encode_ns = m.counter("codec.encode_ns")
         self._m_decode_ns = m.counter("codec.decode_ns")
-        self._m_upgraded = m.counter("codec.blocks_upgraded")
 
     # ------------------------------------------------------- block level
 
@@ -625,7 +474,7 @@ class SchemaCodec:
     def decode_block(self, buf: bytes
                      ) -> Tuple[List[Tuple[Any, ...]],
                                 List[Tuple[Any, ...]]]:
-        """Decode a whole v3 (or v2) block body into ``(rows, keys)``."""
+        """Decode a whole v3 block body into ``(rows, keys)``."""
         started = time.perf_counter_ns()
         rows, keys = self.ops.decode_block(buf)
         self._m_decode_ns.inc(time.perf_counter_ns() - started)
@@ -634,7 +483,7 @@ class SchemaCodec:
         return rows, keys
 
     def decode_block_columns(self, buf: bytes) -> List[List[Any]]:
-        """Decode a whole v3 (or v2) block body into per-column value
+        """Decode a whole v3 block body into per-column value
         lists, one per schema column in schema order: the same walk as
         :meth:`decode_block` without the final ``zip``.
 
@@ -667,9 +516,3 @@ class SchemaCodec:
         (what Bloom filters are fed and probed with)."""
         return [encode(value) for encode, value
                 in zip(prefix_column_encoders(self.schema), values)]
-
-    # ----------------------------------------------------------- metrics
-
-    def note_upgraded_blocks(self, count: int = 1) -> None:
-        """Record v1 and v2 blocks rewritten as v3 (merge upgrades)."""
-        self._m_upgraded.inc(count)

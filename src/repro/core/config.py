@@ -54,12 +54,6 @@ class EngineConfig:
     # Fraction of the containing period by which rollover merges are
     # delayed (scaled by a per-table pseudorandom value in [0, 1)).
     merge_rollover_delay_fraction: float = 1.0
-    # Content checksums (storage format v2.1): newly written tablets
-    # carry a CRC per block plus footer and trailer CRCs, verified on
-    # every disk read; descriptors carry a body CRC.  Pre-v2.1 files
-    # stay readable either way; merges upgrade them.  Disabling only
-    # affects newly written files.
-    checksums: bool = True
     # Verify descriptors and tablet trailers when opening a database,
     # deleting crash garbage (orphan tablets, stale descriptor temps)
     # and quarantining corrupt tablet files into quarantine/.  Prefix

@@ -20,7 +20,8 @@ from typing import List, Optional
 
 from ..disk.vfs import SimulatedDisk
 from ..util.checksum import crc32c
-from .errors import ChecksumError, CorruptTabletError
+from .errors import (SUPPORTED_FORMAT, ChecksumError, CorruptTabletError,
+                     UnsupportedFormatError)
 from .schema import Schema
 from .tablet import TabletMeta
 
@@ -87,7 +88,7 @@ class TableDescriptor:
                 body = json.dumps(data, sort_keys=True)
                 if crc32c(body.encode("utf-8")) != stored_crc:
                     raise ChecksumError("descriptor checksum mismatch")
-            return cls(
+            descriptor = cls(
                 name=data["name"],
                 schema=Schema.from_dict(data["schema"]),
                 ttl_micros=data.get("ttl_micros"),
@@ -97,6 +98,12 @@ class TableDescriptor:
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise CorruptTabletError(f"bad descriptor: {exc}") from exc
+        if stored_crc is None:
+            # Sound JSON without the CRC every writer since v2.1 adds.
+            raise UnsupportedFormatError(
+                f"descriptor of table {descriptor.name!r}: no checksum "
+                f"(pre-v2.1); {SUPPORTED_FORMAT}")
+        return descriptor
 
     def save(self, disk: SimulatedDisk) -> None:
         """Write and atomically rename over the previous version."""

@@ -20,8 +20,9 @@ One policy object travels the whole stack: ``LittleTable(durability=)``
 sets the database default, ``create_table(durability=)`` overrides per
 table (persisted in the table descriptor), ``ClientConfig.durability``
 carries it over the wire, and ``ltdb serve --durability`` sets it for
-a server.  Scrub-at-open and content checksums are engine settings,
-not durability tiers: they live on :class:`EngineConfig` alone.
+a server.  Scrub-at-open is an engine setting, not a durability tier:
+it lives on :class:`EngineConfig` alone, and content checksums are
+not a setting at all (every tablet carries them).
 """
 
 from __future__ import annotations

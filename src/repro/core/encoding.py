@@ -1,10 +1,10 @@
-"""Binary codecs for column values and whole rows.
+"""The v1 value encoding: tablet footer keys and row sizes.
 
-Rows are stored inside 64 kB blocks as consecutive field encodings in
-schema order.  Integers and timestamps use varints, doubles are 8-byte
-IEEE 754 little-endian, strings and blobs are length-prefixed.  The
-format favours simplicity over peak density, like the system it
-reproduces.
+Integers and timestamps use varints, doubles are 8-byte IEEE 754
+little-endian, strings and blobs are length-prefixed.  Blocks no
+longer hold rows in it (they are v3 column batches, ``core/codec.py``),
+but a footer's block index stores each block's last key this way, and
+a row's size in it is what a block cut counts (``size_of``).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def decode_value(column_type: ColumnType, buf: bytes, offset: int) -> Tuple[Any,
 
 
 class RowCodec:
-    """Encodes/decodes whole rows for a specific schema."""
+    """Encodes whole rows, and encodes/decodes keys, for a schema."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -93,15 +93,6 @@ class RowCodec:
             for column_type, value in zip(self._types, row)
         ]
         return b"".join(parts)
-
-    def decode_row(self, buf: bytes, offset: int = 0) -> Tuple[Tuple[Any, ...], int]:
-        """Decode one row; returns ``(row, next_offset)``."""
-        values: List[Any] = []
-        pos = offset
-        for column_type in self._types:
-            value, pos = decode_value(column_type, buf, pos)
-            values.append(value)
-        return tuple(values), pos
 
     def encode_key(self, key: Sequence[Any]) -> bytes:
         """Encode a full key tuple (used in tablet footers)."""

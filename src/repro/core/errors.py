@@ -38,6 +38,19 @@ class ChecksumError(CorruptTabletError):
     the detection to the in-flight reader."""
 
 
+#: What every :class:`UnsupportedFormatError` message ends with.
+SUPPORTED_FORMAT = "this engine reads v3 blocks in v2.1 tablets only"
+
+
+class UnsupportedFormatError(LittleTableError):
+    """Bytes in a layout this engine no longer reads: a tablet without
+    the v2.1 trailer, a footer naming a block format other than v3, a
+    descriptor without its checksum, or a WAL record that is not a v3
+    ``KIND_BLOCK``.  Not a :class:`CorruptTabletError`: the bytes are
+    sound, so nothing is quarantined, skipped or recycled - the open or
+    the read that met them fails, and the files stay as they were."""
+
+
 class ReadOnlyModeError(LittleTableError):
     """The engine has degraded to read-only (disk full or persistent
     I/O errors).  Writes are rejected; reads keep serving.  Clears via

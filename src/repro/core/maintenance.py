@@ -293,7 +293,7 @@ def merge_once(table: "Table") -> Optional[MergePlan]:
             table.disk.fire("merge.before_write")
             tablet_id = table.descriptor.allocate_tablet_id()
             try:
-                meta, upgraded = merge_tablets(
+                meta = merge_tablets(
                     plan, [table._reader(t) for t in plan.tablets],
                     table._tablet_writer(table.disk, table.schema),
                     table.schema,
@@ -305,8 +305,6 @@ def merge_once(table: "Table") -> Optional[MergePlan]:
                 if getattr(exc, "tablet", None) is not None:
                     table._isolate_corrupt(exc.tablet, exc)
                 raise
-            if upgraded:
-                table._codec.note_upgraded_blocks(upgraded)
             table._swap_tablets(plan.tablets,
                                 [meta] if meta is not None else (),
                                 before="merge.before_descriptor",

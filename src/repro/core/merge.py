@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from .block import decompress
-from .codec import BLOCK_FORMAT_V3, compiled_ops
+from .codec import compiled_ops
 from .config import EngineConfig
 from .periods import Period, period_for, rollover_delay
 from .cursor import merge_runs, take_stretch
@@ -237,9 +237,8 @@ class _MergeSource:
             return self.keys[self.pos] <= key
         return self.lo_bound is None or self.lo_bound < key
 
-    def decode_next(self) -> int:
-        """Decode the block at the boundary and step past it; 1 if
-        that upgrades a v1 or v2 block (they are written back as v3)."""
+    def decode_next(self) -> None:
+        """Decode the block at the boundary and step past it."""
         reader = self.reader
         with _blaming(self.meta):
             columns, _raw_len = reader.decode_payload(
@@ -248,7 +247,6 @@ class _MergeSource:
         self.keys = list(zip(*[columns[i] for i in reader.schema.key_indexes]))
         self.pos, self.end = 0, len(self.rows)
         self.index += 1
-        return int(self.reader.block_format != BLOCK_FORMAT_V3)
 
     def pass_block(self, sink: TabletSink) -> None:
         """Move the boundary block into ``sink`` compressed-payload-
@@ -276,44 +274,36 @@ class _MergeSource:
 
 def merge_tablets(plan: MergePlan, readers: List[TabletReader],
                   writer: TabletWriter, schema: Schema, filename: str,
-                  tablet_id: int, now: int
-                  ) -> Tuple[Optional[TabletMeta], int]:
+                  tablet_id: int, now: int) -> Optional[TabletMeta]:
     """Write the merge of ``plan.tablets`` as one tablet.
 
     ``readers`` are the plan's sources in plan order and ``schema`` is
     the table's current schema (the writer's).  Returns the new
-    tablet's metadata (None if every source was empty) and the number
-    of v1 and v2 source blocks the output upgraded to v3.  A damaged or
+    tablet's metadata, None if every source was empty.  A damaged or
     vanished source raises with its ``TabletMeta`` as ``exc.tablet``.
     """
     sources = [_MergeSource(meta, reader)
                for meta, reader in zip(plan.tablets, readers)]
-    same_schema = all(r.schema.version == schema.version for r in readers)
-    have_zone_maps = all(
-        t.min_key is not None and t.max_key is not None
-        for t in plan.tablets)
-    if same_schema and have_zone_maps:
-        # Common case: block-at-a-time merge.  Non-overlapping v3
-        # source blocks are copied compressed-payload-verbatim;
-        # overlapping stretches are batch-decoded, sorted and
-        # re-encoded whole blocks at a time; v1 and v2 sources come
-        # out upgraded to v3.
+    if all(r.schema.version == schema.version for r in readers):
+        # Common case: block-at-a-time merge.  Non-overlapping source
+        # blocks are copied compressed-payload-verbatim; overlapping
+        # stretches are batch-decoded, sorted and re-encoded whole
+        # blocks at a time.
         return _merge_blockwise(plan, sources, writer, filename,
                                 tablet_id, now)
-    # Mixed schema versions (or sources without zone maps):
-    # translating while merging also upgrades old rows to the
-    # current schema (§3.5).
+    # Mixed schema versions: translating while merging also upgrades
+    # old rows to the current schema (§3.5).
     sink = writer.sink(expected_rows=plan.total_rows)
     for run in merge_runs([s.translated(schema) for s in sources],
                           key_of=compiled_ops(schema).key_of):
         sink.add_rows(*run)
-    return sink.finish(filename, tablet_id, created_at=now), 0
+    return sink.finish(filename, tablet_id, created_at=now)
 
 
 def _merge_blockwise(plan: MergePlan, sources: List[_MergeSource],
                      writer: TabletWriter, filename: str, tablet_id: int,
-                     now: int) -> Tuple[Optional[TabletMeta], int]:
-    """Merge same-schema sources block-at-a-time into a v3 tablet.
+                     now: int) -> Optional[TabletMeta]:
+    """Merge same-schema sources block-at-a-time into one tablet.
 
     Time-partitioned tablets rarely interleave, so most blocks'
     key ranges are disjoint from every other source's remaining
@@ -325,8 +315,6 @@ def _merge_blockwise(plan: MergePlan, sources: List[_MergeSource],
     in key order by one stable sort (which finds each source's
     presorted slice and gallops).  The source that set the limit is
     then at a boundary, so passthrough gets its next shot.
-    v1 and v2 source blocks are always decoded, so the output
-    upgrades them to v3 (the footer names one format per tablet).
     """
     sink = writer.sink(expected_rows=plan.total_rows)
     # Every source row survives a merge, so the output's timespan
@@ -341,7 +329,6 @@ def _merge_blockwise(plan: MergePlan, sources: List[_MergeSource],
     # fragments: require the pending block to be empty or at least
     # a quarter full before sealing it early.
     frag_floor = sink.block_size // 4
-    upgraded = 0
     while True:
         sources = [s for s in sources if not s.exhausted]
         if not sources:
@@ -354,24 +341,21 @@ def _merge_blockwise(plan: MergePlan, sources: List[_MergeSource],
                         for t in sources if t is not s)),
                    key=lambda s: s.entries[s.index].last_key, default=None)
         if best is not None:
-            reader = best.reader
-            if (reader.block_format == BLOCK_FORMAT_V3
-                    and reader.codec_byte == sink.codec
+            if (best.reader.codec_byte == sink.codec
                     and (sink.pending_bytes == 0
                          or sink.pending_bytes >= frag_floor)):
                 best.pass_block(sink)
             else:
-                # Right block, wrong format/codec/fill: take the
-                # row path (decoding a v1 or v2 block here is what
-                # upgrades it to v3 in the output).
-                upgraded += best.decode_next()
+                # Right block, wrong codec/fill: take the row path.
+                best.decode_next()
             continue
         # Overlap: decode every boundary source's next block, then
         # move one stretch.
-        upgraded += sum(s.decode_next() for s in sources if s.rows is None)
+        for s in sources:
+            if s.rows is None:
+                s.decode_next()
         sink.add_rows(*take_stretch(sources))
         for s in sources:
             s.settle()
-    meta = sink.finish(filename, tablet_id, created_at=now,
+    return sink.finish(filename, tablet_id, created_at=now,
                        min_key=min_key, max_key=max_key)
-    return meta, upgraded

@@ -28,7 +28,6 @@ from typing import (Any, Callable, Iterator, List, Optional, Sequence,
 
 from ..disk.storage import StorageError
 from ..obs.metrics import NULL_REGISTRY
-from .codec import BLOCK_FORMAT_V1
 from .cursor import execute_query
 from .errors import CorruptTabletError
 from .memtable import MemTable
@@ -293,17 +292,15 @@ def _fold_tablet(plan: ReadPlan, meta: TabletMeta, key_range: KeyRange,
                  fold: Fold) -> None:
     """Fold one tablet into the partial group states.
 
-    v2 and v3 same-schema tablets are column-major already: each block
-    the key range touches hands over its columns, and bisecting its
-    key columns trims it to the range - no row or key tuple is built.
+    Same-schema tablets are column-major already: each block the key
+    range touches hands over its columns, and bisecting its key columns
+    trims it to the range - no row or key tuple is built.
     """
     metrics = plan.metrics
     reader = plan.open_reader(meta)
     reader.ensure_loaded()
-    if (reader.block_format == BLOCK_FORMAT_V1
-            or reader.schema.version != plan.schema.version):
-        # v1 blocks are stored row-major, and old-schema rows are
-        # translated one by one: rows either way.
+    if reader.schema.version != plan.schema.version:
+        # Old-schema rows are translated one by one (§3.5).
         _fold_runs(plan, reader_runs(reader, plan.schema, key_range), fold)
         metrics.push_blocks_fallback.inc(reader.block_count)
         return

@@ -28,7 +28,11 @@ per-block CRCs are verified lazily on read, and exhaustively by
 ``ltdb fsck``.  A corrupt published descriptor still raises
 :class:`CorruptTabletError` out of the scrub - the root metadata has
 no redundant copy to fall back to, and limping on without it would
-silently drop every tablet of the table.
+silently drop every tablet of the table.  Bytes in a layout this
+engine no longer reads (a descriptor without its checksum, a tablet
+with the pre-v2.1 trailer) are not damage: their
+:class:`~repro.core.errors.UnsupportedFormatError` propagates, so the
+open fails with nothing moved.
 
 All verification reads and garbage moves go through the raw storage
 backend and the model's bookkeeping calls, not ``SimulatedDisk``
@@ -84,9 +88,10 @@ def verify_tablet_file(storage, meta: TabletMeta) -> Optional[str]:
 
     Returns a human-readable problem description, or None when the
     file looks sound.  Checks existence, exact size, trailer sanity,
-    and (for v2.1 files) the footer CRC - the structures a reader
-    must trust before it can even locate blocks.  Block payload CRCs
-    are left to the read path and ``ltdb fsck``.
+    and the footer CRC - the structures a reader must trust before it
+    can even locate blocks.  Block payload CRCs are left to the read
+    path and ``ltdb fsck``.  A pre-v2.1 trailer is no problem to
+    report: its ``UnsupportedFormatError`` propagates.
     """
     try:
         size = storage.size(meta.filename)
@@ -122,8 +127,10 @@ def startup_scrub(disk: SimulatedDisk, metrics=None) -> ScrubReport:
 
     See the module docstring for the exact rules.  Raises
     :class:`~repro.core.errors.CorruptTabletError` if a published
-    descriptor is itself corrupt; everything else is handled and
-    reported in the returned :class:`ScrubReport`.
+    descriptor is itself corrupt and
+    :class:`~repro.core.errors.UnsupportedFormatError` for old-format
+    bytes; everything else is handled and reported in the returned
+    :class:`ScrubReport`.
     """
     registry = metrics if metrics is not None else NULL_REGISTRY
     report = ScrubReport()

@@ -778,7 +778,7 @@ class Table:
         return TabletWriter(
             disk, schema, config.block_size_bytes, config.compression,
             config.bloom_bits_per_row if config.bloom_filters else 0,
-            metrics=self.metrics, checksums=config.checksums)
+            metrics=self.metrics)
 
     def _advance_wal_low_water(self) -> None:
         """Recycle WAL segments wholly covered by sealed tablets.

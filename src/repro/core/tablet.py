@@ -4,39 +4,30 @@ File layout (paper §3.2, §3.5):
 
     [block 0][block 1]...[block n-1][compressed footer][trailer]
 
-* Each block holds rows sorted by primary key, compressed.
+* Each block holds rows sorted by primary key, as one v3 column batch
+  (``core/codec.py``), compressed.
 * The footer records the tablet's schema, its timespan, a block index
   with the **last key in each block**, (optionally) a key-prefix
-  Bloom filter (§3.4.5), and - for tablets written since block format
-  v2 - the block format version.  Old footers end at the Bloom bytes,
-  so a missing version field means v1; v1 blocks carry no format
-  byte of their own, which is why the negotiation lives here.
-* The trailer is the "final two words of the file": the footer's
-  decompressed size and its offset within the file, 8 bytes each,
-  little-endian.  The compressed footer therefore spans
-  ``[offset, file_size - 16)``.
+  Bloom filter (§3.4.5), the block format (3), and one CRC per block
+  over its compressed payload.
+* The trailer is 24 bytes (format v2.1): the paper's "final two words
+  of the file" - the footer's decompressed size and its offset within
+  the file, 8 bytes each, little-endian - then the CRC of the
+  *compressed* footer (4 bytes LE) and the magic ``b"LT21"``.  The
+  compressed footer therefore spans ``[offset, file_size - 24)``.
 
-Format v2.1 (checksummed storage) extends the trailer to 24 bytes:
-the two legacy words, then the CRC of the *compressed* footer bytes
-(4 bytes LE) and the magic ``b"LT21"``.  The footer additionally
-carries one CRC per block (over each block's compressed payload),
-appended after the ``block_format`` field through the same
-trailing-field mechanism, so the footer CRC guards the block CRCs and
-the block CRCs guard the data.  Readers detect v2.1 by the magic: a
-legacy 16-byte trailer's last four bytes are the high bytes of the
-footer offset, which are always zero for any real file, so the magic
-can never collide.  Every flipped bit is therefore caught somewhere:
-in a block (block CRC), in the footer (footer CRC), or in the trailer
-itself (magic/offset validation or footer CRC mismatch).
+The trailer guards the footer and the footer guards the blocks, so
+every flipped bit is caught somewhere: in a block (block CRC), in the
+footer (footer CRC), or in the trailer itself (magic/offset validation
+or footer CRC mismatch).
 
-
-Block bodies come in three formats.  v1 is row-major: each row's v1
-encoding concatenated.  v2 and v3 (``core/codec.py``) are column-major
-and start with their format byte: v2 is varint columns with restart
-points, v3 frame-of-reference byte planes that encode and decode with
-one C call per column.  v1 and v2 are read-only: the writer emits v3
-alone, readers handle all three, and merges rewrite v1 and v2 blocks
-as v3.
+That is the one layout this module reads.  A file ending in the
+pre-v2.1 16-byte trailer (no magic; its last four bytes are the high
+bytes of the footer offset, so zero) is refused by :func:`read_footer`,
+and a CRC-valid footer naming any block format but v3 - or, as the
+oldest footers do, none - by :meth:`TabletReader._parse_footer_body`;
+both raise :class:`~repro.core.errors.UnsupportedFormatError`, which is
+not corruption: nothing is quarantined for it.
 
 Reading a footer costs three seeks on a cold cache (inode, trailer,
 footer - §3.5); once cached in memory the reader answers block lookups
@@ -59,18 +50,17 @@ from ..obs.metrics import NULL_REGISTRY
 from ..util.bloom import KeyPrefixBloom
 from ..util.checksum import crc32c
 from ..util.varint import decode_uvarint, encode_uvarint
-from .block import codec_id, compress, decode_rows, decompress
-from .codec import (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2, BLOCK_FORMAT_V3,
-                    SchemaCodec, prefix_column_encoders)
+from .block import codec_id, compress, decompress
+from .codec import BLOCK_FORMAT_V3, SchemaCodec, prefix_column_encoders
 from .encoding import RowCodec
-from .errors import ChecksumError, CorruptTabletError
+from .errors import (SUPPORTED_FORMAT, ChecksumError, CorruptTabletError,
+                     UnsupportedFormatError)
 from .readcache import NULL_READ_CACHE, CachedBlock
 from .row import FIRST_RUN_ROWS, KeyRange, Run, rows_of
 from .schema import Schema
 
-TRAILER_BYTES = 16
-
-# Format v2.1: legacy trailer + footer CRC (4 bytes LE) + magic.
+# Format v2.1: footer size, footer offset, footer CRC (4 bytes LE),
+# magic.
 CHECKSUM_TRAILER_BYTES = 24
 CHECKSUM_MAGIC = b"LT21"
 
@@ -169,13 +159,11 @@ class TabletSink:
     def __init__(self, disk: SimulatedDisk, schema: Schema,
                  block_size: int, compression: str,
                  bloom_bits_per_row: int = 0,
-                 metrics=None, expected_rows: int = 0,
-                 checksums: bool = True):
+                 metrics=None, expected_rows: int = 0):
         self.disk = disk
         self.schema = schema
         self.codec = codec_id(compression)
         self.block_size = block_size
-        self.checksums = checksums
         self._block_crcs: List[int] = []
         self.bloom_bits_per_row = bloom_bits_per_row
         self.schema_codec = SchemaCodec(schema, metrics)
@@ -267,8 +255,7 @@ class TabletSink:
         payload = compress(self.codec, raw)
         self._entries.append(_BlockEntry(
             len(self._body), len(payload), len(self._rows), self.last_key))
-        if self.checksums:
-            self._block_crcs.append(crc32c(payload))
+        self._block_crcs.append(crc32c(payload))
         self._body += payload
         self._rows = []
         self.pending_bytes = 0
@@ -286,8 +273,7 @@ class TabletSink:
         self._cut_block()
         self._entries.append(_BlockEntry(
             len(self._body), len(payload), row_count, last_key))
-        if self.checksums:
-            self._block_crcs.append(crc32c(payload))
+        self._block_crcs.append(crc32c(payload))
         self._body += payload
         self.row_count += row_count
         if self.first_key is None:
@@ -342,10 +328,9 @@ class TabletSink:
         compressed_footer = compress(self.codec, footer)
         footer_offset = len(self._body)
         trailer = (len(footer).to_bytes(8, "little")
-                   + footer_offset.to_bytes(8, "little"))
-        if self.checksums:
-            trailer += (crc32c(compressed_footer).to_bytes(4, "little")
-                        + CHECKSUM_MAGIC)
+                   + footer_offset.to_bytes(8, "little")
+                   + crc32c(compressed_footer).to_bytes(4, "little")
+                   + CHECKSUM_MAGIC)
         file_bytes = bytes(self._body) + compressed_footer + trailer
         self.disk.fire("tablet.write")
         self.disk.write_file(filename, file_bytes)
@@ -381,16 +366,11 @@ class TabletSink:
             out += key_bytes
         out += encode_uvarint(len(bloom_bytes))
         out += bloom_bytes
-        # Trailing fields: absent in pre-v2 footers (which end at the
-        # Bloom bytes), so readers treat a missing version as v1.
         out += encode_uvarint(BLOCK_FORMAT_V3)
-        # v2.1: one CRC per block, over the compressed payload.  The
-        # reader only looks for these when the trailer carries the
-        # v2.1 magic, so legacy parsers stay compatible.
-        if self.checksums:
-            out += encode_uvarint(len(self._entries))
-            for crc in self._block_crcs:
-                out += crc.to_bytes(4, "little")
+        # One CRC per block, over the compressed payload.
+        out += encode_uvarint(len(self._entries))
+        for crc in self._block_crcs:
+            out += crc.to_bytes(4, "little")
         return bytes(out)
 
 
@@ -399,12 +379,11 @@ class TabletWriter:
 
     def __init__(self, disk: SimulatedDisk, schema: Schema,
                  block_size: int, compression: str,
-                 bloom_bits_per_row: int = 0,
-                 metrics=None, checksums: bool = True):
+                 bloom_bits_per_row: int = 0, metrics=None):
         codec_id(compression)   # an unknown name fails here, not per file
         self._new_sink = partial(
             TabletSink, disk, schema, block_size, compression,
-            bloom_bits_per_row, metrics=metrics, checksums=checksums)
+            bloom_bits_per_row, metrics=metrics)
 
     def sink(self, expected_rows: int = 0) -> TabletSink:
         """A fresh sink for one tablet file under this writer's
@@ -436,37 +415,38 @@ class TabletWriter:
 
 
 def read_footer(source, filename: str, size: int
-                ) -> Tuple[bytes, int, int, bool]:
+                ) -> Tuple[bytes, int, int]:
     """Find and check the footer of a ``size``-byte tablet file.
 
     ``source`` is whatever the caller reads files through: the charged
     disk for a :class:`TabletReader`, the raw storage backend for the
     startup scrub.  Returns ``(compressed_footer, footer_size,
-    footer_offset, has_checksums)``; raises :class:`CorruptTabletError`
-    for a trailer that cannot be right and :class:`ChecksumError` for a
-    footer that fails its v2.1 CRC.
+    footer_offset)``; raises :class:`CorruptTabletError` for a trailer
+    that cannot be right, :class:`ChecksumError` for a footer that
+    fails its CRC and :class:`UnsupportedFormatError` for a pre-v2.1
+    trailer.
     """
-    if size < TRAILER_BYTES:
+    if size < CHECKSUM_TRAILER_BYTES:
         raise CorruptTabletError(f"{filename}: too small ({size} bytes)")
-    # v2.1 files end in a 24-byte trailer tagged with the magic; a
-    # legacy trailer's last 4 bytes are the high bytes of the footer
-    # offset (always zero), so the magic cannot collide.
-    tail_len = min(size, CHECKSUM_TRAILER_BYTES)
-    tail = source.read(filename, size - tail_len, tail_len)
-    footer_crc: Optional[int] = None
-    if tail_len == CHECKSUM_TRAILER_BYTES and tail[20:24] == CHECKSUM_MAGIC:
-        footer_crc = int.from_bytes(tail[16:20], "little")
-    else:
-        tail = tail[-TRAILER_BYTES:]
+    tail = source.read(filename, size - CHECKSUM_TRAILER_BYTES,
+                       CHECKSUM_TRAILER_BYTES)
+    if tail[20:24] != CHECKSUM_MAGIC:
+        # A pre-v2.1 file ends in the two words alone, so its last four
+        # bytes are the high bytes of the footer offset: zero.
+        if tail[20:24] == bytes(4):
+            raise UnsupportedFormatError(
+                f"{filename}: pre-v2.1 16-byte trailer (no "
+                f"{CHECKSUM_MAGIC.decode()} magic); {SUPPORTED_FORMAT}")
+        raise CorruptTabletError(f"{filename}: bad trailer")
     footer_size = int.from_bytes(tail[0:8], "little")
     footer_offset = int.from_bytes(tail[8:16], "little")
-    compressed_len = size - len(tail) - footer_offset
+    compressed_len = size - CHECKSUM_TRAILER_BYTES - footer_offset
     if compressed_len < 0 or footer_size <= 0:
         raise CorruptTabletError(f"{filename}: bad trailer")
     compressed = source.read(filename, footer_offset, compressed_len)
-    if footer_crc is not None and crc32c(compressed) != footer_crc:
+    if crc32c(compressed) != int.from_bytes(tail[16:20], "little"):
         raise ChecksumError(f"{filename}: footer checksum mismatch")
-    return compressed, footer_size, footer_offset, footer_crc is not None
+    return compressed, footer_size, footer_offset
 
 
 class TabletReader:
@@ -524,15 +504,8 @@ class TabletReader:
         self._row_codec: Optional[RowCodec] = None
         self._bloom: Optional[KeyPrefixBloom] = None
         self._body_size = 0
-        self.block_format = BLOCK_FORMAT_V1
-        self._block_crcs: Optional[List[int]] = None
+        self._block_crcs: List[int] = []
         self._schema_codec: Optional[SchemaCodec] = None
-
-    @property
-    def has_checksums(self) -> bool:
-        """True when this tablet carries v2.1 content CRCs."""
-        self.ensure_loaded()
-        return self._block_crcs is not None
 
     # ----------------------------------------------------------- footer
 
@@ -543,18 +516,16 @@ class TabletReader:
         disk = self.disk
         disk.open(self.filename)  # inode
         try:
-            compressed, footer_size, self._body_size, has_checksums = \
-                read_footer(disk, self.filename, disk.size(self.filename))
+            compressed, footer_size, self._body_size = read_footer(
+                disk, self.filename, disk.size(self.filename))
         except ChecksumError:
             self._m_checksum_failures.inc()
             raise
-        self._parse_footer(compressed, footer_size,
-                           has_checksums=has_checksums)
+        self._parse_footer(compressed, footer_size)
         self._loaded = True
         self._m_footer_loads.inc()
 
-    def _parse_footer(self, compressed: bytes, footer_size: int,
-                      has_checksums: bool = False) -> None:
+    def _parse_footer(self, compressed: bytes, footer_size: int) -> None:
         # The codec byte lives inside the (possibly compressed) footer,
         # so detect the footer's own encoding by attempting zlib first
         # and falling back to raw; the trailer's decompressed-size word
@@ -570,10 +541,9 @@ class TabletReader:
                 raise CorruptTabletError(
                     f"{self.filename}: footer size mismatch"
                 )
-        self._parse_footer_body(footer, has_checksums)
+        self._parse_footer_body(footer)
 
-    def _parse_footer_body(self, footer: bytes,
-                           has_checksums: bool = False) -> None:
+    def _parse_footer_body(self, footer: bytes) -> None:
         offset = 0
         schema_len, offset = decode_uvarint(footer, offset)
         try:
@@ -612,38 +582,33 @@ class TabletReader:
         self._bloom = (
             KeyPrefixBloom.deserialize(bloom_bytes) if bloom_len else None
         )
-        # Footers written before block format v2 end here; the version
-        # field's absence means the blocks are row-major v1.
+        # The footer CRC vouched for every byte from here on, so a
+        # format other than v3 - or none, where the oldest footers end -
+        # is an old writer's, not bit rot; a short field is a buggy
+        # writer's, and still refused.
+        block_format = None
         if offset < len(footer):
             block_format, offset = decode_uvarint(footer, offset)
-            if block_format not in (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2,
-                                    BLOCK_FORMAT_V3):
-                raise CorruptTabletError(
-                    f"{self.filename}: unknown block format {block_format}")
-            self.block_format = block_format
-        else:
-            self.block_format = BLOCK_FORMAT_V1
-        # v2.1 (signalled by the trailer magic): per-block CRCs.  The
-        # footer CRC already vouched for these bytes, so failures here
-        # mean a buggy writer, not bit rot - still refuse to serve.
-        self._block_crcs = None
-        if has_checksums:
-            if offset >= len(footer):
-                raise CorruptTabletError(
-                    f"{self.filename}: missing block checksums")
-            crc_count, offset = decode_uvarint(footer, offset)
-            if crc_count != len(entries):
-                raise CorruptTabletError(
-                    f"{self.filename}: block checksum count mismatch")
-            if offset + 4 * crc_count > len(footer):
-                raise CorruptTabletError(
-                    f"{self.filename}: truncated block checksums")
-            self._block_crcs = [
-                int.from_bytes(footer[offset + 4 * i:offset + 4 * i + 4],
-                               "little")
-                for i in range(crc_count)
-            ]
-            offset += 4 * crc_count
+        if block_format != BLOCK_FORMAT_V3:
+            raise UnsupportedFormatError(
+                f"{self.filename}: block format "
+                f"{'v1 (none named)' if block_format is None else block_format}"
+                f"; {SUPPORTED_FORMAT}")
+        if offset >= len(footer):
+            raise CorruptTabletError(
+                f"{self.filename}: missing block checksums")
+        crc_count, offset = decode_uvarint(footer, offset)
+        if crc_count != len(entries):
+            raise CorruptTabletError(
+                f"{self.filename}: block checksum count mismatch")
+        if offset + 4 * crc_count > len(footer):
+            raise CorruptTabletError(
+                f"{self.filename}: truncated block checksums")
+        self._block_crcs = [
+            int.from_bytes(footer[offset + 4 * i:offset + 4 * i + 4],
+                           "little")
+            for i in range(crc_count)
+        ]
         self._entries = entries
         self._last_keys = [entry.last_key for entry in entries]
         self._schema_codec = SchemaCodec(self.schema, self.metrics)
@@ -674,10 +639,10 @@ class TabletReader:
     def read_block_payload(self, index: int) -> bytes:
         """The compressed bytes of block ``index`` (one seek).
 
-        On v2.1 tablets the payload's CRC is verified here - every
-        disk read of a block passes through this method, so a flipped
-        bit anywhere in the body surfaces as :class:`ChecksumError`
-        before any row is decoded.
+        The payload's CRC is verified here - every disk read of a block
+        passes through this method, so a flipped bit anywhere in the
+        body surfaces as :class:`ChecksumError` before any row is
+        decoded.
         """
         self.ensure_loaded()
         entry = self._entries[index]
@@ -685,8 +650,7 @@ class TabletReader:
                                  entry.compressed_len)
         self._m_blocks_read.inc()
         self._m_block_bytes.inc(entry.compressed_len)
-        crcs = self._block_crcs
-        if crcs is not None and crc32c(payload) != crcs[index]:
+        if crc32c(payload) != self._block_crcs[index]:
             self._m_checksum_failures.inc()
             raise ChecksumError(
                 f"{self.filename}: block {index} checksum mismatch")
@@ -699,21 +663,14 @@ class TabletReader:
 
         The one decode: it checks the row count against the footer and
         counts the decode (``block.decoded``, ``block.rows_decoded``,
-        ``block.decoded_bytes``), whoever asked.  A v1 body is
-        row-major and is transposed here; v2 and v3 are columns
-        already.  Every other reader goes through :meth:`_scan_block`
-        or :meth:`scan_block_columns`; the merge calls this directly so
-        that its one-off blocks stay out of the cache.
+        ``block.decoded_bytes``), whoever asked.  Every other reader
+        goes through :meth:`_scan_block` or :meth:`scan_block_columns`;
+        the merge calls this directly so that its one-off blocks stay
+        out of the cache.
         """
         raw = decompress(self._codec, payload)
         count = self._entries[index].row_count
-        if self.block_format == BLOCK_FORMAT_V1:
-            rows = decode_rows(raw, self._row_codec, count)
-            columns = (list(zip(*rows)) if rows
-                       else [[] for _ in self.schema.columns])
-        else:
-            # v2 or v3: the body's own first byte says which.
-            columns = self._schema_codec.decode_block_columns(raw)
+        columns = self._schema_codec.decode_block_columns(raw)
         if len(columns[0]) != count:
             raise CorruptTabletError(
                 f"{self.filename}: block {index} row count mismatch")

@@ -14,14 +14,17 @@ Record frame (little-endian)::
     [u32 length]  bytes after this field (crc + body)
     [u32 crc32c]  over the body
     body: [u8 kind][u64 lsn][u32 schema_version][u32 row_count]
-          kind 1 (ROWS):  row_count x ([u32 len][v1-encoded row bytes])
-          kind 2 (BLOCK): one column block holding the whole batch
-                          (format v3, ``core/codec.py``; v2 bodies from
-                          older segments replay through the same call)
+          kind 2 (BLOCK): one v3 column block holding the whole batch
+                          (``core/codec.py``)
 
 A torn append persists a prefix of a record; the length/CRC frame
 detects it and replay stops at the damaged tail - exactly the prefix
-semantics the rest of the engine already guarantees.
+semantics the rest of the engine already guarantees.  A record whose
+frame and CRC are sound but which is not a v3 ``KIND_BLOCK`` - kind 1
+(per-row v1 encodings) or a v2 block body, from segments older writers
+left, or anything newer - is not damage: :func:`iter_records` raises
+:class:`~repro.core.errors.UnsupportedFormatError`, so replay fails
+the open and the segment stays as it was, records after it included.
 
 Group commit: :meth:`WriteAheadLog.log_batch_block` only buffers (it
 runs under the table's state lock and must stay O(memory)).
@@ -58,24 +61,20 @@ from ..disk.storage import StorageError
 from ..disk.vfs import SimulatedDisk
 from ..obs.metrics import NULL_REGISTRY
 from ..util.checksum import crc32c
+from .codec import BLOCK_FORMAT_V3
 from .durability import DurabilityPolicy
-from .encoding import RowCodec
-from .errors import CorruptTabletError
+from .errors import (SUPPORTED_FORMAT, CorruptTabletError,
+                     UnsupportedFormatError)
 
-#: Record kinds (the u8 after the CRC).  ``KIND_BLOCK`` carries the
+#: The record kind (the u8 after the CRC).  ``KIND_BLOCK`` carries the
 #: whole batch as one v3 column block (one encode per batch, a C call
 #: per column, and replay decodes it the same way); it is the only
-#: kind written.  The body is not compressed, so the block's raw size
-#: is the log's size.  ``KIND_ROWS`` frames each row's v1 encoding
-#: individually and is read-only: segments written before
-#: ``KIND_BLOCK`` existed still replay and stream.  The frame leaves
-#: room for checkpoint/schema markers without a format bump.
-KIND_ROWS = 1
+#: kind.  The body is not compressed, so the block's raw size is the
+#: log's size.
 KIND_BLOCK = 2
 
 _FRAME = struct.Struct("<II")          # length, crc32c
 _BODY_HEAD = struct.Struct("<BQII")    # kind, lsn, schema_version, row_count
-_ROW_LEN = struct.Struct("<I")
 
 _SEGMENT_RE = re.compile(r"wal-(\d{8})\.log$")
 
@@ -99,36 +98,18 @@ def is_wal_filename(filename: str) -> bool:
 
 @dataclass
 class WalRecord:
-    """One decoded log record: an insert batch.
-
-    Exactly one of ``rows`` (per-row v1 encodings, ``KIND_ROWS``) or
-    ``block`` (a v3 or v2 column block, ``KIND_BLOCK``) carries the
-    data; ``row_count`` is authoritative either way.
-    """
+    """One decoded log record: an insert batch as one v3 column block
+    (``KIND_BLOCK``); the header's ``row_count`` is authoritative."""
 
     lsn: int
     schema_version: int
-    rows: List[bytes]
-    block: Optional[bytes] = None
-    row_count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.block is None and not self.row_count:
-            self.row_count = len(self.rows)
+    block: bytes
+    row_count: int
 
     def encode(self) -> bytes:
-        if self.block is not None:
-            body = _BODY_HEAD.pack(KIND_BLOCK, self.lsn,
-                                   self.schema_version,
-                                   self.row_count) + self.block
-            return _FRAME.pack(len(body) + 4, crc32c(body)) + body
-        body = bytearray(_BODY_HEAD.pack(KIND_ROWS, self.lsn,
-                                         self.schema_version,
-                                         len(self.rows)))
-        for row in self.rows:
-            body += _ROW_LEN.pack(len(row))
-            body += row
-        return _FRAME.pack(len(body) + 4, crc32c(bytes(body))) + body
+        body = _BODY_HEAD.pack(KIND_BLOCK, self.lsn, self.schema_version,
+                               self.row_count) + self.block
+        return _FRAME.pack(len(body) + 4, crc32c(body)) + body
 
 
 def iter_records(data: bytes, source: str, issues: List[str]):
@@ -136,7 +117,10 @@ def iter_records(data: bytes, source: str, issues: List[str]):
 
     Stops at the first torn or corrupt frame, appending a description
     to ``issues`` - everything before the damage replays, nothing
-    after it (prefix semantics within the segment).
+    after it (prefix semantics within the segment).  A sound frame
+    holding anything but a v3 ``KIND_BLOCK`` raises
+    :class:`UnsupportedFormatError` instead: stopping there would drop
+    the acknowledged records after it.
     """
     offset = 0
     total = len(data)
@@ -156,35 +140,14 @@ def iter_records(data: bytes, source: str, issues: List[str]):
                           f"byte {offset}")
             return
         kind, lsn, schema_version, row_count = _BODY_HEAD.unpack_from(body)
-        if kind == KIND_BLOCK:
-            yield WalRecord(lsn, schema_version, [],
-                            block=body[_BODY_HEAD.size:],
-                            row_count=row_count)
-            offset = body_end
-            continue
-        if kind != KIND_ROWS:
-            issues.append(f"{source}: unknown record kind {kind} at "
-                          f"byte {offset}")
-            return
-        rows: List[bytes] = []
-        pos = _BODY_HEAD.size
-        ok = True
-        for _ in range(row_count):
-            if pos + _ROW_LEN.size > len(body):
-                ok = False
-                break
-            (row_len,) = _ROW_LEN.unpack_from(body, pos)
-            pos += _ROW_LEN.size
-            if pos + row_len > len(body):
-                ok = False
-                break
-            rows.append(body[pos:pos + row_len])
-            pos += row_len
-        if not ok:
-            issues.append(f"{source}: malformed row framing at "
-                          f"byte {offset}")
-            return
-        yield WalRecord(lsn, schema_version, rows)
+        block = body[_BODY_HEAD.size:]
+        if kind != KIND_BLOCK or block[:1] != bytes([BLOCK_FORMAT_V3]):
+            what = (f"record kind {kind}" if kind != KIND_BLOCK else
+                    f"block format {block[0] if block else 'absent'}")
+            raise UnsupportedFormatError(
+                f"{source}: {what} at byte {offset} (lsn={lsn}); "
+                f"{SUPPORTED_FORMAT}")
+        yield WalRecord(lsn, schema_version, block, row_count)
         offset = body_end
 
 
@@ -221,36 +184,22 @@ class WalReplayReport:
 def decode_record_rows(record: WalRecord, codec,
                        report: WalReplayReport) -> List[Tuple[Any, ...]]:
     """The rows one record carries, decoded through the table's
-    :class:`~repro.core.codec.SchemaCodec`.  Undecodable data - and
-    a block that does not hold the record header's ``row_count`` rows
-    - is noted on ``report`` and skipped, never raised."""
-    if record.block is not None:
-        # KIND_BLOCK: the body's format byte picks the decoder (v3, or
-        # v2 from a segment written before v3 existed).
-        try:
-            rows = codec.ops.decode_block(record.block)[0]
-            if len(rows) != record.row_count:
-                raise CorruptTabletError(
-                    f"block holds {len(rows)} rows, not the header's "
-                    f"{record.row_count}")
-            return rows
-        except CorruptTabletError as exc:
-            report.issues.append(
-                f"record lsn={record.lsn}: undecodable block ({exc}); "
-                f"{record.row_count} rows skipped")
-            report.rows_skipped += record.row_count
-            return []
-    decode = RowCodec(codec.schema).decode_row
-    rows = []
-    for encoded in record.rows:
-        try:
-            rows.append(decode(encoded)[0])
-        except (ValueError, IndexError, struct.error) as exc:
-            report.issues.append(
-                f"record lsn={record.lsn}: undecodable row ({exc}); "
-                f"skipped")
-            report.rows_skipped += 1
-    return rows
+    :class:`~repro.core.codec.SchemaCodec`.  An undecodable block - or
+    one that does not hold the record header's ``row_count`` rows - is
+    noted on ``report`` and skipped, never raised."""
+    try:
+        rows = codec.ops.decode_block(record.block)[0]
+        if len(rows) != record.row_count:
+            raise CorruptTabletError(
+                f"block holds {len(rows)} rows, not the header's "
+                f"{record.row_count}")
+        return rows
+    except CorruptTabletError as exc:
+        report.issues.append(
+            f"record lsn={record.lsn}: undecodable block ({exc}); "
+            f"{record.row_count} rows skipped")
+        report.rows_skipped += record.row_count
+        return []
 
 
 class WriteAheadLog:
@@ -352,7 +301,7 @@ class WriteAheadLog:
         with self._lock:
             lsn = self._next_lsn
             self._next_lsn = lsn + 1
-            framed = WalRecord(lsn, schema_version, [], block,
+            framed = WalRecord(lsn, schema_version, block,
                                row_count).encode()
             self._buffer.append((lsn, framed))
             self._buffer_bytes += len(framed)

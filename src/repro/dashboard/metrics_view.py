@@ -142,7 +142,6 @@ def codec_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
         "rows_decoded": rows_decoded,
         "blocks_encoded": counters.get("codec.blocks_encoded", 0),
         "blocks_decoded": counters.get("codec.blocks_decoded", 0),
-        "blocks_upgraded": counters.get("codec.blocks_upgraded", 0),
         "encode_ms": encode_ns / 1e6,
         "decode_ms": decode_ns / 1e6,
         "encode_mrows_per_s": mrows_per_s(rows_encoded, encode_ns),
@@ -156,7 +155,7 @@ def pushdown_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     Every aggregate runs inside the scan
     (``core/table.py:aggregate_partials``); what differs is how its
     input arrived: blocks that were column-major already against
-    blocks of tablets that exist only as rows (block format v1, an
+    blocks of tablets that must be read as rows (written under an
     older schema), rows entering the kernels as decoded columns
     against rows transposed from runs (those tablets, and memtables),
     and rows the predicate kernels short-circuited before aggregation.
@@ -304,7 +303,6 @@ def render_metrics_page(page: Dict[str, Any]) -> str:
         f"time={codec['decode_ms']:.1f}ms, "
         + ("throughput=n/a" if codec['decode_mrows_per_s'] is None else
            f"throughput={codec['decode_mrows_per_s']:.2f}Mrows/s"))
-    lines.append(f"blocks_upgraded={codec['blocks_upgraded']}")
     upkeep = maintenance_summary(page.get("metrics", {}),
                                  page.get("tables", {}))
     lines.append("")

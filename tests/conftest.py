@@ -32,34 +32,38 @@ def _load_datadir(root):
 
 
 def load_v1_datadir():
-    """The checked-in block-format-v1 data directory, on a fresh
-    in-memory disk, plus the rows it holds as ``{table: [dict, ...]}``.
+    """The rows of the checked-in v1 data directory, as v3 tablets on a
+    fresh in-memory disk, plus those rows as ``{table: [dict, ...]}``.
 
-    Written once by the last commit that still had a v1 block writer
-    (``EngineConfig(block_format_version=1)``): table ``mixed`` is
-    ``test_codec_roundtrip.TestMixedFormatMerge``'s two v1 tablets,
-    table ``usage`` the v1 third of ``test_vectorized_differential
-    .build_mixed_db``'s seeded rows.  Nothing in the tree can
-    regenerate it; it is data the reader must keep opening.
+    ``fixtures/v1_datadir`` was written once by the last commit with a
+    v1 block writer: table ``mixed`` two v1 tablets, table ``usage``
+    the first third of ``test_vectorized_differential.build_mixed_db``'s
+    seeded rows.  This engine refuses it (``test_old_formats.py``);
+    ``fixtures/v3/v1_datadir`` is its copy, every tablet rewritten one
+    for one as v3 by the last engine that still read v1 and checked row
+    for row against ``rows.json``.
     """
-    return _load_datadir(FIXTURES / "v1_datadir")
+    return _load_datadir(FIXTURES / "v3" / "v1_datadir")
 
 
 def load_v2_datadir():
-    """The checked-in data directory of the last commit whose block
-    writer emitted format v2 (PR 18), on a fresh in-memory disk:
-    ``(disk, rows, manifest)``.  Nothing in the tree can regenerate it.
+    """The rows of the checked-in v2 data directory, as v3 tablets on a
+    fresh in-memory disk: ``(disk, rows, manifest)``.
 
-    Table ``mixed`` (this file's ``usage_schema()``) is ``v1_datadir``'s
-    two v1 tablets as that engine inherited them plus two v2 tablets it
-    flushed; ``rows`` holds all its rows.  Tables ``usage`` and
-    ``events`` (``repro.dashboard.schemas``) are ten v2 tablets each of
+    ``fixtures/v2_datadir`` was written by the last commit whose block
+    writer emitted v2 (PR 18).  Table ``mixed`` (this file's
+    ``usage_schema()``) is ``v1_datadir``'s two tablets plus two that
+    engine flushed; ``rows`` holds all its rows.  Tables ``usage`` and
+    ``events`` (``repro.dashboard.schemas``) are ten tablets each of
     the benchmark's preload for networks 0-3; ``manifest["tables"]``
     records their row count, the sum of ``crc32(repr(row))`` over their
     rows, and the raw v2 size of those rows as sorted 2,000-row blocks
-    and as insertion-order (timestamp-order) batches.
+    and as insertion-order (timestamp-order) batches.  This engine
+    refuses the v2 bytes; ``fixtures/v3/v2_datadir`` is their copy,
+    tablet for tablet, written once by the last engine that still read
+    v2 and checked against ``rows.json`` and every ``row_crc_sum``.
     """
-    root = FIXTURES / "v2_datadir"
+    root = FIXTURES / "v3" / "v2_datadir"
     disk, rows = _load_datadir(root)
     return disk, rows, json.loads((root / "manifest.json").read_text())
 

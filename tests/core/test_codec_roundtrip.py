@@ -1,4 +1,4 @@
-"""Block codec: roundtrip, fuzz, corruption, size, and v1/v2 compat.
+"""Block codec: roundtrip, fuzz, corruption and size.
 
 ``core/codec.py`` compiles per-schema row functions and encodes blocks
 in format v3 (frame-of-reference byte planes).  These tests pin down:
@@ -14,35 +14,26 @@ in format v3 (frame-of-reference byte planes).  These tests pin down:
 * corrupt or truncated buffers failing with ``CorruptTabletError``
   and nothing else;
 * raw v3 no larger than the raw v2 the last v2 writer produced for the
-  same recorded rows (the WAL body and the read cache pay raw bytes);
-* the checked-in v1 tablet fixture and the checked-in v2 data directory
-  still reading back every row exactly, and v1 + v2 + v3 tablets
-  merging into v3.
+  same recorded rows (the WAL body and the read cache pay raw bytes).
+
+Reading the old formats is refused, not tested here:
+``test_old_formats.py``.
 """
 
-import json
 import random
 import struct
 import zlib
-from pathlib import Path
 
 import pytest
 
 from repro.core import LittleTable, Query
-from repro.core.codec import (BLOCK_FORMAT_V1, BLOCK_FORMAT_V2,
-                              BLOCK_FORMAT_V3, SchemaCodec, compiled_ops)
+from repro.core.codec import BLOCK_FORMAT_V3, SchemaCodec, compiled_ops
 from repro.core.encoding import RowCodec, decode_value
-from repro.core.errors import (CorruptTabletError, DuplicateKeyError,
-                               ValidationError)
-from repro.core.row import KeyRange
+from repro.core.errors import CorruptTabletError, ValidationError
 from repro.core.schema import Column, ColumnType, Schema
-from repro.core.tablet import TabletReader
-from repro.disk import SimulatedDisk
 from repro.util.clock import VirtualClock
 
 from ..conftest import BASE_TIME, load_v2_datadir
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 # --------------------------------------------------------------- helpers
 
@@ -440,156 +431,3 @@ class TestRawSize:
         batches = sum(len(encode(arrival[i:i + step]))
                       for i in range(0, len(arrival), step))
         assert batches <= slack * recorded["v2_batch_bytes"]
-
-
-# ------------------------------------------------------ v1 compatibility
-
-def load_fixture_schema():
-    return Schema.from_dict(
-        json.loads((FIXTURES / "v1_tablet_schema.json").read_text()))
-
-
-def load_fixture_rows(schema):
-    raw = json.loads((FIXTURES / "v1_tablet_rows.json").read_text())
-    blob_idx = [i for i, c in enumerate(schema.columns)
-                if c.type is ColumnType.BLOB]
-    rows = []
-    for row in raw:
-        row = list(row)
-        for i in blob_idx:
-            row[i] = bytes.fromhex(row[i])
-        rows.append(tuple(row))
-    return rows
-
-
-class TestV1Compat:
-    @pytest.mark.parametrize("name", ["v1_tablet_none.bin",
-                                      "v1_tablet_zlib.bin"])
-    def test_fixture_reads_bit_exactly(self, name):
-        """Tablets written before format v2 existed still read exactly."""
-        disk = SimulatedDisk()
-        filename = "t/fixture.lt"
-        disk.write_file(filename, (FIXTURES / name).read_bytes())
-        reader = TabletReader(disk, filename)
-        reader.ensure_loaded()
-        assert reader.block_format == BLOCK_FORMAT_V1
-        schema = load_fixture_schema()
-        assert reader.schema.to_dict() == schema.to_dict()
-        expected = load_fixture_rows(schema)
-        got = list(reader.scan(KeyRange.all()))
-        assert rows_equal(got, expected)
-
-    def test_fixture_probe_key(self):
-        disk = SimulatedDisk()
-        disk.write_file("t/f.lt",
-                        (FIXTURES / "v1_tablet_zlib.bin").read_bytes())
-        reader = TabletReader(disk, "t/f.lt")
-        reader.ensure_loaded()
-        schema = load_fixture_schema()
-        rows = load_fixture_rows(schema)
-        key_of = compiled_ops(schema).key_of
-        assert reader.probe_key(key_of(rows[0]))
-        assert reader.probe_key(key_of(rows[len(rows) // 2]))
-        assert reader.probe_key(key_of(rows[-1]))
-        missing = list(rows[0])
-        missing[0] = "host-that-does-not-exist"
-        assert not reader.probe_key(key_of(tuple(missing)))
-
-
-# ------------------------------------------------------ v2 compatibility
-
-def tablet_formats(table):
-    """``{tablet id: (block format, block count)}`` of a table."""
-    formats = {}
-    for meta in table.on_disk_tablets:
-        reader = table._reader(meta)
-        reader.ensure_loaded()
-        formats[meta.tablet_id] = (reader.block_format, reader.block_count)
-    return formats
-
-
-class TestV2Compat:
-    """The data directory of the last commit that wrote format v2."""
-
-    def test_fixture_tables_read_bit_exactly(self, clock):
-        disk, recorded, manifest = load_v2_datadir()
-        db = LittleTable(disk=disk, clock=clock)
-        mixed = db.table("mixed")
-        assert {fmt for fmt, _blocks in tablet_formats(mixed).values()} \
-            == {BLOCK_FORMAT_V1, BLOCK_FORMAT_V2}
-        assert rows_equal(
-            mixed.query(Query()).rows,
-            sorted(tuple(row.values()) for row in recorded["mixed"]))
-        for name in ("usage", "events"):
-            table = db.table(name)
-            assert {fmt for fmt, _blocks in tablet_formats(table).values()} \
-                == {BLOCK_FORMAT_V2}
-            stored_rows(db, name, manifest["tables"][name])
-        counters = db.metrics.snapshot()["counters"]
-        assert counters["codec.blocks_decoded"] > 0
-        assert counters.get("codec.blocks_encoded", 0) == 0
-
-    def test_fixture_probe_key(self, clock):
-        disk, recorded, _manifest = load_v2_datadir()
-        table = LittleTable(disk=disk, clock=clock).table("mixed")
-        formats = tablet_formats(table)
-        v2 = [meta for meta in table.on_disk_tablets
-              if formats[meta.tablet_id][0] == BLOCK_FORMAT_V2]
-        assert len(v2) == 2
-        key_of = table.schema.key_of
-        rows = sorted((tuple(row.values()) for row in recorded["mixed"]),
-                      key=key_of)
-        for meta in v2:
-            reader = table._reader(meta)
-            held = [row for row in rows
-                    if meta.min_key <= key_of(row) <= meta.max_key]
-            assert len(held) == meta.row_count
-            for row in (held[0], held[len(held) // 2], held[-1]):
-                assert reader.probe_key(key_of(row))
-            network, device, ts = key_of(held[0])
-            assert not reader.probe_key((network, device, ts + 999))
-
-    def test_fixture_rows_are_still_unique_keys(self, clock):
-        """The uniqueness slow path probes v2 blocks: a late duplicate
-        of a stored row is refused, a late new row is admitted."""
-        from repro.core.errors import DuplicateKeyError
-
-        disk, recorded, _manifest = load_v2_datadir()
-        table = LittleTable(disk=disk, clock=clock).table("mixed")
-        stored = dict(recorded["mixed"][-1])
-        assert stored["network"] == 3
-        with pytest.raises(DuplicateKeyError):
-            table.insert([stored])
-        stored["ts"] -= 1
-        assert table.insert([stored]) == 1
-
-
-class TestMixedFormatMerge:
-    def test_v1_v2_v3_tablets_merge_to_v3(self, clock, small_config):
-        # Two tablets in the v1 format and two in v2, as the last
-        # commit with a v2 writer left them...
-        disk, recorded, _manifest = load_v2_datadir()
-        clock.advance_seconds(600)
-        db = LittleTable(disk=disk, config=small_config, clock=clock)
-        table = db.table("mixed")
-        before = tablet_formats(table)
-        assert sorted(fmt for fmt, _blocks in before.values()) == [
-            BLOCK_FORMAT_V1, BLOCK_FORMAT_V1, BLOCK_FORMAT_V2,
-            BLOCK_FORMAT_V2]
-        # ...one written today...
-        fresh = [{"network": 1, "device": d, "ts": clock.now() + d,
-                  "bytes": -d, "rate": d / 4} for d in range(50)]
-        table.insert(fresh)
-        (meta,) = table.flush_all()
-        assert tablet_formats(table)[meta.tablet_id][0] == BLOCK_FORMAT_V3
-        # ...merge into one v3 tablet holding exactly the rows written.
-        while table.maybe_merge() is not None:
-            pass
-        after = tablet_formats(table)
-        assert [fmt for fmt, _blocks in after.values()] == [BLOCK_FORMAT_V3]
-        oracle = sorted(tuple(row.values())
-                        for row in recorded["mixed"] + fresh)
-        assert rows_equal(table.query(Query()).rows, oracle)
-        counters = db.metrics.snapshot()["counters"]
-        assert counters["codec.blocks_upgraded"] == sum(
-            blocks for fmt, blocks in before.values())

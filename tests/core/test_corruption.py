@@ -154,7 +154,6 @@ def _with_trailer_word(data, index, value):
 
 DAMAGED_TAILS = [
     ("intact", lambda data: data, None),
-    ("legacy 16-byte trailer", lambda data: data[:-8], None),
     ("short file", lambda data: data[-10:], "too small (10 bytes)"),
     ("bad offset",
      lambda data: _with_trailer_word(data, 1, len(data) + 100),

@@ -312,46 +312,6 @@ class TestBitflipDetection:
         assert [m.filename for m in table.on_disk_tablets] == [survivor]
 
 
-class TestFormatCompat:
-    def test_unchecksummed_tablets_still_load(self):
-        clock = VirtualClock(start=BASE)
-        disk = SimulatedDisk()
-        db = LittleTable(disk=disk, clock=clock,
-                         config=crash_config(checksums=False))
-        table = db.create_table("t", usage_schema())
-        table.insert([row_for(i) for i in range(40)])
-        table.flush_all()
-        assert not table._reader(table.on_disk_tablets[0]).has_checksums
-        # Reopen with checksums on: pre-v2.1 files stay readable.
-        reopened = LittleTable(disk=disk, clock=clock,
-                               config=crash_config())
-        rows = reopened.query("t", Query()).rows
-        assert len(rows) == 40
-        from repro.core.check import WARNING, check_table
-
-        issues = check_table(reopened.table("t"))
-        assert any(issue.severity == WARNING
-                   and "checksums" in issue.message for issue in issues)
-
-    def test_merge_upgrades_to_checksummed(self):
-        clock = VirtualClock(start=BASE)
-        disk = SimulatedDisk()
-        db = LittleTable(disk=disk, clock=clock,
-                         config=crash_config(checksums=False))
-        table = db.create_table("t", usage_schema())
-        for start in (0, 50):
-            table.insert([row_for(start + i) for i in range(50)])
-            table.flush_all()
-        reopened = LittleTable(disk=disk, clock=clock,
-                               config=crash_config())
-        reopened.maintenance_until_quiet()
-        table = reopened.table("t")
-        metas = table.on_disk_tablets
-        assert len(metas) == 1  # merged
-        assert table._reader(metas[0]).has_checksums
-        assert len(reopened.query("t", Query()).rows) == 100
-
-
 class TestReadOnlyDegradation:
     def test_enospc_degrades_immediately_reads_keep_serving(self):
         clock = VirtualClock(start=BASE)

@@ -55,8 +55,7 @@ class TestBlockwise:
         low = [usage_row(d, NOW + d) for d in range(0, 60)]
         high = [usage_row(d, NOW + d) for d in range(100, 160)]
         metas = [write(disk, schema, 1, low), write(disk, schema, 2, high)]
-        meta, upgraded = merge(disk, schema, metas, metrics)
-        assert upgraded == 0
+        meta = merge(disk, schema, metas, metrics)
         assert rows_of(disk, meta) == low + high
         assert meta.row_count == 120
         assert (meta.min_ts, meta.max_ts) == (NOW, NOW + 159)
@@ -71,7 +70,7 @@ class TestBlockwise:
         evens = [usage_row(d, NOW + d) for d in range(0, 120, 2)]
         odds = [usage_row(d, NOW + d) for d in range(1, 120, 2)]
         metas = [write(disk, schema, 1, evens), write(disk, schema, 2, odds)]
-        meta, _upgraded = merge(disk, schema, metas)
+        meta = merge(disk, schema, metas)
         assert rows_of(disk, meta) == sorted(evens + odds,
                                              key=schema.key_of)
         # The merged tablet answers Bloom probes for both sources.
@@ -81,9 +80,8 @@ class TestBlockwise:
     def test_single_source_is_rewritten_whole(self):
         schema, disk = usage_schema(), SimulatedDisk()
         one = write(disk, schema, 1, [usage_row(1, NOW)])
-        meta, upgraded = merge(disk, schema, [one])
+        meta = merge(disk, schema, [one])
         assert rows_of(disk, meta) == [usage_row(1, NOW)]
-        assert upgraded == 0
 
 
 def _deal(pattern, rng, k, n):
@@ -140,11 +138,10 @@ class TestStretches:
                  for source in range(k)]
         metas = [meta for meta in metas if meta is not None]
         plan = MergePlan(metas, period_for(NOW, NOW, True))
-        meta, upgraded = merge_tablets(
+        meta = merge_tablets(
             plan, [TabletReader(disk, m.filename, metrics=metrics)
                    for m in metas],
             writer, schema, "t/merged.lt", 9, NOW + 5)
-        assert upgraded == 0
         assert rows_of(disk, meta) == union
         assert meta.row_count == n
         timestamps = [schema.ts_of(row) for row in union]
@@ -187,8 +184,7 @@ class TestTranslating:
         new_rows = [usage_row(d, NOW + d) + (7,) for d in range(1, 40, 2)]
         metas = [write(disk, old_schema, 1, old_rows),
                  write(disk, new_schema, 2, new_rows)]
-        meta, upgraded = merge(disk, new_schema, metas)
-        assert upgraded == 0
+        meta = merge(disk, new_schema, metas)
         assert meta.schema_version == new_schema.version
         expected = sorted(
             [new_schema.translate_row(row, old_schema) for row in old_rows]
@@ -263,10 +259,9 @@ class TestRecordedBytes:
 
         def merged(sources, tablet_id):
             plan = MergePlan(sources, period_for(NOW, NOW, True))
-            meta, upgraded = merge_tablets(
+            meta = merge_tablets(
                 plan, [TabletReader(disk, m.filename) for m in sources],
                 writer, schema, f"t/tab-{tablet_id}.lt", tablet_id, NOW + 5)
-            assert upgraded == 0
             assert meta.row_count == sum(m.row_count for m in sources)
             return meta
 

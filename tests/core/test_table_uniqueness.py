@@ -94,6 +94,7 @@ class TestSlowPathIsAPointRead:
         "as-v2", "as-v1", "before-an-append-column"])
     def test_late_rows_share_one_block_read(self, db, clock, written):
         if written == "as-v1":
+            # The recorded v1 rows, as their one-for-one v3 copy.
             disk, _recorded = load_v1_datadir()
             clock.advance_seconds(120)
             table = LittleTable(disk=disk, clock=clock).table("usage")

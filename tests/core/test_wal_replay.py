@@ -14,8 +14,7 @@ The contract under test (ISSUE PR 8 acceptance criteria):
   log.
 """
 
-import json
-import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -27,11 +26,13 @@ from repro.core import (
     Query,
     is_healthy,
 )
-from repro.core.codec import BLOCK_FORMAT_V2, compiled_ops
+from repro.core.codec import compiled_ops
+from repro.core.errors import UnsupportedFormatError
 from repro.core.tablet import TabletReader
 from repro.core.wal import (WalRecord, is_wal_filename, iter_records,
                             wal_segment_filename)
 from repro.disk import CrashPoint, FaultyVFS, SimulatedDisk
+from repro.util.checksum import crc32c
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 from ..conftest import usage_schema
@@ -483,57 +484,13 @@ class TestApplyRecords:
         newer = (1, 1, BASE + 2, 20, 0.0)
 
         def record(lsn, row):
-            return WalRecord(lsn, table.schema.version, [],
-                             block=encode([row]), row_count=1)
+            return WalRecord(lsn, table.schema.version, encode([row]), 1)
 
         table.apply_wal_records([record(1, older)])
         assert table.latest((1, 1)) == older          # fills the cache
         table.apply_wal_records([record(2, newer)])
         assert table.query(Query()).rows == [older, newer]
         assert table.latest((1, 1)) == newer
-
-    def _replay_recorded(self, fixture):
-        """Crash onto a recorded segment: every recorded row comes
-        back, then a flush recycles the old-format segment."""
-        fixtures = Path(__file__).parent / "fixtures"
-        recorded = json.loads((fixtures / f"{fixture}.json").read_text())
-        segment = (fixtures / f"{fixture}_segment.bin").read_bytes()
-        disk = SimulatedDisk()
-        clock = VirtualClock(start=BASE)
-        db = LittleTable(disk=disk, clock=clock, durability=WAL_POLICY)
-        db.create_table("t", usage_schema())
-        assert recorded["schema_version"] == db.table("t").schema.version
-        disk.write_file(recorded["segment"], segment)
-        recovered = db.simulate_crash()
-        report = recovered.table("t").last_wal_replay
-        expected = sorted(tuple(row) for batch in recorded["batches"]
-                          for row in batch)
-        assert report.records == len(recorded["batches"])
-        assert report.rows_applied == len(expected)
-        assert report.issues == []
-        got = recovered.table("t").query(Query()).rows
-        assert [(row, math.copysign(1, row[4])) for row in got] == \
-            [(row, math.copysign(1, row[4])) for row in expected]
-        # The replayed memtables carry the records' LSNs: a flush
-        # covers them and recycles the old-format segment.
-        recovered.table("t").flush_all()
-        assert wal_files(disk) == []
-        return list(iter_records(segment, fixture, []))
-
-    def test_recorded_kind_rows_segment_replays(self):
-        """``KIND_ROWS`` records are read-only: nothing writes them any
-        more, but a segment written before ``KIND_BLOCK`` existed must
-        still replay.  The fixture was recorded once with the last
-        ``WriteAheadLog.log_batch``."""
-        records = self._replay_recorded("wal_kind_rows")
-        assert all(record.block is None for record in records)
-
-    def test_recorded_v2_kind_block_segment_replays(self):
-        """``KIND_BLOCK`` records whose body is a v2 block, recorded
-        with the last v2 block writer (``INT64`` min and max, ``-0.0``,
-        a 40-row batch): the body's format byte picks the decoder."""
-        records = self._replay_recorded("wal_kind_block_v2")
-        assert {record.block[0] for record in records} == {BLOCK_FORMAT_V2}
 
     def test_replay_checks_a_blocks_rows_against_the_record_header(self):
         """The header's ``row_count`` is authoritative: a record whose
@@ -547,9 +504,9 @@ class TestApplyRecords:
         encode = compiled_ops(table.schema).encode_rows
         rows = [(1, d, BASE + d, d, 0.5) for d in range(6)]
         frames = [
-            WalRecord(1, 1, [], block=encode(rows[:2]), row_count=2),
-            WalRecord(2, 1, [], block=encode(rows[2:5]), row_count=2),
-            WalRecord(3, 1, [], block=encode(rows[5:]), row_count=1),
+            WalRecord(1, 1, encode(rows[:2]), 2),
+            WalRecord(2, 1, encode(rows[2:5]), 2),
+            WalRecord(3, 1, encode(rows[5:]), 1),
         ]
         segment = b"".join(frame.encode() for frame in frames)
         assert len(list(iter_records(segment, "s", []))) == 3   # CRCs hold
@@ -562,3 +519,49 @@ class TestApplyRecords:
         assert len(report.issues) == 1 and "lsn=2" in report.issues[0]
         assert recovered.table("t").query(Query()).rows == \
             rows[:2] + rows[5:]
+
+
+def _with_record_body(segment, index, mutate):
+    """``segment`` with record ``index``'s body passed through
+    ``mutate`` and its CRC recomputed: a sound frame around bytes this
+    engine did not write."""
+    out, offset, number = bytearray(), 0, 0
+    while offset < len(segment):
+        length, _crc = struct.unpack_from("<II", segment, offset)
+        body = segment[offset + 8:offset + 4 + length]
+        if number == index:
+            body = bytes(mutate(bytearray(body)))
+        out += struct.pack("<II", length, crc32c(body)) + body
+        offset += 4 + length
+        number += 1
+    return bytes(out)
+
+
+class TestUnsupportedRecords:
+    """A record whose frame and CRC are sound but which is not a v3
+    ``KIND_BLOCK`` fails the open.  Stopping replay there, or skipping
+    its rows, would lose the acknowledged records after it - and the
+    next flush would recycle the segment that still holds them."""
+
+    @pytest.mark.parametrize("at, value", [(0, 9), (17, 7)],
+                             ids=["kind-byte", "block-format-byte"])
+    def test_open_refuses_and_leaves_the_segment(self, at, value):
+        disk = SimulatedDisk()
+        db = LittleTable(disk=disk, clock=VirtualClock(start=BASE),
+                         durability=WAL_POLICY)
+        table = db.create_table("t", usage_schema())
+        for index in range(3):
+            table.insert_tuples([tuple(row_for(index).values())])
+        (segment,) = wal_files(disk)
+
+        def mutate(body):
+            body[at] = value
+            return body
+
+        damaged = _with_record_body(disk.storage.read_all(segment), 1, mutate)
+        disk.storage.delete(segment)
+        disk.storage.write_file(segment, damaged)
+        with pytest.raises(UnsupportedFormatError, match="lsn=2"):
+            db.simulate_crash()
+        assert wal_files(disk) == [segment]
+        assert disk.storage.read_all(segment) == damaged

@@ -12,11 +12,11 @@ it does so through four doors: an embedded ``LittleTable``, a 4-shard
 
 The data is adversarial on purpose:
 
-* tablets in every block format (the checked-in v1 row-major tablet
-  arrives as runs and is transposed; v3, and the checked-in v2
-  tablets, are columnar already) plus unflushed memtable rows
-  overlapping the same keys and times, plus tablets and memtables
-  written under an older schema;
+* recorded tablets (the v3 copies of the checked-in v1 and v2 data
+  directories) and freshly written ones, plus unflushed memtable rows
+  overlapping the same keys and times (they arrive as runs and are
+  transposed), plus tablets and memtables written under an older
+  schema;
 * DOUBLE values are dyadic rationals (multiples of 0.25) so SUM/AVG
   are exact in IEEE doubles and the partial-aggregation merge order
   cannot introduce rounding differences — any mismatch is a real bug;
@@ -126,9 +126,10 @@ def random_rows(rng, count, networks=4, devices=6):
 
 
 def build_mixed_db():
-    """v1 tablets + v3 tablets + a populated memtable, keys interleaved.
+    """Recorded tablets + fresh tablets + a populated memtable, keys
+    interleaved.
 
-    The v1 third is data, not a writer: the fixture directory's
+    The first third is data, not a writer: the recorded directory's
     ``usage`` table holds exactly ``rows[:third]`` of this seed.
     """
     clock = VirtualClock(start=BASE + WINDOW)
@@ -175,11 +176,10 @@ class TestDifferential:
         counters = db.metrics.snapshot()["counters"]
         # Prove the fast side actually pushed down (not oracle-vs-oracle)
         # and that both lanes saw rows: blocks that were columnar
-        # already, and v1/memtable runs that were transposed.
+        # already, and memtable runs that were transposed.
         assert counters["query.pushdown.queries"] > before
         assert counters["query.pushdown.rows_columnar"] > 0
         assert counters["query.pushdown.rows_fallback"] > 0
-        assert counters["query.pushdown.blocks_fallback"] > 0
 
     def test_many_seeds_all_flushed_v2(self):
         for seed in range(5):
@@ -195,9 +195,10 @@ class TestDifferential:
             assert counters.get("query.pushdown.blocks_fallback", 0) == 0
 
     def test_recorded_v2_tablets_go_columnar(self):
-        """Tablets the last v2 block writer left (``v2_datadir``'s
+        """The rows the last v2 block writer left (``v2_datadir``'s
         ``usage``: the benchmark's preload, ``repro.dashboard``'s
-        schema) answer from the columnar path too, block for block."""
+        schema), as their v3 copy, answer from the columnar path too,
+        block for block."""
         disk, _rows, manifest = load_v2_datadir()
         db = LittleTable(disk=disk,
                          clock=VirtualClock(start=20_006 * MICROS_PER_DAY))

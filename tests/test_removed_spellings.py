@@ -11,7 +11,9 @@ server front or shard router that starts maintenance under a policy
 of its own, the SQL session's row-at-a-time aggregator and the engine's
 per-row aggregate fallback, a read-cache entry of row and key tuples,
 a query reply's JSON rows, a ``latest`` request of one ``prefix``
-answered by one ``row``, protocol version 3) or an option nothing read;
+answered by one ``row``, protocol version 3, the readers of v1 and v2
+blocks, pre-v2.1 tablets and ``KIND_ROWS`` WAL records) or an option
+nothing read (or, like ``checksums``, could only turn a guard off);
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
@@ -49,6 +51,8 @@ from repro.sqlapi import SqlSession
                  id="policy-checksums"),
     pytest.param(lambda: EngineConfig(block_format_version=1),
                  id="config-block-format"),
+    pytest.param(lambda: EngineConfig(checksums=True),
+                 id="config-checksums"),
     pytest.param(
         lambda: AsyncLittleTableServer(LittleTable(),
                                        maintenance_interval_s=1),
@@ -172,6 +176,14 @@ SRC = Path(__file__).parent.parent / "src"
         r'PROTOCOL_VERSION = 3\b|"version": 3\b|\.get\("row"\)'
         r'|\["row"\]|\brow=(None|protocol)', (),
         id="single-prefix-latest"),
+    # One on-disk format: v3 blocks in checksummed (v2.1) tablets and
+    # v3 KIND_BLOCK WAL records.  Older bytes are refused with
+    # UnsupportedFormatError, not read beside them or upgraded.
+    pytest.param(
+        "BLOCK_FORMAT_V1|BLOCK_FORMAT_V2|KIND_ROWS|_decode_v2"
+        "|_parse_v2_layout|decode_rows|BlockBuilder|blocks_upgraded"
+        "|note_upgraded_blocks|has_checksums|have_zone_maps", (),
+        id="old-format-reader"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)

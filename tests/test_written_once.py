@@ -223,24 +223,25 @@ def test_one_function_each_side_carries_a_result_block():
 
 
 def test_one_way_from_a_block_to_its_rows():
-    """One function tells a v1 block (which has no format byte) from
-    the later ones, one admits a decoded block to the read cache, and a
-    block body is decompressed where it is decoded: the one decode into
-    columns, and the footer (its own parser).  v2 and v3 bodies are
-    told apart in ``codec.py``, by their first byte, in one function
-    too."""
+    """There is one block format, so nothing in ``tablet.py`` reads one
+    back to choose a decoder; one function admits a decoded block to
+    the read cache, and a block body is decompressed where it is
+    decoded: the one decode into columns, and the footer (its own
+    parser).  Old bytes are refused in one function per layer: the
+    trailer (``read_footer``), the footer (``_parse_footer_body``) and
+    the WAL record (``iter_records``)."""
     def in_tablet(predicate):
         return functions_where(predicate, [CORE / "tablet.py"])
 
     assert in_tablet(lambda n: is_attr(n, "block_format") and isinstance(
-        n.ctx, ast.Load)) == {"tablet.py:decode_payload"}
+        n.ctx, ast.Load)) == set()
     assert functions_where(calls("put_block")) == {"tablet.py:_scan_block"}
     assert in_tablet(calls("decompress")) == {
         "tablet.py:decode_payload", "tablet.py:_parse_footer"}
-    assert functions_where(
-        lambda n: isinstance(n, ast.Name) and n.id == "BLOCK_FORMAT_V2"
-        and isinstance(n.ctx, ast.Load), [CORE / "codec.py"]) == {
-            "codec.py:decode_block_columns"}
+    assert functions_where(calls("UnsupportedFormatError"),
+                           [CORE / "tablet.py", CORE / "wal.py"]) == {
+        "tablet.py:read_footer", "tablet.py:_parse_footer_body",
+        "wal.py:iter_records"}
 
 
 def test_one_function_builds_rows_from_cached_columns():
