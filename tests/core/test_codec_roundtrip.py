@@ -16,21 +16,26 @@ in format v3 (frame-of-reference byte planes).  These tests pin down:
 * raw v3 no larger than the raw v2 the last v2 writer produced for the
   same recorded rows (the WAL body and the read cache pay raw bytes).
 
-Reading the old formats is refused, not tested here:
-``test_old_formats.py``.
+Reading the old formats is refused: ``test_old_formats.py`` covers
+every door but the uniqueness probe, which ``TestV1Compat`` covers.
 """
 
+import json
 import random
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 
 from repro.core import LittleTable, Query
 from repro.core.codec import BLOCK_FORMAT_V3, SchemaCodec, compiled_ops
 from repro.core.encoding import RowCodec, decode_value
-from repro.core.errors import CorruptTabletError, ValidationError
+from repro.core.errors import (CorruptTabletError, UnsupportedFormatError,
+                               ValidationError)
 from repro.core.schema import Column, ColumnType, Schema
+from repro.core.tablet import TabletReader
+from repro.disk import SimulatedDisk
 from repro.util.clock import VirtualClock
 
 from ..conftest import BASE_TIME, load_v2_datadir
@@ -387,6 +392,33 @@ class TestCorruption:
             decode_value(ColumnType.STRING, bad, 0)
         with pytest.raises(CorruptTabletError):
             decode_value(ColumnType.BLOB, bad, 0)
+
+
+# --------------------------------------------------------- v1 refusal
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestV1Compat:
+    """The duplicate check an insert makes probes a tablet for a key;
+    a v1 tablet is refused there as at every other door."""
+
+    def test_fixture_probe_key(self):
+        fixture = (FIXTURES / "v1_tablet_zlib.bin").read_bytes()
+        disk = SimulatedDisk()
+        disk.write_file("t/f.lt", fixture)
+        reader = TabletReader(disk, "t/f.lt")
+        schema = Schema.from_dict(
+            json.loads((FIXTURES / "v1_tablet_schema.json").read_text()))
+        rows = json.loads((FIXTURES / "v1_tablet_rows.json").read_text())
+        key_of = compiled_ops(schema).key_of
+        missing = list(rows[0])
+        missing[0] = "host-that-does-not-exist"
+        for row in (rows[0], rows[len(rows) // 2], rows[-1], missing):
+            with pytest.raises(UnsupportedFormatError,
+                               match="^t/f.lt: pre-v2.1 16-byte trailer"):
+                reader.probe_key(key_of(tuple(row)))
+        assert disk.storage.read_all("t/f.lt") == fixture
 
 
 # ------------------------------------------------------------- raw size

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import CorruptTabletError, LittleTable, Query
 from repro.core.descriptor import TableDescriptor
+from repro.core.errors import SUPPORTED_FORMAT, UnsupportedFormatError
 from repro.core.recovery import verify_tablet_file
 from repro.core.row import KeyRange, TimeRange
 from repro.core.tablet import (CHECKSUM_MAGIC, CHECKSUM_TRAILER_BYTES,
@@ -153,27 +154,34 @@ def _with_trailer_word(data, index, value):
 
 
 DAMAGED_TAILS = [
-    ("intact", lambda data: data, None),
-    ("short file", lambda data: data[-10:], "too small (10 bytes)"),
+    ("intact", lambda data: data, None, None),
+    # The shape every pre-v2.1 file has: refused, not damage.
+    ("legacy 16-byte trailer", lambda data: data[:-8],
+     f"pre-v2.1 16-byte trailer (no {CHECKSUM_MAGIC.decode()} magic); "
+     f"{SUPPORTED_FORMAT}", UnsupportedFormatError),
+    ("short file", lambda data: data[-10:], "too small (10 bytes)",
+     CorruptTabletError),
     ("bad offset",
      lambda data: _with_trailer_word(data, 1, len(data) + 100),
-     "bad trailer"),
+     "bad trailer", CorruptTabletError),
     ("zero footer size", lambda data: _with_trailer_word(data, 0, 0),
-     "bad trailer"),
+     "bad trailer", CorruptTabletError),
     ("wrong footer CRC",
      lambda data: data[:-8] + bytes([data[-8] ^ 0xFF]) + data[-7:],
-     "footer checksum mismatch"),
+     "footer checksum mismatch", CorruptTabletError),
 ]
 
 
 class TestOneFooterReader:
     """The read path and the startup scrub locate and check a footer
-    with the same code, so they give the same verdict on every tail."""
+    with the same code, so they give the same verdict on every tail:
+    a damaged tail is a problem the scrub reports, an old format one
+    both refuse."""
 
-    @pytest.mark.parametrize("damage,problem",
+    @pytest.mark.parametrize("damage,problem,error",
                              [case[1:] for case in DAMAGED_TAILS],
                              ids=[case[0] for case in DAMAGED_TAILS])
-    def test_reader_and_scrub_agree(self, damage, problem):
+    def test_reader_and_scrub_agree(self, damage, problem, error):
         db, table = build_table(VirtualClock(start=BASE))
         meta = table.on_disk_tablets[0]
         data = db.disk.storage.read_all(meta.filename)
@@ -181,17 +189,22 @@ class TestOneFooterReader:
         damaged = damage(data)
         db.disk.write_file("damaged.lt", damaged)
         reader = TabletReader(db.disk, "damaged.lt")
+        damaged_meta = replace(meta, filename="damaged.lt",
+                               size_bytes=len(damaged))
         if problem is None:
             reader.ensure_loaded()
             assert reader.row_count == meta.row_count
         else:
-            with pytest.raises(CorruptTabletError) as caught:
+            with pytest.raises(error) as caught:
                 reader.ensure_loaded()
             assert str(caught.value) == f"damaged.lt: {problem}"
-        assert verify_tablet_file(
-            db.disk.storage,
-            replace(meta, filename="damaged.lt",
-                    size_bytes=len(damaged))) == problem
+        if error is UnsupportedFormatError:
+            with pytest.raises(UnsupportedFormatError) as scrubbed:
+                verify_tablet_file(db.disk.storage, damaged_meta)
+            assert str(scrubbed.value) == f"damaged.lt: {problem}"
+        else:
+            assert verify_tablet_file(db.disk.storage,
+                                      damaged_meta) == problem
 
 
 def _read_query(table):

@@ -24,7 +24,6 @@ them.  Their rows live on in ``fixtures/v3/`` (``conftest.py``).
 
 import json
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,10 +33,9 @@ from repro.core import DurabilityPolicy, LittleTable, Query
 from repro.core.descriptor import TableDescriptor
 from repro.core.errors import (SUPPORTED_FORMAT, CorruptTabletError,
                                UnsupportedFormatError)
-from repro.core.recovery import verify_tablet_file
 from repro.core.row import KeyRange, TimeRange
 from repro.core.schema import Schema
-from repro.core.tablet import TabletMeta, TabletReader
+from repro.core.tablet import TabletMeta
 from repro.core.vector import AggregateSpec
 from repro.disk import SimulatedDisk
 from repro.disk.storage import FileStorage
@@ -214,21 +212,6 @@ def fresh_tablet():
                    "rate": 0.0} for d in range(50)])
     table.flush_all()
     return db, table.on_disk_tablets[0]
-
-
-def test_reader_and_scrub_refuse_a_pre_v21_trailer():
-    """Today's tablet cut back to the two-word trailer: the shape every
-    pre-v2.1 file has, refused by the one function that reads a
-    trailer, for the read path and the startup scrub alike."""
-    db, meta = fresh_tablet()
-    data = db.disk.storage.read_all(meta.filename)[:-8]
-    db.disk.write_file("legacy.lt", data)
-    message = "legacy.lt: pre-v2.1 16-byte trailer"
-    with pytest.raises(UnsupportedFormatError, match=message):
-        TabletReader(db.disk, "legacy.lt").ensure_loaded()
-    with pytest.raises(UnsupportedFormatError, match=message):
-        verify_tablet_file(db.disk.storage, replace(
-            meta, filename="legacy.lt", size_bytes=len(data)))
 
 
 def test_descriptor_without_checksum_fails_the_open():
