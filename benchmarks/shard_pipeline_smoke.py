@@ -4,7 +4,9 @@
 Boots a 2-shard router behind the asyncio front end, then issues the
 same 800 latest-row lookups through one connection twice: first
 sequentially (untagged, one round trip per request), then pipelined
-(id-tagged, up to 256 requests in flight).  Latest-row lookups
+(id-tagged, up to 256 requests in flight).  Each lookup asks for one
+prefix: ``RemoteTable.latest`` in turn, ``Pipeline.latest_many`` with
+a batch of one in flight.  Latest-row lookups
 are the paper's cheapest hot-path request (§3.4.5), so the round trip
 dominates and pipelining's amortization must win by at least 2x even
 on loopback; CI fails the build if that regresses.  Both sides take
@@ -21,6 +23,7 @@ from repro.net import (
     AsyncLittleTableServer,
     ClientConfig,
     LittleTableClient,
+    RemoteDatabase,
     ShardRouter,
 )
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
@@ -49,22 +52,23 @@ def main() -> int:
 
         client = LittleTableClient(
             host, port, config=ClientConfig(pipeline_depth=256))
-        client.insert("usage", [
+        usage = RemoteDatabase(client).table("usage")
+        usage.insert([
             {"device": d, "ts": BASE + d, "bytes": d}
             for d in range(DEVICES)])
 
         def sequential_trial():
             started = time.perf_counter()
             for i in range(REQUESTS):
-                assert client.latest("usage", (i % DEVICES,)) is not None
+                assert usage.latest((i % DEVICES,)) is not None
             return time.perf_counter() - started
 
         def pipelined_trial():
             started = time.perf_counter()
             with client.pipeline() as pipe:
-                replies = [pipe.latest("usage", (i % DEVICES,))
+                replies = [pipe.latest_many("usage", [(i % DEVICES,)])
                            for i in range(REQUESTS)]
-            assert all(r.result() is not None for r in replies)
+            assert all(r.result()[0] is not None for r in replies)
             return time.perf_counter() - started
 
         sequential_s = min(sequential_trial() for _ in range(TRIALS))

@@ -79,7 +79,7 @@ def build_db(read_cache=True):
     # production table would.
     chunk = len(rows) // 4
     for i in range(0, len(rows), chunk):
-        db.insert("usage", rows[i:i + chunk])
+        db.table("usage").insert(rows[i:i + chunk])
         db.table("usage").flush_all()
     return db, len(rows)
 

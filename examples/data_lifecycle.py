@@ -59,7 +59,7 @@ def main() -> None:
             rows = [{"customer": customer, "device": d,
                      "ts": start + week * MICROS_PER_WEEK + d,
                      "bytes": week * 100 + d} for d in range(10)]
-            db.insert("usage", rows)
+            usage.insert(rows)
         usage.flush_all()
     clock.advance(8 * MICROS_PER_WEEK)
     db.maintenance_until_quiet()
@@ -67,8 +67,8 @@ def main() -> None:
           f"{len(usage.on_disk_tablets)} tablets")
 
     # --- 2. The explicit flush command (§4.1.2) ----------------------
-    db.insert("usage", [{"customer": 1, "device": 99, "ts": clock.now(),
-                         "bytes": 1}])
+    usage.insert([{"customer": 1, "device": 99, "ts": clock.now(),
+                   "bytes": 1}])
     written = usage.flush_before(clock.now() + 1)
     print(f"\nflush_before(now): {len(written)} tablet(s) written - "
           f"aggregators can now trust everything up to 'now' is durable")
@@ -79,7 +79,7 @@ def main() -> None:
     tiers = [t.tier for t in usage.on_disk_tablets]
     print(f"\nmigrate_to_cold: {moved} tablet(s) moved; tiers now "
           f"{sorted(tiers)}")
-    old_rows = db.query("usage", Query(
+    old_rows = usage.query(Query(
         KeyRange.prefix((2,)),
         TimeRange.between(None, cutoff))).rows
     print(f"  queries still see the archived history transparently: "
@@ -87,9 +87,9 @@ def main() -> None:
           f"(cold-tier read time {cold.elapsed_s * 1000:.0f} ms modeled)")
 
     # --- 4. A customer invokes their right to erasure (§7) -----------
-    before = len(db.query("usage").rows)
+    before = len(usage.query(Query()).rows)
     removed = usage.bulk_delete((2,))
-    after = len(db.query("usage").rows)
+    after = len(usage.query(Query()).rows)
     print(f"\nbulk_delete(customer=2): {removed} rows removed "
           f"({before} -> {after}); hot and cold tablets rewritten in "
           f"place")
@@ -106,7 +106,7 @@ def main() -> None:
 
     print("Primary fails! Initiating automated failover...")
     promoted = controller.initiate_failover()
-    rows = promoted.query("usage").rows
+    rows = promoted.table("usage").query(Query()).rows
     print(f"  DNS now points at: {dns.resolve('shard-7')}; the spare "
           f"serves {len(rows)} rows "
           f"(the bulk delete is preserved: "

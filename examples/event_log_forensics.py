@@ -38,7 +38,7 @@ def main() -> None:
     # Browse the most recent events, newest first, like the Dashboard
     # event-log page.
     print("\nMost recent events for network 1:")
-    recent = shard.db.query("events", Query(
+    recent = shard.db.table("events").query(Query(
         KeyRange.prefix((1,)),
         TimeRange.between(shard.clock.now() - MICROS_PER_HOUR, None),
         direction="desc", limit=8))
@@ -59,7 +59,8 @@ def main() -> None:
 
     # The outage left no duplicate or missing ids: the device's
     # monotonic counter plus the grabber's id cache see to that.
-    rows = shard.db.query("events", Query(KeyRange.prefix((1, 2)))).rows
+    events = shard.db.table("events")
+    rows = events.query(Query(KeyRange.prefix((1, 2)))).rows
     ids = [r[3] for r in rows if r[4] != SENTINEL_KIND]
     print(f"\nDevice 2 (which suffered a 40-minute outage): "
           f"{len(ids)} events, ids {ids[0]}..{ids[-1]}, "
@@ -72,7 +73,7 @@ def main() -> None:
     shard.db.flush_all()
     shard.crash_littletable()
     shard.run_minutes(10)
-    rows = shard.db.query("events", Query(KeyRange.prefix((1,)))).rows
+    rows = shard.db.table("events").query(Query(KeyRange.prefix((1,)))).rows
     pairs = [(r[1], r[3]) for r in rows if r[4] != SENTINEL_KIND]
     print(f"  after recovery: {len(rows)} rows, duplicate events: "
           f"{len(pairs) - len(set(pairs))}")

@@ -29,8 +29,7 @@ def show_network_graphs(shard) -> None:
     """The §4.1.2 rollup graph: bytes per network per 10 minutes."""
     print("\n  Usage by network (10-minute rollups):")
     for network in shard.config_store.networks_of(1):
-        rows = shard.db.query(
-            "usage_by_network_10m",
+        rows = shard.db.table("usage_by_network_10m").query(
             Query(KeyRange.prefix((network.network_id,)))).rows
         series = [row[2] for row in rows]
         print(f"    {network.name:>10}  {sparkline(series)}  "
@@ -41,9 +40,8 @@ def show_device_drilldown(shard, network_id=1, device_id=1) -> None:
     """The §4.1.1 drill-down: per-minute rates for one device."""
     hour_ago = TimeRange.between(
         shard.clock.now() - MICROS_PER_HOUR, None)
-    rows = shard.db.query(
-        "usage", Query(KeyRange.prefix((network_id, device_id)),
-                       hour_ago)).rows
+    rows = shard.db.table("usage").query(
+        Query(KeyRange.prefix((network_id, device_id)), hour_ago)).rows
     rates = [row[5] for row in rows]
     print(f"\n  Device {device_id} rate, last hour "
           f"({len(rates)} samples):")
@@ -54,7 +52,7 @@ def show_device_drilldown(shard, network_id=1, device_id=1) -> None:
 
 def show_tag_report(shard) -> None:
     """The §4.1.2 tag join: usage per user-defined tag."""
-    rows = shard.db.query("usage_by_tag_10m").rows
+    rows = shard.db.table("usage_by_tag_10m").query(Query()).rows
     totals = {}
     for _customer, tag, _ts, total in rows:
         totals[tag] = totals.get(tag, 0) + total
@@ -83,16 +81,15 @@ def main() -> None:
     # Now the §4.1.1 crash story: LittleTable dies, the grabber
     # rebuilds its counter cache from what survived plus the devices.
     print("\nSimulating a LittleTable crash...")
-    rows_before = len(shard.db.query("usage").rows)
+    rows_before = len(shard.db.table("usage").query(Query()).rows)
     shard.crash_littletable()
-    rows_after = len(shard.db.query("usage").rows)
+    rows_after = len(shard.db.table("usage").query(Query()).rows)
     print(f"  usage rows: {rows_before} before, {rows_after} after "
           f"(unflushed tail lost)")
 
     print("Resuming polling for 10 minutes...")
     shard.run_minutes(10)
-    rows = shard.db.query(
-        "usage",
+    rows = shard.db.table("usage").query(
         Query(KeyRange.prefix((1, 1)),
               TimeRange.between(shard.clock.now() - 20 * MICROS_PER_MINUTE,
                                 None))).rows

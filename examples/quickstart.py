@@ -42,10 +42,11 @@ def main() -> None:
         ],
         key=["network", "device", "ts"],
     )
-    db.create_table("usage", schema, ttl_micros=365 * MICROS_PER_DAY)
+    usage = db.create_table("usage", schema, ttl_micros=365 * MICROS_PER_DAY)
 
-    # Insert ten minutes of samples for two networks of three devices,
-    # straight through the database facade.
+    # Insert ten minutes of samples for two networks of three devices.
+    # Rows go through the table (`db.table("usage")` looks it up again
+    # by name), on an embedded engine and over the wire alike.
     for minute in range(10):
         rows = [
             {"network": network, "device": device, "ts": clock.now(),
@@ -53,24 +54,24 @@ def main() -> None:
             for network in (1, 2)
             for device in range(3)
         ]
-        db.insert("usage", rows)
+        usage.insert(rows)
         clock.advance(MICROS_PER_MINUTE)
 
     # Query 1: everything network 1 transferred in the last five
     # minutes - one contiguous rectangle of the keyspace x time plane.
     recent = TimeRange.between(clock.now() - 5 * MICROS_PER_MINUTE, None)
-    result = db.query("usage", Query(KeyRange.prefix((1,)), recent))
+    result = usage.query(Query(KeyRange.prefix((1,)), recent))
     print(f"network 1, last 5 minutes: {len(result.rows)} rows")
     total = sum(row[3] for row in result.rows)
     print(f"  total bytes: {total}")
 
     # Query 2: drill down to one device over all time.
-    result = db.query("usage", Query(KeyRange.prefix((1, 2))))
+    result = usage.query(Query(KeyRange.prefix((1, 2))))
     print(f"network 1 device 2, all time: {len(result.rows)} rows")
 
     # Latest row for a key prefix (§3.4.5) - what EventsGrabber uses
     # to find where it left off.
-    latest = db.latest("usage", (2, 0))
+    latest = usage.latest((2, 0))
     print(f"latest sample for (2, 0): ts={latest[2]}, bytes={latest[3]}")
 
     # Every layer records into one metrics registry; this is the same
@@ -85,14 +86,14 @@ def main() -> None:
     # crash, flushed rows survive, and survival is always a prefix of
     # insertion order.
     db.flush_all()
-    db.insert("usage", [{"network": 9, "device": 9, "ts": clock.now(),
-                         "bytes": 1}])
+    usage.insert([{"network": 9, "device": 9, "ts": clock.now(),
+                   "bytes": 1}])
 
     # The recovered database is a context manager: leaving the block
     # is a clean shutdown that flushes every table.
     with db.simulate_crash() as recovered_db:
-        print(f"rows before crash: 61; after recovery: "
-              f"{len(recovered_db.query('usage').rows)} "
+        survivors = recovered_db.table("usage").query(Query()).rows
+        print(f"rows before crash: 61; after recovery: {len(survivors)} "
               f"(the unflushed row was lost, as designed)")
 
         # The same data through the SQL front end (§2.3.2).

@@ -2,9 +2,10 @@
 """Scale-out: one workload, three deployments, zero code changes.
 
 The unified client API (`repro.connect`) returns a database facade
-with the same `insert`/`query`/`latest`/`stats`/`health` surface as
-an in-process `LittleTable`, so this example defines ONE workload
-function and runs it unchanged against:
+with the same `create_table`/`table`/`stats`/`health` surface as an
+in-process `LittleTable`, and its tables the same
+`insert`/`query`/`latest` as a `Table`, so this example defines ONE
+workload function and runs it unchanged against:
 
 1. an in-process engine (no network at all);
 2. a single engine behind the server front end;
@@ -35,7 +36,7 @@ SAMPLES = 25
 
 def workload(db, label):
     """The dashboard workload from the paper's §4.1, facade-only."""
-    db.create_table("usage", SCHEMA)
+    usage = db.create_table("usage", SCHEMA)
     now = int(time.time() * 1_000_000)
     rows = [
         {"device": f"ap-{d:02d}", "ts": now - s * 60_000_000,
@@ -43,13 +44,13 @@ def workload(db, label):
         for d in range(DEVICES)
         for s in range(SAMPLES)
     ]
-    inserted = db.insert("usage", rows)
+    inserted = usage.insert(rows)
 
-    result = db.query("usage", Query(limit=DEVICES * SAMPLES))
+    result = usage.query(Query(limit=DEVICES * SAMPLES))
     ordered = all(result.rows[i][:2] <= result.rows[i + 1][:2]
                   for i in range(len(result.rows) - 1))
 
-    latest = db.latest("usage", ("ap-07",))
+    latest = usage.latest(("ap-07",))
     health = db.health()
 
     print(f"  [{label}] inserted={inserted} "

@@ -42,8 +42,9 @@ def connect(address: Union[str, Tuple[str, int]], *,
         import repro
 
         with repro.connect("127.0.0.1:7421") as db:
-            db.insert("usage", rows)
-            result = db.query("usage", Query(...))
+            usage = db.table("usage")
+            usage.insert(rows)
+            result = usage.query(Query(...))
 
     ``address`` is ``"host:port"`` (host defaults to ``127.0.0.1``
     when omitted, as in ``":7421"``) or a ``(host, port)`` tuple -
@@ -53,10 +54,11 @@ def connect(address: Union[str, Tuple[str, int]], *,
     timeouts, retries, batching, and pipelining.
 
     The returned :class:`~repro.net.remote.RemoteDatabase` has the
-    same ``insert``/``query``/``latest``/``stats``/``health`` facade
-    and context-manager semantics as an in-process
-    :class:`LittleTable`, so application code runs unchanged against
-    a local engine, one server, or a sharded deployment.
+    same ``table``/``create_table``/``stats``/``health`` facade and
+    context-manager semantics as an in-process :class:`LittleTable`,
+    and its ``table(name)`` the same row operations as a ``Table``,
+    so application code runs unchanged against a local engine, one
+    server, or a sharded deployment.
     """
     from .net.client import LittleTableClient
     from .net.remote import RemoteDatabase

@@ -257,9 +257,7 @@ def stats_main(argv: list) -> int:
             return 2
         try:
             with LittleTableClient(host or "127.0.0.1", int(port)) as client:
-                page = {"metrics": client.stats(),
-                        "tables": client.table_stats(), "spans": [],
-                        "health": client.health()}
+                page = {**client.stats_page(), "spans": []}
         except OSError as exc:
             print(f"error: cannot reach {args.connect}: {exc}",
                   file=sys.stderr)

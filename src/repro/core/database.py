@@ -4,14 +4,17 @@ This is the server-side object: it owns the simulated disk, creates
 and drops tables, runs maintenance (flushing, merging, TTL reclaim),
 and implements crash/recovery semantics.  The network server
 (:mod:`repro.net.server`) exposes it over TCP; in-process users (tests,
-benchmarks, the Dashboard applications) can use it directly.
+benchmarks, the Dashboard applications) can use it directly.  Rows
+are inserted and read through ``db.table(name)``, the
+:class:`~repro.core.table.Table`: the database itself keeps the
+catalog, DDL, maintenance, health and lifecycle.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..disk.faults import FailpointRegistry, classify_storage_error
 from ..disk.storage import Storage
@@ -27,7 +30,6 @@ from .maintenance import (MaintenancePolicy, MaintenanceReport,
                           TableMaintenanceReport)
 from .readcache import ReadCache
 from .recovery import ScrubReport, startup_scrub
-from .row import Query, QueryResult
 from .schema import Schema
 from .table import Table
 
@@ -106,9 +108,10 @@ class LittleTable:
         self._m_maintenance_errors = self.metrics.counter(
             "maintenance.errors")
         self._tables: Dict[str, Table] = {}
-        # Read-only degradation state (ISSUE: "the server degrades to
-        # read-only on ENOSPC or persistent EIO").  Inserts are
-        # rejected with ReadOnlyModeError; queries keep serving.
+        # Read-only degradation state: entered on ENOSPC or persistent
+        # EIO.  Every table's write and DDL entry points, and
+        # create_table / drop_table here, refuse with
+        # ReadOnlyModeError; reads, flushes and maintenance go on.
         self._read_only_reason: Optional[str] = None
         self._io_failure_streak = 0
         self._m_read_only = self.metrics.gauge("fault.read_only")
@@ -179,7 +182,7 @@ class LittleTable:
                       tracer=self.tracer, read_cache=self.read_cache,
                       durability=(None if standby else
                                   self.effective_durability(descriptor)),
-                      fault_listener=self._note_storage_failure)
+                      engine=self)
         if table.wal is not None:
             table.replay_wal()
         self._tables[descriptor.name] = table
@@ -219,7 +222,7 @@ class LittleTable:
             raise TableExistsError(f"table exists: {name!r}")
         if "/" in name or not name:
             raise ValueError(f"bad table name: {name!r}")
-        self._check_writable()
+        self.check_writable()
         effective = self.durability.merged_with(durability)
         effective.validate()
         descriptor = TableDescriptor(name=name, schema=schema,
@@ -238,37 +241,12 @@ class LittleTable:
         schema ... frequently during new feature development".
         """
         table = self.table(name)
+        self.check_writable()
         # The catalog entry goes away before the files.
         del self._tables[name]
         table.drop()
 
-    # -------------------------------------------------------- operations
-    #
-    # The facade is symmetric: insert/query/latest all take the table
-    # name, so callers need not reach through ``db.table(x)`` for the
-    # common operations (they still can, for the full Table API).
-
-    def insert(self, table_name: str, rows: Sequence[Dict[str, Any]]) -> int:
-        """Insert dict rows into a table."""
-        self._check_writable()
-        return self.table(table_name).insert(rows)
-
-    def query(self, table_name: str,
-              query: Optional[Query] = None) -> QueryResult:
-        """Run one query command against a table.
-
-        ``query`` defaults to the unbounded rectangle (all keys, all
-        time); the server row limit still applies, exactly as with
-        ``Table.query``.
-        """
-        return self.table(table_name).query(
-            query if query is not None else Query())
-
-    def latest(self, table_name: str, prefix: Sequence[Any],
-               max_lookback_micros: Optional[int] = None):
-        """Latest row whose key starts with ``prefix`` (§3.4.5)."""
-        return self.table(table_name).latest(
-            prefix, max_lookback_micros=max_lookback_micros)
+    # ------------------------------------------------------ maintenance
 
     def maintenance(self, stop: Optional[threading.Event] = None
                     ) -> MaintenanceReport:
@@ -393,13 +371,15 @@ class LittleTable:
         self._io_failure_streak = 0
         self._m_read_only.set(0)
 
-    def _check_writable(self) -> None:
+    def check_writable(self) -> None:
+        """Raise :class:`ReadOnlyModeError` while read-only: the check
+        every table write and DDL entry point makes first."""
         if self._read_only_reason is not None:
             self._m_read_only_rejections.inc()
             raise ReadOnlyModeError(
                 f"engine is read-only: {self._read_only_reason}")
 
-    def _note_storage_failure(self, exc: BaseException) -> None:
+    def note_storage_failure(self, exc: BaseException) -> None:
         """Fault listener installed on every table (write-path errors).
 
         Classifies the failure by errno: disk-full degrades at once

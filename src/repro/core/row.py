@@ -19,9 +19,10 @@ per-key predicates remain for testing one key.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .errors import QueryError
 
@@ -267,3 +268,34 @@ class QueryResult:
     rows: List[Tuple[Any, ...]]
     more_available: bool
     stats: QueryStats
+
+
+def scan_pages(query: Query, fetch: Callable[[Query], QueryResult],
+               key_of: Callable[[Row], Key]) -> Iterator[Row]:
+    """Every row of ``query``, one query command at a time (§3.5).
+
+    ``fetch`` runs one command - one page, cut by the server row limit.
+    A page that says more is available is resumed just past its last
+    key (just below it, when descending) with what is left of the
+    query's own limit.  The client adaptor's loop, written once for
+    every facade whose ``scan`` pages through ``query`` commands.
+    """
+    while True:
+        result = fetch(query)
+        rows = result.rows
+        yield from rows
+        if not result.more_available or not rows:
+            return
+        limit = query.limit
+        if limit is not None:
+            limit -= len(rows)
+            if limit <= 0:
+                return
+        last = key_of(rows[-1])
+        if query.direction == DESCENDING:
+            key_range = replace(query.key_range, max_prefix=last,
+                                max_inclusive=False)
+        else:
+            key_range = replace(query.key_range, min_prefix=last,
+                                min_inclusive=False)
+        query = replace(query, key_range=key_range, limit=limit)

@@ -223,7 +223,7 @@ def restore_into(db, src) -> Dict[str, Any]:
     if conflicts:
         raise SnapshotError(
             f"tables already exist: {', '.join(conflicts)}")
-    db._check_writable()
+    db.check_writable()
     copied = 0
     landed: List[str] = []
     try:

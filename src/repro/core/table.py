@@ -57,8 +57,8 @@ import threading
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Optional, Sequence, Tuple)
 
 from ..disk.storage import StorageError
 from ..disk.vfs import SimulatedDisk
@@ -84,6 +84,9 @@ from .tablet import TabletMeta, TabletReader, TabletWriter
 from .uniqueness import KeyUniqueness
 from .vector import AggregatePartials, AggregateSpec, check_key_prefix
 from .wal import WalReplayReport, WriteAheadLog, decode_record_rows
+
+if TYPE_CHECKING:
+    from .database import LittleTable
 
 # One deferred delete: (epoch it was queued at, the device holding the
 # file, the removed tablet, whether the file is quarantined rather
@@ -111,6 +114,21 @@ class TableCounters:
     flushes: int = 0
 
 
+def summary_ratios(counters: Sequence[TableCounters]) -> Dict[str, Any]:
+    """``write_amplification`` and ``scan_ratio`` of one table's
+    counters - or of several shards' summed, never the shards' own
+    ratios added up."""
+    flushed = sum(c.bytes_flushed for c in counters)
+    rewritten = sum(c.bytes_merge_written for c in counters)
+    scanned = sum(c.rows_scanned for c in counters)
+    returned = sum(c.rows_returned for c in counters)
+    return {
+        "write_amplification": (round((flushed + rewritten) / flushed, 2)
+                                if flushed else 1.0),
+        "scan_ratio": round(scanned / returned, 2) if returned else None,
+    }
+
+
 class Table:
     """One LittleTable table."""
 
@@ -120,8 +138,7 @@ class Table:
                  metrics: Optional[MetricsRegistry] = None, tracer=None,
                  read_cache: Optional[ReadCache] = None,
                  durability: Optional[DurabilityPolicy] = None,
-                 fault_listener: Optional[
-                     Callable[[BaseException], None]] = None):
+                 engine: Optional["LittleTable"] = None):
         self.disk = disk
         self.cold_disk = cold_disk
         self.descriptor = descriptor
@@ -180,9 +197,12 @@ class Table:
         self._h_swap_hold = m.histogram("maintenance.swap_lock_hold_us")
         self._m_deferred = m.counter("maintenance.deferred_deletes")
         self._m_quarantined = m.counter("storage.quarantined_tablets")
-        # Receives storage-level exceptions from flush/merge/TTL so
-        # the database can flip to read-only on persistent ENOSPC/EIO.
-        self._fault_listener = fault_listener
+        # The database that built this table (None standalone).  Every
+        # write entry point asks it whether writes are allowed, once
+        # per call, and storage-level exceptions from flush/merge/TTL
+        # go to it so it can flip to read-only on persistent
+        # ENOSPC/EIO.
+        self._engine = engine
         # The schema-compiled batch codec: validates, sizes, keys, and
         # block-encodes rows without per-value dispatch (core/codec.py).
         self._codec = SchemaCodec(descriptor.schema, self.metrics)
@@ -272,14 +292,6 @@ class Table:
             bin_key = (period.start, int(period.level))
             per_period[bin_key] = per_period.get(bin_key, 0) + 1
             tiers[meta.tier] = tiers.get(meta.tier, 0) + 1
-        counters = self.counters
-        flushed = counters.bytes_flushed
-        amplification = (
-            (flushed + counters.bytes_merge_written) / flushed
-            if flushed else 1.0
-        )
-        scanned = counters.rows_scanned
-        returned = counters.rows_returned
         return {
             "name": self.name,
             "rows": self.row_count_estimate(),
@@ -294,8 +306,7 @@ class Table:
                 plan.total_bytes for plan in pending_merge_runs(
                     [t for t in tablets if t.tier != "cold"], now,
                     self.name, self.config)),
-            "write_amplification": round(amplification, 2),
-            "scan_ratio": round(scanned / returned, 2) if returned else None,
+            **summary_ratios([self.counters]),
             "ttl_micros": self.descriptor.ttl_micros,
             "schema_version": self.schema.version,
             "durability_tier": self.durability.tier,
@@ -505,11 +516,12 @@ class Table:
             self.quarantine_tablet(meta, f"{type(exc).__name__}: {exc}")
 
     def drop(self) -> None:
-        """Delete the table's files (DROP TABLE, §3.5).  Nothing is
-        written, so a table can be dropped to free a full disk; files
-        go at once, pinned or not, because a new table may reuse the
-        name immediately.  A crash part way is the startup scrub's to
-        clean up."""
+        """Delete the table's files (DROP TABLE, §3.5); files go at
+        once, pinned or not, because a new table may reuse the name
+        immediately.  A crash part way is the startup scrub's to clean
+        up.  ``LittleTable.drop_table`` refuses this on a read-only
+        database like any other DDL: space comes back through TTL
+        expiry and deferred deletes, which maintenance keeps running."""
         with self._maintenance_lock:
             self._swap_tablets(self.descriptor.tablets, (), save=False)
             with self.lock:
@@ -537,6 +549,7 @@ class Table:
     def insert_tuples(self, rows: Sequence[Tuple[Any, ...]]) -> int:
         """Insert positional row tuples (fast path); validates them
         and takes the table's state lock itself."""
+        self._check_writable()
         batch_started = time.perf_counter()
         wal = self.wal
         commit_lsn: Optional[int] = None
@@ -927,6 +940,7 @@ class Table:
     def bulk_delete(self, prefix: Sequence[Any]) -> int:
         """Delete every row whose key starts with ``prefix`` (§7);
         returns the number of rows deleted."""
+        self._check_writable()
         return ops.bulk_delete(self, prefix)
 
     def maintenance(self,
@@ -939,9 +953,16 @@ class Table:
         """Tell the database about a storage-level failure (it decides
         whether to degrade to read-only).  Duplicate notifications for
         one failure are fine - the listener is idempotent."""
-        listener = self._fault_listener
-        if listener is not None:
-            listener(exc)
+        if self._engine is not None:
+            self._engine.note_storage_failure(exc)
+
+    def _check_writable(self) -> None:
+        """The table door: a read-only database refuses this write
+        (:class:`ReadOnlyModeError`) before anything is applied.
+        Flushes, maintenance, WAL replay and a standby's apply do not
+        come through it."""
+        if self._engine is not None:
+            self._engine.check_writable()
 
     # ------------------------------------------------------------ query
 
@@ -1111,16 +1132,19 @@ class Table:
 
     def append_column(self, column: Column) -> None:
         """§3.5: append a column to the tail of the schema."""
+        self._check_writable()
         self._apply_schema(self.schema.with_appended_column(column))
 
     def widen_column(self, name: str) -> None:
         """§3.5: widen an int32 column to int64."""
+        self._check_writable()
         self._apply_schema(self.schema.with_widened_column(name))
 
     def set_ttl(self, ttl_micros: Optional[int]) -> None:
         """§3.5: alter the table's TTL."""
         if ttl_micros is not None and ttl_micros <= 0:
             raise SchemaError("TTL must be positive (or None to disable)")
+        self._check_writable()
         with self._maintenance_lock:
             with self.lock:
                 self.descriptor.ttl_micros = ttl_micros

@@ -8,9 +8,9 @@ Plays the role of the paper's SQLite-side adaptor (§3.1, §3.5):
 * downloads the table list and schemas on connect;
 * batches inserts ("the SQLite adaptor takes clients' inserts and
   transmits them to the LittleTable server in batches", §3.1);
-* transparently continues queries that hit the server's row limit by
-  re-submitting with the start bound moved past the last returned key
-  (§3.5);
+* carries the row operations of :class:`~repro.net.remote.RemoteTable`
+  (which continues a query past the server's row limit, §3.5) and
+  builds their requests;
 * retries *idempotent* commands (queries, aggregates, latest, stats,
   schema listing, ping) through a bounded auto-reconnect with exponential
   backoff and jitter.  Writes and DDL are never retried: a connection
@@ -25,8 +25,8 @@ import itertools
 import random
 import socket
 import time
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import errors as _errors
 from ..core.codec import compiled_ops
@@ -40,16 +40,13 @@ from ..core.errors import (
     ServerError,
     ValidationError,
 )
-from ..core.row import (ASCENDING, DESCENDING, KeyRange, Query,
-                        TimeRange)
+from ..core.row import DESCENDING, KeyRange, Query, TimeRange
 from ..core.schema import Schema
-from ..core.vector import AggregatePartials, AggregateSpec
+from ..core.vector import AggregateSpec
 from .protocol import (
     PROTOCOL_VERSION,
     ConnectionLost,
     ProtocolError,
-    decode_key,
-    decode_value,
     encode_frame,
     encode_key,
     encode_row,
@@ -128,25 +125,6 @@ def _aggregate_request(table: str, schema: Schema,
         "residuals": [[name(index), op, encode_value(value)]
                       for index, op, value in spec.residuals],
     }
-
-
-def _bounds_query(key_min: Optional[Sequence[Any]] = None,
-                  key_max: Optional[Sequence[Any]] = None,
-                  key_min_inclusive: bool = True,
-                  key_max_inclusive: bool = True,
-                  ts_min: Optional[int] = None,
-                  ts_max: Optional[int] = None,
-                  descending: bool = False,
-                  limit: Optional[int] = None) -> Query:
-    """The :class:`Query` that :meth:`LittleTableClient.query`'s
-    keyword bounds spell."""
-    return Query(
-        KeyRange(None if key_min is None else tuple(key_min),
-                 key_min_inclusive,
-                 None if key_max is None else tuple(key_max),
-                 key_max_inclusive),
-        TimeRange.between(ts_min, ts_max),
-        DESCENDING if descending else ASCENDING, limit)
 
 
 def _latest_request(table: str, prefixes: Sequence[Sequence[Any]],
@@ -462,18 +440,21 @@ class LittleTableClient:
         return self._call({"cmd": "stats", "tables": False},
                           idempotent=True)["metrics"]
 
-    def table_stats(self) -> Dict[str, Dict[str, Any]]:
-        """Per-table shape summaries (``Table.stats_summary`` each)."""
-        return self._call({"cmd": "stats", "tables": True},
-                          idempotent=True)["tables"]
+    def stats_page(self) -> Dict[str, Any]:
+        """One ``stats`` exchange, whole: ``metrics`` (as
+        :meth:`stats`), ``health`` (as :meth:`health`) and ``tables``
+        (``Table.stats_summary`` each), all read at one instant."""
+        response = self._call({"cmd": "stats", "tables": True},
+                              idempotent=True)
+        return {field: response[field]
+                for field in ("metrics", "health", "tables")}
 
     def health(self) -> Dict[str, Any]:
         """The server's degradation state (``db.health_summary()``):
         read-only mode + reason, checksum failures, quarantined
-        tablets, last startup scrub.  Empty dict from servers that
-        predate the fault-tolerance layer."""
+        tablets, last startup scrub."""
         return self._call({"cmd": "stats", "tables": False},
-                          idempotent=True).get("health", {})
+                          idempotent=True)["health"]
 
     def wal_status(self) -> Dict[str, Any]:
         """Per-table durability/WAL state (``db.wal_status()``): tier,
@@ -483,14 +464,6 @@ class LittleTableClient:
                           idempotent=True).get("wal", {})
 
     # ----------------------------------------------------------- schema
-
-    def list_tables(self) -> Dict[str, Schema]:
-        """Download the table list and schemas (connect-time step)."""
-        response = self._call({"cmd": "list_tables"}, idempotent=True)
-        return {
-            entry["name"]: Schema.from_dict(entry["schema"])
-            for entry in response["tables"]
-        }
 
     def create_table(self, name: str, schema: Schema,
                      ttl_micros: Optional[int] = None,
@@ -532,23 +505,11 @@ class LittleTableClient:
 
     # ----------------------------------------------------------- writes
 
-    def insert(self, table: str, rows: Sequence[Dict[str, Any]]) -> int:
-        """Insert dict rows immediately (no client-side batching)."""
-        if not rows:
-            return 0
-        return self._call(_dict_insert_request(table, rows))["inserted"]
-
-    def insert_tuples(self, table: str,
-                      rows: Sequence[Sequence[Any]]) -> int:
-        """Insert positional rows immediately: one frame, the rows as
-        given (``$b``-wrapped at BLOB positions only)."""
-        if not rows:
-            return 0
-        return self._call(self._tuple_insert_request(table, rows))["inserted"]
-
     def _tuple_insert_request(self, table: str,
                               rows: Sequence[Sequence[Any]]
                               ) -> Dict[str, Any]:
+        """The one positional-insert request: the rows as given,
+        ``$b``-wrapped at BLOB positions only."""
         return {"cmd": "insert", "table": table,
                 "rows": row_marshaller(self._schema(table)).wrap(rows)}
 
@@ -568,110 +529,13 @@ class LittleTableClient:
             if not queue:
                 continue
             self._pending[name] = []
-            sent += self.insert_tuples(name, queue)
+            sent += self._call(
+                self._tuple_insert_request(name, queue))["inserted"]
         return sent
 
     @property
     def pending_rows(self) -> int:
         return sum(len(q) for q in self._pending.values())
-
-    # ---------------------------------------------------------- queries
-
-    def query(self, table: str,
-              key_min: Optional[Sequence[Any]] = None,
-              key_max: Optional[Sequence[Any]] = None,
-              key_min_inclusive: bool = True,
-              key_max_inclusive: bool = True,
-              ts_min: Optional[int] = None,
-              ts_max: Optional[int] = None,
-              descending: bool = False,
-              limit: Optional[int] = None) -> Iterator[Tuple[Any, ...]]:
-        """Stream rows, transparently continuing past the server limit.
-
-        The continuation re-submits with the start bound moved to the
-        last returned key, exclusive (§3.5) - for descending queries,
-        the *end* bound moves instead.
-        """
-        return self._scan(table, _bounds_query(
-            key_min, key_max, key_min_inclusive, key_max_inclusive,
-            ts_min, ts_max, descending, limit))
-
-    def _scan(self, table: str, query: Query) -> Iterator[Tuple[Any, ...]]:
-        """:meth:`query` for a :class:`Query` value."""
-        limit = query.limit
-        returned = 0
-        while True:
-            response = self._call(_query_request(table, query),
-                                  idempotent=True)
-            last_row: Optional[Tuple[Any, ...]] = None
-            for row in self._decode_page(table, response):
-                yield row
-                last_row = row
-                returned += 1
-                if limit is not None and returned >= limit:
-                    return
-            if not response.get("more_available") or last_row is None:
-                return
-            # Continue from just past the last key we saw (the row's
-            # leading columns, per the lazily fetched schema).
-            key = self._schema(table).key_of(last_row)
-            key_range = query.key_range
-            if query.direction == DESCENDING:
-                key_range = replace(key_range, max_prefix=key,
-                                    max_inclusive=False)
-            else:
-                key_range = replace(key_range, min_prefix=key,
-                                    min_inclusive=False)
-            query = replace(
-                query, key_range=key_range,
-                limit=None if limit is None else limit - returned)
-
-    def latest(self, table: str, prefix: Sequence[Any],
-               max_lookback_micros: Optional[int] = None
-               ) -> Optional[Tuple[Any, ...]]:
-        """Latest row for a key prefix (§3.4.5)."""
-        return self.latest_many(table, (prefix,), max_lookback_micros)[0]
-
-    def latest_many(self, table: str, prefixes: Sequence[Sequence[Any]],
-                    max_lookback_micros: Optional[int] = None
-                    ) -> List[Optional[Tuple[Any, ...]]]:
-        """Each prefix's latest row, in order, ``None`` where there is
-        none: one request however many prefixes."""
-        response = self._call(
-            _latest_request(table, prefixes, max_lookback_micros),
-            idempotent=True)
-        return self._decode_latest(table, response)
-
-    def aggregate(self, table: str, spec: AggregateSpec) -> AggregatePartials:
-        """Partial aggregation where the columns are: one request, one
-        reply of group states - never the rows they summarize.  ``spec``
-        indexes this client's cached schema of ``table``."""
-        response = self._call(
-            _aggregate_request(table, self._schema(table), spec),
-            idempotent=True)
-        # One grouping dimension labels a group by the bare value,
-        # none or several by a tuple (``vector._labels``).
-        decode_label = decode_value if spec.group_dims == 1 else decode_key
-        return AggregatePartials({
-            decode_label(label): [
-                [count, total, decode_value(low), decode_value(high)]
-                for count, total, low, high in slots]
-            for label, slots in response["groups"]})
-
-    def flush(self, table: str, before_ts: Optional[int] = None) -> int:
-        """Force rows to disk; with ``before_ts``, only rows older
-        than it must be durable on return (§4.1.2's proposed command).
-        Returns the number of tablets written."""
-        response = self._call({"cmd": "flush", "table": table,
-                               "before_ts": before_ts})
-        return response["tablets_written"]
-
-    def bulk_delete(self, table: str, prefix: Sequence[Any]) -> int:
-        """Delete all rows whose key starts with ``prefix`` (§7's
-        compliance feature).  Returns rows removed."""
-        response = self._call({"cmd": "bulk_delete", "table": table,
-                               "prefix": encode_key(tuple(prefix))})
-        return response["rows_removed"]
 
     # ---------------------------------------------------------- helpers
 
@@ -804,10 +668,9 @@ class Pipeline:
     # ------------------------------------------------------------ core
 
     def call(self, message: Dict[str, Any],
-             idempotent: bool = False,
              decode: Optional[Any] = None) -> PendingReply:
-        """Enqueue one raw protocol request.  ``idempotent`` changes
-        nothing: a pipeline never resends (see the class docstring)."""
+        """Enqueue one raw protocol request; a pipeline never resends
+        it (see the class docstring)."""
         request_id = next(self._client._request_ids)
         tagged = dict(message)
         tagged["id"] = request_id
@@ -878,26 +741,13 @@ class Pipeline:
         return self.call(self._client._tuple_insert_request(table, rows),
                          decode=lambda r: r["inserted"])
 
-    def insert_dicts(self, table: str,
-                     rows: Sequence[Dict[str, Any]]) -> PendingReply:
-        return self.call(_dict_insert_request(table, rows),
-                         decode=lambda r: r["inserted"])
-
-    def query_page(self, table: str, **bounds: Any) -> PendingReply:
-        """One query command (no continuation) over the keyword
-        bounds of :meth:`LittleTableClient.query`; resolves to
+    def query_page(self, table: str, query: Query) -> PendingReply:
+        """One query command (no continuation); resolves to
         ``(rows, more_available)``."""
         return self.call(
-            _query_request(table, _bounds_query(**bounds)),
+            _query_request(table, query),
             decode=lambda r: (self._client._decode_page(table, r),
                               bool(r.get("more_available"))))
-
-    def latest(self, table: str, prefix: Sequence[Any],
-               max_lookback_micros: Optional[int] = None) -> PendingReply:
-        """Resolves to the prefix's latest row, or ``None``."""
-        return self.call(
-            _latest_request(table, (prefix,), max_lookback_micros),
-            decode=lambda r: self._client._decode_latest(table, r)[0])
 
     def latest_many(self, table: str, prefixes: Sequence[Sequence[Any]],
                     max_lookback_micros: Optional[int] = None

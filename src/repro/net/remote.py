@@ -21,15 +21,18 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.row import Query, QueryResult, QueryStats
+from ..core.row import Query, QueryResult, QueryStats, scan_pages
 from ..core.schema import Column, Schema
 from ..core.vector import AggregatePartials, AggregateSpec
 from . import protocol
-from .client import LittleTableClient, _query_request
+from .client import (LittleTableClient, _aggregate_request,
+                     _dict_insert_request, _latest_request, _query_request)
 
 
 class RemoteTable:
-    """Client-side handle to one server table."""
+    """Client-side handle to one server table: the bodies of its row
+    operations over the wire, with the client as their transport and
+    schema cache."""
 
     def __init__(self, database: "RemoteDatabase", name: str):
         self._database = database
@@ -50,30 +53,49 @@ class RemoteTable:
     # ----------------------------------------------------------- writes
 
     def insert(self, rows: Sequence[Dict[str, Any]]) -> int:
-        return self._client.insert(self.name, rows)
+        """Dict rows in one frame.  A row without ``ts`` takes the
+        *server's* clock on arrival (§3.1), as in process."""
+        if not rows:
+            return 0
+        return self._client._call(
+            _dict_insert_request(self.name, rows))["inserted"]
 
     def insert_tuples(self, rows: Sequence[Tuple[Any, ...]]) -> int:
-        return self._client.insert_tuples(self.name, rows)
+        """Positional rows in one frame, as given."""
+        if not rows:
+            return 0
+        client = self._client
+        return client._call(
+            client._tuple_insert_request(self.name, rows))["inserted"]
 
     # ---------------------------------------------------------- queries
 
-    def query(self, query: Query) -> "QueryResult":
-        """One query command, one round trip (``Table.query`` parity).
-
-        Unlike :meth:`scan`, this does *not* continue past the
-        server's row limit - exactly like the in-process
-        ``Table.query``, it reports ``more_available`` and leaves the
-        continuation to the caller.
-        """
-        return self._database._query_once(self.name, query)
+    def query(self, query: Query) -> QueryResult:
+        """One query command, one round trip (``Table.query`` parity):
+        the server's row limit applies and ``more_available`` is
+        reported, leaving the continuation to the caller."""
+        return self._page(query)
 
     def scan(self, query: Query) -> Iterator[Tuple[Any, ...]]:
-        """Stream a bounding-box query over the wire.
+        """Stream a bounding-box query over the wire, continued past
+        each page the server's row limit cut (§3.5)."""
+        return scan_pages(query, self._page,
+                          lambda row: self.schema.key_of(row))
 
-        The client adaptor transparently continues past the server's
-        row limit (§3.5).
-        """
-        return self._client._scan(self.name, query)
+    def _page(self, query: Query) -> QueryResult:
+        """One ``query`` command: one page, as the server cut it.
+        :meth:`scan` pages through this rather than :meth:`query`,
+        which ``bench/trace.py`` wraps as a span of its own."""
+        client = self._client
+        response = client._call(_query_request(self.name, query),
+                                idempotent=True)
+        rows = client._decode_page(self.name, response)
+        return QueryResult(
+            rows=rows,
+            more_available=bool(response.get("more_available")),
+            stats=QueryStats(rows_scanned=response.get("rows_scanned", 0),
+                             rows_returned=len(rows)),
+        )
 
     def latest(self, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None
@@ -83,27 +105,54 @@ class RemoteTable:
     def latest_many(self, prefixes: Sequence[Sequence[Any]],
                     max_lookback_micros: Optional[int] = None
                     ) -> List[Optional[Tuple[Any, ...]]]:
-        """Each prefix's latest row, in order: one frame each way."""
-        return self._client.latest_many(self.name, prefixes,
-                                        max_lookback_micros)
+        """Each prefix's latest row, in order, ``None`` where there is
+        none: one frame each way however many prefixes."""
+        client = self._client
+        response = client._call(
+            _latest_request(self.name, prefixes, max_lookback_micros),
+            idempotent=True)
+        return client._decode_latest(self.name, response)
 
     def aggregate_partials(self, spec: AggregateSpec) -> AggregatePartials:
         """One aggregate command, one round trip: the server folds the
-        rows where the columns are and replies with group states."""
-        return self._client.aggregate(self.name, spec)
+        rows where the columns are and replies with group states -
+        never the rows they summarize.  ``spec`` indexes the cached
+        schema."""
+        response = self._client._call(
+            _aggregate_request(self.name, self.schema, spec),
+            idempotent=True)
+        # One grouping dimension labels a group by the bare value,
+        # none or several by a tuple (``vector._labels``).
+        decode_label = (protocol.decode_value if spec.group_dims == 1
+                        else protocol.decode_key)
+        return AggregatePartials({
+            decode_label(label): [
+                [count, total, protocol.decode_value(low),
+                 protocol.decode_value(high)]
+                for count, total, low, high in slots]
+            for label, slots in response["groups"]})
 
     # ----------------------------------------------- admin & lifecycle
 
     def flush_all(self) -> List[int]:
-        count = self._client.flush(self.name)
-        return list(range(count))
+        return self._flush(None)
 
     def flush_before(self, ts: int) -> List[int]:
-        count = self._client.flush(self.name, before_ts=ts)
-        return list(range(count))
+        """Rows older than ``ts`` are durable on return (§4.1.2's
+        proposed command)."""
+        return self._flush(ts)
+
+    def _flush(self, before_ts: Optional[int]) -> List[int]:
+        response = self._client._call({"cmd": "flush", "table": self.name,
+                                       "before_ts": before_ts})
+        return list(range(response["tablets_written"]))
 
     def bulk_delete(self, prefix: Sequence[Any]) -> int:
-        return self._client.bulk_delete(self.name, prefix)
+        """Delete every row whose key starts with ``prefix`` (§7)."""
+        response = self._client._call(
+            {"cmd": "bulk_delete", "table": self.name,
+             "prefix": protocol.encode_key(tuple(prefix))})
+        return response["rows_removed"]
 
     def append_column(self, column: Column) -> None:
         self._database._alter(self.name, "add_column",
@@ -117,7 +166,9 @@ class RemoteTable:
 
 
 class RemoteDatabase:
-    """The database-shaped facade over a client connection."""
+    """The database-shaped facade over a client connection: catalog,
+    DDL, stats and lifecycle.  Rows go through :meth:`table`, as they
+    go through ``LittleTable.table`` in process."""
 
     def __init__(self, client: LittleTableClient):
         self.client = client
@@ -169,47 +220,6 @@ class RemoteDatabase:
 
     def drop_table(self, name: str) -> None:
         self.client.drop_table(name)
-
-    # -------------------------------------------------------- operations
-    #
-    # Exact signatures of the in-process facade
-    # (``LittleTable.insert/query/latest/stats/health`` + context
-    # manager), so application code written against a local engine
-    # runs unchanged over the wire - in front of one engine or a
-    # shard router alike.
-
-    def insert(self, table_name: str, rows: Sequence[Dict[str, Any]]) -> int:
-        """Insert dict rows into a table (``LittleTable.insert``)."""
-        return self.client.insert(table_name, rows)
-
-    def query(self, table_name: str,
-              query: Optional[Query] = None) -> QueryResult:
-        """One query command against a table (``LittleTable.query``).
-
-        A single round trip: the server's row limit applies and
-        ``more_available`` is reported, exactly as in process.  Use
-        ``table(name).scan(query)`` for transparent continuation.
-        """
-        return self._query_once(table_name,
-                                query if query is not None else Query())
-
-    def _query_once(self, table_name: str, query: Query) -> QueryResult:
-        response = self.client._call(
-            _query_request(table_name, query), idempotent=True)
-        rows = self.client._decode_page(table_name, response)
-        return QueryResult(
-            rows=rows,
-            more_available=bool(response.get("more_available")),
-            stats=QueryStats(rows_scanned=response.get("rows_scanned", 0),
-                             rows_returned=len(rows)),
-        )
-
-    def latest(self, table_name: str, prefix: Sequence[Any],
-               max_lookback_micros: Optional[int] = None
-               ) -> Optional[Tuple[Any, ...]]:
-        """Latest row whose key starts with ``prefix`` (§3.4.5)."""
-        return self.client.latest_many(table_name, (prefix,),
-                                       max_lookback_micros)[0]
 
     # ------------------------------------------------------ observability
 

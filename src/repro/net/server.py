@@ -23,14 +23,6 @@ import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
-# Commands refused while the engine is degraded to read-only (disk
-# full / persistent I/O errors).  Reads and stats keep serving; the
-# maintenance command stays allowed because TTL expiry and deferred
-# deletes are how space gets freed again.
-_WRITE_COMMANDS = frozenset(
-    {"insert", "create_table", "drop_table", "alter", "bulk_delete",
-     "flush"})
-
 from ..core import errors as _errors
 from ..core.codec import compiled_ops
 from ..core.database import LittleTable
@@ -196,7 +188,8 @@ class RequestDispatcher:
     callable without a socket.  ``db`` may be a single
     :class:`~repro.core.database.LittleTable` engine or a
     :class:`~repro.net.shard.ShardRouter` spanning many — both expose
-    the same catalog/insert/query facade.
+    the same catalog and DDL facade, and rows go through its
+    ``table(name)``.
 
     Never raises: engine errors and malformed requests come back as
     error responses, keeping the server up (a bad client must not look
@@ -243,7 +236,13 @@ class RequestDispatcher:
                 return refuse("OverloadedError", str(exc),
                               retry_after=exc.retry_after_s)
         try:
-            if command in _WRITE_COMMANDS and self.db.read_only:
+            # A read-only database refuses every write and DDL at its
+            # table door (Table, LittleTable, ShardRouter).  A flush
+            # passes that door - close() must still flush in process -
+            # so a client's flush is refused here.  Reads, stats and
+            # the maintenance command keep serving: TTL expiry and
+            # deferred deletes are how space gets freed again.
+            if command == "flush" and self.db.read_only:
                 self.metrics.counter("fault.read_only_rejections").inc()
                 return refuse(
                     "ReadOnlyModeError",

@@ -48,8 +48,9 @@ from ..core.errors import LittleTableError, ShardDegradedError
 from ..core.maintenance import MaintenancePolicy, MaintenanceReport
 from ..core.periods import FOUR_HOURS
 from ..core.row import (DESCENDING, KeyRange, Query, QueryResult, QueryStats,
-                        TimeRange)
+                        TimeRange, scan_pages)
 from ..core.schema import Schema
+from ..core.table import summary_ratios
 from ..core.vector import AggregatePartials, AggregateSpec
 from ..obs.metrics import MetricsRegistry
 from ..util.clock import Clock
@@ -96,7 +97,8 @@ class ShardedTable:
 
     Implements the slice of the :class:`~repro.core.table.Table` API
     the network dispatcher and the SQL executor use; rows fan out on
-    write and merge back ordered on read.
+    write and merge back ordered on read.  The router's only row
+    operations are the ones here.
     """
 
     def __init__(self, router: "ShardRouter", name: str):
@@ -120,22 +122,141 @@ class ShardedTable:
         path, exactly as :meth:`Table.insert` does."""
         now = self._router.clock.now()
         positional = self.schema.positional_from_dict
-        return self._router._insert(
-            self.name, [positional(row, now) for row in rows])
+        return self._insert([positional(row, now) for row in rows])
 
     def insert_tuples(self, rows: Sequence[Tuple[Any, ...]]) -> int:
-        return self._router._insert(self.name, rows)
+        return self._insert(rows)
+
+    def _insert(self, rows: Sequence[Any]) -> int:
+        """Partition a positional batch by routing key and insert
+        shard-locally.
+
+        Validation and uniqueness stay with the owning worker; the
+        router only reads the raw leading values (or ts) to route.  A
+        batch that needs a read-only shard is refused before any shard
+        runs, so it is never partly applied.
+        """
+        if not rows:
+            return 0
+        router = self._router
+        schema = self.schema
+        leading_indexes = schema.key_indexes[:-1]
+        ts_index = schema.ts_index
+        by_shard: Dict[int, List[Any]] = {}
+        for row in rows:
+            by_shard.setdefault(
+                router._route_row(leading_indexes, ts_index, row),
+                []).append(row)
+        router._refuse_read_only(by_shard)
+        router._m_routed.inc(len(rows))
+
+        def insert_batch(batch: List[Any]) -> Callable[[LittleTable], int]:
+            return lambda db: db.table(self.name).insert_tuples(batch)
+
+        return sum(router._scatter({index: insert_batch(batch)
+                                    for index, batch in by_shard.items()}))
 
     # --------------------------------------------------------- queries
 
     def query(self, query: Query) -> QueryResult:
-        return self._router._query(self.name, query)
+        return self._query(query)
 
     def scan(self, query: Query) -> Iterator[Tuple[Any, ...]]:
-        """Unbounded ordered stream (SQL executor path): repeated
-        query commands continued past each truncation, like the
-        client adaptor does (§3.5)."""
-        return self._router._scan(self.name, query)
+        """Unbounded ordered stream (SQL executor path): query commands
+        continued past each truncation, as the client adaptor does
+        (§3.5)."""
+        return scan_pages(query, self._query,
+                          lambda row: self.schema.key_of(row))
+
+    def _pinned_shard(self, query: Query) -> Optional[int]:
+        """The single shard a query is confined to, or None.
+
+        A query pins to one shard when its key range fixes every
+        leading key column to one value (prefix semantics make that
+        ``min_prefix == max_prefix`` covering the leading columns,
+        both sides inclusive).
+        """
+        leading_width = self.schema.key_width - 1
+        if leading_width == 0:
+            return None
+        kr = query.key_range
+        if (kr.min_prefix is None or kr.max_prefix is None
+                or not kr.min_inclusive or not kr.max_inclusive):
+            return None
+        if len(kr.min_prefix) < leading_width \
+                or len(kr.max_prefix) < leading_width:
+            return None
+        leading = tuple(kr.min_prefix[:leading_width])
+        if leading != tuple(kr.max_prefix[:leading_width]):
+            return None
+        return self._router._shard_for_leading(leading)
+
+    def _query(self, query: Query) -> QueryResult:
+        """One query command: a pinned shard's answer, or every
+        shard's merged.  :meth:`scan` pages through this rather than
+        :meth:`query`, which ``bench/trace.py`` wraps as a span of its
+        own: a scan is one span, not one per page."""
+        router = self._router
+        pinned = self._pinned_shard(query)
+        if pinned is not None:
+            router._m_single.inc()
+            return router._run(
+                pinned, lambda db: db.table(self.name).query(query))
+        router._m_scatter.inc()
+        return self._merge_results(query, router._fanout_table(
+            self.name, lambda t: t.query(query)))
+
+    def _merge_results(self, query: Query,
+                       results: List[QueryResult]) -> QueryResult:
+        """Scatter-gather merge preserving the §3.5 continuation
+        contract across shard boundaries."""
+        descending = query.direction == DESCENDING
+        key_of = compiled_ops(self.schema).key_of
+        stats = QueryStats()
+        for result in results:
+            stats.rows_scanned += result.stats.rows_scanned
+            stats.tablets_opened += result.stats.tablets_opened
+            stats.tablets_pruned += result.stats.tablets_pruned
+        # A truncated shard only vouches for rows up to its own last
+        # key; beyond the *smallest* such frontier (largest, for
+        # descending scans) another shard's unseen rows could
+        # interleave, so the merged stream must stop there.
+        boundary = None
+        any_truncated = False
+        for result in results:
+            if result.more_available and result.rows:
+                any_truncated = True
+                last_key = key_of(result.rows[-1])
+                if boundary is None:
+                    boundary = last_key
+                elif descending:
+                    boundary = max(boundary, last_key)
+                else:
+                    boundary = min(boundary, last_key)
+        limit = self._router.config.server_row_limit
+        if query.limit is not None:
+            limit = min(limit, query.limit)
+        rows = merge_sorted_runs([r.rows for r in results], key_of,
+                                 descending)
+        more_available = any_truncated
+        if boundary is not None:
+            keys = [key_of(row) for row in rows]
+            if descending:
+                keys.reverse()
+                del rows[len(keys) - bisect_left(keys, boundary):]
+            else:
+                del rows[bisect_right(keys, boundary):]
+        if len(rows) > limit:
+            # Engine parity: a query stopped by the *client's* own
+            # limit is complete, not truncated (Table.query only
+            # flags more_available when the server row limit cut
+            # the scan).  Here another merged row did arrive, so
+            # flag it only when the server bound is the tighter one.
+            if query.limit is None or query.limit > limit:
+                more_available = True
+            del rows[limit:]
+        stats.rows_returned = len(rows)
+        return QueryResult(rows, more_available, stats)
 
     def latest(self, prefix: Sequence[Any],
                max_lookback_micros: Optional[int] = None
@@ -197,8 +318,7 @@ class ShardedTable:
         skip the fan-out entirely, like point queries do.
         """
         router = self._router
-        pinned = router._pinned_shard(
-            self.schema, Query(spec.key_range, spec.time_range))
+        pinned = self._pinned_shard(Query(spec.key_range, spec.time_range))
         if pinned is not None:
             router._m_single.inc()
             return router._run(
@@ -242,44 +362,50 @@ class ShardedTable:
         return written
 
     def bulk_delete(self, prefix: Sequence[Any]) -> int:
+        router = self._router
         prefix = tuple(prefix)
-        schema = self.schema
-        leading_width = schema.key_width - 1
+        leading_width = self.schema.key_width - 1
         if leading_width and len(prefix) >= leading_width:
-            shard = self._router._shard_for_leading(
-                prefix[:leading_width])
-            return self._router._run(
-                shard,
-                lambda db: db.table(self.name).bulk_delete(prefix))
-        return sum(self._router._fanout_table(
-            self.name, lambda t: t.bulk_delete(prefix)))
+            shard = router._shard_for_leading(prefix[:leading_width])
+            return router._run(
+                shard, lambda db: db.table(self.name).bulk_delete(prefix))
+        return sum(router._fanout_write(
+            lambda db: db.table(self.name).bulk_delete(prefix)))
 
     def append_column(self, column: Any) -> None:
-        self._router._fanout_table(
-            self.name, lambda t: t.append_column(column))
+        self._router._fanout_write(
+            lambda db: db.table(self.name).append_column(column))
 
     def widen_column(self, name: str) -> None:
-        self._router._fanout_table(
-            self.name, lambda t: t.widen_column(name))
+        self._router._fanout_write(
+            lambda db: db.table(self.name).widen_column(name))
 
     def set_ttl(self, ttl_micros: Optional[int]) -> None:
-        self._router._fanout_table(
-            self.name, lambda t: t.set_ttl(ttl_micros))
+        self._router._fanout_write(
+            lambda db: db.table(self.name).set_ttl(ttl_micros))
 
     def stats_summary(self) -> Dict[str, Any]:
-        """Shard-merged shape summary: integer counts sum, the rest
-        come from shard 0's survivors."""
-        summaries = self._router._fanout_table(
-            self.name, lambda t: t.stats_summary())
+        """Shard-merged shape summary: counts sum, the worst period is
+        the worst shard's, tier counts merge tier by tier, and the two
+        ratios are those of the shards' summed counters.  The rest -
+        name, TTL, schema version, tier - is shard 0's."""
+        shards = self._router._fanout_table(
+            self.name, lambda t: (t.stats_summary(), t.counters))
+        summaries = [summary for summary, _counters in shards]
         merged: Dict[str, Any] = dict(summaries[0])
-        for summary in summaries[1:]:
-            for field, value in summary.items():
-                if field in ("name", "ttl_micros", "schema_version"):
-                    continue
-                if isinstance(value, (int, float)) and not isinstance(
-                        value, bool):
-                    base = merged.get(field) or 0
-                    merged[field] = base + value
+        for field, value in summaries[0].items():
+            if type(value) is int and field not in ("ttl_micros",
+                                                    "schema_version"):
+                merged[field] = sum(summary[field] for summary in summaries)
+        merged["max_tablets_per_period"] = max(
+            summary["max_tablets_per_period"] for summary in summaries)
+        tiers: Dict[str, int] = {}
+        for summary in summaries:
+            for tier, count in summary["tablets_by_tier"].items():
+                tiers[tier] = tiers.get(tier, 0) + count
+        merged["tablets_by_tier"] = tiers
+        merged.update(summary_ratios(
+            [counters for _summary, counters in shards]))
         merged["shards"] = len(summaries)
         return merged
 
@@ -288,9 +414,11 @@ class ShardRouter:
     """N engine workers behind one database facade.
 
     Duck-types the :class:`~repro.core.database.LittleTable` facade
-    (catalog, insert/query/latest, maintenance, health), so the
-    network dispatcher, the SQL session, and ``repro.connect()``
-    callers cannot tell one engine from many.
+    (catalog and DDL, maintenance, health, lifecycle), so the network
+    dispatcher, the SQL session, and ``repro.connect()`` callers
+    cannot tell one engine from many.  Rows go through
+    :meth:`table`'s :class:`ShardedTable`, as they go through
+    ``LittleTable.table``'s ``Table``.
     """
 
     def __init__(self, shards: int = 4,
@@ -474,6 +602,20 @@ class ShardRouter:
                       fn: Callable[[Any], Any]) -> List[Any]:
         return self._fanout(lambda db: fn(db.table(name)))
 
+    def _refuse_read_only(self, indexes: Iterable[int]) -> None:
+        """Refuse a write that needs a read-only shard, before it runs
+        anywhere: each shard's own table door would refuse only its
+        part, leaving the rest of a fanned write applied."""
+        for index in sorted(indexes):
+            if index not in self._down:
+                self.engines[index].check_writable()
+
+    def _fanout_write(self, fn: Callable[[LittleTable], Any]) -> List[Any]:
+        """:meth:`_fanout` for a write: refused up front when any shard
+        is read-only or down."""
+        self._refuse_read_only(range(len(self.engines)))
+        return self._fanout(fn)
+
     def _any_live_table(self, name: str):
         for index in self._live_indexes():
             return self.engines[index].table(name)
@@ -502,172 +644,12 @@ class ShardRouter:
         only row data is partitioned).  A ``durability`` policy fans
         out with it: each worker keeps its own per-shard WAL for the
         table."""
-        self._fanout(lambda db: db.create_table(
+        self._fanout_write(lambda db: db.create_table(
             name, schema, ttl_micros=ttl_micros, durability=durability))
         return ShardedTable(self, name)
 
     def drop_table(self, name: str) -> None:
-        self._fanout(lambda db: db.drop_table(name))
-
-    # ------------------------------------------------------- operations
-
-    def insert(self, table_name: str,
-               rows: Sequence[Dict[str, Any]]) -> int:
-        return self.table(table_name).insert(rows)
-
-    def _insert(self, table_name: str, rows: Sequence[Any]) -> int:
-        """Partition a positional batch by routing key and insert
-        shard-locally.
-
-        Validation and uniqueness stay with the owning worker; the
-        router only reads the raw leading values (or ts) to route.
-        """
-        if not rows:
-            return 0
-        schema = self._any_live_table(table_name).schema
-        leading_indexes = schema.key_indexes[:-1]
-        ts_index = schema.ts_index
-        by_shard: Dict[int, List[Any]] = {}
-        for row in rows:
-            by_shard.setdefault(
-                self._route_row(leading_indexes, ts_index, row),
-                []).append(row)
-        self._m_routed.inc(len(rows))
-
-        def insert_batch(batch: List[Any]) -> Callable[[LittleTable], int]:
-            return lambda db: db.table(table_name).insert_tuples(batch)
-
-        return sum(self._scatter({index: insert_batch(batch)
-                                  for index, batch in by_shard.items()}))
-
-    def _pinned_shard(self, schema: Schema, query: Query) -> Optional[int]:
-        """The single shard a query is confined to, or None.
-
-        A query pins to one shard when its key range fixes every
-        leading key column to one value (prefix semantics make that
-        ``min_prefix == max_prefix`` covering the leading columns,
-        both sides inclusive).
-        """
-        leading_width = schema.key_width - 1
-        if leading_width == 0:
-            return None
-        kr = query.key_range
-        if (kr.min_prefix is None or kr.max_prefix is None
-                or not kr.min_inclusive or not kr.max_inclusive):
-            return None
-        if len(kr.min_prefix) < leading_width \
-                or len(kr.max_prefix) < leading_width:
-            return None
-        leading = tuple(kr.min_prefix[:leading_width])
-        if leading != tuple(kr.max_prefix[:leading_width]):
-            return None
-        return self._shard_for_leading(leading)
-
-    def query(self, table_name: str,
-              query: Optional[Query] = None) -> QueryResult:
-        return self._query(table_name,
-                           query if query is not None else Query())
-
-    def _query(self, table_name: str, query: Query) -> QueryResult:
-        schema = self._any_live_table(table_name).schema
-        pinned = self._pinned_shard(schema, query)
-        if pinned is not None:
-            self._m_single.inc()
-            return self._run(
-                pinned, lambda db: db.table(table_name).query(query))
-        self._m_scatter.inc()
-        results = self._fanout_table(table_name,
-                                     lambda t: t.query(query))
-        return self._merge_results(schema, query, results)
-
-    def _merge_results(self, schema: Schema, query: Query,
-                       results: List[QueryResult]) -> QueryResult:
-        """Scatter-gather merge preserving the §3.5 continuation
-        contract across shard boundaries."""
-        descending = query.direction == DESCENDING
-        key_of = compiled_ops(schema).key_of
-        stats = QueryStats()
-        for result in results:
-            stats.rows_scanned += result.stats.rows_scanned
-            stats.tablets_opened += result.stats.tablets_opened
-            stats.tablets_pruned += result.stats.tablets_pruned
-        # A truncated shard only vouches for rows up to its own last
-        # key; beyond the *smallest* such frontier (largest, for
-        # descending scans) another shard's unseen rows could
-        # interleave, so the merged stream must stop there.
-        boundary = None
-        any_truncated = False
-        for result in results:
-            if result.more_available and result.rows:
-                any_truncated = True
-                last_key = key_of(result.rows[-1])
-                if boundary is None:
-                    boundary = last_key
-                elif descending:
-                    boundary = max(boundary, last_key)
-                else:
-                    boundary = min(boundary, last_key)
-        limit = self.config.server_row_limit
-        if query.limit is not None:
-            limit = min(limit, query.limit)
-        rows = merge_sorted_runs([r.rows for r in results], key_of,
-                                 descending)
-        more_available = any_truncated
-        if boundary is not None:
-            keys = [key_of(row) for row in rows]
-            if descending:
-                keys.reverse()
-                del rows[len(keys) - bisect_left(keys, boundary):]
-            else:
-                del rows[bisect_right(keys, boundary):]
-        if len(rows) > limit:
-            # Engine parity: a query stopped by the *client's* own
-            # limit is complete, not truncated (Table.query only
-            # flags more_available when the server row limit cut
-            # the scan).  Here another merged row did arrive, so
-            # flag it only when the server bound is the tighter one.
-            if query.limit is None or query.limit > limit:
-                more_available = True
-            del rows[limit:]
-        stats.rows_returned = len(rows)
-        return QueryResult(rows, more_available, stats)
-
-    def _scan(self, table_name: str,
-              query: Query) -> Iterator[Tuple[Any, ...]]:
-        """Stream a query to exhaustion by continuing past each
-        truncation - the adaptor's §3.5 loop, run router-side for the
-        SQL executor."""
-        schema = self._any_live_table(table_name).schema
-        descending = query.direction == DESCENDING
-        remaining = query.limit
-        current = query
-        while True:
-            result = self._query(table_name, current)
-            for row in result.rows:
-                yield row
-            if remaining is not None:
-                remaining -= len(result.rows)
-                if remaining <= 0:
-                    return
-            if not result.more_available or not result.rows:
-                return
-            last_key = schema.key_of(result.rows[-1])
-            kr = current.key_range
-            if descending:
-                kr = type(kr)(min_prefix=kr.min_prefix,
-                              min_inclusive=kr.min_inclusive,
-                              max_prefix=last_key, max_inclusive=False)
-            else:
-                kr = type(kr)(min_prefix=last_key, min_inclusive=False,
-                              max_prefix=kr.max_prefix,
-                              max_inclusive=kr.max_inclusive)
-            current = Query(kr, current.time_range, current.direction,
-                            remaining)
-
-    def latest(self, table_name: str, prefix: Sequence[Any],
-               max_lookback_micros: Optional[int] = None):
-        return self.table(table_name).latest(
-            prefix, max_lookback_micros=max_lookback_micros)
+        self._fanout_write(lambda db: db.drop_table(name))
 
     # ------------------------------------------------------ maintenance
 
@@ -729,8 +711,10 @@ class ShardRouter:
 
     @property
     def read_only(self) -> bool:
-        """The router refuses writes only when *every* live worker is
-        read-only; a single degraded disk degrades its own keys."""
+        """True when *every* live worker is read-only.  A single
+        degraded disk degrades the writes that need its shard: the
+        router refuses those (:meth:`_refuse_read_only`), not every
+        write."""
         live = self._live_indexes()
         return bool(live) and all(
             self.engines[i].read_only for i in live)

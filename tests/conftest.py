@@ -96,6 +96,15 @@ def event_schema():
     )
 
 
+def remote_table(client, name):
+    """Table ``name``'s row operations over a bare client connection
+    (the :class:`~repro.net.remote.RemoteTable` that ``repro.connect``
+    hands out)."""
+    from repro.net import RemoteDatabase
+
+    return RemoteDatabase(client).table(name)
+
+
 @pytest.fixture
 def clock():
     return VirtualClock(start=BASE_TIME)

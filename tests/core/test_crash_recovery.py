@@ -110,14 +110,15 @@ class TestCrashMatrix:
         # wreckage - no CorruptTabletError, no partially-visible swap.
         recovered = LittleTable(disk=disk, clock=clock,
                                 config=crash_config())
-        got_ts = [row[2] for row in recovered.query("t", Query()).rows]
+        got_ts = [row[2] for row in recovered.table("t").query(Query()).rows]
         assert got_ts == inserted_ts[:len(got_ts)], (
             f"recovery after {site} is not a prefix")
         assert is_healthy(recovered)
         # A second reopen finds nothing left to clean.
         again = LittleTable(disk=disk, clock=clock, config=crash_config())
         assert again.last_scrub.clean
-        assert [row[2] for row in again.query("t", Query()).rows] == got_ts
+        rows = again.table("t").query(Query()).rows
+        assert [row[2] for row in rows] == got_ts
 
     def test_crash_during_ttl_expiry(self):
         for site in ("ttl.before_descriptor", "ttl.after_descriptor"):
@@ -137,7 +138,7 @@ class TestCrashMatrix:
             recovered = LittleTable(disk=disk, clock=clock,
                                     config=crash_config())
             got_ts = [row[2]
-                      for row in recovered.query("t", Query()).rows]
+                      for row in recovered.table("t").query(Query()).rows]
             # TTL deletes from the oldest end, so surviving rows are a
             # *suffix* of the inserted prefix - and never garbage.
             assert got_ts == inserted_ts[len(inserted_ts) - len(got_ts):]
@@ -172,7 +173,7 @@ class TestCrashMatrix:
         assert 0 < len(acked) < 100
         disk.failpoints.clear()
         recovered = LittleTable(disk=disk, clock=VirtualClock(start=BASE))
-        got = [row[2] for row in recovered.query("t", Query()).rows]
+        got = [row[2] for row in recovered.table("t").query(Query()).rows]
         assert got[:len(acked)] == acked
         assert len(got) <= len(acked) + 1
         assert is_healthy(recovered)
@@ -203,7 +204,7 @@ class TestScrub:
         assert scrub.orphans_removed == ["tables/t/tab-99999999.lt"]
         assert scrub.temps_removed == ["tables/t/descriptor.json.tmp-7"]
         assert not disk.exists("tables/t/tab-99999999.lt")
-        assert len(recovered.query("t", Query()).rows) == 60
+        assert len(recovered.table("t").query(Query()).rows) == 60
 
     def test_corrupt_tablet_quarantined_at_startup(self):
         db, table, clock = self.build()
@@ -220,7 +221,7 @@ class TestScrub:
         assert disk.exists(f"quarantine/{victim}")
         assert not disk.exists(victim)
         # The second tablet still serves; nothing raises.
-        rows = recovered.query("t", Query()).rows
+        rows = recovered.table("t").query(Query()).rows
         assert len(rows) == 30
         counters = recovered.metrics.snapshot()["counters"]
         assert counters["storage.scrub_quarantined"] == 1
@@ -238,7 +239,7 @@ class TestScrub:
         from repro.disk import StorageError
 
         with pytest.raises((CorruptTabletError, StorageError)):
-            recovered.query("t", Query())
+            recovered.table("t").query(Query())
 
     def test_scrub_can_be_disabled(self):
         db, table, clock = self.build()
@@ -299,14 +300,14 @@ class TestBitflipDetection:
         table.evict_reader_cache()
         # In-flight query: typed error, never garbage.
         with pytest.raises(CorruptTabletError):
-            db.query("t", Query())
+            db.table("t").query(Query())
         counters = db.metrics.snapshot()["counters"]
         assert counters["storage.checksum_failures"] >= 1
         assert counters["storage.quarantined_tablets"] == 1
         assert disk.exists(f"quarantine/{victim}")
         assert not disk.exists(victim)
         # Subsequent queries serve from the surviving tablet.
-        rows = db.query("t", Query()).rows
+        rows = db.table("t").query(Query()).rows
         assert [row[2] for row in rows] == [BASE + 30 + i
                                             for i in range(30)]
         assert [m.filename for m in table.on_disk_tablets] == [survivor]
@@ -318,24 +319,24 @@ class TestReadOnlyDegradation:
         disk = FaultyVFS()
         db = LittleTable(disk=disk, clock=clock, config=crash_config())
         table = db.create_table("t", usage_schema())
-        db.insert("t", [row_for(i) for i in range(30)])
+        db.table("t").insert([row_for(i) for i in range(30)])
         table.flush_all()
-        db.insert("t", [row_for(30 + i) for i in range(10)])
+        db.table("t").insert([row_for(30 + i) for i in range(10)])
         disk.failpoints.set("disk.write", "enospc", count=-1)
         with pytest.raises(DiskFullError):
             table.flush_all()
         assert db.read_only
         assert "disk full" in db.read_only_reason
         with pytest.raises(ReadOnlyModeError):
-            db.insert("t", [row_for(99)])
+            db.table("t").insert([row_for(99)])
         # Reads keep serving (flushed rows plus the memtable).
-        assert len(db.query("t", Query()).rows) == 40
+        assert len(db.table("t").query(Query()).rows) == 40
         health = db.health_summary()
         assert health["read_only"] and health["read_only_reason"]
         # Operator frees space and clears the mode.
         disk.failpoints.clear()
         db.exit_read_only()
-        db.insert("t", [row_for(99)])
+        db.table("t").insert([row_for(99)])
         assert not db.read_only
 
     def test_persistent_eio_degrades_after_streak(self):
@@ -343,7 +344,7 @@ class TestReadOnlyDegradation:
         disk = FaultyVFS()
         db = LittleTable(disk=disk, clock=clock, config=crash_config())
         table = db.create_table("t", usage_schema())
-        db.insert("t", [row_for(i) for i in range(10)])
+        db.table("t").insert([row_for(i) for i in range(10)])
         disk.failpoints.set("disk.write", "eio", count=-1)
         for _ in range(3):
             if db.read_only:
@@ -360,7 +361,7 @@ class TestReadOnlyDegradation:
         disk = FaultyVFS()
         db = LittleTable(disk=disk, clock=clock, config=crash_config())
         table = db.create_table("t", usage_schema())
-        db.insert("t", [row_for(i) for i in range(10)])
+        db.table("t").insert([row_for(i) for i in range(10)])
         disk.failpoints.set("disk.write", "eio", count=1)
         with pytest.raises(InjectedIOError):
             table.flush_all()

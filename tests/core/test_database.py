@@ -53,8 +53,8 @@ class TestCatalog:
 
     def test_insert_helper(self, db, clock):
         db.create_table("t", usage_schema())
-        db.insert("t", [{"network": 1, "device": 1, "ts": clock.now(),
-                         "bytes": 1, "rate": 0.0}])
+        db.table("t").insert([{"network": 1, "device": 1, "ts": clock.now(),
+                               "bytes": 1, "rate": 0.0}])
         assert len(db.table("t").query(Query()).rows) == 1
 
     def test_reopen_discovers_tables(self, db, clock):

@@ -69,12 +69,12 @@ class TestRoundTrip:
         # The snapshot is a valid data directory in its own right.
         standalone = LittleTable(disk=SimulatedDisk(dest),
                                  clock=VirtualClock(start=BASE))
-        assert len(standalone.query("t", Query()).rows) == 150
+        assert len(standalone.table("t").query(Query()).rows) == 150
         assert is_healthy(standalone)
         # And restores into a fresh engine.
         restored = repro.restore(dest)
-        rows = restored.query("t", Query()).rows
-        assert rows == db.query("t", Query()).rows
+        rows = restored.table("t").query(Query()).rows
+        assert rows == db.table("t").query(Query()).rows
         assert restored.table("t").schema.to_dict() == \
             table.schema.to_dict()
         restored.close()
@@ -92,8 +92,8 @@ class TestRoundTrip:
         summary = db.snapshot(dest)
         assert summary["tables"]["t"]["memtable_rows_captured"] == 55
         restored = repro.restore(dest)
-        rows = restored.query("t", Query()).rows
-        assert rows == db.query("t", Query()).rows
+        rows = restored.table("t").query(Query()).rows
+        assert rows == db.table("t").query(Query()).rows
         assert [row[-1] for row in rows] == [7] * 50 + list(range(5))
         restored.close()
 
@@ -106,7 +106,7 @@ class TestRoundTrip:
         # snapshot needs no log replay and carries no log segments.
         assert not [n for n in dest.list() if "wal-" in n]
         restored = repro.restore(dest)
-        assert len(restored.query("t", Query()).rows) == 40
+        assert len(restored.table("t").query(Query()).rows) == 40
         restored.close()
 
     def test_manifest_contents(self):
@@ -148,7 +148,7 @@ class TestErrors:
         with pytest.raises(SnapshotError):
             target.restore(dest)
         # Nothing was half-copied into the target.
-        assert len(target.query("t", Query()).rows) == 0
+        assert len(target.table("t").query(Query()).rows) == 0
 
     def test_restore_requires_manifest(self):
         db, clock = build_db()
@@ -191,7 +191,7 @@ class TestErrors:
         assert reopened.table_names() == []
         # And the restore works once the fault clears.
         target.restore(dest)
-        assert len(target.query("t", Query()).rows) == 150
+        assert len(target.table("t").query(Query()).rows) == 150
 
     def test_corrupt_manifest_rejected(self):
         db, clock = build_db()
@@ -245,7 +245,7 @@ class TestPointInTime:
                 thread.join()
         assert not errors
         restored = repro.restore(dest)
-        rows = restored.query("t", Query()).rows
+        rows = restored.table("t").query(Query()).rows
         assert rows, "snapshot missed all rows"
         by_device = {}
         for row in rows:
@@ -317,8 +317,8 @@ class TestTheCut:
         summary = db.snapshot(dest)
         assert watched.after_release is None
         assert summary["tables"]["t"]["memtable_rows_captured"] == 50
-        assert len(db.query("t", Query()).rows) == 60
+        assert len(db.table("t").query(Query()).rows) == 60
         restored = repro.restore(dest)
-        assert [row[2] - BASE for row in restored.query("t", Query()).rows] \
-            == list(range(50))
+        rows = restored.table("t").query(Query()).rows
+        assert [row[2] - BASE for row in rows] == list(range(50))
         restored.close()

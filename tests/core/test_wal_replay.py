@@ -111,7 +111,7 @@ class TestWalCrashMatrix:
         recovered = LittleTable(disk=disk, clock=clock,
                                 config=crash_config(),
                                 durability=WAL_POLICY)
-        got_ts = [row[2] for row in recovered.query("t", Query()).rows]
+        got_ts = [row[2] for row in recovered.table("t").query(Query()).rows]
         # Every acknowledged row survives, in order, with no holes and
         # no duplicates.  At most one *unacknowledged* row may also
         # survive: a crash between the group-commit fsync and the
@@ -125,7 +125,8 @@ class TestWalCrashMatrix:
         # A second reopen is idempotent.
         again = LittleTable(disk=disk, clock=clock, config=crash_config(),
                             durability=WAL_POLICY)
-        assert [row[2] for row in again.query("t", Query()).rows] == got_ts
+        rows = again.table("t").query(Query()).rows
+        assert [row[2] for row in rows] == got_ts
 
     def test_persisted_tier_wins_on_default_reopen(self):
         """A wal-tier table replays even when the database is reopened
@@ -143,7 +144,7 @@ class TestWalCrashMatrix:
         disk.failpoints.clear()
         recovered = LittleTable(disk=disk, clock=clock,
                                 config=crash_config())  # no policy
-        got_ts = [row[2] for row in recovered.query("t", Query()).rows]
+        got_ts = [row[2] for row in recovered.table("t").query(Query()).rows]
         assert got_ts == acked_ts
         assert recovered.table("t").durability.tier == "wal"
 
@@ -201,7 +202,7 @@ class TestNoneTierParity:
         assert wal_files(disk) == []
         recovered = LittleTable(disk=disk, clock=clock,
                                 config=crash_config())
-        got_ts = [row[2] for row in recovered.query("t", Query()).rows]
+        got_ts = [row[2] for row in recovered.table("t").query(Query()).rows]
         assert got_ts == acked_ts[:len(got_ts)]
         assert len(got_ts) < len(acked_ts)  # the memtable suffix died
         assert wal_files(disk) == []
@@ -254,7 +255,7 @@ class TestWalLifecycle:
         recovered = LittleTable(disk=disk, clock=clock,
                                 config=crash_config(),
                                 durability=WAL_POLICY)
-        got_ts = [row[2] for row in recovered.query("t", Query()).rows]
+        got_ts = [row[2] for row in recovered.table("t").query(Query()).rows]
         assert got_ts == [BASE + i for i in range(49)]
         report = recovered.table("t").last_wal_replay
         assert report is not None and report.issues
@@ -354,7 +355,7 @@ class TestWalLifecycle:
         recovered = LittleTable(disk=disk, clock=clock,
                                 config=crash_config(),
                                 durability=WAL_POLICY)
-        got_ts = {row[2] for row in recovered.query("t", Query()).rows}
+        got_ts = {row[2] for row in recovered.table("t").query(Query()).rows}
         missing = [ts for ts in acked if ts not in got_ts]
         assert not missing, f"lost {len(missing)} acknowledged rows"
 

@@ -12,6 +12,7 @@ from repro.core import (
     LittleTable,
     NoSuchTableError,
     ProtocolViolationError,
+    Query,
     Schema,
     ServerError,
 )
@@ -24,6 +25,8 @@ from repro.net import (
 from repro.net import protocol
 from repro.net.server import RequestDispatcher
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
+
+from ..conftest import remote_table
 
 BASE = 10_000 * MICROS_PER_DAY
 
@@ -107,14 +110,13 @@ class TestPipelining:
         client.create_table("usage", usage_schema())
         with client.pipeline(depth=16) as batch:
             replies = [
-                batch.insert_dicts("usage", [
-                    {"device": f"dev-{d:02d}", "ts": BASE + s,
-                     "bytes": d * 100 + s}
+                batch.insert("usage", [
+                    (f"dev-{d:02d}", BASE + s, d * 100 + s)
                     for s in range(5)])
                 for d in range(20)
             ]
         assert sum(r.result() for r in replies) == 100
-        rows = list(client.query("usage"))
+        rows = list(remote_table(client, "usage").scan(Query()))
         assert len(rows) == 100
         keys = [r[:2] for r in rows]
         assert keys == sorted(keys)
@@ -123,23 +125,22 @@ class TestPipelining:
     def test_pipelined_latest_round_trips(self, sharded_server):
         client = connect_client(sharded_server)
         client.create_table("usage", usage_schema())
-        client.insert("usage", [
+        remote_table(client, "usage").insert([
             {"device": f"dev-{d}", "ts": BASE + d, "bytes": d}
             for d in range(10)])
         with client.pipeline() as batch:
-            replies = [batch.latest("usage", (f"dev-{d}",))
+            replies = [batch.latest_many("usage", [(f"dev-{d}",)])
                        for d in range(10)]
         for d, reply in enumerate(replies):
-            assert reply.result()[2] == d
+            assert reply.result()[0][2] == d
         client.close()
 
     def test_pipeline_error_isolated_to_its_request(self, sharded_server):
         client = connect_client(sharded_server)
         client.create_table("usage", usage_schema())
         with client.pipeline() as batch:
-            good = batch.insert_dicts("usage", [
-                {"device": "a", "ts": BASE, "bytes": 1}])
-            bad = batch.latest("missing", ("x",))
+            good = batch.insert("usage", [("a", BASE, 1)])
+            bad = batch.latest_many("missing", [("x",)])
             also_good = batch.ping()
         assert good.result() == 1
         with pytest.raises(NoSuchTableError):
@@ -165,8 +166,9 @@ class TestSequentialInterop:
         """Requests with no ids at all against the async front end."""
         client = connect_client(sharded_server)
         client.create_table("usage", usage_schema())
-        client.insert("usage", [{"device": "a", "ts": BASE, "bytes": 7}])
-        assert client.latest("usage", ("a",))[2] == 7
+        usage = remote_table(client, "usage")
+        usage.insert([{"device": "a", "ts": BASE, "bytes": 7}])
+        assert usage.latest(("a",))[2] == 7
         assert client.stats()["counters"] is not None
         counters = sharded_server.metrics.snapshot()["counters"]
         assert counters.get("server.sequential_requests", 0) > 0
@@ -175,12 +177,12 @@ class TestSequentialInterop:
     def test_errors_cross_the_wire_typed(self, sharded_server):
         client = connect_client(sharded_server)
         client.create_table("usage", usage_schema())
-        client.insert("usage", [{"device": "a", "ts": BASE, "bytes": 1}])
+        usage = remote_table(client, "usage")
+        usage.insert([{"device": "a", "ts": BASE, "bytes": 1}])
         with pytest.raises(DuplicateKeyError):
-            client.insert("usage",
-                          [{"device": "a", "ts": BASE, "bytes": 2}])
+            usage.insert([{"device": "a", "ts": BASE, "bytes": 2}])
         with pytest.raises(NoSuchTableError):
-            client.latest("nope", ("a",))
+            client.drop_table("nope")
         client.close()
 
     def test_unknown_error_code_preserved_on_server_error(

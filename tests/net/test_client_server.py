@@ -3,16 +3,21 @@
 import pytest
 
 from repro.core import (
+    DESCENDING,
     Column,
     ColumnType,
     DuplicateKeyError,
     EngineConfig,
+    KeyRange,
     LittleTable,
     NoSuchTableError,
+    Query,
     Schema,
     TableExistsError,
+    TimeRange,
 )
-from repro.net import AsyncLittleTableServer, ConnectionLost, LittleTableClient
+from repro.net import (AsyncLittleTableServer, ConnectionLost,
+                       LittleTableClient, RemoteDatabase)
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
 
 BASE = 10_000 * MICROS_PER_DAY
@@ -26,6 +31,11 @@ def event_schema():
          Column("payload", ColumnType.BLOB)],
         key=["network", "device", "ts"],
     )
+
+
+def events(client):
+    """The ``events`` table's row operations over ``client``."""
+    return RemoteDatabase(client).table("events")
 
 
 @pytest.fixture
@@ -50,13 +60,13 @@ def client(server):
 
 class TestSchemaOperations:
     def test_create_list_drop(self, client):
-        assert client.list_tables() == {}
+        remote = RemoteDatabase(client)
+        assert remote.table_names() == []
         client.create_table("events", event_schema())
-        tables = client.list_tables()
-        assert list(tables) == ["events"]
-        assert tables["events"] == event_schema()
+        assert remote.table_names() == ["events"]
+        assert remote.table("events").schema == event_schema()
         client.drop_table("events")
-        assert client.list_tables() == {}
+        assert remote.table_names() == []
 
     def test_create_duplicate_raises(self, client):
         client.create_table("events", event_schema())
@@ -101,16 +111,16 @@ class TestClientSchemaCache:
         # The regression the fix targets: a continuation after DDL must
         # use the evolved schema's key shape, not the cached one.
         client.create_table("events", event_schema())
-        client.insert("events", [
+        events(client).insert([
             {"network": 1, "device": d, "ts": clock.now(),
              "payload": b""}
             for d in range(40)  # > server_row_limit=16, forces paging
         ])
-        list(client.query("events"))  # fills the schema cache
+        list(events(client).scan(Query()))  # fills the schema cache
         client.alter("events", "add_column",
                      column={"name": "extra", "type": "int64",
                              "default": None})
-        rows = list(client.query("events"))
+        rows = list(events(client).scan(Query()))
         assert len(rows) == 40
         assert all(len(r) == 5 for r in rows)
 
@@ -118,64 +128,64 @@ class TestClientSchemaCache:
 class TestInsertAndQuery:
     def test_dict_insert_and_query(self, client, clock):
         client.create_table("events", event_schema())
-        inserted = client.insert("events", [
+        inserted = events(client).insert([
             {"network": 1, "device": d, "ts": clock.now() + d,
              "payload": bytes([d])}
             for d in range(5)
         ])
         assert inserted == 5
-        rows = list(client.query("events", key_min=(1,), key_max=(1,)))
+        rows = list(events(client).scan(Query(KeyRange.prefix((1,)))))
         assert len(rows) == 5
         assert rows[0][3] == b"\x00"
 
     def test_continuation_past_server_limit(self, client, clock):
         client.create_table("events", event_schema())
-        client.insert("events", [
+        events(client).insert([
             {"network": 1, "device": d, "ts": clock.now(),
              "payload": b""}
             for d in range(50)
         ])
-        rows = list(client.query("events"))
+        rows = list(events(client).scan(Query()))
         assert len(rows) == 50  # server limit is 16; adaptor continues
         devices = [r[1] for r in rows]
         assert devices == sorted(devices)
 
     def test_descending_continuation(self, client, clock):
         client.create_table("events", event_schema())
-        client.insert("events", [
+        events(client).insert([
             {"network": 1, "device": d, "ts": clock.now(), "payload": b""}
             for d in range(40)
         ])
-        rows = list(client.query("events", descending=True))
+        rows = list(events(client).scan(Query(direction=DESCENDING)))
         assert [r[1] for r in rows] == list(range(39, -1, -1))
 
     def test_client_limit(self, client, clock):
         client.create_table("events", event_schema())
-        client.insert("events", [
+        events(client).insert([
             {"network": 1, "device": d, "ts": clock.now(), "payload": b""}
             for d in range(50)
         ])
-        rows = list(client.query("events", limit=20))
+        rows = list(events(client).scan(Query(limit=20)))
         assert len(rows) == 20
 
     def test_time_bounds(self, client, clock):
         client.create_table("events", event_schema())
         for minute in range(5):
-            client.insert("events", [
+            events(client).insert([
                 {"network": 1, "device": 1,
                  "ts": clock.now() + minute * MICROS_PER_MINUTE,
                  "payload": b""}])
-        rows = list(client.query(
-            "events", ts_min=clock.now() + MICROS_PER_MINUTE,
-            ts_max=clock.now() + 3 * MICROS_PER_MINUTE))
+        rows = list(events(client).scan(Query(time_range=TimeRange.between(
+            clock.now() + MICROS_PER_MINUTE,
+            clock.now() + 3 * MICROS_PER_MINUTE))))
         assert len(rows) == 3
 
     def test_duplicate_key_error_propagates(self, client, clock):
         client.create_table("events", event_schema())
         row = {"network": 1, "device": 1, "ts": clock.now(), "payload": b""}
-        client.insert("events", [row])
+        events(client).insert([row])
         with pytest.raises(DuplicateKeyError):
-            client.insert("events", [row])
+            events(client).insert([row])
 
     def test_batched_buffer_insert(self, client, clock):
         client.create_table("events", event_schema())
@@ -185,48 +195,48 @@ class TestInsertAndQuery:
                 "events", (1, device, clock.now() + device, b""))
         # Two batches of 10 were flushed automatically; 5 pending.
         assert client.pending_rows == 5
-        assert len(list(client.query("events"))) == 20
+        assert len(list(events(client).scan(Query()))) == 20
         client.flush_inserts()
         assert client.pending_rows == 0
-        assert len(list(client.query("events"))) == 25
+        assert len(list(events(client).scan(Query()))) == 25
 
     def test_latest(self, client, clock):
         client.create_table("events", event_schema())
-        client.insert("events", [
+        events(client).insert([
             {"network": 1, "device": 1, "ts": clock.now(), "payload": b"old"},
             {"network": 1, "device": 1, "ts": clock.now() + 10,
              "payload": b"new"},
         ])
-        row = client.latest("events", (1, 1))
+        row = events(client).latest((1, 1))
         assert row[3] == b"new"
-        assert client.latest("events", (9, 9)) is None
+        assert events(client).latest((9, 9)) is None
 
 
 class TestExtensions:
     def test_flush_command(self, client, clock):
         client.create_table("events", event_schema())
-        client.insert("events", [{"network": 1, "device": 1,
-                                  "ts": clock.now(), "payload": b""}])
-        written = client.flush("events")
-        assert written == 1
+        events(client).insert([{"network": 1, "device": 1,
+                                "ts": clock.now(), "payload": b""}])
+        written = events(client).flush_all()
+        assert len(written) == 1
 
     def test_flush_before_command(self, client, clock):
         client.create_table("events", event_schema())
-        client.insert("events", [{"network": 1, "device": 1,
-                                  "ts": clock.now(), "payload": b""}])
-        assert client.flush("events",
-                            before_ts=clock.now() - 1_000_000) == 0
-        assert client.flush("events", before_ts=clock.now() + 1) == 1
+        events(client).insert([{"network": 1, "device": 1,
+                                "ts": clock.now(), "payload": b""}])
+        table = events(client)
+        assert table.flush_before(clock.now() - 1_000_000) == []
+        assert len(table.flush_before(clock.now() + 1)) == 1
 
     def test_bulk_delete_command(self, client, clock):
         client.create_table("events", event_schema())
-        client.insert("events", [
+        events(client).insert([
             {"network": n, "device": 1, "ts": clock.now(), "payload": b""}
             for n in (1, 2)
         ])
-        removed = client.bulk_delete("events", (1,))
+        removed = events(client).bulk_delete((1,))
         assert removed == 1
-        rows = list(client.query("events"))
+        rows = list(events(client).scan(Query()))
         assert [r[0] for r in rows] == [2]
 
     def test_bulk_delete_bad_prefix_errors(self, client, clock):
@@ -234,7 +244,7 @@ class TestExtensions:
 
         client.create_table("events", event_schema())
         with pytest.raises(LittleTableError):
-            client.bulk_delete("events", ())
+            events(client).bulk_delete(())
 
 
 class TestCrashDetection:
@@ -267,7 +277,7 @@ class TestCrashDetection:
         try:
             client.connect()
             assert client.ping()
-            assert "events" in client.list_tables()
+            assert RemoteDatabase(client).has_table("events")
         finally:
             server2.stop()
 
@@ -277,11 +287,11 @@ class TestCrashDetection:
         second = LittleTableClient(host, port)
         try:
             first.create_table("events", event_schema())
-            first.insert("events", [{"network": 1, "device": 1,
-                                     "ts": clock.now(), "payload": b"a"}])
+            events(first).insert([{"network": 1, "device": 1,
+                                   "ts": clock.now(), "payload": b"a"}])
             # The second client sees the insert after it completes
             # (§3.1's post-insert visibility guarantee).
-            rows = list(second.query("events"))
+            rows = list(events(second).scan(Query()))
             assert len(rows) == 1
         finally:
             first.close()

@@ -11,9 +11,11 @@ import threading
 
 import pytest
 
-from repro.core import Column, ColumnType, LittleTable, Schema
+from repro.core import Column, ColumnType, LittleTable, Query, Schema
 from repro.net import AsyncLittleTableServer, LittleTableClient
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
+
+from ..conftest import remote_table
 
 BASE = 10_000 * MICROS_PER_DAY
 WRITERS = 4
@@ -40,8 +42,9 @@ def writer_thread(address, table, writer_id, errors):
     try:
         client = LittleTableClient(*address)
         try:
+            rows = remote_table(client, table)
             for seq in range(ROWS_PER_WRITER):
-                client.insert(table, [{
+                rows.insert([{
                     "writer": writer_id, "seq": seq,
                     "ts": BASE + writer_id * 1_000_000 + seq,
                 }])
@@ -69,7 +72,7 @@ class TestConcurrentWriters:
             thread.join(timeout=60)
         assert not errors
         for writer_id in range(WRITERS):
-            rows = list(setup.query(f"w{writer_id}"))
+            rows = list(remote_table(setup, f"w{writer_id}").scan(Query()))
             assert len(rows) == ROWS_PER_WRITER
         setup.close()
 
@@ -88,7 +91,7 @@ class TestConcurrentWriters:
         for thread in threads:
             thread.join(timeout=60)
         assert not errors
-        rows = list(setup.query("shared"))
+        rows = list(remote_table(setup, "shared").scan(Query()))
         assert len(rows) == WRITERS * ROWS_PER_WRITER
         # Every writer's rows are complete and unique.
         seen = {(r[0], r[1]) for r in rows}
@@ -105,8 +108,9 @@ class TestConcurrentWriters:
         def reader():
             client = LittleTableClient(*server.address)
             try:
+                raced = remote_table(client, "raced")
                 while not stop.is_set():
-                    rows = list(client.query("raced"))
+                    rows = list(raced.scan(Query()))
                     observations.append(rows)
             finally:
                 client.close()
@@ -135,6 +139,6 @@ class TestConcurrentWriters:
             last_count = len(rows)
             keys = [(r[0], r[1]) for r in rows]
             assert keys == sorted(keys)
-        final = list(setup.query("raced"))
+        final = list(remote_table(setup, "raced").scan(Query()))
         assert len(final) == 2 * ROWS_PER_WRITER
         setup.close()

@@ -48,10 +48,10 @@ SAMPLE = [
 
 def run_workload(db):
     """The facade surface every deployment must serve identically."""
-    db.create_table("usage", usage_schema())
-    assert db.insert("usage", SAMPLE) == len(SAMPLE)
+    usage = db.create_table("usage", usage_schema())
+    assert usage.insert(SAMPLE) == len(SAMPLE)
 
-    result = db.query("usage", Query(limit=1000))
+    result = usage.query(Query(limit=1000))
     assert len(result.rows) == len(SAMPLE)
     assert not result.more_available
     keys = [r[:2] for r in result.rows]
@@ -60,19 +60,21 @@ def run_workload(db):
     # A client-imposed limit is a complete result, not a truncation
     # (engine semantics: more_available means the SERVER limit cut
     # the scan) - and every deployment must agree on that.
-    page = db.query("usage", Query(limit=10))
+    page = usage.query(Query(limit=10))
     assert len(page.rows) == 10 and not page.more_available
 
     # ... and so is a limit of nothing: an empty page that does not
     # claim the server limit cut it short.
-    empty = db.query("usage", Query(limit=0))
+    empty = usage.query(Query(limit=0))
     assert empty.rows == [] and not empty.more_available
-    assert list(db.table("usage").scan(Query(limit=0))) == []
+    assert list(usage.scan(Query(limit=0))) == []
 
+    # The handle create_table returned and a lookup by name are one
+    # table.
     table_page = db.table("usage").query(Query(limit=10))
-    assert [r[:2] for r in table_page.rows] == [r[:2] for r in page.rows]
+    assert table_page.rows == page.rows
 
-    latest = db.latest("usage", ("dev-03",))
+    latest = usage.latest(("dev-03",))
     assert latest[2] == 35
 
     snapshot = db.stats()
@@ -134,7 +136,7 @@ class TestBlobDefaultOnTheWire:
         with AsyncLittleTableServer(served) as server:
             with connect(server.address) as db:
                 db.create_table("usage", usage_schema())
-                db.insert("usage", SAMPLE)
+                db.table("usage").insert(SAMPLE)
                 sent = []
                 real = db.client._call
 
@@ -148,9 +150,9 @@ class TestBlobDefaultOnTheWire:
                 assert set(alter["column"]["default"]) == {"$b"}
                 assert db.table("usage").schema.column(
                     "payload").default == self.BLOB.default
-                db.insert("usage", [{"device": "dev-99", "ts": BASE,
-                                     "bytes": 1, "payload": b"\x01"}])
-                rows = db.query("usage", Query(limit=1000)).rows
+                db.table("usage").insert([{"device": "dev-99", "ts": BASE,
+                                           "bytes": 1, "payload": b"\x01"}])
+                rows = db.table("usage").query(Query(limit=1000)).rows
                 assert [r[3] for r in rows] == (
                     [self.BLOB.default] * len(SAMPLE) + [b"\x01"])
         served.close()
@@ -226,9 +228,9 @@ class TestServeCli:
             def probe():
                 try:
                     with connect(server.address) as db:
-                        db.create_table("usage", usage_schema())
-                        db.insert("usage", SAMPLE[:6])
-                        seen["rows"] = len(db.query("usage").rows)
+                        usage = db.create_table("usage", usage_schema())
+                        usage.insert(SAMPLE[:6])
+                        seen["rows"] = len(usage.query(Query()).rows)
                         seen["shards"] = db.client.server_shards
                 finally:
                     stop.set()
@@ -258,7 +260,7 @@ class TestServeCli:
                 try:
                     with connect(server.address) as db:
                         db.create_table("usage", usage_schema())
-                        db.insert("usage", SAMPLE[:6])
+                        db.table("usage").insert(SAMPLE[:6])
                     engine, = server.db.engines
                     table = engine.table("usage")
                     seen["on_disk_before"] = len(table.on_disk_tablets)

@@ -8,6 +8,7 @@ from repro.core import (
     ColumnType,
     EngineConfig,
     LittleTable,
+    Query,
     Schema,
     is_healthy,
 )
@@ -18,6 +19,8 @@ from repro.net import (
     ShardRouter,
 )
 from repro.util.clock import MICROS_PER_DAY, SystemClock
+
+from ..conftest import remote_table
 
 
 def make_schema():
@@ -35,7 +38,7 @@ class TestMaintenanceThread:
         with AsyncLittleTableServer(db) as server:
             client = LittleTableClient(*server.address)
             client.create_table("t", make_schema())
-            client.insert("t", [{"k": 1, "ts": 1000, "v": 1}])
+            remote_table(client, "t").insert([{"k": 1, "ts": 1000, "v": 1}])
             response = client._call({"cmd": "maintenance"})
             assert response["ok"]
             assert "t" in response["work"]
@@ -57,7 +60,7 @@ class TestMaintenanceThread:
             client.create_table("t", make_schema())
             now = int(time.time() * 1_000_000)
             for batch in range(6):
-                client.insert("t", [
+                remote_table(client, "t").insert([
                     {"k": batch * 100 + i, "ts": now + batch * 100 + i,
                      "v": batch} for i in range(50)
                 ])
@@ -94,9 +97,9 @@ class TestMaintenanceThread:
             def writer():
                 client = LittleTableClient(*server.address)
                 try:
+                    table = remote_table(client, "t")
                     for i in range(200):
-                        client.insert("t", [{"k": i, "ts": now + i,
-                                             "v": i}])
+                        table.insert([{"k": i, "ts": now + i, "v": i}])
                 except Exception as exc:
                     errors.append(exc)
                 finally:
@@ -105,8 +108,9 @@ class TestMaintenanceThread:
             def reader():
                 client = LittleTableClient(*server.address)
                 try:
+                    table = remote_table(client, "t")
                     for _ in range(60):
-                        rows = list(client.query("t"))
+                        rows = list(table.scan(Query()))
                         keys = [r[0] for r in rows]
                         assert keys == sorted(keys)
                 except Exception as exc:
@@ -121,7 +125,7 @@ class TestMaintenanceThread:
             for thread in threads:
                 thread.join(timeout=60)
             assert not errors
-            final = list(setup.query("t"))
+            final = list(remote_table(setup, "t").scan(Query()))
             assert len(final) == 200
             setup.close()
         finally:
@@ -149,8 +153,8 @@ class TestShardedServerMaintenance:
             client = LittleTableClient(*server.address)
             client.create_table("t", make_schema())
             now = int(time.time() * 1_000_000)
-            client.insert_tuples(
-                "t", [(k, now + k, k) for k in range(2000)])
+            remote_table(client, "t").insert_tuples(
+                [(k, now + k, k) for k in range(2000)])
             counters = {}
             deadline = time.time() + 10
             while time.time() < deadline:

@@ -16,11 +16,13 @@ import pytest
 from repro.core import (Column, ColumnType, LittleTable, OverloadedError,
                         Query, Schema, ShardDegradedError)
 from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
-                       LittleTableClient, protocol)
+                       LittleTableClient, RemoteDatabase, protocol)
 from repro.net.server import AdmissionController, RequestDispatcher
 from repro.net.shard import ShardRouter
 from repro.obs import MetricsRegistry
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
+
+from ..conftest import remote_table
 
 BASE = 10_000 * MICROS_PER_DAY
 
@@ -174,7 +176,8 @@ class TestClientRetryBudget:
             server.admission.admit()  # jam the server
             try:
                 with pytest.raises(OverloadedError):
-                    client.list_tables()  # ping is admission-exempt
+                    # list_tables, where ping is admission-exempt
+                    RemoteDatabase(client).table_names()
             finally:
                 server.admission.release()
                 client.close()
@@ -190,12 +193,13 @@ class TestClientRetryBudget:
             client = self.make_client_against(
                 server, max_retries=5, retry_backoff_s=0.01)
             client.create_table("t", make_schema())
+            table = remote_table(client, "t")
             server.admission.admit()
             threading.Timer(0.15, server.admission.release).start()
             # Non-idempotent, but sheds are pre-execution: the client
             # retries through them and the insert lands exactly once.
-            assert client.insert("t", [{"k": 1, "ts": BASE, "v": 1}]) == 1
-            assert len(list(client.query("t"))) == 1
+            assert table.insert([{"k": 1, "ts": BASE, "v": 1}]) == 1
+            assert len(list(table.scan(Query()))) == 1
             client.close()
 
     def test_shared_deadline_caps_total_retry_time(self):
@@ -212,7 +216,8 @@ class TestClientRetryBudget:
             started = time.monotonic()
             try:
                 with pytest.raises(OverloadedError):
-                    client.list_tables()  # ping is admission-exempt
+                    # list_tables, where ping is admission-exempt
+                    RemoteDatabase(client).table_names()
             finally:
                 server.admission.release()
                 client.close()
@@ -246,13 +251,14 @@ class TestEndToEndOverload:
             client = LittleTableClient(host, port, config=ClientConfig(
                 max_retries=1, retry_backoff_s=0.01))
             client.create_table("t", make_schema())
-            client.insert("t", [{"k": 1, "ts": BASE, "v": 7}])
+            table = remote_table(client, "t")
+            table.insert([{"k": 1, "ts": BASE, "v": 7}])
             server.admission.admit()
             with pytest.raises(OverloadedError):
-                client.latest("t", [1])
+                table.latest([1])
             server.admission.release()
             # Same connection recovers without manual reconnect.
-            assert client.latest("t", [1])[2] == 7
+            assert table.latest([1])[2] == 7
             client.close()
 
 
@@ -308,13 +314,14 @@ class TestShardOverloadCooldown:
             client = LittleTableClient(host, port, config=ClientConfig(
                 max_retries=10, retry_backoff_s=0.05))
             client.create_table("t", make_schema())
+            table = remote_table(client, "t")
             server.admission.admit()        # the one slot is taken...
             release = threading.Timer(0.1, server.admission.release)
             release.start()                 # ...for the first attempt
             rows = [{"k": k, "ts": BASE, "v": k} for k in range(12)]
-            assert client.insert("t", rows) == 12
+            assert table.insert(rows) == 12
             release.join(timeout=5)
-            assert len(list(client.query("t"))) == 12
+            assert len(list(table.scan(Query()))) == 12
             shed = router.metrics.snapshot()["counters"][
                 "server.admission.shed"]
             assert shed >= 1
@@ -325,7 +332,7 @@ class TestShardOverloadCooldown:
         router = self.make_router()
         router.create_table("t", make_schema())
         rows = [(k, BASE, k) for k in range(12)]  # touches every shard
-        calls = (lambda: router.query("t", Query()),
+        calls = (lambda: router.table("t").query(Query()),
                  lambda: router.table("t").insert_tuples(rows))
         # Up front: a downed target refuses both before anything runs.
         router._down[2] = "crashed"

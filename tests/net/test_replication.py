@@ -26,7 +26,7 @@ from repro.net.client import LittleTableClient
 from repro.net.replica import Follower
 from repro.net.async_server import AsyncLittleTableServer
 
-from ..conftest import usage_schema
+from ..conftest import remote_table, usage_schema
 
 REPL = DurabilityPolicy(tier="replicated", wal_segment_bytes=4096)
 
@@ -67,26 +67,26 @@ def wait_until(predicate, timeout_s=10.0):
 class TestConvergence:
     def test_streams_memtable_rows(self, primary):
         db, server = primary
-        db.insert("t", [row_for(i) for i in range(20)])
+        db.table("t").insert([row_for(i) for i in range(20)])
         follower = make_follower(server)
         try:
             follower.sync_once()
-            rows = follower.db.query("t", Query()).rows
-            assert rows == db.query("t", Query()).rows
+            rows = follower.db.table("t").query(Query()).rows
+            assert rows == db.table("t").query(Query()).rows
             assert len(rows) == 20
         finally:
             follower.stop()
 
     def test_resyncs_after_flush_reshapes_tablets(self, primary):
         db, server = primary
-        db.insert("t", [row_for(i) for i in range(30)])
+        db.table("t").insert([row_for(i) for i in range(30)])
         follower = make_follower(server)
         try:
             follower.sync_once()
             db.table("t").flush_all()       # tablet set changes
-            db.insert("t", [row_for(30 + i) for i in range(10)])
+            db.table("t").insert([row_for(30 + i) for i in range(10)])
             follower.sync_once()
-            assert len(follower.db.query("t", Query()).rows) == 40
+            assert len(follower.db.table("t").query(Query()).rows) == 40
             # The standby's copy is tablets + replayed tail, healthy.
             assert is_healthy(follower.db)
         finally:
@@ -98,13 +98,13 @@ class TestConvergence:
         try:
             follower.start()
             for batch in range(5):
-                db.insert("t", [row_for(batch * 20 + i)
-                                for i in range(20)])
+                db.table("t").insert([row_for(batch * 20 + i)
+                                      for i in range(20)])
                 if batch == 2:
                     db.table("t").flush_all()
             assert wait_until(
                 lambda: follower.db.has_table("t")
-                and len(follower.db.query("t", Query()).rows) == 100
+                and len(follower.db.table("t").query(Query()).rows) == 100
                 and follower.lag_records() == 0)
             status = follower.status()
             assert status["following"] == "%s:%d" % server.address
@@ -122,8 +122,9 @@ class TestConvergence:
         db, server = primary
         follower = make_follower(server)
         try:
+            follower.sync_once()
             with pytest.raises(ReadOnlyModeError):
-                follower.db.insert("t", [row_for(0)])
+                follower.db.table("t").insert([row_for(0)])
         finally:
             follower.stop()
 
@@ -133,10 +134,10 @@ class TestConvergence:
         try:
             follower.sync_once()
             db.create_table("u", usage_schema())
-            db.insert("u", [row_for(0)])
+            db.table("u").insert([row_for(0)])
             follower.sync_once()
             assert follower.db.has_table("u")
-            assert len(follower.db.query("u", Query()).rows) == 1
+            assert len(follower.db.table("u").query(Query()).rows) == 1
         finally:
             follower.stop()
 
@@ -144,7 +145,7 @@ class TestConvergence:
         db, server = primary
         db.create_table("local_only", usage_schema(),
                         durability=DurabilityPolicy(tier="wal"))
-        db.insert("local_only", [row_for(0)])
+        db.table("local_only").insert([row_for(0)])
         follower = make_follower(server)
         try:
             follower.sync_once()
@@ -156,7 +157,7 @@ class TestConvergence:
 class TestDivergence:
     def test_primary_regression_halts_loop(self, primary):
         db, server = primary
-        db.insert("t", [row_for(i) for i in range(5)])
+        db.table("t").insert([row_for(i) for i in range(5)])
         follower = make_follower(server)
         try:
             follower.sync_once()
@@ -176,17 +177,17 @@ class TestDivergence:
 class TestPromotion:
     def test_promote_serves_writes_and_passes_fsck(self, primary):
         db, server = primary
-        db.insert("t", [row_for(i) for i in range(25)])
+        db.table("t").insert([row_for(i) for i in range(25)])
         db.table("t").flush_all()
-        db.insert("t", [row_for(25 + i) for i in range(5)])
+        db.table("t").insert([row_for(25 + i) for i in range(5)])
         follower = make_follower(server)
         standby = follower.db
         follower.sync_once()
         promoted = follower.promote()
         assert promoted is standby
         assert standby.replication is None
-        standby.insert("t", [row_for(100)])
-        assert len(standby.query("t", Query()).rows) == 31
+        standby.table("t").insert([row_for(100)])
+        assert len(standby.table("t").query(Query()).rows) == 31
         assert is_healthy(standby)
         # Reopening the standby's directory comes up clean (the
         # ``ltdb fsck`` criterion: scrub finds nothing to repair).
@@ -194,7 +195,7 @@ class TestPromotion:
         standby.close()
         reopened = LittleTable(disk=disk)
         assert reopened.last_scrub.clean
-        assert len(reopened.query("t", Query()).rows) == 31
+        assert len(reopened.table("t").query(Query()).rows) == 31
         reopened.close()
 
     def test_promote_rearms_wal_protection(self, primary):
@@ -203,19 +204,19 @@ class TestPromotion:
         re-arms the WAL so the new primary's acknowledged writes
         survive a crash and it can serve replication itself."""
         db, server = primary
-        db.insert("t", [row_for(i) for i in range(10)])
+        db.table("t").insert([row_for(i) for i in range(10)])
         follower = make_follower(server)
         follower.sync_once()
         promoted = follower.promote()
         table = promoted.table("t")
         assert table.durability.tier == "replicated"
         assert table.wal is not None
-        promoted.insert("t", [row_for(50)])
+        promoted.table("t").insert([row_for(50)])
         # Abandon without close (kill -9 on the new primary): the
         # acknowledged write must come back from the WAL.
         disk = promoted.disk
         reopened = LittleTable(disk=disk)
-        rows = reopened.query("t", Query()).rows
+        rows = reopened.table("t").query(Query()).rows
         assert {row[2] for row in rows} == (
             {index + 1 for index in range(10)} | {51})
         assert reopened.table("t").durability.tier == "replicated"
@@ -227,7 +228,7 @@ class TestServeFollowCli:
         from repro.cli import serve_main
 
         db, server = primary
-        db.insert("t", [row_for(i) for i in range(12)])
+        db.table("t").insert([row_for(i) for i in range(12)])
         host, port = server.address
         stop = threading.Event()
         seen = {}
@@ -239,7 +240,8 @@ class TestServeFollowCli:
                     with LittleTableClient(shost, sport) as client:
                         def rows():
                             try:
-                                return len(list(client.query("t")))
+                                table = remote_table(client, "t")
+                                return len(list(table.scan(Query())))
                             except Exception:
                                 return -1  # table not streamed yet
 

@@ -17,6 +17,7 @@ from repro.core import (
     ColumnType,
     EngineConfig,
     LittleTable,
+    Query,
     ReadOnlyModeError,
     Schema,
 )
@@ -24,6 +25,8 @@ from repro.disk import DiskFullError, FaultyVFS
 from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
                        LittleTableClient, protocol)
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
+
+from ..conftest import remote_table
 
 BASE = 10_000 * MICROS_PER_DAY
 
@@ -180,15 +183,16 @@ class TestServerRestart:
         client = fast_client(server)
         with client:
             client.create_table("t", event_schema())
-            client.insert("t", [{"device": 1, "ts": BASE + i, "value": i}
-                                for i in range(10)])
+            table = remote_table(client, "t")
+            table.insert([{"device": 1, "ts": BASE + i, "value": i}
+                          for i in range(10)])
             host, port = server.address
             server.stop()
             assert server.is_stopped
             # Same engine, fresh server on the same port: the client's
             # persistent connection is dead but the data is not.
             with AsyncLittleTableServer(db, port=port):
-                rows = list(client.query("t"))
+                rows = list(table.scan(Query()))
             assert [row[1] for row in rows] == [BASE + i for i in range(10)]
             assert len(client.sleeps) >= 1  # it actually retried
 
@@ -196,7 +200,8 @@ class TestServerRestart:
         client = fast_client(server)
         with client:
             client.create_table("t", event_schema())
-            list(client.query("t"))  # warms the schema cache
+            # Warms the schema cache.
+            list(remote_table(client, "t").scan(Query()))
             client._schema_cache["t"] = "stale-sentinel"
             host, port = server.address
             server.stop()
@@ -219,6 +224,7 @@ class TestServerRestart:
         client = fast_client(server)
         with client:
             client.create_table("t", event_schema())
+            table = remote_table(client, "t")
             host, port = server.address
             server.stop()
             with AsyncLittleTableServer(db, port=port):
@@ -226,8 +232,7 @@ class TestServerRestart:
                 # broken connection must surface, not silently resend:
                 # the old server may have applied it (§4.1).
                 with pytest.raises(ConnectionLost):
-                    client.insert("t", [{"device": 1, "ts": BASE,
-                                         "value": 0}])
+                    table.insert([{"device": 1, "ts": BASE, "value": 0}])
             assert client.sleeps == []  # zero backoff = zero retries
 
     def test_auto_reconnect_false_disables_retries(self, db, server):
@@ -249,8 +254,9 @@ class TestReadOnlyServer:
             client = fast_client(server)
             with client:
                 client.create_table("t", event_schema())
-                client.insert("t", [{"device": 1, "ts": BASE + i,
-                                     "value": i} for i in range(8)])
+                remote = remote_table(client, "t")
+                remote.insert([{"device": 1, "ts": BASE + i, "value": i}
+                               for i in range(8)])
                 disk.failpoints.set("disk.write", "enospc", count=-1)
                 table = db.table("t")
                 with pytest.raises(DiskFullError):
@@ -258,20 +264,19 @@ class TestReadOnlyServer:
                 assert db.read_only
                 # Writes are refused with the typed error...
                 with pytest.raises(ReadOnlyModeError):
-                    client.insert("t", [{"device": 2, "ts": BASE,
-                                         "value": 0}])
+                    remote.insert([{"device": 2, "ts": BASE, "value": 0}])
                 with pytest.raises(ReadOnlyModeError):
                     client.create_table("u", event_schema())
                 # ...while reads and health keep serving.
-                assert len(list(client.query("t"))) == 8
+                assert len(list(remote.scan(Query()))) == 8
                 health = client.health()
                 assert health["read_only"]
                 assert "disk full" in health["read_only_reason"]
                 # Operator clears space; the engine becomes writable.
                 disk.failpoints.clear()
                 db.exit_read_only()
-                client.insert("t", [{"device": 2, "ts": BASE, "value": 0}])
-                assert len(list(client.query("t"))) == 9
+                remote.insert([{"device": 2, "ts": BASE, "value": 0}])
+                assert len(list(remote.scan(Query()))) == 9
         db.close()
 
     def test_health_on_healthy_server(self, server):

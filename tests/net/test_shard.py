@@ -94,7 +94,7 @@ class TestRouting:
         router = make_router(shards=4)
         router.create_table("usage", usage_schema())
         rows = sample_rows()
-        router.insert("usage", rows)
+        router.table("usage").insert(rows)
         for row in rows:
             owner = shard_of((row["device"],), None, 4)
             for index, engine in enumerate(router.engines):
@@ -115,8 +115,8 @@ class TestRouting:
              "ts": BASE + i * 1_000, "bytes": i}
             for i in range(300)
         ]
-        assert router.insert("usage", rows) == len(rows)
-        result = router.query("usage", Query(limit=10_000))
+        assert router.table("usage").insert(rows) == len(rows)
+        result = router.table("usage").query(Query(limit=10_000))
         assert len(result.rows) == len(rows)
         got = {(r[0], r[1]) for r in result.rows}
         assert got == {(r["device"], r["ts"]) for r in rows}
@@ -124,7 +124,7 @@ class TestRouting:
         for device in {r["device"] for r in rows}:
             expected = max((r for r in rows if r["device"] == device),
                            key=lambda r: r["ts"])
-            latest = router.latest("usage", (device,))
+            latest = router.table("usage").latest((device,))
             assert latest[1] == expected["ts"]
         router.close()
 
@@ -135,16 +135,16 @@ class TestRouting:
         assert isinstance(table, ShardedTable)
         table.insert_tuples([("dev-a", BASE + 1, 10),
                              ("dev-b", BASE + 2, 20)])
-        assert router.latest("usage", ("dev-a",))[2] == 10
-        assert router.latest("usage", ("dev-b",))[2] == 20
+        assert router.table("usage").latest(("dev-a",))[2] == 10
+        assert router.table("usage").latest(("dev-b",))[2] == 20
         router.close()
 
     def test_pinned_query_touches_one_shard(self):
         router = make_router(shards=4)
         router.create_table("usage", usage_schema())
-        router.insert("usage", sample_rows())
+        router.table("usage").insert(sample_rows())
         before = router.metrics.snapshot()["counters"]
-        result = router.query("usage", Query(
+        result = router.table("usage").query(Query(
             KeyRange(min_prefix=("dev-03",), max_prefix=("dev-03",))))
         after = router.metrics.snapshot()["counters"]
         assert len(result.rows) == 8
@@ -181,13 +181,13 @@ class TestMerge:
                              config=EngineConfig(server_row_limit=row_limit))
         for db in (router, oracle):
             db.create_table("usage", usage_schema())
-            db.insert("usage", sample_rows(devices=40, samples=5))
+            db.table("usage").insert(sample_rows(devices=40, samples=5))
 
         def page_through(db):
             rows, pages = [], 0
             kr = KeyRange()
             while True:
-                result = db.query("usage", Query(
+                result = db.table("usage").query(Query(
                     kr, direction=direction))
                 assert len(result.rows) <= row_limit
                 rows.extend(result.rows)
@@ -208,16 +208,16 @@ class TestMerge:
     def test_limit_respected_across_shards(self):
         router = make_router(shards=3, row_limit=50)
         router.create_table("usage", usage_schema())
-        router.insert("usage", sample_rows(devices=20, samples=5))
+        router.table("usage").insert(sample_rows(devices=20, samples=5))
         # A client limit under the server's: complete result, engine
         # semantics (more_available flags only server-limit cuts).
-        result = router.query("usage", Query(limit=7))
+        result = router.table("usage").query(Query(limit=7))
         assert len(result.rows) == 7
         assert not result.more_available
         keys = [r[:2] for r in result.rows]
         assert keys == sorted(keys)
         # No client limit: the server row limit truncates and says so.
-        truncated = router.query("usage", Query())
+        truncated = router.table("usage").query(Query())
         assert len(truncated.rows) == 50
         assert truncated.more_available
         router.close()
@@ -230,10 +230,10 @@ class TestMerge:
         server limit cut an empty page."""
         router = make_router(shards=2, row_limit=5)
         router.create_table("usage", usage_schema())
-        router.insert("usage", sample_rows(devices=12, samples=3))
+        router.table("usage").insert(sample_rows(devices=12, samples=3))
         for key_range in (KeyRange(), KeyRange.prefix(("dev-03",))):
             query = Query(key_range, direction=direction, limit=0)
-            result = router.query("usage", query)
+            result = router.table("usage").query(query)
             assert result.rows == [] and not result.more_available
             assert list(router.table("usage").scan(query)) == []
         router.close()
@@ -263,7 +263,7 @@ class TestDegradedShards:
         router = crashable_router(shards=3)
         router.create_table("usage", usage_schema())
         rows = sample_rows(devices=12, samples=4)
-        router.insert("usage", rows)
+        router.table("usage").insert(rows)
         victim = self.crash_one_shard(router)
 
         assert list(router.degraded_shards) == [victim]
@@ -273,17 +273,17 @@ class TestDegradedShards:
         # Scatter operations now refuse (they would silently miss the
         # downed shard's rows)...
         with pytest.raises(ShardDegradedError):
-            router.query("usage", Query())
+            router.table("usage").query(Query())
         # ...and keys owned by the dead worker refuse too...
         with pytest.raises(ShardDegradedError):
-            router.latest("usage", ("dev-00",))
+            router.table("usage").latest(("dev-00",))
         # ...but the surviving workers keep serving their keys.
         survivors = [d for d in {r["device"] for r in rows}
                      if shard_of((d,), None, 3) != victim]
         assert survivors, "test needs at least one surviving device"
         for device in survivors[:3]:
-            assert router.latest("usage", (device,)) is not None
-            pinned = router.query("usage", Query(
+            assert router.table("usage").latest((device,)) is not None
+            pinned = router.table("usage").query(Query(
                 KeyRange(min_prefix=(device,), max_prefix=(device,))))
             assert len(pinned.rows) == 4
 
@@ -296,7 +296,7 @@ class TestDegradedShards:
         router = crashable_router(shards=3)
         router.create_table("usage", usage_schema())
         rows = sample_rows(devices=12, samples=4)
-        router.insert("usage", rows)
+        router.table("usage").insert(rows)
         victim = self.crash_one_shard(router)
         router.engines[victim].disk.failpoints.clear()
 
@@ -304,15 +304,15 @@ class TestDegradedShards:
         assert router.degraded_shards == {}
         # The revived worker lost its unflushed memtable rows - a real
         # worker crash - but every surviving shard's rows remain.
-        result = router.query("usage", Query(limit=10_000))
+        result = router.table("usage").query(Query(limit=10_000))
         lost = {(r["device"], r["ts"]) for r in rows
                 if shard_of((r["device"],), None, 3) == victim}
         got = {r[:2] for r in result.rows}
         assert got == {(r["device"], r["ts"]) for r in rows} - lost
         # And the revived shard accepts writes again.
-        router.insert("usage", [{"device": "dev-00", "ts": BASE + 999,
-                                 "bytes": 1}])
-        assert router.latest("usage", ("dev-00",))[1] == BASE + 999
+        router.table("usage").insert([{"device": "dev-00", "ts": BASE + 999,
+                                       "bytes": 1}])
+        assert router.table("usage").latest(("dev-00",))[1] == BASE + 999
         router.close()
 
 
@@ -334,10 +334,45 @@ class TestCatalogAndStats:
     def test_stats_summary_sums_across_shards(self):
         router = make_router(shards=3)
         router.create_table("usage", usage_schema())
-        router.insert("usage", sample_rows(devices=9, samples=3))
+        router.table("usage").insert(sample_rows(devices=9, samples=3))
         summary = router.table("usage").stats_summary()
         assert summary["shards"] == 3
         assert summary["rows"] == 27
+        router.close()
+
+    def test_stats_summary_of_four_shards_reads_like_one_engine(self):
+        """The same rows, flushes, maintenance pass, scan and query on
+        4 shards and on one engine: the router's ratios are those of
+        the shards' summed counters, the worst period is the worst
+        shard's, and tier counts add up to the tablets - no field is
+        the sum of four ratios or four maxima."""
+        def run(db):
+            table = db.create_table("usage", usage_schema())
+            for batch in range(3):
+                table.insert_tuples([
+                    (f"dev-{d:02d}", BASE + batch * 1000 + s, s)
+                    for d in range(40) for s in range(40)])
+                table.flush_all()
+            db.maintenance()
+            assert sum(1 for _ in table.scan(Query())) == 4800
+            table.query(Query())
+            return table.stats_summary()
+
+        engine = run(LittleTable(clock=VirtualClock(start=BASE)))
+        router = make_router(shards=4)
+        sharded = run(router)
+        per_shard = [e.table("usage").stats_summary()
+                     for e in router.engines]
+        assert sharded["shards"] == 4
+        assert sharded["rows"] == engine["rows"] == 4800
+        assert sharded["write_amplification"] \
+            == engine["write_amplification"] == 1.0
+        assert sharded["scan_ratio"] == engine["scan_ratio"] == 1.0
+        assert sharded["max_tablets_per_period"] == max(
+            summary["max_tablets_per_period"] for summary in per_shard)
+        assert sharded["tablets"] == sum(
+            summary["tablets"] for summary in per_shard)
+        assert sharded["tablets_by_tier"] == {"hot": sharded["tablets"]}
         router.close()
 
     def test_facade_parity_stats_and_health(self):
@@ -355,8 +390,8 @@ class TestCatalogAndStats:
         router.create_table("events", ts_only_schema())
         rows = [{"ts": BASE + i * 3_600_000_000, "event": f"e{i}"}
                 for i in range(30)]
-        router.insert("events", rows)
-        result = router.query("events", Query(limit=100))
+        router.table("events").insert(rows)
+        result = router.table("events").query(Query(limit=100))
         assert [r[0] for r in result.rows] == sorted(
             r["ts"] for r in rows)
         router.close()

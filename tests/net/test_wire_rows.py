@@ -166,7 +166,6 @@ class TestRoundTrip:
             assert page.rows == expected.rows
             assert page.more_available == expected.more_available
             assert list(table.scan(query)) == list(oracle.scan(query))
-        assert list(client.query("t")) == everything
         for prefix in prefixes(schema, rows):
             assert table.latest(prefix) == oracle.latest(prefix)
         missing = ("nobody",) if kind != "usage" else (99, 99)
@@ -175,11 +174,11 @@ class TestRoundTrip:
         assert table.latest_many(asked) == oracle.latest_many(asked) == [
             oracle.latest(prefix) for prefix in asked]
         with client.pipeline() as batch:
-            page = batch.query_page("t", limit=7)
-            newest = batch.latest("t", prefixes(schema, rows)[0])
+            page = batch.query_page("t", Query(limit=7))
+            newest = batch.latest_many("t", [prefixes(schema, rows)[0]])
             many = batch.latest_many("t", asked)
         assert page.result() == (everything[:7], False)
-        assert newest.result() == oracle.latest(prefixes(schema, rows)[0])
+        assert newest.result() == [oracle.latest(prefixes(schema, rows)[0])]
         assert many.result() == oracle.latest_many(asked)
         for row in table.query(Query()).rows:
             assert type(row) is tuple
@@ -379,7 +378,7 @@ class TestStaleSchema:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("read", ["query", "scan", "latest",
-                                      "client.query", "pipeline"])
+                                      "pipeline"])
     def test_wider_result_rows_refresh_it_once(self, read, remote, other,
                                                monkeypatch):
         table = remote.create_table("t", string_schema())
@@ -399,19 +398,17 @@ class TestStaleSchema:
                 assert list(table.scan(Query())) == expected
             elif read == "latest":
                 assert table.latest(("a",)) == expected[-1]
-            elif read == "client.query":
-                assert list(client.query("t")) == expected
             else:
                 with client.pipeline() as batch:
-                    page = batch.query_page("t")
-                    newest = batch.latest("t", ("a",))
+                    page = batch.query_page("t", Query())
+                    newest = batch.latest_many("t", [("a",)])
                 assert page.result() == (expected, False)
-                assert newest.result() == expected[-1]
+                assert newest.result() == [expected[-1]]
         assert len(calls) == 1
         assert table.schema.has_column("extra")
 
     @pytest.mark.parametrize("read", ["query", "scan", "latest",
-                                      "client.query", "pipeline"])
+                                      "pipeline"])
     def test_a_table_recreated_at_the_same_width_refreshes_it_once(
             self, read, remote, other, monkeypatch):
         """Same width, another type: only the reply's ``types`` says
@@ -438,14 +435,12 @@ class TestStaleSchema:
                 assert list(table.scan(Query())) == [newest]
             elif read == "latest":
                 assert table.latest(("h",)) == newest
-            elif read == "client.query":
-                assert list(client.query("t")) == [newest]
             else:
                 with client.pipeline() as batch:
-                    page = batch.query_page("t")
-                    latest = batch.latest("t", ("h",))
+                    page = batch.query_page("t", Query())
+                    latest = batch.latest_many("t", [("h",)])
                 assert page.result() == ([newest], False)
-                assert latest.result() == newest
+                assert latest.result() == [newest]
         assert len(calls) == 1
         assert table.schema.has_column("payload")
 
@@ -560,7 +555,7 @@ class TestDamagedBlocks:
                 scanned.append(row)
         assert scanned == []
         with client.pipeline() as batch:
-            page = batch.query_page("t")
+            page = batch.query_page("t", Query())
         with pytest.raises(ProtocolViolationError, match="result block"):
             page.result()
         assert client.ping()

@@ -7,6 +7,7 @@ and what the tables actually hold.
 
 import pytest
 
+from repro.core import Query
 from repro.util.clock import MICROS_PER_DAY
 
 
@@ -25,11 +26,11 @@ class TestInsertFlushAccounting:
 
         table = db.create_table("usage", usage_schema())
         for batch in range(5):
-            db.insert("usage", [row(d, clock.now(), value=batch)
-                                for d in range(20)])
+            db.table("usage").insert([row(d, clock.now(), value=batch)
+                                      for d in range(20)])
             clock.advance_seconds(60)
         table.flush_all()
-        db.insert("usage", [row(99, clock.now())])  # stays in memory
+        db.table("usage").insert([row(99, clock.now())])  # stays in memory
 
         snap = counters(db)
         in_memory = sum(len(m) for m in table._unflushed.values())
@@ -42,7 +43,7 @@ class TestInsertFlushAccounting:
         from ..conftest import usage_schema
 
         db.create_table("usage", usage_schema())
-        db.insert("usage", [row(d, clock.now()) for d in range(50)])
+        db.table("usage").insert([row(d, clock.now()) for d in range(50)])
         clock.advance(MICROS_PER_DAY)  # make the memtable due
         before = counters(db).get("flush.count", 0)
         work = db.maintenance()
@@ -59,8 +60,8 @@ class TestMergeAccounting:
 
         table = db.create_table("usage", usage_schema())
         for batch in range(6):
-            db.insert("usage", [row(d, clock.now(), value=batch)
-                                for d in range(10)])
+            db.table("usage").insert([row(d, clock.now(), value=batch)
+                                      for d in range(10)])
             table.flush_all()
             clock.advance_seconds(60)
 
@@ -200,10 +201,10 @@ class TestQueryAccounting:
         from ..conftest import usage_schema
 
         db.create_table("usage", usage_schema())
-        db.insert("usage", [row(d, clock.now()) for d in range(10)])
-        result = db.query("usage")
+        db.table("usage").insert([row(d, clock.now()) for d in range(10)])
+        result = db.table("usage").query(Query())
         assert len(result.rows) == 10
-        assert db.latest("usage", (1, 1)) is not None
+        assert db.table("usage").latest((1, 1)) is not None
         snap = counters(db)
         assert snap["query.count"] == 2
         assert snap["query.rows_returned"] >= 11
@@ -244,7 +245,7 @@ class TestSharedRegistry:
         db.create_table("events", event_schema())
         assert db.table("usage").metrics is db.metrics
         assert db.table("events").metrics is db.metrics
-        db.insert("usage", [row(1, clock.now())])
+        db.table("usage").insert([row(1, clock.now())])
         db.table("usage").flush_all()
         snap = counters(db)
         assert snap["disk.writes"] >= 1

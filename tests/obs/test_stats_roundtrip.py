@@ -12,10 +12,13 @@ from repro.core import (
     ColumnType,
     LittleTable,
     ProtocolViolationError,
+    Query,
     Schema,
 )
 from repro.net import AsyncLittleTableServer, LittleTableClient
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
+
+from ..conftest import remote_table
 
 BASE = 10_000 * MICROS_PER_DAY
 
@@ -65,13 +68,14 @@ def strip_server_keys(snapshot):
 class TestStatsRoundTrip:
     def test_stats_matches_in_process_snapshot(self, db, client, clock):
         client.create_table("events", event_schema())
-        client.insert("events", [
+        events = remote_table(client, "events")
+        events.insert([
             {"network": 1, "device": d, "ts": clock.now() + d,
              "payload": b"x"}
             for d in range(25)
         ])
-        client.flush("events")
-        list(client.query("events"))
+        events.flush_all()
+        list(events.scan(Query()))
 
         over_wire = strip_server_keys(client.stats())
         in_process = strip_server_keys(db.metrics.snapshot())
@@ -101,11 +105,27 @@ class TestStatsRoundTrip:
 
     def test_table_stats_over_wire(self, client, clock):
         client.create_table("events", event_schema())
-        client.insert("events", [{"network": 1, "device": 1,
-                                  "ts": clock.now(), "payload": b""}])
-        tables = client.table_stats()
+        remote_table(client, "events").insert([
+            {"network": 1, "device": 1, "ts": clock.now(), "payload": b""}])
+        tables = client.stats_page()["tables"]
         assert list(tables) == ["events"]
         assert tables["events"]["rows"] == 1
+
+    def test_stats_page_is_one_exchange(self, client, monkeypatch):
+        """Metrics, health and table summaries of one instant: the page
+        ``ltdb stats --connect`` renders comes from one reply."""
+        real = client._call
+        sent = []
+
+        def counting(message, idempotent=False):
+            sent.append(message["cmd"])
+            return real(message, idempotent=idempotent)
+
+        monkeypatch.setattr(client, "_call", counting)
+        page = client.stats_page()
+        assert sent == ["stats"]
+        assert set(page) == {"metrics", "health", "tables"}
+        assert page["health"]["read_only"] is False
 
 
 class TestErrorSurface:
@@ -117,7 +137,7 @@ class TestErrorSurface:
         from repro.core import NoSuchTableError
 
         with pytest.raises(NoSuchTableError):
-            list(client.query("ghost"))
+            client.drop_table("ghost")
 
     def test_connection_survives_typed_errors(self, client):
         with pytest.raises(ProtocolViolationError):

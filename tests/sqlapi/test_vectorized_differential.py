@@ -140,9 +140,9 @@ def build_mixed_db():
     assert recorded["usage"] == rows[:third]
     assert db.table("usage").query(Query()).rows == sorted(
         tuple(row.values()) for row in rows[:third])
-    db.insert("usage", rows[third:2 * third])
+    db.table("usage").insert(rows[third:2 * third])
     db.table("usage").flush_all()
-    db.insert("usage", rows[2 * third:])   # stays in the memtable
+    db.table("usage").insert(rows[2 * third:])   # stays in the memtable
     return db
 
 
@@ -186,7 +186,7 @@ class TestDifferential:
             clock = VirtualClock(start=BASE + WINDOW)
             db = LittleTable(clock=clock)
             SqlSession(db).execute(CREATE)
-            db.insert("usage", random_rows(random.Random(seed), 300))
+            db.table("usage").insert(random_rows(random.Random(seed), 300))
             db.table("usage").flush_all()
             assert_identical(db, format_queries(bucket=11 * MINUTE))
             # What the engine writes today goes columnar, all of it.
@@ -232,12 +232,12 @@ class TestDifferential:
         sql = SqlSession(db)
         sql.execute(CREATE)
         rows = random_rows(random.Random(29), 450)
-        db.insert("usage", rows[:150])
+        db.table("usage").insert(rows[:150])
         db.table("usage").flush_all()
-        db.insert("usage", rows[150:300])        # old-schema memtable
+        db.table("usage").insert(rows[150:300])        # old-schema memtable
         sql.execute("ALTER TABLE usage ADD COLUMN hops INT64 DEFAULT 3")
-        db.insert("usage", [dict(row, hops=row["bytes"] % 5)
-                            for row in rows[300:]])
+        db.table("usage").insert([dict(row, hops=row["bytes"] % 5)
+                                  for row in rows[300:]])
         assert_identical(db, format_queries() + [
             "SELECT hops, COUNT(*), SUM(bytes) FROM usage GROUP BY hops",
             "SELECT network, SUM(hops), MIN(hops), MAX(hops) FROM usage "
@@ -255,8 +255,8 @@ class TestDifferential:
     def test_single_row(self):
         db = LittleTable(clock=VirtualClock(start=BASE + WINDOW))
         SqlSession(db).execute(CREATE)
-        db.insert("usage", [{"network": 1, "device": 2, "ts": BASE,
-                             "bytes": 7, "rate": 0.5}])
+        db.table("usage").insert([{"network": 1, "device": 2, "ts": BASE,
+                                   "bytes": 7, "rate": 0.5}])
         db.table("usage").flush_all()
         assert_identical(db, format_queries())
 
@@ -266,7 +266,7 @@ class TestDifferential:
         SqlSession(db).execute(CREATE.replace(
             "PRIMARY KEY (network, device, ts))",
             "PRIMARY KEY (network, device, ts)) WITH TTL 7200"))
-        db.insert("usage", random_rows(random.Random(3), 400))
+        db.table("usage").insert(random_rows(random.Random(3), 400))
         db.table("usage").flush_all()
         # Two hours of TTL against a four-hour window: older half of the
         # rows are expired on both paths.
@@ -301,7 +301,7 @@ class TestDifferential:
             # the identical rows (scatter-gather merge == global oracle).
             solo = LittleTable(clock=VirtualClock(start=BASE + WINDOW))
             SqlSession(solo).execute(CREATE)
-            solo.insert("usage", rows)
+            solo.table("usage").insert(rows)
             solo.table("usage").flush_all()
             solo_sql = SqlSession(solo)
             for query in format_queries():
@@ -321,7 +321,7 @@ class TestPushdownPruning:
         # Four time-disjoint tablets, one per flush.
         for chunk in range(4):
             start = BASE + chunk * 60 * MINUTE
-            db.insert("usage", [
+            db.table("usage").insert([
                 {"network": 1, "device": d, "ts": start + d * MINUTE,
                  "bytes": d, "rate": 0.0}
                 for d in range(8)])
@@ -346,8 +346,8 @@ class TestPushdownPruning:
         session.execute(CREATE)
         for chunk in range(3):
             start = BASE + chunk * 60 * MINUTE
-            db.insert("usage", [{"network": 1, "device": 1, "ts": start,
-                                 "bytes": 1, "rate": 0.0}])
+            db.table("usage").insert([{"network": 1, "device": 1, "ts": start,
+                                       "bytes": 1, "rate": 0.0}])
             clock.advance(60 * MINUTE)
             db.table("usage").flush_all()
         plan = "\n".join(

@@ -165,6 +165,35 @@ class TestStatsCache:
         assert "tablets_pruned_per_query" in out
 
 
+class TestStatsConnect:
+    def test_the_page_is_one_stats_exchange(self, capsys):
+        """Metrics, table summaries and health of one instant: one
+        ``stats`` exchange builds the whole ``--connect`` page."""
+        import json
+
+        from repro.net import AsyncLittleTableServer
+        from repro.sqlapi import SqlSession
+
+        db = LittleTable()
+        SqlSession(db).execute(CREATE.rstrip(";"))
+
+        def stats_exchanges():
+            histograms = db.metrics.snapshot()["histograms"]
+            return histograms.get("server.cmd.stats.latency_us",
+                                  {}).get("count", 0)
+
+        with AsyncLittleTableServer(db) as server:
+            host, port = server.address
+            before = stats_exchanges()
+            assert main(["stats", "--connect", f"{host}:{port}",
+                         "--json"]) == 0
+            assert stats_exchanges() == before + 1
+        page = json.loads(capsys.readouterr().out)
+        assert page["tables"]["t"]["rows"] == 0
+        assert page["health"]["read_only"] is False
+        assert "counters" in page["metrics"]
+
+
 class TestStatsMaintenance:
     def test_merge_debt_is_rendered_per_table(self, tmp_path, capsys):
         import json

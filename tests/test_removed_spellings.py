@@ -12,7 +12,9 @@ of its own, the SQL session's row-at-a-time aggregator and the engine's
 per-row aggregate fallback, a read-cache entry of row and key tuples,
 a query reply's JSON rows, a ``latest`` request of one ``prefix``
 answered by one ``row``, protocol version 3, the readers of v1 and v2
-blocks, pre-v2.1 tablets and ``KIND_ROWS`` WAL records) or an option
+blocks, pre-v2.1 tablets and ``KIND_ROWS`` WAL records, a row
+operation spelled on a database or a client rather than on its table)
+or an option
 nothing read (or, like ``checksums``, could only turn a guard off);
 none of them connects, opens or binds anything before failing.
 
@@ -21,6 +23,7 @@ option nothing reads coming back fails here, in any tier-1 run.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -34,7 +37,8 @@ from repro.core.table import Table
 from repro.core.tablet import TabletReader, TabletWriter
 from repro.dashboard.schemas import usage_schema
 from repro.net import (AsyncLittleTableServer, ClientConfig,
-                       LittleTableClient, ShardRouter)
+                       LittleTableClient, RemoteDatabase, ShardRouter)
+from repro.net.client import Pipeline
 from repro.net.server import RequestDispatcher
 from repro.sqlapi import SqlSession
 
@@ -184,6 +188,16 @@ SRC = Path(__file__).parent.parent / "src"
         "|_parse_v2_layout|decode_rows|BlockBuilder|blocks_upgraded"
         "|note_upgraded_blocks|has_checksums|have_zone_maps", (),
         id="old-format-reader"),
+    # One spelling per row operation: ``db.table(name)`` on every
+    # deployment.  No database-level insert/query/latest, no second
+    # row API on the client, one §3.5 continuation loop
+    # (``row.scan_pages``), one keyword-free ``Pipeline.query_page``.
+    pytest.param(
+        r"def (insert|query|latest)\(self, table_name"
+        r"|def (insert_tuples|query|latest|aggregate|flush|bulk_delete)"
+        r"\(self, table\b|def list_tables\(self|def _scan\(|_query_once"
+        r"|_bounds_query|insert_dicts|table_stats", (),
+        id="database-or-client-row-operation"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)
@@ -242,3 +256,30 @@ def test_a_single_prefix_latest_request_is_refused():
     assert response["error"] == "ProtocolViolationError"
     assert response["message"].startswith(
         "malformed latest request: prefixes ")
+
+
+@pytest.mark.parametrize("owner, names", [
+    (LittleTable, ("insert", "query", "latest")),
+    (ShardRouter, ("insert", "query", "latest", "_insert", "_query",
+                   "_scan", "_pinned_shard", "_merge_results")),
+    (RemoteDatabase, ("insert", "query", "latest", "_query_once")),
+    (LittleTableClient, ("insert", "insert_tuples", "query", "_scan",
+                         "latest", "latest_many", "aggregate", "flush",
+                         "bulk_delete", "list_tables", "table_stats")),
+    (Pipeline, ("insert_dicts", "latest")),
+], ids=["LittleTable", "ShardRouter", "RemoteDatabase", "LittleTableClient",
+        "Pipeline"])
+def test_rows_go_through_the_table_alone(owner, names):
+    """A database, a router and a client keep the catalog, DDL,
+    maintenance, health and transport; every row operation is their
+    table facade's (``Table``, ``ShardedTable``, ``RemoteTable``)."""
+    assert [name for name in names if hasattr(owner, name)] == []
+
+
+def test_a_pipeline_call_takes_no_idempotent_flag():
+    """A pipeline never resends, so there is nothing for the flag to
+    change; ``query_page`` takes a ``Query`` like every facade."""
+    assert list(inspect.signature(Pipeline.call).parameters) == [
+        "self", "message", "decode"]
+    assert list(inspect.signature(Pipeline.query_page).parameters) == [
+        "self", "table", "query"]

@@ -3,14 +3,17 @@
 The tablet set changes in one place (``Table._swap_tablets``), removed
 files are queued behind the read epoch in one place (the same), reads
 obtain tablets and memtables in one place (``Table._read_plan``), and
-a ``Table`` gets its fault listener in one place (its constructor,
-called by ``LittleTable.open_table``).  ``snapshot.py`` and
+a ``Table`` gets its engine - the fault listener and the read-only
+check of its write door - in one place (its constructor, called by
+``LittleTable.open_table``).  ``snapshot.py`` and
 ``recovery.py`` assign to descriptors of their own and are out of
 scope.  Across all of ``src/``: a tablet file's trailer is told apart
 (v2.1 or legacy) in one function, a ``query`` request is built in
 one, a bounding box is put on the wire in one and read off it in one
 (``query`` and ``aggregate`` share both), a query page becomes a block
-in one server function and rows again in one client function, values
+in one server function and rows again in one client function, a query
+is resumed past its last returned key in one (``row.scan_pages``,
+which both paged ``scan`` methods call), values
 are folded into an aggregate slot in one (``vector._update``), and the
 shard router hands work to its pool at one site.  In
 ``tablet.py`` a block is decoded in one function (``decode_payload``,
@@ -25,7 +28,8 @@ Sorted runs from several sources are put in order in one function
 (``cursor.take_stretch``), which the read cursor and the merge
 executor both call.  A ``latest`` request is built in one client
 function, the server answers it with ``latest_many`` alone, and every
-facade's ``latest`` is a batch of one for its ``latest_many``.
+facade's ``latest`` is a batch of one for its ``latest_many``.  The
+client has no row operations of its own: they are ``RemoteTable``'s.
 """
 
 import ast
@@ -72,13 +76,13 @@ def test_reads_get_their_sources_from_the_plan_only():
 
 
 def test_only_the_constructor_wires_a_table():
-    """No caller pokes a listener into a built table."""
+    """No caller pokes an engine into a built table."""
     for path in CORE.parent.rglob("*.py"):
         if path.name == "table.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             for target in getattr(node, "targets", ()):
-                assert not is_attr(target, "_fault_listener"), \
+                assert not is_attr(target, "_engine"), \
                     f"{path}:{node.lineno}"
 
 
@@ -153,9 +157,8 @@ def test_every_latest_is_a_batch_of_one():
             value = body[0].value
             assert isinstance(value, ast.Subscript) \
                 and calls("latest_many")(value.value), owners[-1]
-    assert {"table.py:Table", "shard.py:ShardedTable",
-            "remote.py:RemoteTable", "client.py:LittleTableClient"} <= set(
-                owners)
+    assert set(owners) == {"table.py:Table", "shard.py:ShardedTable",
+                           "remote.py:RemoteTable"}
 
 
 def test_one_function_each_side_carries_a_bounding_box():
@@ -211,15 +214,32 @@ def calls(name):
 def test_one_function_each_side_carries_a_result_block():
     """A ``query`` page crosses the wire as one v3 block: the server
     encodes it in ``_cmd_query`` and the client decodes it in
-    ``_decode_page``, which ``_scan``, ``RemoteDatabase._query_once``
-    and ``Pipeline.query_page`` all call."""
+    ``_decode_page``, which the remote table's one page fetch
+    (``RemoteTable._page``, under its ``query`` and ``scan``) and
+    ``Pipeline.query_page`` call."""
     net = sorted((CORE.parent / "net").glob("*.py"))
     assert functions_where(calls("encode_rows"), net) == {
         "server.py:_cmd_query"}
     assert functions_where(calls("decode_block_columns"), net) == {
         "client.py:_decode_page"}
     assert functions_where(calls("_decode_page"), net) == {
-        "client.py:_scan", "client.py:query_page", "remote.py:_query_once"}
+        "remote.py:_page", "client.py:query_page"}
+
+
+def test_one_function_resumes_a_query_past_its_last_key():
+    """The §3.5 continuation - move the start bound just past the last
+    returned key (the end bound, descending) and ask again - is
+    written once, and the router's and the remote table's ``scan``
+    both page through it rather than each keeping a loop."""
+    def starts_past_a_key(node):
+        return (isinstance(node, ast.keyword)
+                and node.arg == "min_inclusive"
+                and isinstance(node.value, ast.Constant)
+                and node.value.value is False)
+
+    assert functions_where(starts_past_a_key) == {"row.py:scan_pages"}
+    assert functions_where(calls("scan_pages")) == {
+        "shard.py:scan", "remote.py:scan"}
 
 
 def test_one_way_from_a_block_to_its_rows():
