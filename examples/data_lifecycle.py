@@ -9,8 +9,9 @@ table through all of them:
   aggregators' 20-minute persistence assumption;
 * the §6 LHAM-style cold tier, moving old tablets to archive storage;
 * the §7 bulk delete, for regional-privacy compliance;
-* the §2.2 warm spare: continuous archival, signed offsite backups,
-  and DNS failover.
+* the §2.2 warm spare: continuous archival and hourly snapshots (one
+  copy of each table's tablets, then its descriptor), signed offsite
+  backups, and DNS failover.
 
 Run:  python examples/data_lifecycle.py
 """
@@ -98,11 +99,16 @@ def main() -> None:
     spare = WarmSpare(clock)
     dns = DashboardDns()
     controller = FailoverController("shard-7", db, spare, dns, clock)
-    controller.run_archival_tick()
-    spare.take_local_snapshot()
+    copied = controller.run_archival_tick()
+    again = controller.run_archival_tick()
+    snapshot = spare.take_local_snapshot()
     offsite = spare.offsite_backup()
-    print(f"\nspare synced ({spare.syncs} pass), hourly snapshot taken, "
-          f"offsite backup signed ({len(offsite):,} bytes)")
+    print(f"\nspare synced: {copied} tablet file(s) copied, each table's "
+          f"descriptor last; the next sync copies {again} (the rsync "
+          f"rule: repeat until a pass copies nothing)")
+    print(f"hourly snapshot taken ({len(snapshot.list())} files: the same "
+          f"copy into a fresh store), offsite backup signed "
+          f"({len(offsite):,} bytes)")
 
     print("Primary fails! Initiating automated failover...")
     promoted = controller.initiate_failover()

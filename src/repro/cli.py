@@ -377,9 +377,10 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
     served engines' default
     :class:`~repro.core.durability.DurabilityPolicy`.  ``--follow
     HOST:PORT`` runs a warm standby instead: a single read-only
-    engine that streams sealed WAL segments and tablet manifests from
-    the primary at that address, serves ``query``/``latest``/``stats``
-    locally, and reports replication lag through ``wal_status``.
+    engine that copies every table of the primary at that address -
+    its tablets, and a ``wal`` table's log tail - serves
+    ``query``/``latest``/``stats`` locally, and reports replication
+    lag through ``wal_status``.
 
     ``stop_event``/``on_ready`` are test hooks: ``on_ready(server)``
     fires once the socket is bound, and the command exits when
@@ -399,7 +400,7 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
                         help="engine workers to partition tables "
                              "across (default: 4)")
     parser.add_argument("--durability", default=None,
-                        choices=["none", "wal", "replicated"],
+                        choices=["none", "wal"],
                         help="default durability tier for new tables "
                              "(default: none, the paper's prefix "
                              "durability)")

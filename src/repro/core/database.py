@@ -17,7 +17,6 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from ..disk.faults import FailpointRegistry, classify_storage_error
-from ..disk.storage import Storage
 from ..disk.vfs import SimulatedDisk
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
@@ -477,16 +476,11 @@ class LittleTable:
     # ---------------------------------------------- snapshot & restore
 
     def snapshot(self, dest: str) -> Dict[str, Any]:
-        """Capture a consistent point-in-time snapshot into ``dest``.
-
-        O(1) stop-the-world: per table, the COW tablet list and
-        descriptor are captured under the table lock; sealed tablets
-        are then hard-linked (or byte-copied) off-lock, and unflushed
-        memtable rows are written as sidecar tablets, so the snapshot
-        is a self-contained, fsck-clean LittleTable data directory.
-        Raises :class:`~repro.core.errors.SnapshotError` if ``dest``
-        is non-empty; the live database is never modified.
-        """
+        """Capture a consistent point-in-time snapshot into ``dest``:
+        a self-contained, fsck-clean data directory
+        (:mod:`repro.core.snapshot`).  Raises
+        :class:`~repro.core.errors.SnapshotError` if ``dest`` is
+        non-empty; the live database is never modified."""
         from .snapshot import create_snapshot
 
         return create_snapshot(self, dest)
@@ -502,7 +496,7 @@ class LittleTable:
 
         return restore_into(self, src)
 
-    # ------------------------------------------------- crash & archival
+    # ------------------------------------------------------------ crash
 
     def simulate_crash(self) -> "LittleTable":
         """Return the database as it would recover after a crash.
@@ -517,31 +511,3 @@ class LittleTable:
                            clock=self.clock, cold_disk=self.cold_disk,
                            maintenance_policy=self.maintenance_policy,
                            durability=self.durability)
-
-    def archive_to(self, spare: Storage) -> int:
-        """Copy all files to a spare's storage, rsync-style (§3.5).
-
-        Copies files missing from the spare and removes files the
-        primary no longer has, repeating until a pass copies nothing -
-        the same convergence rule as the paper's "run rsync ... until a
-        sync completes without copying any files".  Returns the number
-        of files copied.
-        """
-        copied = 0
-        while True:
-            pass_copied = 0
-            primary_files = set(self.disk.list())
-            spare_files = set(spare.list())
-            for name in sorted(primary_files):
-                data = self.disk.storage.read_all(name)
-                if name in spare_files:
-                    if spare.read_all(name) == data:
-                        continue
-                    spare.delete(name)
-                spare.write_file(name, data)
-                pass_copied += 1
-            for name in sorted(spare_files - primary_files):
-                spare.delete(name)
-            copied += pass_copied
-            if pass_copied == 0:
-                return copied

@@ -1,20 +1,18 @@
-"""Durability tiers: the policy object behind the WAL and replication.
+"""Durability tiers: the policy object behind the WAL.
 
 The paper ships exactly one durability story - *prefix durability*
 (§3): inserts are acknowledged from memory, a crash may lose the most
 recent writes, and the atomic descriptor rename guarantees the
 surviving prefix is never corrupt.  This module turns that constant
-into a dial.  A :class:`DurabilityPolicy` selects one of three tiers:
+into a dial.  A :class:`DurabilityPolicy` selects one of two tiers:
 
 * ``none`` - the paper-faithful default.  No WAL file is ever created;
   behavior is byte-identical to an engine without this module.
 * ``wal`` - every acknowledged insert is first appended to a
   segmented, CRC32C-framed, LSN-stamped write-ahead log
   (:mod:`repro.core.wal`) with group commit; replay at open restores
-  rows a crash would otherwise lose.
-* ``replicated`` - ``wal`` plus eligibility for warm-standby
-  streaming: sealed segments and tablet manifests are served to a
-  read-only follower (:mod:`repro.net.replica`).
+  rows a crash would otherwise lose.  A warm standby
+  (:mod:`repro.net.replica`) also tails it.
 
 One policy object travels the whole stack: ``LittleTable(durability=)``
 sets the database default, ``create_table(durability=)`` overrides per
@@ -31,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, FrozenSet, Optional
 
 #: Valid values for :attr:`DurabilityPolicy.tier`.
-TIERS = ("none", "wal", "replicated")
+TIERS = ("none", "wal")
 
 _MIB = 1024 * 1024
 
@@ -106,7 +104,7 @@ class DurabilityPolicy:
     @property
     def wal_enabled(self) -> bool:
         """True when inserts must hit the log before acknowledgment."""
-        return self.tier in ("wal", "replicated")
+        return self.tier == "wal"
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-safe dict for descriptors and the wire protocol.

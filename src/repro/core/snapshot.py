@@ -1,38 +1,31 @@
-"""Point-in-time snapshots: consistent copies, O(1) capture.
+"""One way to copy a database: snapshots, the warm spare, the standby.
 
-A snapshot *is* a LittleTable data directory: per-table descriptors,
-the sealed tablets they reference, and a root manifest
-(``snapshot-manifest.json``) binding it all together with a checksum.
-``ltdb fsck`` passes on one, and ``repro.restore`` (or
-``LittleTable.restore``) installs it into any engine.
+A table's state is a *version*: a descriptor and the immutable tablets
+it lists (§3.2).  :func:`copy_version` copies the files a version lists
+that the target lacks, then writes the descriptor - last, so a copy cut
+short leaves the target's previous version whole and the new files
+orphans the startup scrub reclaims.  It is the paper's rsync from shard
+to spare (§2.2, §3.5), safe for the same reasons: a tablet never
+changes once written, and one descriptor names them atomically.  A
+local source is pinned by :func:`pin_version` (the table's read plan
+keeps the files on disk until it is released, so flush and merge run
+on); the warm spare (:mod:`repro.dashboard.failover`) copies every
+table until a pass copies nothing, and a standby
+(:mod:`repro.net.replica`) copies the descriptor a ``repl_manifest``
+reply carries, fetching tablets over the wire.
 
-Capture is two-phase per table:
-
-1. **O(1) cut** - under the table's state lock, the COW tablet list,
-   descriptor fields, and the published state of every unflushed
-   memtable (``MemTable.capture``: a tuple of sorted runs, laid out as
-   rows once the lock is let go) are captured.  The hold touches no
-   row: it grows neither with memtable row count nor on-disk size.
-2. **Off-lock copy** - while holding only the table's maintenance
-   lock (which stalls background flush/merge for that table but not
-   inserts or queries), sealed tablets are hard-linked into the
-   destination when both sides are real directories (``os.link``;
-   tablet files are immutable-once-published, so sharing blocks is
-   safe) or byte-copied otherwise, and the captured memtable rows are
-   written as ordinary *sidecar tablets* through the normal
-   :class:`~repro.core.tablet.TabletWriter` path.
-
-Because flush/merge swaps are excluded for the duration of one
-table's copy, every captured tablet file still exists when it is
-copied; inserts that land mid-snapshot are simply after the cut,
-exactly the point-in-time semantics the name promises.
-
-Restore is all-or-nothing: conflicts and manifest damage are detected
-*before* any file lands, a storage error mid-copy unwinds every file
-landed so far (descriptors are written last per table and deleted
-first, so no torn table is ever visible to a later startup), and a
-failed restore installs no tables
-(:class:`~repro.core.errors.SnapshotError`).
+A **snapshot** (:func:`create_snapshot`) pins each table and captures
+its unflushed memtables in one state-lock hold (``MemTable.capture``:
+no row is touched), writes the captured rows into the destination as
+*sidecar tablets* through the normal
+:class:`~repro.core.tablet.TabletWriter` path, then copies a descriptor
+listing both: a data directory needing no WAL and no replay (``ltdb
+fsck`` passes on it), bound by a checksummed ``snapshot-manifest.json``.
+Tablets are hard-linked when both sides are real directories; cold-tier
+ones come in as hot.  Restore (:func:`restore_into`) is the same copy
+back, all-or-nothing: conflicts and manifest damage are found before
+any file lands, and a storage error mid-copy unwinds every table landed
+so far, descriptors first (:class:`~repro.core.errors.SnapshotError`).
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..disk.storage import FileStorage, Storage, StorageError
 from ..disk.vfs import SimulatedDisk
 from ..util.checksum import crc32c
-from .descriptor import TableDescriptor
+from .descriptor import DESCRIPTOR_FILENAME, TableDescriptor
 from .errors import SnapshotError
 
 SNAPSHOT_MANIFEST = "snapshot-manifest.json"
@@ -61,21 +54,70 @@ def _as_storage(target) -> Storage:
     raise SnapshotError(f"not a path or Storage: {target!r}")
 
 
-def _link_or_copy(src_storage: Storage, dest_storage: Storage,
-                  name: str) -> str:
-    """Move one immutable file across; returns "linked" or "copied"."""
-    if isinstance(src_storage, FileStorage) and isinstance(
-            dest_storage, FileStorage):
-        src_path = src_storage._path(name)
-        dest_path = dest_storage._path(name)
+def _link_or_copy(read, target: SimulatedDisk, name: str) -> None:
+    """Move one immutable file across."""
+    if isinstance(read, FileStorage) and isinstance(target.storage,
+                                                    FileStorage):
+        dest_path = target.storage._path(name)
         os.makedirs(os.path.dirname(dest_path), exist_ok=True)
         try:
-            os.link(src_path, dest_path)
-            return "linked"
+            os.link(read._path(name), dest_path)
+            return
         except OSError:
             pass  # cross-device, exists, or no hard links: fall back
-    dest_storage.write_file(name, src_storage.read_all(name))
-    return "copied"
+    target.write_file(name, read.read_all(name)
+                      if isinstance(read, Storage) else read(name))
+
+
+def pin_version(table) -> Tuple[Any, TableDescriptor]:
+    """Pin ``table``'s current version for a copy.
+
+    Returns its read plan - hold it in a ``with`` block: every file the
+    version lists stays on disk until the block ends - and a private
+    descriptor listing exactly the plan's tablets.
+    """
+    with table.lock:
+        plan = table._read_plan()
+        return plan, dataclasses.replace(table.descriptor,
+                                         tablets=list(plan.tablets))
+
+
+def copy_version(descriptor: TableDescriptor, read,
+                 target: SimulatedDisk) -> Tuple[List[str], List[str]]:
+    """Copy one version of a table into ``target``: every hot tablet
+    ``descriptor`` lists that the target lacks, read from ``read`` (a
+    source Storage, which allows a hard link, or a function from a file
+    name to its bytes), then the descriptor.
+
+    Tablets are immutable, so a name the target holds is the file -
+    unless the target's own descriptor lists it with other metadata:
+    the table was dropped and created again under the name.  (Like
+    rsync's quick check, size and creation time stand for the bytes.)
+    Cold-tier tablets live in the shared archive and are not copied.
+    Returns the files copied and the target's files under the table's
+    directory that the new descriptor no longer lists, which are the
+    caller's to dispose of.
+    """
+    held = {}
+    if target.exists(descriptor.path()):
+        held = {meta.filename: meta for meta in
+                TableDescriptor.load(target, descriptor.name).tablets}
+    copied = []
+    for meta in descriptor.tablets:
+        if meta.tier != "hot":
+            continue
+        if target.exists(meta.filename):
+            if held.get(meta.filename, meta) == meta:
+                continue
+            target.delete(meta.filename)
+        _link_or_copy(read, target, meta.filename)
+        copied.append(meta.filename)
+    descriptor.save(target)
+    listed = {meta.filename for meta in descriptor.tablets}
+    listed.add(descriptor.path())
+    dropped = [name for name in target.list(descriptor.directory() + "/")
+               if name not in listed]
+    return copied, dropped
 
 
 def verify_manifest(storage: Storage) -> Optional[str]:
@@ -112,30 +154,13 @@ def load_manifest(storage: Storage) -> Dict[str, Any]:
     return json.loads(storage.read_all(SNAPSHOT_MANIFEST).decode("utf-8"))
 
 
-def _capture_table(table) -> Tuple[TableDescriptor, List[Tuple], int]:
-    """Phase 1: the cut, then the rows.
-
-    Under the table's state lock: a descriptor copy and each non-empty
-    memtable's published state (``MemTable.capture``, O(log n)).  Off
-    it: one ``(schema, rows, sizes)`` run per captured memtable (its
-    own schema: one that predates a schema change holds rows of the
-    old width), without batches admitted since.  Returns (descriptor
-    copy, runs, row total).  Caller already holds the maintenance lock.
-    """
-    with table.lock:
-        snap = TableDescriptor(
-            name=table.descriptor.name,
-            schema=table.schema,
-            ttl_micros=table.descriptor.ttl_micros,
-            tablets=list(table.descriptor.tablets),
-            next_tablet_id=table.descriptor.next_tablet_id,
-            durability=(dict(table.descriptor.durability)
-                        if table.descriptor.durability else None),
-        )
-        captured = [(m, m.capture())
-                    for m in table._unflushed.values() if not m.empty]
-    runs = [(m.schema, *m.sorted_run(state)) for m, state in captured]
-    return snap, runs, sum(len(rows) for _schema, rows, _sizes in runs)
+def _tablet_source(table, version: TableDescriptor):
+    """Where a snapshot reads ``version``'s tablets: the hot disk, and
+    the cold store for those migrated there."""
+    cold = {meta.filename: table._disk_for(meta).storage
+            for meta in version.tablets if meta.tier == "cold"}
+    hot = table.disk.storage
+    return (lambda name: cold.get(name, hot).read_all(name)) if cold else hot
 
 
 def create_snapshot(db, dest) -> Dict[str, Any]:
@@ -147,49 +172,43 @@ def create_snapshot(db, dest) -> Dict[str, Any]:
     if existing:
         raise SnapshotError(
             f"snapshot destination not empty ({len(existing)} files)")
-    # A private disk over the destination: the TabletWriter path needs
-    # one, and it must carry no failpoints (snapshotting is an admin
-    # pass, like the scrub).
+    # A private disk over the destination, with no failpoints: a
+    # snapshot is an admin pass, like the scrub.
     snap_disk = SimulatedDisk(dest_storage)
     now = db.clock.now()
     summary_tables: Dict[str, Any] = {}
-    linked = copied = 0
-    for name in db.table_names():
-        table = db.table(name)
-        with table._maintenance_lock:
-            snap_desc, runs, mem_rows = _capture_table(table)
-            metas = []
-            for meta in snap_desc.tablets:
-                source = (table.cold_disk.storage
-                          if meta.tier == "cold" and table.cold_disk
-                          is not None else db.disk.storage)
-                how = _link_or_copy(source, dest_storage, meta.filename)
-                if how == "linked":
-                    linked += 1
-                else:
-                    copied += 1
-                # The bytes now live inside the snapshot directory, so
-                # a restored engine must read them locally regardless
-                # of the original tier.
-                metas.append(dataclasses.replace(meta, tier="hot")
-                             if meta.tier != "hot" else meta)
-            # Captured memtable rows become ordinary sidecar tablets
-            # (each under its memtable's schema, as a flush writes
-            # it): the snapshot needs no WAL and no replay.
-            for schema, rows, sizes in runs:
-                tablet_id = snap_desc.allocate_tablet_id()
-                writer = table._tablet_writer(snap_disk, schema)
-                meta = writer.write(
-                    snap_desc.tablet_filename(tablet_id), rows,
-                    tablet_id, created_at=now,
-                    expected_rows=len(rows), sizes=sizes)
+    copied = 0
+    for table in db.tables():
+        # The cut: the version pinned and each unflushed memtable's
+        # published state captured in one state-lock hold.
+        with table.lock:
+            plan, version = pin_version(table)
+            captured = [(memtable, memtable.capture())
+                        for memtable in plan.memtables]
+        with plan:
+            # The bytes land inside the snapshot, so a restored engine
+            # reads every tablet locally, whatever its tier was.
+            metas = [dataclasses.replace(meta, tier="hot")
+                     for meta in version.tablets]
+            # Captured rows become sidecar tablets, each under its
+            # memtable's schema, as a flush writes it.
+            rows_captured = 0
+            for memtable, state in captured:
+                rows, sizes = memtable.sorted_run(state)
+                rows_captured += len(rows)
+                tablet_id = version.allocate_tablet_id()
+                meta = table._tablet_writer(snap_disk, memtable.schema).write(
+                    version.tablet_filename(tablet_id), rows, tablet_id,
+                    created_at=now, expected_rows=len(rows), sizes=sizes)
                 if meta is not None:
                     metas.append(meta)
-            snap_desc.tablets = metas
-            snap_desc.save(snap_disk)
-        summary_tables[name] = {
+            files, _dropped = copy_version(
+                dataclasses.replace(version, tablets=metas),
+                _tablet_source(table, version), snap_disk)
+        copied += len(files)
+        summary_tables[table.name] = {
             "tablets": len(metas),
-            "memtable_rows_captured": mem_rows,
+            "memtable_rows_captured": rows_captured,
         }
     manifest: Dict[str, Any] = {
         "version": MANIFEST_VERSION,
@@ -203,7 +222,6 @@ def create_snapshot(db, dest) -> Dict[str, Any]:
         (json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
     return {
         "tables": summary_tables,
-        "tablets_linked": linked,
         "tablets_copied": copied,
         "created_at": now,
     }
@@ -224,38 +242,28 @@ def restore_into(db, src) -> Dict[str, Any]:
         raise SnapshotError(
             f"tables already exist: {', '.join(conflicts)}")
     db.check_writable()
+    source = SimulatedDisk(src_storage)
     copied = 0
     landed: List[str] = []
     try:
         for name in names:
-            prefix = f"tables/{name}/"
-            files = src_storage.list(prefix)
-            if not any(f.endswith("descriptor.json") for f in files):
-                raise SnapshotError(
-                    f"snapshot missing descriptor for {name!r}")
-            # Data files land first, the descriptor last: a table only
-            # becomes real to a future startup once its descriptor
-            # exists, so an interruption mid-table leaves nothing but
-            # orphans the scrub reclaims.
-            for filename in sorted(
-                    files, key=lambda f: f.endswith("descriptor.json")):
-                db.disk.write_file(filename, src_storage.read_all(filename))
-                landed.append(filename)
-                copied += 1
+            landed.append(name)
+            files, _dropped = copy_version(
+                TableDescriptor.load(source, name), src_storage, db.disk)
+            copied += len(files)
     except Exception as exc:
-        # All-or-nothing: unwind every file landed so far, descriptors
-        # first (they were landed last), so no partially restored
-        # table - or completed earlier table - survives to be opened
-        # as real on the next startup.  A simulated CrashPoint
-        # (BaseException) bypasses this on purpose: nothing runs after
-        # a crash, and descriptor-last ordering already keeps the
-        # in-flight table invisible.
-        for filename in reversed(landed):
-            try:
-                if db.disk.exists(filename):
+        # Unwind every table landed so far, descriptor first.  A
+        # simulated CrashPoint (BaseException) bypasses this on
+        # purpose: nothing runs after a crash, and the descriptor-last
+        # copy already keeps the in-flight table invisible.
+        for name in reversed(landed):
+            for filename in sorted(
+                    db.disk.list(f"tables/{name}/"),
+                    key=lambda f: not f.endswith(DESCRIPTOR_FILENAME)):
+                try:
                     db.disk.delete(filename)
-            except StorageError:
-                pass
+                except StorageError:
+                    pass
         if isinstance(exc, SnapshotError):
             raise
         raise SnapshotError(
@@ -263,5 +271,5 @@ def restore_into(db, src) -> Dict[str, Any]:
     # Open the freshly landed tables exactly as a normal startup would.
     for name in names:
         db.open_table(TableDescriptor.load(db.disk, name))
-    return {"tables": names, "files_copied": copied,
+    return {"tables": names, "tablets_copied": copied,
             "created_at": manifest.get("created_at")}

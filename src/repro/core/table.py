@@ -145,9 +145,9 @@ class Table:
         self.config = config
         self.clock = clock
         # Durability tier (durability.py).  ``none`` keeps the paper's
-        # prefix durability and never touches a log file; ``wal`` and
-        # ``replicated`` attach a per-table write-ahead log whose
-        # append-and-fsync gates every insert acknowledgment.
+        # prefix durability and never touches a log file; ``wal``
+        # attaches a per-table write-ahead log whose append-and-fsync
+        # gates every insert acknowledgment.
         self.durability = (durability if durability is not None
                            else DEFAULT_DURABILITY)
         self.wal: Optional[WriteAheadLog] = (

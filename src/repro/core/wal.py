@@ -3,7 +3,7 @@
 The paper's LittleTable has no log - prefix durability via the atomic
 descriptor swap is the whole story (§3).  Tables whose
 :class:`~repro.core.durability.DurabilityPolicy` selects the ``wal``
-or ``replicated`` tier get one of these per table: every acknowledged
+tier get one of these per table: every acknowledged
 insert batch is framed as one record, appended to the active segment,
 and fsynced before the insert returns.  Replay at open re-inserts any
 logged rows a crash caught still memtable-resident, so acknowledged

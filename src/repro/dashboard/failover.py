@@ -12,22 +12,28 @@ and redirects traffic to it by updating DNS records.  Once initiated,
 this process takes only a minute or two."
 
 This module reproduces that machinery over the simulated substrate:
-rsync-style continuous archival, local hourly snapshots, offsite
-signed backups (HMAC stands in for the signature, zlib for the
-encryption envelope - the point is integrity checking, not secrecy),
-and a DNS-redirect failover that promotes the spare.
+continuous archival, local hourly snapshots, offsite signed backups
+(HMAC stands in for the signature, zlib for the encryption envelope -
+the point is integrity checking, not secrecy), and a DNS-redirect
+failover that promotes the spare.  Archival, the hourly snapshot and
+its restore are one copy, :func:`~repro.core.snapshot.copy_version` per
+table, plus a ``wal`` table's live log segments, which a promoted spare
+replays.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.database import LittleTable
+from ..core.descriptor import DESCRIPTOR_FILENAME, TableDescriptor
+from ..core.snapshot import copy_version, pin_version
 from ..disk.storage import MemoryStorage, Storage
 from ..disk.vfs import SimulatedDisk
 from ..util.clock import Clock, micros_from_seconds
@@ -39,12 +45,43 @@ class BackupError(Exception):
     """A backup failed verification."""
 
 
-@dataclass
-class Snapshot:
-    """One point-in-time copy of every file on the spare."""
+def _mirror(versions: Iterable[Tuple[Any, TableDescriptor]],
+            source: Storage, target: Storage) -> int:
+    """Make ``target`` hold exactly ``versions``, each a pin (held
+    while its table is copied) and a descriptor: copy each version, then
+    its live log segments (a ``wal`` table's; the same size is the same
+    bytes, as a segment only grows), delete the files neither lists,
+    and delete every other table, descriptors first, so a removal cut
+    short leaves orphans, not a torn table.  Returns files copied."""
+    disk = SimulatedDisk(target)
+    copied = 0
+    names = set()
+    for pin, version in versions:
+        with pin:
+            files, dropped = copy_version(version, source, disk)
+        segments = source.list(f"{version.directory()}/wal-")
+        for name in segments:
+            if not target.exists(name) or (
+                    target.size(name) != source.size(name)):
+                target.write_file(name, source.read_all(name))
+                files.append(name)
+        for name in set(dropped) - set(segments):
+            target.delete(name)
+        copied += len(files)
+        names.add(version.name)
+    for filename in sorted(target.list("tables/"), key=lambda f: (
+            not f.endswith(f"/{DESCRIPTOR_FILENAME}"))):
+        if filename.split("/")[1] not in names:
+            target.delete(filename)
+    return copied
 
-    taken_at: int
-    files: Dict[str, bytes]
+
+def _stored(storage: Storage) -> Iterator[Tuple[Any, TableDescriptor]]:
+    """The versions a storage holds; nothing else writes there, so
+    they need no pin."""
+    disk = SimulatedDisk(storage)
+    for name in TableDescriptor.list_tables(disk):
+        yield contextlib.nullcontext(), TableDescriptor.load(disk, name)
 
 
 class WarmSpare:
@@ -57,44 +94,46 @@ class WarmSpare:
         self.storage: Storage = MemoryStorage()
         self.signing_key = signing_key
         self.max_local_snapshots = max_local_snapshots
-        self.snapshots: List[Snapshot] = []
+        self.snapshots: List[Storage] = []
         self.last_sync_at: Optional[int] = None
-        self.syncs = 0
 
     # ------------------------------------------------ continuous archival
 
     def sync_from(self, primary: LittleTable) -> int:
-        """One 10-minute archival pass: rsync until nothing copies.
+        """One 10-minute archival run: copy passes until one copies
+        nothing.
 
-        Returns the number of files copied.  Works because "an rsync
-        that copies no files is quick relative to the rate of new
-        tablets being written to disk" (§3.5).
+        A pass pins each table's current version while it copies it,
+        so flush and merge run on.  Returns the number of files copied.
+        Works because "an rsync that copies no files is quick relative
+        to the rate of new tablets being written to disk" (§3.5).
         """
-        copied = primary.archive_to(self.storage)
+        copied = 0
+        while True:
+            pass_copied = _mirror(map(pin_version, primary.tables()),
+                                  primary.disk.storage, self.storage)
+            copied += pass_copied
+            if not pass_copied:
+                break
         self.last_sync_at = self.clock.now()
-        self.syncs += 1
         return copied
 
     # ----------------------------------------------------------- backups
 
-    def take_local_snapshot(self) -> Snapshot:
+    def take_local_snapshot(self) -> Storage:
         """The hourly local backup, for recovery from "programming or
-        operational errors" (restoring state from before a bad write).
-        """
-        files = {name: self.storage.read_all(name)
-                 for name in self.storage.list()}
-        snapshot = Snapshot(taken_at=self.clock.now(), files=files)
+        operational errors" (restoring state from before a bad write):
+        the spare's tables copied into a fresh storage."""
+        snapshot = MemoryStorage()
+        _mirror(_stored(self.storage), self.storage, snapshot)
         self.snapshots.append(snapshot)
         if len(self.snapshots) > self.max_local_snapshots:
             self.snapshots.pop(0)
         return snapshot
 
-    def restore_snapshot(self, snapshot: Snapshot) -> None:
+    def restore_snapshot(self, snapshot: Storage) -> None:
         """Roll the spare's storage back to a snapshot."""
-        for name in self.storage.list():
-            self.storage.delete(name)
-        for name, data in snapshot.files.items():
-            self.storage.write_file(name, data)
+        _mirror(_stored(snapshot), snapshot, self.storage)
 
     def offsite_backup(self) -> bytes:
         """The nightly signed, encrypted backup blob for S3.

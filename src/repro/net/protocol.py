@@ -34,7 +34,7 @@ There is one protocol version.  Any request may carry an ``"id"``
 field, which the server echoes in the matching response: tagged
 requests run concurrently on one connection and their responses may
 arrive out of order; untagged requests are answered strictly in order.
-A client opens with ``{"cmd": "hello", "version": 4}``, a one-shot
+A client opens with ``{"cmd": "hello", "version": 5}``, a one-shot
 identity check the server answers with ``{"version", "shards"}``; a
 refusal or another version is a :class:`ProtocolViolationError` at
 connect time, not a different way of speaking.
@@ -55,7 +55,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
 
 #: The protocol version both peers must name in ``hello``.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 # The first payload byte of a frame with a block attachment; no JSON
 # document starts with it.

@@ -1,38 +1,36 @@
 """Warm-standby replication: a read-only follower of a primary.
 
 ``ltdb serve --follow host:port`` runs one of these next to a normal
-server: the :class:`Follower` polls the primary for its replication
-manifest (which ``replicated``-tier tables exist, which sealed tablets
-they reference, how far their logs reach), mirrors tablet files it
-lacks, and tails each table's WAL - applying streamed records into its
-own memtables through the same dedup'd path crash replay uses.  The
+server: the :class:`Follower` polls the primary's ``repl_manifest``
+(every table's descriptor, and how far a ``wal`` table's log reaches),
+copies each table's version as a snapshot or the warm spare does
+(:func:`~repro.core.snapshot.copy_version`, over ``repl_fetch_tablet``),
+and tails each ``wal`` table's log - applying streamed records into
+its own memtables through the same dedup'd path crash replay uses.  The
 local engine stays in read-only mode the whole time, so the standby
 serves ``query``/``latest``/``stats`` but rejects writes; replication
 lag is reported through ``wal_status()`` and ``health_summary()``.
 
 Convergence per table, each poll:
 
-1. If the primary's tablet set changed - or records the follower
+1. If the primary's descriptor changed - or records the follower
    still needs were recycled (``applied < low_water - 1``) - the
-   follower *resyncs*: it fetches missing tablet files, installs the
-   primary's descriptor (the primary's table-level durability fields
-   are persisted in it, but the live follower table runs WAL-less:
-   replication is this copy's durability while it follows), swaps in
-   a fresh table object, and
-   fast-forwards its applied LSN to the log's low-water mark.  Stale
-   local tablet files are left for the next startup scrub; in-flight
-   local reads keep their COW snapshot.
+   follower *resyncs*: it copies the version (a tablet that vanished
+   since the manifest fails the poll; the next one retries), opens it
+   as a fresh table, WAL-less while it follows, queues the files the
+   version drops behind the replaced table's in-flight reads, and
+   rewinds its applied LSN to ``low_water - 1``.
 2. It then tails the log: fetch framed records past the applied LSN,
    apply, advance.  Rows both streamed and later re-fetched inside a
    tablet dedup through the primary-key uniqueness check.
 
-Divergence - the primary's durable LSN moving *backwards* (it was
-restored or replaced) - raises
-:class:`~repro.core.errors.ReplicaDivergedError` and halts the sync
-loop; re-seed the standby from a fresh snapshot.
+A table the manifest no longer lists is dropped.  Divergence - the
+primary's durable LSN moving *backwards* (it was restored or replaced)
+- raises :class:`~repro.core.errors.ReplicaDivergedError` and halts
+the sync loop; re-seed the standby from a fresh snapshot.
 
 ``promote()`` turns the standby into a primary: the sync loop stops,
-read-only mode clears, every replicated table is re-opened with the
+read-only mode clears, every ``wal`` table is re-opened with the
 durability policy carried over from the old primary (streamed rows
 are flushed first, so the fresh WAL's LSN space starts clean), and
 the local engine - whose on-disk state is always a valid LittleTable
@@ -43,21 +41,21 @@ protection the old primary acknowledged them under.
 from __future__ import annotations
 
 import base64
+import functools
 import threading
 import time
 from typing import Any, Dict, Optional
 
 from ..core.descriptor import TableDescriptor
 from ..core.errors import LittleTableError, ReplicaDivergedError
-from ..core.schema import Schema
-from ..core.tablet import TabletMeta
+from ..core.snapshot import copy_version
 from ..core.wal import iter_records
 from .client import ClientConfig, LittleTableClient
 from .protocol import ConnectionLost
 
 
 class Follower:
-    """Streams one primary's replicated tables into a local engine."""
+    """Streams one primary's tables into a local engine."""
 
     def __init__(self, db, host: str, port: int,
                  poll_interval_s: float = 0.2,
@@ -117,7 +115,7 @@ class Follower:
         While following, tables run WAL-less (replication is this
         copy's durability), but a promoted primary must log
         acknowledged writes again - otherwise failover silently
-        downgrades every replicated table to the ``none`` tier.
+        downgrades every ``wal`` table to the ``none`` tier.
         Streamed-but-unflushed rows are sealed into tablets first so
         the fresh WAL starts with a clean LSN space (streamed
         memtables carry the *old primary's* LSNs, which mean nothing
@@ -132,12 +130,6 @@ class Follower:
             # segment files that survived on this side; replayed rows
             # dedup against the tablets just flushed.
             db.open_table(TableDescriptor.load(db.disk, name))
-
-    def __enter__(self) -> "Follower":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     def _loop(self) -> None:
         while not self._stop.is_set():
@@ -161,32 +153,38 @@ class Follower:
         manifest = self._client._call(
             {"cmd": "repl_manifest"}, idempotent=True)["tables"]
         self._m_polls.inc()
-        applied_now: Dict[str, int] = {}
-        for name in sorted(manifest):
-            applied_now[name] = self._sync_table(name, manifest[name])
+        for name in set(self.db.table_names()) - set(manifest):
+            # Dropped on the primary.  Read-only mode refuses DDL, so
+            # not through ``drop_table``.
+            self._applied.pop(name, None)
+            self._primary_durable.pop(name, None)
+            self.db._tables.pop(name).drop()
+        applied_now = {name: self._sync_table(name, manifest[name])
+                       for name in sorted(manifest)}
         self._last_sync = time.monotonic()
         return applied_now
 
     def _sync_table(self, name: str, info: Dict[str, Any]) -> int:
-        durable = int(info["durable_lsn"])
-        low = int(info["low_water"])
+        # No durable LSN: a ``none`` table, which has tablets only.
+        durable = info.get("durable_lsn")
+        low = info.get("low_water", 1)
         applied = self._applied.get(name, 0)
-        if durable < applied:
+        if durable is not None and durable < applied:
             raise ReplicaDivergedError(
                 f"{name}: primary durable LSN {durable} < applied "
                 f"{applied}; the primary was restored or replaced - "
                 f"re-seed this standby from a fresh snapshot")
-        remote_files = [m["filename"] for m in info["tablets"]]
         local = self.db._tables.get(name)
-        local_files = ([] if local is None else
-                       [m.filename for m in local.descriptor.tablets])
-        if (local is None or sorted(local_files) != sorted(remote_files)
+        if (local is None or local.descriptor.to_json() != info["descriptor"]
                 or applied < low - 1):
-            self._resync_table(name, info)
-            applied = max(applied, low - 1)
-        table = self.db._tables[name]
+            self._resync_table(
+                TableDescriptor.from_json(info["descriptor"]), local)
+            # The fresh table holds the tablets only: the records past
+            # them are fetched again and dedup against what it has.
+            applied = low - 1
         records_applied = 0
-        while applied < durable:
+        table = self.db._tables[name]
+        while durable is not None and applied < durable:
             response = self._client._call(
                 {"cmd": "repl_fetch_wal", "table": name,
                  "after": applied}, idempotent=True)
@@ -211,46 +209,39 @@ class Follower:
             applied = last
         self._m_records.inc(records_applied)
         self._applied[name] = applied
-        self._primary_durable[name] = durable
+        if durable is not None:
+            self._primary_durable[name] = durable
         return records_applied
 
-    def _resync_table(self, name: str, info: Dict[str, Any]) -> None:
-        """Mirror the primary's tablet set and swap in a fresh table."""
+    def _resync_table(self, version: TableDescriptor, local) -> None:
+        """Install the primary's version of a table in place of
+        ``local`` (None when the standby has no such table yet)."""
         self._m_resyncs.inc()
-        for meta in info["tablets"]:
-            filename = meta["filename"]
-            if not self.db.disk.exists(filename):
-                self._fetch_tablet(name, filename)
-        descriptor = TableDescriptor(
-            name=name,
-            schema=Schema.from_dict(info["schema"]),
-            ttl_micros=info.get("ttl_micros"),
-            tablets=[TabletMeta.from_dict(m) for m in info["tablets"]],
-            next_tablet_id=int(info.get("next_tablet_id", 1)),
-            # The primary's table-level durability fields persist here
-            # so promote() re-arms the same protection; the live
-            # follower table still runs WAL-less (streaming is its
-            # durability while it follows).
-            durability=info.get("durability") or None,
-        )
-        descriptor.save(self.db.disk)
-        self.db.open_table(descriptor, standby=True)
+        copied, dropped = copy_version(
+            version, functools.partial(self._fetch_tablet, version.name),
+            self.db.disk)
+        self._m_tablets.inc(len(copied))
+        self.db.open_table(version, standby=True)
+        if local is not None:
+            # Behind the replaced table's read epoch: a read in flight
+            # keeps its files until it ends.  A dropped file it does not
+            # list (an orphan of a poll cut short, or still queued by an
+            # earlier table) is the startup scrub's to reclaim.
+            local._swap_tablets([meta for meta in local.descriptor.tablets
+                                 if meta.filename in dropped], (),
+                                save=False)
 
-    def _fetch_tablet(self, name: str, filename: str) -> None:
+    def _fetch_tablet(self, name: str, filename: str) -> bytes:
         chunks = bytearray()
-        offset = 0
         while True:
             response = self._client._call(
                 {"cmd": "repl_fetch_tablet", "table": name,
-                 "filename": filename, "offset": offset},
+                 "filename": filename, "offset": len(chunks)},
                 idempotent=True)
             data = base64.b64decode(response["data"])
             chunks += data
-            offset += len(data)
             if response.get("eof") or not data:
-                break
-        self.db.disk.write_file(filename, bytes(chunks))
-        self._m_tablets.inc()
+                return bytes(chunks)
 
     # ------------------------------------------------------------ status
 

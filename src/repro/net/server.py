@@ -19,6 +19,8 @@ some, all, or none of its rows (§3.1).
 
 from __future__ import annotations
 
+import base64
+import dataclasses
 import threading
 import time
 from typing import Any, Dict, Optional, Tuple
@@ -490,11 +492,11 @@ class RequestDispatcher:
     # ---------------------------------------------------- replication
     #
     # A warm standby (repro.net.replica.Follower) converges off three
-    # commands: the manifest (which replicated-tier tables exist, what
-    # tablets they reference, how far their logs reach), tablet bytes,
-    # and sealed WAL records past an LSN.  They serve raw state, never
-    # mutate, and exist only on a single-engine server (a sharded
-    # router's workers each run their own replication).
+    # commands: the manifest (every table's descriptor, and how far a
+    # ``wal`` table's log reaches), tablet bytes, and sealed WAL
+    # records past an LSN.  They serve raw state, never mutate, and
+    # exist only on a single-engine server (a sharded router's workers
+    # each run their own replication).
 
     def _require_engine(self) -> LittleTable:
         if not isinstance(self.db, LittleTable):
@@ -505,38 +507,27 @@ class RequestDispatcher:
     def _cmd_repl_manifest(self, request: Dict[str, Any]) -> Dict[str, Any]:
         db = self._require_engine()
         tables: Dict[str, Any] = {}
-        for name in db.table_names():
-            table = db.table(name)
-            if table.durability.tier != "replicated" or table.wal is None:
-                continue
+        for table in db.tables():
             with table.lock:
-                metas = [meta.to_dict() for meta in
-                         table.descriptor.tablets if meta.tier == "hot"]
-                next_tablet_id = table.descriptor.next_tablet_id
-            tables[name] = {
-                "schema": table.schema.to_dict(),
-                "ttl_micros": table.ttl_micros,
-                "tablets": metas,
-                "next_tablet_id": next_tablet_id,
-                "durable_lsn": table.wal.durable_lsn,
-                "low_water": table.wal.low_water,
-                # So a promoted standby re-arms the same protection
-                # the primary acknowledged writes under.
-                "durability": table.durability.to_dict(),
-            }
+                # The cold tier is shared archive storage, not copied.
+                version = dataclasses.replace(table.descriptor, tablets=[
+                    meta for meta in table.descriptor.tablets
+                    if meta.tier == "hot"])
+            entry = tables[table.name] = {"descriptor": version.to_json()}
+            if table.wal is not None:
+                entry["durable_lsn"] = table.wal.durable_lsn
+                entry["low_water"] = table.wal.low_water
         return protocol.ok_response(tables=tables)
 
     def _cmd_repl_fetch_wal(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        import base64
-
         db = self._require_engine()
         table = db.table(request["table"])
         if table.wal is None:
             raise _errors.ProtocolViolationError(
                 f"table {request['table']!r} has no WAL")
-        after = int(request.get("after", 0))
-        limit = min(int(request.get("limit_bytes", REPL_CHUNK_BYTES)),
-                    REPL_CHUNK_BYTES)
+        after = _integer(request, "after", minimum=0) or 0
+        limit = min(_integer(request, "limit_bytes", minimum=1)
+                    or REPL_CHUNK_BYTES, REPL_CHUNK_BYTES)
         frames, last_lsn = table.wal.read_records_after(
             after, limit_bytes=limit)
         return protocol.ok_response(
@@ -547,8 +538,6 @@ class RequestDispatcher:
 
     def _cmd_repl_fetch_tablet(self, request: Dict[str, Any]
                                ) -> Dict[str, Any]:
-        import base64
-
         db = self._require_engine()
         table = db.table(request["table"])
         filename = request["filename"]
@@ -561,9 +550,9 @@ class RequestDispatcher:
             raise _errors.ProtocolViolationError(
                 f"tablet {filename!r} is not referenced by "
                 f"{request['table']!r}")
-        offset = int(request.get("offset", 0))
-        length = min(int(request.get("length", REPL_CHUNK_BYTES)),
-                     REPL_CHUNK_BYTES)
+        offset = _integer(request, "offset", minimum=0) or 0
+        length = min(_integer(request, "length", minimum=1)
+                     or REPL_CHUNK_BYTES, REPL_CHUNK_BYTES)
         # Raw storage read: streaming a replica is an admin pass and
         # must not consume armed workload failpoints.
         size = db.disk.storage.size(filename)

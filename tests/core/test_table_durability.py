@@ -131,28 +131,28 @@ class TestCrashRecovery:
 
 class TestArchival:
     def test_archive_then_recover_from_spare(self, clock):
-        from repro.disk import MemoryStorage
+        from repro.dashboard.failover import WarmSpare
 
         db = make_db(clock)
         table = db.create_table("t", usage_schema())
         table.insert([{"network": 1, "device": d, "bytes": d, "rate": 0.0}
                       for d in range(50)])
         table.flush_all()
-        spare_storage = MemoryStorage()
-        copied = db.archive_to(spare_storage)
+        spare = WarmSpare(clock)
+        copied = spare.sync_from(db)
         assert copied > 0
-        spare_db = LittleTable(disk=SimulatedDisk(spare_storage),
+        spare_db = LittleTable(disk=SimulatedDisk(spare.storage),
                                config=db.config, clock=clock)
         assert len(spare_db.table("t").query(Query()).rows) == 50
 
     def test_archive_converges(self, clock):
-        from repro.disk import MemoryStorage
+        from repro.dashboard.failover import WarmSpare
 
         db = make_db(clock)
         table = db.create_table("t", usage_schema())
         table.insert([{"network": 1, "device": 1, "bytes": 1, "rate": 0.0}])
         table.flush_all()
-        spare_storage = MemoryStorage()
-        db.archive_to(spare_storage)
+        spare = WarmSpare(clock)
+        spare.sync_from(db)
         # Second sync copies nothing.
-        assert db.archive_to(spare_storage) == 0
+        assert spare.sync_from(db) == 0

@@ -426,11 +426,11 @@ class TestLegacyKnobFolding:
             DurabilityPolicy(tier="wal", wal_segment_bytes=0).validate()
 
     def test_policy_merging_and_round_trip(self):
-        base = DurabilityPolicy(tier="wal", wal_segment_bytes=65536)
+        base = DurabilityPolicy(tier="none", wal_segment_bytes=65536)
         assert DurabilityPolicy().to_dict() == {}
         merged = base.merged_with(DurabilityPolicy.from_dict(
-            {"tier": "replicated", "unknown_future_field": 1}))
-        assert merged.tier == "replicated"
+            {"tier": "wal", "unknown_future_field": 1}))
+        assert merged.tier == "wal"
         assert merged.wal_segment_bytes == 65536
 
     def test_descriptor_recorded_with_group_commit_ms_still_opens(self):

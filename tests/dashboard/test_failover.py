@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import LittleTable, Query
+from repro.core import DurabilityPolicy, LittleTable, Query
 from repro.dashboard.failover import (
     BackupError,
     DashboardDns,
@@ -10,6 +10,7 @@ from repro.dashboard.failover import (
     WarmSpare,
 )
 from repro.disk import SimulatedDisk
+from repro.disk.storage import StorageError
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
 
 from ..conftest import usage_schema
@@ -84,6 +85,67 @@ class TestFailover:
         promoted = controller.initiate_failover()
         rows = promoted.table("usage").query(Query()).rows
         assert [r[1] for r in rows] == [1]
+
+    def test_spare_promoted_mid_pass_serves_the_last_completed_pass(
+            self, world):
+        """A pass cut short leaves the spare's previous copy whole: the
+        descriptor lands only after every tablet it lists."""
+        clock, primary, table, _spare, _dns, controller = world
+        table.insert([row(1, clock.now())])
+        table.flush_all()
+        controller.run_archival_tick()
+        clock.advance(MICROS_PER_MINUTE)
+        table.insert([row(2, clock.now())])
+        table.flush_all()
+        storage = primary.disk.storage
+        read_all = storage.read_all
+
+        def failing_read(name):
+            if name == "tables/usage/tab-00000002.lt":
+                raise StorageError("primary disk failed mid-pass")
+            return read_all(name)
+
+        storage.read_all = failing_read
+        with pytest.raises(StorageError):
+            controller.run_archival_tick()
+        promoted = controller.initiate_failover()
+        rows = promoted.table("usage").query(Query()).rows
+        assert [r[1] for r in rows] == [1]
+
+    def test_promoted_spare_keeps_acked_rows_of_a_wal_table(self):
+        """The pass copies a ``wal`` table's live log segments, and the
+        promoted spare replays them: acked rows that were never
+        flushed survive the failover."""
+        clock = VirtualClock(start=BASE)
+        primary = LittleTable(disk=SimulatedDisk(), clock=clock,
+                              durability=DurabilityPolicy(tier="wal"))
+        table = primary.create_table("usage", usage_schema())
+        table.insert([row(d, clock.now()) for d in range(10)])
+        table.flush_all()
+        table.insert([row(d, clock.now() + 1) for d in range(7)])
+        controller = FailoverController("shard-42", primary,
+                                        WarmSpare(clock), DashboardDns(),
+                                        clock)
+        controller.run_archival_tick()
+        promoted = controller.initiate_failover()
+        assert len(promoted.table("usage").query(Query()).rows) == 17
+
+    def test_a_table_recreated_under_its_name_is_copied_afresh(self, world):
+        """A tablet name the spare holds under other metadata - the
+        table was dropped and created again - is copied, not kept."""
+        clock, primary, table, _spare, _dns, controller = world
+        table.insert([row(1, clock.now(), value=1)])
+        table.flush_all()
+        controller.run_archival_tick()
+        primary.drop_table("usage")
+        clock.advance(MICROS_PER_MINUTE)
+        again = primary.create_table("usage", usage_schema())
+        again.insert([row(1, clock.now(), value=2)])
+        again.flush_all()
+        controller.run_archival_tick()
+        promoted = controller.initiate_failover()
+        rows = promoted.table("usage").query(Query()).rows
+        assert [r[3] for r in rows] == [2]
 
     def test_archival_stops_after_failover(self, world):
         _clock, _primary, table, _spare, _dns, controller = world

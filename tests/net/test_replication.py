@@ -1,11 +1,11 @@
 """Warm-standby replication suites.
 
-A primary with ``replicated``-tier tables serves the streaming
-commands (``repl_manifest``/``repl_fetch_wal``/``repl_fetch_tablet``);
-a :class:`~repro.net.replica.Follower` pulls them into a read-only
-local engine that serves reads with reported lag, converges after
-flushes reshape the primary's tablet set, and promotes to a primary
-that passes fsck.
+A primary serves the streaming commands
+(``repl_manifest``/``repl_fetch_wal``/``repl_fetch_tablet``) for
+every table; a :class:`~repro.net.replica.Follower` pulls them into a
+read-only local engine that serves reads with reported lag, converges
+after flushes and merges reshape the primary's tablet set, reclaims
+what they drop, and promotes to a primary that passes fsck.
 """
 
 import threading
@@ -15,20 +15,22 @@ import pytest
 
 from repro.core import (
     DurabilityPolicy,
+    EngineConfig,
     LittleTable,
     Query,
     ReadOnlyModeError,
     ReplicaDivergedError,
     is_healthy,
 )
-from repro.disk import SimulatedDisk
+from repro.disk import FileStorage, SimulatedDisk
 from repro.net.client import LittleTableClient
 from repro.net.replica import Follower
 from repro.net.async_server import AsyncLittleTableServer
+from repro.net.server import RequestDispatcher
 
 from ..conftest import remote_table, usage_schema
 
-REPL = DurabilityPolicy(tier="replicated", wal_segment_bytes=4096)
+REPL = DurabilityPolicy(tier="wal", wal_segment_bytes=4096)
 
 
 def row_for(index: int) -> dict:
@@ -141,17 +143,169 @@ class TestConvergence:
         finally:
             follower.stop()
 
-    def test_none_tier_tables_not_replicated(self, primary):
+    def test_every_table_is_followed(self, primary):
+        """A ``none`` table contributes its tablets, a ``wal`` table
+        its tablets and its log tail."""
         db, server = primary
-        db.create_table("local_only", usage_schema(),
-                        durability=DurabilityPolicy(tier="wal"))
-        db.table("local_only").insert([row_for(0)])
+        db.create_table("prefix_only", usage_schema(),
+                        durability=DurabilityPolicy(tier="none"))
+        db.table("prefix_only").insert([row_for(0), row_for(1)])
+        db.table("prefix_only").flush_all()
+        db.table("prefix_only").insert([row_for(2)])
+        db.table("t").insert([row_for(0)])
         follower = make_follower(server)
         try:
             follower.sync_once()
-            assert not follower.db.has_table("local_only")
+            standby = follower.db
+            assert standby.table_names() == ["prefix_only", "t"]
+            assert len(standby.table("prefix_only").query(Query()).rows) == 2
+            assert len(standby.table("t").query(Query()).rows) == 1
+            assert follower.status()["tables"].keys() == {"t"}
         finally:
             follower.stop()
+
+
+class TestResync:
+    """A resync installs the primary's version in place of the old
+    one: nothing streamed past its tablets is lost, nothing it drops
+    is kept, and no table the primary dropped survives."""
+
+    @pytest.fixture
+    def merging(self):
+        config = EngineConfig(merge_min_age_micros=0,
+                              merge_rollover_delay_fraction=0.0)
+        db = LittleTable(disk=SimulatedDisk(), config=config,
+                         durability=REPL)
+        db.create_table("t", usage_schema())
+        server = AsyncLittleTableServer(db)
+        server.start()
+        try:
+            yield db, server
+        finally:
+            server.stop()
+            db.close()
+
+    @staticmethod
+    def tablet_files(db):
+        return sorted(name for name in db.disk.list("tables/t/")
+                      if name.endswith(".lt"))
+
+    @staticmethod
+    def listed(db):
+        return sorted(meta.filename
+                      for meta in db.table("t").descriptor.tablets)
+
+    def test_dropped_tablets_are_reclaimed(self, merging):
+        db, server = merging
+        table = db.table("t")
+        follower = make_follower(server)
+        try:
+            index = 0
+            for _round in range(6):
+                for _flush in range(4):
+                    table.insert([row_for(index)])
+                    index += 1
+                    table.flush_all()
+                while table.maybe_merge() is not None:
+                    pass
+                follower.sync_once()
+            standby = follower.db
+            assert self.listed(db) == self.listed(standby)
+            assert self.tablet_files(standby) == self.listed(standby)
+            assert len(standby.table("t").query(Query()).rows) == 24
+        finally:
+            follower.stop()
+
+    def test_a_scan_across_a_resync_keeps_its_files(self, merging):
+        db, server = merging
+        table = db.table("t")
+        for index in range(2):
+            table.insert([row_for(index)])
+            table.flush_all()
+        follower = make_follower(server)
+        try:
+            follower.sync_once()
+            standby = follower.db
+            scan = standby.table("t").scan(Query())
+            first = next(scan)
+            while table.maybe_merge() is not None:
+                pass
+            follower.sync_once()
+            # The replaced table's files wait for the scan to end.
+            assert len(self.tablet_files(standby)) == 3
+            assert [first, *scan] == db.table("t").query(Query()).rows
+            assert self.tablet_files(standby) == self.listed(standby)
+        finally:
+            follower.stop()
+
+    def test_rows_streamed_past_the_tablets_survive_a_resync(
+            self, merging):
+        """A merge changes the primary's tablets but not its log: the
+        rows the standby streamed past them are fetched again."""
+        db, server = merging
+        table = db.table("t")
+        for index in range(3):
+            table.insert([row_for(index)])
+            table.flush_all()
+        follower = make_follower(server)
+        try:
+            follower.sync_once()
+            table.insert([row_for(3)])
+            follower.sync_once()
+            while table.maybe_merge() is not None:
+                pass
+            follower.sync_once()
+            rows = follower.db.table("t").query(Query()).rows
+            assert rows == table.query(Query()).rows
+            assert len(rows) == 4
+        finally:
+            follower.stop()
+
+    def test_a_table_dropped_on_the_primary_goes(self, primary):
+        db, server = primary
+        db.create_table("gone", usage_schema())
+        db.table("gone").insert([row_for(0)])
+        follower = make_follower(server)
+        follower.sync_once()
+        assert follower.db.has_table("gone")
+        db.drop_table("gone")
+        follower.sync_once()
+        follower.sync_once()
+        assert follower.db.table_names() == ["t"]
+        promoted = follower.promote()
+        assert promoted.table_names() == ["t"]
+        assert promoted.disk.list("tables/gone/") == []
+
+
+class TestReplCommandFields:
+    """The ``repl_*`` commands check their integer fields like every
+    other command: a bad one is a malformed request."""
+
+    @pytest.fixture
+    def dispatcher(self, tmp_path):
+        db = LittleTable(disk=SimulatedDisk(FileStorage(str(tmp_path))),
+                         durability=REPL)
+        table = db.create_table("t", usage_schema())
+        table.insert([row_for(index) for index in range(50)])
+        table.flush_all()
+        table.insert([row_for(50)])
+        yield RequestDispatcher(db), table.descriptor.tablets[0].filename
+        db.close()
+
+    @pytest.mark.parametrize("fields", [
+        {"cmd": "repl_fetch_tablet", "length": -1},
+        {"cmd": "repl_fetch_tablet", "offset": -8},
+        {"cmd": "repl_fetch_tablet", "offset": True},
+        {"cmd": "repl_fetch_tablet", "offset": "0"},
+        {"cmd": "repl_fetch_wal", "after": "x"},
+        {"cmd": "repl_fetch_wal", "after": -5, "limit_bytes": -1},
+    ], ids=["length-negative", "offset-negative", "offset-bool",
+            "offset-string", "after-string", "after-and-limit-negative"])
+    def test_a_bad_integer_is_refused(self, dispatcher, fields):
+        server, filename = dispatcher
+        response = server.dispatch(
+            dict(fields, table="t", filename=filename))
+        assert response["error"] == "ProtocolViolationError", response
 
 
 class TestDivergence:
@@ -209,7 +363,7 @@ class TestPromotion:
         follower.sync_once()
         promoted = follower.promote()
         table = promoted.table("t")
-        assert table.durability.tier == "replicated"
+        assert table.durability.tier == "wal"
         assert table.wal is not None
         promoted.table("t").insert([row_for(50)])
         # Abandon without close (kill -9 on the new primary): the
@@ -219,7 +373,7 @@ class TestPromotion:
         rows = reopened.table("t").query(Query()).rows
         assert {row[2] for row in rows} == (
             {index + 1 for index in range(10)} | {51})
-        assert reopened.table("t").durability.tier == "replicated"
+        assert reopened.table("t").durability.tier == "wal"
         reopened.close()
 
 
@@ -277,8 +431,8 @@ class TestWireDurability:
         host, port = server.address
         with LittleTableClient(host, port) as client:
             client.create_table("wired", usage_schema(),
-                                durability=DurabilityPolicy(tier="wal"))
+                                durability=DurabilityPolicy(tier="none"))
             status = client.wal_status()
-            assert status["tables"]["wired"]["tier"] == "wal"
-            assert status["default_tier"] == "replicated"
-        assert db.table("wired").durability.tier == "wal"
+            assert status["tables"]["wired"]["tier"] == "none"
+            assert status["default_tier"] == "wal"
+        assert db.table("wired").durability.tier == "none"

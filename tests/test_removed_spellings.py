@@ -13,7 +13,9 @@ per-row aggregate fallback, a read-cache entry of row and key tuples,
 a query reply's JSON rows, a ``latest`` request of one ``prefix``
 answered by one ``row``, protocol version 3, the readers of v1 and v2
 blocks, pre-v2.1 tablets and ``KIND_ROWS`` WAL records, a row
-operation spelled on a database or a client rather than on its table)
+operation spelled on a database or a client rather than on its table,
+a second and third way to copy a database, and the ``replicated``
+tier that marked a ``wal`` table as one a standby may follow)
 or an option
 nothing read (or, like ``checksums``, could only turn a guard off);
 none of them connects, opens or binds anything before failing.
@@ -198,6 +200,13 @@ SRC = Path(__file__).parent.parent / "src"
         r"\(self, table\b|def list_tables\(self|def _scan\(|_query_once"
         r"|_bounds_query|insert_dicts|table_stats", (),
         id="database-or-client-row-operation"),
+    # One way to copy a database: ``snapshot.copy_version`` under the
+    # snapshot, the warm spare and the standby.  No rsync of its own on
+    # the engine, no file-dict snapshot on the spare, and no tier that
+    # marks a ``wal`` table as one a standby may follow.
+    pytest.param(
+        r"archive_to|class Snapshot\b|[\"'`]replicated|replicated[\"'`]",
+        (), id="second-copy-or-replicated-tier"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)
@@ -208,6 +217,21 @@ def test_removed_name_stays_out_of_src(pattern, exempt):
                  path.read_text().splitlines(), 1)
              if removed.search(line)]
     assert not found, "\n".join(found)
+
+
+def test_one_copy_and_two_tiers():
+    """The spare's file-dict snapshot and the engine's rsync are gone,
+    and ``replicated`` is an unknown tier, refused like any other."""
+    from repro.core.durability import TIERS
+    from repro.dashboard import failover
+
+    assert not hasattr(LittleTable, "archive_to")
+    assert not hasattr(failover, "Snapshot")
+    assert TIERS == ("none", "wal")
+    with pytest.raises(ValueError, match="unknown durability tier"):
+        DurabilityPolicy(tier="replicated").validate()
+    with pytest.raises(ValueError, match="unknown durability tier"):
+        DurabilityPolicy.from_dict({"tier": "replicated"})
 
 
 def test_a_query_reply_carries_no_json_rows():

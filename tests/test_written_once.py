@@ -5,9 +5,12 @@ files are queued behind the read epoch in one place (the same), reads
 obtain tablets and memtables in one place (``Table._read_plan``), and
 a ``Table`` gets its engine - the fault listener and the read-only
 check of its write door - in one place (its constructor, called by
-``LittleTable.open_table``).  ``snapshot.py`` and
-``recovery.py`` assign to descriptors of their own and are out of
-scope.  Across all of ``src/``: a tablet file's trailer is told apart
+``LittleTable.open_table``).  ``recovery.py`` assigns to descriptors
+of its own and is out of scope.  Across all of ``src/``: a table's
+files are copied between storages in one function
+(``snapshot.copy_version``, the only caller of ``_link_or_copy``),
+which snapshot, restore, the warm spare and the standby all call, a
+tablet file's trailer is told apart
 (v2.1 or legacy) in one function, a ``query`` request is built in
 one, a bounding box is put on the wire in one and read off it in one
 (``query`` and ``aggregate`` share both), a query page becomes a block
@@ -97,6 +100,14 @@ def functions_where(predicate, paths=None):
                     and any(predicate(n) for n in ast.walk(function)):
                 found.add(f"{path.name}:{function.name}")
     return found
+
+
+def test_one_function_copies_a_table_between_storages():
+    assert functions_where(calls("_link_or_copy")) == {
+        "snapshot.py:copy_version"}
+    assert functions_where(calls("copy_version")) == {
+        "snapshot.py:create_snapshot", "snapshot.py:restore_into",
+        "failover.py:_mirror", "replica.py:_resync_table"}
 
 
 def test_one_function_tells_the_trailer_formats_apart():
