@@ -391,14 +391,17 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
         description="serve a database over the wire protocol")
     parser.add_argument("--data", metavar="DIR", default=None,
                         help="data directory (default: in-memory); "
-                             "sharded servers use DIR/shard-NN")
+                             "sharded servers use DIR/shard-NN and "
+                             "DIR/router.json")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--port", type=int, default=7421,
                         help="bind port (default: 7421; 0 = ephemeral)")
     parser.add_argument("--shards", type=int, default=4, metavar="N",
                         help="engine workers to partition tables "
-                             "across (default: 4)")
+                             "across (default: 4; an existing --data "
+                             "directory must have been written with "
+                             "the same N)")
     parser.add_argument("--durability", default=None,
                         choices=["none", "wal"],
                         help="default durability tier for new tables "
@@ -426,7 +429,7 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
             return 2
         return _serve_follower(args, stop_event=stop_event,
                                on_ready=on_ready)
-    from .core.errors import UnsupportedFormatError
+    from .core.errors import ShardLayoutError, UnsupportedFormatError
     from .net.async_server import AsyncLittleTableServer
     from .net.shard import ShardRouter
 
@@ -435,6 +438,9 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
                          durability=durability)
     except UnsupportedFormatError as exc:
         print(f"serve: unsupported format: {exc}", file=sys.stderr)
+        return 2
+    except ShardLayoutError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
         return 2
     server = AsyncLittleTableServer(db, host=args.host, port=args.port)
     import threading

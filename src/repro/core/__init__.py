@@ -27,6 +27,7 @@ from .errors import (
     SchemaError,
     ServerError,
     ShardDegradedError,
+    ShardLayoutError,
     SnapshotError,
     TableExistsError,
     UnsupportedFormatError,
@@ -88,6 +89,7 @@ __all__ = [
     "SchemaError",
     "ServerError",
     "ShardDegradedError",
+    "ShardLayoutError",
     "TableExistsError",
     "UnsupportedFormatError",
     "ValidationError",

@@ -45,8 +45,9 @@ SUPPORTED_FORMAT = "this engine reads v3 blocks in v2.1 tablets only"
 class UnsupportedFormatError(LittleTableError):
     """Bytes in a layout this engine no longer reads: a tablet without
     the v2.1 trailer, a footer naming a block format other than v3, a
-    descriptor without its checksum, or a WAL record that is not a v3
-    ``KIND_BLOCK``.  Not a :class:`CorruptTabletError`: the bytes are
+    descriptor without its checksum, a WAL record that is not a v3
+    ``KIND_BLOCK``, or a shard router's directory whose rows were
+    placed by another rule (no ``router.json``).  Not a :class:`CorruptTabletError`: the bytes are
     sound, so nothing is quarantined, skipped or recycled - the open or
     the read that met them fails, and the files stay as they were."""
 
@@ -125,3 +126,10 @@ class ShardDegradedError(LittleTableError):
     unrecoverable storage errors.  The router stays up: keys on other
     shards keep serving, and this shard's tables are degraded until
     the operator revives the worker (``ShardRouter.revive_shard``)."""
+
+
+class ShardLayoutError(LittleTableError):
+    """A shard router was opened over a directory written for another
+    shard count.  A row's shard is its first key value's CRC32 modulo
+    the count, so under another count most keys would be looked up on
+    the wrong shard: the open is refused, and nothing is written."""

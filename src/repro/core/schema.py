@@ -149,6 +149,10 @@ class Schema:
         for key_name in key[:-1]:
             if by_name[key_name].type is ColumnType.BLOB:
                 raise SchemaError("blob columns cannot be key columns")
+            if by_name[key_name].type is ColumnType.DOUBLE:
+                # A key prefix feeds the tablets' Bloom filters, which
+                # encode integers and strings only.
+                raise SchemaError("double columns cannot be key columns")
         self.columns: Tuple[Column, ...] = tuple(columns)
         self.key: Tuple[str, ...] = tuple(key)
         self.version = version

@@ -7,16 +7,24 @@ by partitioning every table's rows across N independent engines and
 presenting the same database facade the network dispatcher already
 speaks, so the server front serves a router without knowing it.
 
-Routing is deterministic per row key:
+Routing is deterministic per row key, as the paper keeps one
+customer's data on one shard (§2.2):
 
-* Tables whose primary key has leading columns before ``ts`` route by
-  a stable hash (CRC32) of those leading values - every row of one
-  device lands on one shard, so ``latest(prefix)`` and fully-pinned
-  prefix queries touch a single worker.
+* A row routes by its *first* key column alone: CRC32 of that value as
+  the engine stores it (a string's UTF-8, an integer's decimal digits),
+  so every row of one network lands on one shard, and any read or
+  delete whose key range fixes that column - ``latest(prefix)``, a
+  ``WHERE network = N`` page or aggregate, ``bulk_delete`` - touches a
+  single worker.
 * Tables keyed by bare ``ts`` route by the four-hour grid underlying
   the engine's time-period bins (§3.4.2): ``ts // 4h  mod  N``.  The
   grid is epoch-aligned and independent of "now", so routing never
   shifts as periods roll over.
+
+Placement depends on the shard count, so a router over a data
+directory keeps both in ``router.json``, written before any
+``shard-NN`` subdirectory, and refuses a directory written for another
+count or by another rule.
 
 Queries outside a single shard scatter to every live worker and merge
 into one run ordered by the schema's key tuples (the same plain tuple
@@ -35,6 +43,10 @@ workers - and the router itself - keep serving.
 
 from __future__ import annotations
 
+import json
+import operator
+import os
+import re
 import zlib
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +56,8 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
 from ..core.codec import compiled_ops
 from ..core.config import EngineConfig
 from ..core.database import LittleTable
-from ..core.errors import LittleTableError, ShardDegradedError
+from ..core.errors import (LittleTableError, ShardDegradedError,
+                           ShardLayoutError, UnsupportedFormatError)
 from ..core.maintenance import MaintenancePolicy, MaintenanceReport
 from ..core.periods import FOUR_HOURS
 from ..core.row import (DESCENDING, KeyRange, Query, QueryResult, QueryStats,
@@ -52,27 +65,88 @@ from ..core.row import (DESCENDING, KeyRange, Query, QueryResult, QueryStats,
 from ..core.schema import Schema
 from ..core.table import summary_ratios
 from ..core.vector import AggregatePartials, AggregateSpec
+from ..disk.storage import FileStorage
 from ..obs.metrics import MetricsRegistry
 from ..util.clock import Clock
 
 
-def shard_of(leading: Tuple[Any, ...], ts: Optional[int],
-             shard_count: int) -> int:
-    """The shard owning a key: hash of the leading key columns, or
-    the epoch-aligned four-hour time bin for bare-``ts`` keys.
+#: The placement manifest of a router's data directory.
+MANIFEST = "router.json"
 
-    ``repr`` of the canonical stored value types (int/float/str/bytes)
-    is deterministic across processes, so the CRC is a stable routing
-    hash with no dependence on Python's randomized ``hash()``.
+#: The rule :func:`shard_of` implements, as ``router.json`` names it.
+PLACEMENT = "crc32-first-key-column/ts-4h-bins"
+
+_SHARD_DIR = re.compile(r"shard-\d\d+")
+
+
+def shard_of(first: Any, shard_count: int, by_time: bool = False) -> int:
+    """The shard owning every row whose first key column holds
+    ``first``: CRC32 of the value as the engine stores it, or, for a
+    bare-``ts`` key (``by_time``), its epoch-aligned four-hour bin.
+
+    A string hashes as UTF-8 and an integer as its decimal digits, so
+    an ``int`` or ``str`` subclass (an ``IntEnum`` member) routes with
+    its plain value, the same in every process, and widening an INT32
+    key column moves no row.  A value no key column can hold raises
+    ``TypeError``.
     """
     if shard_count == 1:
         return 0
-    if leading:
-        digest = zlib.crc32(repr(leading).encode("utf-8"))
-        return digest % shard_count
-    if ts is None:
-        return 0
-    return (ts // FOUR_HOURS) % shard_count
+    if by_time:
+        return operator.index(first) // FOUR_HOURS % shard_count
+    if isinstance(first, str):
+        raw = str.encode(first, "utf-8")
+    else:
+        raw = b"%d" % operator.index(first)
+    return zlib.crc32(raw) % shard_count
+
+
+def fixed_first(key_range: KeyRange) -> Tuple[Any, ...]:
+    """``(value,)`` when both of ``key_range``'s bounds start with the
+    same first key value - every key inside then holds it, whatever the
+    bounds' inclusivity - else ``()``."""
+    low, high = key_range.min_prefix, key_range.max_prefix
+    if low and high and low[0] == high[0]:
+        return low[:1]
+    return ()
+
+
+def open_layout(data_dir: str, shards: int) -> None:
+    """Check ``data_dir``'s :data:`MANIFEST` against ``shards``, or
+    write it - atomically, before any ``shard-NN`` directory exists -
+    for a new directory.
+
+    Refuses a manifest naming another shard count
+    (:class:`ShardLayoutError`) and one naming another placement rule,
+    or shard directories with no manifest, which is what a router that
+    hashed every leading key column left (:class:`UnsupportedFormatError`).
+    Nothing is written when it refuses.
+    """
+    storage = FileStorage(data_dir)
+    if storage.exists(MANIFEST):
+        try:
+            manifest = json.loads(storage.read(
+                MANIFEST, 0, storage.size(MANIFEST)))
+            placement, count = manifest["placement"], manifest["shards"]
+        except (ValueError, KeyError, TypeError):
+            raise ShardLayoutError(
+                f"{data_dir}: unreadable {MANIFEST}") from None
+        if placement != PLACEMENT:
+            raise UnsupportedFormatError(
+                f"{data_dir}: {MANIFEST} names placement {placement!r}; "
+                f"this router places rows by {PLACEMENT!r}")
+        if count != shards:
+            raise ShardLayoutError(
+                f"{data_dir} holds {count} shard(s); opening it with "
+                f"{shards} would read rows from the wrong shards")
+        return
+    if any(_SHARD_DIR.fullmatch(name) for name in os.listdir(data_dir)):
+        raise UnsupportedFormatError(
+            f"{data_dir} has shard directories but no {MANIFEST}: its "
+            f"rows were placed by every leading key column; this router "
+            f"places them by {PLACEMENT!r}")
+    storage.write_file(MANIFEST, json.dumps(
+        {"placement": PLACEMENT, "shards": shards}).encode("utf-8"))
 
 
 def merge_sorted_runs(runs: Sequence[Sequence[Tuple[Any, ...]]],
@@ -101,9 +175,12 @@ class ShardedTable:
     operations are the ones here.
     """
 
-    def __init__(self, router: "ShardRouter", name: str):
+    def __init__(self, router: "ShardRouter", name: str, schema: Schema):
         self._router = router
         self.name = name
+        # No DDL touches which key columns a table has, so the rule
+        # that places its rows is fixed when the facade is made.
+        self._by_time = schema.key_width == 1
 
     # ------------------------------------------------------- structure
 
@@ -132,7 +209,7 @@ class ShardedTable:
         shard-locally.
 
         Validation and uniqueness stay with the owning worker; the
-        router only reads the raw leading values (or ts) to route.  A
+        router only reads the raw first key value to route.  A
         batch that needs a read-only shard is refused before any shard
         runs, so it is never partly applied.
         """
@@ -140,13 +217,11 @@ class ShardedTable:
             return 0
         router = self._router
         schema = self.schema
-        leading_indexes = schema.key_indexes[:-1]
-        ts_index = schema.ts_index
+        first, by_time = schema.key_indexes[0], self._by_time
         by_shard: Dict[int, List[Any]] = {}
         for row in rows:
-            by_shard.setdefault(
-                router._route_row(leading_indexes, ts_index, row),
-                []).append(row)
+            by_shard.setdefault(router._route_row(first, by_time, row),
+                                []).append(row)
         router._refuse_read_only(by_shard)
         router._m_routed.inc(len(rows))
 
@@ -168,28 +243,18 @@ class ShardedTable:
         return scan_pages(query, self._query,
                           lambda row: self.schema.key_of(row))
 
-    def _pinned_shard(self, query: Query) -> Optional[int]:
-        """The single shard a query is confined to, or None.
-
-        A query pins to one shard when its key range fixes every
-        leading key column to one value (prefix semantics make that
-        ``min_prefix == max_prefix`` covering the leading columns,
-        both sides inclusive).
-        """
-        leading_width = self.schema.key_width - 1
-        if leading_width == 0:
+    def _owner(self, prefix: Sequence[Any]) -> Optional[int]:
+        """The one shard holding every key that starts with ``prefix``:
+        the owner of its first value (:func:`shard_of`).  None when the
+        prefix is empty, or its first value is one no key column holds
+        - every shard is then asked, and each engine refuses it."""
+        if not prefix:
             return None
-        kr = query.key_range
-        if (kr.min_prefix is None or kr.max_prefix is None
-                or not kr.min_inclusive or not kr.max_inclusive):
+        try:
+            return shard_of(prefix[0], len(self._router.engines),
+                            self._by_time)
+        except TypeError:
             return None
-        if len(kr.min_prefix) < leading_width \
-                or len(kr.max_prefix) < leading_width:
-            return None
-        leading = tuple(kr.min_prefix[:leading_width])
-        if leading != tuple(kr.max_prefix[:leading_width]):
-            return None
-        return self._router._shard_for_leading(leading)
 
     def _query(self, query: Query) -> QueryResult:
         """One query command: a pinned shard's answer, or every
@@ -197,7 +262,7 @@ class ShardedTable:
         :meth:`query`, which ``bench/trace.py`` wraps as a span of its
         own: a scan is one span, not one per page."""
         router = self._router
-        pinned = self._pinned_shard(query)
+        pinned = self._owner(fixed_first(query.key_range))
         if pinned is not None:
             router._m_single.inc()
             return router._run(
@@ -269,32 +334,30 @@ class ShardedTable:
         """Each prefix's latest row, in input order, from one
         ``latest_many`` call per shard that owns any of them.
 
-        A prefix that fixes every leading key column lives on one
-        shard; a shorter one asks every shard and keeps the newest
-        answer.  A batch that needs a downed shard is refused before
-        any shard runs (:meth:`ShardRouter._refuse_down`).  The shards
-        are called in turn, not on the pool: a cached answer costs
-        about a microsecond, less than a hand-off to a thread.
+        A prefix that fixes the first key column lives on one shard;
+        an empty one asks every shard and keeps the newest answer.  A
+        batch that needs a downed shard is refused before any shard
+        runs (:meth:`ShardRouter._refuse_down`).  The shards are called
+        in turn, not on the pool: a cached answer costs about a
+        microsecond, less than a hand-off to a thread.
         """
         router = self._router
         prefixes = [tuple(prefix) for prefix in prefixes]
-        schema = self.schema
-        leading_width = schema.key_width - 1
         positions: Dict[int, List[int]] = {}
         fanned: List[int] = []
         for position, prefix in enumerate(prefixes):
-            if leading_width and len(prefix) >= leading_width:
-                positions.setdefault(router._shard_for_leading(
-                    prefix[:leading_width]), []).append(position)
-            else:
+            owner = self._owner(prefix)
+            if owner is None:
                 fanned.append(position)
+            else:
+                positions.setdefault(owner, []).append(position)
         if fanned:
             for index in range(router.shard_count):
                 positions.setdefault(index, []).extend(fanned)
         router._refuse_down(positions)
         router._m_single.inc(len(prefixes) - len(fanned))
         router._m_scatter.inc(len(fanned))
-        ts_of = schema.ts_of
+        ts_of = self.schema.ts_of
         rows: List[Optional[Tuple[Any, ...]]] = [None] * len(prefixes)
         for index in sorted(positions):
             wanted = positions[index]
@@ -314,11 +377,11 @@ class ShardedTable:
         Each shard folds its own tablets and memtables into partial
         group states locally; only those states cross the gather and
         merge - never raw rows.  Keys place deterministically on one
-        shard, so no group is double counted.  Pinned-prefix queries
-        skip the fan-out entirely, like point queries do.
+        shard, so no group is double counted.  A key range that fixes
+        the first key column skips the fan-out, as a query's does.
         """
         router = self._router
-        pinned = self._pinned_shard(Query(spec.key_range, spec.time_range))
+        pinned = self._owner(fixed_first(spec.key_range))
         if pinned is not None:
             router._m_single.inc()
             return router._run(
@@ -362,14 +425,12 @@ class ShardedTable:
         return written
 
     def bulk_delete(self, prefix: Sequence[Any]) -> int:
-        router = self._router
         prefix = tuple(prefix)
-        leading_width = self.schema.key_width - 1
-        if leading_width and len(prefix) >= leading_width:
-            shard = router._shard_for_leading(prefix[:leading_width])
-            return router._run(
-                shard, lambda db: db.table(self.name).bulk_delete(prefix))
-        return sum(router._fanout_write(
+        owner = self._owner(prefix)
+        if owner is not None:
+            return self._router._run(
+                owner, lambda db: db.table(self.name).bulk_delete(prefix))
+        return sum(self._router._fanout_write(
             lambda db: db.table(self.name).bulk_delete(prefix)))
 
     def append_column(self, column: Any) -> None:
@@ -431,7 +492,8 @@ class ShardRouter:
                  durability=None):
         """Open ``shards`` workers, either in memory or over
         ``data_dir/shard-NN`` subdirectories (gnitz-style: one
-        manifest root, one subtree per shard).  Pass ``engines`` to
+        manifest root, one subtree per shard; :func:`open_layout`
+        checks or writes the manifest first).  Pass ``engines`` to
         adopt pre-built workers (tests, custom disks); they should
         share a clock and metrics registry for coherent routing and
         one STATS surface.  ``durability`` (a
@@ -450,6 +512,8 @@ class ShardRouter:
                 raise ValueError("shards must be >= 1")
             self.metrics = metrics if metrics is not None \
                 else MetricsRegistry()
+            if data_dir is not None:
+                open_layout(data_dir, shards)
             self.engines = []
             for index in range(shards):
                 subdir = None if data_dir is None else \
@@ -502,24 +566,22 @@ class ShardRouter:
 
     # --------------------------------------------------------- routing
 
-    def _shard_for_leading(self, leading: Tuple[Any, ...]) -> int:
-        return shard_of(leading, None, len(self.engines))
-
-    def _route_row(self, leading_indexes: Sequence[int], ts_index: int,
+    def _route_row(self, first: int, by_time: bool,
                    row: Sequence[Any]) -> int:
-        """The shard a positional row belongs to.  The row is not yet
-        validated: one too short to hold its key, or whose bare ``ts``
-        is no integer, still goes to *a* worker, which refuses it."""
+        """The shard a positional row belongs to, from its first key
+        column (position ``first``).  The row is not yet validated: one
+        too short to hold its key, or whose key value no column holds,
+        still goes to *a* worker, which refuses it.  A bare ``ts`` that
+        is no integer routes by ``now``, the stamp a worker gives a
+        missing one."""
         try:
-            if leading_indexes:
-                leading = tuple(row[i] for i in leading_indexes)
-                return shard_of(leading, None, len(self.engines))
-            ts = row[ts_index]
+            return shard_of(row[first], len(self.engines), by_time)
         except IndexError:
             return 0
-        if type(ts) is not int:
-            ts = self.clock.now()
-        return shard_of((), ts, len(self.engines))
+        except TypeError:
+            if by_time:
+                return shard_of(self.clock.now(), len(self.engines), True)
+            return 0
 
     def _run(self, index: int, fn: Callable[[LittleTable], Any]) -> Any:
         """Run one operation on one worker, with crash isolation.
@@ -634,8 +696,8 @@ class ShardRouter:
         raise ShardDegradedError("all shards are down")
 
     def table(self, name: str) -> ShardedTable:
-        self._any_live_table(name)  # NoSuchTableError when absent
-        return ShardedTable(self, name)
+        # NoSuchTableError when absent
+        return ShardedTable(self, name, self._any_live_table(name).schema)
 
     def create_table(self, name: str, schema: Schema,
                      ttl_micros: Optional[int] = None,
@@ -646,7 +708,7 @@ class ShardRouter:
         table."""
         self._fanout_write(lambda db: db.create_table(
             name, schema, ttl_micros=ttl_micros, durability=durability))
-        return ShardedTable(self, name)
+        return ShardedTable(self, name, schema)
 
     def drop_table(self, name: str) -> None:
         self._fanout_write(lambda db: db.drop_table(name))

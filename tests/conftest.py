@@ -1,6 +1,7 @@
 """Shared fixtures: schemas, clocks, and engine builders."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,26 @@ def load_v2_datadir():
     root = FIXTURES / "v3" / "v2_datadir"
     disk, rows = _load_datadir(root)
     return disk, rows, json.loads((root / "manifest.json").read_text())
+
+
+def load_old_placement_datadir(root):
+    """A copy, at ``root``, of the checked-in 2-shard router directory,
+    plus its rows as ``{table: [tuple, ...]}``.
+
+    ``net/fixtures/old_placement_2shard`` was written once by the last
+    router that placed rows by a CRC32 of every leading key column:
+    table ``usage`` (network, device, ts, bytes), networks 0-1, devices
+    0-3, two rows each, flushed.  It has ``shard-NN`` directories and
+    no ``router.json``; this router refuses it
+    (``net/test_router_layout.py``).
+    """
+    source = Path(__file__).parent / "net" / "fixtures" / \
+        "old_placement_2shard"
+    shutil.copytree(source, root,
+                    ignore=shutil.ignore_patterns("rows.json"))
+    recorded = json.loads((source / "rows.json").read_text())
+    return {name: [tuple(row) for row in table]
+            for name, table in recorded["tables"].items()}
 
 
 def usage_schema():

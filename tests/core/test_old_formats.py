@@ -39,7 +39,7 @@ from repro.core.tablet import TabletMeta
 from repro.core.vector import AggregateSpec
 from repro.disk import SimulatedDisk
 from repro.disk.storage import FileStorage
-from repro.net.shard import ShardRouter
+from repro.net.shard import ShardRouter, open_layout
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 from ..conftest import usage_schema
@@ -93,6 +93,13 @@ REFUSED_AT_OPEN = ["v1_tablet_none.bin", "v1_tablet_zlib.bin",
 def build(case, root):
     root.mkdir(parents=True)
     CASES[case](case, root)
+
+
+def router_dir(case, root):
+    """``case`` as shard 0 of a 2-shard router's directory, beside the
+    manifest that router writes first."""
+    open_layout(str(root), 2)
+    build(case, root / "shard-00")
 
 
 def files(root):
@@ -152,7 +159,7 @@ def twin_tables(root, shard):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_two_shard_router_refuses_and_stays_up(case, tmp_path):
     root = tmp_path / "db"
-    build(case, root / "shard-00")
+    router_dir(case, root)
     if case in REFUSED_AT_OPEN:
         before = files(root)
         with pytest.raises(UnsupportedFormatError, match=SUPPORTED_FORMAT):
@@ -191,7 +198,7 @@ def test_fsck_exits_2_and_repairs_nothing(case, repair, tmp_path, capsys):
 @pytest.mark.parametrize("case", REFUSED_AT_OPEN)
 def test_serve_exits_nonzero(case, tmp_path, capsys):
     root = tmp_path / "db"
-    build(case, root / "shard-00")
+    router_dir(case, root)
     before = files(root)
     assert serve_main(["--data", str(root), "--shards", "2",
                        "--port", "0"]) != 0

@@ -113,6 +113,21 @@ class TestSchemaConstruction:
                 key=["b", "ts"],
             )
 
+    @pytest.mark.parametrize("key", [["d", "ts"], ["n", "d", "ts"]],
+                             ids=["first", "second"])
+    def test_double_key_column_rejected(self, key):
+        """A key prefix feeds the tablets' Bloom filters, which encode
+        integers and strings: a double there could never be flushed,
+        and a ``latest`` on it met a ``TypeError`` that a shard router
+        took for its worker crashing."""
+        with pytest.raises(SchemaError, match="double columns cannot"):
+            Schema(
+                [Column("n", ColumnType.INT64),
+                 Column("d", ColumnType.DOUBLE),
+                 Column("ts", ColumnType.TIMESTAMP)],
+                key=key,
+            )
+
     def test_empty_schema_rejected(self):
         with pytest.raises(SchemaError):
             Schema([], key=[])

@@ -17,7 +17,6 @@ import repro
 from repro.core import (Column, ColumnType, LittleTable, Query,
                         ReadOnlyModeError, Schema)
 from repro.net import AsyncLittleTableServer, ShardRouter
-from repro.net.shard import shard_of
 from repro.sqlapi import SqlSession
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
@@ -34,16 +33,23 @@ def make_schema():
         key=["network", "device", "ts"])
 
 
-#: Device 1 lives on the read-only shard; ``OTHER`` on a writable one.
-OTHER = next(device for device in range(2, 100)
-             if shard_of((1, device), None, SHARDS)
-             != shard_of((1, 1), None, SHARDS))
-ROWS = [(1, device, BASE + i, i) for device in (1, OTHER) for i in range(3)]
+def other_network():
+    """A network the router places on another shard than network 1's."""
+    with ShardRouter(shards=SHARDS) as router:
+        table = router.create_table("t", make_schema())
+        return next(network for network in range(2, 100)
+                    if table._owner((network,)) != table._owner((1,)))
+
+
+#: Network 1 lives on the read-only shard; ``OTHER`` on a writable one.
+OTHER = other_network()
+ROWS = [(network, 1, BASE + i, i) for network in (1, OTHER)
+        for i in range(3)]
 
 #: Every write and DDL entry point, spelled on a database facade.
 FACADE_WRITES = {
     "insert_tuples": lambda db: db.table("t").insert_tuples(
-        [(1, 1, BASE + 10, 0), (1, OTHER, BASE + 10, 0)]),
+        [(1, 1, BASE + 10, 0), (OTHER, 1, BASE + 10, 0)]),
     "insert": lambda db: db.table("t").insert(
         [{"network": 1, "device": 1, "ts": BASE + 11, "n": 0}]),
     "bulk_delete": lambda db: db.table("t").bulk_delete((1,)),
@@ -77,12 +83,12 @@ def degraded_engine():
 
 
 def degraded_router():
-    """Only the shard holding device 1 is read-only: the router as a
+    """Only the shard holding network 1 is read-only: the router as a
     whole is not (``router.read_only`` is False)."""
     router = ShardRouter(shards=SHARDS, clock=VirtualClock(start=BASE))
-    router.create_table("t", make_schema()).insert_tuples(ROWS)
-    router.engines[shard_of((1, 1), None, SHARDS)].enter_read_only(
-        "disk full")
+    table = router.create_table("t", make_schema())
+    table.insert_tuples(ROWS)
+    router.engines[table._owner((1, 1))].enter_read_only("disk full")
     assert not router.read_only
     return router
 
@@ -154,8 +160,8 @@ def test_a_router_writes_where_no_shard_is_read_only():
     the rest of the router."""
     router = degraded_router()
     table = router.table("t")
-    assert table.insert_tuples([(1, OTHER, BASE + 20, 0)]) == 1
-    assert table.bulk_delete((1, OTHER)) == 4
+    assert table.insert_tuples([(OTHER, 1, BASE + 20, 0)]) == 1
+    assert table.bulk_delete((OTHER, 1)) == 4
     with pytest.raises(ReadOnlyModeError):
         table.bulk_delete((1, 1))
     router.close()

@@ -72,23 +72,24 @@ class TestRouting:
     def test_shard_of_is_stable_and_in_range(self):
         rng = random.Random(7)
         for _ in range(200):
-            leading = (f"dev-{rng.randrange(1000)}", rng.randrange(50))
+            value = rng.choice([f"dev-{rng.randrange(1000)}",
+                                rng.randrange(-50, 50)])
             n = rng.randrange(1, 9)
-            first = shard_of(leading, None, n)
-            assert first == shard_of(leading, None, n)
+            first = shard_of(value, n)
+            assert first == shard_of(value, n)
             assert 0 <= first < n
 
     def test_single_shard_router_routes_everything_to_zero(self):
-        assert shard_of(("any", "thing"), None, 1) == 0
-        assert shard_of((), 123456, 1) == 0
+        assert shard_of("any", 1) == 0
+        assert shard_of(123456, 1, by_time=True) == 0
 
     def test_bare_ts_keys_route_by_four_hour_grid(self):
         from repro.core.periods import FOUR_HOURS
 
         n = 5
         ts = 1234 * FOUR_HOURS
-        assert shard_of((), ts, n) == shard_of((), ts + FOUR_HOURS - 1, n)
-        assert shard_of((), ts, n) != shard_of((), ts + FOUR_HOURS, n) or n == 1
+        assert shard_of(ts, n, True) == shard_of(ts + FOUR_HOURS - 1, n, True)
+        assert shard_of(ts, n, True) != shard_of(ts + FOUR_HOURS, n, True) or n == 1
 
     def test_routed_rows_land_on_the_shard_shard_of_names(self):
         router = make_router(shards=4)
@@ -96,7 +97,7 @@ class TestRouting:
         rows = sample_rows()
         router.table("usage").insert(rows)
         for row in rows:
-            owner = shard_of((row["device"],), None, 4)
+            owner = shard_of(row["device"], 4)
             for index, engine in enumerate(router.engines):
                 held = engine.table("usage").query(Query(
                     KeyRange(min_prefix=(row["device"], row["ts"]),
@@ -253,7 +254,7 @@ def crashable_router(shards=3):
 class TestDegradedShards:
     def crash_one_shard(self, router):
         """Crash the worker owning dev-00 via a real disk failpoint."""
-        victim = shard_of(("dev-00",), None, router.shard_count)
+        victim = shard_of("dev-00", router.shard_count)
         router.engines[victim].disk.failpoints.set("disk.write", "crash")
         with pytest.raises(ShardDegradedError):
             router.table("usage").flush_all()
@@ -279,7 +280,7 @@ class TestDegradedShards:
             router.table("usage").latest(("dev-00",))
         # ...but the surviving workers keep serving their keys.
         survivors = [d for d in {r["device"] for r in rows}
-                     if shard_of((d,), None, 3) != victim]
+                     if shard_of(d, 3) != victim]
         assert survivors, "test needs at least one surviving device"
         for device in survivors[:3]:
             assert router.table("usage").latest((device,)) is not None
@@ -306,7 +307,7 @@ class TestDegradedShards:
         # worker crash - but every surviving shard's rows remain.
         result = router.table("usage").query(Query(limit=10_000))
         lost = {(r["device"], r["ts"]) for r in rows
-                if shard_of((r["device"],), None, 3) == victim}
+                if shard_of(r["device"], 3) == victim}
         got = {r[:2] for r in result.rows}
         assert got == {(r["device"], r["ts"]) for r in rows} - lost
         # And the revived shard accepts writes again.
