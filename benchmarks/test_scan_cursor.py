@@ -19,6 +19,7 @@ import time
 from itertools import chain
 
 from repro.core.cursor import execute_query
+from repro.core.descriptor import TableDescriptor
 from repro.core.memtable import MemTable
 from repro.core.periods import Period, PeriodLevel
 from repro.core.readcache import ReadCache
@@ -72,8 +73,9 @@ class Fixture:
             self.memtable.insert(row, now=0)
         self.memtable.seal()
         self.mem_keys = [row[:3] for row in self.mem_rows]
-        self.plan = ReadPlan(SCHEMA, None, 1, self.metas, [self.memtable],
-                             lambda meta: self.readers[meta.tablet_id])
+        self.plan = ReadPlan(
+            TableDescriptor("t", SCHEMA, tablets=self.metas, generation=1),
+            [self.memtable], lambda meta: self.readers[meta.tablet_id])
         for reader in self.readers.values():      # warm the block cache
             assert sum(1 for _ in reader.scan(KeyRange.all())) == \
                 NETWORKS * DEVICES * SAMPLES

@@ -8,6 +8,7 @@ invariants the engine relies on:
   descriptor entry;
 * rows are sorted by primary key, unique, and every timestamp lies
   within the tablet's recorded timespan;
+* no primary key is held by two live tablets;
 * block index last-keys agree with the rows;
 * a Bloom filter is present when the table's config expects one
   (warning only - filters are an optimization, §3.4.5).
@@ -32,8 +33,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..disk.storage import StorageError
+from .cursor import merge_runs
 from .database import LittleTable
 from .errors import CorruptTabletError
+from .readpath import timespan_groups
 from .row import KeyRange
 from .table import Table
 
@@ -187,17 +190,50 @@ def check_table(table: Table) -> List[Issue]:
     issues: List[Issue] = []
     name = table.name
     seen_ids = set()
+    live = []
     for meta in table.on_disk_tablets:
         if meta.tablet_id in seen_ids:
             issues.append(Issue(ERROR, name, meta.tablet_id,
                                 "duplicate tablet id in descriptor"))
             continue
         seen_ids.add(meta.tablet_id)
+        live.append(meta)
         issues.extend(_check_tablet(table, meta))
+    # Only tablets whose timespans overlap can share a key (``ts`` is
+    # part of it).
+    for group in timespan_groups(live, ()):
+        if len(group) > 1:
+            issues.extend(_shared_key(table, [meta for meta, *_ in group]))
     if table.descriptor.next_tablet_id <= max(seen_ids, default=0):
         issues.append(Issue(ERROR, name, 0,
                             "next_tablet_id would reuse an existing id"))
     return issues
+
+
+def _shared_key(table: Table, run) -> List[Issue]:
+    """A primary key two live tablets of ``run`` both hold: one merge
+    of their scans, keyed ``(key, tablet id)`` so the copies of a key
+    come out side by side.  A tablet that cannot be read was reported
+    by its own check."""
+    key_of = table.schema.key_of
+
+    def tagged(meta):
+        for rows, _keys in table._reader(meta).scan_runs(KeyRange.all()):
+            yield rows, [(key_of(row), meta.tablet_id) for row in rows]
+    previous = (None, None)
+    try:
+        for _rows, keys in merge_runs(map(tagged, run)):
+            for key, tablet_id in keys:
+                if key == previous[0] and tablet_id != previous[1]:
+                    # Table-level: neither copy is damaged, so repair
+                    # moves none.
+                    return [Issue(ERROR, table.name, 0,
+                                  f"primary key {key!r} is held by live "
+                                  f"tablets {previous[1]} and {tablet_id}")]
+                previous = (key, tablet_id)
+    except (CorruptTabletError, StorageError):
+        pass
+    return []
 
 
 def _check_tablet(table: Table, meta) -> List[Issue]:

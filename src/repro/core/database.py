@@ -224,12 +224,12 @@ class LittleTable:
         self.check_writable()
         effective = self.durability.merged_with(durability)
         effective.validate()
-        descriptor = TableDescriptor(name=name, schema=schema,
-                                     ttl_micros=ttl_micros)
         # Every policy field is table-level; a default policy persists
         # nothing, keeping the descriptor byte-identical to
         # pre-durability engines.
-        descriptor.durability = effective.to_dict() or None
+        descriptor = TableDescriptor(name=name, schema=schema,
+                                     ttl_micros=ttl_micros,
+                                     durability=effective.to_dict() or None)
         descriptor.save(self.disk)
         return self.open_table(descriptor)
 

@@ -15,8 +15,8 @@ which is the anchor of LittleTable's crash-recovery story.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..disk.vfs import SimulatedDisk
 from ..util.checksum import crc32c
@@ -28,22 +28,27 @@ from .tablet import TabletMeta
 DESCRIPTOR_FILENAME = "descriptor.json"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableDescriptor:
-    """The persistent state of one table."""
+    """One version of one table's persistent state: a frozen value,
+    replaced whole by :meth:`repro.core.table.Table._publish`."""
 
     name: str
     schema: Schema
     ttl_micros: Optional[int] = None
-    tablets: List[TabletMeta] = field(default_factory=list)
+    tablets: Tuple[TabletMeta, ...] = ()
     next_tablet_id: int = 1
-    # Monotone counter bumped on every save, used to name temp files.
+    # Advanced by every publish, never persisted: names the save's
+    # temp file, keys the prune index, pins reads.
     generation: int = 0
     # The table's DurabilityPolicy as a dict (durability.py), or None.
     # Only present when the policy differs from the paper-faithful
     # default, so ``none``-tier descriptors are byte-identical to
     # those written before durability tiers existed.
     durability: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tablets", tuple(self.tablets))
 
     def directory(self) -> str:
         return f"tables/{self.name}"
@@ -53,11 +58,6 @@ class TableDescriptor:
 
     def tablet_filename(self, tablet_id: int) -> str:
         return f"{self.directory()}/tab-{tablet_id:08d}.lt"
-
-    def allocate_tablet_id(self) -> int:
-        tablet_id = self.next_tablet_id
-        self.next_tablet_id += 1
-        return tablet_id
 
     def to_json(self) -> str:
         # The descriptor's own CRC (v2.1 checksummed storage) covers
@@ -106,13 +106,19 @@ class TableDescriptor:
         return descriptor
 
     def save(self, disk: SimulatedDisk) -> None:
-        """Write and atomically rename over the previous version."""
-        self.generation += 1
+        """Write and atomically rename over the previous version; a
+        failure removes the temp (a ``CrashPoint`` leaves it)."""
         temp = f"{self.path()}.tmp-{self.generation}"
         disk.fire("descriptor.before_write")
-        disk.write_file(temp, self.to_json().encode("utf-8"))
-        disk.fire("descriptor.before_rename")
-        disk.rename(temp, self.path())
+        try:
+            disk.write_file(temp, self.to_json().encode("utf-8"))
+            disk.fire("descriptor.before_rename")
+            disk.rename(temp, self.path())
+        except Exception:
+            if disk.storage.exists(temp):
+                disk.storage.delete(temp)
+                disk.model.release(temp)
+            raise
         disk.fire("descriptor.after_rename")
 
     @classmethod

@@ -21,9 +21,9 @@ cold migration and bulk delete share one shape: under the table's
 maintenance lock (which serializes them among themselves, never
 against inserts or queries) each decides what to do from the current
 tablet list, does its I/O against immutable inputs with no state lock
-held, and hands :meth:`~repro.core.table.Table._swap_tablets` the
-tablets to remove and to add.  The swap is the only step that touches
-the published tablet set.
+held, and hands :meth:`~repro.core.table.Table._publish` the tablets
+to remove and to add.  The publish is the only step that changes the
+table's version; when its descriptor write fails, nothing changes.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def flush_group(table: "Table", memtable_id: int) -> List[TabletMeta]:
 
     The write runs *off* the state lock: the group is frozen under a
     brief lock hold, the tablets are built lock-free, and the lock is
-    re-acquired only for the O(1) swap and dependency bookkeeping.
+    re-acquired only for the publish and dependency bookkeeping.
     New dependency edges created by concurrent inserts can only point
     *at* group members (a read-only memtable never receives inserts),
     so the closure computed at freeze time stays complete.
@@ -220,6 +220,12 @@ def flush_group(table: "Table", memtable_id: int) -> List[TabletMeta]:
                     meta = _write_memtable(table, memtable, now)
                     if meta is not None:
                         written.append(meta)
+                table._publish(
+                    add=written,
+                    before="flush.before_descriptor",
+                    after="flush.after_descriptor",
+                    bookkeeping=lambda: table._retire_flush_group_locked(
+                        members))
             except Exception as exc:
                 # Leave the group flushable: re-queue it so the next
                 # maintenance pass retries (files already written are
@@ -229,11 +235,6 @@ def flush_group(table: "Table", memtable_id: int) -> List[TabletMeta]:
                 table._requeue_flush_group(members)
                 table._notify_fault(exc)
                 raise
-            table._swap_tablets(
-                (), written,
-                before="flush.before_descriptor",
-                after="flush.after_descriptor",
-                bookkeeping=lambda: table._retire_flush_group_locked(members))
             # Rows just sealed into tablets no longer need their log
             # records; recycle wholly-covered segments.
             table._advance_wal_low_water()
@@ -254,12 +255,11 @@ def _write_memtable(table: "Table", memtable: MemTable, now: int
                     ) -> Optional[TabletMeta]:
     if memtable.empty:
         return None
-    descriptor = table.descriptor
-    tablet_id = descriptor.allocate_tablet_id()
+    tablet_id = table._allocate_tablet_id()
     writer = table._tablet_writer(table.disk, memtable.schema)
     rows, sizes = memtable.sorted_run()
     meta = writer.write(
-        descriptor.tablet_filename(tablet_id), rows,
+        table.descriptor.tablet_filename(tablet_id), rows,
         tablet_id, created_at=now, expected_rows=len(rows), sizes=sizes)
     if meta is not None:
         table.counters.bytes_flushed += meta.size_bytes
@@ -275,7 +275,7 @@ def merge_once(table: "Table") -> Optional[MergePlan]:
     Returns the executed plan, or None.  The merge streams the source
     tablets into a new tablet entirely off the state lock (sources
     are immutable files; :func:`~repro.core.merge.merge_tablets`),
-    then the swap publishes it; the source files are reclaimed once
+    then the publish installs it; the source files are reclaimed once
     in-flight readers drain.
     """
     with table._maintenance_lock:
@@ -291,7 +291,7 @@ def merge_once(table: "Table") -> Optional[MergePlan]:
                                rows=plan.total_rows):
             started = time.perf_counter()
             table.disk.fire("merge.before_write")
-            tablet_id = table.descriptor.allocate_tablet_id()
+            tablet_id = table._allocate_tablet_id()
             try:
                 meta = merge_tablets(
                     plan, [table._reader(t) for t in plan.tablets],
@@ -305,10 +305,9 @@ def merge_once(table: "Table") -> Optional[MergePlan]:
                 if getattr(exc, "tablet", None) is not None:
                     table._isolate_corrupt(exc.tablet, exc)
                 raise
-            table._swap_tablets(plan.tablets,
-                                [meta] if meta is not None else (),
-                                before="merge.before_descriptor",
-                                after="merge.after_descriptor")
+            table._publish(plan.tablets, [meta] if meta is not None else (),
+                           before="merge.before_descriptor",
+                           after="merge.after_descriptor")
             _count_merge(table, plan, meta, started)
         return plan
 
@@ -354,9 +353,8 @@ def expire_tablets(table: "Table") -> int:
         expired_rows = sum(t.row_count for t in expired)
         with table.tracer.span("ttl_expire", table=table.name,
                                tablets=len(expired), rows=expired_rows):
-            table._swap_tablets(expired, (),
-                                before="ttl.before_descriptor",
-                                after="ttl.after_descriptor")
+            table._publish(expired, before="ttl.before_descriptor",
+                           after="ttl.after_descriptor")
         table.metrics.counter("ttl.tablets_expired").inc(len(expired))
         table.metrics.counter("ttl.rows_expired").inc(expired_rows)
         return len(expired)
@@ -388,8 +386,11 @@ def migrate_to_cold(table: "Table", before_ts: int) -> int:
             if meta.tier != "hot" or meta.max_ts >= before_ts:
                 continue
             data = table.disk.storage.read_all(meta.filename)
+            if table.cold_disk.exists(meta.filename):
+                # The copy of a migration whose publish failed.
+                table.cold_disk.delete(meta.filename)
             table.cold_disk.write_file(meta.filename, data)
-            table._swap_tablets(
+            table._publish(
                 [meta], [dataclasses.replace(meta, tier="cold")],
                 before="migrate.before_descriptor")
             migrated += 1
@@ -436,11 +437,11 @@ def _rewrite_tablet_without(table: "Table", plan: readpath.ReadPlan,
                             now: int) -> int:
     """Rewrite one tablet dropping rows inside ``key_range``.
 
-    The replacement is installed by the swap; the old file is
+    The replacement is installed by the publish; the old file is
     reclaimed once in-flight readers drain.  A crash in between
     leaves either version, never both.  Returns rows dropped.
     """
-    tablet_id = table.descriptor.allocate_tablet_id()
+    tablet_id = table._allocate_tablet_id()
     writer = table._tablet_writer(table._disk_for(meta), table.schema)
     key_of = table.schema.key_of
     rows = (row for row in plan.tablet_rows(meta)
@@ -454,8 +455,7 @@ def _rewrite_tablet_without(table: "Table", plan: readpath.ReadPlan,
     if new_meta is not None:
         kept = new_meta.row_count
         replacement.append(dataclasses.replace(new_meta, tier=meta.tier))
-    table._swap_tablets([meta], replacement,
-                        before="rewrite.before_descriptor")
+    table._publish([meta], replacement, before="rewrite.before_descriptor")
     return meta.row_count - kept
 
 

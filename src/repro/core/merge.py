@@ -24,7 +24,7 @@ Two further rules from §3.4.2 and §5.1.3:
 The second half of the module is the merge *executor*
 (:func:`merge_tablets`): a function of a plan, the plan's readers and
 a writer that needs no table state, so the table only chooses the
-plan, calls it off-lock, and publishes the result with its swap.
+plan, calls it off-lock, and publishes the result.
 """
 
 from __future__ import annotations

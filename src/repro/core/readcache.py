@@ -206,12 +206,12 @@ class TabletPruneIndex:
     """Interval index + zone maps over a table's on-disk tablets.
 
     Rebuilt lazily whenever the descriptor generation changes (every
-    tablet-set mutation saves the descriptor and bumps it).  Tablets
-    are sorted by ``min_ts``; ``select`` binary-searches the sorted
-    order and walks backwards until a running prefix-maximum of
-    ``max_ts`` proves no earlier tablet can overlap - O(log n + k) for
-    the mostly-disjoint timespans two-dimensional clustering produces
-    (§3.4), against O(n) for the old linear sweep.
+    publish advances it).  Tablets are sorted by ``min_ts``; ``select``
+    binary-searches the sorted order and walks backwards until a
+    running prefix-maximum of ``max_ts`` proves no earlier tablet can
+    overlap - O(log n + k) for the mostly-disjoint timespans
+    two-dimensional clustering produces (§3.4), against O(n) for the
+    old linear sweep.
 
     Key-dimension pruning uses per-tablet zone maps: the first and
     last primary key each tablet holds (recorded by the writer,
@@ -223,11 +223,9 @@ class TabletPruneIndex:
     Concurrency: the built index lives in one immutable state tuple
     bound to a single attribute, so concurrent off-lock readers either
     see a complete prior build or trigger a (idempotent) rebuild of
-    their own - never a half-written index.  Queries pass their
-    snapshot explicitly via :meth:`select_snapshot`; the generation
-    travels with the snapshot, captured under the same lock hold as
-    the tablet list, so a swap racing the query cannot pair a new
-    generation with an old list.
+    their own - never a half-written index.  A query passes the
+    version its read pinned, so a publish racing it cannot pair a new
+    generation with an old tablet list.
     """
 
     # One immutable tuple: (generation, tablets_by_min_ts, min_ts list,
@@ -250,30 +248,19 @@ class TabletPruneIndex:
             prefix_max.append(running)
         return (generation, tablets, min_ts, prefix_max)
 
-    def select(self, descriptor, time_range: TimeRange,
+    def select(self, version, time_range: TimeRange,
                key_range: Optional[KeyRange] = None
                ) -> Tuple[List[Any], int]:
-        """:meth:`select_snapshot` against the descriptor's live state
-        (single-threaded/offline callers; queries snapshot first)."""
-        return self.select_snapshot(descriptor.generation,
-                                    descriptor.tablets, time_range,
-                                    key_range)
-
-    def select_snapshot(self, generation: int, source: List[Any],
-                        time_range: TimeRange,
-                        key_range: Optional[KeyRange] = None
-                        ) -> Tuple[List[Any], int]:
-        """Tablets that may hold rows in the query rectangle.
-
-        ``(generation, source)`` is the caller's consistent snapshot of
-        the copy-on-write tablet list.  Returns ``(selected,
+        """Tablets of ``version`` (a frozen table version) that may
+        hold rows in the query rectangle.  Returns ``(selected,
         pruned_count)`` where ``selected`` is in ``min_ts`` order and
         ``pruned_count`` is how many on-disk tablets were skipped
         without opening a reader.
         """
+        generation = version.generation
         state = self._state
         if state[0] != generation:
-            state = self._build(generation, source)
+            state = self._build(generation, version.tablets)
             self._state = state
         _generation, tablets, min_ts_list, prefix_max_ts = state
         total = len(tablets)

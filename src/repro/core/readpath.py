@@ -29,6 +29,7 @@ from typing import (Any, Callable, Iterator, List, Optional, Sequence,
 from ..disk.storage import StorageError
 from ..obs.metrics import NULL_REGISTRY
 from .cursor import execute_query
+from .descriptor import TableDescriptor
 from .errors import CorruptTabletError
 from .memtable import MemTable
 from .readcache import TabletPruneIndex
@@ -84,21 +85,18 @@ def reader_runs(reader: TabletReader, schema: Schema,
 class ReadPlan:
     """One consistent snapshot of a table's sources.
 
-    ``tablets`` is the copy-on-write list the descriptor was bound to
-    at capture (never mutated afterwards) and ``memtables`` the
+    ``version`` is the frozen table version captured (its schema, TTL,
+    ``generation`` and tablets are the plan's) and ``memtables`` the
     non-empty unflushed ones; memtables are safe for concurrent reads
     (a scan racing an insert sees some, all, or none of it, §3.1).
     ``generation`` keys the prune index; ``cache_generation`` and
     ``insert_seq`` let ``latest`` decide whether its answer may be
-    cached.  Used as a context manager: the table's plan carries the
-    epoch pin that keeps every file in ``tablets`` on disk, dropped
-    (``release(epoch)``) when the ``with`` block ends.
+    cached.  Used as a context manager: the table's plan pins its
+    generation, which keeps every file in ``tablets`` on disk, until
+    the ``with`` block ends.
     """
 
-    schema: Schema
-    ttl_micros: Optional[int]
-    generation: int
-    tablets: Sequence[TabletMeta]
+    version: TableDescriptor
     memtables: Sequence[MemTable]
     open_reader: Callable[[TabletMeta], TabletReader]
     cache_generation: int = 0
@@ -106,23 +104,23 @@ class ReadPlan:
     on_corrupt: Optional[Callable[[TabletMeta, BaseException], None]] = None
     prune_index: TabletPruneIndex = field(default_factory=TabletPruneIndex)
     metrics: ReadMetrics = field(default_factory=ReadMetrics)
-    epoch: int = 0
     release: Optional[Callable[[int], None]] = None
+
 
     def __enter__(self) -> "ReadPlan":
         return self
 
     def __exit__(self, *_exc_info) -> None:
         if self.release is not None:
-            self.release(self.epoch)
+            self.release(self.version.generation)
 
     def select(self, time_range: TimeRange, key_range: Optional[KeyRange],
                stats: Optional[QueryStats] = None) -> List[TabletMeta]:
         """Tablets that may hold rows in the rectangle, in ``min_ts``
         order: the zone-map + time-interval pruning every read shares.
         Pruned tablets advance ``query.tablets_pruned``."""
-        selected, pruned = self.prune_index.select_snapshot(
-            self.generation, self.tablets, time_range, key_range)
+        selected, pruned = self.prune_index.select(
+            self.version, time_range, key_range)
         if pruned:
             if stats is not None:
                 stats.tablets_pruned += pruned
@@ -151,8 +149,9 @@ class ReadPlan:
         block's in-range slice) at a time; nothing is opened or read
         before the first ``next()``."""
         try:
-            yield from reader_runs(self.open_reader(meta), self.schema,
-                                   key_range, descending)
+            yield from reader_runs(self.open_reader(meta),
+                                   self.version.schema, key_range,
+                                   descending)
         except CORRUPTION as exc:
             self.corrupt(meta, exc)
             raise
@@ -168,7 +167,7 @@ class ReadPlan:
         older schema (a schema change retires filling memtables, but
         they stay readable until flushed)."""
         return translated_runs(memtable.scan_runs(key_range, descending),
-                               self.schema, memtable.schema)
+                               self.version.schema, memtable.schema)
 
     def may_hold_prefix(self, meta: TabletMeta,
                         encoded_prefix: Optional[List[bytes]]) -> bool:
@@ -200,8 +199,8 @@ def scan_stretches(plan: ReadPlan, query: Query, now: int, stats: QueryStats
         if query.time_range.overlaps(memtable.min_ts, memtable.max_ts):
             sources.append(plan.memtable_runs(memtable, query.key_range,
                                               descending))
-    return execute_query(sources, plan.schema, query, now, plan.ttl_micros,
-                         stats)
+    return execute_query(sources, plan.version.schema, query, now,
+                         plan.version.ttl_micros, stats)
 
 
 def tablets_holding(plan: ReadPlan, key_range: KeyRange,
@@ -245,11 +244,12 @@ def aggregate(plan: ReadPlan, spec: AggregateSpec, now: int,
     filter, and pruned tablets advance the same
     ``query.tablets_pruned`` counter plain selects use.
     """
-    cutoff = None if plan.ttl_micros is None else now - plan.ttl_micros
+    ttl = plan.version.ttl_micros
+    cutoff = None if ttl is None else now - ttl
     tlo, thi = resolve_time_bounds(spec.time_range, cutoff)
     partials = AggregatePartials()
     groups = partials.groups
-    ts_index = plan.schema.ts_index
+    ts_index = plan.version.schema.ts_index
     filtered = plan.metrics.push_rows_filtered
 
     def fold(columns: Sequence[Sequence[Any]], lo: int, hi: int,
@@ -299,9 +299,10 @@ def _fold_tablet(plan: ReadPlan, meta: TabletMeta, key_range: KeyRange,
     metrics = plan.metrics
     reader = plan.open_reader(meta)
     reader.ensure_loaded()
-    if reader.schema.version != plan.schema.version:
+    if reader.schema.version != plan.version.schema.version:
         # Old-schema rows are translated one by one (§3.5).
-        _fold_runs(plan, reader_runs(reader, plan.schema, key_range), fold)
+        _fold_runs(plan, reader_runs(reader, plan.version.schema,
+                                     key_range), fold)
         metrics.push_blocks_fallback.inc(reader.block_count)
         return
     key_indexes = reader.schema.key_indexes
@@ -332,7 +333,7 @@ def latest_row(plan: ReadPlan, prefix: Tuple[Any, ...],
     ``encoded_prefix`` lets Bloom filters skip tablets that cannot
     contain the prefix; rows older than ``cutoff`` do not count.
     """
-    schema = plan.schema
+    schema = plan.version.schema
     ts_of = schema.ts_of
     full_prefix = len(prefix) == schema.key_width - 1
     key_range = KeyRange.prefix(prefix)
@@ -354,7 +355,7 @@ def latest_row(plan: ReadPlan, prefix: Tuple[Any, ...],
                 sources.append(plan.tablet_runs(source, key_range,
                                                 descending=True))
         for row in chain.from_iterable(execute_query(
-                sources, schema, query, now, plan.ttl_micros, stats)):
+                sources, schema, query, now, plan.version.ttl_micros, stats)):
             ts = ts_of(row)
             if cutoff is not None and ts < cutoff:
                 continue

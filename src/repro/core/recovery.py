@@ -8,11 +8,11 @@ classes after a crash:
 * **Durable tablets** - files the descriptor references.  These were
   fully written and fsynced before the swap that published them.
 * **Crash garbage** - tablet files no descriptor references (a flush
-  or merge died before its swap) and stale ``descriptor.json.tmp-*``
+  or merge died before its publish) and stale ``descriptor.json.tmp-*``
   files (a save died between write and rename).  Neither was ever
   durable, so deleting them cannot lose acknowledged data; deleting
   the stale temps also prevents a name collision with the reopened
-  table's own first save (generations restart at 1 after reopen).
+  table's own first save (generations restart at 0 after reopen).
 * **Damaged durables** - referenced files that are missing, truncated,
   or fail their trailer/footer checksums (format v2.1).  The scrub
   moves damaged files into ``quarantine/`` (never deletes them - an
@@ -44,6 +44,7 @@ failpoints meant for the workload under test.  Descriptor rewrites
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -152,7 +153,6 @@ def startup_scrub(disk: SimulatedDisk, metrics=None) -> ScrubReport:
         descriptor = TableDescriptor.load(disk, name)
         # 3. Referenced hot tablets: verify, quarantine the damaged.
         kept: List[TabletMeta] = []
-        changed = False
         for meta in descriptor.tablets:
             if meta.tier != "hot":
                 kept.append(meta)
@@ -170,9 +170,8 @@ def startup_scrub(disk: SimulatedDisk, metrics=None) -> ScrubReport:
                 report.quarantined.append(meta.filename)
                 report.issues.append(
                     f"{meta.filename}: {problem} (moved to {moved})")
-                changed = True
         # 4. Orphan tablet files: present on disk, referenced by no
-        # tier of the descriptor.  A flush/merge died before its swap;
+        # tier of the descriptor.  A flush/merge died before its publish;
         # the rows were never durable (still memtable-resident or
         # still covered by the pre-merge tablets).
         referenced = {meta.filename for meta in descriptor.tablets}
@@ -214,9 +213,8 @@ def startup_scrub(disk: SimulatedDisk, metrics=None) -> ScrubReport:
                 report.issues.append(
                     f"{filename}: WAL segment for a none-tier table"
                     f" (moved to {moved})")
-        if changed:
-            descriptor.tablets = kept
-            descriptor.save(disk)
+        if len(kept) < len(descriptor.tablets):
+            dataclasses.replace(descriptor, tablets=kept).save(disk)
     # A snapshot manifest marks this directory as (also) a snapshot:
     # recognized by name, verified, reported when damaged - never
     # reclaimed as an unrecognized orphan.  Lazy import: snapshot.py

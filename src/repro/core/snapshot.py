@@ -7,9 +7,10 @@ short leaves the target's previous version whole and the new files
 orphans the startup scrub reclaims.  It is the paper's rsync from shard
 to spare (§2.2, §3.5), safe for the same reasons: a tablet never
 changes once written, and one descriptor names them atomically.  A
-local source is pinned by :func:`pin_version` (the table's read plan
-keeps the files on disk until it is released, so flush and merge run
-on); the warm spare (:mod:`repro.dashboard.failover`) copies every
+local source is pinned by the table's read plan (``plan.version`` is
+the frozen version it pins; its files stay on disk until the plan is
+released, so flush and merge run on); the warm spare
+(:mod:`repro.dashboard.failover`) copies every
 table until a pass copies nothing, and a standby
 (:mod:`repro.net.replica`) copies the descriptor a ``repl_manifest``
 reply carries, fetching tablets over the wire.
@@ -67,19 +68,6 @@ def _link_or_copy(read, target: SimulatedDisk, name: str) -> None:
             pass  # cross-device, exists, or no hard links: fall back
     target.write_file(name, read.read_all(name)
                       if isinstance(read, Storage) else read(name))
-
-
-def pin_version(table) -> Tuple[Any, TableDescriptor]:
-    """Pin ``table``'s current version for a copy.
-
-    Returns its read plan - hold it in a ``with`` block: every file the
-    version lists stays on disk until the block ends - and a private
-    descriptor listing exactly the plan's tablets.
-    """
-    with table.lock:
-        plan = table._read_plan()
-        return plan, dataclasses.replace(table.descriptor,
-                                         tablets=list(plan.tablets))
 
 
 def copy_version(descriptor: TableDescriptor, read,
@@ -182,28 +170,32 @@ def create_snapshot(db, dest) -> Dict[str, Any]:
         # The cut: the version pinned and each unflushed memtable's
         # published state captured in one state-lock hold.
         with table.lock:
-            plan, version = pin_version(table)
+            plan = table._read_plan()
             captured = [(memtable, memtable.capture())
                         for memtable in plan.memtables]
         with plan:
+            version = plan.version
             # The bytes land inside the snapshot, so a restored engine
             # reads every tablet locally, whatever its tier was.
             metas = [dataclasses.replace(meta, tier="hot")
                      for meta in version.tablets]
             # Captured rows become sidecar tablets, each under its
-            # memtable's schema, as a flush writes it.
+            # memtable's schema, as a flush writes it, numbered from
+            # the version's next id.
             rows_captured = 0
+            tablet_id = version.next_tablet_id
             for memtable, state in captured:
                 rows, sizes = memtable.sorted_run(state)
                 rows_captured += len(rows)
-                tablet_id = version.allocate_tablet_id()
                 meta = table._tablet_writer(snap_disk, memtable.schema).write(
                     version.tablet_filename(tablet_id), rows, tablet_id,
                     created_at=now, expected_rows=len(rows), sizes=sizes)
+                tablet_id += 1
                 if meta is not None:
                     metas.append(meta)
             files, _dropped = copy_version(
-                dataclasses.replace(version, tablets=metas),
+                dataclasses.replace(version, tablets=metas,
+                                    next_tablet_id=tablet_id),
                 _tablet_source(table, version), snap_disk)
         copied += len(files)
         summary_tables[table.name] = {

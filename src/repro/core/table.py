@@ -2,11 +2,11 @@
 
 A table is "a union of sub-tables, called tablets, of two types"
 (§3.2): filling/flush-pending in-memory tablets and immutable on-disk
-tablets.  :class:`Table` is the lock-and-swap coordinator over them:
+tablets.  :class:`Table` is the lock-and-publish coordinator over them:
 it owns the locks, the memtables and their admit loop, the epoch
 bookkeeping that keeps replaced files alive for in-flight readers,
-the one method that changes the tablet set
-(:meth:`Table._swap_tablets`) and the one that hands a read its
+the one method that changes the table's version
+(:meth:`Table._publish`) and the one that hands a read its
 snapshot (:meth:`Table._read_plan`).  What a read does with the
 snapshot lives in :mod:`~repro.core.readpath`, the maintenance
 operations in :mod:`~repro.core.maintenance`, the merge executor in
@@ -22,7 +22,7 @@ writer or the dashboard read path (§3.3, §3.4.4).  Lock hierarchy
 
     _maintenance_lock  ->  lock (state)  ->  _reader_lock
 
-* :attr:`Table._maintenance_lock` serializes the tablet-set mutators
+* :attr:`Table._maintenance_lock` serializes the version's mutators
   among themselves: flush, merge, TTL expiry, bulk delete, cold
   migration, and schema changes.  It is held for the *duration* of
   the work, which is why that work must never be done under the state
@@ -30,18 +30,18 @@ writer or the dashboard read path (§3.3, §3.4.4).  Lock hierarchy
 * :attr:`Table.lock` (the state lock) protects the mutable in-memory
   state: the memtable maps, the flush-dependency graph, and the
   descriptor binding.  It is only ever held briefly - an insert
-  batch, a snapshot capture, or an O(1) swap.
+  batch, a snapshot capture, or a publish.
 * :attr:`Table._reader_lock` guards the open-reader map.
 
-The on-disk tablet list is **copy-on-write**: neither
-``descriptor.tablets`` nor any :class:`TabletMeta` reachable from it
-is mutated after publication; the swap builds a new list and
-publishes it with a single assignment under the state lock.  A reader
-therefore snapshots ``(generation, tablets, memtables)`` in one brief
-lock hold and scans entirely off-lock against immutable state.
-Removed tablets' files enter a **deferred-delete queue** tagged with a
-read epoch and are reclaimed only once every reader that could have
-seen the old tablet list has finished (epoch-based reclamation).
+The table's **version** is one frozen
+:class:`~repro.core.descriptor.TableDescriptor` (tablets, schema, TTL,
+``generation``): :meth:`Table._publish` writes the next one and only
+then binds it under the state lock.  A reader snapshots ``(version,
+memtables)`` in one brief lock hold and scans entirely off-lock.  The
+``generation`` is the read epoch: removed tablets' files enter a
+**deferred-delete queue** tagged with the last generation listing them
+and are reclaimed once every reader pinned at or before it has
+finished (epoch-based reclamation).
 
 Insert backpressure: while the database's maintenance loop
 (:mod:`~repro.core.scheduler`) runs, each pass arms a flush-pending
@@ -53,6 +53,7 @@ budget) for the flushers to drain, observable via
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass
@@ -72,7 +73,8 @@ from .config import EngineConfig
 from .descriptor import TableDescriptor
 from .durability import DEFAULT_DURABILITY, DurabilityPolicy
 from .errors import (CorruptTabletError, DuplicateKeyError, LittleTableError,
-                     QueryError, SchemaError, ValidationError)
+                     NoSuchTableError, QueryError, SchemaError,
+                     ValidationError)
 from .flushdeps import FlushDependencies
 from .memtable import MemTable
 from .merge import MergePlan, pending_merge_runs
@@ -88,9 +90,9 @@ from .wal import WalReplayReport, WriteAheadLog, decode_record_rows
 if TYPE_CHECKING:
     from .database import LittleTable
 
-# One deferred delete: (epoch it was queued at, the device holding the
-# file, the removed tablet, whether the file is quarantined rather
-# than deleted).
+# One deferred delete: (the generation of the last version listing the
+# tablet, the device holding the file, the removed tablet, whether the
+# file is quarantined rather than deleted).
 _Doomed = Tuple[int, SimulatedDisk, TabletMeta, bool]
 
 
@@ -168,7 +170,7 @@ class Table:
         self._backpressure_limit: Optional[int] = None
         self._backpressure_wait_s = 5.0
         # WAL-tier schema changes close this gate while they flush and
-        # swap: an insert admitted in that window would log a WAL
+        # publish: an insert admitted in that window would log a WAL
         # record at the old schema version that replay cannot decode.
         # ``none``-tier tables never set it (paper semantics intact).
         self._ddl_gate = False
@@ -229,13 +231,14 @@ class Table:
         self._deps = FlushDependencies()
         self._next_memtable_id = 1
         self._readers: Dict[int, TabletReader] = {}
-        # Epoch-based deferred reclamation: _read_epoch advances on
-        # every swap that removes tablets; each removal is queued with
-        # the pre-swap epoch and its file is reclaimed only once no
-        # active reader entered at or before that epoch.
-        self._read_epoch = 0
+        # Recorded by every version the table publishes.
+        self._next_tablet_id = descriptor.next_tablet_id
+        # Reads in flight per pinned generation (epoch reclamation).
         self._active_reads: Dict[int, int] = {}
         self._pending_deletes: List[_Doomed] = []
+        # Set once the table is dropped or replaced (_close): this
+        # object then publishes nothing.
+        self._closed = False
         self._uniqueness = KeyUniqueness(config, m, self._reader,
                                          self._bloom_prefix,
                                          descriptor.tablets)
@@ -256,8 +259,8 @@ class Table:
 
     @property
     def on_disk_tablets(self) -> List[TabletMeta]:
-        # The tablet list is copy-on-write: reading the binding once
-        # yields an immutable snapshot, no lock needed.
+        # The version is immutable: reading the binding once yields a
+        # snapshot, no lock needed.
         return list(self.descriptor.tablets)
 
     @property
@@ -373,30 +376,29 @@ class Table:
 
     def _read_plan(self) -> readpath.ReadPlan:
         """Enter a read (``with table._read_plan() as plan``): pin the
-        epoch and snapshot the sources in one state-lock hold, so no
-        swap can land between the two and every file the plan lists
-        stays on disk until the block ends.  The only way a read
-        obtains tablets or memtables."""
+        version and snapshot the memtables in one state-lock hold, so
+        every file ``plan.version`` lists stays on disk until the block
+        ends.  The only way a read or a copy obtains its sources."""
         with self.lock:
-            epoch = self._read_epoch
-            self._active_reads[epoch] = self._active_reads.get(epoch, 0) + 1
-            descriptor = self.descriptor
+            version = self.descriptor
+            generation = version.generation
+            self._active_reads[generation] = (
+                self._active_reads.get(generation, 0) + 1)
             return readpath.ReadPlan(
-                descriptor.schema, descriptor.ttl_micros,
-                descriptor.generation, descriptor.tablets,
+                version,
                 [m for m in self._unflushed.values() if not m.empty],
                 self._reader, self._cache_generation, self._insert_seq,
                 self._isolate_corrupt, self._prune_index,
-                self._read_metrics, epoch, self._end_read)
+                self._read_metrics, self._end_read)
 
-    def _end_read(self, epoch: int) -> None:
+    def _end_read(self, generation: int) -> None:
         """Leave a read; reclaims deferred deletes it was pinning."""
         with self.lock:
-            count = self._active_reads[epoch] - 1
+            count = self._active_reads[generation] - 1
             if count:
-                self._active_reads[epoch] = count
+                self._active_reads[generation] = count
             else:
-                del self._active_reads[epoch]
+                del self._active_reads[generation]
             reapable = self._claim_reapable_locked()
         self._dispose(reapable)
 
@@ -419,90 +421,108 @@ class Table:
         """Reclaim removed tablets' files and drop their reader/cache
         state.  A quarantined file moves into ``quarantine/`` on the
         same device - never deleted, so an operator can inspect or
-        recover it.  Runs without the state lock (this is I/O)."""
+        recover it.  Runs without the state lock (this is I/O).  A file
+        that cannot be reclaimed stays, an orphan for the startup
+        scrub: the version that dropped it is already published, so
+        its caller has not failed."""
         for _epoch, disk, meta, quarantined in items:
-            if not quarantined:
+            try:
                 if disk.exists(meta.filename):
-                    disk.delete(meta.filename)
-            else:
-                destination = f"quarantine/{meta.filename}"
-                try:
-                    if disk.exists(meta.filename):
+                    if quarantined:
+                        destination = f"quarantine/{meta.filename}"
                         if disk.exists(destination):
                             disk.delete(destination)
                         disk.rename(meta.filename, destination)
-                except StorageError:
-                    pass  # quarantining must not fail the caller further
+                    else:
+                        disk.delete(meta.filename)
+            except StorageError:
+                pass
             self._drop_reader_state(meta.tablet_id)
 
-    # ---------------------------------------------------------- the swap
+    # ------------------------------------------------------- the publish
 
-    def _swap_tablets(self, remove: Iterable[TabletMeta],
-                      add: Sequence[TabletMeta],
-                      before: Optional[str] = None,
-                      after: Optional[str] = None,
-                      quarantine: bool = False, save: bool = True,
-                      bookkeeping: Optional[Callable[[], None]] = None
-                      ) -> List[TabletMeta]:
-        """Publish a new tablet list: the one place the set changes
+    def _allocate_tablet_id(self) -> int:
+        """A fresh tablet id (maintenance lock held)."""
+        tablet_id = self._next_tablet_id
+        self._next_tablet_id += 1
+        return tablet_id
+
+    def _publish(self, remove: Iterable[TabletMeta] = (),
+                 add: Sequence[TabletMeta] = (),
+                 before: Optional[str] = None,
+                 after: Optional[str] = None,
+                 quarantine: bool = False,
+                 bookkeeping: Optional[Callable[[], None]] = None,
+                 **changes: Any) -> List[TabletMeta]:
+        """Publish the table's next version: the one place it changes
         (§3.2: "after every change").
 
-        Under one state-lock hold the copy-on-write list (current
-        minus ``remove`` plus ``add``) is bound and the descriptor
-        saved between the ``before``/``after`` failpoints.  If
-        anything was removed the read epoch advances, the removed
-        files queue behind it (deleted later, or moved aside when
+        Under the state lock the next version - the current one minus
+        ``remove`` plus ``add``, with ``changes`` (``schema``,
+        ``ttl_micros``), the tablet-id counter and ``generation + 1`` -
+        is written after the ``before`` failpoint; only then is it
+        bound, ``bookkeeping`` (caller state that changes with it) run
+        and the ``after`` failpoint fired.  A write that raises
+        publishes nothing and runs no bookkeeping.  Removed files queue
+        behind the old generation (deleted later, or moved aside when
         ``quarantine``) and the latest-row cache generation is bumped;
-        a pure addition (flush) changes no existing answer and leaves
-        that cache warm.  ``bookkeeping`` is caller state that must
-        change atomically with the publication; ``save=False`` is
-        for drop, whose descriptor is about to be deleted.  Returns the
+        a pure addition (flush) leaves that cache warm.  Returns the
         tablets actually removed (a concurrent quarantine may have
-        taken one).
+        taken one).  A closed table raises :class:`NoSuchTableError`.
         """
         remove_ids = {t.tablet_id for t in remove}
         started = time.perf_counter()
         with self.lock:
-            current = self.descriptor.tablets
+            if self._closed:
+                raise NoSuchTableError(f"table {self.name!r} was dropped")
+            current = self.descriptor
             # Resolved before anything changes: a cold tablet without
             # a cold store raises here, not half way through.
-            doomed = [(self._disk_for(t), t) for t in current
+            doomed = [(self._disk_for(t), t) for t in current.tablets
                       if t.tablet_id in remove_ids]
-            if doomed or add:
+            if doomed or add or changes:
+                version = dataclasses.replace(
+                    current, generation=current.generation + 1,
+                    next_tablet_id=self._next_tablet_id,
+                    tablets=tuple(t for t in current.tablets
+                                  if t.tablet_id not in remove_ids)
+                    + tuple(add), **changes)
                 if before is not None:
                     self.disk.fire(before)
-                self.descriptor.tablets = [
-                    t for t in current if t.tablet_id not in remove_ids
-                ] + list(add)
-                if save:
-                    self.descriptor.save(self.disk)
-                if after is not None:
-                    self.disk.fire(after)
-            if doomed:
-                # Readers entering from now on cannot reference the
-                # removed tablets.
-                epoch = self._read_epoch
-                self._read_epoch = epoch + 1
-                self._pending_deletes.extend(
-                    (epoch, disk, meta, quarantine) for disk, meta in doomed)
-                self._m_deferred.inc(len(doomed))
-                self._bump_cache_generation()
+                version.save(self.disk)
+                self.descriptor = version
             if bookkeeping is not None:
                 bookkeeping()
-            reapable = self._claim_reapable_locked()
-        self._dispose(reapable)
+            if doomed:
+                self._bump_cache_generation()
+            if after is not None and self.descriptor is not current:
+                self.disk.fire(after)
+        self._retire(current.generation, doomed, quarantine)
         self._h_swap_hold.observe((time.perf_counter() - started) * 1e6)
         return [meta for _disk, meta in doomed]
+
+    def _retire(self, generation: int,
+                doomed: Sequence[Tuple[SimulatedDisk, TabletMeta]],
+                quarantine: bool = False) -> None:
+        """Queue tablets' files behind the reads pinned at or before
+        ``generation`` (the last version listing them) and reclaim
+        whatever no read pins."""
+        with self.lock:
+            self._pending_deletes.extend(
+                (generation, disk, meta, quarantine) for disk, meta in doomed)
+            self._m_deferred.inc(len(doomed))
+            reapable = self._claim_reapable_locked()
+        self._dispose(reapable)
 
     def quarantine_tablet(self, meta: TabletMeta, reason: str) -> bool:
         """Pull a corrupt tablet out of the live set.
 
-        The swap drops it from the descriptor and its file moves into
+        The publish drops it from the version and its file moves into
         ``quarantine/`` once no in-flight reader still holds it.
         Returns False if the tablet was already gone (a concurrent
         merge or quarantine got there first).
         """
-        if not self._swap_tablets([meta], (), quarantine=True):
+        if not self._publish([meta], quarantine=True):
             return False
         self._m_quarantined.inc()
         with self.tracer.span("quarantine", table=self.name,
@@ -515,6 +535,15 @@ class Table:
         if self.config.quarantine_on_corruption:
             self.quarantine_tablet(meta, f"{type(exc).__name__}: {exc}")
 
+    def _close(self) -> TableDescriptor:
+        """Stop this object publishing (the table was dropped, or a
+        standby resync replaced it): a late read's quarantine or a
+        stale handle's write must not save its version over a path a
+        new table may own.  Returns the last version."""
+        with self.lock:
+            self._closed = True
+            return self.descriptor
+
     def drop(self) -> None:
         """Delete the table's files (DROP TABLE, §3.5); files go at
         once, pinned or not, because a new table may reuse the name
@@ -523,14 +552,16 @@ class Table:
         database like any other DDL: space comes back through TTL
         expiry and deferred deletes, which maintenance keeps running."""
         with self._maintenance_lock:
-            self._swap_tablets(self.descriptor.tablets, (), save=False)
+            version = self._close()
             with self.lock:
                 doomed, self._pending_deletes = self._pending_deletes, []
+            doomed.extend((0, self._disk_for(meta), meta, False)
+                          for meta in version.tablets)
             self._dispose(doomed)
             if self.wal is not None:
                 self.wal.delete_files()
-            if self.disk.exists(self.descriptor.path()):
-                self.disk.delete(self.descriptor.path())
+            if self.disk.exists(version.path()):
+                self.disk.delete(version.path())
 
     # ----------------------------------------------------------- inserts
 
@@ -557,8 +588,8 @@ class Table:
         inserted = 0
         with self.lock:
             while self._ddl_gate:
-                # A WAL-tier schema change is flushing + swapping; wait
-                # so this batch logs at the post-swap schema version.
+                # A WAL-tier schema change is flushing + publishing; wait
+                # so this batch logs at the published schema version.
                 self._flush_cond.wait(0.1)
             self._wait_for_flush_capacity_locked()
             # WAL tier: collect accepted rows so the whole batch
@@ -762,7 +793,7 @@ class Table:
         return members
 
     def _requeue_flush_group(self, members: Sequence[MemTable]) -> None:
-        """A flush failed before its swap: keep the group flushable."""
+        """A flush failed to publish: keep the group flushable."""
         with self.lock:
             for memtable in members:
                 mid = memtable.memtable_id
@@ -771,7 +802,7 @@ class Table:
 
     def _retire_flush_group_locked(self, members: Sequence[MemTable]
                                    ) -> None:
-        """The flush swap's bookkeeping: the group's rows are now in
+        """The flush publish's bookkeeping: the group's rows are now in
         published tablets, so its memtables leave the read set in the
         same lock hold."""
         group = [memtable.memtable_id for memtable in members]
@@ -919,7 +950,7 @@ class Table:
 
     # ------------------------------------------------------ maintenance
     #
-    # Each operation is off-lock work that ends in the swap; the
+    # Each operation is off-lock work that ends in a publish; the
     # bodies live in maintenance.py.
 
     def maybe_merge(self) -> Optional[MergePlan]:
@@ -1033,9 +1064,9 @@ class Table:
         only: no tablet is opened and no counters advance.
         """
         with self._read_plan() as plan:
-            selected, _pruned = plan.prune_index.select_snapshot(
-                plan.generation, plan.tablets, time_range, key_range)
-            return len(selected), len(plan.tablets)
+            selected, _pruned = plan.prune_index.select(
+                plan.version, time_range, key_range)
+            return len(selected), len(plan.version.tablets)
 
     def aggregate_partials(self, spec: AggregateSpec) -> AggregatePartials:
         """Vectorized partial aggregation over this table's sources
@@ -1146,21 +1177,19 @@ class Table:
             raise SchemaError("TTL must be positive (or None to disable)")
         self._check_writable()
         with self._maintenance_lock:
-            with self.lock:
-                self.descriptor.ttl_micros = ttl_micros
-                self.descriptor.save(self.disk)
+            self._publish(ttl_micros=ttl_micros)
 
     def _apply_schema(self, schema: Schema) -> None:
-        # DDL is a tablet-set mutator: it serializes with flush/merge
-        # through the maintenance lock and swaps state briefly.
+        # DDL changes the version: it serializes with flush/merge
+        # through the maintenance lock and publishes like them.
         with self._maintenance_lock:
             # WAL tier: seal current-schema rows into tablets first so
             # every WAL record whose rows are not yet tablet-covered
             # carries the (single) current schema version - replay
             # skips version-mismatched records, so any row allowed to
-            # log at the old version between the flush and the swap
+            # log at the old version between the flush and the publish
             # would be lost by a crash.  The gate closes that window:
-            # inserts admitted before it block until the swap lands,
+            # inserts admitted before it block until the publish lands,
             # and rows logged before the gate closed are drained by
             # flush_all (their old-version records are then fully
             # tablet-covered, so replay's skip is harmless).
@@ -1171,32 +1200,30 @@ class Table:
             try:
                 if gated:
                     self.flush_all()
-                self._apply_schema_swap(schema)
+                self._publish(schema=schema,
+                              bookkeeping=lambda: self._retire_filling(schema))
             finally:
                 if gated:
                     with self.lock:
                         self._ddl_gate = False
                         self._flush_cond.notify_all()
-
-    def _apply_schema_swap(self, schema: Schema) -> None:
-        with self.lock:
-            # Retire filling memtables so new inserts use the new
-            # schema; flushed tablets keep their old schema and
-            # translate on read.
-            for memtable in list(self._filling.values()):
-                if memtable.empty:
-                    self._freeze_locked(memtable)
-                    del self._unflushed[memtable.memtable_id]
-                else:
-                    self._retire_memtable(memtable)
-            self.descriptor.schema = schema
-            self._codec = SchemaCodec(schema, self.metrics)
-            self.descriptor.save(self.disk)
-            # Cached blocks hold rows decoded at each tablet's own
-            # schema (translated downstream), but a schema change
-            # is rare enough to drop the table's read-cache entries
-            # wholesale and orphan every cached latest() answer.
-            with self._reader_lock:
-                uids = [r.cache_uid for r in self._readers.values()]
-            self._bump_cache_generation()
+        # Cached blocks hold rows decoded at each tablet's own schema
+        # (translated downstream), but a schema change is rare enough
+        # to drop the table's read-cache entries wholesale.
+        with self._reader_lock:
+            uids = [r.cache_uid for r in self._readers.values()]
         self._read_cache.invalidate_tablets(uids)
+
+    def _retire_filling(self, schema: Schema) -> None:
+        """A schema publish's bookkeeping: retire the filling memtables
+        so new inserts use the new schema (flushed tablets keep theirs
+        and translate on read) and orphan every cached latest()
+        answer."""
+        for memtable in list(self._filling.values()):
+            if memtable.empty:
+                self._freeze_locked(memtable)
+                del self._unflushed[memtable.memtable_id]
+            else:
+                self._retire_memtable(memtable)
+        self._codec = SchemaCodec(schema, self.metrics)
+        self._bump_cache_generation()

@@ -85,7 +85,7 @@ class TabletMeta:
     zone maps existed (key columns are never BLOBs, so the values are
     JSON-safe).
 
-    Never mutated once published: a tablet list is copy-on-write all
+    Never mutated once published: a table's version is immutable all
     the way down, so a change of tier publishes a replacement
     (``dataclasses.replace``).
     """

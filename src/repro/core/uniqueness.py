@@ -17,7 +17,7 @@ against cached metadata."  Three tiers, cheapest first:
 The checker owns only what the fast paths cache (the newest timestamp
 and the per-period maximum key); the memtables and the tablet list
 are the table's, passed in under its state lock, which also
-serializes the check against tablet-set swaps.
+serializes the check against publishes.
 """
 
 from __future__ import annotations

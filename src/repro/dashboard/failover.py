@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.database import LittleTable
 from ..core.descriptor import DESCRIPTOR_FILENAME, TableDescriptor
-from ..core.snapshot import copy_version, pin_version
+from ..core.snapshot import copy_version
 from ..disk.storage import MemoryStorage, Storage
 from ..disk.vfs import SimulatedDisk
 from ..util.clock import Clock, micros_from_seconds
@@ -110,7 +110,8 @@ class WarmSpare:
         """
         copied = 0
         while True:
-            pass_copied = _mirror(map(pin_version, primary.tables()),
+            plans = (table._read_plan() for table in primary.tables())
+            pass_copied = _mirror(((plan, plan.version) for plan in plans),
                                   primary.disk.storage, self.storage)
             copied += pass_copied
             if not pass_copied:

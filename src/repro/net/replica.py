@@ -223,13 +223,16 @@ class Follower:
         self._m_tablets.inc(len(copied))
         self.db.open_table(version, standby=True)
         if local is not None:
-            # Behind the replaced table's read epoch: a read in flight
-            # keeps its files until it ends.  A dropped file it does not
-            # list (an orphan of a poll cut short, or still queued by an
-            # earlier table) is the startup scrub's to reclaim.
-            local._swap_tablets([meta for meta in local.descriptor.tablets
-                                 if meta.filename in dropped], (),
-                                save=False)
+            # Behind the replaced table's pinned generations: a read in
+            # flight keeps its files until it ends.  A dropped file it
+            # does not list (an orphan of a poll cut short, or still
+            # queued by an earlier table) is the startup scrub's to
+            # reclaim.  Closed, so that read's quarantine cannot save
+            # the replaced version over the new table's descriptor.
+            version = local._close()
+            local._retire(version.generation, [
+                (local._disk_for(meta), meta) for meta in version.tablets
+                if meta.filename in dropped])
 
     def _fetch_tablet(self, name: str, filename: str) -> bytes:
         chunks = bytearray()

@@ -10,7 +10,7 @@ front that feeds it is :mod:`repro.net.async_server`.
 
 Tables do their own locking (the paper's small-lock design, §3.4.4):
 inserts serialize through each table's state lock, queries snapshot
-the copy-on-write tablet list and run off-lock, and background
+the table's immutable version and run off-lock, and background
 maintenance - the served database's own loop, started with its
 ``start_maintenance()`` and not by this layer - builds new tablets
 outside the lock entirely.  Queries concurrent with an insert may see
@@ -350,9 +350,9 @@ class RequestDispatcher:
         return protocol.ok_response(inserted=inserted)
 
     def _cmd_query(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        # Queries run off-lock against a copy-on-write snapshot; a
+        # Queries run off-lock against a pinned immutable version; a
         # concurrent merge or TTL reclaim defers its file deletions
-        # until the scan's read epoch drains, so an active merge never
+        # until the scan's pinned generation drains, so a merge never
         # blocks this command (§3.4.4).
         table = self.db.table(request["table"])
         key_range, time_range = decode_bounds(request)
@@ -508,12 +508,11 @@ class RequestDispatcher:
         db = self._require_engine()
         tables: Dict[str, Any] = {}
         for table in db.tables():
-            with table.lock:
-                # The cold tier is shared archive storage, not copied.
-                version = dataclasses.replace(table.descriptor, tablets=[
-                    meta for meta in table.descriptor.tablets
-                    if meta.tier == "hot"])
-            entry = tables[table.name] = {"descriptor": version.to_json()}
+            version = table.descriptor
+            # The cold tier is shared archive storage, not copied.
+            hot = dataclasses.replace(version, tablets=[
+                meta for meta in version.tablets if meta.tier == "hot"])
+            entry = tables[table.name] = {"descriptor": hot.to_json()}
             if table.wal is not None:
                 entry["durable_lsn"] = table.wal.durable_lsn
                 entry["low_water"] = table.wal.low_water

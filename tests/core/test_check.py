@@ -1,10 +1,12 @@
 """Tests for the integrity checker (repro.core.check)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import LittleTable, Query, check_database, check_table, \
     is_healthy
-from repro.core.check import ERROR, WARNING
+from repro.core.check import ERROR, WARNING, repair_database
 from repro.disk import SimulatedDisk
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
 
@@ -98,19 +100,44 @@ class TestDetection:
 
     def test_duplicate_tablet_id(self, world):
         db, table, _clock = world
-        import copy
-
-        table.descriptor.tablets.append(
-            copy.deepcopy(table.descriptor.tablets[0]))
+        version = table.descriptor
+        table.descriptor = dataclasses.replace(
+            version, tablets=version.tablets + version.tablets[:1])
         issues = check_table(table)
         assert any("duplicate tablet id" in issue.message
                    for issue in issues)
 
     def test_next_id_reuse(self, world):
         db, table, _clock = world
-        table.descriptor.next_tablet_id = 1
+        table.descriptor = dataclasses.replace(table.descriptor,
+                                               next_tablet_id=1)
         issues = check_table(table)
         assert any("reuse" in issue.message for issue in issues)
+
+    def test_key_held_by_two_live_tablets(self, world):
+        """Each tablet is sorted and unique by itself, but a second
+        copy of one under another id serves every row twice."""
+        db, table, _clock = world
+        version = table.descriptor
+        original = version.tablets[0]
+        twin = dataclasses.replace(
+            original, tablet_id=version.next_tablet_id,
+            filename=version.tablet_filename(version.next_tablet_id))
+        db.disk.storage.write_file(
+            twin.filename, db.disk.storage.read_all(original.filename))
+        table.descriptor = dataclasses.replace(
+            version, tablets=version.tablets + (twin,),
+            next_tablet_id=twin.tablet_id + 1)
+        issues = check_table(table)
+        shared = [issue for issue in issues
+                  if "is held by live tablets" in issue.message]
+        assert len(shared) == 1
+        assert shared[0].severity == ERROR
+        assert shared[0].tablet_id == 0  # no copy is the damaged one
+        assert shared[0].message.endswith(
+            f"tablets {original.tablet_id} and {twin.tablet_id}")
+        assert not is_healthy(db)
+        assert repair_database(db) == {}
 
     def test_corrupt_footer(self, world):
         db, table, _clock = world

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import memtable as memtable_module
 from repro.core.cursor import execute_query
+from repro.core.descriptor import TableDescriptor
 from repro.core.memtable import MemTable
 from repro.core.periods import Period, PeriodLevel
 from repro.core.readpath import ReadPlan
@@ -155,7 +156,7 @@ class Sources:
             for row in arriving[sealed:]:
                 table.insert(row, now=0)
             self.handles.append(table)
-        self.plan = ReadPlan(SCHEMA, None, 1, [], [],
+        self.plan = ReadPlan(TableDescriptor("t", SCHEMA, generation=1), [],
                              lambda meta: self.readers[meta.tablet_id])
 
     def runs(self, key_range, descending):

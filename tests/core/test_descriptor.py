@@ -1,12 +1,19 @@
 """Tests for repro.core.descriptor."""
 
+import dataclasses
+
 import pytest
 
+from repro.core import LittleTable
 from repro.core.descriptor import TableDescriptor
 from repro.core.errors import CorruptTabletError
 from repro.core.schema import Column, ColumnType, Schema
 from repro.core.tablet import TabletMeta
 from repro.disk import SimulatedDisk
+from repro.disk.faults import CrashPoint, FaultyVFS, InjectedIOError
+from repro.util.clock import VirtualClock
+
+from ..conftest import BASE_TIME as BASE
 
 
 def make_schema():
@@ -27,8 +34,8 @@ def make_meta(tablet_id=1):
 class TestDescriptor:
     def test_save_load_round_trip(self):
         disk = SimulatedDisk()
-        desc = TableDescriptor("t", make_schema(), ttl_micros=999)
-        desc.tablets.append(make_meta())
+        desc = TableDescriptor("t", make_schema(), ttl_micros=999,
+                               tablets=[make_meta()])
         desc.save(disk)
         loaded = TableDescriptor.load(disk, "t")
         assert loaded.name == "t"
@@ -41,7 +48,8 @@ class TestDescriptor:
         disk = SimulatedDisk()
         desc = TableDescriptor("t", make_schema())
         desc.save(disk)
-        desc.tablets.append(make_meta())
+        desc = dataclasses.replace(desc, tablets=(make_meta(),),
+                                   generation=desc.generation + 1)
         desc.save(disk)
         loaded = TableDescriptor.load(disk, "t")
         assert len(loaded.tablets) == 1
@@ -49,19 +57,47 @@ class TestDescriptor:
         assert disk.list("tables/t/") == ["tables/t/descriptor.json"]
 
     def test_tablet_id_allocation(self):
-        desc = TableDescriptor("t", make_schema())
-        assert desc.allocate_tablet_id() == 1
-        assert desc.allocate_tablet_id() == 2
-        assert desc.next_tablet_id == 3
+        """Ids come from the table's counter; each published version
+        records it."""
+        clock = VirtualClock(start=BASE)
+        table = LittleTable(clock=clock).create_table("t", make_schema())
+        assert table.descriptor.next_tablet_id == 1
+        for k in (1, 2):
+            table.insert([{"k": k, "ts": clock.now()}])
+            table.flush_all()
+        assert [t.tablet_id for t in table.descriptor.tablets] == [1, 2]
+        assert table.descriptor.next_tablet_id == 3
 
     def test_allocation_survives_round_trip(self):
         disk = SimulatedDisk()
-        desc = TableDescriptor("t", make_schema())
-        desc.allocate_tablet_id()
-        desc.allocate_tablet_id()
-        desc.save(disk)
+        TableDescriptor("t", make_schema(), next_tablet_id=3).save(disk)
         loaded = TableDescriptor.load(disk, "t")
-        assert loaded.allocate_tablet_id() == 3
+        assert loaded.next_tablet_id == 3
+        table = LittleTable(disk=disk).table("t")
+        table.insert([{"k": 1, "ts": BASE}])
+        assert [t.tablet_id for t in table.flush_all()] == [3]
+
+    def test_failed_save_leaves_no_temp_and_retries(self):
+        disk = FaultyVFS()
+        desc = TableDescriptor("t", make_schema(), generation=4)
+        desc.save(disk)
+        nxt = dataclasses.replace(desc, tablets=(make_meta(),),
+                                  generation=5)
+        disk.failpoints.set("descriptor.before_rename", "eio")
+        with pytest.raises(InjectedIOError):
+            nxt.save(disk)
+        assert disk.list("tables/t/") == ["tables/t/descriptor.json"]
+        assert TableDescriptor.load(disk, "t").tablets == ()
+        nxt.save(disk)  # the same temp name again
+        assert TableDescriptor.load(disk, "t").tablets == (make_meta(),)
+
+    def test_crash_leaves_the_temp_for_the_scrub(self):
+        disk = FaultyVFS()
+        desc = TableDescriptor("t", make_schema(), generation=2)
+        disk.failpoints.set("descriptor.before_rename", "crash")
+        with pytest.raises(CrashPoint):
+            desc.save(disk)
+        assert disk.list("tables/t/") == ["tables/t/descriptor.json.tmp-2"]
 
     def test_tablet_filename(self):
         desc = TableDescriptor("usage", make_schema())

@@ -1,5 +1,7 @@
 """Unit tests for the read-cache subsystem (repro.core.readcache)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import KeyRange, TimeRange
@@ -134,10 +136,8 @@ class TestReadCacheBlocks:
 
 class TestTabletPruneIndex:
     def _descriptor(self, tablets):
-        descriptor = TableDescriptor(name="t", schema=usage_schema())
-        descriptor.tablets = tablets
-        descriptor.generation = 1
-        return descriptor
+        return TableDescriptor(name="t", schema=usage_schema(),
+                               tablets=tablets, generation=1)
 
     def test_selects_only_overlapping(self):
         tablets = [_meta(i, i * 100, i * 100 + 99) for i in range(10)]
@@ -187,8 +187,9 @@ class TestTabletPruneIndex:
         index = TabletPruneIndex()
         selected, _ = index.select(descriptor, TimeRange.all())
         assert len(selected) == 1
-        descriptor.tablets.append(_meta(2, 200, 300))
-        descriptor.generation += 1
+        descriptor = dataclasses.replace(
+            descriptor, tablets=descriptor.tablets + (_meta(2, 200, 300),),
+            generation=descriptor.generation + 1)
         selected, _ = index.select(descriptor, TimeRange.all())
         assert len(selected) == 2
 

@@ -10,6 +10,7 @@ from itertools import chain
 
 import pytest
 
+from repro.core.descriptor import TableDescriptor
 from repro.core.errors import CorruptTabletError
 from repro.core.memtable import MemTable
 from repro.core.periods import period_for
@@ -59,10 +60,14 @@ class World:
             meta.tablet_id: TabletReader(self.disk, meta.filename)
             for meta in (self.old, self.new)}
 
+    def version(self, tablets, schema=None, ttl=None):
+        return TableDescriptor("usage", schema or self.schema, ttl,
+                               tablets=tablets, generation=1)
+
     def plan(self, tablets=None, memtables=None):
         return ReadPlan(
-            self.schema, None, 1,
-            [self.old, self.new] if tablets is None else tablets,
+            self.version([self.old, self.new] if tablets is None
+                         else tablets),
             [self.memtable] if memtables is None else memtables,
             lambda meta: self.readers[meta.tablet_id],
             on_corrupt=lambda meta, exc: self.corrupt.append(meta),
@@ -108,7 +113,7 @@ class TestScan:
         assert rows == [usage_row(3, NOW + 2003), usage_row(3, NOW + 1003)]
 
     def test_ttl_comes_from_the_plan(self, world):
-        plan = ReadPlan(world.schema, 500, 1, [world.old, world.new], [],
+        plan = ReadPlan(world.version([world.old, world.new], ttl=500), [],
                         lambda meta: world.readers[meta.tablet_id])
         rows = list(scan_rows(plan, Query(), NOW + 1400, QueryStats()))
         assert rows == [r for r in world.new_rows if r[2] >= NOW + 900]
@@ -162,7 +167,7 @@ class TestAggregate:
         inside the time bounds too."""
         newer = world.schema.with_appended_column(
             Column("hops", ColumnType.INT64, 7))
-        plan = ReadPlan(newer, None, 1, [world.old, world.new],
+        plan = ReadPlan(world.version([world.old, world.new], newer),
                         [world.memtable],
                         lambda meta: world.readers[meta.tablet_id],
                         metrics=ReadMetrics(world.metrics))
@@ -213,7 +218,7 @@ class TestIsolation:
 
     def test_the_hook_is_optional(self, world):
         self.corrupt_new_tablet(world)
-        plan = ReadPlan(world.schema, None, 1, [world.new], [],
+        plan = ReadPlan(world.version([world.new]), [],
                         lambda meta: world.readers[meta.tablet_id])
         with pytest.raises(CorruptTabletError):
             list(scan_rows(plan, Query(), NOW, QueryStats()))

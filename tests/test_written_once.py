@@ -1,12 +1,16 @@
 """Each table decision is written once: mechanical guards.
 
-The tablet set changes in one place (``Table._swap_tablets``), removed
-files are queued behind the read epoch in one place (the same), reads
-obtain tablets and memtables in one place (``Table._read_plan``), and
-a ``Table`` gets its engine - the fault listener and the read-only
-check of its write door - in one place (its constructor, called by
-``LittleTable.open_table``).  ``recovery.py`` assigns to descriptors
-of its own and is out of scope.  Across all of ``src/``: a table's
+A table's version is one frozen ``TableDescriptor``, and a live
+table's version changes in one method (``Table._publish``): it alone
+binds ``table.descriptor`` after the constructor and writes a
+descriptor (``create_table`` writes a new table's first version, before
+any ``Table`` holds it).  Removed files are queued behind the pinned
+generations in one place, reads obtain their version and memtables in
+one place (``Table._read_plan``), and a ``Table`` gets its engine - the
+fault listener and the read-only check of its write door - in one
+place (its constructor, called by ``LittleTable.open_table``).
+``recovery.py`` writes descriptors of its own and is out of scope.
+Across all of ``src/``: a table's
 files are copied between storages in one function
 (``snapshot.copy_version``, the only caller of ``_link_or_copy``),
 which snapshot, restore, the warm spare and the standby all call, a
@@ -36,7 +40,13 @@ client has no row operations of its own: they are ``RemoteTable``'s.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+import pytest
+
+from repro.core.descriptor import TableDescriptor
+from repro.core.schema import Column, ColumnType, Schema
 
 CORE = Path(__file__).parent.parent / "src" / "repro" / "core"
 FAMILY = [CORE / name for name in (
@@ -58,9 +68,22 @@ def is_attr(node, name, of=None):
             and (of is None or is_attr(node.value, of)))
 
 
-def test_one_site_assigns_a_live_tablet_list():
-    assert len(sites(lambda n: isinstance(n, ast.Assign) and any(
-        is_attr(t, "tablets", of="descriptor") for t in n.targets))) == 1
+def test_one_method_publishes_a_version():
+    assert functions_where(lambda n: isinstance(n, ast.Assign) and any(
+        is_attr(t, "descriptor") for t in n.targets), FAMILY) == {
+        "table.py:__init__", "table.py:_publish"}
+    assert functions_where(calls("save"), FAMILY) == {
+        "table.py:_publish", "database.py:create_table"}
+
+
+def test_a_version_is_frozen():
+    version = TableDescriptor("t", Schema(
+        [Column("k", ColumnType.INT64), Column("ts", ColumnType.TIMESTAMP)],
+        key=["k", "ts"]))
+    for name in ("tablets", "schema", "ttl_micros", "next_tablet_id",
+                 "generation", "durability"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(version, name, getattr(version, name))
 
 
 def test_one_site_queues_deferred_deletes():
