@@ -51,7 +51,8 @@ def connect(address: Union[str, Tuple[str, int]], *,
     e.g. ``server.address`` straight from an
     :class:`~repro.net.async_server.AsyncLittleTableServer`.
     ``config`` is a :class:`~repro.net.client.ClientConfig` for
-    timeouts, retries, batching, and pipelining.
+    timeouts, retries, pipelining and the default durability of the
+    tables it creates.
 
     The returned :class:`~repro.net.remote.RemoteDatabase` has the
     same ``table``/``create_table``/``stats``/``health`` facade and
@@ -63,21 +64,27 @@ def connect(address: Union[str, Tuple[str, int]], *,
     from .net.client import LittleTableClient
     from .net.remote import RemoteDatabase
 
-    if isinstance(address, str):
-        host, sep, port_text = address.rpartition(":")
-        if not sep:
-            raise ValueError(
-                f"address must be 'host:port' or (host, port), "
-                f"got {address!r}")
-        host = host or "127.0.0.1"
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ValueError(f"invalid port in address {address!r}")
-    else:
-        host, port = address[0], int(address[1])
-    client = LittleTableClient(host, port, config=config)
-    return RemoteDatabase(client)
+    host, port = _parse_address(address)
+    return RemoteDatabase(LittleTableClient(host, port, config=config))
+
+
+def _parse_address(address: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
+    """``"host:port"`` (``":port"`` means ``127.0.0.1``) or a
+    ``(host, port)`` tuple, as ``(host, port)``.  Raises
+    :class:`ValueError` on anything else - the one reading of a server
+    address, shared by :func:`connect` and the CLI's ``--connect`` and
+    ``--follow``."""
+    if not isinstance(address, str):
+        return address[0], int(address[1])
+    host, sep, port_text = address.rpartition(":")
+    if not sep:
+        raise ValueError(
+            f"address must be 'host:port' or (host, port), got {address!r}")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ValueError(f"invalid port in address {address!r}") from None
+    return host or "127.0.0.1", port
 
 
 def restore(src: Union[str, Any], data_dir: Optional[str] = None,

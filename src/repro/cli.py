@@ -20,7 +20,7 @@ commands ``.help``, ``.tables``, ``.maintenance``, and ``.quit``.
 
 The ``stats`` subcommand renders the observability registry - the
 very same ``db.metrics.snapshot()`` view the STATS protocol command
-and ``LittleTableClient.stats()`` return.  ``--connect host:port``
+and ``RemoteDatabase.stats()`` return.  ``--connect host:port``
 reads a running server's live registry over TCP; ``--data`` opens the
 directory in process (engine counters start at zero in a fresh
 process, but table shape summaries are always meaningful).
@@ -248,16 +248,14 @@ def stats_main(argv: list) -> int:
                         help="emit the raw snapshot as JSON")
     args = parser.parse_args(argv)
     if args.connect is not None:
-        from .net.client import LittleTableClient
+        from . import connect
 
-        host, _sep, port = args.connect.rpartition(":")
-        if not port.isdigit():
-            print(f"error: --connect wants HOST:PORT, got {args.connect!r}",
-                  file=sys.stderr)
-            return 2
         try:
-            with LittleTableClient(host or "127.0.0.1", int(port)) as client:
-                page = {**client.stats_page(), "spans": []}
+            with connect(args.connect) as db:
+                page = {**db.stats_page(), "spans": []}
+        except ValueError as exc:
+            print(f"error: --connect wants HOST:PORT: {exc}", file=sys.stderr)
+            return 2
         except OSError as exc:
             print(f"error: cannot reach {args.connect}: {exc}",
                   file=sys.stderr)
@@ -466,10 +464,12 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
 
 def _serve_follower(args, *, stop_event=None, on_ready=None) -> int:
     """``serve --follow``: a warm standby next to a read-only server."""
-    primary_host, _sep, primary_port = args.follow.rpartition(":")
-    if not primary_port.isdigit():
-        print(f"error: --follow wants HOST:PORT, got {args.follow!r}",
-              file=sys.stderr)
+    from . import _parse_address
+
+    try:
+        primary = _parse_address(args.follow)
+    except ValueError as exc:
+        print(f"error: --follow wants HOST:PORT: {exc}", file=sys.stderr)
         return 2
     import threading
 
@@ -477,8 +477,7 @@ def _serve_follower(args, *, stop_event=None, on_ready=None) -> int:
     from .net.replica import Follower
 
     db = open_database(args.data)
-    follower = Follower(db, primary_host or "127.0.0.1",
-                        int(primary_port))
+    follower = Follower(db, *primary)
     server = AsyncLittleTableServer(db, host=args.host, port=args.port)
     if stop_event is None:
         stop_event = threading.Event()

@@ -76,7 +76,7 @@ class LittleTable:
         self.durability.validate()
         self.config.validate()
         # Set by a warm standby's Follower (repro.net.replica) so lag
-        # shows up in wal_status()/health_summary(); None on a primary.
+        # shows up in wal_status()/health(); None on a primary.
         self.replication = None
         self.clock = clock if clock is not None else SystemClock()
         # One registry/tracer for the whole instance: tables, tablet
@@ -409,14 +409,6 @@ class LittleTable:
         return self.metrics.snapshot()
 
     def health(self) -> Dict[str, Any]:
-        """Degradation state (alias of :meth:`health_summary`).
-
-        Named for facade parity with the remote adapter's
-        ``health()``.
-        """
-        return self.health_summary()
-
-    def health_summary(self) -> Dict[str, Any]:
         """Degradation state + fault counters, JSON-safe.
 
         Served through the STATS command so clients and ``ltdb stats``

@@ -30,7 +30,7 @@ def metrics_page(db: LittleTable,
                    for name in db.table_names()},
         "spans": [span.to_dict()
                   for span in db.tracer.recent(limit=recent_spans)],
-        "health": db.health_summary(),
+        "health": db.health(),
     }
 
 

@@ -1,22 +1,26 @@
-"""The client adaptor.
+"""The client adaptor's transport.
 
-Plays the role of the paper's SQLite-side adaptor (§3.1, §3.5):
+Plays the wire half of the paper's SQLite-side adaptor (§3.1, §3.5):
 
 * keeps a persistent TCP connection so a server crash is detected as a
   disconnection (after which the application re-checks what survived
   and re-inserts, §4.1);
-* downloads the table list and schemas on connect;
-* batches inserts ("the SQLite adaptor takes clients' inserts and
-  transmits them to the LittleTable server in batches", §3.1);
-* carries the row operations of :class:`~repro.net.remote.RemoteTable`
-  (which continues a query past the server's row limit, §3.5) and
-  builds their requests;
+* caches the schemas that type rows on the wire, loaded by one
+  ``list_tables`` and dropped at the first sign they are stale;
+* builds the requests and decodes the replies of the row operations of
+  :class:`~repro.net.remote.RemoteTable`, which sends a batch of rows
+  as one frame (§3.1) and continues a query past the server's row
+  limit (§3.5);
 * retries *idempotent* commands (queries, aggregates, latest, stats,
   schema listing, ping) through a bounded auto-reconnect with exponential
   backoff and jitter.  Writes and DDL are never retried: a connection
   can break after the server applied an insert but before the reply
   arrived, and a blind resend would duplicate rows - exactly the
   recovery protocol the paper leaves to the application (§4.1).
+
+The catalog, DDL and observability calls are
+:class:`~repro.net.remote.RemoteDatabase`'s, the one database facade
+over a connection.
 """
 
 from __future__ import annotations
@@ -174,7 +178,6 @@ def _error_from_response(response: Dict[str, Any]) -> LittleTableError:
 class ClientConfig:
     """Connection behaviour, in one place.
 
-    * ``insert_batch_rows`` - buffered-insert flush threshold (§3.1);
     * ``connect_timeout_s`` - bound on connection establishment,
       the ``hello`` exchange included;
     * ``request_timeout_s`` - bound on each round trip (None = wait
@@ -186,12 +189,12 @@ class ClientConfig:
     * ``pipeline_depth`` - max in-flight requests a
       :meth:`LittleTableClient.pipeline` batch keeps before draining;
     * ``durability`` - default :class:`~repro.core.durability
-      .DurabilityPolicy` applied to tables this client creates (a
-      per-call ``create_table(durability=...)`` still overrides it);
+      .DurabilityPolicy` applied to tables created over this
+      connection (a per-call ``RemoteDatabase.create_table(
+      durability=...)`` still overrides it);
       None leaves tier selection entirely to the server.
     """
 
-    insert_batch_rows: int = 512
     connect_timeout_s: float = 10.0
     request_timeout_s: Optional[float] = None
     max_retries: int = 3
@@ -202,8 +205,6 @@ class ClientConfig:
     durability: Optional[DurabilityPolicy] = None
 
     def validate(self) -> None:
-        if self.insert_batch_rows < 1:
-            raise ValueError("insert_batch_rows must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.pipeline_depth < 1:
@@ -231,16 +232,14 @@ class LittleTableClient:
         # these to count sleeps instead of waiting them out).
         self._sleep = time.sleep
         self._rng = random.Random()
-        self._pending: Dict[str, List[Tuple[Any, ...]]] = {}
         # Lazily-filled table -> Schema cache: positional rows are
         # typed by it in both directions, and query continuation reads
-        # keys through it.  Dropped by every DDL call, on reconnect, on
-        # a server ValidationError and on a reply whose column types
-        # differ from it (another client's DDL), so a stale schema
-        # never outlives the first sign of it.
+        # keys through it.  Replaced by every ``list_tables``, dropped
+        # by every DDL call, on reconnect, on a server ValidationError
+        # and on a reply whose column types differ from it (another
+        # client's DDL), so a stale schema never outlives the first
+        # sign of it.
         self._schema_cache: Dict[str, Schema] = {}
-        self._ttl_cache: Dict[str, Optional[int]] = {}
-        self._catalog_loaded = False
         self.connect()
 
     # ------------------------------------------------------- connection
@@ -429,80 +428,6 @@ class LittleTableClient:
                         depth if depth is not None
                         else self.config.pipeline_depth)
 
-    # ------------------------------------------------------ observability
-
-    def stats(self) -> Dict[str, Any]:
-        """The server's metrics-registry snapshot.
-
-        Returns exactly what ``db.metrics.snapshot()`` returns in
-        process: ``{"counters": ..., "gauges": ..., "histograms": ...}``.
-        """
-        return self._call({"cmd": "stats", "tables": False},
-                          idempotent=True)["metrics"]
-
-    def stats_page(self) -> Dict[str, Any]:
-        """One ``stats`` exchange, whole: ``metrics`` (as
-        :meth:`stats`), ``health`` (as :meth:`health`) and ``tables``
-        (``Table.stats_summary`` each), all read at one instant."""
-        response = self._call({"cmd": "stats", "tables": True},
-                              idempotent=True)
-        return {field: response[field]
-                for field in ("metrics", "health", "tables")}
-
-    def health(self) -> Dict[str, Any]:
-        """The server's degradation state (``db.health_summary()``):
-        read-only mode + reason, checksum failures, quarantined
-        tablets, last startup scrub."""
-        return self._call({"cmd": "stats", "tables": False},
-                          idempotent=True)["health"]
-
-    def wal_status(self) -> Dict[str, Any]:
-        """Per-table durability/WAL state (``db.wal_status()``): tier,
-        LSNs, segments, buffered records, replication lag when the
-        server is a warm standby."""
-        return self._call({"cmd": "wal_status"},
-                          idempotent=True).get("wal", {})
-
-    # ----------------------------------------------------------- schema
-
-    def create_table(self, name: str, schema: Schema,
-                     ttl_micros: Optional[int] = None,
-                     durability: Optional[DurabilityPolicy] = None) -> None:
-        policy = durability if durability is not None \
-            else self.config.durability
-        request = {"cmd": "create_table", "table": name,
-                   "schema": schema.to_dict(), "ttl_micros": ttl_micros}
-        if policy is not None:
-            policy.validate()
-            encoded = policy.to_dict()
-            if encoded:
-                request["durability"] = encoded
-        self._call(request)
-        self.invalidate_schema_cache()
-
-    def drop_table(self, name: str) -> None:
-        self._call({"cmd": "drop_table", "table": name})
-        self.invalidate_schema_cache()
-
-    def alter(self, table: str, action: str, **fields: Any) -> None:
-        """Schema DDL (add_column / widen_column / set_ttl).
-
-        ``fields`` go into the wire request verbatim (a ``column``
-        value must already be wire-encoded).  Invalidates the schema
-        cache, like every other DDL entry point.
-        """
-        request: Dict[str, Any] = {"cmd": "alter", "table": table,
-                                   "action": action}
-        request.update(fields)
-        self._call(request)
-        self.invalidate_schema_cache()
-
-    def invalidate_schema_cache(self) -> None:
-        """Forget cached schemas (after DDL or reconnect)."""
-        self._schema_cache.clear()
-        self._ttl_cache.clear()
-        self._catalog_loaded = False
-
     # ----------------------------------------------------------- writes
 
     def _tuple_insert_request(self, table: str,
@@ -513,54 +438,29 @@ class LittleTableClient:
         return {"cmd": "insert", "table": table,
                 "rows": row_marshaller(self._schema(table)).wrap(rows)}
 
-    def buffer_insert(self, table: str, row: Tuple[Any, ...]) -> None:
-        """Queue one positional row; flushes at the batch size (§3.1)."""
-        queue = self._pending.setdefault(table, [])
-        queue.append(tuple(row))
-        if len(queue) >= self.config.insert_batch_rows:
-            self.flush_inserts(table)
+    # ----------------------------------------------------- schema cache
 
-    def flush_inserts(self, table: Optional[str] = None) -> int:
-        """Send buffered rows now.  Returns rows sent."""
-        tables = [table] if table is not None else list(self._pending)
-        sent = 0
-        for name in tables:
-            queue = self._pending.get(name)
-            if not queue:
-                continue
-            self._pending[name] = []
-            sent += self._call(
-                self._tuple_insert_request(name, queue))["inserted"]
-        return sent
+    def invalidate_schema_cache(self) -> None:
+        """Forget cached schemas (after DDL or reconnect)."""
+        self._schema_cache.clear()
 
-    @property
-    def pending_rows(self) -> int:
-        return sum(len(q) for q in self._pending.values())
-
-    # ---------------------------------------------------------- helpers
-
-    def _catalog(self) -> Dict[str, Schema]:
-        """Every table's schema (and TTL, for :class:`~repro.net
-        .remote.RemoteDatabase`), from one ``list_tables`` per
-        invalidation."""
-        if not self._catalog_loaded:
-            response = self._call({"cmd": "list_tables"}, idempotent=True)
-            for entry in response["tables"]:
-                self._schema_cache[entry["name"]] = Schema.from_dict(
-                    entry["schema"])
-                self._ttl_cache[entry["name"]] = entry.get("ttl_micros")
-            self._catalog_loaded = True
-        return self._schema_cache
+    def _list_tables(self) -> List[Dict[str, Any]]:
+        """The server's catalog now, from one ``list_tables``: a
+        ``name``/``schema``/``ttl_micros`` entry per table.  Its
+        schemas replace the cache whole, so a table another client
+        dropped leaves it too."""
+        tables = self._call({"cmd": "list_tables"}, idempotent=True)["tables"]
+        self._schema_cache = {entry["name"]: Schema.from_dict(entry["schema"])
+                              for entry in tables}
+        return tables
 
     def _schema(self, table: str) -> Schema:
-        cache = self._schema_cache
-        if table not in cache:
+        if table not in self._schema_cache:
             # Possibly created by another client since the last load.
-            self.invalidate_schema_cache()
-            cache = self._catalog()
-        if table not in cache:
+            self._list_tables()
+        if table not in self._schema_cache:
             raise NoSuchTableError(f"no such table: {table!r}")
-        return cache[table]
+        return self._schema_cache[table]
 
     def _typed_schema(self, table: str,
                       response: Dict[str, Any]) -> Schema:

@@ -11,16 +11,22 @@ every operation actually crosses the TCP connection:
     sql = SqlSession(RemoteDatabase(client))
     sql.execute("SELECT ... FROM usage WHERE ...")
 
-Queries stream with the server row limit and more-available
-continuation; an aggregate statement is one ``aggregate`` command whose
-reply is its groups, not the rows under them; schemas are fetched
-lazily and cached until a schema-changing statement invalidates them.
+It is the one database facade over a connection: the catalog, DDL and
+observability calls are written here, and the client underneath is
+the transport and its schema cache.  Queries stream with the server
+row limit and more-available continuation; an aggregate statement is
+one ``aggregate`` command whose reply is its groups, not the rows under
+them; the catalog (``table_names``, ``has_table``, a table's TTL) is
+read from the server each time it is asked, so another connection's
+DDL shows at once.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.durability import DurabilityPolicy
+from ..core.errors import NoSuchTableError
 from ..core.row import Query, QueryResult, QueryStats, scan_pages
 from ..core.schema import Column, Schema
 from ..core.vector import AggregatePartials, AggregateSpec
@@ -48,7 +54,12 @@ class RemoteTable:
 
     @property
     def ttl_micros(self) -> Optional[int]:
-        return self._database._ttl(self.name)
+        """The server's TTL for this table now, read with the catalog
+        (another connection may have set it)."""
+        for entry in self._client._list_tables():
+            if entry["name"] == self.name:
+                return entry.get("ttl_micros")
+        raise NoSuchTableError(f"no such table: {self.name!r}")
 
     # ----------------------------------------------------------- writes
 
@@ -155,14 +166,21 @@ class RemoteTable:
         return response["rows_removed"]
 
     def append_column(self, column: Column) -> None:
-        self._database._alter(self.name, "add_column",
-                              column=column)
+        self._alter("add_column", column={
+            "name": column.name,
+            "type": column.type.value,
+            "default": protocol.encode_value(column.default),
+        })
 
     def widen_column(self, name: str) -> None:
-        self._database._alter(self.name, "widen_column", column_name=name)
+        self._alter("widen_column", column_name=name)
 
     def set_ttl(self, ttl_micros: Optional[int]) -> None:
-        self._database._alter(self.name, "set_ttl", ttl_micros=ttl_micros)
+        self._alter("set_ttl", ttl_micros=ttl_micros)
+
+    def _alter(self, action: str, **fields: Any) -> None:
+        self._database._ddl({"cmd": "alter", "table": self.name,
+                             "action": action, **fields})
 
 
 class RemoteDatabase:
@@ -173,39 +191,24 @@ class RemoteDatabase:
     def __init__(self, client: LittleTableClient):
         self.client = client
 
-    # ------------------------------------------------------------ cache
-    #
-    # The client owns the one table-list cache (its rows are typed by
-    # those schemas on the wire); this facade only reads it.
-
-    def invalidate(self) -> None:
-        """Drop the cached table list (after DDL or a reconnect)."""
-        self.client.invalidate_schema_cache()
-
     def _schema(self, name: str) -> Schema:
         return self.client._schema(name)
 
-    def _ttl(self, name: str) -> Optional[int]:
-        self._schema(name)
-        return self.client._ttl_cache.get(name)
-
-    def _alter(self, table: str, action: str, **fields: Any) -> None:
-        if "column" in fields:
-            column = fields.pop("column")
-            fields["column"] = {
-                "name": column.name,
-                "type": column.type.value,
-                "default": protocol.encode_value(column.default),
-            }
-        self.client.alter(table, action, **fields)
+    def _ddl(self, request: Dict[str, Any]) -> None:
+        """One schema-changing command: never retried (§4.1), and the
+        cached schemas are dropped once it is applied."""
+        self.client._call(request)
+        self.client.invalidate_schema_cache()
 
     # ---------------------------------------------------------- catalog
 
     def table_names(self) -> List[str]:
-        return sorted(self.client._catalog())
+        """The server's tables now, from one ``list_tables``: another
+        connection's create or drop shows at once."""
+        return sorted(entry["name"] for entry in self.client._list_tables())
 
     def has_table(self, name: str) -> bool:
-        return name in self.client._catalog()
+        return name in self.table_names()
 
     def table(self, name: str) -> RemoteTable:
         self._schema(name)  # raises NoSuchTableError when absent
@@ -213,27 +216,58 @@ class RemoteDatabase:
 
     def create_table(self, name: str, schema: Schema,
                      ttl_micros: Optional[int] = None,
-                     durability=None) -> RemoteTable:
-        self.client.create_table(name, schema, ttl_micros=ttl_micros,
-                                 durability=durability)
+                     durability: Optional[DurabilityPolicy] = None
+                     ) -> RemoteTable:
+        """Create a table on the server.  ``durability`` (else the
+        client's ``config.durability``) picks its tier; with neither
+        the server's default applies."""
+        policy = durability if durability is not None \
+            else self.client.config.durability
+        request = {"cmd": "create_table", "table": name,
+                   "schema": schema.to_dict(), "ttl_micros": ttl_micros}
+        if policy is not None:
+            policy.validate()
+            encoded = policy.to_dict()
+            if encoded:
+                request["durability"] = encoded
+        self._ddl(request)
         return RemoteTable(self, name)
 
     def drop_table(self, name: str) -> None:
-        self.client.drop_table(name)
+        self._ddl({"cmd": "drop_table", "table": name})
 
     # ------------------------------------------------------ observability
 
     def stats(self) -> Dict[str, Any]:
-        """The server's metrics snapshot (``LittleTable.stats``)."""
-        return self.client.stats()
+        """The server's metrics-registry snapshot: exactly what
+        ``LittleTable.stats`` returns in process (``counters``,
+        ``gauges``, ``histograms``)."""
+        return self._stats(tables=False)["metrics"]
+
+    def stats_page(self) -> Dict[str, Any]:
+        """One ``stats`` exchange, whole: ``metrics`` (as :meth:`stats`),
+        ``health`` (as :meth:`health`) and ``tables``
+        (``Table.stats_summary`` each), all read at one instant."""
+        response = self._stats(tables=True)
+        return {field: response[field]
+                for field in ("metrics", "health", "tables")}
 
     def health(self) -> Dict[str, Any]:
-        """The server's degradation state (``LittleTable.health``)."""
-        return self.client.health()
+        """The server's degradation state (``LittleTable.health``):
+        read-only mode and reason, checksum failures, quarantined
+        tablets, last startup scrub."""
+        return self._stats(tables=False)["health"]
+
+    def _stats(self, tables: bool) -> Dict[str, Any]:
+        return self.client._call({"cmd": "stats", "tables": tables},
+                                 idempotent=True)
 
     def wal_status(self) -> Dict[str, Any]:
-        """Per-table durability state (``LittleTable.wal_status``)."""
-        return self.client.wal_status()
+        """Per-table durability state (``LittleTable.wal_status``):
+        tier, LSNs, segments, buffered records, replication lag when
+        the server is a warm standby."""
+        return self.client._call({"cmd": "wal_status"},
+                                 idempotent=True).get("wal", {})
 
     # --------------------------------------------------------- lifecycle
 

@@ -9,7 +9,7 @@ and tails each ``wal`` table's log - applying streamed records into
 its own memtables through the same dedup'd path crash replay uses.  The
 local engine stays in read-only mode the whole time, so the standby
 serves ``query``/``latest``/``stats`` but rejects writes; replication
-lag is reported through ``wal_status()`` and ``health_summary()``.
+lag is reported through ``wal_status()`` and ``health()``.
 
 Convergence per table, each poll:
 

@@ -439,7 +439,7 @@ class RequestDispatcher:
         when ``tables`` is requested.
         """
         response: Dict[str, Any] = {"metrics": self.db.metrics.snapshot(),
-                                    "health": self.db.health_summary()}
+                                    "health": self.db.health()}
         if request.get("tables", True):
             response["tables"] = {
                 name: self.db.table(name).stats_summary()

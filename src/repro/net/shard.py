@@ -795,16 +795,12 @@ class ShardRouter:
         return self.metrics.snapshot()
 
     def health(self) -> Dict[str, Any]:
-        """Alias of :meth:`health_summary` (facade parity)."""
-        return self.health_summary()
-
-    def health_summary(self) -> Dict[str, Any]:
         """One health view across all workers: the merged engine
         summary plus shard topology and degradation."""
         live = self._live_indexes()
         base: Dict[str, Any]
         if live:
-            base = self.engines[live[0]].health_summary()
+            base = self.engines[live[0]].health()
         else:
             base = {}
         base["read_only"] = self.read_only

@@ -6,7 +6,7 @@ surface renders the same ``snapshot()``:
 
 * in process - ``db.metrics.snapshot()``;
 * over TCP - the ``stats`` protocol command /
-  ``LittleTableClient.stats()``;
+  ``RemoteDatabase.stats()``;
 * on the command line - ``python -m repro.cli stats``;
 * in the dashboard - :func:`repro.dashboard.metrics_view.metrics_page`.
 """

@@ -56,7 +56,7 @@ class TableStats:
     value_bytes: int
     size_bytes: int
     ttl_micros: int
-    insert_batch_rows: int
+    batch_rows: int
 
 
 class FleetSynthesizer:
@@ -124,7 +124,7 @@ class FleetSynthesizer:
                 value_bytes=value,
                 size_bytes=size,
                 ttl_micros=self._sample_ttl(),
-                insert_batch_rows=self._sample_batch_rows(),
+                batch_rows=self._sample_batch_rows(),
             ))
         return tables
 

@@ -331,7 +331,7 @@ class TestReadOnlyDegradation:
             db.table("t").insert([row_for(99)])
         # Reads keep serving (flushed rows plus the memtable).
         assert len(db.table("t").query(Query()).rows) == 40
-        health = db.health_summary()
+        health = db.health()
         assert health["read_only"] and health["read_only_reason"]
         # Operator frees space and clears the mode.
         disk.failpoints.clear()

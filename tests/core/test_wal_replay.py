@@ -269,7 +269,7 @@ class TestWalLifecycle:
         for field in ("tier", "segment_count", "wal_bytes", "durable_lsn",
                       "low_water", "next_lsn"):
             assert field in entry, field
-        health = db.health_summary()["durability"]
+        health = db.health()["durability"]
         assert health["default_tier"] == "wal"
         assert health["tiers"] == {"t": "wal"}
 

@@ -20,6 +20,7 @@ from repro.net import (
     AsyncLittleTableServer,
     ClientConfig,
     LittleTableClient,
+    RemoteDatabase,
     ShardRouter,
 )
 from repro.net import protocol
@@ -107,7 +108,7 @@ class TestHello:
 class TestPipelining:
     def test_pipelined_inserts_and_reads(self, sharded_server):
         client = connect_client(sharded_server)
-        client.create_table("usage", usage_schema())
+        RemoteDatabase(client).create_table("usage", usage_schema())
         with client.pipeline(depth=16) as batch:
             replies = [
                 batch.insert("usage", [
@@ -124,7 +125,7 @@ class TestPipelining:
 
     def test_pipelined_latest_round_trips(self, sharded_server):
         client = connect_client(sharded_server)
-        client.create_table("usage", usage_schema())
+        RemoteDatabase(client).create_table("usage", usage_schema())
         remote_table(client, "usage").insert([
             {"device": f"dev-{d}", "ts": BASE + d, "bytes": d}
             for d in range(10)])
@@ -137,7 +138,7 @@ class TestPipelining:
 
     def test_pipeline_error_isolated_to_its_request(self, sharded_server):
         client = connect_client(sharded_server)
-        client.create_table("usage", usage_schema())
+        RemoteDatabase(client).create_table("usage", usage_schema())
         with client.pipeline() as batch:
             good = batch.insert("usage", [("a", BASE, 1)])
             bad = batch.latest_many("missing", [("x",)])
@@ -165,24 +166,24 @@ class TestSequentialInterop:
     def test_legacy_sequential_commands_still_served(self, sharded_server):
         """Requests with no ids at all against the async front end."""
         client = connect_client(sharded_server)
-        client.create_table("usage", usage_schema())
+        RemoteDatabase(client).create_table("usage", usage_schema())
         usage = remote_table(client, "usage")
         usage.insert([{"device": "a", "ts": BASE, "bytes": 7}])
         assert usage.latest(("a",))[2] == 7
-        assert client.stats()["counters"] is not None
+        assert RemoteDatabase(client).stats()["counters"] is not None
         counters = sharded_server.metrics.snapshot()["counters"]
         assert counters.get("server.sequential_requests", 0) > 0
         client.close()
 
     def test_errors_cross_the_wire_typed(self, sharded_server):
         client = connect_client(sharded_server)
-        client.create_table("usage", usage_schema())
+        RemoteDatabase(client).create_table("usage", usage_schema())
         usage = remote_table(client, "usage")
         usage.insert([{"device": "a", "ts": BASE, "bytes": 1}])
         with pytest.raises(DuplicateKeyError):
             usage.insert([{"device": "a", "ts": BASE, "bytes": 2}])
         with pytest.raises(NoSuchTableError):
-            client.drop_table("nope")
+            RemoteDatabase(client).drop_table("nope")
         client.close()
 
     def test_unknown_error_code_preserved_on_server_error(

@@ -38,6 +38,11 @@ def events(client):
     return RemoteDatabase(client).table("events")
 
 
+def create_events(client):
+    """Create the ``events`` table over ``client``."""
+    return RemoteDatabase(client).create_table("events", event_schema())
+
+
 @pytest.fixture
 def clock():
     return VirtualClock(start=BASE)
@@ -62,25 +67,25 @@ class TestSchemaOperations:
     def test_create_list_drop(self, client):
         remote = RemoteDatabase(client)
         assert remote.table_names() == []
-        client.create_table("events", event_schema())
+        remote.create_table("events", event_schema())
         assert remote.table_names() == ["events"]
         assert remote.table("events").schema == event_schema()
-        client.drop_table("events")
+        remote.drop_table("events")
         assert remote.table_names() == []
 
     def test_create_duplicate_raises(self, client):
-        client.create_table("events", event_schema())
+        create_events(client)
         with pytest.raises(TableExistsError):
-            client.create_table("events", event_schema())
+            create_events(client)
 
     def test_missing_table_raises(self, client):
         with pytest.raises(NoSuchTableError):
-            client.drop_table("ghost")
+            RemoteDatabase(client).drop_table("ghost")
 
 
 class TestClientSchemaCache:
     def test_cache_filled_and_reused(self, client):
-        client.create_table("events", event_schema())
+        create_events(client)
         assert client._schema("events") == event_schema()
         assert "events" in client._schema_cache
         # Reuse does not re-fetch: poison the cache and observe.
@@ -88,20 +93,19 @@ class TestClientSchemaCache:
         assert client._schema("events") == "sentinel"
 
     def test_alter_invalidates_cache(self, client):
-        client.create_table("events", event_schema())
+        create_events(client)
         old = client._schema("events")
-        client.alter("events", "add_column",
-                     column={"name": "extra", "type": "int64",
-                             "default": None})
+        RemoteDatabase(client).table("events").append_column(
+            Column("extra", ColumnType.INT64))
         assert client._schema_cache == {}
         new = client._schema("events")
         assert new != old
         assert new.columns[-1].name == "extra"
 
     def test_create_and_drop_invalidate_cache(self, client):
-        client.create_table("events", event_schema())
+        create_events(client)
         client._schema("events")
-        client.drop_table("events")
+        RemoteDatabase(client).drop_table("events")
         assert client._schema_cache == {}
         with pytest.raises(NoSuchTableError):
             client._schema("events")
@@ -110,16 +114,15 @@ class TestClientSchemaCache:
                                                         clock):
         # The regression the fix targets: a continuation after DDL must
         # use the evolved schema's key shape, not the cached one.
-        client.create_table("events", event_schema())
+        create_events(client)
         events(client).insert([
             {"network": 1, "device": d, "ts": clock.now(),
              "payload": b""}
             for d in range(40)  # > server_row_limit=16, forces paging
         ])
         list(events(client).scan(Query()))  # fills the schema cache
-        client.alter("events", "add_column",
-                     column={"name": "extra", "type": "int64",
-                             "default": None})
+        RemoteDatabase(client).table("events").append_column(
+            Column("extra", ColumnType.INT64))
         rows = list(events(client).scan(Query()))
         assert len(rows) == 40
         assert all(len(r) == 5 for r in rows)
@@ -127,7 +130,7 @@ class TestClientSchemaCache:
 
 class TestInsertAndQuery:
     def test_dict_insert_and_query(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         inserted = events(client).insert([
             {"network": 1, "device": d, "ts": clock.now() + d,
              "payload": bytes([d])}
@@ -139,7 +142,7 @@ class TestInsertAndQuery:
         assert rows[0][3] == b"\x00"
 
     def test_continuation_past_server_limit(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         events(client).insert([
             {"network": 1, "device": d, "ts": clock.now(),
              "payload": b""}
@@ -151,7 +154,7 @@ class TestInsertAndQuery:
         assert devices == sorted(devices)
 
     def test_descending_continuation(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         events(client).insert([
             {"network": 1, "device": d, "ts": clock.now(), "payload": b""}
             for d in range(40)
@@ -160,7 +163,7 @@ class TestInsertAndQuery:
         assert [r[1] for r in rows] == list(range(39, -1, -1))
 
     def test_client_limit(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         events(client).insert([
             {"network": 1, "device": d, "ts": clock.now(), "payload": b""}
             for d in range(50)
@@ -169,7 +172,7 @@ class TestInsertAndQuery:
         assert len(rows) == 20
 
     def test_time_bounds(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         for minute in range(5):
             events(client).insert([
                 {"network": 1, "device": 1,
@@ -181,27 +184,14 @@ class TestInsertAndQuery:
         assert len(rows) == 3
 
     def test_duplicate_key_error_propagates(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         row = {"network": 1, "device": 1, "ts": clock.now(), "payload": b""}
         events(client).insert([row])
         with pytest.raises(DuplicateKeyError):
             events(client).insert([row])
 
-    def test_batched_buffer_insert(self, client, clock):
-        client.create_table("events", event_schema())
-        client.config.insert_batch_rows = 10
-        for device in range(25):
-            client.buffer_insert(
-                "events", (1, device, clock.now() + device, b""))
-        # Two batches of 10 were flushed automatically; 5 pending.
-        assert client.pending_rows == 5
-        assert len(list(events(client).scan(Query()))) == 20
-        client.flush_inserts()
-        assert client.pending_rows == 0
-        assert len(list(events(client).scan(Query()))) == 25
-
     def test_latest(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         events(client).insert([
             {"network": 1, "device": 1, "ts": clock.now(), "payload": b"old"},
             {"network": 1, "device": 1, "ts": clock.now() + 10,
@@ -214,14 +204,14 @@ class TestInsertAndQuery:
 
 class TestExtensions:
     def test_flush_command(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         events(client).insert([{"network": 1, "device": 1,
                                 "ts": clock.now(), "payload": b""}])
         written = events(client).flush_all()
         assert len(written) == 1
 
     def test_flush_before_command(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         events(client).insert([{"network": 1, "device": 1,
                                 "ts": clock.now(), "payload": b""}])
         table = events(client)
@@ -229,7 +219,7 @@ class TestExtensions:
         assert len(table.flush_before(clock.now() + 1)) == 1
 
     def test_bulk_delete_command(self, client, clock):
-        client.create_table("events", event_schema())
+        create_events(client)
         events(client).insert([
             {"network": n, "device": 1, "ts": clock.now(), "payload": b""}
             for n in (1, 2)
@@ -242,7 +232,7 @@ class TestExtensions:
     def test_bulk_delete_bad_prefix_errors(self, client, clock):
         from repro.core import LittleTableError
 
-        client.create_table("events", event_schema())
+        create_events(client)
         with pytest.raises(LittleTableError):
             events(client).bulk_delete(())
 
@@ -266,7 +256,7 @@ class TestCrashDetection:
         server.start()
         host, port = server.address
         client = LittleTableClient(host, port)
-        client.create_table("events", event_schema())
+        create_events(client)
         server.stop()
         with pytest.raises(ConnectionLost):
             client.ping()
@@ -286,7 +276,7 @@ class TestCrashDetection:
         first = LittleTableClient(host, port)
         second = LittleTableClient(host, port)
         try:
-            first.create_table("events", event_schema())
+            create_events(first)
             events(first).insert([{"network": 1, "device": 1,
                                    "ts": clock.now(), "payload": b"a"}])
             # The second client sees the insert after it completes

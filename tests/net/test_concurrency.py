@@ -12,7 +12,8 @@ import threading
 import pytest
 
 from repro.core import Column, ColumnType, LittleTable, Query, Schema
-from repro.net import AsyncLittleTableServer, LittleTableClient
+from repro.net import (AsyncLittleTableServer, LittleTableClient,
+                       RemoteDatabase)
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 from ..conftest import remote_table
@@ -58,7 +59,8 @@ class TestConcurrentWriters:
     def test_writers_to_separate_tables(self, server):
         setup = LittleTableClient(*server.address)
         for writer_id in range(WRITERS):
-            setup.create_table(f"w{writer_id}", make_schema())
+            RemoteDatabase(setup).create_table(f"w{writer_id}",
+                                               make_schema())
         errors = []
         threads = [
             threading.Thread(target=writer_thread,
@@ -78,7 +80,7 @@ class TestConcurrentWriters:
 
     def test_writers_to_same_table_serialize(self, server):
         setup = LittleTableClient(*server.address)
-        setup.create_table("shared", make_schema())
+        RemoteDatabase(setup).create_table("shared", make_schema())
         errors = []
         threads = [
             threading.Thread(target=writer_thread,
@@ -100,7 +102,7 @@ class TestConcurrentWriters:
 
     def test_reader_racing_writers_sees_sorted_prefixes(self, server):
         setup = LittleTableClient(*server.address)
-        setup.create_table("raced", make_schema())
+        RemoteDatabase(setup).create_table("raced", make_schema())
         errors = []
         stop = threading.Event()
         observations = []

@@ -16,9 +16,11 @@ from repro.core import (
     ColumnType,
     EngineConfig,
     LittleTable,
+    NoSuchTableError,
     Query,
     Schema,
 )
+from repro.dashboard.schemas import ensure_table
 from repro.net import (
     AsyncLittleTableServer,
     LittleTableClient,
@@ -120,6 +122,58 @@ class TestFacadeParity:
         assert results[0] == results[1] == results[2]
 
 
+def served_database(deployment):
+    if deployment == "engine":
+        return LittleTable(clock=VirtualClock(start=BASE))
+    return ShardRouter(shards=2, clock=VirtualClock(start=BASE))
+
+
+class TestLiveCatalog:
+    """Another connection's DDL shows in this one's catalog at once:
+    ``table_names``, ``has_table`` and a table's ``ttl_micros`` ask the
+    server, as ``table(name)`` does on a miss."""
+
+    HOUR = 3600 * 1_000_000
+
+    @pytest.mark.parametrize("deployment", ["engine", "two-shards"])
+    def test_another_connections_create_and_drop_show(self, deployment):
+        served = served_database(deployment)
+        with AsyncLittleTableServer(served) as server, \
+                connect(server.address) as a, connect(server.address) as b:
+            a.create_table("usage", usage_schema())
+            assert a.table_names() == ["usage"]
+
+            b.create_table("events", usage_schema())
+            assert a.table_names() == ["events", "usage"]
+            assert a.has_table("events")
+            # What ``dashboard.schemas.ensure_table`` does over the wire.
+            assert ensure_table(a, "events", usage_schema()).name == "events"
+
+            b.drop_table("events")
+            assert not a.has_table("events")
+            assert a.table_names() == ["usage"]
+            with pytest.raises(NoSuchTableError):
+                a.table("events")
+        served.close()
+
+    @pytest.mark.parametrize("deployment", ["engine", "two-shards"])
+    def test_another_connections_set_ttl_shows(self, deployment):
+        served = served_database(deployment)
+        with AsyncLittleTableServer(served) as server, \
+                connect(server.address) as a, connect(server.address) as b:
+            usage = a.create_table("usage", usage_schema())
+            assert usage.ttl_micros is None
+
+            b.table("usage").set_ttl(self.HOUR)
+            assert usage.ttl_micros == self.HOUR
+            assert served.table("usage").ttl_micros == self.HOUR
+
+            b.drop_table("usage")
+            with pytest.raises(NoSuchTableError):
+                usage.ttl_micros
+        served.close()
+
+
 class TestBlobDefaultOnTheWire:
     """An ``add_column`` default is a value like any other: it travels
     as ``protocol.encode_value`` spells it (``{"$b": ...}``), where it
@@ -129,10 +183,7 @@ class TestBlobDefaultOnTheWire:
 
     @pytest.mark.parametrize("deployment", ["engine", "two-shards"])
     def test_blob_default_round_trips(self, deployment, monkeypatch):
-        if deployment == "engine":
-            served = LittleTable(clock=VirtualClock(start=BASE))
-        else:
-            served = ShardRouter(shards=2, clock=VirtualClock(start=BASE))
+        served = served_database(deployment)
         with AsyncLittleTableServer(served) as server:
             with connect(server.address) as db:
                 db.create_table("usage", usage_schema())
@@ -181,16 +232,24 @@ class TestConnectAddresses:
             assert db.client.ping()
 
     def test_config_passes_through(self, server):
-        config = ClientConfig(insert_batch_rows=7, pipeline_depth=3)
+        config = ClientConfig(max_retries=7, pipeline_depth=3)
         with connect(server.address, config=config) as db:
-            assert db.client.config.insert_batch_rows == 7
+            assert db.client.config.max_retries == 7
             assert db.client.config.pipeline_depth == 3
 
-    def test_bad_addresses_rejected(self):
-        with pytest.raises(ValueError):
-            connect("no-port-here")
-        with pytest.raises(ValueError):
-            connect("host:not-a-number")
+    def test_bad_addresses_rejected(self, capsys):
+        """One reading of a server address: ``repro.connect`` and the
+        CLI's ``stats --connect`` and ``serve --follow`` refuse the
+        same strings, the CLI with exit 2 before it dials anything."""
+        from repro.cli import serve_main, stats_main
+
+        for address in ("no-port-here", "7421", "host:not-a-number",
+                        "host:"):
+            with pytest.raises(ValueError):
+                connect(address)
+            assert stats_main(["--connect", address]) == 2
+            assert serve_main(["--follow", address, "--port", "0"]) == 2
+            assert capsys.readouterr().err.count("wants HOST:PORT") == 2
 
     def test_close_is_idempotent(self, server):
         db = connect(server.address)
@@ -205,7 +264,7 @@ class TestClientConfigShim:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LittleTableClient("127.0.0.1", 1,
-                              config=ClientConfig(insert_batch_rows=0))
+                              config=ClientConfig(max_retries=-1))
         with pytest.raises(ValueError):
             LittleTableClient("127.0.0.1", 1,
                               config=ClientConfig(pipeline_depth=0))

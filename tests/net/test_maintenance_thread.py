@@ -16,6 +16,7 @@ from repro.core.maintenance import MaintenancePolicy
 from repro.net import (
     AsyncLittleTableServer,
     LittleTableClient,
+    RemoteDatabase,
     ShardRouter,
 )
 from repro.util.clock import MICROS_PER_DAY, SystemClock
@@ -37,7 +38,7 @@ class TestMaintenanceThread:
         db = LittleTable(config=EngineConfig(merge_min_age_micros=0))
         with AsyncLittleTableServer(db) as server:
             client = LittleTableClient(*server.address)
-            client.create_table("t", make_schema())
+            RemoteDatabase(client).create_table("t", make_schema())
             remote_table(client, "t").insert([{"k": 1, "ts": 1000, "v": 1}])
             response = client._call({"cmd": "maintenance"})
             assert response["ok"]
@@ -57,7 +58,7 @@ class TestMaintenanceThread:
         server.start()
         try:
             client = LittleTableClient(*server.address)
-            client.create_table("t", make_schema())
+            RemoteDatabase(client).create_table("t", make_schema())
             now = int(time.time() * 1_000_000)
             for batch in range(6):
                 remote_table(client, "t").insert([
@@ -91,7 +92,7 @@ class TestMaintenanceThread:
         errors = []
         try:
             setup = LittleTableClient(*server.address)
-            setup.create_table("t", make_schema())
+            RemoteDatabase(setup).create_table("t", make_schema())
             now = int(time.time() * 1_000_000)
 
             def writer():
@@ -151,14 +152,14 @@ class TestShardedServerMaintenance:
         server.start()
         try:
             client = LittleTableClient(*server.address)
-            client.create_table("t", make_schema())
+            RemoteDatabase(client).create_table("t", make_schema())
             now = int(time.time() * 1_000_000)
             remote_table(client, "t").insert_tuples(
                 [(k, now + k, k) for k in range(2000)])
             counters = {}
             deadline = time.time() + 10
             while time.time() < deadline:
-                counters = client.stats()["counters"]
+                counters = RemoteDatabase(client).stats()["counters"]
                 if (counters.get("maintenance.ticks", 0) > 0
                         and list((tmp_path / "data").rglob("*.lt"))):
                     break

@@ -192,7 +192,7 @@ class TestClientRetryBudget:
                                admission_queue_timeout_s=0.01) as server:
             client = self.make_client_against(
                 server, max_retries=5, retry_backoff_s=0.01)
-            client.create_table("t", make_schema())
+            RemoteDatabase(client).create_table("t", make_schema())
             table = remote_table(client, "t")
             server.admission.admit()
             threading.Timer(0.15, server.admission.release).start()
@@ -250,7 +250,7 @@ class TestEndToEndOverload:
             host, port = server.address
             client = LittleTableClient(host, port, config=ClientConfig(
                 max_retries=1, retry_backoff_s=0.01))
-            client.create_table("t", make_schema())
+            RemoteDatabase(client).create_table("t", make_schema())
             table = remote_table(client, "t")
             table.insert([{"k": 1, "ts": BASE, "v": 7}])
             server.admission.admit()
@@ -313,7 +313,7 @@ class TestShardOverloadCooldown:
             host, port = server.address
             client = LittleTableClient(host, port, config=ClientConfig(
                 max_retries=10, retry_backoff_s=0.05))
-            client.create_table("t", make_schema())
+            RemoteDatabase(client).create_table("t", make_schema())
             table = remote_table(client, "t")
             server.admission.admit()        # the one slot is taken...
             release = threading.Timer(0.1, server.admission.release)

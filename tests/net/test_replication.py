@@ -24,6 +24,7 @@ from repro.core import (
 )
 from repro.disk import FileStorage, SimulatedDisk
 from repro.net.client import LittleTableClient
+from repro.net.remote import RemoteDatabase
 from repro.net.replica import Follower
 from repro.net.async_server import AsyncLittleTableServer
 from repro.net.server import RequestDispatcher
@@ -115,7 +116,7 @@ class TestConvergence:
             # Lag also surfaces through the standby's own admin API.
             wal = follower.db.wal_status()
             assert wal["replication"]["lag_records"] == 0
-            health = follower.db.health_summary()["durability"]
+            health = follower.db.health()["durability"]
             assert health["replication"]["following"]
         finally:
             follower.stop()
@@ -401,7 +402,7 @@ class TestServeFollowCli:
 
                         assert wait_until(lambda: rows() == 12)
                         seen["rows"] = rows()
-                        seen["wal"] = client.wal_status()
+                        seen["wal"] = RemoteDatabase(client).wal_status()
                 finally:
                     stop.set()
 
@@ -430,9 +431,9 @@ class TestWireDurability:
         db, server = primary
         host, port = server.address
         with LittleTableClient(host, port) as client:
-            client.create_table("wired", usage_schema(),
+            RemoteDatabase(client).create_table("wired", usage_schema(),
                                 durability=DurabilityPolicy(tier="none"))
-            status = client.wal_status()
+            status = RemoteDatabase(client).wal_status()
             assert status["tables"]["wired"]["tier"] == "none"
             assert status["default_tier"] == "wal"
         assert db.table("wired").durability.tier == "none"

@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.disk import DiskFullError, FaultyVFS
 from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
-                       LittleTableClient, protocol)
+                       LittleTableClient, RemoteDatabase, protocol)
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 from ..conftest import remote_table
@@ -182,7 +182,7 @@ class TestServerRestart:
     def test_idempotent_query_survives_restart(self, db, server):
         client = fast_client(server)
         with client:
-            client.create_table("t", event_schema())
+            RemoteDatabase(client).create_table("t", event_schema())
             table = remote_table(client, "t")
             table.insert([{"device": 1, "ts": BASE + i, "value": i}
                           for i in range(10)])
@@ -199,7 +199,7 @@ class TestServerRestart:
     def test_reconnect_invalidates_schema_cache(self, db, server):
         client = fast_client(server)
         with client:
-            client.create_table("t", event_schema())
+            RemoteDatabase(client).create_table("t", event_schema())
             # Warms the schema cache.
             list(remote_table(client, "t").scan(Query()))
             client._schema_cache["t"] = "stale-sentinel"
@@ -223,7 +223,7 @@ class TestServerRestart:
     def test_insert_is_never_retried(self, db, server):
         client = fast_client(server)
         with client:
-            client.create_table("t", event_schema())
+            RemoteDatabase(client).create_table("t", event_schema())
             table = remote_table(client, "t")
             host, port = server.address
             server.stop()
@@ -253,7 +253,7 @@ class TestReadOnlyServer:
         with AsyncLittleTableServer(db) as server:
             client = fast_client(server)
             with client:
-                client.create_table("t", event_schema())
+                RemoteDatabase(client).create_table("t", event_schema())
                 remote = remote_table(client, "t")
                 remote.insert([{"device": 1, "ts": BASE + i, "value": i}
                                for i in range(8)])
@@ -266,10 +266,10 @@ class TestReadOnlyServer:
                 with pytest.raises(ReadOnlyModeError):
                     remote.insert([{"device": 2, "ts": BASE, "value": 0}])
                 with pytest.raises(ReadOnlyModeError):
-                    client.create_table("u", event_schema())
+                    RemoteDatabase(client).create_table("u", event_schema())
                 # ...while reads and health keep serving.
                 assert len(list(remote.scan(Query()))) == 8
-                health = client.health()
+                health = RemoteDatabase(client).health()
                 assert health["read_only"]
                 assert "disk full" in health["read_only_reason"]
                 # Operator clears space; the engine becomes writable.
@@ -281,7 +281,7 @@ class TestReadOnlyServer:
 
     def test_health_on_healthy_server(self, server):
         with fast_client(server) as client:
-            health = client.health()
+            health = RemoteDatabase(client).health()
             assert health["read_only"] is False
             assert health["quarantined_tablets"] == 0
 

@@ -321,7 +321,7 @@ class TestRefusedRows:
             response = front.dispatcher.dispatch(
                 {"cmd": "insert", "table": "t", "rows": rows})
             assert not response["ok"]
-        assert front.db.health_summary().get("degraded_shards", {}) == {}
+        assert front.db.health().get("degraded_shards", {}) == {}
         assert remote.table("t").insert_tuples(string_rows()[:1]) == 1
 
     def test_a_refused_row_keeps_only_what_came_before_it(self, remote,

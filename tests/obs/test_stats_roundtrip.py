@@ -1,8 +1,7 @@
 """The STATS command end to end: every surface shows one registry.
 
-ISSUE acceptance criterion: ``client.stats()`` over TCP, the STATS
-protocol command, and ``db.metrics.snapshot()`` in process must all
-return the same view.
+``RemoteDatabase.stats()`` over TCP, the STATS protocol command, and
+``db.metrics.snapshot()`` in process must all return the same view.
 """
 
 import pytest
@@ -15,7 +14,8 @@ from repro.core import (
     Query,
     Schema,
 )
-from repro.net import AsyncLittleTableServer, LittleTableClient
+from repro.net import (AsyncLittleTableServer, LittleTableClient,
+                       RemoteDatabase)
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 from ..conftest import remote_table
@@ -67,7 +67,7 @@ def strip_server_keys(snapshot):
 
 class TestStatsRoundTrip:
     def test_stats_matches_in_process_snapshot(self, db, client, clock):
-        client.create_table("events", event_schema())
+        RemoteDatabase(client).create_table("events", event_schema())
         events = remote_table(client, "events")
         events.insert([
             {"network": 1, "device": d, "ts": clock.now() + d,
@@ -77,7 +77,7 @@ class TestStatsRoundTrip:
         events.flush_all()
         list(events.scan(Query()))
 
-        over_wire = strip_server_keys(client.stats())
+        over_wire = strip_server_keys(RemoteDatabase(client).stats())
         in_process = strip_server_keys(db.metrics.snapshot())
         assert over_wire == in_process
         assert over_wire["counters"]["insert.rows"] == 25
@@ -85,29 +85,29 @@ class TestStatsRoundTrip:
 
     def test_server_side_counters_present(self, client):
         client.ping()  # one completed command so a latency histogram exists
-        snapshot = client.stats()
+        snapshot = RemoteDatabase(client).stats()
         assert snapshot["counters"]["server.requests"] >= 1
         assert snapshot["gauges"]["server.active_connections"] == 1
         assert any(name.startswith("server.cmd.")
                    for name in snapshot["histograms"])
 
     def test_stats_request_latency_not_in_its_own_snapshot(self, client):
-        first = client.stats()
+        first = RemoteDatabase(client).stats()
         # The snapshot is taken before dispatch records the request's
         # latency, so the stats command never observes itself.
         assert all(not name.startswith("server.cmd.stats")
                    for name in first["histograms"]) or (
             first["histograms"].get(
                 "server.cmd.stats.latency_us", {}).get("count", 0) == 0)
-        second = client.stats()
+        second = RemoteDatabase(client).stats()
         assert second["histograms"][
             "server.cmd.stats.latency_us"]["count"] == 1
 
     def test_table_stats_over_wire(self, client, clock):
-        client.create_table("events", event_schema())
+        RemoteDatabase(client).create_table("events", event_schema())
         remote_table(client, "events").insert([
             {"network": 1, "device": 1, "ts": clock.now(), "payload": b""}])
-        tables = client.stats_page()["tables"]
+        tables = RemoteDatabase(client).stats_page()["tables"]
         assert list(tables) == ["events"]
         assert tables["events"]["rows"] == 1
 
@@ -122,7 +122,7 @@ class TestStatsRoundTrip:
             return real(message, idempotent=idempotent)
 
         monkeypatch.setattr(client, "_call", counting)
-        page = client.stats_page()
+        page = RemoteDatabase(client).stats_page()
         assert sent == ["stats"]
         assert set(page) == {"metrics", "health", "tables"}
         assert page["health"]["read_only"] is False
@@ -137,7 +137,7 @@ class TestErrorSurface:
         from repro.core import NoSuchTableError
 
         with pytest.raises(NoSuchTableError):
-            client.drop_table("ghost")
+            RemoteDatabase(client).drop_table("ghost")
 
     def test_connection_survives_typed_errors(self, client):
         with pytest.raises(ProtocolViolationError):

@@ -14,8 +14,10 @@ a query reply's JSON rows, a ``latest`` request of one ``prefix``
 answered by one ``row``, protocol version 3, the readers of v1 and v2
 blocks, pre-v2.1 tablets and ``KIND_ROWS`` WAL records, a row
 operation spelled on a database or a client rather than on its table,
-a second and third way to copy a database, and the ``replicated``
-tier that marked a ``wal`` table as one a standby may follow)
+a second and third way to copy a database, the ``replicated``
+tier that marked a ``wal`` table as one a standby may follow, and the
+client's buffered insert and database calls of its own beside the
+one database facade over it)
 or an option
 nothing read (or, like ``checksums``, could only turn a guard off);
 none of them connects, opens or binds anything before failing.
@@ -25,6 +27,7 @@ option nothing reads coming back fails here, in any tier-1 run.
 """
 
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -47,8 +50,10 @@ from repro.sqlapi import SqlSession
 
 @pytest.mark.parametrize("old_spelling", [
     pytest.param(
-        lambda: LittleTableClient("127.0.0.1", 1, insert_batch_rows=1),
+        lambda: LittleTableClient("127.0.0.1", 1, pipeline_depth=1),
         id="client-loose-kwarg"),
+    pytest.param(lambda: ClientConfig(insert_batch_rows=512),
+                 id="config-insert-batch-rows"),
     pytest.param(lambda: LittleTableClient("127.0.0.1", 1, 64),
                  id="client-positional-int"),
     pytest.param(lambda: LittleTable(startup_scrub=False),
@@ -206,7 +211,12 @@ SRC = Path(__file__).parent.parent / "src"
     # marks a ``wal`` table as one a standby may follow.
     pytest.param(
         r"archive_to|class Snapshot\b|[\"'`]replicated|replicated[\"'`]",
-        (), id="second-copy-or-replicated-tier"),
+        (), id="second-copy-or-replicated-tier"),    # One database facade per deployment: the client is the transport,
+    # rows reach a table as one batch through ``db.table(name)``, and
+    # ``health()`` is the one health call on every facade.
+    pytest.param(
+        "buffer_insert|flush_inserts|pending_rows|insert_batch_rows"
+        "|health_summary", (), id="second-database-facade"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)
@@ -298,6 +308,24 @@ def test_rows_go_through_the_table_alone(owner, names):
     maintenance, health and transport; every row operation is their
     table facade's (``Table``, ``ShardedTable``, ``RemoteTable``)."""
     assert [name for name in names if hasattr(owner, name)] == []
+
+
+def _public(owner):
+    return {name for name in vars(owner)
+            if not name.startswith("_") or name in ("__enter__",
+                                                     "__exit__")}
+
+
+def test_the_client_is_only_the_transport():
+    """``RemoteDatabase`` is the one database facade over a connection:
+    the client under it shares no operation with it but its lifecycle,
+    and its config holds connection behaviour alone."""
+    assert _public(LittleTableClient) & _public(RemoteDatabase) == {
+        "close", "__enter__", "__exit__"}
+    assert len(dataclasses.fields(ClientConfig)) == 8
+    for facade in (LittleTable, ShardRouter, RemoteDatabase):
+        assert [name for name in vars(facade) if "health" in name] == [
+            "health"]
 
 
 def test_a_pipeline_call_takes_no_idempotent_flag():

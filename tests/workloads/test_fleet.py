@@ -74,7 +74,7 @@ class TestTables:
         assert cdf_at(ttls, MICROS_PER_WEEK) <= 0.1
 
     def test_batch_row_mix(self, tables):
-        batches = sorted(t.insert_batch_rows for t in tables)
+        batches = sorted(t.batch_rows for t in tables)
         assert 0.15 <= cdf_at(batches, 1) <= 0.25      # bottom 20%: 1 row
         assert 1.0 - cdf_at(batches, 127) >= 0.45      # half >= 128 rows
         assert 1.0 - cdf_at(batches, 6000) >= 0.15     # top 20% > 6000
