@@ -51,8 +51,7 @@ def connect(address: Union[str, Tuple[str, int]], *,
     e.g. ``server.address`` straight from an
     :class:`~repro.net.async_server.AsyncLittleTableServer`.
     ``config`` is a :class:`~repro.net.client.ClientConfig` for
-    timeouts, retries, pipelining and the default durability of the
-    tables it creates.
+    timeouts, retries and pipelining.
 
     The returned :class:`~repro.net.remote.RemoteDatabase` has the
     same ``table``/``create_table``/``stats``/``health`` facade and

@@ -473,11 +473,12 @@ def _serve_follower(args, *, stop_event=None, on_ready=None) -> int:
         return 2
     import threading
 
-    from .net.async_server import AsyncLittleTableServer
+    from .net import AsyncLittleTableServer, ClientConfig, LittleTableClient
     from .net.replica import Follower
 
     db = open_database(args.data)
-    follower = Follower(db, *primary)
+    follower = Follower(db, LittleTableClient(
+        *primary, config=ClientConfig(request_timeout_s=10.0)))
     server = AsyncLittleTableServer(db, host=args.host, port=args.port)
     if stop_event is None:
         stop_event = threading.Event()

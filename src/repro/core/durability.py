@@ -16,9 +16,8 @@ into a dial.  A :class:`DurabilityPolicy` selects one of two tiers:
 
 One policy object travels the whole stack: ``LittleTable(durability=)``
 sets the database default, ``create_table(durability=)`` overrides per
-table (persisted in the table descriptor), ``ClientConfig.durability``
-carries it over the wire, and ``ltdb serve --durability`` sets it for
-a server.  Scrub-at-open is an engine setting, not a durability tier:
+table (persisted in the table descriptor; over the wire too), and
+``ltdb serve --durability`` sets it for a server.  Scrub-at-open is an engine setting, not a durability tier:
 it lives on :class:`EngineConfig` alone, and content checksums are
 not a setting at all (every tablet carries them).
 """

@@ -23,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
+import socket
 import struct
 import threading
 import time
@@ -194,10 +195,7 @@ class AsyncLittleTableServer:
         try:
             sock = writer.get_extra_info("socket")
             if sock is not None:
-                import socket as _socket
-
-                sock.setsockopt(_socket.IPPROTO_TCP,
-                                _socket.TCP_NODELAY, 1)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
                 try:
                     header = await reader.readexactly(_LENGTH.size)
@@ -244,13 +242,7 @@ class AsyncLittleTableServer:
         except RuntimeError:
             # Executor shut down mid-request (server stopping).
             return False
-        try:
-            frame = protocol.encode_frame(response)
-        except protocol.ProtocolError as exc:
-            frame = protocol.encode_frame(
-                RequestDispatcher._tag(protocol.error_response(
-                    "ServerError", f"unencodable response: {exc}"),
-                    request.get("id")))
+        frame = protocol.reply_frame(response)
         async with write_lock:
             try:
                 writer.write(frame)

@@ -2,9 +2,10 @@
 
 Plays the wire half of the paper's SQLite-side adaptor (§3.1, §3.5):
 
-* keeps a persistent TCP connection so a server crash is detected as a
-  disconnection (after which the application re-checks what survived
-  and re-inserts, §4.1);
+* keeps a persistent TCP connection (:class:`TcpTransport`, which a
+  call and a pipeline cross through one exchange) so a server crash is
+  detected as a disconnection, after which the application re-checks
+  what survived and re-inserts (§4.1);
 * caches the schemas that type rows on the wire, loaded by one
   ``list_tables`` and dropped at the first sign they are stale;
 * builds the requests and decodes the replies of the row operations of
@@ -34,7 +35,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import errors as _errors
 from ..core.codec import compiled_ops
-from ..core.durability import DurabilityPolicy
 from ..core.errors import (
     CorruptTabletError,
     LittleTableError,
@@ -57,7 +57,6 @@ from .protocol import (
     encode_value,
     recv_message,
     row_marshaller,
-    send_message,
 )
 
 # Local exception classes addressable by wire error code (the code is
@@ -183,16 +182,11 @@ class ClientConfig:
     * ``request_timeout_s`` - bound on each round trip (None = wait
       forever, the historic behaviour);
     * ``max_retries`` / ``retry_backoff_s`` / ``retry_backoff_max_s``
-      / ``auto_reconnect`` - the idempotent-only retry loop: broken
-      idempotent requests resend through a fresh connection with
-      jittered exponential backoff; writes never auto-retry (§4.1);
+      - the idempotent-only retry loop (0 retries resend nothing):
+      broken idempotent requests resend through a fresh connection
+      with jittered exponential backoff; writes never do (§4.1);
     * ``pipeline_depth`` - max in-flight requests a
-      :meth:`LittleTableClient.pipeline` batch keeps before draining;
-    * ``durability`` - default :class:`~repro.core.durability
-      .DurabilityPolicy` applied to tables created over this
-      connection (a per-call ``RemoteDatabase.create_table(
-      durability=...)`` still overrides it);
-      None leaves tier selection entirely to the server.
+      :meth:`LittleTableClient.pipeline` batch keeps before draining.
     """
 
     connect_timeout_s: float = 10.0
@@ -200,17 +194,38 @@ class ClientConfig:
     max_retries: int = 3
     retry_backoff_s: float = 0.05
     retry_backoff_max_s: float = 2.0
-    auto_reconnect: bool = True
     pipeline_depth: int = 128
-    durability: Optional[DurabilityPolicy] = None
 
     def validate(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
-        if self.durability is not None:
-            self.durability.validate()
+
+
+class TcpTransport:
+    """The client's connection to a server: one TCP socket carrying
+    whole frames, bytes out and one message in at a time."""
+
+    def __init__(self, address: Tuple[str, int], connect_timeout_s: float):
+        self._sock = socket.create_connection(address,
+                                              timeout=connect_timeout_s)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def send(self, data: bytes) -> None:
+        self._sock.sendall(data)
+
+    def recv(self) -> Dict[str, Any]:
+        return recv_message(self._sock)
+
+    def settimeout(self, timeout: Optional[float]) -> None:
+        self._sock.settimeout(timeout)
+
+    def close(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:
+            pass
 
 
 class LittleTableClient:
@@ -225,7 +240,7 @@ class LittleTableClient:
         config.validate()
         self.config = config
         self._address = (host, port)
-        self._sock: Optional[socket.socket] = None
+        self._transport: Optional[TcpTransport] = None
         self.server_shards = 1
         self._request_ids = itertools.count(1)
         # Injectable for deterministic tests (resilience suite swaps
@@ -247,10 +262,7 @@ class LittleTableClient:
     def connect(self) -> None:
         """(Re)establish the persistent connection."""
         self.close()
-        sock = socket.create_connection(
-            self._address, timeout=self.config.connect_timeout_s)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
+        self._transport = self._dial()
         # The server may have restarted with different tables.
         self.invalidate_schema_cache()
         # The hello exchange still runs under the connect timeout: a
@@ -258,13 +270,17 @@ class LittleTableClient:
         self._handshake()
         # From here on, the per-request read timeout; None restores
         # blocking mode.
-        sock.settimeout(self.config.request_timeout_s)
+        self._transport.settimeout(self.config.request_timeout_s)
+
+    def _dial(self) -> TcpTransport:
+        """Open the transport: the one place a connection is made."""
+        return TcpTransport(self._address, self.config.connect_timeout_s)
 
     def _handshake(self) -> None:
         """Check that the peer is a LittleTable server of this
         protocol version, and learn how many shards it fronts."""
-        response = self._exchange(
-            {"cmd": "hello", "version": PROTOCOL_VERSION})
+        response, = self._exchange(
+            encode_frame({"cmd": "hello", "version": PROTOCOL_VERSION}), 1)
         if not response.get("ok"):
             problem = f"server refused hello: {response.get('message')}"
         elif response.get("version") != PROTOCOL_VERSION:
@@ -278,12 +294,9 @@ class LittleTableClient:
         raise ProtocolViolationError(problem)
 
     def close(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        transport, self._transport = self._transport, None
+        if transport is not None:
+            transport.close()
 
     def __enter__(self) -> "LittleTableClient":
         return self
@@ -293,14 +306,14 @@ class LittleTableClient:
 
     @property
     def connected(self) -> bool:
-        return self._sock is not None
+        return self._transport is not None
 
     def _call(self, message: Dict[str, Any],
               idempotent: bool = False) -> Dict[str, Any]:
         """One request/response exchange, with bounded retries.
 
         All attempts share ONE overall deadline derived from
-        ``request_timeout_s`` at entry: each attempt's socket timeout
+        ``request_timeout_s`` at entry: each attempt's read timeout
         is the *remaining* budget and backoff sleeps never overrun it,
         so the caller waits at most ~``request_timeout_s`` total - not
         attempts x timeout, as the old per-attempt re-arm allowed.
@@ -318,37 +331,35 @@ class LittleTableClient:
         """
         config = self.config
         deadline: Optional[float] = None
+        timeout: Optional[float] = None
         if config.request_timeout_s is not None:
             deadline = time.monotonic() + config.request_timeout_s
             # Propagate the budget so the server can shed (rather than
             # execute) a request that already overran it while queued.
             message = dict(message)
-        retry_connection = idempotent and config.auto_reconnect
         last_error: Optional[Exception] = None
         for attempt in range(config.max_retries + 1):
             try:
-                if self._sock is None:
-                    can_reconnect = config.auto_reconnect and (
-                        idempotent or isinstance(last_error,
-                                                 OverloadedError))
-                    if not can_reconnect:
+                if self._transport is None:
+                    if not (idempotent
+                            or isinstance(last_error, OverloadedError)):
                         raise ConnectionLost("not connected")
                     self.connect()
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 and last_error is not None:
                         break
-                    self._sock.settimeout(max(remaining, 0.001))
+                    timeout = max(remaining, 0.001)
                     message["deadline_ms"] = max(
                         int(remaining * 1000), 1)
-                response = self._exchange(message)
+                response, = self._exchange(encode_frame(message), 1,
+                                           timeout)
                 if response.get("ok"):
                     return response
                 raise self._error(response)
             except (ConnectionLost, OSError) as exc:
-                self.close()
-                last_error = exc
-                if not retry_connection:
+                last_error = _as_lost(exc)
+                if not idempotent:
                     break
             except OverloadedError as exc:
                 # Shed before execution - never partially applied, so
@@ -360,19 +371,23 @@ class LittleTableClient:
                                         getattr(last_error,
                                                 "retry_after_s", None)):
                 break  # the shared budget cannot fund another attempt
-        if isinstance(last_error, OverloadedError):
-            raise last_error
-        raise _as_lost(last_error)
+        raise last_error
 
-    def _exchange(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one frame and read one back.  Anything short of a
-        parsed reply - a broken socket, a timeout, bytes that are not a
-        frame - closes the connection and surfaces as
-        :class:`ConnectionLost`, so the caller (or ``_call``'s retry
-        loop) can run recovery (§4.1)."""
+    def _exchange(self, frames: bytes, replies: int,
+                  timeout: Optional[float] = None) -> List[Dict[str, Any]]:
+        """Send ``frames`` (a call is a batch of one) and read
+        ``replies`` messages, each read bounded by ``timeout`` (None:
+        as it is).  Any failure - a broken connection, a timeout, bytes
+        that are not a frame - closes the connection and surfaces as
+        :class:`ConnectionLost`, for recovery (§4.1)."""
+        transport = self._transport
         try:
-            send_message(self._sock, message)
-            return recv_message(self._sock)
+            if transport is None:
+                raise ConnectionLost("not connected")
+            if timeout is not None:
+                transport.settimeout(timeout)
+            transport.send(frames)
+            return [transport.recv() for _ in range(replies)]
         except (ConnectionLost, ProtocolError, OSError) as exc:
             self.close()
             raise _as_lost(exc)
@@ -518,10 +533,6 @@ class PendingReply:
         self._decode = decode
         self._done = False
 
-    @property
-    def done(self) -> bool:
-        return self._done
-
     def _resolve(self, response: Dict[str, Any]) -> None:
         self._response = response
         self._done = True
@@ -584,41 +595,32 @@ class Pipeline:
         return reply
 
     def drain(self) -> None:
-        """Send everything buffered and collect every response."""
+        """Send everything buffered and collect every response, in one
+        exchange whose reads are bounded by ``request_timeout_s``."""
         if not self._awaiting:
             return
-        sock = self._client._sock
-        if sock is None:
-            self._fail_all(ConnectionLost("not connected"))
-            raise ConnectionLost("not connected")
+        client = self._client
+        frames, self._frames = b"".join(self._frames), []
         try:
-            if self._frames:
-                data = b"".join(self._frames)
-                self._frames = []
-                sock.sendall(data)
-            while self._awaiting:
-                response = recv_message(sock)
+            responses = client._exchange(frames, len(self._awaiting),
+                                         client.config.request_timeout_s)
+            for response in responses:
                 request_id = response.get("id")
                 reply = self._awaiting.pop(request_id, None)
                 if reply is None:
                     # A response we never asked for: framing is gone.
+                    client.close()
                     raise ConnectionLost(
                         f"unmatched response id {request_id!r}")
                 if response.get("ok"):
                     reply._resolve(response)
                 else:
-                    reply._fail(self._client._error(response))
-        except (ConnectionLost, ProtocolError, OSError) as exc:
-            self._client.close()
-            lost = _as_lost(exc)
-            self._fail_all(lost)
-            raise lost
-
-    def _fail_all(self, error: BaseException) -> None:
-        for reply in self._awaiting.values():
-            reply._fail(error)
-        self._awaiting.clear()
-        self._frames = []
+                    reply._fail(client._error(response))
+        except ConnectionLost as lost:
+            for reply in self._awaiting.values():
+                reply._fail(lost)
+            self._awaiting.clear()
+            raise
 
     def __enter__(self) -> "Pipeline":
         return self

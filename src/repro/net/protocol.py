@@ -203,13 +203,24 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
         payload = payload[_BLOCK_HEAD.size:end]
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:   # UTF-8, JSON, nesting
         raise ProtocolError(f"bad frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError("frame payload must be a JSON object")
     if block is not None:
         message["block"] = block
     return message
+
+
+def reply_frame(response: Dict[str, Any]) -> bytes:
+    """A reply's frame bytes; one too large for a frame is answered by
+    a ``ServerError`` under the same request id instead."""
+    try:
+        return encode_frame(response)
+    except ProtocolError as exc:
+        tag = {"id": response["id"]} if "id" in response else {}
+        return encode_frame(error_response(
+            "ServerError", f"unencodable response: {exc}", **tag))
 
 
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:

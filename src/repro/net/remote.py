@@ -218,16 +218,13 @@ class RemoteDatabase:
                      ttl_micros: Optional[int] = None,
                      durability: Optional[DurabilityPolicy] = None
                      ) -> RemoteTable:
-        """Create a table on the server.  ``durability`` (else the
-        client's ``config.durability``) picks its tier; with neither
-        the server's default applies."""
-        policy = durability if durability is not None \
-            else self.client.config.durability
+        """Create a table on the server.  ``durability`` picks its
+        tier; without it the server's default applies."""
         request = {"cmd": "create_table", "table": name,
                    "schema": schema.to_dict(), "ttl_micros": ttl_micros}
-        if policy is not None:
-            policy.validate()
-            encoded = policy.to_dict()
+        if durability is not None:
+            durability.validate()
+            encoded = durability.to_dict()
             if encoded:
                 request["durability"] = encoded
         self._ddl(request)

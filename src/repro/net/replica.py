@@ -50,21 +50,19 @@ from ..core.descriptor import TableDescriptor
 from ..core.errors import LittleTableError, ReplicaDivergedError
 from ..core.snapshot import copy_version
 from ..core.wal import iter_records
-from .client import ClientConfig, LittleTableClient
+from .client import LittleTableClient
 from .protocol import ConnectionLost
 
 
 class Follower:
-    """Streams one primary's tables into a local engine."""
+    """Streams one primary's tables, over ``client``, into ``db``."""
 
-    def __init__(self, db, host: str, port: int,
-                 poll_interval_s: float = 0.2,
-                 client: Optional[LittleTableClient] = None):
+    def __init__(self, db, client: LittleTableClient,
+                 poll_interval_s: float = 0.2):
         self.db = db
-        self.address = f"{host}:{port}"
+        self.address = "{}:{}".format(*client._address)
         self.poll_interval_s = poll_interval_s
-        self._client = client if client is not None else LittleTableClient(
-            host, port, config=ClientConfig(request_timeout_s=10.0))
+        self._client = client
         self._applied: Dict[str, int] = {}
         self._primary_durable: Dict[str, int] = {}
         self._last_sync: Optional[float] = None

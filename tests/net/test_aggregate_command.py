@@ -81,14 +81,14 @@ class TestValuesSurviveTheWire:
         _embedded, remote, client = served
         remote.execute("SHOW TABLES")       # the schema fetch, once
         seen = []
-        original = client._exchange
+        original = client._call
 
-        def spying(message):
-            response = original(message)
+        def spying(message, idempotent=False):
+            response = original(message, idempotent)
             seen.append((message["cmd"], response))
             return response
 
-        client._exchange = spying
+        client._call = spying
         assert remote.execute(
             "SELECT host, SUM(hits) FROM logs GROUP BY host").rows \
             == [("h0", 28), ("h1", 828), ("h2", 1628)]
@@ -208,11 +208,11 @@ class TestEverythingIsOutsideInput:
     def test_refused_by_type_and_the_connection_lives(
             self, served, message, refusal):
         _embedded, remote, client = served
-        sock = client._sock
+        transport = client._transport
         with pytest.raises(refusal) as caught:
             client._call(message, idempotent=True)
         assert type(caught.value) is refusal        # never ServerError
-        assert client.ping() and client._sock is sock
+        assert client.ping() and client._transport is transport
         assert remote.execute("SELECT COUNT(*) FROM logs").scalar() == 24
 
     def test_min_max_count_of_strings_stay_legal(self, served):
@@ -230,7 +230,7 @@ class TestEverythingIsOutsideInput:
                          for i in range(400))
         remote.execute(f"INSERT INTO logs (host, ts, tag, load, hits) "
                        f"VALUES {wide}")
-        sock = client._sock
+        transport = client._transport
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 8192)
         with pytest.raises(ServerError, match="frame too large"):
             remote.execute("SELECT host, COUNT(*) FROM logs GROUP BY host")
@@ -239,7 +239,7 @@ class TestEverythingIsOutsideInput:
         assert remote.execute(
             "SELECT COUNT(*) FROM logs WHERE host < 'host-0010'").rows \
             == [(34,)]
-        assert client._sock is sock
+        assert client._transport is transport
 
 
 class TestRetriedLikeAQuery:

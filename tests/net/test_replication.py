@@ -23,7 +23,7 @@ from repro.core import (
     is_healthy,
 )
 from repro.disk import FileStorage, SimulatedDisk
-from repro.net.client import LittleTableClient
+from repro.net.client import ClientConfig, LittleTableClient
 from repro.net.remote import RemoteDatabase
 from repro.net.replica import Follower
 from repro.net.async_server import AsyncLittleTableServer
@@ -55,7 +55,8 @@ def primary():
 def make_follower(server, **kwargs):
     standby = LittleTable(disk=SimulatedDisk())
     host, port = server.address
-    return Follower(standby, host, port, **kwargs)
+    return Follower(standby, LittleTableClient(
+        host, port, config=ClientConfig(request_timeout_s=10.0)), **kwargs)
 
 
 def wait_until(predicate, timeout_s=10.0):

@@ -9,6 +9,7 @@ persistent connection breaks, §3.1/§4.1).
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -23,10 +24,11 @@ from repro.core import (
 )
 from repro.disk import DiskFullError, FaultyVFS
 from repro.net import (AsyncLittleTableServer, ClientConfig, ConnectionLost,
-                       LittleTableClient, RemoteDatabase, protocol)
+                       LittleTableClient, RemoteDatabase, RequestDispatcher)
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 from ..conftest import remote_table
+from .loopback import Faults, loopback_connect
 
 BASE = 10_000 * MICROS_PER_DAY
 
@@ -73,12 +75,12 @@ class TestTimeoutKnobs:
     def test_request_timeout_reaches_socket(self, server):
         client = fast_client(server, request_timeout_s=1.5)
         with client:
-            assert client._sock.gettimeout() == 1.5
+            assert client._transport._sock.gettimeout() == 1.5
             assert client.ping()
 
     def test_default_is_blocking_reads(self, server):
         with fast_client(server) as client:
-            assert client._sock.gettimeout() is None
+            assert client._transport._sock.gettimeout() is None
 
     def test_connect_timeout_is_used(self, server, monkeypatch):
         import socket as socket_module
@@ -93,6 +95,30 @@ class TestTimeoutKnobs:
                             spying)
         with fast_client(server, connect_timeout_s=2.5):
             assert seen["timeout"] == 2.5
+
+    def test_a_retried_call_leaves_the_next_pipeline_its_whole_timeout(
+            self, db, server, monkeypatch):
+        """A call's retry spends part of its ``request_timeout_s``; the
+        pipeline after it still waits the whole of it for a reply,
+        not what that call had left."""
+        host, port = server.address
+        client = LittleTableClient(host, port, config=ClientConfig(
+            request_timeout_s=1.5, retry_backoff_s=0.75,
+            retry_backoff_max_s=0.75))
+        client._rng = type("R", (), {"random": lambda self: 1.0})()
+        server.stop()
+        with client, AsyncLittleTableServer(db, port=port):
+            assert client.ping()    # one retry, 0.75 s of its 1.5 s budget
+            ping = RequestDispatcher._cmd_ping
+
+            def slow_ping(dispatcher, request):
+                time.sleep(1.1)
+                return ping(dispatcher, request)
+
+            monkeypatch.setattr(RequestDispatcher, "_cmd_ping", slow_ping)
+            with client.pipeline() as batch:
+                reply = batch.ping()
+            assert reply.result()
 
 
 class TestBrokenPeers:
@@ -118,37 +144,18 @@ class TestBrokenPeers:
             assert not thread.is_alive(), "connect() is still waiting"
         assert isinstance(outcome[0], ConnectionLost)
 
-    @pytest.fixture
-    def garbling_server(self):
-        """Answers hello, then one frame that is not JSON."""
-        listener = socket.create_server(("127.0.0.1", 0))
+    #: Answers hello, then every reply with a byte that is not JSON.
+    GARBLED = Faults(seed=0, kinds=("corrupt",), rate=1.0)
 
-        def serve():
-            conn, _ = listener.accept()
-            with conn:
-                protocol.recv_message(conn)
-                protocol.send_message(conn, protocol.ok_response(
-                    version=protocol.PROTOCOL_VERSION, shards=1))
-                protocol.recv_message(conn)
-                conn.sendall(b"\x00\x00\x00\x08not json")
-                conn.recv(1)    # hold the socket open until the client drops it
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        yield listener.getsockname()
-        listener.close()
-        thread.join(timeout=5)
-
-    def test_unparseable_reply_is_a_lost_connection(self, garbling_server):
-        client = LittleTableClient(*garbling_server, config=ClientConfig(
-            auto_reconnect=False))
+    def test_unparseable_reply_is_a_lost_connection(self, db):
+        client = loopback_connect(db, config=ClientConfig(max_retries=0),
+                                  faults=self.GARBLED).client
         with pytest.raises(ConnectionLost):
             client.ping()
         assert not client.connected
 
-    def test_unparseable_reply_fails_the_whole_pipeline(
-            self, garbling_server):
-        client = LittleTableClient(*garbling_server)
+    def test_unparseable_reply_fails_the_whole_pipeline(self, db):
+        client = loopback_connect(db, faults=self.GARBLED).client
         batch = client.pipeline()
         replies = [batch.ping() for _ in range(3)]
         with pytest.raises(ConnectionLost):
@@ -234,16 +241,6 @@ class TestServerRestart:
                 with pytest.raises(ConnectionLost):
                     table.insert([{"device": 1, "ts": BASE, "value": 0}])
             assert client.sleeps == []  # zero backoff = zero retries
-
-    def test_auto_reconnect_false_disables_retries(self, db, server):
-        client = fast_client(server, auto_reconnect=False)
-        with client:
-            host, port = server.address
-            server.stop()
-            with AsyncLittleTableServer(db, port=port):
-                with pytest.raises(ConnectionLost):
-                    client.ping()
-            assert client.sleeps == []
 
 
 class TestReadOnlyServer:

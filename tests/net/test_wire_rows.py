@@ -206,13 +206,13 @@ class TestBytesOnTheWire:
     def sent(self, monkeypatch):
         """Every frame the client puts on the wire, as bytes."""
         frames = []
-        real = client_module.send_message
+        real = client_module.TcpTransport.send
 
-        def recording(sock, message):
-            frames.append(encode_frame(message))
-            real(sock, message)
+        def recording(transport, data):
+            frames.append(data)
+            real(transport, data)
 
-        monkeypatch.setattr(client_module, "send_message", recording)
+        monkeypatch.setattr(client_module.TcpTransport, "send", recording)
         return frames
 
     @pytest.mark.parametrize("kind", sorted(SCHEMAS))

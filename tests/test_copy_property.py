@@ -32,29 +32,13 @@ from repro.core.wal import is_wal_filename
 from repro.dashboard.failover import WarmSpare
 from repro.disk import MemoryStorage, SimulatedDisk
 from repro.net.replica import Follower
-from repro.net.server import RequestDispatcher
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_MINUTE, VirtualClock
 
 from .conftest import usage_schema
+from .net.loopback import loopback_connect
 
 BASE = 10_000 * MICROS_PER_DAY
 TTL = 6 * MICROS_PER_MINUTE
-
-
-class InProcessClient:
-    """The follower's transport without a socket: each request goes
-    straight to the primary's command dispatcher."""
-
-    def __init__(self, db):
-        self._dispatcher = RequestDispatcher(db)
-
-    def _call(self, request, idempotent=False):
-        response = self._dispatcher.dispatch(request)
-        assert response["ok"], response
-        return response
-
-    def close(self):
-        pass
 
 
 class Primary:
@@ -210,7 +194,7 @@ def test_every_copy_is_a_durable_prefix_of_its_source(steps):
     spare = WarmSpare(primary.clock)
     follower = Follower(LittleTable(disk=SimulatedDisk(), clock=primary.clock,
                                     config=primary.config),
-                        "in-process", 0, client=InProcessClient(primary.db))
+                        loopback_connect(primary.db).client)
     for step in steps:
         primary.clock.advance(MICROS_PER_MINUTE)
         kind = step[0]

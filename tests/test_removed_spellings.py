@@ -19,7 +19,8 @@ tier that marked a ``wal`` table as one a standby may follow, and the
 client's buffered insert and database calls of its own beside the
 one database facade over it)
 or an option
-nothing read (or, like ``checksums``, could only turn a guard off);
+nothing read or no caller set (or, like ``checksums``, could only
+turn a guard off);
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
@@ -54,6 +55,10 @@ from repro.sqlapi import SqlSession
         id="client-loose-kwarg"),
     pytest.param(lambda: ClientConfig(insert_batch_rows=512),
                  id="config-insert-batch-rows"),
+    pytest.param(lambda: ClientConfig(auto_reconnect=False),
+                 id="config-auto-reconnect"),
+    pytest.param(lambda: ClientConfig(durability=DurabilityPolicy()),
+                 id="config-durability"),
     pytest.param(lambda: LittleTableClient("127.0.0.1", 1, 64),
                  id="client-positional-int"),
     pytest.param(lambda: LittleTable(startup_scrub=False),
@@ -217,6 +222,11 @@ SRC = Path(__file__).parent.parent / "src"
     pytest.param(
         "buffer_insert|flush_inserts|pending_rows|insert_batch_rows"
         "|health_summary", (), id="second-database-facade"),
+    # One transport under the client: the retry loop is not optional
+    # (``max_retries=0`` resends nothing) and a table's tier is chosen
+    # per ``create_table``, not by the connection.
+    pytest.param(r"auto_reconnect|config\.durability", (),
+                 id="client-options-no-caller-set"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)
@@ -322,7 +332,7 @@ def test_the_client_is_only_the_transport():
     and its config holds connection behaviour alone."""
     assert _public(LittleTableClient) & _public(RemoteDatabase) == {
         "close", "__enter__", "__exit__"}
-    assert len(dataclasses.fields(ClientConfig)) == 8
+    assert len(dataclasses.fields(ClientConfig)) == 6
     for facade in (LittleTable, ShardRouter, RemoteDatabase):
         assert [name for name in vars(facade) if "health" in name] == [
             "health"]

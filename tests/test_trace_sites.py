@@ -34,3 +34,31 @@ def test_the_row_codec_the_layer_probe_times_exists():
 
     row = (1, "a", b"\x00", 2.5, None)
     assert tuple(protocol.decode_row(protocol.encode_row(row))) == row
+
+
+def test_the_client_frames_pass_the_traced_protocol_functions():
+    """``bench/layers.py`` reads the client's wire time and frame count
+    off the ``encode_frame`` / ``recv_message`` spans: a call and a
+    pipeline over TCP must still go through both, by name."""
+    import threading
+
+    from repro.core import LittleTable
+    from repro.net import AsyncLittleTableServer, LittleTableClient
+
+    db = LittleTable()
+    recorder = trace.Recorder()
+    with AsyncLittleTableServer(db) as server, \
+            LittleTableClient(*server.address) as client:
+        recorder.install(trace.program_sites())
+        try:
+            assert client.ping()
+            with client.pipeline() as batch:
+                replies = [batch.ping() for _ in range(3)]
+        finally:
+            recorder.uninstall()
+    db.close()
+    assert all(reply.result() for reply in replies)
+    here = threading.get_ident()
+    names = [record[2] for record in recorder.records if record[6] == here]
+    assert names.count(trace.CLIENT_ENCODE) == 4
+    assert names.count(trace.CLIENT_RECV) == 4
