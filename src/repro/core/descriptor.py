@@ -7,9 +7,10 @@ every change.  Once written, LittleTable atomically renames this file
 to replace the previous version."
 
 The descriptor is the table's only persistent metadata: current schema,
-TTL, and the tablet list.  Because every change replaces it atomically,
-a crash leaves either the old or the new version - never a torn one -
-which is the anchor of LittleTable's crash-recovery story.
+TTL, the tablet list and a ``wal`` table's log low water.  Because
+every change replaces it atomically, a crash leaves either the old or
+the new version - never a torn one - which is the anchor of
+LittleTable's crash-recovery story.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ class TableDescriptor:
     # default, so ``none``-tier descriptors are byte-identical to
     # those written before durability tiers existed.
     durability: Optional[dict] = None
+    # Every WAL record below this LSN has all its rows in a tablet
+    # listed here; set by a flush publish, persisted only above 1.
+    wal_low_water: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tablets", tuple(self.tablets))
@@ -75,6 +79,8 @@ class TableDescriptor:
         }
         if self.durability:
             payload["durability"] = self.durability
+        if self.wal_low_water > 1:
+            payload["wal_low_water"] = self.wal_low_water
         body = json.dumps(payload, sort_keys=True)
         payload["checksum"] = crc32c(body.encode("utf-8"))
         return json.dumps(payload, sort_keys=True)
@@ -95,6 +101,7 @@ class TableDescriptor:
                 tablets=[TabletMeta.from_dict(t) for t in data["tablets"]],
                 next_tablet_id=data["next_tablet_id"],
                 durability=data.get("durability"),
+                wal_low_water=data.get("wal_low_water", 1),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise CorruptTabletError(f"bad descriptor: {exc}") from exc
@@ -119,7 +126,6 @@ class TableDescriptor:
                 disk.storage.delete(temp)
                 disk.model.release(temp)
             raise
-        disk.fire("descriptor.after_rename")
 
     @classmethod
     def load(cls, disk: SimulatedDisk, name: str) -> "TableDescriptor":

@@ -224,8 +224,7 @@ def flush_group(table: "Table", memtable_id: int) -> List[TabletMeta]:
                     add=written,
                     before="flush.before_descriptor",
                     after="flush.after_descriptor",
-                    bookkeeping=lambda: table._retire_flush_group_locked(
-                        members))
+                    flushed=members)
             except Exception as exc:
                 # Leave the group flushable: re-queue it so the next
                 # maintenance pass retries (files already written are
@@ -235,9 +234,9 @@ def flush_group(table: "Table", memtable_id: int) -> List[TabletMeta]:
                 table._requeue_flush_group(members)
                 table._notify_fault(exc)
                 raise
-            # Rows just sealed into tablets no longer need their log
-            # records; recycle wholly-covered segments.
-            table._advance_wal_low_water()
+            # Free the segments the published low water passes.
+            if table.wal is not None:
+                table.wal.recycle(table.descriptor.wal_low_water)
             rows = sum(meta.row_count for meta in written)
             size = sum(meta.size_bytes for meta in written)
             span.tag(tablets=len(written), rows=rows, bytes=size)
@@ -405,10 +404,11 @@ def bulk_delete(table: "Table", prefix: Sequence[Any]) -> int:
     The bulk-delete feature §7 says Meraki was investigating "to
     simplify compliance with regional privacy laws" - e.g. remove one
     customer's networks entirely.  Memtables holding matching rows
-    are flushed first, then each affected tablet is rewritten without
-    the matching rows (tablets whose zone map, Bloom filter or key
-    index rules the prefix out are untouched).  Returns the number of
-    rows deleted.
+    are flushed first (on the ``wal`` tier all of them, so the low water
+    passes every logged row and replay brings none back), then each
+    affected tablet is rewritten without the matching rows (tablets
+    whose zone map, Bloom filter or key index rules the prefix out are
+    untouched).  Returns the number of rows deleted.
     """
     prefix = tuple(prefix)
     if not prefix or len(prefix) >= table.schema.key_width:
@@ -419,7 +419,8 @@ def bulk_delete(table: "Table", prefix: Sequence[Any]) -> int:
     with table._maintenance_lock:
         with table._read_plan() as plan:
             holding = [memtable for memtable in plan.memtables
-                       if any(memtable.scan_runs(key_range))]
+                       if table.wal is not None
+                       or any(memtable.scan_runs(key_range))]
         for memtable in holding:
             table.flush_memtable(memtable.memtable_id)
         removed = 0

@@ -131,9 +131,8 @@ class MemTable:
         self._max_key: Optional[Key] = None
         # WAL bookkeeping (durability tiers): the lowest LSN of the log
         # records whose rows live here.  None until the first logged
-        # batch touches this memtable; once every memtable at or below
-        # an LSN is flushed the table advances the WAL low-water mark
-        # past it and recycles covered segments.
+        # batch touches this memtable; a flush publishes the lowest of
+        # these outside its group as the version's WAL low water.
         self.min_wal_lsn: Optional[int] = None
 
     def note_wal_lsn(self, lsn: int) -> None:

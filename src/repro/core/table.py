@@ -453,6 +453,7 @@ class Table:
                  after: Optional[str] = None,
                  quarantine: bool = False,
                  bookkeeping: Optional[Callable[[], None]] = None,
+                 flushed: Sequence[MemTable] = (),
                  **changes: Any) -> List[TabletMeta]:
         """Publish the table's next version: the one place it changes
         (§3.2: "after every change").
@@ -462,13 +463,16 @@ class Table:
         ``ttl_micros``), the tablet-id counter and ``generation + 1`` -
         is written after the ``before`` failpoint; only then is it
         bound, ``bookkeeping`` (caller state that changes with it) run
-        and the ``after`` failpoint fired.  A write that raises
-        publishes nothing and runs no bookkeeping.  Removed files queue
-        behind the old generation (deleted later, or moved aside when
-        ``quarantine``) and the latest-row cache generation is bumped;
-        a pure addition (flush) leaves that cache warm.  Returns the
-        tablets actually removed (a concurrent quarantine may have
-        taken one).  A closed table raises :class:`NoSuchTableError`.
+        and the ``descriptor.after_rename`` and ``after`` failpoints
+        fired.  A flush passes its group as ``flushed``: it leaves the
+        read set as the version, with a ``wal`` table's new low water,
+        is bound.  A write that raises publishes nothing and runs no
+        bookkeeping.  Removed files queue behind the old generation
+        (deleted later, or moved aside when ``quarantine``) and the
+        latest-row cache generation is bumped; a pure addition (flush)
+        leaves that cache warm.  Returns the tablets actually removed
+        (a concurrent quarantine may have taken one).  A closed table
+        raises :class:`NoSuchTableError`.
         """
         remove_ids = {t.tablet_id for t in remove}
         started = time.perf_counter()
@@ -480,6 +484,13 @@ class Table:
             # a cold store raises here, not half way through.
             doomed = [(self._disk_for(t), t) for t in current.tablets
                       if t.tablet_id in remove_ids]
+            if flushed and self.wal is not None:
+                # The lowest LSN a memtable outside the group holds, or
+                # the log's next: LSNs are assigned under this lock.
+                held = [m.min_wal_lsn for m in self._unflushed.values()
+                        if m not in flushed and m.min_wal_lsn is not None]
+                changes["wal_low_water"] = min(held,
+                                               default=self.wal.next_lsn)
             if doomed or add or changes:
                 version = dataclasses.replace(
                     current, generation=current.generation + 1,
@@ -491,12 +502,16 @@ class Table:
                     self.disk.fire(before)
                 version.save(self.disk)
                 self.descriptor = version
+            if flushed:
+                self._retire_flush_group_locked(flushed)
             if bookkeeping is not None:
                 bookkeeping()
             if doomed:
                 self._bump_cache_generation()
-            if after is not None and self.descriptor is not current:
-                self.disk.fire(after)
+            if self.descriptor is not current:
+                self.disk.fire("descriptor.after_rename")
+                if after is not None:
+                    self.disk.fire(after)
         self._retire(current.generation, doomed, quarantine)
         self._h_swap_hold.observe((time.perf_counter() - started) * 1e6)
         return [meta for _disk, meta in doomed]
@@ -824,40 +839,26 @@ class Table:
             config.bloom_bits_per_row if config.bloom_filters else 0,
             metrics=self.metrics)
 
-    def _advance_wal_low_water(self) -> None:
-        """Recycle WAL segments wholly covered by sealed tablets.
-
-        Every record below the low-water mark has all its rows in
-        tablets: it is the lowest LSN an unflushed memtable still
-        depends on, or everything logged so far when none does (the
-        state lock also serializes LSN assignment).
-        """
-        if self.wal is None:
-            return
-        with self.lock:
-            mins = [m.min_wal_lsn for m in self._unflushed.values()
-                    if m.min_wal_lsn is not None]
-            low_water = min(mins) if mins else self.wal.next_lsn
-        self.wal.advance_low_water(low_water)
-
     # -------------------------------------------------------- WAL replay
 
     def replay_wal(self) -> WalReplayReport:
         """Recover logged-but-unflushed rows at open (durability tiers).
 
         Reads every surviving segment through the raw storage backend
-        (armed failpoints stay untouched), re-inserts rows the crash
-        caught memtable-resident, and skips rows already durable in a
-        tablet - a crash between the flush's descriptor swap and the
-        segment recycling replays rows that are already on disk, and
-        the uniqueness check drops them silently.  Replayed rows are
-        *not* re-logged (their records still exist); their memtables
-        carry the original LSNs, so the next flush advances the
-        low-water mark past them and recycles the old segments.
+        (armed failpoints stay untouched).  Records below the version's
+        ``wal_low_water`` are in its tablets: counted as skipped by
+        their header, never decoded.  The rest are re-inserted, not
+        re-logged; their memtables carry the original LSNs, so a later
+        flush publishes a low water past them.
         """
         assert self.wal is not None, "replay_wal on a none-tier table"
-        records, report = self.wal.recover()
-        self.apply_wal_records(records, report)
+        low_water = self.descriptor.wal_low_water
+        records, report = self.wal.recover(low_water)
+        report.rows_skipped += sum(record.row_count for record in records
+                                   if record.lsn < low_water)
+        self.apply_wal_records(
+            [record for record in records if record.lsn >= low_water],
+            report)
         self.metrics.counter("wal.rows_replayed").inc(report.rows_applied)
         self.last_wal_replay = report
         return report
@@ -869,9 +870,9 @@ class Table:
 
         The application half of :meth:`replay_wal`, also fed by a warm
         standby with records streamed off a primary's log
-        (:mod:`repro.net.replica`).  Rows already durable in a tablet
-        or present in a memtable are skipped silently - streaming and
-        replay may both overlap what an earlier pass applied.
+        (:mod:`repro.net.replica`).  A row already in a tablet or a
+        memtable is skipped: a record at or above the low water can
+        still hold rows a flush published.
         """
         if report is None:
             report = WalReplayReport(records=len(records))
@@ -901,6 +902,7 @@ class Table:
         if self.wal is None:
             return {"tier": self.durability.tier}
         status = self.wal.status()
+        status["low_water"] = self.descriptor.wal_low_water
         replay = self.last_wal_replay
         if replay is not None:
             status["last_replay"] = replay.as_dict()

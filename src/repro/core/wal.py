@@ -38,10 +38,11 @@ is what keeps WAL overhead within the benchmark gate.
 Segments: the active segment rolls (is *sealed*) once it exceeds
 ``policy.wal_segment_bytes``.  Sealing is pure bookkeeping - the file
 simply stops growing - but sealed segments are the unit of recycling
-and of replication streaming.  Flush advances the log's *low-water
-mark* (the lowest LSN any unflushed memtable still depends on);
-segments wholly below it are deleted, so a quiescent, fully-flushed
-table carries zero WAL files.
+and of replication streaming.  The low water - below it every LSN is
+in a tablet - lives in the table's version
+(``TableDescriptor.wal_low_water``): :meth:`WriteAheadLog.recycle`
+deletes the segments wholly below the value a flush published, so a
+quiescent, fully-flushed table carries zero WAL files.
 
 Recovery reads segments through the **raw storage backend**, never
 ``SimulatedDisk.read``: replay runs after the env failpoint hook arms
@@ -167,7 +168,7 @@ class WalReplayReport:
 
     records: int = 0
     rows_applied: int = 0
-    rows_skipped: int = 0  # already durable in a tablet, or duplicates
+    rows_skipped: int = 0  # below the low water, or duplicates
     segments: int = 0
     issues: List[str] = field(default_factory=list)
 
@@ -225,7 +226,6 @@ class WriteAheadLog:
         self._leader_active = False
         self._next_lsn = 1
         self._durable_lsn = 0
-        self._low_water = 1
         self._seq = 1
         self._segments: List[_Segment] = []
 
@@ -239,22 +239,20 @@ class WriteAheadLog:
     def durable_lsn(self) -> int:
         return self._durable_lsn
 
-    @property
-    def low_water(self) -> int:
-        return self._low_water
-
     def _filename(self, seq: int) -> str:
         return wal_segment_filename(self.table_name, seq)
 
     # --------------------------------------------------------- recovery
 
-    def recover(self) -> Tuple[List[WalRecord], WalReplayReport]:
+    def recover(self, low_water: int
+                ) -> Tuple[List[WalRecord], WalReplayReport]:
         """Scan existing segments (raw storage reads) at open.
 
-        Returns the records to replay, in LSN order, plus a report.
+        Returns every record found, in LSN order, plus a report.
         Bookkeeping is primed so a later flush recycles the old
         segments; appending always starts a *fresh* segment, never the
-        tail of a possibly-torn old one.
+        tail of a possibly-torn old one.  New LSNs start at no less
+        than the version's ``low_water``, which replay skips below.
         """
         report = WalReplayReport()
         records: List[WalRecord] = []
@@ -279,9 +277,9 @@ class WriteAheadLog:
             report.segments += 1
         records.sort(key=lambda r: r.lsn)
         report.records = len(records)
-        if records:
-            self._next_lsn = records[-1].lsn + 1
-            self._durable_lsn = records[-1].lsn
+        self._next_lsn = max(records[-1].lsn + 1 if records else 1,
+                             low_water)
+        self._durable_lsn = self._next_lsn - 1
         self._seq = max_seq + 1
         return records, report
 
@@ -375,9 +373,9 @@ class WriteAheadLog:
 
     # -------------------------------------------------------- recycling
 
-    def advance_low_water(self, low_lsn: int) -> int:
-        """Everything below ``low_lsn`` is sealed into tablets; recycle
-        segments wholly covered by it.  Returns segments deleted.
+    def recycle(self, low_water: int) -> int:
+        """Delete the segments wholly below the ``low_water`` a flush
+        just published.  Returns segments deleted.
 
         The active segment is only recycled while nothing can still
         land in it: no batch buffered *and* no group-commit leader in
@@ -392,14 +390,11 @@ class WriteAheadLog:
         files).
         """
         with self._cond:
-            if low_lsn <= self._low_water:
-                return 0
-            self._low_water = low_lsn
             drop: List[_Segment] = []
             keep: List[_Segment] = []
             for segment in self._segments:
                 covered = (segment.max_lsn is not None
-                           and segment.max_lsn < low_lsn)
+                           and segment.max_lsn < low_water)
                 if not covered:
                     keep.append(segment)
                     continue
@@ -416,7 +411,7 @@ class WriteAheadLog:
                 if self.disk.exists(segment.filename):
                     self.disk.delete(segment.filename)
             except StorageError:
-                pass  # recycling is best-effort; replay dedups anyway
+                pass  # best-effort: replay skips it below the low water
             self._m_recycled.inc()
         return len(drop)
 
@@ -474,7 +469,6 @@ class WriteAheadLog:
                 "tier": self.policy.tier,
                 "next_lsn": self._next_lsn,
                 "durable_lsn": self._durable_lsn,
-                "low_water": self._low_water,
                 "buffered_records": len(self._buffer),
                 "segment_count": len(segments),
                 "wal_bytes": sum(s["size_bytes"] for s in segments),

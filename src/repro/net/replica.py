@@ -6,23 +6,23 @@ server: the :class:`Follower` polls the primary's ``repl_manifest``
 copies each table's version as a snapshot or the warm spare does
 (:func:`~repro.core.snapshot.copy_version`, over ``repl_fetch_tablet``),
 and tails each ``wal`` table's log - applying streamed records into
-its own memtables through the same dedup'd path crash replay uses.  The
+its own memtables through the same path crash replay uses.  The
 local engine stays in read-only mode the whole time, so the standby
 serves ``query``/``latest``/``stats`` but rejects writes; replication
 lag is reported through ``wal_status()`` and ``health()``.
 
 Convergence per table, each poll:
 
-1. If the primary's descriptor changed - or records the follower
-   still needs were recycled (``applied < low_water - 1``) - the
-   follower *resyncs*: it copies the version (a tablet that vanished
-   since the manifest fails the poll; the next one retries), opens it
-   as a fresh table, WAL-less while it follows, queues the files the
-   version drops behind the replaced table's in-flight reads, and
-   rewinds its applied LSN to ``low_water - 1``.
+1. If the primary's descriptor changed, the follower *resyncs*: it
+   copies the version (a tablet that vanished since the manifest
+   fails the poll; the next one retries), opens it as a fresh table,
+   WAL-less while it follows, queues the files the version drops
+   behind the replaced table's in-flight reads, and rewinds its
+   applied LSN to the version's ``wal_low_water - 1``: a primary
+   recycles records only below a low water its descriptor shows.
 2. It then tails the log: fetch framed records past the applied LSN,
-   apply, advance.  Rows both streamed and later re-fetched inside a
-   tablet dedup through the primary-key uniqueness check.
+   apply, advance.  A streamed row a copied tablet already holds drops
+   through the primary-key uniqueness check.
 
 A table the manifest no longer lists is dropped.  Divergence - the
 primary's durable LSN moving *backwards* (it was restored or replaced)
@@ -124,9 +124,8 @@ class Follower:
             if not db.effective_durability(table.descriptor).wal_enabled:
                 continue
             table.flush_all()
-            # Replaying primes LSN/segment bookkeeping past any
-            # segment files that survived on this side; replayed rows
-            # dedup against the tablets just flushed.
+            # The reopened log numbers records from the version's
+            # low water on, past any segments left on this side.
             db.open_table(TableDescriptor.load(db.disk, name))
 
     def _loop(self) -> None:
@@ -165,7 +164,6 @@ class Follower:
     def _sync_table(self, name: str, info: Dict[str, Any]) -> int:
         # No durable LSN: a ``none`` table, which has tablets only.
         durable = info.get("durable_lsn")
-        low = info.get("low_water", 1)
         applied = self._applied.get(name, 0)
         if durable is not None and durable < applied:
             raise ReplicaDivergedError(
@@ -173,13 +171,12 @@ class Follower:
                 f"{applied}; the primary was restored or replaced - "
                 f"re-seed this standby from a fresh snapshot")
         local = self.db._tables.get(name)
-        if (local is None or local.descriptor.to_json() != info["descriptor"]
-                or applied < low - 1):
-            self._resync_table(
-                TableDescriptor.from_json(info["descriptor"]), local)
-            # The fresh table holds the tablets only: the records past
-            # them are fetched again and dedup against what it has.
-            applied = low - 1
+        if local is None or local.descriptor.to_json() != info["descriptor"]:
+            version = TableDescriptor.from_json(info["descriptor"])
+            self._resync_table(version, local)
+            # The fresh table holds the tablets only: the records from
+            # its low water on are fetched again.
+            applied = version.wal_low_water - 1
         records_applied = 0
         table = self.db._tables[name]
         while durable is not None and applied < durable:
@@ -195,12 +192,8 @@ class Follower:
             if not records or last <= applied:
                 break
             if records[0].lsn > applied + 1:
-                # The records between our applied LSN and this batch
-                # were recycled into sealed tablets after we read the
-                # manifest (a flush raced this poll).  Applying the
-                # batch would silently skip them, so stop here; the
-                # next poll's manifest shows the new tablet set and
-                # resyncs before tailing again.
+                # A flush raced this poll and recycled the records in
+                # between: the next manifest's version resyncs first.
                 break
             table.apply_wal_records(records)
             records_applied += len(records)

@@ -515,7 +515,6 @@ class RequestDispatcher:
             entry = tables[table.name] = {"descriptor": hot.to_json()}
             if table.wal is not None:
                 entry["durable_lsn"] = table.wal.durable_lsn
-                entry["low_water"] = table.wal.low_water
         return protocol.ok_response(tables=tables)
 
     def _cmd_repl_fetch_wal(self, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -214,13 +214,16 @@ def test_a_failed_ddl_call_takes_no_effect(world):
     assert len(list(reopened.scan(Query()))) == 20
 
 
-def test_a_fault_after_the_write_leaves_the_version_published(world):
+@pytest.mark.parametrize("site", ["flush.after_descriptor",
+                                  "descriptor.after_rename"],
+                         ids=["flush", "descriptor"])
+def test_a_fault_after_the_write_leaves_the_version_published(world, site):
     """The version is bound once written: the group leaves the read
     set with it, and a retry has nothing left to flush."""
     db, table, clock = world
     table.insert([row(d, clock.now() + 10, network=2) for d in range(10)])
     expected = rows(table)
-    db.disk.failpoints.set("flush.after_descriptor", "eio")
+    db.disk.failpoints.set(site, "eio")
     with pytest.raises(InjectedIOError):
         table.flush_all()
     assert on_disk(db, table) == table.descriptor.to_json()

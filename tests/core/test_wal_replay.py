@@ -29,13 +29,16 @@ from repro.core import (
 from repro.core.codec import compiled_ops
 from repro.core.errors import UnsupportedFormatError
 from repro.core.tablet import TabletReader
-from repro.core.wal import (WalRecord, is_wal_filename, iter_records,
-                            wal_segment_filename)
+from repro.core.wal import (WalRecord, WriteAheadLog, is_wal_filename,
+                            iter_records, wal_segment_filename)
 from repro.disk import CrashPoint, FaultyVFS, SimulatedDisk
+from repro.disk.storage import MemoryStorage
+from repro.net.replica import Follower
 from repro.util.checksum import crc32c
 from repro.util.clock import MICROS_PER_DAY, VirtualClock
 
 from ..conftest import usage_schema
+from ..net.loopback import loopback_connect
 
 BASE = 10_000 * MICROS_PER_DAY
 
@@ -285,8 +288,6 @@ class TestWalLifecycle:
         group-commit leader's append is in flight: the leader drains
         the buffer before its off-lock write, so an empty buffer alone
         is not proof the segment has stopped growing."""
-        from repro.core.wal import WriteAheadLog
-
         wal = WriteAheadLog(SimulatedDisk(), "t",
                             DurabilityPolicy(tier="wal"))
         wal.log_batch_block(b"block-1", 1, schema_version=1)
@@ -303,7 +304,7 @@ class TestWalLifecycle:
             wal._leader_active = True
         # lsn=1 is tablet-covered; the old guard saw an empty buffer
         # and recycled the active segment out from under the leader.
-        assert wal.advance_low_water(2) == 0
+        assert wal.recycle(2) == 0
         assert wal.disk.exists(active)
         # Leader lands; once the append is truly finished both the
         # old and the current records recycle normally.
@@ -312,7 +313,7 @@ class TestWalLifecycle:
             wal._buffer_bytes = sum(len(f) for _l, f in pending)
             wal._leader_active = False
         wal.commit(2)
-        assert wal.advance_low_water(3) >= 1
+        assert wal.recycle(3) >= 1
         assert not wal.disk.exists(active)
 
     def test_schema_change_racing_inserts_loses_nothing(self):
@@ -361,11 +362,11 @@ class TestWalLifecycle:
 
 
 class TestReplayOverFlushedRows:
-    """A crash finds flushed rows still covered by the log whenever
-    the active segment outlived their flush (a default-size segment
-    holds far more than one memtable).  Replay drops them as
-    duplicates through the uniqueness slow path, which must cost a
-    block read per *block*, not per row."""
+    """A crash finds flushed rows still in the log whenever the active
+    segment outlived their flush (a default-size segment holds far
+    more than one memtable).  Replay skips every record below the
+    version's low water unread; only the record the size-triggered
+    flush split between two memtables replays rows a tablet holds."""
 
     ROWS, BATCH = 1200, 60
 
@@ -406,10 +407,100 @@ class TestReplayOverFlushedRows:
     def test_replay_reads_each_covering_block_at_most_once(self):
         recovered, flushed, blocks = self.crashed()
         counters = recovered.metrics.snapshot()["counters"]
-        # Every flushed row but the few above the tablet's largest key
-        # takes the slow path; the blocks they share are read once.
-        assert counters["insert.uniqueness.slow_path"] > flushed // 2
+        # Only the unflushed tail is inserted, and only the split
+        # record's rows can take the uniqueness slow path.
+        assert counters["wal.rows_replayed"] == self.ROWS - flushed
+        assert counters["insert.uniqueness.slow_path"] <= self.BATCH
         assert counters["tablet.blocks_read"] <= blocks
+
+
+class TestBulkDeleteOnWal:
+    def test_deleted_rows_stay_deleted_after_a_crash(self):
+        """One record puts a customer's rows a week back and another
+        customer's into this period's memtable.  Flushing only the
+        first memtable leaves the record above the low water, so the
+        delete must publish a low water past it, or replay re-inserts
+        every deleted row."""
+        clock = VirtualClock(start=BASE)
+        db = LittleTable(disk=SimulatedDisk(), clock=clock,
+                         config=crash_config(),
+                         durability=DurabilityPolicy(tier="wal"))
+        table = db.create_table("t", usage_schema())
+        week_back = clock.now() - 7 * MICROS_PER_DAY
+        table.insert([{"network": 3, "device": d, "ts": week_back + d,
+                       "bytes": d, "rate": 0.0} for d in range(5)]
+                     + [{"network": 1, "device": d, "ts": clock.now() + d,
+                         "bytes": d, "rate": 0.0} for d in range(5)])
+        assert table.unflushed_memtable_count == 2
+        assert table.bulk_delete((3,)) == 5
+        rows = db.simulate_crash().table("t").query(Query()).rows
+        assert [row for row in rows if row[0] == 3] == []
+        assert [row[:2] for row in rows] == [(1, d) for d in range(5)]
+
+
+def _flushed_wal_engine(clock):
+    """20 rows on a ``wal`` table, all flushed: every segment recycled
+    and the version's low water past every record."""
+    db = LittleTable(disk=SimulatedDisk(), clock=clock,
+                     config=crash_config(), durability=WAL_POLICY)
+    db.create_table("t", usage_schema()).insert(
+        [row_for(i) for i in range(20)])
+    db.table("t").flush_all()
+    assert wal_files(db.disk) == []
+    return db
+
+
+def _all_segments_recycled(clock):
+    return _flushed_wal_engine(clock).simulate_crash()
+
+
+def _restored_snapshot(clock):
+    snapshot = MemoryStorage()
+    _flushed_wal_engine(clock).snapshot(snapshot)
+    db = LittleTable(disk=SimulatedDisk(), clock=clock,
+                     config=crash_config())
+    db.restore(snapshot)
+    return db
+
+
+def _promoted_standby(clock):
+    follower = Follower(LittleTable(disk=SimulatedDisk(), clock=clock,
+                                    config=crash_config()),
+                        loopback_connect(_flushed_wal_engine(clock)).client)
+    follower.sync_once()
+    return follower.promote()
+
+
+class TestLsnFloor:
+    """A log that restarts with no segments numbers its records from
+    the version's low water on: a record numbered below it would be
+    skipped by the next replay, acknowledged or not."""
+
+    EMPTY_LOGS = {"all-segments-recycled": _all_segments_recycled,
+                  "restored-snapshot": _restored_snapshot,
+                  "promoted-standby": _promoted_standby}
+
+    def acked_row_survives(self, scenario) -> bool:
+        clock = VirtualClock(start=BASE)
+        db = self.EMPTY_LOGS[scenario](clock)
+        table = db.table("t")
+        assert table.descriptor.wal_low_water > 1
+        assert table.wal is not None and wal_files(db.disk) == []
+        table.insert([row_for(100)])
+        rows = db.simulate_crash().table("t").query(Query()).rows
+        assert [row[2] for row in rows][:20] == [BASE + i for i in range(20)]
+        return BASE + 100 in [row[2] for row in rows]
+
+    @pytest.mark.parametrize("scenario", sorted(EMPTY_LOGS))
+    def test_an_acked_row_survives_a_crash(self, scenario):
+        assert self.acked_row_survives(scenario)
+
+    @pytest.mark.parametrize("scenario", sorted(EMPTY_LOGS))
+    def test_the_floor_is_what_keeps_it(self, scenario, monkeypatch):
+        recover = WriteAheadLog.recover
+        monkeypatch.setattr(WriteAheadLog, "recover",
+                            lambda wal, low_water: recover(wal, 1))
+        assert not self.acked_row_survives(scenario)
 
 
 class TestLegacyKnobFolding:

@@ -15,9 +15,10 @@ answered by one ``row``, protocol version 3, the readers of v1 and v2
 blocks, pre-v2.1 tablets and ``KIND_ROWS`` WAL records, a row
 operation spelled on a database or a client rather than on its table,
 a second and third way to copy a database, the ``replicated``
-tier that marked a ``wal`` table as one a standby may follow, and the
+tier that marked a ``wal`` table as one a standby may follow, the
 client's buffered insert and database calls of its own beside the
-one database facade over it)
+one database facade over it, and a WAL low water kept outside the
+table's version)
 or an option
 nothing read or no caller set (or, like ``checksums``, could only
 turn a guard off);
@@ -216,7 +217,8 @@ SRC = Path(__file__).parent.parent / "src"
     # marks a ``wal`` table as one a standby may follow.
     pytest.param(
         r"archive_to|class Snapshot\b|[\"'`]replicated|replicated[\"'`]",
-        (), id="second-copy-or-replicated-tier"),    # One database facade per deployment: the client is the transport,
+        (), id="second-copy-or-replicated-tier"),
+    # One database facade per deployment: the client is the transport,
     # rows reach a table as one batch through ``db.table(name)``, and
     # ``health()`` is the one health call on every facade.
     pytest.param(
@@ -227,6 +229,14 @@ SRC = Path(__file__).parent.parent / "src"
     # per ``create_table``, not by the connection.
     pytest.param(r"auto_reconnect|config\.durability", (),
                  id="client-options-no-caller-set"),
+    # What a ``wal`` table has made durable is one number in its
+    # version (``TableDescriptor.wal_low_water``): no walk of the
+    # memtables after a flush, no copy inside the log, and no low water
+    # in ``repl_manifest`` beside the descriptor the follower compares.
+    pytest.param(
+        r"_advance_wal_low_water|\badvance_low_water|\._low_water\b"
+        r'|\b(info|entry)(\.get\(|\[)"low_water"', (),
+        id="low-water-outside-the-version"),
 ])
 def test_removed_name_stays_out_of_src(pattern, exempt):
     removed = re.compile(pattern)

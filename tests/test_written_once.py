@@ -4,7 +4,8 @@ A table's version is one frozen ``TableDescriptor``, and a live
 table's version changes in one method (``Table._publish``): it alone
 binds ``table.descriptor`` after the constructor and writes a
 descriptor (``create_table`` writes a new table's first version, before
-any ``Table`` holds it).  Removed files are queued behind the pinned
+any ``Table`` holds it), and only its flush publish sets the WAL low
+water.  Removed files are queued behind the pinned
 generations in one place, reads obtain their version and memtables in
 one place (``Table._read_plan``), and a ``Table`` gets its engine - the
 fault listener and the read-only check of its write door - in one
@@ -81,9 +82,26 @@ def test_a_version_is_frozen():
         [Column("k", ColumnType.INT64), Column("ts", ColumnType.TIMESTAMP)],
         key=["k", "ts"]))
     for name in ("tablets", "schema", "ttl_micros", "next_tablet_id",
-                 "generation", "durability"):
+                 "generation", "durability", "wal_low_water"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(version, name, getattr(version, name))
+
+
+def test_one_site_sets_the_wal_low_water():
+    """What a ``wal`` table has made durable moves only in the flush
+    publish (``_publish`` given the ``flushed`` memtables); every other
+    version carries it over.  ``descriptor.py`` only writes it out and
+    reads it back."""
+    def sets(node):
+        return (isinstance(node, ast.keyword)
+                and node.arg == "wal_low_water") or (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.slice, ast.Constant)
+            and node.slice.value == "wal_low_water")
+    paths = [path for path in sorted(CORE.parent.rglob("*.py"))
+             if path.name != "descriptor.py"]
+    assert functions_where(sets, paths) == {"table.py:_publish"}
 
 
 def test_one_site_queues_deferred_deletes():
