@@ -366,10 +366,11 @@ def serve_main(argv: list, *, stop_event=None, on_ready=None) -> int:
     """The ``serve`` subcommand: run a LittleTable server.
 
     Serves a :class:`~repro.net.shard.ShardRouter` (``--shards N``;
-    N=1 still routes, through a single worker) through the asyncio
-    pipelined front end, with every engine's background maintenance
-    (flush by age, merge, TTL expiry: §3.3's always-on merger) running
-    under its default :class:`~repro.core.maintenance.MaintenancePolicy`.
+    N=1 still routes, through a single worker) through the
+    thread-per-connection front end, with every engine's background
+    maintenance (flush by age, merge, TTL expiry: §3.3's always-on
+    merger) running under its default
+    :class:`~repro.core.maintenance.MaintenancePolicy`.
 
     ``--durability TIER`` (with ``--wal-segment-bytes``) sets the
     served engines' default

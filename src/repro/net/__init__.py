@@ -1,8 +1,9 @@
 """TCP client/server protocol (the paper's adaptor <-> server link).
 
-:class:`AsyncLittleTableServer` is the one server front: an asyncio
-loop that runs id-tagged requests concurrently and untagged ones in
-arrival order, handing every command to :class:`RequestDispatcher`.  :class:`ShardRouter` partitions tables
+:class:`AsyncLittleTableServer` is the one server front: one thread
+per connection reads its requests, tagged (pipelined) or not, hands
+each to :class:`RequestDispatcher` and answers in arrival order.
+:class:`ShardRouter` partitions tables
 across N engines behind the same database facade, so the front scales
 out without a protocol change.
 """

@@ -1,62 +1,58 @@
-"""The TCP front end: many pipelined requests per connection.
+"""The TCP front end: one thread per connection, requests answered in
+arrival order.
 
-A single event loop owns every connection: a client may tag requests
-with ``id`` fields and keep many in flight, and responses stream back
-as each command finishes (possibly out of order).  Engine calls still
-block - tables lock themselves, the simulated disk seeks - so dispatch
-runs on a bounded thread pool, giving inter-request parallelism across
-connections *and* within one pipelined connection.
+"Async" is the client's side of it: a client may tag requests with
+``id`` fields and send many before it reads a reply (a pipeline).  The
+server reads, dispatches and answers each connection's requests on
+that connection's thread, so no request crosses a thread between its
+bytes and its reply.  The thread reads through
+:class:`~repro.net.protocol.BufferedSocket`, dispatches every whole
+frame one ``recv`` brought, and sends their replies in one ``send``
+before it reads again: it never blocks on a read while it holds a
+reply, nor on a send while the client has requests for it to read.
 
-:class:`~repro.net.server.RequestDispatcher` handles the commands,
-over a single :class:`~repro.core.database.LittleTable` or a
-:class:`~repro.net.shard.ShardRouter` alike; requests without an id
-are served by the same connection loop, one at a time in arrival
-order.
-
-Observability: ``server.pipeline_depth`` (histogram, sampled at each
-enqueue) records how deep clients actually pipeline, and
-``server.active_connections`` gauges the open connections.
+Observability: ``server.pipeline_depth`` (histogram: replies held + 1,
+at each tagged request) records how deep clients actually pipeline,
+and ``server.active_connections`` gauges the open connections.
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
-import os
+import select
 import socket
-import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional
 
 from . import protocol
 from .server import AdmissionController, RequestDispatcher
 
 logger = logging.getLogger(__name__)
 
-_LENGTH = struct.Struct(">I")
+# The client's frame parser under another name: ``bench/trace.py``
+# wraps ``protocol.recv_message`` as a client waiting for a reply.
+_read_request = protocol.recv_message
 
 
 class AsyncLittleTableServer:
-    """Serves a database (or shard router) over asyncio TCP.
+    """Serves a database (or shard router) over TCP.
 
     ``start``/``stop``/``close``, ``address`` and the context manager
-    are synchronous: the event loop runs on a dedicated thread, so
-    tests and the CLI drive the server from ordinary code.  A stopped
-    server can be started again.  Background maintenance is the
-    database's, not the front's: ``db.start_maintenance()``.
+    are synchronous: one thread accepts, one thread per connection
+    serves it, so tests and the CLI drive the server from ordinary
+    code.  A stopped server can be started again.  Background
+    maintenance is the database's, not the front's:
+    ``db.start_maintenance()``.
     """
 
     def __init__(self, db: Any, host: str = "127.0.0.1", port: int = 0,
-                 max_workers: Optional[int] = None,
                  max_inflight_requests: Optional[int] = None,
                  admission_queue_timeout_s: float = 0.25):
         self.db = db
-        # Admission control: bound concurrently-executing requests and
-        # shed (typed, retryable) what cannot start within its budget.
-        # Queue time on the dispatch executor counts against each
-        # request's propagated deadline via the arrival stamp below.
+        # Bound concurrently-executing requests and shed (typed,
+        # retryable) what cannot start within its budget.
         self.admission: Optional[AdmissionController] = None
         if max_inflight_requests is not None:
             self.admission = AdmissionController(
@@ -68,15 +64,11 @@ class AsyncLittleTableServer:
         self._host = host
         self._port = port
         self._address: Optional[tuple] = None
+        self._listener: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        if max_workers is None:
-            max_workers = min(32, (os.cpu_count() or 4) * 4)
-        self._max_workers = max_workers
-        self._executor: Optional[ThreadPoolExecutor] = None
+        self._lock = threading.Lock()
+        # Every open connection's socket and thread.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
         self._m_connections = self.metrics.gauge("server.active_connections")
         self._m_depth = self.metrics.histogram("server.pipeline_depth")
         self._m_pipelined = self.metrics.counter("server.pipelined_requests")
@@ -93,45 +85,36 @@ class AsyncLittleTableServer:
         return self._address
 
     def start(self) -> None:
-        """Bind and serve on a dedicated event-loop thread."""
+        """Bind, then accept on a dedicated thread."""
         if self._thread is not None:
             return
-        self._ready.clear()
-        self._startup_error = None
-        # Built here, not in __init__: stop() shuts the pool down, and
-        # a restarted server needs a live one.
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._max_workers,
-            thread_name_prefix="ltdb-dispatch")
+        family = socket.AF_INET6 if ":" in self._host else socket.AF_INET
+        listener = socket.create_server((self._host, self._port),
+                                        family=family, backlog=128)
+        self._listener = listener
+        self._address = listener.getsockname()[:2]
         self._thread = threading.Thread(
-            target=self._thread_main, daemon=True,
-            name="ltdb-async-server")
+            target=self._accept_loop, args=(listener,), daemon=True,
+            name="ltdb-accept")
         self._thread.start()
-        self._ready.wait(timeout=10)
-        if self._startup_error is not None:
-            error, self._startup_error = self._startup_error, None
-            self._thread.join(timeout=5)
-            self._thread = None
-            raise error
-        if self._address is None:
-            raise RuntimeError("async server failed to start in 10s")
 
     def stop(self) -> None:
-        """Stop serving; drops connections like a crash (§3.1)."""
-        loop, self._loop = self._loop, None
-        if loop is not None and self._stop_event is not None:
-            try:
-                loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass  # loop already closed
+        """Stop serving; drops connections like a crash (§3.1): every
+        connection socket is shut down, whatever its thread is doing."""
+        with self._lock:
+            listener, self._listener = self._listener, None
+            for sock in [listener, *self._connections]:
+                if sock is not None:
+                    try:
+                        sock.shutdown(socket.SHUT_RDWR)  # wakes its thread
+                    except OSError:
+                        pass  # already closed
         if self._thread is not None:
             self._thread.join(timeout=10)
             if self._thread.is_alive():
-                logger.warning("async server thread did not exit in 10s")
+                logger.warning("server thread did not exit in 10s")
             else:
                 self._thread = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
         self._address = None
 
     @property
@@ -148,105 +131,105 @@ class AsyncLittleTableServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -------------------------------------------------------- event loop
+    # ------------------------------------------------------ connections
 
-    def _thread_main(self) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
+        """Accept until :meth:`stop` shuts ``listener`` down, then wait
+        for the connection threads, so a live accept thread means
+        something is still being served."""
         try:
-            asyncio.run(self._serve())
-        except BaseException as exc:  # startup failures surface in start()
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _serve(self) -> None:
-        self._stop_event = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port)
-        self._address = server.sockets[0].getsockname()[:2]
-        self._ready.set()
-        try:
-            async with server:
-                await self._stop_event.wait()
-        finally:
-            self._loop = None
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._m_connections.inc()
-        try:
-            await self._connection_loop(reader, writer)
-        except asyncio.CancelledError:
-            # Server shutdown cancelled us mid-read: the connection
-            # drops like a crash (§3.1).  Ending the task cleanly
-            # instead of cancelled keeps asyncio.streams from logging
-            # a spurious callback error during loop teardown.
-            pass
-        finally:
-            self._m_connections.dec()
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _connection_loop(self, reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        write_lock = asyncio.Lock()
-        in_flight: set = set()
-        try:
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
                 try:
-                    header = await reader.readexactly(_LENGTH.size)
-                    (length,) = _LENGTH.unpack(header)
-                    if length > protocol.MAX_FRAME_BYTES:
-                        return  # hopeless framing; drop the connection
-                    payload = await reader.readexactly(length)
-                    request = protocol.decode_payload(payload)
-                except (asyncio.IncompleteReadError, ConnectionError,
-                        protocol.ProtocolError):
-                    return
-                # Stamp the frame's arrival so time spent queued on the
-                # dispatch executor counts against the request's
-                # propagated deadline (the dispatcher pops this key).
-                request["_arrival_monotonic"] = time.monotonic()
-                if request.get("id") is not None:
-                    # Tagged: run concurrently, answer when done.
-                    self._m_pipelined.inc()
-                    self._m_depth.observe(len(in_flight) + 1)
-                    task = asyncio.ensure_future(self._dispatch_and_reply(
-                        request, writer, write_lock))
-                    in_flight.add(task)
-                    task.add_done_callback(in_flight.discard)
-                else:
-                    # Untagged: strict request/response order.
-                    self._m_sequential.inc()
-                    if not await self._dispatch_and_reply(
-                            request, writer, write_lock):
+                    sock, _peer = listener.accept()
+                except OSError as exc:
+                    if self._listener is not listener:
                         return
+                    logger.warning("accept failed: %s", exc)
+                    time.sleep(0.1)
+                    continue
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                thread = threading.Thread(
+                    target=self._serve_connection, args=(sock,),
+                    daemon=True, name="ltdb-connection")
+                with self._lock:
+                    if self._listener is not listener:
+                        sock.close()
+                        return
+                    self._connections[sock] = thread
+                    self._m_connections.inc()
+                thread.start()
         finally:
-            # Let in-flight work finish so pipelined responses are not
-            # silently dropped by our own teardown (the peer may have
-            # half-closed after sending a burst).
-            if in_flight:
-                await asyncio.gather(*in_flight, return_exceptions=True)
+            listener.close()
+            with self._lock:
+                threads = list(self._connections.values())
+            for thread in threads:
+                thread.join()
 
-    async def _dispatch_and_reply(self, request: Dict[str, Any],
-                                  writer: asyncio.StreamWriter,
-                                  write_lock: asyncio.Lock) -> bool:
-        loop = asyncio.get_running_loop()
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """Read, dispatch and answer one connection's requests in
+        arrival order, until the peer closes it or sends bytes that
+        are not a frame."""
+        replies = _Replies(sock)
+        reader = protocol.BufferedSocket(sock, before_wait=replies.send)
         try:
-            response = await loop.run_in_executor(
-                self._executor, self.dispatcher.dispatch, request)
-        except RuntimeError:
-            # Executor shut down mid-request (server stopping).
-            return False
-        frame = protocol.reply_frame(response)
-        async with write_lock:
+            while True:
+                request = _read_request(reader)
+                # The read that brought the frame: time behind earlier
+                # frames counts against its deadline.
+                request["_arrival_monotonic"] = reader.read_at
+                if request.get("id") is not None:
+                    self._m_pipelined.inc()
+                    self._m_depth.observe(len(replies.held) + 1)
+                else:
+                    self._m_sequential.inc()
+                replies.held.append(protocol.reply_frame(
+                    self.dispatcher.dispatch(request)))
+        except (protocol.ProtocolError, protocol.ConnectionLost):
+            # Bad framing, or the peer sends no more: what it asked
+            # before is answered (a peer that half-closed reads on).
+            replies.flush()
+        finally:
+            with self._lock:
+                del self._connections[sock]
+                sock.close()
+                self._m_connections.dec()
+
+
+class _Replies:
+    """The replies a connection owes, in request order: ``held`` for the
+    frames of the current read, sent together by :meth:`send`.  A
+    client that pipelines may read no reply before it has sent its last
+    request, so what the socket cannot take at once waits in
+    ``unsent`` while the client has more for the server to read."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.held: List[bytes] = []
+        self.unsent: Deque[memoryview] = deque()
+
+    def send(self) -> None:
+        """Send what is owed; return early only when the socket has
+        bytes to read, so the read that follows cannot block."""
+        if self.held:
+            self.unsent.append(memoryview(b"".join(self.held)))
+            self.held.clear()
+        while self.unsent:
             try:
-                writer.write(frame)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                return False
-        return True
+                sent = self.sock.send(self.unsent[0], socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                poller = select.poll()
+                poller.register(self.sock, select.POLLIN | select.POLLOUT)
+                if any(events & select.POLLIN for _, events in poller.poll()):
+                    return
+                continue
+            self.unsent[0] = self.unsent[0][sent:]
+            if not self.unsent[0]:
+                self.unsent.popleft()
+
+    def flush(self) -> None:
+        """Send what is owed, however long the peer takes to read it."""
+        try:
+            for chunk in (*self.unsent, *self.held):
+                self.sock.sendall(chunk)
+        except OSError:
+            pass  # the connection is broken

@@ -49,6 +49,7 @@ from ..core.schema import Schema
 from ..core.vector import AggregateSpec
 from .protocol import (
     PROTOCOL_VERSION,
+    BufferedSocket,
     ConnectionLost,
     ProtocolError,
     encode_frame,
@@ -205,18 +206,20 @@ class ClientConfig:
 
 class TcpTransport:
     """The client's connection to a server: one TCP socket carrying
-    whole frames, bytes out and one message in at a time."""
+    whole frames, bytes out and one message in at a time, read ahead so
+    a pipeline's replies cost one ``recv`` per refill."""
 
     def __init__(self, address: Tuple[str, int], connect_timeout_s: float):
         self._sock = socket.create_connection(address,
                                               timeout=connect_timeout_s)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = BufferedSocket(self._sock)
 
     def send(self, data: bytes) -> None:
         self._sock.sendall(data)
 
     def recv(self) -> Dict[str, Any]:
-        return recv_message(self._sock)
+        return recv_message(self._reader)
 
     def settimeout(self, timeout: Optional[float]) -> None:
         self._sock.settimeout(timeout)

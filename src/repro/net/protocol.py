@@ -31,9 +31,10 @@ a dashboard page's device statuses are one round trip, and a handful
 of rows is too few for a block to pay for itself.
 
 There is one protocol version.  Any request may carry an ``"id"``
-field, which the server echoes in the matching response: tagged
-requests run concurrently on one connection and their responses may
-arrive out of order; untagged requests are answered strictly in order.
+field, which the server echoes in the matching response, so a client
+may send many tagged requests before it reads a reply.  This server
+answers in order, tagged or not; clients still match tagged replies by
+id, as the protocol allows any order.
 A client opens with ``{"cmd": "hello", "version": 5}``, a one-shot
 identity check the server answers with ``{"version", "shards"}``; a
 refusal or another version is a :class:`ProtocolViolationError` at
@@ -46,12 +47,15 @@ import base64
 import json
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ProtocolViolationError
 from ..core.schema import ColumnType, Schema
 
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+#: What one ``recv`` of a :class:`BufferedSocket` asks for.
+READ_AHEAD_BYTES = 64 * 1024
 _LENGTH = struct.Struct(">I")
 
 #: The protocol version both peers must name in ``hello``.
@@ -226,6 +230,34 @@ def reply_frame(response: Dict[str, Any]) -> bytes:
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
     """Serialize and send one frame."""
     sock.sendall(encode_frame(message))
+
+
+class BufferedSocket:
+    """A socket read ahead for :func:`recv_message`: one ``recv`` of up
+    to :data:`READ_AHEAD_BYTES` refills it, so the frames of a pipeline
+    cost one system call.  ``before_wait`` runs before every ``recv``
+    of the socket; ``read_at`` is the ``time.monotonic()`` of the last.
+    The server reads requests through one, the client replies."""
+
+    __slots__ = ("_sock", "_before_wait", "_data", "_at", "read_at")
+
+    def __init__(self, sock: socket.socket,
+                 before_wait: Callable[[], None] = lambda: None):
+        self._sock = sock
+        self._before_wait = before_wait
+        self._data = b""
+        self._at = 0
+        self.read_at = 0.0
+
+    def recv(self, size: int) -> bytes:
+        if self._at == len(self._data):
+            self._before_wait()
+            self._data = self._sock.recv(max(size, READ_AHEAD_BYTES))
+            self._at = 0
+            self.read_at = time.monotonic()
+        chunk = self._data[self._at:self._at + size]
+        self._at += len(chunk)
+        return chunk
 
 
 def recv_message(sock: socket.socket) -> Dict[str, Any]:

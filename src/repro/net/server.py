@@ -221,8 +221,8 @@ class RequestDispatcher:
             return refuse("ProtocolViolationError",
                           f"unknown command {command!r}")
         # Deadline propagation: the client stamps its remaining budget
-        # (``deadline_ms``); the async front stamps the frame's arrival
-        # time so executor queueing counts against it too.
+        # (``deadline_ms``); the TCP front stamps the frame's arrival
+        # time so waiting behind earlier frames counts against it too.
         arrival = request.pop("_arrival_monotonic", None)
         deadline = None
         deadline_ms = request.get("deadline_ms")
@@ -422,10 +422,10 @@ class RequestDispatcher:
         rows = table.latest_many(
             [protocol.decode_key(prefix) for prefix in prefixes],
             max_lookback_micros) if prefixes else []
-        return protocol.ok_response(
-            types=protocol.row_marshaller(table.schema).types,
-            rows=[None if row is None else protocol.encode_row(row)
-                  for row in rows])
+        marshaller = protocol.row_marshaller(table.schema)
+        return protocol.ok_response(types=marshaller.types, rows=[
+            None if row is None else list(marshaller.wrap((row,))[0])
+            for row in rows])
 
     def _cmd_maintenance(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One synchronous maintenance pass over every table."""

@@ -4,10 +4,11 @@
 :class:`~repro.net.client.TcpTransport` stands, and every byte path but
 the socket runs: each request frame is cut from the sent bytes and
 parsed by ``protocol.recv_message``, stamped with its arrival as the
-async front stamps it, handed to ``RequestDispatcher.dispatch`` on the
-caller's thread, and answered with the server's own
-``protocol.reply_frame``; the client reads the reply bytes back through
-``protocol.recv_message`` as it reads a socket.
+TCP front stamps it (the time the bytes were read), handed to
+``RequestDispatcher.dispatch`` on the caller's thread - as the TCP
+front dispatches on the thread that read the frame - and answered with
+the server's own ``protocol.reply_frame``; the client reads the reply
+bytes back through ``protocol.recv_message`` as it reads a socket.
 
 :class:`FaultyTransport` wraps one and breaks exchanges under a seed:
 the request is lost before it is sent, or the server applies it and its

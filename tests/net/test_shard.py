@@ -24,6 +24,7 @@ from repro.core import (
     Query,
     Schema,
     ShardDegradedError,
+    ValidationError,
 )
 from repro.disk import FaultyVFS
 from repro.net.shard import ShardRouter, ShardedTable, merge_sorted_runs, shard_of
@@ -138,6 +139,47 @@ class TestRouting:
                              ("dev-b", BASE + 2, 20)])
         assert router.table("usage").latest(("dev-a",))[2] == 10
         assert router.table("usage").latest(("dev-b",))[2] == 20
+        router.close()
+
+    @pytest.mark.parametrize("make_schema, good, bad", [
+        (usage_schema,
+         [(f"dev-{d:02d}", BASE + d, d) for d in range(16)],
+         [("dev-x",), (["dev-y"], BASE, 1), ({"dev": 1}, BASE, 2),
+          (1, BASE, 3), (True, BASE, 4), (1.0, BASE, 5)]),
+        (lambda: Schema([Column("network", ColumnType.INT64),
+                         Column("ts", ColumnType.TIMESTAMP)],
+                        key=["network", "ts"]),
+         [(n, BASE + n) for n in range(16)],
+         [(5,), ([2], BASE), ({"network": 2}, BASE), (2.0, BASE),
+          (True, BASE)]),
+        (ts_only_schema,
+         [(BASE + h * 3_600_000_000, f"e{h}") for h in range(16)],
+         [(), ([BASE], "list"), ("late", "str"), (1.5, "float"),
+          (float(BASE + 4 * 3_600_000_000), "float"), (True, "bool")]),
+    ], ids=["string-first-column", "int-first-column", "bare-ts"])
+    def test_a_mixed_batch_routes_each_row_as_alone(self, make_schema,
+                                                    good, bad):
+        """A batch sends every row where routing it alone does: a
+        short row and a value no key column
+        holds (unhashable ones too, and ``2.0`` after ``2``) reach a
+        worker that refuses them, and the rows each worker took before
+        its refusal stay."""
+        router = make_router(shards=4)
+        table = router.create_table("t", make_schema())
+        rows = good[:8] + bad + good[8:]
+        first = table.schema.key_indexes[0]
+        expected = [[] for _ in router.engines]
+        refused = set()
+        for row in rows:
+            index = router._route_row(first, table._by_time, row)
+            if row in bad:
+                refused.add(index)
+            elif index not in refused:
+                expected[index].append(tuple(row))
+        with pytest.raises(ValidationError):
+            table.insert_tuples(rows)
+        assert [engine.table("t").query(Query()).rows
+                for engine in router.engines] == expected
         router.close()
 
     def test_pinned_query_touches_one_shard(self):

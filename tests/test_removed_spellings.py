@@ -17,8 +17,8 @@ operation spelled on a database or a client rather than on its table,
 a second and third way to copy a database, the ``replicated``
 tier that marked a ``wal`` table as one a standby may follow, the
 client's buffered insert and database calls of its own beside the
-one database facade over it, and a WAL low water kept outside the
-table's version)
+one database facade over it, a WAL low water kept outside the
+table's version, and the server front's event loop and dispatch pool)
 or an option
 nothing read or no caller set (or, like ``checksums``, could only
 turn a guard off);
@@ -106,6 +106,8 @@ from repro.sqlapi import SqlSession
         lambda: AsyncLittleTableServer(LittleTable(),
                                        policy=MaintenancePolicy()),
         id="server-policy"),
+    pytest.param(lambda: AsyncLittleTableServer(LittleTable(), max_workers=4),
+                 id="server-max-workers"),
     pytest.param(
         lambda: ShardRouter.start_maintenance(None, MaintenancePolicy()),
         id="router-start-maintenance-policy"),
@@ -247,6 +249,22 @@ def test_removed_name_stays_out_of_src(pattern, exempt):
                  path.read_text().splitlines(), 1)
              if removed.search(line)]
     assert not found, "\n".join(found)
+
+
+def test_the_server_front_runs_no_event_loop():
+    """A connection is served on its own thread, read to reply: no
+    module under ``repro/net`` imports ``asyncio`` (no event loop, no
+    dispatch pool behind it)."""
+    importers = []
+    for path in sorted((SRC / "repro" / "net").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if any(name.split(".")[0] == "asyncio" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers
 
 
 def test_one_copy_and_two_tiers():
