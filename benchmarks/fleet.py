@@ -26,12 +26,12 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from ..util.clock import (
+from repro.util.clock import (
     MICROS_PER_DAY,
     MICROS_PER_HOUR,
     MICROS_PER_WEEK,
 )
-from ..util.xorshift import Xorshift64Star
+from repro.util.xorshift import Xorshift64Star
 
 GIB = 1024 ** 3
 TIB = 1024 ** 4

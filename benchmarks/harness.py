@@ -1,11 +1,14 @@
-"""Workload runners behind the figure benchmarks.
+"""Workload runners, statistics and printers behind the figure
+benchmarks.
 
 Each runner drives the *real* engine (real encoding, tablets, merges)
 against the simulated disk, then combines the disk model's time with
 the calibrated server cost model to produce paper-comparable numbers.
 See DESIGN.md §2 for why benchmark time is modeled rather than
 wall-clock: the shapes are the engine's own behaviour; only the price
-per seek/byte/row comes from the model.
+per seek/byte/row comes from the model.  Figures 7-10 are CDFs
+(:func:`cdf_at`) and Figure 6 is a slope (:func:`linear_regression`);
+percentiles come from the engine's own :func:`repro.obs.metrics.percentile`.
 """
 
 from __future__ import annotations
@@ -13,16 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core.config import EngineConfig
-from ..core.database import LittleTable
-from ..core.row import KeyRange, Query, TimeRange
-from ..core.table import Table
-from ..disk.model import DiskParameters, MIB
-from ..disk.vfs import SimulatedDisk
-from ..util.clock import MICROS_PER_SECOND, VirtualClock
-from ..util.xorshift import Xorshift64Star
-from ..workloads.rows import BenchRowGenerator, bench_schema
+from repro.core.config import EngineConfig
+from repro.core.database import LittleTable
+from repro.core.row import KeyRange, Query, TimeRange
+from repro.core.table import Table
+from repro.disk.model import DiskParameters, MIB
+from repro.disk.vfs import SimulatedDisk
+from repro.util.clock import MICROS_PER_SECOND, VirtualClock
+from repro.util.xorshift import Xorshift64Star
+
 from .costmodel import DEFAULT_COST_MODEL, ServerCostModel
+from .rows import BenchRowGenerator, bench_schema
 
 BENCH_EPOCH = 10_000 * 86_400_000_000  # a stable simulated "now"
 
@@ -229,18 +233,7 @@ def first_row_latency(table: Table, n_tablets: int, probe_seed: int,
                       ) -> float:
     """§5.1.6: latency to the first row of a random-key query whose ts
     bounds cover ``n_tablets`` tablets.  Returns modeled seconds."""
-    rng = Xorshift64Star(seed=probe_seed)
-    probe_key = (rng.next_u32() & 0x7FFFFFFF,)
-    query = Query(
-        KeyRange(min_prefix=probe_key),
-        TimeRange.between(BENCH_EPOCH, BENCH_EPOCH + n_tablets - 1),
-    )
-    disk = table.disk
-    before = disk.stats.snapshot()
-    for _row in table.scan(query):
-        break
-    delta = disk.stats.delta_since(before)
-    return delta.read_time_s + cost_model.query_cpu_s(1, delta.bytes_read)
+    return _probe_first_row(table, n_tablets, probe_seed, cost_model)
 
 
 def first_row_latency_cold(table: Table, n_tablets: int, probe_seed: int,
@@ -252,6 +245,11 @@ def first_row_latency_cold(table: Table, n_tablets: int, probe_seed: int,
     :func:`first_row_latency` is its "second query"."""
     table.disk.drop_caches()
     table.evict_reader_cache()
+    return _probe_first_row(table, n_tablets, probe_seed, cost_model)
+
+
+def _probe_first_row(table: Table, n_tablets: int, probe_seed: int,
+                     cost_model: ServerCostModel) -> float:
     rng = Xorshift64Star(seed=probe_seed)
     probe_key = (rng.next_u32() & 0x7FFFFFFF,)
     query = Query(
@@ -264,6 +262,36 @@ def first_row_latency_cold(table: Table, n_tablets: int, probe_seed: int,
         break
     delta = disk.stats.delta_since(before)
     return delta.read_time_s + cost_model.query_cpu_s(1, delta.bytes_read)
+
+
+# ---------------------------------------------------------- statistics
+
+def cdf_at(values: Sequence[float], threshold: float) -> float:
+    """Fraction of ``values`` that are <= ``threshold``."""
+    if not values:
+        raise ValueError("cdf of empty sequence")
+    return sum(1 for v in values if v <= threshold) / len(values)
+
+
+def linear_regression(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
+    """Least-squares fit ``y = slope * x + intercept``.
+
+    Returns ``(slope, intercept)``.  Used to reproduce Figure 6's
+    ms-per-tablet slopes.
+    """
+    if len(xs) != len(ys):
+        raise ValueError("xs and ys must have the same length")
+    if len(xs) < 2:
+        raise ValueError("regression needs at least two points")
+    n = len(xs)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var = sum((x - mean_x) ** 2 for x in xs)
+    if var == 0:
+        raise ValueError("regression undefined for constant x")
+    slope = cov / var
+    return slope, mean_y - slope * mean_x
 
 
 # ------------------------------------------------------------ printing

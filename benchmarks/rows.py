@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional, Tuple
 
-from ..core.encoding import RowCodec
-from ..core.schema import Column, ColumnType, Schema
-from ..util.xorshift import Xorshift64Star
+from repro.core.encoding import RowCodec
+from repro.core.schema import Column, ColumnType, Schema
+from repro.util.xorshift import Xorshift64Star
 
 KEY_COLUMNS = 5  # plus ts = six key columns, as in §5.1.2
 

@@ -10,7 +10,7 @@ effects by running the same workload with filters on and off.
 
 import pytest
 
-from repro.bench.harness import BENCH_EPOCH, bench_config, make_bench_db, \
+from benchmarks.harness import BENCH_EPOCH, bench_config, make_bench_db, \
     print_figure
 from repro.core import Column, ColumnType, Schema
 from repro.util.clock import MICROS_PER_HOUR

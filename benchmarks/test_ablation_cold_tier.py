@@ -16,7 +16,7 @@ archive's (much higher) latencies - acceptable because Figure 10 shows
 
 import pytest
 
-from repro.bench.harness import BENCH_EPOCH, bench_config, make_bench_db, \
+from benchmarks.harness import BENCH_EPOCH, bench_config, make_bench_db, \
     print_figure
 from repro.core import Column, ColumnType, KeyRange, LittleTable, Query, \
     Schema, TimeRange

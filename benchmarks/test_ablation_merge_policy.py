@@ -13,11 +13,11 @@ Three policies over the same flush stream:
 
 import pytest
 
-from repro.bench.harness import BENCH_EPOCH, bench_config, make_bench_db, \
+from benchmarks.harness import BENCH_EPOCH, bench_config, make_bench_db, \
     print_figure
+from benchmarks.rows import BenchRowGenerator, bench_schema
 from repro.core import Query
 from repro.util.clock import MICROS_PER_SECOND
-from repro.workloads.rows import BenchRowGenerator, bench_schema
 
 FLUSHES = 48
 FLUSH_BYTES = 256 * 1024

@@ -9,7 +9,7 @@ day and compare rows scanned per row returned and bytes read.
 
 import pytest
 
-from repro.bench.harness import BENCH_EPOCH, bench_config, make_bench_db, \
+from benchmarks.harness import BENCH_EPOCH, bench_config, make_bench_db, \
     print_figure
 from repro.core import Column, ColumnType, KeyRange, Query, Schema, TimeRange
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_HOUR

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.bench.harness import print_figure
+from benchmarks.harness import print_figure
 from repro.core.config import EngineConfig
 from repro.core.merge import choose_merge, order_by_timespan
 from repro.core.tablet import TabletMeta

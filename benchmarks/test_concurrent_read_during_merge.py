@@ -23,7 +23,7 @@ i.e. orders of magnitude).
 import threading
 import time
 
-from repro.bench.harness import (BENCH_EPOCH, bench_config,
+from benchmarks.harness import (BENCH_EPOCH, bench_config,
                                  build_tabled_dataset, print_figure)
 from repro.core import KeyRange, Query, TimeRange
 

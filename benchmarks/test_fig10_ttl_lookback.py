@@ -9,10 +9,9 @@ history stays cheap to keep.
 
 import pytest
 
-from repro.bench.harness import print_figure
+from benchmarks.fleet import FleetSynthesizer, MONTH_MICROS
+from benchmarks.harness import cdf_at, print_figure
 from repro.util.clock import MICROS_PER_DAY, MICROS_PER_WEEK
-from repro.util.stats import cdf_at
-from repro.workloads.fleet import FleetSynthesizer, MONTH_MICROS
 
 
 def _census():

@@ -8,7 +8,7 @@ row size swept 32 B - 64 kB; throughput rises from ~12% of disk peak
 
 import pytest
 
-from repro.bench.harness import print_figure, run_insert_workload
+from benchmarks.harness import print_figure, run_insert_workload
 
 KIB = 1024
 MIB = 1024 * 1024

@@ -11,7 +11,7 @@ together.
 
 import pytest
 
-from repro.bench.harness import print_figure, run_merge_impact
+from benchmarks.harness import print_figure, run_merge_impact
 
 MIB = 1024 * 1024
 

@@ -10,7 +10,7 @@ work parallelizes while the single disk serializes.
 
 import pytest
 
-from repro.bench.harness import print_figure, run_multi_writer_workload
+from benchmarks.harness import print_figure, run_multi_writer_workload
 
 MIB = 1024 * 1024
 WRITER_SWEEP = [1, 2, 4, 8, 16, 32]

@@ -16,7 +16,7 @@ floors and the readahead ordering are the reproduced shape.
 
 import pytest
 
-from repro.bench.harness import BENCH_EPOCH, bench_config, \
+from benchmarks.harness import BENCH_EPOCH, bench_config, \
     build_tabled_dataset, print_figure, run_query_scan
 from repro.core import Query, TimeRange
 from repro.disk import DiskParameters

@@ -10,9 +10,9 @@ to the 4 and 1 seek times we expect".
 
 import pytest
 
-from repro.bench.harness import build_tabled_dataset, first_row_latency, \
-    first_row_latency_cold, print_figure
-from repro.util.stats import linear_regression
+from benchmarks.harness import bench_config, build_tabled_dataset, \
+    first_row_latency, first_row_latency_cold, linear_regression, \
+    print_figure
 
 MIB = 1024 * 1024
 TABLET_SWEEP = list(range(1, 33, 3))
@@ -24,8 +24,6 @@ def _measure():
     # model's cache_chunk_bytes note) and blocks sit far from them.
     # Bloom filters off, matching the paper's measured system (they
     # are §3.4.5 future work and would fatten every footer read).
-    from repro.bench.harness import bench_config
-
     config = bench_config(flush_size_bytes=1 << 40,
                           max_merged_tablet_bytes=1 << 40,
                           merge_policy="never", bloom_filters=False)

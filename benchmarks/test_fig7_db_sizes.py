@@ -10,9 +10,9 @@ our servers".  Reproduced over the synthetic fleet (DESIGN.md §2).
 
 import pytest
 
-from repro.bench.harness import print_figure
-from repro.util.stats import cdf_at, percentile
-from repro.workloads.fleet import FleetSynthesizer, GIB, TIB
+from benchmarks.fleet import FleetSynthesizer, GIB, TIB
+from benchmarks.harness import cdf_at, print_figure
+from repro.obs.metrics import percentile
 
 
 def _census():

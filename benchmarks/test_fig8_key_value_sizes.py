@@ -11,9 +11,9 @@ as 75 kB.  The average row is 791 bytes, large enough to write at
 
 import pytest
 
-from repro.bench.harness import print_figure, run_insert_workload
-from repro.util.stats import cdf_at, percentile
-from repro.workloads.fleet import FleetSynthesizer
+from benchmarks.fleet import FleetSynthesizer
+from benchmarks.harness import cdf_at, print_figure, run_insert_workload
+from repro.obs.metrics import percentile
 
 KIB = 1024
 

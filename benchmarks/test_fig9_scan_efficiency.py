@@ -12,11 +12,11 @@ tail out to ~10,000.
 
 import pytest
 
-from repro.bench.harness import BENCH_EPOCH, bench_config, make_bench_db, \
-    print_figure
+from benchmarks.harness import BENCH_EPOCH, bench_config, cdf_at, \
+    make_bench_db, print_figure
 from repro.core import Column, ColumnType, KeyRange, Query, Schema, TimeRange
+from repro.obs.metrics import percentile
 from repro.util.clock import MICROS_PER_HOUR, MICROS_PER_MINUTE
-from repro.util.stats import cdf_at, percentile
 
 NETWORKS = 4
 DEVICES = 6

@@ -7,7 +7,8 @@ LittleTable accepts batches of 512 128-byte rows ... at 42% of the
 disk's peak write throughput."
 """
 
-from repro.bench.harness import (
+from benchmarks.harness import (
+    bench_config,
     build_tabled_dataset,
     print_figure,
     run_insert_workload,
@@ -26,8 +27,6 @@ def _measure():
     # a full cold start (page cache and in-memory footers dropped).
     # Bloom filters off: the paper's measured system proposes them as
     # future work (§3.4.5), and they would fatten the footer read.
-    from repro.bench.harness import bench_config
-
     config = bench_config(flush_size_bytes=1 << 40,
                           max_merged_tablet_bytes=1 << 40,
                           merge_policy="never", bloom_filters=False)

@@ -14,8 +14,8 @@
 
 import pytest
 
-from repro.bench.costmodel import DEFAULT_COST_MODEL
-from repro.bench.harness import print_figure
+from benchmarks.costmodel import DEFAULT_COST_MODEL
+from benchmarks.harness import print_figure
 from repro.core import KeyRange, Query, TimeRange
 from repro.dashboard import PixelRect, Shard, ShardTopology
 from repro.util.clock import MICROS_PER_HOUR, MICROS_PER_MINUTE

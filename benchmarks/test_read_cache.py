@@ -22,7 +22,7 @@ recurs, and the cache's job is to make it non-recurring.
 
 import time
 
-from repro.bench.harness import BENCH_EPOCH, bench_config, \
+from benchmarks.harness import BENCH_EPOCH, bench_config, \
     build_tabled_dataset, print_figure
 from repro.core import KeyRange, Query, TimeRange
 

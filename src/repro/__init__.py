@@ -8,10 +8,12 @@ Subpackages:
 * ``repro.sqlapi`` - the SQL front end (the paper's SQLite adaptor role);
 * ``repro.net`` - the TCP client/server protocol;
 * ``repro.dashboard`` - the three applications of Section 4;
-* ``repro.workloads`` - workload and synthetic-fleet generators;
-* ``repro.bench`` - the evaluation harness;
 * ``repro.obs`` - the metrics registry and trace hooks;
-* ``repro.util`` - clocks, PRNG, HLL, Bloom filters, stats.
+* ``repro.util`` - clocks, PRNG, HLL, Bloom filters, varints.
+
+The evaluation (Section 5) is not part of the library: the figure
+harness, workload generators and cost model live beside the figure
+benchmarks in the repository's ``benchmarks/`` package.
 """
 
 from typing import Any, Optional, Tuple, Union

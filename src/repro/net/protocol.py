@@ -227,11 +227,6 @@ def reply_frame(response: Dict[str, Any]) -> bytes:
             "ServerError", f"unencodable response: {exc}", **tag))
 
 
-def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Serialize and send one frame."""
-    sock.sendall(encode_frame(message))
-
-
 class BufferedSocket:
     """A socket read ahead for :func:`recv_message`: one ``recv`` of up
     to :data:`READ_AHEAD_BYTES` refills it, so the frames of a pipeline

@@ -186,11 +186,11 @@ class ShardedTable:
 
     @property
     def schema(self) -> Schema:
-        return self._router._any_live_table(self.name).schema
+        return self._router._first_live_engine().table(self.name).schema
 
     @property
     def ttl_micros(self) -> Optional[int]:
-        return self._router._any_live_table(self.name).ttl_micros
+        return self._router._first_live_engine().table(self.name).ttl_micros
 
     # ---------------------------------------------------------- writes
 
@@ -678,26 +678,26 @@ class ShardRouter:
         self._refuse_read_only(range(len(self.engines)))
         return self._fanout(fn)
 
-    def _any_live_table(self, name: str):
-        for index in self._live_indexes():
-            return self.engines[index].table(name)
+    def _first_live_engine(self) -> LittleTable:
+        """Any live shard answers for the catalog, which DDL keeps
+        the same on every shard."""
+        for index, engine in enumerate(self.engines):
+            if index not in self._down:
+                return engine
         raise ShardDegradedError("all shards are down")
 
     # ---------------------------------------------------------- catalog
 
     def table_names(self) -> List[str]:
-        for index in self._live_indexes():
-            return self.engines[index].table_names()
-        raise ShardDegradedError("all shards are down")
+        return self._first_live_engine().table_names()
 
     def has_table(self, name: str) -> bool:
-        for index in self._live_indexes():
-            return self.engines[index].has_table(name)
-        raise ShardDegradedError("all shards are down")
+        return self._first_live_engine().has_table(name)
 
     def table(self, name: str) -> ShardedTable:
         # NoSuchTableError when absent
-        return ShardedTable(self, name, self._any_live_table(name).schema)
+        return ShardedTable(self, name,
+                            self._first_live_engine().table(name).schema)
 
     def create_table(self, name: str, schema: Schema,
                      ttl_micros: Optional[int] = None,

@@ -29,10 +29,26 @@ objects share the interface and do nothing).
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..util.stats import percentile
+
+def percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """Linear-interpolated percentile of an already-sorted sequence."""
+    if not sorted_values:
+        raise ValueError("percentile of empty sequence")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be within [0, 1]")
+    if len(sorted_values) == 1:
+        return sorted_values[0]
+    rank = fraction * (len(sorted_values) - 1)
+    low = int(math.floor(rank))
+    high = int(math.ceil(rank))
+    if low == high:
+        return sorted_values[low]
+    weight = rank - low
+    return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
 
 
 class Counter:
@@ -72,7 +88,7 @@ class Histogram:
 
     Keeps exact count/sum/min/max and the most recent ``capacity``
     observations in a ring buffer; percentiles are computed from the
-    ring at snapshot time (via :func:`repro.util.stats.percentile`),
+    ring at snapshot time (via :func:`percentile`),
     so ``observe`` stays O(1) and allocation-free after warmup.
     """
 

@@ -15,6 +15,7 @@ resorting".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterator, List, Tuple
 
 from ..core.database import LittleTable
@@ -275,11 +276,9 @@ class SqlSession:
         else:
             names = [item.alias or item.column for item in plain]
             indexes = [schema.column_index(item.column) for item in plain]
-        rows: List[Tuple[Any, ...]] = []
-        for row in self._rows(table, statement, plan):
-            rows.append(tuple(row[i] for i in indexes))
-            if statement.limit is not None and len(rows) >= statement.limit:
-                break
+        rows = [tuple(row[i] for i in indexes)
+                for row in islice(self._rows(table, statement, plan),
+                                  statement.limit)]
         return SqlResult(names, rows)
 
     def _select_aggregate(self, statement: ast.Select, table, plan: Plan,

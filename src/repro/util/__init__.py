@@ -1,5 +1,5 @@
-"""Shared utility substrates: clocks, PRNG, statistics,
-HyperLogLog, Bloom filters, and varint codecs."""
+"""Shared utility substrates: clocks, PRNG, HyperLogLog, Bloom
+filters, and varint codecs."""
 
 from .bloom import BloomFilter, KeyPrefixBloom
 from .clock import (

@@ -17,7 +17,6 @@ from repro.net.protocol import (
     encode_row,
     encode_value,
     recv_message,
-    send_message,
 )
 
 
@@ -63,7 +62,7 @@ class TestFraming:
     def test_round_trip(self):
         pipe = _Pipe()
         try:
-            send_message(pipe.a, {"cmd": "ping", "data": [1, 2, 3]})
+            pipe.a.sendall(encode_frame({"cmd": "ping", "data": [1, 2, 3]}))
             message = recv_message(pipe.b)
             assert message == {"cmd": "ping", "data": [1, 2, 3]}
         finally:
@@ -73,7 +72,7 @@ class TestFraming:
         pipe = _Pipe()
         try:
             for index in range(5):
-                send_message(pipe.a, {"seq": index})
+                pipe.a.sendall(encode_frame({"seq": index}))
             for index in range(5):
                 assert recv_message(pipe.b) == {"seq": index}
         finally:
@@ -135,7 +134,7 @@ class TestFraming:
         thread = threading.Thread(target=reader)
         thread.start()
         try:
-            send_message(pipe.a, {"blob": "x" * 1_000_000})
+            pipe.a.sendall(encode_frame({"blob": "x" * 1_000_000}))
             thread.join(timeout=10)
             assert received["msg"]["blob"] == "x" * 1_000_000
         finally:

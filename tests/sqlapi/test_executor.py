@@ -115,6 +115,18 @@ class TestInsertSelect:
     def test_limit(self, usage):
         assert len(usage.execute("SELECT * FROM usage LIMIT 5").rows) == 5
 
+    def test_limit_zero_returns_no_rows_behind_a_residual(self, usage):
+        """A WHERE that keeps a residual scans without a pushed-down
+        limit; LIMIT 0 must still return nothing, as it does without
+        one."""
+        for where in ("network = 1",
+                      "bytes <= 200 AND network BETWEEN 1 AND 1",
+                      "bytes > 0"):
+            for order in ("", " ORDER BY KEY", " ORDER BY KEY DESC"):
+                statement = f"SELECT * FROM usage WHERE {where}{order}"
+                assert usage.execute(statement + " LIMIT 0").rows == []
+                assert len(usage.execute(statement + " LIMIT 2").rows) == 2
+
     def test_string_and_blob_round_trip(self, session):
         session.execute(
             "CREATE TABLE logs (ts TIMESTAMP, msg STRING, raw BLOB, "

@@ -1,4 +1,5 @@
-"""Tests for the benchmark harness and cost model (repro.bench).
+"""Tests for the benchmark harness and cost model (``benchmarks.harness``,
+``benchmarks.costmodel``).
 
 The figure benchmarks assert paper shapes; these tests pin down the
 harness mechanics at small scale so benchmark regressions can be told
@@ -7,8 +8,8 @@ apart from engine regressions.
 
 import pytest
 
-from repro.bench.costmodel import DEFAULT_COST_MODEL, ServerCostModel
-from repro.bench.harness import (
+from benchmarks.costmodel import DEFAULT_COST_MODEL, ServerCostModel
+from benchmarks.harness import (
     BENCH_EPOCH,
     bench_config,
     build_tabled_dataset,

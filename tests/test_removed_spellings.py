@@ -25,11 +25,15 @@ turn a guard off);
 none of them connects, opens or binds anything before failing.
 
 The names themselves stay out of ``src/``: a second path, a shim or an
-option nothing reads coming back fails here, in any tier-1 run.
+option nothing reads coming back fails here, in any tier-1 run.  So
+does the evaluation: the figure harness, the workload generators and
+the statistics helpers live in ``benchmarks/``, and the library's
+packages are the system's alone.
 """
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -167,11 +171,11 @@ SRC = Path(__file__).parent.parent / "src"
         id="maintenance-queue-or-probe"),
     pytest.param("SkipList|skiplist|items_from", (),
                  id="skip-list-memtable"),
-    # The read cursor moves runs; the engine has no heap left (the
-    # modeled-disk harness under src/repro/bench keeps its own).
+    # The read cursor moves runs; nothing under src/ has a heap left
+    # (the modeled-disk figure harness keeps its own, in benchmarks/).
     pytest.param(
         r"merge_sorted\b|_scan_asc|_scan_desc|key_bounds|\bheapq\b"
-        "|seek_min|first_block_for|last_block_for", ("harness.py",),
+        "|seek_min|first_block_for|last_block_for", (),
         id="row-at-a-time-cursor"),
     # One aggregate engine (the kernels in core/vector.py under every
     # table facade's aggregate_partials); the row-at-a-time one is the
@@ -373,3 +377,23 @@ def test_a_pipeline_call_takes_no_idempotent_flag():
         "self", "message", "decode"]
     assert list(inspect.signature(Pipeline.query_page).parameters) == [
         "self", "table", "query"]
+
+
+@pytest.mark.parametrize("module", [
+    "repro.bench", "repro.workloads", "repro.util.stats"])
+def test_the_evaluation_is_not_importable_from_the_library(module):
+    """The figure harness, the workload generators and the statistics
+    helpers are ``benchmarks.harness`` / ``benchmarks.rows`` /
+    ``benchmarks.fleet``; the one statistic the engine reports with is
+    ``repro.obs.metrics.percentile``."""
+    with pytest.raises(ImportError):
+        importlib.import_module(module)
+
+
+def test_the_library_packages_are_the_system_alone():
+    """What the package build finds under ``src/`` is the system, so
+    evaluation code cannot creep back into the library."""
+    setuptools = pytest.importorskip("setuptools")
+    assert sorted(setuptools.find_packages(str(SRC))) == [
+        "repro", "repro.core", "repro.dashboard", "repro.disk",
+        "repro.net", "repro.obs", "repro.sqlapi", "repro.util"]

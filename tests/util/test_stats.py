@@ -1,103 +1,40 @@
-"""Tests for repro.util.stats."""
-
-import math
+"""Tests for the statistics the engine and the figure benchmarks use:
+``repro.obs.metrics.percentile`` and ``benchmarks.harness``'s
+``cdf_at`` and ``linear_regression``."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.util import stats
-
-
-class TestMeanStddev:
-    def test_mean(self):
-        assert stats.mean([1.0, 2.0, 3.0]) == 2.0
-
-    def test_mean_empty_raises(self):
-        with pytest.raises(ValueError):
-            stats.mean([])
-
-    def test_stddev_known(self):
-        # Sample stddev of [2, 4, 4, 4, 5, 5, 7, 9] is ~2.138.
-        values = [2, 4, 4, 4, 5, 5, 7, 9]
-        assert stats.sample_stddev(values) == pytest.approx(2.13809, abs=1e-4)
-
-    def test_stddev_single_value_zero(self):
-        assert stats.sample_stddev([5.0]) == 0.0
-
-
-class TestConfidenceInterval:
-    def test_single_value_zero_width(self):
-        mu, half = stats.confidence_interval_95([3.0])
-        assert mu == 3.0
-        assert half == 0.0
-
-    def test_26_trials_uses_t25(self):
-        # The paper runs 26 trials; dof = 25 -> t = 2.060.
-        values = [10.0] * 25 + [12.0]
-        mu, half = stats.confidence_interval_95(values)
-        expected_half = 2.060 * stats.sample_stddev(values) / math.sqrt(26)
-        assert half == pytest.approx(expected_half)
-        assert mu == pytest.approx(sum(values) / 26)
-
-    def test_constant_data_zero_width(self):
-        _mu, half = stats.confidence_interval_95([7.0] * 10)
-        assert half == 0.0
-
-    def test_t_critical_monotone_decreasing(self):
-        previous = stats.t_critical_975(1)
-        for dof in (2, 5, 10, 25, 50, 200):
-            current = stats.t_critical_975(dof)
-            assert current <= previous
-            previous = current
-
-    def test_t_critical_rejects_bad_dof(self):
-        with pytest.raises(ValueError):
-            stats.t_critical_975(0)
+from benchmarks.harness import cdf_at, linear_regression
+from repro.obs.metrics import percentile
 
 
 class TestPercentileCdf:
     def test_percentile_endpoints(self):
         values = [1.0, 2.0, 3.0, 4.0]
-        assert stats.percentile(values, 0.0) == 1.0
-        assert stats.percentile(values, 1.0) == 4.0
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 1.0) == 4.0
 
     def test_percentile_interpolates(self):
-        assert stats.percentile([0.0, 10.0], 0.25) == 2.5
+        assert percentile([0.0, 10.0], 0.25) == 2.5
 
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
-            stats.percentile([], 0.5)
+            percentile([], 0.5)
         with pytest.raises(ValueError):
-            stats.percentile([1.0], 1.5)
-
-    def test_cdf_points(self):
-        points = stats.cdf_points([3, 1, 2])
-        assert points == [(1, 1 / 3), (2, 2 / 3), (3, 1.0)]
-
-    def test_cdf_points_empty(self):
-        assert stats.cdf_points([]) == []
+            percentile([1.0], 1.5)
 
     def test_cdf_at(self):
         values = [1, 2, 3, 4]
-        assert stats.cdf_at(values, 2) == 0.5
-        assert stats.cdf_at(values, 0) == 0.0
-        assert stats.cdf_at(values, 10) == 1.0
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
-                              width=32), min_size=1))
-    def test_cdf_points_monotone(self, values):
-        points = stats.cdf_points(values)
-        fractions = [f for _v, f in points]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
+        assert cdf_at(values, 2) == 0.5
+        assert cdf_at(values, 0) == 0.0
+        assert cdf_at(values, 10) == 1.0
 
 
 class TestLinearRegression:
     def test_exact_line(self):
         xs = [1.0, 2.0, 3.0, 4.0]
         ys = [2 * x + 1 for x in xs]
-        slope, intercept = stats.linear_regression(xs, ys)
+        slope, intercept = linear_regression(xs, ys)
         assert slope == pytest.approx(2.0)
         assert intercept == pytest.approx(1.0)
 
@@ -105,14 +42,14 @@ class TestLinearRegression:
         # Latency = 8.3 ms per tablet + noise-free base.
         xs = list(range(1, 33))
         ys = [8.3 * x + 31.0 for x in xs]
-        slope, intercept = stats.linear_regression(xs, ys)
+        slope, intercept = linear_regression(xs, ys)
         assert slope == pytest.approx(8.3)
         assert intercept == pytest.approx(31.0)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            stats.linear_regression([1.0], [2.0])
+            linear_regression([1.0], [2.0])
         with pytest.raises(ValueError):
-            stats.linear_regression([1.0, 1.0], [1.0, 2.0])
+            linear_regression([1.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            stats.linear_regression([1.0, 2.0], [1.0])
+            linear_regression([1.0, 2.0], [1.0])

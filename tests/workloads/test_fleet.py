@@ -1,15 +1,17 @@
-"""Tests for the synthetic production fleet (§5.2 calibration)."""
+"""Tests for the synthetic production fleet (§5.2 calibration,
+``benchmarks.fleet``)."""
 
 import pytest
 
-from repro.util.clock import MICROS_PER_WEEK
-from repro.util.stats import cdf_at, percentile
-from repro.workloads.fleet import (
+from benchmarks.fleet import (
     GIB,
     MONTH_MICROS,
     TIB,
     FleetSynthesizer,
 )
+from benchmarks.harness import cdf_at
+from repro.obs.metrics import percentile
+from repro.util.clock import MICROS_PER_WEEK
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,13 @@
-"""Tests for the microbenchmark row generators."""
+"""Tests for the microbenchmark row generators (``benchmarks.rows``)."""
 
 import pytest
 
-from repro.core.encoding import RowCodec
-from repro.workloads.rows import (
+from benchmarks.rows import (
     BenchRowGenerator,
     bench_schema,
     payload_size_for_row_size,
 )
+from repro.core.encoding import RowCodec
 
 
 class TestBenchSchema:
