@@ -11,7 +11,7 @@ compression" (§5.1.1) - and our zlib stand-in likewise.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.encoding import RowCodec
 from repro.core.schema import Column, ColumnType, Schema
@@ -96,10 +96,3 @@ class BenchRowGenerator:
     def batch(self, count: int, ts: int = None) -> List[Tuple]:
         """A batch of ``count`` rows."""
         return [self.next_row(ts) for _ in range(count)]
-
-    def rows(self, total_bytes: int, ts: int = None) -> Iterator[Tuple]:
-        """Yield rows until ~``total_bytes`` of encoded data."""
-        produced = 0
-        while produced < total_bytes:
-            yield self.next_row(ts)
-            produced += self.row_size

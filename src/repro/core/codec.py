@@ -44,6 +44,12 @@ slices and ``itertools.accumulate`` do the work.  Every segment says
 how long it is, so :meth:`SchemaCodec.decode_key_columns` skips to the
 key columns in O(columns).
 
+Decoding is two steps: one checking walk over the segments
+(:class:`BlockBody`), then one column decoder over a row stretch
+``[lo, hi)`` - planes are sliced, a running column resumes from a
+checkpoint.  A whole-block decode is that decoder over ``[0, n)``; the
+read cache keeps the walked body and decodes only what readers take.
+
 v3 is the only body this module reads.  The older ones - row-major v1
 and varint-column v2 - are refused where their container is parsed
 (a tablet footer's ``block_format``, a WAL record's first body byte)
@@ -58,8 +64,8 @@ import sys
 import time
 import weakref
 from array import array
-from itertools import accumulate, chain
-from operator import itemgetter, sub
+from itertools import accumulate, islice, repeat
+from operator import getitem, itemgetter, sub
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import NULL_REGISTRY
@@ -228,18 +234,25 @@ class _CompiledOps:
                              f"{len(self._types)}")
         return _encode_v3(self._types, rows)
 
+    def walk_block(self, buf: bytes) -> "BlockBody":
+        """Walk a v3 block body for :meth:`BlockBody.column`, checking
+        all of it: anything wrong is a :class:`CorruptTabletError`."""
+        try:
+            if buf[0] != BLOCK_FORMAT_V3:
+                raise CorruptTabletError(f"bad block format byte {buf[0]}")
+            return _walk_v3(self._types, buf)
+        except (IndexError, ValueError, struct.error) as exc:
+            raise CorruptTabletError(f"corrupt block: {exc}") from exc
+
     def decode_block_columns(self, buf: bytes,
                              indexes: Optional[Sequence[int]] = None
                              ) -> List[List[Any]]:
         """Decode a v3 block body into per-column value lists: every
-        column in schema order, or just ``indexes``.  Anything wrong
-        with the bytes is a :class:`CorruptTabletError`."""
-        try:
-            if buf[0] != BLOCK_FORMAT_V3:
-                raise CorruptTabletError(f"bad block format byte {buf[0]}")
-            return _decode_v3(self._types, buf, indexes)
-        except (IndexError, ValueError, struct.error) as exc:
-            raise CorruptTabletError(f"corrupt block: {exc}") from exc
+        column in schema order, or just ``indexes``."""
+        body = self.walk_block(buf)
+        if indexes is None:
+            indexes = range(len(self._types))
+        return [body.column(index, 0, body.count) for index in indexes]
 
     def decode_block(self, buf: bytes) -> Tuple[List[Tuple[Any, ...]],
                                                 List[Tuple[Any, ...]]]:
@@ -331,13 +344,14 @@ def _encode_v3(types: Sequence[ColumnType],
     return b"".join(parts)
 
 
-def _from_planes(typecode: str, view: memoryview, start: int, count: int,
-                 width: int) -> array:
-    """``count`` 8-byte items from their ``width`` low byte planes."""
+def _from_planes(typecode: str, view: memoryview, start: int, stride: int,
+                 count: int, width: int) -> array:
+    """``count`` 8-byte items from their ``width`` low byte planes, plane
+    ``p`` of the first one at ``start + p * stride`` (no plane: zeros)."""
     raw = bytearray(8 * count)
     for plane in range(width):
         raw[plane::8] = view[start:start + count]
-        start += count
+        start += stride
     items = array(typecode)
     items.frombytes(raw)
     if _BIG_ENDIAN:
@@ -345,69 +359,133 @@ def _from_planes(typecode: str, view: memoryview, start: int, count: int,
     return items
 
 
-def _decode_v3(types: Sequence[ColumnType], buf: bytes,
-               indexes: Optional[Sequence[int]]) -> List[List[Any]]:
-    """Walk the segments checking every bound, then build the wanted
-    columns: a damaged row count must fail a bound, not size a list."""
+def _offsets_sum(view: memoryview, segment: tuple, a: int, b: int) -> int:
+    """The sum of items ``[a, b)`` of a frame-of-reference segment."""
+    planes, stride, lo, width = segment[:4]
+    total = (b - a) * lo
+    if width:
+        total += sum(_from_planes("Q", view, planes + a, stride, b - a, width))
+    return total
+
+
+class BlockBody:
+    """One v3 block body, walked once by :func:`_walk_v3` (which checks
+    all that a decode could trip on): :meth:`column` decodes any column
+    over any row stretch.  Timestamps and string and blob lengths are
+    *running* columns, ``C[k + 1] = C[k] + d[k]``; a stretch resumes
+    from the nearest of ``C[0]`` and the ends of the last stretch
+    decoded from the column (``marks``, a tuple replaced whole), so
+    successive stretches cost their own length in either direction.
+    """
+
+    __slots__ = ("view", "types", "count", "segments", "marks")
+
+    def __init__(self, view: memoryview, types: Sequence[ColumnType],
+                 count: int, segments: List[tuple], marks: List[Any]):
+        self.view = view
+        self.types = types
+        self.count = count
+        #: Per column ``(planes, stride, lo, width, first, text)``: planes,
+        #: frame of reference, ``C[0]``, what strings and blobs slice.
+        self.segments = segments
+        self.marks = marks
+
+    def column(self, index: int, lo: int, hi: int) -> List[Any]:
+        """Column ``index``'s values for rows ``[lo, hi)``."""
+        t = self.types[index]
+        planes, stride, base, width, _first, text = self.segments[index]
+        if t is ColumnType.TIMESTAMP:
+            return self._running(index, lo, hi - 1)
+        if text is not None:
+            ends = self._running(index, lo, hi)
+            return list(map(getitem, repeat(text),
+                            map(slice, ends, islice(ends, 1, None))))
+        if t is ColumnType.DOUBLE:
+            return _from_planes("d", self.view, planes + lo, stride, hi - lo,
+                                8).tolist()
+        if not width:
+            return [base] * (hi - lo)
+        items = _from_planes("Q", self.view, planes + lo, stride, hi - lo,
+                             width)
+        return [item + base for item in items] if base else items.tolist()
+
+    def _running(self, index: int, a: int, b: int) -> List[int]:
+        """``C[a..b]`` of running column ``index``."""
+        segment = self.segments[index]
+        planes, stride, base, width, value, _text = segment
+        at = 0
+        for k, known in self.marks[index]:
+            if abs(k - a) < abs(at - a):
+                at, value = k, known
+        if at < a:
+            value += _offsets_sum(self.view, segment, at, a)
+        elif at > a:
+            value -= _offsets_sum(self.view, segment, a, at)
+        offsets = _from_planes("Q", self.view, planes + a, stride, b - a,
+                               width)
+        values = list(accumulate([item + base for item in offsets]
+                                 if base else offsets, initial=value))
+        self.marks[index] = ((a, value), (b, values[-1]))
+        return values
+
+
+def _walk_v3(types: Sequence[ColumnType], buf: bytes) -> BlockBody:
+    """Walk the segments, checking every bound before the row count sizes
+    anything, each string's UTF-8, and that lengths sum to the body."""
+    if type(buf) is not bytes:      # blobs are sliced from it
+        buf = bytes(buf)
     view = memoryview(buf)
     _format, n = _HEAD.unpack_from(view, 0)
     if n == 0:
         raise CorruptTabletError("v3 block with no rows")
     p = _HEAD.size
-    segments = []
+    segments: List[tuple] = []
+    marks: List[Any] = []
     for t in types:
+        mark, text = (), None
         if t is ColumnType.DOUBLE:
-            segments.append((p, 0, 8, n, 0, 0))
+            segment = (p, n, 0, 8, 0, None)
             p += 8 * n
         else:
-            first, count = 0, n
+            first, stride = 0, n
             if t is ColumnType.TIMESTAMP:
                 (first,) = _U64.unpack_from(view, p)
                 p += _U64.size
-                count = n - 1
+                stride = n - 1
             lo, width = _INT_HEAD.unpack_from(view, p)
             if width > 8:
                 raise CorruptTabletError(f"plane count {width} > 8")
             p += _INT_HEAD.size
             planes = p
-            p += width * count
+            p += width * stride
             if t is ColumnType.STRING or t is ColumnType.BLOB:
                 if lo < 0:
                     raise CorruptTabletError("negative value length")
                 (body_len,) = _U32.unpack_from(view, p)
                 p += _U32.size + body_len
-            segments.append((planes, lo, width, count, first, p))
+                if p > len(view):
+                    raise CorruptTabletError("truncated column segment")
+                # String lengths count characters, so the body is decoded
+                # once; a blob is sliced from the raw bytes in place.
+                if t is ColumnType.STRING:
+                    text = str(view[p - body_len:p], "utf-8")
+                    body_len = len(text)
+                else:
+                    text, first = buf, p - body_len
+            segment = (planes, stride, lo, width, first, text)
+            if text is not None:
+                end = first + _offsets_sum(view, segment, 0, n)
+                if end != first + body_len:
+                    raise CorruptTabletError(
+                        "value lengths do not sum to the body")
+                mark = ((n, end),)
         if p > len(view):
             raise CorruptTabletError("truncated column segment")
+        segments.append(segment)
+        marks.append(mark)
     if p != len(view):
         raise CorruptTabletError("trailing bytes after last column")
-    columns = []
-    for index in range(len(types)) if indexes is None else indexes:
-        t = types[index]
-        planes, lo, width, count, first, end = segments[index]
-        if t is ColumnType.DOUBLE:
-            values = _from_planes("d", view, planes, n, 8).tolist()
-        elif not width:
-            values = [lo] * count
-        elif lo:
-            values = [offset + lo for offset in
-                      _from_planes("Q", view, planes, count, width)]
-        else:
-            values = _from_planes("Q", view, planes, count, width).tolist()
-        if t is ColumnType.TIMESTAMP:
-            values = list(accumulate(values, initial=first))
-        elif t is ColumnType.STRING or t is ColumnType.BLOB:
-            body_start = planes + width * count + _U32.size
-            body = (str(view[body_start:end], "utf-8")
-                    if t is ColumnType.STRING
-                    else bytes(view[body_start:end]))
-            ends = list(accumulate(values))
-            if ends[-1] != len(body):
-                raise CorruptTabletError(
-                    "value lengths do not sum to the body")
-            values = [body[a:b] for a, b in zip(chain((0,), ends), ends)]
-        columns.append(values)
-    return columns
+    return BlockBody(view, types, n, segments, marks)
 
 
 def prefix_column_encoders(schema: Schema):
@@ -443,7 +521,7 @@ class SchemaCodec:
     __slots__ = ("schema", "ops", "validate_and_size", "size_of", "key_of",
                  "_m_rows_encoded", "_m_rows_decoded",
                  "_m_blocks_encoded", "_m_blocks_decoded", "_m_encode_ns",
-                 "_m_decode_ns")
+                 "_m_decode_ns", "_m_block_rows", "_values")
 
     def __init__(self, schema: Schema, metrics=None):
         self.schema = schema
@@ -459,6 +537,8 @@ class SchemaCodec:
         self._m_blocks_decoded = m.counter("codec.blocks_decoded")
         self._m_encode_ns = m.counter("codec.encode_ns")
         self._m_decode_ns = m.counter("codec.decode_ns")
+        self._m_block_rows = m.counter("block.rows_decoded")
+        self._values = 0    # decoded values not yet a whole row's worth
 
     # ------------------------------------------------------- block level
 
@@ -471,30 +551,44 @@ class SchemaCodec:
         self._m_blocks_encoded.inc()
         return buf
 
+    def walk_block(self, buf: bytes) -> BlockBody:
+        """Open a v3 block body for decoding (one checking walk, counted
+        as a block decoded)."""
+        started = time.perf_counter_ns()
+        body = self.ops.walk_block(buf)
+        self._m_decode_ns.inc(time.perf_counter_ns() - started)
+        self._m_blocks_decoded.inc()
+        return body
+
+    def decode_columns(self, body: BlockBody, into: List[Any],
+                       indexes: Sequence[int], lo: int, hi: int) -> None:
+        """Decode each column ``i`` of ``indexes`` over rows ``[lo, hi)``
+        into ``into[i]``.  ``codec.rows_decoded`` and its ``block.`` twin
+        count values, a row per schema-width (the rest carried over)."""
+        started = time.perf_counter_ns()
+        for index in indexes:
+            into[index] = body.column(index, lo, hi)
+        self._m_decode_ns.inc(time.perf_counter_ns() - started)
+        rows, self._values = divmod(
+            self._values + len(indexes) * (hi - lo), len(into))
+        self._m_rows_decoded.inc(rows)
+        self._m_block_rows.inc(rows)
+
     def decode_block(self, buf: bytes
                      ) -> Tuple[List[Tuple[Any, ...]],
                                 List[Tuple[Any, ...]]]:
         """Decode a whole v3 block body into ``(rows, keys)``."""
-        started = time.perf_counter_ns()
-        rows, keys = self.ops.decode_block(buf)
-        self._m_decode_ns.inc(time.perf_counter_ns() - started)
-        self._m_rows_decoded.inc(len(rows))
-        self._m_blocks_decoded.inc()
-        return rows, keys
+        columns = self.decode_block_columns(buf)
+        return (list(zip(*columns)),
+                list(zip(*[columns[i] for i in self.schema.key_indexes])))
 
     def decode_block_columns(self, buf: bytes) -> List[List[Any]]:
-        """Decode a whole v3 block body into per-column value
-        lists, one per schema column in schema order: the same walk as
-        :meth:`decode_block` without the final ``zip``.
-
-        The vectorized aggregate path consumes columns directly; no row
-        tuples are materialized.
-        """
-        started = time.perf_counter_ns()
-        columns = self.ops.decode_block_columns(buf)
-        self._m_decode_ns.inc(time.perf_counter_ns() - started)
-        self._m_rows_decoded.inc(len(columns[0]))
-        self._m_blocks_decoded.inc()
+        """Decode a whole v3 block body into per-column value lists,
+        one per schema column in schema order."""
+        body = self.walk_block(buf)
+        columns: List[Any] = [None] * len(body.types)
+        self.decode_columns(body, columns, range(len(columns)), 0,
+                            body.count)
         return columns
 
     def decode_key_columns(self, buf: bytes,

@@ -241,7 +241,7 @@ class _MergeSource:
         """Decode the block at the boundary and step past it."""
         reader = self.reader
         with _blaming(self.meta):
-            columns, _raw_len = reader.decode_payload(
+            columns, _body = reader.decode_payload(
                 self.index, reader.read_block_payload(self.index))
         self.rows = list(zip(*columns))
         self.keys = list(zip(*[columns[i] for i in reader.schema.key_indexes]))

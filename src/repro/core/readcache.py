@@ -8,9 +8,9 @@ time, and every query still sweeps the whole tablet list to find the
 overlapping ones.  This module removes both costs:
 
 * :class:`ReadCache` - one engine-wide, byte-budgeted LRU over
-  **decoded blocks** (a block's columns, and row tuples for the
-  stretches scans have taken), shared by every table of a database.
-  A warm query never touches the disk model, zlib, or the block codec.
+  **opened blocks** (:class:`CachedBlock`), shared by every table of
+  a database.  A warm query never touches the disk model or zlib, and
+  decodes only what no reader of the block has decoded yet.
   (A parsed footer lives on its tablet's
   :class:`~repro.core.tablet.TabletReader`, §3.2, not here.)
 * :class:`TabletPruneIndex` - a per-table interval index over tablet
@@ -47,8 +47,7 @@ import bisect
 import itertools
 import threading
 from collections import OrderedDict
-from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..obs.metrics import NULL_REGISTRY
 from .row import KeyRange, TimeRange
@@ -60,27 +59,28 @@ ROW_OVERHEAD_BYTES = 56
 
 
 class CachedBlock:
-    """One decoded block: its columns, and its rows as scans take them.
+    """One cached block: its walked v3 body
+    (:class:`~repro.core.codec.BlockBody`, checked end to end on
+    admission, when nothing is decoded), the columns decoded from it,
+    and its rows as scans take them.
 
-    ``columns`` holds one value list per schema column, in schema
-    order: what the vectorized aggregate reads, and what a scan
-    bisects (the key columns) to find its range.  ``rows`` starts as
-    ``count`` Nones; a scan fills the stretch it takes with row tuples
-    zipped from the columns (``TabletReader._built_rows``), so a tuple
-    is built once, for a row some scan wanted, and shares its values
-    with the columns.  No key tuples are kept.  ``nbytes`` is the
-    budget's charge, fixed at admission: the block's raw (uncompressed)
-    length plus ``ROW_OVERHEAD_BYTES`` a row, however many rows are
-    built later.
+    ``columns`` has a slot per schema column, None until a reader needs
+    the column whole: a key column when a scan first bisects it, a
+    column an aggregate reads.  ``rows`` starts as Nones; a scan fills
+    the stretch it takes with row tuples (``TabletReader._built_rows``),
+    decoding the other columns for that stretch alone.  Once every
+    column or every row exists, ``body`` is dropped.  No key tuples are
+    kept.  ``nbytes`` is the budget's charge, fixed at admission: the
+    raw length plus ``ROW_OVERHEAD_BYTES`` a row.
     """
 
-    __slots__ = ("columns", "rows", "nbytes")
+    __slots__ = ("body", "columns", "rows", "nbytes")
 
-    def __init__(self, columns: List[Sequence[Any]], count: int,
-                 payload_bytes: int):
-        self.columns = columns
-        self.rows: List[Optional[Tuple[Any, ...]]] = [None] * count
-        self.nbytes = payload_bytes + ROW_OVERHEAD_BYTES * count
+    def __init__(self, body):
+        self.body = body
+        self.columns: List[Optional[List[Any]]] = [None] * len(body.types)
+        self.rows: List[Optional[Tuple[Any, ...]]] = [None] * body.count
+        self.nbytes = len(body.view) + ROW_OVERHEAD_BYTES * body.count
 
 
 class ReadCache:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import (Any, Callable, Iterator, List, Optional, Sequence,
+from typing import (Any, Callable, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
 from ..disk.storage import StorageError
@@ -250,6 +250,11 @@ def aggregate(plan: ReadPlan, spec: AggregateSpec, now: int,
     partials = AggregatePartials()
     groups = partials.groups
     ts_index = plan.version.schema.ts_index
+    # What the kernels read: all a block decodes beside its key columns.
+    reads = {ts_index, *spec.group_indexes,
+             *(index for index, _op, _value in spec.residuals),
+             *(index for func, index in spec.aggregates
+               if index is not None and func != "COUNT")}
     filtered = plan.metrics.push_rows_filtered
 
     def fold(columns: Sequence[Sequence[Any]], lo: int, hi: int,
@@ -269,7 +274,7 @@ def aggregate(plan: ReadPlan, spec: AggregateSpec, now: int,
     for meta in plan.select(spec.time_range, spec.key_range, stats):
         stats.tablets_opened += 1
         try:
-            _fold_tablet(plan, meta, spec.key_range, fold)
+            _fold_tablet(plan, meta, spec.key_range, reads, fold)
         except CORRUPTION as exc:
             plan.corrupt(meta, exc)
             raise
@@ -289,12 +294,12 @@ def _fold_runs(plan: ReadPlan, runs: Iterator[Run], fold: Fold) -> None:
 
 
 def _fold_tablet(plan: ReadPlan, meta: TabletMeta, key_range: KeyRange,
-                 fold: Fold) -> None:
+                 reads: Set[int], fold: Fold) -> None:
     """Fold one tablet into the partial group states.
 
     Same-schema tablets are column-major already: each block the key
-    range touches hands over its columns, and bisecting its key columns
-    trims it to the range - no row or key tuple is built.
+    range touches hands over the columns in ``reads``, and bisecting its
+    key columns trims it to the range - no row or key tuple is built.
     """
     metrics = plan.metrics
     reader = plan.open_reader(meta)
@@ -305,13 +310,16 @@ def _fold_tablet(plan: ReadPlan, meta: TabletMeta, key_range: KeyRange,
                                      key_range), fold)
         metrics.push_blocks_fallback.inc(reader.block_count)
         return
-    key_indexes = reader.schema.key_indexes
+    keys = reader.schema.key_indexes[:key_range.bound_width]
+    wanted = sorted({*keys, *reads})
+    entries = reader.block_entries()
     # Blocks [first, inside) end on an in-range key; block ``inside``
     # ends past the range but may begin inside it.
     first, inside = key_range.span(reader.last_keys)
-    for index in range(first, min(inside + 1, reader.block_count)):
-        columns = reader.scan_block_columns(index)
-        lo, hi = key_range.span_columns([columns[i] for i in key_indexes])
+    for index in range(first, min(inside + 1, len(entries))):
+        columns = reader.scan_block_columns(index, wanted)
+        lo, hi = key_range.span_columns([columns[i] for i in keys], 0,
+                                        entries[index].row_count)
         if lo < hi:
             metrics.push_blocks.inc()
             fold(columns, lo, hi, metrics.push_rows_columnar)

@@ -91,6 +91,11 @@ class KeyRange:
         return cls(min_prefix=p, min_inclusive=True,
                    max_prefix=p, max_inclusive=True)
 
+    @property
+    def bound_width(self) -> int:
+        """How many leading key columns :meth:`span_columns` may bisect."""
+        return max(len(self.min_prefix or ()), len(self.max_prefix or ()))
+
     def before_range(self, key: Tuple[Any, ...]) -> bool:
         """True if ``key`` lies below the minimum bound."""
         if self.min_prefix is None:

@@ -51,7 +51,8 @@ from ..util.bloom import KeyPrefixBloom
 from ..util.checksum import crc32c
 from ..util.varint import decode_uvarint, encode_uvarint
 from .block import codec_id, compress, decompress
-from .codec import BLOCK_FORMAT_V3, SchemaCodec, prefix_column_encoders
+from .codec import (BLOCK_FORMAT_V3, BlockBody, SchemaCodec,
+                    prefix_column_encoders)
 from .encoding import RowCodec
 from .errors import (SUPPORTED_FORMAT, ChecksumError, CorruptTabletError,
                      UnsupportedFormatError)
@@ -464,11 +465,12 @@ class TabletReader:
     returned from cached blocks are shared: callers must not mutate
     them.
 
-    There is one decode, :meth:`decode_payload` (payload to columns),
-    and one way from a block to its rows: :meth:`_scan_block`, the
-    cached entry, which scans, ``latest``, the uniqueness probe and a
-    warm aggregate share.  A row tuple is built only when a scan takes
-    it (:meth:`_built_rows`).  Two readers go around the cache on
+    There is one decode, :meth:`decode_payload` (payload to a checked
+    body and the columns asked for), and one way from a block to its
+    rows: :meth:`_scan_block`, the cached entry, which scans,
+    ``latest``, the uniqueness probe and a warm aggregate share.  A row
+    tuple is built only when a scan takes it (:meth:`_built_rows`).
+    Two readers go around the cache on
     purpose, because what they read once would evict what is read
     often: the merge (``decode_payload`` directly) and a cold
     vectorized aggregate (:meth:`scan_block_columns`).
@@ -488,7 +490,6 @@ class TabletReader:
         self._m_bloom_negative = self.metrics.counter("bloom.negatives")
         self._m_bloom_positive = self.metrics.counter("bloom.positives")
         self._m_decoded = self.metrics.counter("block.decoded")
-        self._m_rows_decoded = self.metrics.counter("block.rows_decoded")
         self._m_decoded_bytes = self.metrics.counter("block.decoded_bytes")
         self._m_rows_built = self.metrics.counter("readcache.rows_built")
         self._cache = cache if cache is not None else NULL_READ_CACHE
@@ -656,67 +657,101 @@ class TabletReader:
                 f"{self.filename}: block {index} checksum mismatch")
         return payload
 
-    def decode_payload(self, index: int, payload: bytes
-                       ) -> Tuple[List[Sequence[Any]], int]:
-        """Decode one block's compressed payload into ``(columns, raw
-        size)``: one value list per schema column, in schema order.
-
-        The one decode: it checks the row count against the footer and
-        counts the decode (``block.decoded``, ``block.rows_decoded``,
-        ``block.decoded_bytes``), whoever asked.  Every other reader
-        goes through :meth:`_scan_block` or :meth:`scan_block_columns`;
-        the merge calls this directly so that its one-off blocks stay
-        out of the cache.
+    def decode_payload(self, index: int, payload: bytes,
+                       indexes: Optional[Sequence[int]] = None
+                       ) -> Tuple[List[Optional[List[Any]]], BlockBody]:
+        """Decompress one block's payload, walk its segments and decode
+        columns ``indexes`` (all by default) whole: ``(columns, body)``,
+        ``columns`` in schema order with None for the rest.  The one
+        decode: the walk checks the body and the row count against the
+        footer, counted (``block.decoded``, ``block.decoded_bytes``)
+        whoever asked; the merge calls it directly, other readers
+        through :meth:`_scan_block` or :meth:`scan_block_columns`.
         """
         raw = decompress(self._codec, payload)
-        count = self._entries[index].row_count
-        columns = self._schema_codec.decode_block_columns(raw)
-        if len(columns[0]) != count:
+        body = self._schema_codec.walk_block(raw)
+        if body.count != self._entries[index].row_count:
             raise CorruptTabletError(
                 f"{self.filename}: block {index} row count mismatch")
         self._m_decoded.inc()
-        self._m_rows_decoded.inc(count)
         self._m_decoded_bytes.inc(len(raw))
-        return columns, len(raw)
+        columns: List[Optional[List[Any]]] = [None] * len(body.types)
+        self._schema_codec.decode_columns(
+            body, columns, range(len(columns)) if indexes is None
+            else indexes, 0, body.count)
+        return columns, body
 
     def _scan_block(self, index: int) -> CachedBlock:
-        """Block ``index`` as its cache entry - its columns, and the
-        rows scans have built so far - filled on a miss by one disk
-        read and one :meth:`decode_payload`.
+        """Block ``index`` as its cache entry, filled on a miss by one
+        disk read and one :meth:`decode_payload` that decodes nothing.
 
         Scans, ``latest`` and the uniqueness probe all read blocks
-        through here.  The entry is shared with the cache - do not
-        mutate it, except through :meth:`_built_rows`.
+        through here.  The entry is shared with the cache - mutate it
+        only through :meth:`_decode_whole` and :meth:`_built_rows`.
         """
         entry = self._cache.get_block(self.cache_uid, index)
         if entry is None:
-            columns, raw_len = self.decode_payload(
-                index, self.read_block_payload(index))
-            entry = CachedBlock(columns, len(columns[0]), raw_len)
+            entry = CachedBlock(self.decode_payload(
+                index, self.read_block_payload(index), ())[1])
             self._cache.put_block(self.cache_uid, index, entry)
         return entry
 
-    def _key_columns(self, entry: CachedBlock) -> List[Sequence[Any]]:
-        """A block's key columns, in key order (what
-        :meth:`KeyRange.span_columns` bisects)."""
+    def _decode_whole(self, entry: CachedBlock, indexes: Sequence[int]
+                      ) -> None:
+        """Decode columns ``indexes`` of a cached block whole and keep
+        them (from its rows once the body is gone); once all are kept,
+        the body goes.  It is read first: it goes only after the last
+        column or row is stored (racing readers store equal lists)."""
+        body = entry.body
         columns = entry.columns
-        return [columns[i] for i in self.schema.key_indexes]
+        missing = [i for i in indexes if columns[i] is None]
+        if missing and body is None:
+            for i in missing:
+                columns[i] = [row[i] for row in entry.rows]
+        elif missing:
+            self._schema_codec.decode_columns(body, columns, missing, 0,
+                                              body.count)
+            if None not in columns:
+                entry.body = None
+
+    def _key_columns(self, entry: CachedBlock, width: int
+                     ) -> List[List[Any]]:
+        """A block's first ``width`` key columns, in key order (what
+        :meth:`KeyRange.span_columns` bisects), decoded when first
+        needed."""
+        columns = entry.columns
+        wanted = self.schema.key_indexes[:width]
+        keys = [columns[i] for i in wanted]
+        if None in keys:
+            self._decode_whole(entry, wanted)
+            keys = [columns[i] for i in wanted]
+        return keys
 
     def _built_rows(self, entry: CachedBlock, lo: int, hi: int
                     ) -> List[Tuple[Any, ...]]:
         """Rows ``[lo, hi)`` of a cached block, as a fresh list.
 
         Where the stretch still holds a row no scan has taken, it is
-        built whole from the columns and stored back by one slice
-        assignment - atomic under the GIL, so two scans racing over
-        the same stretch each store equal tuples and neither sees a
-        half-filled slice (``readcache.rows_built`` counts them).
+        built whole - columns not decoded whole are decoded for the
+        stretch alone - and stored back by one slice assignment: atomic
+        under the GIL, so two scans racing over the same stretch each
+        store equal tuples and neither sees a half-filled slice
+        (``readcache.rows_built`` counts them).
         """
         rows = entry.rows[lo:hi]
         if not all(rows):       # a built row is a non-empty tuple
-            rows = list(zip(*[column[lo:hi] for column in entry.columns]))
+            body = entry.body   # before the columns: see _decode_whole
+            parts = [column if column is None else column[lo:hi]
+                     for column in entry.columns]
+            missing = [i for i, part in enumerate(parts) if part is None]
+            if missing and body is None:    # every row was built meanwhile
+                return entry.rows[lo:hi]
+            self._schema_codec.decode_columns(body, parts, missing, lo, hi)
+            rows = list(zip(*parts))
             entry.rows[lo:hi] = rows
             self._m_rows_built.inc(hi - lo)
+            if (lo == 0 or hi == len(entry.rows)) and all(entry.rows):
+                entry.body = None
         return rows
 
     @property
@@ -730,20 +765,23 @@ class TabletReader:
         self.ensure_loaded()
         return self._last_keys
 
-    def scan_block_columns(self, index: int) -> List[Sequence[Any]]:
-        """Block ``index`` as per-column value lists, in schema order
-        (the vectorized aggregate).
-
-        A warm cache entry's columns are returned as they are; a cold
-        read decodes them (:meth:`decode_payload`) and deliberately
-        does not populate the cache - one-off rollup scans should not
-        evict hot blocks.
-        """
+    def scan_block_columns(self, index: int,
+                           indexes: Optional[Sequence[int]] = None
+                           ) -> List[Optional[List[Any]]]:
+        """Block ``index``'s columns ``indexes`` (all by default) whole,
+        in a schema-order list (the vectorized aggregate).  A warm entry
+        decodes what it lacks and keeps it; a cold read decodes just
+        these and deliberately does not populate the cache - one-off
+        rollup scans should not evict hot blocks."""
         self.ensure_loaded()
+        if indexes is None:
+            indexes = range(len(self.schema.columns))
         entry = self._cache.get_block(self.cache_uid, index)
-        if entry is not None:
-            return entry.columns
-        return self.decode_payload(index, self.read_block_payload(index))[0]
+        if entry is None:
+            return self.decode_payload(
+                index, self.read_block_payload(index), indexes)[0]
+        self._decode_whole(entry, indexes)
+        return entry.columns
 
     def probe_key(self, key: Tuple[Any, ...]) -> bool:
         """Does this tablet hold exactly ``key``?  (Duplicate checks:
@@ -752,8 +790,9 @@ class TabletReader:
         index = bisect.bisect_left(self._last_keys, key)
         if index >= len(self._entries):
             return False
+        entry = self._scan_block(index)
         lo, hi = KeyRange.prefix(key).span_columns(
-            self._key_columns(self._scan_block(index)))
+            self._key_columns(entry, len(key)), 0, len(entry.rows))
         return lo < hi
 
     def may_contain_prefix(self, encoded_columns: List[bytes]) -> Optional[bool]:
@@ -797,11 +836,13 @@ class TabletReader:
         # them: it ends past the range but may begin inside it.
         first, inside = key_range.span(self.last_keys)
         stop = min(inside + 1, len(self._entries))
+        width = key_range.bound_width
         step = FIRST_RUN_ROWS
         for index in (range(stop - 1, first - 1, -1) if descending
                       else range(first, stop)):
             entry = self._scan_block(index)
-            lo, hi = key_range.span_columns(self._key_columns(entry))
+            lo, hi = key_range.span_columns(
+                self._key_columns(entry, width), 0, len(entry.rows))
             while lo < hi:
                 if descending:
                     cut = max(lo, hi - step)

@@ -124,8 +124,8 @@ def codec_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     """The block-codec corner of a snapshot.
 
     Encode/decode volume and cost of the block codec
-    (``core/codec.py``), plus how many v1 and v2 blocks merges have
-    rewritten into format v3.  Throughputs are derived from the
+    (``core/codec.py``): ``rows_decoded`` counts values, a row per
+    schema-width of them.  Throughputs are derived from the
     ``codec.*_ns`` counters; None until the first block moves.
     """
     counters = snapshot.get("counters", {})
@@ -298,8 +298,8 @@ def render_metrics_page(page: Dict[str, Any]) -> str:
         + ("throughput=n/a" if codec['encode_mrows_per_s'] is None else
            f"throughput={codec['encode_mrows_per_s']:.2f}Mrows/s"))
     lines.append(
-        f"decode: rows={codec['rows_decoded']}, "
-        f"blocks={codec['blocks_decoded']}, "
+        f"decode: rows={codec['rows_decoded']} (values / columns), "
+        f"blocks={codec['blocks_decoded']} opened, "
         f"time={codec['decode_ms']:.1f}ms, "
         + ("throughput=n/a" if codec['decode_mrows_per_s'] is None else
            f"throughput={codec['decode_mrows_per_s']:.2f}Mrows/s"))

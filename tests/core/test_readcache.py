@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core import KeyRange, TimeRange
+from repro.core.codec import compiled_ops
 from repro.core.descriptor import TableDescriptor
 from repro.core.readcache import (
     ROW_OVERHEAD_BYTES,
@@ -14,6 +15,7 @@ from repro.core.readcache import (
     TabletPruneIndex,
     _zone_map_excludes,
 )
+from repro.core.schema import Column, ColumnType, Schema
 from repro.core.tablet import TabletMeta
 from repro.obs.metrics import MetricsRegistry
 
@@ -29,21 +31,36 @@ def _meta(tablet_id, min_ts, max_ts, min_key=None, max_key=None):
     )
 
 
-def _block(value, payload_bytes, count=1):
-    """A cached entry of ``count`` rows over one column of ``value``."""
-    return CachedBlock([[value] * count], count, payload_bytes)
+PADDED = Schema([Column("ts", ColumnType.TIMESTAMP),
+                 Column("pad", ColumnType.BLOB)], key=["ts"])
+
+
+def _block(value, payload_bytes):
+    """A cached entry of one row, ``value``, whose raw body is
+    ``payload_bytes`` long."""
+    ops = compiled_ops(PADDED)
+    pad = payload_bytes - len(ops.encode_rows([(value, b"")]))
+    body = ops.walk_block(ops.encode_rows([(value, bytes(pad))]))
+    assert len(body.view) == payload_bytes
+    return CachedBlock(body)
 
 
 class TestReadCacheBlocks:
     def test_hit_after_put(self):
         cache = ReadCache(budget_bytes=1 << 20)
         uid = cache.allocate_uid()
-        columns = [[1, 4], [2, 5], [3, 6]]
-        entry = CachedBlock(columns, 2, payload_bytes=100)
+        schema = Schema([Column("a", ColumnType.INT64),
+                         Column("ts", ColumnType.TIMESTAMP),
+                         Column("b", ColumnType.STRING)], key=["a", "ts"])
+        body = compiled_ops(schema).walk_block(
+            compiled_ops(schema).encode_rows([(1, 2, "x"), (4, 5, "y")]))
+        entry = CachedBlock(body)
         cache.put_block(uid, 0, entry)
         got = cache.get_block(uid, 0)
-        assert got is entry and got.columns is columns
-        # No row is built until a scan takes it, and no key ever is.
+        assert got is entry and got.body is body
+        # Nothing is decoded until a reader needs it: no column, no
+        # row, and no key ever.
+        assert got.columns == [None, None, None]
         assert got.rows == [None, None]
         assert not hasattr(got, "keys")
         assert cache.get_block(uid, 1) is None
@@ -52,8 +69,11 @@ class TestReadCacheBlocks:
         """What a block is charged does not depend on how many of its
         rows are ever built, so the LRU evicts - and a scan decodes -
         the same blocks whatever the scans took."""
-        entry = CachedBlock([list(range(37)), list(range(37))], 37, 1000)
-        assert entry.nbytes == 1000 + ROW_OVERHEAD_BYTES * 37 == 1000 + 56 * 37
+        ops = compiled_ops(PADDED)
+        raw = ops.encode_rows([(ts, bytes(ts % 3)) for ts in range(37)])
+        entry = CachedBlock(ops.walk_block(raw))
+        assert entry.nbytes == len(raw) + ROW_OVERHEAD_BYTES * 37 \
+            == len(raw) + 56 * 37
         cache = ReadCache(budget_bytes=1 << 20)
         cache.put_block(cache.allocate_uid(), 0, entry)
         assert cache.resident_bytes == entry.nbytes
@@ -101,7 +121,7 @@ class TestReadCacheBlocks:
     def test_disabled_cache_is_inert(self):
         cache = ReadCache(budget_bytes=0)
         uid = cache.allocate_uid()
-        cache.put_block(uid, 0, _block(1, 10))
+        cache.put_block(uid, 0, _block(1, 100))
         assert cache.get_block(uid, 0) is None
         assert cache.entry_count == 0
 
@@ -110,9 +130,9 @@ class TestReadCacheBlocks:
         cache = ReadCache(budget_bytes=1 << 20, metrics=metrics)
         uid = cache.allocate_uid()
         other = cache.allocate_uid()
-        cache.put_block(uid, 0, _block(1, 10))
-        cache.put_block(uid, 1, _block(2, 10))
-        cache.put_block(other, 0, _block(3, 10))
+        cache.put_block(uid, 0, _block(1, 100))
+        cache.put_block(uid, 1, _block(2, 100))
+        cache.put_block(other, 0, _block(3, 100))
         dropped = cache.invalidate_tablet(uid)
         assert dropped == 2
         assert cache.get_block(uid, 0) is None

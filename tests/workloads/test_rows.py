@@ -56,10 +56,6 @@ class TestGenerator:
         assert keys != sorted(keys)
         assert len(set(keys)) == 100
 
-    def test_rows_for_total_bytes(self):
-        rows = list(BenchRowGenerator(128, ts=1).rows(1280))
-        assert len(rows) == 10
-
     def test_rows_validate_against_schema(self):
         schema = bench_schema()
         for row in BenchRowGenerator(4096, ts=1).batch(5):
