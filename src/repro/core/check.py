@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..disk.storage import StorageError
-from .cursor import merge_runs
+from .cursor import execute_query
 from .database import LittleTable
 from .errors import CorruptTabletError
 from .readpath import timespan_groups
-from .row import KeyRange
+from .row import KeyRange, Query, QueryStats, RowRun
 from .table import Table
 
 ERROR = "error"
@@ -218,12 +218,15 @@ def _shared_key(table: Table, run) -> List[Issue]:
     key_of = table.schema.key_of
 
     def tagged(meta):
-        for rows, _keys in table._reader(meta).scan_runs(KeyRange.all()):
-            yield rows, [(key_of(row), meta.tablet_id) for row in rows]
+        for block in table._reader(meta).scan_runs(KeyRange.all()):
+            keys = list(map(key_of, block.rows(block.lo, block.hi)))
+            yield RowRun([(key, meta.tablet_id) for key in keys],
+                         list(zip(*keys)))
     previous = (None, None)
     try:
-        for _rows, keys in merge_runs(map(tagged, run)):
-            for key, tablet_id in keys:
+        for tagged_keys in execute_query(map(tagged, run), table.schema,
+                                         Query(), 0, None, QueryStats()):
+            for key, tablet_id in tagged_keys:
                 if key == previous[0] and tablet_id != previous[1]:
                     # Table-level: neither copy is damaged, so repair
                     # moves none.

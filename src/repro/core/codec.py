@@ -37,10 +37,13 @@ are ``array('d')`` through the same transposition, all 8 planes kept;
 strings and blobs are a length column (characters for strings, so the
 body is decoded once and sliced) plus one joined body.
 
+There is one encoder, :meth:`_CompiledOps.encode_columns`: a query
+page is encoded from the read cache's column slices as they are, and
+``encode_rows`` (flush, merge, the WAL) is it over ``zip(*rows)``.
 Nothing in encode or decode runs per value in Python beyond the one
-subtract/add comprehension of a frame of reference: ``zip(*rows)``,
-``min``/``max``, ``array.tobytes``/``frombytes``, strided ``bytes``
-slices and ``itertools.accumulate`` do the work.  Every segment says
+add comprehension of a frame of reference: ``min``/``max``,
+``array.tobytes``/``frombytes``, strided ``bytes`` slices and
+``itertools.accumulate`` do the work.  Every segment says
 how long it is, so :meth:`SchemaCodec.decode_key_columns` skips to the
 key columns in O(columns).
 
@@ -225,14 +228,17 @@ class _CompiledOps:
         self.key_of = (itemgetter(*schema.key_indexes)
                        if len(schema.key_indexes) > 1 else namespace["key_of"])
 
-    def encode_rows(self, rows: Sequence[Tuple[Any, ...]]) -> bytes:
-        """Encode a row batch (validated rows, any order) into one v3
-        block body."""
-        # ``zip`` would drop the columns that do not pair up.
-        if rows and len(rows[0]) != len(self._types):
-            raise ValueError(f"rows of {len(rows[0])} values, schema has "
+    def encode_columns(self, columns: Sequence[Sequence[Any]]) -> bytes:
+        """Encode a batch held as columns (validated values, schema
+        order, equal lengths) into one v3 block body: the one encoder."""
+        if len(columns) != len(self._types):    # zip(*rows) of bad rows
+            raise ValueError(f"{len(columns)} columns, schema has "
                              f"{len(self._types)}")
-        return _encode_v3(self._types, rows)
+        return _encode_v3(self._types, columns)
+
+    def encode_rows(self, rows: Sequence[Tuple[Any, ...]]) -> bytes:
+        """:meth:`encode_columns` of a row batch (flush, merge, WAL)."""
+        return self.encode_columns(list(zip(*rows)))
 
     def walk_block(self, buf: bytes) -> "BlockBody":
         """Walk a v3 block body for :meth:`BlockBody.column`, checking
@@ -314,16 +320,16 @@ def _append_ints(values: Sequence[int], parts: List[bytes]) -> None:
     parts.append(_INT_HEAD.pack(lo, width))
     if width:
         if lo:
-            values = [value - lo for value in values]
+            values = list(map(sub, values, repeat(lo)))
         _append_planes(array("Q", values), width, parts)
 
 
 def _encode_v3(types: Sequence[ColumnType],
-               rows: Sequence[Tuple[Any, ...]]) -> bytes:
-    if not rows:
+               columns: Sequence[Sequence[Any]]) -> bytes:
+    if not columns[0]:
         raise ValueError("cannot encode an empty block")
-    parts = [_HEAD.pack(BLOCK_FORMAT_V3, len(rows))]
-    for t, column in zip(types, zip(*rows)):
+    parts = [_HEAD.pack(BLOCK_FORMAT_V3, len(columns[0]))]
+    for t, column in zip(types, columns):
         if t is ColumnType.TIMESTAMP:
             parts.append(_U64.pack(column[0]))
             _append_ints(list(map(sub, column[1:], column)), parts)

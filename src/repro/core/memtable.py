@@ -55,7 +55,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .codec import compiled_ops
 from .periods import Period
-from .row import FIRST_RUN_ROWS, KeyRange, Run, rows_of
+from .row import FIRST_RUN_ROWS, KeyRange, Run, RowRun, rows_of
 from .schema import Schema
 
 Key = Tuple[Any, ...]
@@ -235,7 +235,8 @@ class MemTable:
     def scan_runs(self, key_range: KeyRange, descending: bool = False
                   ) -> Iterator[Run]:
         """The rows within the key range, as of the call, as
-        ``(rows, keys)`` runs in scan order (each run ascends): each
+        :class:`~repro.core.row.RowRun` chunks in scan order (each
+        ascends): each
         sorted run is bisected at both ends of the range, and the spans
         inside it are merged, a doubling chunk at a time, as far as
         the caller reads."""
@@ -246,7 +247,7 @@ class MemTable:
         spans = [span for span in spans if span[1] < span[2]]
         lookup = self._index.__getitem__
         for keys in _chunks(spans, descending):
-            yield list(map(_row_of, map(lookup, keys))), keys
+            yield RowRun(list(map(_row_of, map(lookup, keys))))
 
     def scan(self, key_range: KeyRange, descending: bool = False
              ) -> Iterator[Row]:

@@ -34,12 +34,11 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
 
 from .block import decompress
-from .codec import compiled_ops
 from .config import EngineConfig
 from .periods import Period, period_for, rollover_delay
-from .cursor import merge_runs, take_stretch
+from .cursor import execute_query, key_at, stretch_rows, take_stretch
 from .readpath import CORRUPTION, reader_runs
-from .row import Run
+from .row import Query, QueryStats, RowRun, Run
 from .schema import Schema
 from .tablet import TabletMeta, TabletReader, TabletSink, TabletWriter
 
@@ -198,17 +197,17 @@ class _MergeSource:
     """Streaming cursor over one merge input tablet; every read of
     it is here, under :func:`_blaming`.
 
-    At any moment the source is either *decoded* - ``rows``/``keys``
-    hold the current block, ``[pos, end)`` the part of it not yet
-    taken (a head for :func:`repro.core.cursor.take_stretch`) - or
-    sitting at a *block boundary* (``rows is None``).  ``lo_bound`` is
-    the last key already consumed, so every remaining key is known to
-    be strictly greater; that is what lets whole untouched blocks from
-    other sources pass through without being decoded.
+    At any moment the source is either *decoded* - ``run`` holds the
+    current block, ``[pos, end)`` the part of it not yet taken (a head
+    for :func:`repro.core.cursor.take_stretch`) - or sitting at a
+    *block boundary* (``run is None``).  ``lo_bound`` is the last key
+    already consumed, so every remaining key is known to be strictly
+    greater; that is what lets whole untouched blocks from other
+    sources pass through without being decoded.
     """
 
-    __slots__ = ("meta", "reader", "entries", "index", "rows", "keys",
-                 "pos", "end", "lo_bound")
+    __slots__ = ("meta", "reader", "entries", "index", "run", "pos", "end",
+                 "lo_bound")
 
     def __init__(self, meta: TabletMeta, reader: TabletReader):
         self.meta = meta
@@ -216,25 +215,27 @@ class _MergeSource:
         with _blaming(meta):
             self.entries = reader.block_entries()   # loads the footer
         self.index = 0
-        self.rows: Optional[List[Tuple[Any, ...]]] = None
-        self.keys: Optional[List[Tuple[Any, ...]]] = None
+        self.run: Optional[RowRun] = None
         self.pos = self.end = 0
         self.lo_bound: Optional[Tuple[Any, ...]] = None
 
     @property
     def exhausted(self) -> bool:
-        return self.rows is None and self.index >= len(self.entries)
+        return self.run is None and self.index >= len(self.entries)
 
     def translated(self, schema: Schema) -> Iterator[Run]:
         """Every row, at ``schema`` (the translating merge)."""
         with _blaming(self.meta):
             yield from reader_runs(self.reader, schema)
 
+    def keys(self) -> List[List[Any]]:
+        return self.run.key_columns(self.reader.schema.key_indexes)
+
     def may_hold(self, key: Tuple[Any, ...]) -> bool:
         """Could a remaining row have a key <= ``key``?  At a boundary
         the remaining keys are only known to exceed ``lo_bound``."""
-        if self.rows is not None:
-            return self.keys[self.pos] <= key
+        if self.run is not None:
+            return key_at(self.keys(), self.pos) <= key
         return self.lo_bound is None or self.lo_bound < key
 
     def decode_next(self) -> None:
@@ -243,9 +244,9 @@ class _MergeSource:
         with _blaming(self.meta):
             columns, _body = reader.decode_payload(
                 self.index, reader.read_block_payload(self.index))
-        self.rows = list(zip(*columns))
-        self.keys = list(zip(*[columns[i] for i in reader.schema.key_indexes]))
-        self.pos, self.end = 0, len(self.rows)
+        self.run = RowRun(list(zip(*columns)), [
+            columns[i] for i in reader.schema.key_indexes])
+        self.pos, self.end = 0, self.run.hi
         self.index += 1
 
     def pass_block(self, sink: TabletSink) -> None:
@@ -268,7 +269,7 @@ class _MergeSource:
         """After a stretch was taken: a block consumed whole leaves a
         boundary."""
         if self.pos == self.end:
-            self.rows = self.keys = None
+            self.run = None
             self.lo_bound = self.entries[self.index - 1].last_key
 
 
@@ -294,9 +295,9 @@ def merge_tablets(plan: MergePlan, readers: List[TabletReader],
     # Mixed schema versions: translating while merging also upgrades
     # old rows to the current schema (§3.5).
     sink = writer.sink(expected_rows=plan.total_rows)
-    for run in merge_runs([s.translated(schema) for s in sources],
-                          key_of=compiled_ops(schema).key_of):
-        sink.add_rows(*run)
+    for rows in execute_query([s.translated(schema) for s in sources],
+                              schema, Query(), now, None, QueryStats()):
+        sink.add_rows(rows)
     return sink.finish(filename, tablet_id, created_at=now)
 
 
@@ -336,7 +337,7 @@ def _merge_blockwise(plan: MergePlan, sources: List[_MergeSource],
         # A block at some source's boundary whose keys all precede
         # every other source's remaining keys can move as a unit; of
         # several, the least (the first, among equals).
-        best = min((s for s in sources if s.rows is None and not any(
+        best = min((s for s in sources if s.run is None and not any(
                         t.may_hold(s.entries[s.index].last_key)
                         for t in sources if t is not s)),
                    key=lambda s: s.entries[s.index].last_key, default=None)
@@ -352,9 +353,9 @@ def _merge_blockwise(plan: MergePlan, sources: List[_MergeSource],
         # Overlap: decode every boundary source's next block, then
         # move one stretch.
         for s in sources:
-            if s.rows is None:
+            if s.run is None:
                 s.decode_next()
-        sink.add_rows(*take_stretch(sources))
+        sink.add_rows(stretch_rows(take_stretch(sources)[1]))
         for s in sources:
             s.settle()
     return sink.finish(filename, tablet_id, created_at=now,

@@ -66,17 +66,22 @@ class CachedBlock:
 
     ``columns`` has a slot per schema column, None until a reader needs
     the column whole: a key column when a scan first bisects it, a
-    column an aggregate reads.  ``rows`` starts as Nones; a scan fills
-    the stretch it takes with row tuples (``TabletReader._built_rows``),
-    decoding the other columns for that stretch alone.  Once every
-    column or every row exists, ``body`` is dropped.  No key tuples are
-    kept.  ``nbytes`` is the budget's charge, fixed at admission: the
-    raw length plus ``ROW_OVERHEAD_BYTES`` a row.
+    column an aggregate or a query page reads.  ``rows`` starts as
+    Nones; a scan fills the stretch it takes with row tuples
+    (``TabletReader._built_rows``), decoding the other columns for that
+    stretch alone.  A value is held in one decoded form: once every
+    row exists, ``body`` and the columns are dropped; once every column
+    does, ``body`` and the rows are.  Those changes, and every build or
+    decode into the entry, happen under ``lock``; a reader that finds
+    what it wants takes none.  No key tuples are kept.  ``nbytes`` is
+    the budget's charge, fixed at admission: the raw length plus
+    ``ROW_OVERHEAD_BYTES`` a row.
     """
 
-    __slots__ = ("body", "columns", "rows", "nbytes")
+    __slots__ = ("body", "columns", "rows", "nbytes", "lock")
 
     def __init__(self, body):
+        self.lock = threading.Lock()
         self.body = body
         self.columns: List[Optional[List[Any]]] = [None] * len(body.types)
         self.rows: List[Optional[Tuple[Any, ...]]] = [None] * body.count

@@ -12,9 +12,10 @@ corruption guard below apply to all of them alike.  Nothing here
 touches a ``Table``: tests run these functions on a hand-built plan.
 
 What a source hands the cursor is a *run* (:data:`repro.core.row.Run`):
-the in-range slice of one block (keys None: the cursor derives them
-where it needs them), or one chunk of a memtable with its keys -
-:meth:`ReadPlan.tablet_runs` / :meth:`ReadPlan.memtable_runs`.
+the key span of one cached block, or one chunk of a memtable -
+:meth:`ReadPlan.tablet_runs` / :meth:`ReadPlan.memtable_runs` - and
+the consumer builds what it takes: :func:`scan_stretches` rows,
+:func:`scan_page` a page that the server encodes from columns.
 ``tablet_rows`` flattens the same runs for the one caller that wants
 rows (bulk delete's rewrite).
 """
@@ -28,13 +29,13 @@ from typing import (Any, Callable, Iterator, List, Optional, Sequence, Set,
 
 from ..disk.storage import StorageError
 from ..obs.metrics import NULL_REGISTRY
-from .cursor import execute_query
+from .cursor import Page, cut_stretches, execute_query
 from .descriptor import TableDescriptor
 from .errors import CorruptTabletError
 from .memtable import MemTable
 from .readcache import TabletPruneIndex
-from .row import (DESCENDING, KeyRange, Query, QueryStats, Run, TimeRange,
-                  rows_of)
+from .row import (DESCENDING, KeyRange, Query, QueryStats, RowRun, Run,
+                  TimeRange, rows_of)
 from .schema import Schema
 from .tablet import TabletMeta, TabletReader
 from .vector import (AggregatePartials, AggregateSpec, accumulate,
@@ -67,17 +68,18 @@ def translated_runs(runs: Iterator[Run], schema: Schema, written: Schema
     if written.version == schema.version:
         return runs
     translate = schema.translate_row
-    return (([translate(row, written) for row in rows], keys)
-            for rows, keys in runs)
+    return (RowRun([translate(row, written)
+                    for row in run.rows(run.lo, run.hi)]) for run in runs)
 
 
 def reader_runs(reader: TabletReader, schema: Schema,
                 key_range: Optional[KeyRange] = None,
-                descending: bool = False) -> Iterator[Run]:
+                descending: bool = False, columnar: bool = False
+                ) -> Iterator[Run]:
     """Scan a tablet's runs, translating old-schema rows (§3.5)."""
     reader.ensure_loaded()
     return translated_runs(
-        reader.scan_runs(key_range or KeyRange.all(), descending),
+        reader.scan_runs(key_range or KeyRange.all(), descending, columnar),
         schema, reader.schema)
 
 
@@ -144,14 +146,15 @@ class ReadPlan:
 
     def tablet_runs(self, meta: TabletMeta,
                     key_range: Optional[KeyRange] = None,
-                    descending: bool = False) -> Iterator[Run]:
+                    descending: bool = False, columnar: bool = False
+                    ) -> Iterator[Run]:
         """A guarded tablet scan at the plan's schema, a run (one
-        block's in-range slice) at a time; nothing is opened or read
+        block's in-range span) at a time; nothing is opened or read
         before the first ``next()``."""
         try:
             yield from reader_runs(self.open_reader(meta),
                                    self.version.schema, key_range,
-                                   descending)
+                                   descending, columnar)
         except CORRUPTION as exc:
             self.corrupt(meta, exc)
             raise
@@ -185,13 +188,11 @@ class ReadPlan:
 
 # ---------------------------------------------------------------- scans
 
-def scan_stretches(plan: ReadPlan, query: Query, now: int, stats: QueryStats
-                   ) -> Iterator[List[Row]]:
-    """The merged, filtered result of ``query`` (§3.2) as lists of rows
-    in result order (:func:`repro.core.cursor.execute_query`).  Lazy:
-    the first ``next()`` reads one block of each selected tablet."""
+def _query_sources(plan: ReadPlan, query: Query, stats: QueryStats,
+                   columnar: bool = False) -> List[Iterator[Run]]:
+    """Every selected tablet's runs, then the overlapping memtables'."""
     descending = query.direction == DESCENDING
-    sources = [plan.tablet_runs(meta, query.key_range, descending)
+    sources = [plan.tablet_runs(meta, query.key_range, descending, columnar)
                for meta in plan.select(query.time_range, query.key_range,
                                        stats)]
     stats.tablets_opened += len(sources)
@@ -199,8 +200,28 @@ def scan_stretches(plan: ReadPlan, query: Query, now: int, stats: QueryStats
         if query.time_range.overlaps(memtable.min_ts, memtable.max_ts):
             sources.append(plan.memtable_runs(memtable, query.key_range,
                                               descending))
-    return execute_query(sources, plan.version.schema, query, now,
+    return sources
+
+
+def scan_stretches(plan: ReadPlan, query: Query, now: int, stats: QueryStats
+                   ) -> Iterator[List[Row]]:
+    """The merged, filtered result of ``query`` (§3.2) as lists of rows
+    in result order (:func:`repro.core.cursor.execute_query`).  Lazy:
+    the first ``next()`` reads one block of each selected tablet."""
+    return execute_query(_query_sources(plan, query, stats),
+                         plan.version.schema, query, now,
                          plan.version.ttl_micros, stats)
+
+
+def scan_page(plan: ReadPlan, query: Query, now: int, stats: QueryStats
+              ) -> Page:
+    """The same result as one :class:`~repro.core.cursor.Page` (a
+    ``query`` page), built as rows or columns by whoever reads it."""
+    schema = plan.version.schema
+    return Page(cut_stretches(
+        _query_sources(plan, query, stats, columnar=True),
+        schema.key_indexes, query, now, plan.version.ttl_micros, stats),
+        query.direction == DESCENDING, len(schema.columns))
 
 
 def tablets_holding(plan: ReadPlan, key_range: KeyRange,
@@ -289,8 +310,8 @@ def _fold_runs(plan: ReadPlan, runs: Iterator[Run], fold: Fold) -> None:
     """Sources that exist only as rows: each run a scan would read,
     transposed into the column batch the kernels take."""
     lane = plan.metrics.push_rows_fallback
-    for rows, _keys in runs:
-        fold(list(zip(*rows)), 0, len(rows), lane)
+    for run in runs:
+        fold(run.columns(run.lo, run.hi), 0, run.hi - run.lo, lane)
 
 
 def _fold_tablet(plan: ReadPlan, meta: TabletMeta, key_range: KeyRange,

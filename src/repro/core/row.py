@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from operator import itemgetter
 from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -31,23 +32,50 @@ DESCENDING = "desc"
 
 Row = Tuple[Any, ...]
 Key = Tuple[Any, ...]
-#: The unit the read path moves: a stretch of rows in ascending key
-#: order and, beside it, their keys - or None where the source did not
-#: build them (a tablet's runs: the cursor derives keys from the rows
-#: only where sources interleave).  A source yields its runs in scan
-#: order - last run first when descending - but every run ascends.
-Run = Tuple[List[Row], Optional[List[Key]]]
-#: A source's first run is at most this long and each later one may be
-#: twice the last: the first row of a scan costs a short stretch, a
-#: whole scan a few more runs than there are blocks.
+#: The unit the read path moves: a *run*, rows ``[lo, hi)`` in key
+#: order that one source hands over - one cached block's key span
+#: (``tablet.BlockRun``) or one memtable chunk (:class:`RowRun`).  Its
+#: consumer asks for ``key_columns(key_indexes)``, ``rows(a, b)`` or
+#: ``columns(a, b)``; ``ts_bounds`` is its source's timespan, if known.
+#: A source yields its runs in scan order, but every run ascends.
+Run = Any
+#: A memtable's first chunk is at most this long and each later one may
+#: be twice the last: the first row of a scan costs a short merge.
 FIRST_RUN_ROWS = 64
+
+
+class RowRun:
+    """A run held as row tuples: a memtable chunk, rows translated from
+    an older schema (§3.5), a block the merge decoded."""
+
+    __slots__ = ("_rows", "_keys", "lo", "hi")
+    ts_bounds = None
+
+    def __init__(self, rows: List[Row],
+                 key_columns: Optional[List[Sequence[Any]]] = None):
+        self._rows = rows
+        self._keys = key_columns
+        self.lo, self.hi = 0, len(rows)
+
+    def key_columns(self, key_indexes: Sequence[int]) -> List[Sequence[Any]]:
+        if self._keys is not None and len(key_indexes) == len(self._keys):
+            return self._keys
+        return [list(map(itemgetter(i), self._rows)) for i in key_indexes]
+
+    def rows(self, lo: int, hi: int) -> List[Row]:
+        return self._rows[lo:hi]
+
+    def columns(self, lo: int, hi: int) -> List[List[Any]]:
+        rows = self._rows[lo:hi]
+        return [list(map(itemgetter(i), rows)) for i in range(len(rows[0]))]
 
 
 def rows_of(runs: Iterable[Run], descending: bool = False) -> Iterator[Row]:
     """The rows of ``runs``, one at a time, in scan order."""
+    whole = (run.rows(run.lo, run.hi) for run in runs)
     if descending:
-        return chain.from_iterable(reversed(rows) for rows, _keys in runs)
-    return chain.from_iterable(rows for rows, _keys in runs)
+        return chain.from_iterable(map(reversed, whole))
+    return chain.from_iterable(whole)
 
 
 class _Top:
@@ -261,18 +289,34 @@ class QueryStats:
         return self.rows_scanned / self.rows_returned
 
 
-@dataclass
 class QueryResult:
-    """What one query command returns (§3.5).
+    """What one query command returns (§3.5): the ``rows`` that arrived,
+    or the engine's ``page`` (:class:`repro.core.cursor.Page`), built as
+    rows or as ``columns`` only for a caller that asks.
 
     ``more_available`` is set when the server's own row limit stopped
     the scan; the client adaptor re-submits with the start bound moved
     past ``rows[-1]``'s key to retrieve the rest.
     """
 
-    rows: List[Tuple[Any, ...]]
-    more_available: bool
-    stats: QueryStats
+    def __init__(self, rows: Optional[List[Row]] = None,
+                 more_available: bool = False,
+                 stats: Optional[QueryStats] = None, page: Any = None):
+        self._rows, self._page = rows, page
+        self.more_available = more_available
+        self.stats = stats if stats is not None else QueryStats()
+
+    @property
+    def rows(self) -> List[Row]:
+        if self._rows is None:
+            self._rows = self._page.rows()
+        return self._rows
+
+    @property
+    def columns(self) -> List[Sequence[Any]]:
+        if self._page is None:
+            return list(zip(*self._rows))
+        return self._page.columns()
 
 
 def scan_pages(query: Query, fetch: Callable[[Query], QueryResult],

@@ -57,7 +57,6 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Sequence, Tuple)
 
@@ -1019,7 +1018,9 @@ class Table:
         """Execute one query command with the server row limit (§3.5).
 
         Runs entirely off the table lock against a snapshot: an
-        in-flight merge, flush, or TTL reclaim never blocks it.
+        in-flight merge, flush, or TTL reclaim never blocks it.  The
+        page (:func:`readpath.scan_page`) is built as columns or rows
+        by whoever reads it.
         """
         query_started = time.perf_counter()
         self._check_bounds(query.key_range)
@@ -1033,14 +1034,14 @@ class Table:
             query = Query(query.key_range, query.time_range,
                           query.direction, limit + 1)
         with self._read_plan() as plan:
-            rows = list(chain.from_iterable(readpath.scan_stretches(
-                plan, query, self.clock.now(), stats)))
-        more_available = len(rows) > limit
-        del rows[limit:]
+            page = readpath.scan_page(plan, query, self.clock.now(), stats)
+        more_available = page.count > limit
+        page.truncate(limit)
         self._count_read(stats.rows_scanned, stats.rows_returned)
         self._h_query_latency.observe(
             (time.perf_counter() - query_started) * 1e6)
-        return QueryResult(rows, more_available, stats)
+        return QueryResult(more_available=more_available, stats=stats,
+                           page=page)
 
     def _check_bounds(self, key_range: KeyRange) -> None:
         schema = self.descriptor.schema

@@ -57,7 +57,7 @@ from .encoding import RowCodec
 from .errors import (SUPPORTED_FORMAT, ChecksumError, CorruptTabletError,
                      UnsupportedFormatError)
 from .readcache import NULL_READ_CACHE, CachedBlock
-from .row import FIRST_RUN_ROWS, KeyRange, Run, rows_of
+from .row import KeyRange, Run, rows_of
 from .schema import Schema
 
 # Format v2.1: footer size, footer offset, footer CRC (4 bytes LE),
@@ -469,7 +469,8 @@ class TabletReader:
     body and the columns asked for), and one way from a block to its
     rows: :meth:`_scan_block`, the cached entry, which scans,
     ``latest``, the uniqueness probe and a warm aggregate share.  A row
-    tuple is built only when a scan takes it (:meth:`_built_rows`).
+    tuple is built only when a scan takes it (:meth:`_built_rows`); a
+    query page takes columns (:meth:`_stretch_columns`).
     Two readers go around the cache on
     purpose, because what they read once would evict what is read
     often: the merge (``decode_payload`` directly) and a cold
@@ -697,33 +698,36 @@ class TabletReader:
         return entry
 
     def _decode_whole(self, entry: CachedBlock, indexes: Sequence[int]
-                      ) -> None:
+                      ) -> List[Optional[List[Any]]]:
         """Decode columns ``indexes`` of a cached block whole and keep
-        them (from its rows once the body is gone); once all are kept,
-        the body goes.  It is read first: it goes only after the last
-        column or row is stored (racing readers store equal lists)."""
-        body = entry.body
-        columns = entry.columns
-        missing = [i for i in indexes if columns[i] is None]
-        if missing and body is None:
-            for i in missing:
-                columns[i] = [row[i] for row in entry.rows]
-        elif missing:
-            self._schema_codec.decode_columns(body, columns, missing, 0,
-                                              body.count)
-            if None not in columns:
-                entry.body = None
+        them (from its rows once the body is gone); returns the entry's
+        columns.  Once every column is kept they are its one decoded
+        form: the body and the rows go."""
+        with entry.lock:
+            columns = entry.columns
+            missing = [i for i in indexes if columns[i] is None]
+            if missing:
+                body = entry.body
+                if body is None:        # every row is built
+                    for i in missing:
+                        columns[i] = list(map(itemgetter(i), entry.rows))
+                else:
+                    self._schema_codec.decode_columns(body, columns,
+                                                      missing, 0, body.count)
+                if None not in columns:
+                    entry.body = None
+                    entry.rows = [None] * len(entry.rows)
+            return list(columns)
 
     def _key_columns(self, entry: CachedBlock, width: int
                      ) -> List[List[Any]]:
         """A block's first ``width`` key columns, in key order (what
         :meth:`KeyRange.span_columns` bisects), decoded when first
-        needed."""
-        columns = entry.columns
+        needed and then kept as long as the entry is."""
         wanted = self.schema.key_indexes[:width]
-        keys = [columns[i] for i in wanted]
+        keys = [entry.columns[i] for i in wanted]
         if None in keys:
-            self._decode_whole(entry, wanted)
+            columns = self._decode_whole(entry, wanted)
             keys = [columns[i] for i in wanted]
         return keys
 
@@ -732,27 +736,46 @@ class TabletReader:
         """Rows ``[lo, hi)`` of a cached block, as a fresh list.
 
         Where the stretch still holds a row no scan has taken, it is
-        built whole - columns not decoded whole are decoded for the
-        stretch alone - and stored back by one slice assignment: atomic
-        under the GIL, so two scans racing over the same stretch each
-        store equal tuples and neither sees a half-filled slice
-        (``readcache.rows_built`` counts them).
+        built whole under the entry's lock - from whole columns, the
+        others decoded for the stretch alone - and stored back by one
+        slice assignment, which a reader without the lock sees all or
+        none of (``readcache.rows_built`` counts them).  Once every row
+        is built the rows are the entry's one decoded form: the body
+        and the columns go.
         """
         rows = entry.rows[lo:hi]
-        if not all(rows):       # a built row is a non-empty tuple
-            body = entry.body   # before the columns: see _decode_whole
+        if all(rows):           # a built row is a non-empty tuple
+            return rows
+        with entry.lock:
+            built = entry.rows
+            rows = built[lo:hi]
+            if all(rows):
+                return rows
+            columns = entry.columns
             parts = [column if column is None else column[lo:hi]
-                     for column in entry.columns]
+                     for column in columns]
             missing = [i for i, part in enumerate(parts) if part is None]
-            if missing and body is None:    # every row was built meanwhile
-                return entry.rows[lo:hi]
-            self._schema_codec.decode_columns(body, parts, missing, lo, hi)
+            if missing:
+                self._schema_codec.decode_columns(entry.body, parts, missing,
+                                                  lo, hi)
             rows = list(zip(*parts))
             entry.rows[lo:hi] = rows
             self._m_rows_built.inc(hi - lo)
-            if (lo == 0 or hi == len(entry.rows)) and all(entry.rows):
+            if ((lo == 0 or built[lo - 1] is not None)
+                    and (hi == len(built) or built[hi] is not None)
+                    and None not in built):
                 entry.body = None
+                columns[:] = [None] * len(columns)
         return rows
+
+    def _stretch_columns(self, entry: CachedBlock, lo: int, hi: int
+                         ) -> List[List[Any]]:
+        """Rows ``[lo, hi)`` of a cached block as column slices (a query
+        page), every column decoded whole once and kept."""
+        columns = list(entry.columns)
+        if None in columns:
+            columns = self._decode_whole(entry, range(len(columns)))
+        return [column[lo:hi] for column in columns]
 
     @property
     def last_keys(self) -> List[Tuple[Any, ...]]:
@@ -780,8 +803,7 @@ class TabletReader:
         if entry is None:
             return self.decode_payload(
                 index, self.read_block_payload(index), indexes)[0]
-        self._decode_whole(entry, indexes)
-        return entry.columns
+        return self._decode_whole(entry, indexes)
 
     def probe_key(self, key: Tuple[Any, ...]) -> bool:
         """Does this tablet hold exactly ``key``?  (Duplicate checks:
@@ -792,7 +814,8 @@ class TabletReader:
             return False
         entry = self._scan_block(index)
         lo, hi = KeyRange.prefix(key).span_columns(
-            self._key_columns(entry, len(key)), 0, len(entry.rows))
+            self._key_columns(entry, len(key)), 0,
+            self._entries[index].row_count)
         return lo < hi
 
     def may_contain_prefix(self, encoded_columns: List[bytes]) -> Optional[bool]:
@@ -815,20 +838,15 @@ class TabletReader:
 
     # ----------------------------------------------------------- cursors
 
-    def scan_runs(self, key_range: KeyRange, descending: bool = False
-                  ) -> Iterator[Run]:
-        """The in-range slice of each block, as ``(rows, None)`` runs
-        in scan order (each run ascends; descending starts at the last
-        block).  A block is read when the run before it has been
-        taken, and a run is a fresh list - never the cache's.  The
-        first run is at most ``FIRST_RUN_ROWS`` long and the allowance
-        doubles from there, so the first row of a scan costs a short
-        slice and a whole scan a few more runs than blocks.
+    def scan_runs(self, key_range: KeyRange, descending: bool = False,
+                  columnar: bool = False) -> Iterator[Run]:
+        """The in-range span of each block, as a :class:`BlockRun` for a
+        consumer of rows or (``columnar``) of columns, in scan order
+        (descending starts at the last block).  A block is read when the
+        run before it has been taken.
 
-        The range is found by bisecting the block's key columns, and
-        row tuples are built for the runs handed on, no others; no key
-        tuple is built at all (the cursor derives keys from the rows
-        where sources interleave).  Rows are *not* filtered by
+        The span is found by bisecting the block's key columns; no row
+        or key tuple is built here.  Rows are *not* filtered by
         timestamp here; the merge cursor does that (and counts them as
         scanned, which is what Figure 9 measures).
         """
@@ -837,24 +855,56 @@ class TabletReader:
         first, inside = key_range.span(self.last_keys)
         stop = min(inside + 1, len(self._entries))
         width = key_range.bound_width
-        step = FIRST_RUN_ROWS
         for index in (range(stop - 1, first - 1, -1) if descending
                       else range(first, stop)):
             entry = self._scan_block(index)
             lo, hi = key_range.span_columns(
-                self._key_columns(entry, width), 0, len(entry.rows))
-            while lo < hi:
-                if descending:
-                    cut = max(lo, hi - step)
-                    yield self._built_rows(entry, cut, hi), None
-                    hi = cut
-                else:
-                    cut = min(hi, lo + step)
-                    yield self._built_rows(entry, lo, cut), None
-                    lo = cut
-                step *= 2
+                self._key_columns(entry, width), 0,
+                self._entries[index].row_count)
+            if lo < hi:
+                yield BlockRun(self, entry, lo, hi, columnar)
 
     def scan(self, key_range: KeyRange, descending: bool = False
              ) -> Iterator[Tuple[Any, ...]]:
         """The rows within the key range, in key order."""
         return rows_of(self.scan_runs(key_range, descending), descending)
+
+
+class BlockRun:
+    """One cached block's key span as the cursor's run: its rows
+    ``[0, hi)`` are the block's from ``offset`` on.  Its key columns are
+    the entry's, kept whole, for a ``columnar`` consumer (a page keeps
+    every column whole) or where whole already; for a consumer of rows
+    they come from the span's rows, which it builds anyway."""
+
+    __slots__ = ("reader", "entry", "offset", "hi", "ts_bounds", "columnar")
+    lo = 0
+
+    def __init__(self, reader: TabletReader, entry: CachedBlock, lo: int,
+                 hi: int, columnar: bool):
+        self.reader, self.entry, self.columnar = reader, entry, columnar
+        self.offset, self.hi = lo, hi - lo
+        self.ts_bounds = (reader.min_ts, reader.max_ts)
+
+    def key_columns(self, key_indexes: Sequence[int]) -> List[List[Any]]:
+        entry, lo, hi = self.entry, self.offset, self.offset + self.hi
+        whole = (self.reader._decode_whole(entry, key_indexes)
+                 if self.columnar else entry.columns)
+        rows: List[Tuple[Any, ...]] = []
+        keys = []
+        for i in key_indexes:
+            column = whole[i]
+            if column is None:
+                rows = rows or self.rows(0, self.hi)
+                keys.append(list(map(itemgetter(i), rows)))
+            else:
+                keys.append(column[lo:hi])
+        return keys
+
+    def rows(self, lo: int, hi: int) -> List[Tuple[Any, ...]]:
+        return self.reader._built_rows(self.entry, self.offset + lo,
+                                       self.offset + hi)
+
+    def columns(self, lo: int, hi: int) -> List[List[Any]]:
+        return self.reader._stretch_columns(self.entry, self.offset + lo,
+                                            self.offset + hi)

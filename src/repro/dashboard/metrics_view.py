@@ -82,8 +82,10 @@ def cache_summary(snapshot: Dict[str, Any]) -> Dict[str, Any]:
 
     The ``cache`` subsection of ``ltdb stats --json`` and the
     engine-health page both render this.  ``block.rows_built`` is how
-    many row tuples scans had built from cached columns: between
-    ``block.rows_decoded`` and ``query.rows_returned``.
+    many row tuples consumers of rows (scans, ``latest``, a router's
+    scatter merge) stored into cached blocks; a ``query`` page is cut
+    from columns and builds none, so a server that only answers pinned
+    queries keeps it at zero.
     """
     counters = snapshot.get("counters", {})
     gauges = snapshot.get("gauges", {})

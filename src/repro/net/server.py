@@ -369,8 +369,9 @@ class RequestDispatcher:
             more_available=result.more_available,
             rows_scanned=result.stats.rows_scanned,
         )
-        if result.rows:     # a v3 block holds at least one row
-            response["block"] = compiled_ops(schema).encode_rows(result.rows)
+        columns = result.columns    # what the page was cut from
+        if columns and columns[0]:  # a v3 block holds at least one row
+            response["block"] = compiled_ops(schema).encode_columns(columns)
         return response
 
     def _cmd_aggregate(self, request: Dict[str, Any]) -> Dict[str, Any]:

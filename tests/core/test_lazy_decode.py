@@ -143,6 +143,7 @@ def test_threads_taking_stretches_of_one_cold_entry_get_their_rows():
                 for lo, hi, taken in out:
                     assert taken == rows[lo:hi]
             assert entry.rows == rows
+            assert entry.body is None   # gone once the entry is complete
             assert list(zip(*reader.scan_block_columns(0))) == rows
     finally:
         sys.setswitchinterval(interval)

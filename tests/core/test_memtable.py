@@ -223,12 +223,15 @@ def run_against_a_sorted_dict(script):
             if descending:
                 expected.reverse()
             assert list(mt.scan(key_range, descending)) == expected
-            # The same walk as runs: each ascends, none is empty, the
-            # keys ride along, and descending only reorders the runs.
+            # The same walk as runs: each ascends, none is empty, its
+            # key columns are its rows', and descending only reorders
+            # the runs.
             runs = list(mt.scan_runs(key_range, descending))
-            for run_rows, run_keys in runs:
+            for run in runs:
+                run_keys = [row[:3] for row in run.rows(run.lo, run.hi)]
                 assert run_keys and run_keys == sorted(run_keys)
-                assert run_keys == [row[:3] for row in run_rows]
+                assert run.key_columns([0, 1, 2]) == [
+                    list(column) for column in zip(*run_keys)]
             assert list(rows_of(runs, descending)) == expected
         elif step == "probe":
             assert mt.contains_key(argument) == (argument in oracle)

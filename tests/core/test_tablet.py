@@ -8,7 +8,7 @@ from repro.core.codec import SchemaCodec
 from repro.core.errors import CorruptTabletError
 from repro.core.row import KeyRange
 from repro.core.schema import Column, ColumnType, Schema
-from repro.core.tablet import TabletReader, TabletWriter
+from repro.core.tablet import BlockRun, TabletReader, TabletWriter
 from repro.disk import SimulatedDisk
 from repro.obs.metrics import MetricsRegistry
 
@@ -190,20 +190,29 @@ class TestScanRuns:
         return reader, rows
 
     def test_runs_ascend_and_carry_no_keys(self, disk):
-        """A tablet's runs are rows alone: the cursor derives keys from
-        them where sources interleave, and nowhere else."""
-        reader, rows = self._reader(disk)
+        """A tablet's run is a block's key span: no row or key tuple is
+        built for it, and only the key columns the range bisects are
+        decoded - its consumer builds what it takes."""
+        from repro.core.readcache import ReadCache
+
+        reader, rows = self._reader(disk, ReadCache(1 << 20))
         key_of = make_schema().key_of
         for descending in (False, True):
             runs = list(reader.scan_runs(KeyRange.prefix((2,)), descending))
             assert len(runs) > 2
-            for run_rows, keys in runs:
-                assert run_rows and keys is None
+            for run in runs:
+                assert isinstance(run, BlockRun) and run.lo < run.hi
+                # (descending reads the entries the first pass built)
+                assert descending or not any(run.entry.rows)
+                assert [column is not None for column in run.entry.columns
+                        ] == [True, False, False, False]
+            built = [run.rows(run.lo, run.hi) for run in runs]
+            for run_rows in built:
                 run_keys = [key_of(r) for r in run_rows]
                 assert run_keys == sorted(run_keys)
-            firsts = [key_of(run_rows[0]) for run_rows, _keys in runs]
+            firsts = [key_of(run_rows[0]) for run_rows in built]
             assert firsts == sorted(firsts, reverse=descending)
-            flat = [r for run_rows, _keys in runs for r in run_rows]
+            flat = [r for run_rows in built for r in run_rows]
             assert sorted(flat) == [r for r in rows if r[0] == 2]
 
     def test_only_blocks_that_may_hold_the_range_are_read(self, disk):
@@ -234,26 +243,47 @@ class TestScanRuns:
         next(runs)
         assert self.blocks_read.value == 2
 
-    def test_runs_start_short_and_double(self, disk):
-        """The first row of a scan costs a 64-row slice, not a block."""
+    def test_a_block_is_one_run(self, disk):
+        """A block's key span goes as one run, so a scan that takes a
+        whole cold block decodes each of its columns once."""
         rows = make_rows(networks=4, devices=10, samples=25)
         write_tablet(disk, rows, block_size=1 << 20)
         reader = TabletReader(disk, "t/tab-1.lt")
         assert reader.block_count == 1
         for descending in (False, True):
-            lengths = [len(run_rows) for run_rows, _keys in reader.scan_runs(
+            spans = [(run.offset, run.hi) for run in reader.scan_runs(
                 KeyRange.all(), descending)]
-            assert lengths == [64, 128, 256, 512, 40]
+            assert spans == [(0, 1000)]
             assert list(reader.scan(KeyRange.all(), descending)) == (
                 rows[::-1] if descending else rows)
+
+    def test_a_cold_block_read_whole_decodes_each_column_once(
+            self, disk, monkeypatch):
+        """One ``BlockBody.column`` call per column per block: a scan
+        that takes every row of a cold block builds them in one go."""
+        from repro.core.codec import BlockBody
+        from repro.core.readcache import ReadCache
+
+        calls = []
+        column = BlockBody.column
+        monkeypatch.setattr(BlockBody, "column", lambda body, *args: (
+            calls.append(args[0]) or column(body, *args)))
+        reader, rows = self._reader(disk, ReadCache(1 << 20))
+        for key_range in (KeyRange.all(), KeyRange(min_prefix=(0,))):
+            del calls[:]
+            reader = TabletReader(disk, "t/tab-1.lt",
+                                  cache=ReadCache(1 << 20))
+            assert list(reader.scan(key_range)) == rows
+            assert sorted(calls) == sorted(
+                list(range(len(rows[0]))) * reader.block_count)
 
     def test_a_run_is_never_the_caches_list(self, disk):
         from repro.core.readcache import ReadCache
 
         cache = ReadCache(1 << 20)
         reader, rows = self._reader(disk, cache)
-        for run_rows, _keys in reader.scan_runs(KeyRange.all()):
-            run_rows.clear()
+        for run in reader.scan_runs(KeyRange.all()):
+            run.rows(run.lo, run.hi).clear()
         assert list(reader.scan(KeyRange.all())) == rows
         assert cache.get_block(reader.cache_uid, 0) is not None
 
@@ -296,7 +326,9 @@ class TestScanRuns:
 
     def test_concurrent_scans_of_one_cold_block_agree(self, disk):
         """Eight threads scan overlapping ranges of one cached block
-        while its rows are being built: each gets exactly its rows."""
+        while its rows are being built and, for half of them, its
+        columns decoded whole (which drops the rows again): each gets
+        exactly its rows."""
         import sys
         import threading
 
@@ -324,7 +356,14 @@ class TestScanRuns:
 
                 def scan(slot, key_range, descending, reader=reader):
                     barrier.wait()
-                    found = list(reader.scan(key_range, descending))
+                    if slot % 4 < 2:
+                        found = list(reader.scan(key_range, descending))
+                    else:       # a query page's way: columns, no rows
+                        found = []
+                        for run in reader.scan_runs(key_range, descending,
+                                                    columnar=True):
+                            taken = list(zip(*run.columns(0, run.hi)))
+                            found += taken[::-1] if descending else taken
                     got[slot] = found[::-1] if descending else found
 
                 threads = [threading.Thread(target=scan,

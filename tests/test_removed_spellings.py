@@ -133,10 +133,10 @@ def test_old_spelling_is_a_type_error(old_spelling):
 
 def test_a_cached_block_holds_no_key_tuples():
     """A cache entry is its walked body, the columns decoded from it and
-    rows built as scans take them; keys are bisected in the columns,
-    never cached as tuples."""
+    rows built as scans take them (and the lock its changes take); keys
+    are bisected in the columns, never cached as tuples."""
     assert set(CachedBlock.__slots__) == {"body", "columns", "rows",
-                                          "nbytes"}
+                                          "nbytes", "lock"}
 
 
 SRC = Path(__file__).parent.parent / "src"

@@ -265,13 +265,15 @@ def calls(name):
 
 def test_one_function_each_side_carries_a_result_block():
     """A ``query`` page crosses the wire as one v3 block: the server
-    encodes it in ``_cmd_query`` and the client decodes it in
+    encodes it from the page's columns in ``_cmd_query`` (never from
+    rows) and the client decodes it in
     ``_decode_page``, which the remote table's one page fetch
     (``RemoteTable._page``, under its ``query`` and ``scan``) and
     ``Pipeline.query_page`` call."""
     net = sorted((CORE.parent / "net").glob("*.py"))
-    assert functions_where(calls("encode_rows"), net) == {
+    assert functions_where(calls("encode_columns"), net) == {
         "server.py:_cmd_query"}
+    assert functions_where(calls("encode_rows"), net) == set()
     assert functions_where(calls("decode_block_columns"), net) == {
         "client.py:_decode_page"}
     assert functions_where(calls("_decode_page"), net) == {
@@ -330,21 +332,26 @@ def test_one_function_builds_rows_from_cached_columns():
     assert functions_where(stores_rows) == {"tablet.py:_built_rows"}
 
 
-def test_one_function_sorts_positions_by_key():
+def test_one_function_merges_positions_by_key():
     """The stretch merge - take from every source up to the nearest
-    far end, stable-sort positions - is written once: the read cursor
-    loops over it and the merge executor calls it between block
-    passthroughs, rather than each keeping a copy."""
-    def sorts_positions(node):
+    far end, then gallop over positions: the source whose next key is
+    least gives every row up to another's next key - is written once:
+    the read cursor loops over it and the merge executor calls it
+    between block passthroughs, rather than each keeping a copy.  The
+    one sort of positions by key left in the core is the one a stretch
+    of sources that interleave row by row falls back to
+    (``cursor._Sorted``)."""
+    def picks_the_least_lane(node):
         return (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
-                and node.func.id == "sorted"
+                and node.func.id in ("min", "sorted")
                 and any(keyword.arg == "key"
                         and is_attr(keyword.value, "__getitem__")
                         for keyword in node.keywords))
 
-    assert functions_where(sorts_positions, sorted(CORE.glob("*.py"))) == {
-        "cursor.py:take_stretch"}
+    assert functions_where(picks_the_least_lane,
+                           sorted(CORE.glob("*.py"))) == {
+        "cursor.py:take_stretch", "cursor.py:__init__"}
     merge = ast.parse((CORE / "merge.py").read_text())
     assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                and n.func.id == "take_stretch" for n in ast.walk(merge))
