@@ -77,9 +77,9 @@ def key_at(columns: Sequence[Sequence[Any]], at: int) -> Key:
     return tuple(map(itemgetter(at), columns))
 
 
-#: A galloped piece shorter than this means the sources interleave a few
-#: rows at a time: one sort of positions orders the stretch instead.
-SHORT_PIECE = 8
+#: After this many galloped pieces averaging under two rows, the sources
+#: interleave row by row: one sort of positions orders the stretch.
+SHORT_GALLOP = 4
 
 
 class _Sorted:
@@ -126,8 +126,8 @@ def take_stretch(heads: Sequence[Any], descending: bool = False,
     key order - merged by galloping over positions: the head whose next
     key is least gives every row up to another's next key, found by
     bisecting its key columns (time-split sources interleave a key
-    prefix at a time).  Where that turns up a short piece, the stretch
-    is one :class:`_Sorted` run instead.  Equal keys keep head order.
+    prefix at a time).  Where it turns up piece after piece of a row or
+    two, the stretch is one :class:`_Sorted` run instead.  Equal keys keep head order.
     """
     parts: List[Piece] = []
     keys_of = {id(head.run): head.keys for head in heads}
@@ -160,6 +160,7 @@ def take_stretch(heads: Sequence[Any], descending: bool = False,
     lanes = [[keys_of[key](), pieces, pieces[0][1]]
              for key, pieces in by_run.items()]
     ordered: List[Piece] = []
+    taken = 0
     while len(lanes) > 1:
         firsts = [key_at(keys, at) for keys, _pieces, at in lanes]
         least = min(range(len(firsts)), key=firsts.__getitem__)
@@ -168,11 +169,12 @@ def take_stretch(heads: Sequence[Any], descending: bool = False,
         run, _lo, hi = pieces[0]
         stop = _cut_columns(keys, min(firsts[:least] + firsts[least + 1:]),
                             at, hi, past=True)
-        if stop - at < SHORT_PIECE:     # interleaved a few rows at a time
+        ordered.append((run, at, stop))
+        taken += stop - at
+        if len(ordered) >= SHORT_GALLOP and taken < 2 * len(ordered):
             run = _Sorted(kept, [keys_of[id(run)]() for run, _lo, _hi
                                  in kept])
             return parts, [(run, 0, run.hi)]
-        ordered.append((run, at, stop))
         if stop < hi:
             lane[2] = stop
         elif len(pieces) > 1:

@@ -99,8 +99,8 @@ class TestMergeSorted:
             (old, 20, 30)], [(new, 20, 30)]]
 
     def test_sources_that_interleave_row_by_row_are_sorted(self):
-        """Short pieces: the stretch becomes one run whose rows are its
-        pieces' rows in the order one sort of their positions gives."""
+        """Piece after piece of one row: the stretch becomes one run
+        whose rows are its pieces' in the order one sort gives."""
         evens = run_of([(k, 10) for k in range(0, 40, 2)])
         odds = run_of([(k, 10) for k in range(1, 41, 2)])
         (sorted_run, lo, hi), = stretches([[evens], [odds]])[0]
