@@ -77,33 +77,31 @@ def key_at(columns: Sequence[Sequence[Any]], at: int) -> Key:
     return tuple(map(itemgetter(at), columns))
 
 
-#: After this many galloped pieces averaging under two rows, the sources
-#: interleave row by row: one sort of positions orders the stretch.
-SHORT_GALLOP = 4
+#: After ``SHORT_GALLOP`` galloped pieces averaging under ``SHORT_PIECE``
+#: rows, one sort of positions orders the round instead: a piece costs
+#: the gallop a few microseconds in Python, about what sorting and
+#: gathering eight rows in C does.
+SHORT_GALLOP, SHORT_PIECE = 4, 8
 
 
 class _Sorted:
     """Pieces of several runs that interleave a few rows at a time, as
-    one run: the positions of their concatenation in key order, by one
-    stable sort keyed by key tuples (the per-row merge a gallop would
-    be costs more)."""
+    one run: ``order`` holds the positions of their concatenation in
+    key order (``keys``, a key tuple a row)."""
 
     ts_bounds = None
 
-    def __init__(self, pieces: List[Piece], keys: List[List[Sequence[Any]]]):
-        self.pieces, self.lo = pieces, 0
-        self._keys = [key for (_run, lo, hi), columns in zip(pieces, keys)
-                      for key in zip(*[column[lo:hi] for column in columns])]
-        self.order = sorted(range(len(self._keys)),
-                            key=self._keys.__getitem__)
-        self.hi = len(self.order)
+    def __init__(self, pieces: List[Piece], keys: List[Key],
+                 order: List[int]):
+        self.pieces, self.keys, self.order = pieces, keys, order
+        self.lo, self.hi = 0, len(order)
 
     def _gathered(self, lists: List[List[Any]], lo: int, hi: int):
         at = self.order[lo:hi]
         return [list(map(values.__getitem__, at)) for values in lists]
 
     def key_columns(self, key_indexes: Sequence[int]) -> List[List[Any]]:
-        return self._gathered(list(map(list, zip(*self._keys))), 0, self.hi)
+        return self._gathered(list(map(list, zip(*self.keys))), 0, self.hi)
 
     def rows(self, lo: int, hi: int) -> List[Row]:
         return self._gathered([stretch_rows(self.pieces)], lo, hi)[0]
@@ -123,31 +121,34 @@ def take_stretch(heads: Sequence[Any], descending: bool = False,
     ``[pos, end)`` of it still to take, narrowed here (from the top when
     descending).  Returns ``(parts, kept)``: what each head gave, and
     the pieces of it that ``cut(keys, run, lo, hi)`` keeps, ascending in
-    key order - merged by galloping over positions: the head whose next
-    key is least gives every row up to another's next key, found by
-    bisecting its key columns (time-split sources interleave a key
-    prefix at a time).  Where it turns up piece after piece of a row or
-    two, the stretch is one :class:`_Sorted` run instead.  Equal keys keep head order.
+    key order, equal keys in head order.  What several heads kept is
+    merged as Timsort merges runs: by galloping while the sources give
+    long pieces - the run whose next key is least gives every row up to
+    another's next key, found by bisecting its key columns (time-split
+    sources interleave a key prefix at a time) - and, once
+    ``SHORT_GALLOP`` pieces average under ``SHORT_PIECE`` rows (sources
+    that interleave a row or a few at a time), by one stable sort of
+    positions: a :class:`_Sorted` run.
     """
-    parts: List[Piece] = []
-    keys_of = {id(head.run): head.keys for head in heads}
     if len(heads) == 1:
         head, = heads
-        parts.append((head.run, head.pos, head.end))
+        part = (head.run, head.pos, head.end)
         head.pos = head.end
-    else:
-        edge = (max(key_at(head.keys(), head.pos) for head in heads)
-                if descending else
-                min(key_at(head.keys(), head.end - 1) for head in heads))
-        for head in heads:
-            cut_at = _cut_columns(head.keys(), edge, head.pos, head.end,
-                                  past=not descending)
-            if descending and cut_at < head.end:
-                parts.append((head.run, cut_at, head.end))
-                head.end = cut_at
-            elif not descending and cut_at > head.pos:
-                parts.append((head.run, head.pos, cut_at))
-                head.pos = cut_at
+        return [part], [part] if cut is None else cut(head.keys, *part)
+    edge = (max(key_at(head.keys(), head.pos) for head in heads)
+            if descending else
+            min(key_at(head.keys(), head.end - 1) for head in heads))
+    parts: List[Piece] = []
+    for head in heads:
+        cut_at = _cut_columns(head.keys(), edge, head.pos, head.end,
+                              past=not descending)
+        if descending and cut_at < head.end:
+            parts.append((head.run, cut_at, head.end))
+            head.end = cut_at
+        elif not descending and cut_at > head.pos:
+            parts.append((head.run, head.pos, cut_at))
+            head.pos = cut_at
+    keys_of = {id(head.run): head.keys for head in heads}
     kept = parts if cut is None else [
         piece for run, lo, hi in parts
         for piece in cut(keys_of[id(run)], run, lo, hi)]
@@ -171,9 +172,12 @@ def take_stretch(heads: Sequence[Any], descending: bool = False,
                             at, hi, past=True)
         ordered.append((run, at, stop))
         taken += stop - at
-        if len(ordered) >= SHORT_GALLOP and taken < 2 * len(ordered):
-            run = _Sorted(kept, [keys_of[id(run)]() for run, _lo, _hi
-                                 in kept])
+        if (len(ordered) >= SHORT_GALLOP
+                and taken < SHORT_PIECE * len(ordered)):
+            keys = [key for run, lo, hi in kept for key in zip(
+                *[column[lo:hi] for column in keys_of[id(run)]()])]
+            run = _Sorted(kept, keys,
+                          sorted(range(len(keys)), key=keys.__getitem__))
             return parts, [(run, 0, run.hi)]
         if stop < hi:
             lane[2] = stop
@@ -310,18 +314,21 @@ def _built(pieces: List[Piece], descending: bool, take) -> List[List[Any]]:
     """The lists ``take(run, lo, hi)`` gives (rows, or columns) for the
     pieces, joined in result order; a run is asked once, for the rows
     its pieces span (a cold block builds them in one go)."""
-    spans = {}      # a run's pieces ascend: its first starts the span
-    for run, lo, hi in pieces:
-        spans[id(run)] = (run, spans.get(id(run), (run, lo))[1], hi)
-    taken = {key: (take(run, lo, hi), lo)
-             for key, (run, lo, hi) in spans.items()}
-    if len(taken) == 1 < len(pieces):   # one run's pieces: gather in C
-        (got, base), = taken.values()
+    run, base, _hi = pieces[0]
+    if all(piece[0] is run for piece in pieces):    # gather in C
+        got = take(run, base, pieces[-1][2])
+        if len(pieces) == 1:
+            return [part[::-1] for part in got] if descending else got
         at = list(chain.from_iterable(
             range(lo - base, hi - base) for _run, lo, hi in pieces))
         if descending:
             at.reverse()
         return [list(map(part.__getitem__, at)) for part in got]
+    spans = {}      # a run's pieces ascend: its first starts the span
+    for run, lo, hi in pieces:
+        spans[id(run)] = (run, spans.get(id(run), (run, lo))[1], hi)
+    taken = {key: (take(run, lo, hi), lo)
+             for key, (run, lo, hi) in spans.items()}
     built: List[List[Any]] = []
     for run, lo, hi in reversed(pieces) if descending else pieces:
         got, base = taken[id(run)]
@@ -344,7 +351,10 @@ class Page:
     """A query page: the stretches the cursor cut, built as rows or as
     ``width`` columns only when asked for.  The pieces hold what they
     were cut from (a cached block's entry, a memtable chunk's rows), so
-    a page is built after its read plan is released, touching no file."""
+    a page is built after its read plan is released, touching no file.
+    Its rows are the ones a scan takes - the cache's own tuples - so a
+    caller that keeps every row (a digest through the router) keeps no
+    second copy of them."""
 
     def __init__(self, stretches: Iterable[List[Piece]], descending: bool,
                  width: int):
@@ -363,8 +373,9 @@ class Page:
         self.stretches = kept
 
     def rows(self) -> List[Row]:
-        return [row for pieces in self.stretches
-                for row in stretch_rows(pieces, self.descending)]
+        return list(chain.from_iterable(
+            stretch_rows(pieces, self.descending)
+            for pieces in self.stretches))
 
     def columns(self) -> List[List[Any]]:
         columns: List[List[Any]] = [[] for _ in range(self.width)]

@@ -69,13 +69,16 @@ class CachedBlock:
     column an aggregate or a query page reads.  ``rows`` starts as
     Nones; a scan fills the stretch it takes with row tuples
     (``TabletReader._built_rows``), decoding the other columns for that
-    stretch alone.  A value is held in one decoded form: once every
-    row exists, ``body`` and the columns are dropped; once every column
-    does, ``body`` and the rows are.  Those changes, and every build or
-    decode into the entry, happen under ``lock``; a reader that finds
-    what it wants takes none.  No key tuples are kept.  ``nbytes`` is
-    the budget's charge, fixed at admission: the raw length plus
-    ``ROW_OVERHEAD_BYTES`` a row.
+    stretch alone.  Once every column is decoded from the body, the
+    body and the rows built so far are dropped; once every row exists,
+    ``body`` and the columns are, and a column asked for later is taken
+    from the rows, which stay.  An entry never goes back to a form it
+    has left, so a block that scans and pages both read is decoded
+    once.  Those changes, and every build or decode into the entry,
+    happen under ``lock``; a reader that finds what it wants takes
+    none.  No key tuples are kept.  ``nbytes`` is the budget's charge,
+    fixed at admission: the raw length plus ``ROW_OVERHEAD_BYTES`` a
+    row.
     """
 
     __slots__ = ("body", "columns", "rows", "nbytes", "lock")

@@ -700,9 +700,12 @@ class TabletReader:
     def _decode_whole(self, entry: CachedBlock, indexes: Sequence[int]
                       ) -> List[Optional[List[Any]]]:
         """Decode columns ``indexes`` of a cached block whole and keep
-        them (from its rows once the body is gone); returns the entry's
-        columns.  Once every column is kept they are its one decoded
-        form: the body and the rows go."""
+        them; returns the entry's columns.  Once every column is decoded
+        from the body, the body and the rows built so far go (a scan
+        rebuilds them from the columns without a decode).  Once the body
+        is gone because every row is built, the columns are taken from
+        the rows and the rows stay: an entry never goes back to a form
+        it has left, so no block is decoded again."""
         with entry.lock:
             columns = entry.columns
             missing = [i for i in indexes if columns[i] is None]
@@ -714,9 +717,9 @@ class TabletReader:
                 else:
                     self._schema_codec.decode_columns(body, columns,
                                                       missing, 0, body.count)
-                if None not in columns:
-                    entry.body = None
-                    entry.rows = [None] * len(entry.rows)
+                    if None not in columns:
+                        entry.body = None
+                        entry.rows = [None] * len(entry.rows)
             return list(columns)
 
     def _key_columns(self, entry: CachedBlock, width: int

@@ -53,7 +53,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from ..core.codec import compiled_ops
 from ..core.config import EngineConfig
 from ..core.database import LittleTable
 from ..core.errors import (LittleTableError, ShardDegradedError,
@@ -154,12 +153,12 @@ def merge_sorted_runs(runs: Sequence[Sequence[Tuple[Any, ...]]],
                       descending: bool = False) -> List[Tuple[Any, ...]]:
     """Merge per-shard sorted runs into one ordered list.
 
-    Plain tuple comparison on the schema's key tuples - the same
-    ordering a tablet's block index is bisected with.  The
-    runs are concatenated and sorted: Timsort finds each presorted run
-    and merges them in C, which beats popping a Python heap per row.
-    Keys are globally unique (each full key routes to exactly one
-    shard), so ties cannot occur between runs.
+    Plain comparison of what ``key`` gives each row.  The runs are
+    concatenated and sorted: Timsort finds each presorted run and
+    merges them in C, which beats popping a Python heap per row.  The
+    sort is stable, so ``key`` may be a key's first value: that value
+    routes every key holding it to one shard, and ties cannot occur
+    between runs.
     """
     merged = [row for run in runs for row in run]
     merged.sort(key=key, reverse=descending)
@@ -274,9 +273,12 @@ class ShardedTable:
     def _merge_results(self, query: Query,
                        results: List[QueryResult]) -> QueryResult:
         """Scatter-gather merge preserving the §3.5 continuation
-        contract across shard boundaries."""
+        contract across shard boundaries.  A key's first value places
+        it (:func:`shard_of`), so rows with equal first values share a
+        shard and a page, in key order: the pages merge by first value
+        alone, and no key tuple is built."""
         descending = query.direction == DESCENDING
-        key_of = compiled_ops(self.schema).key_of
+        key_of = operator.itemgetter(self.schema.key_indexes[0])
         stats = QueryStats()
         for result in results:
             stats.rows_scanned += result.stats.rows_scanned

@@ -327,8 +327,7 @@ class TestScanRuns:
     def test_concurrent_scans_of_one_cold_block_agree(self, disk):
         """Eight threads scan overlapping ranges of one cached block
         while its rows are being built and, for half of them, its
-        columns decoded whole (which drops the rows again): each gets
-        exactly its rows."""
+        columns decoded whole: each gets exactly its rows."""
         import sys
         import threading
 
@@ -377,6 +376,45 @@ class TestScanRuns:
                 assert got == expected
         finally:
             sys.setswitchinterval(interval)
+
+
+    def test_an_entry_never_goes_back_to_a_form_it_left(self, disk):
+        """Once a scan has built every row (and the body and columns
+        went), a query page takes its columns from the rows and the
+        rows stay; a page over an entry no scan has read decodes the
+        columns from the body, and a scan then building every row from
+        them drops the columns.  No value is decoded twice."""
+        from repro.core.readcache import ReadCache
+
+        rows = make_rows(networks=4, devices=10, samples=25)
+        write_tablet(disk, rows, block_size=1 << 20)
+        metrics = MetricsRegistry()
+        cache = ReadCache(1 << 24)
+        reader = TabletReader(disk, "t/tab-1.lt", metrics, cache=cache)
+        built = metrics.counter("readcache.rows_built")
+        decoded = metrics.counter("codec.rows_decoded")
+        assert list(reader.scan(KeyRange.all())) == rows
+        entry = cache.get_block(reader.cache_uid, 0)
+        assert entry.body is None and all(entry.rows)
+        assert decoded.value == len(rows)
+        for key_range in (KeyRange.prefix((1,)), KeyRange.prefix((2, 3))):
+            run, = reader.scan_runs(key_range, columnar=True)
+            expected = [r for r in rows if key_range.contains(r[:3])]
+            assert list(zip(*run.columns(0, run.hi))) == expected
+            assert all(entry.rows) and None not in entry.columns
+        assert list(reader.scan(KeyRange.all())) == rows
+        assert built.value == decoded.value == len(rows)
+
+        reader = TabletReader(disk, "t/tab-1.lt", metrics,
+                              cache=ReadCache(1 << 24))
+        run, = reader.scan_runs(KeyRange.prefix((3,)), columnar=True)
+        assert list(zip(*run.columns(0, run.hi))) == [
+            r for r in rows if r[0] == 3]
+        entry = reader._cache.get_block(reader.cache_uid, 0)
+        assert entry.body is None and not any(entry.rows)
+        assert list(reader.scan(KeyRange.all())) == rows
+        assert all(entry.rows) and entry.columns == [None] * len(rows[0])
+        assert decoded.value == 2 * len(rows)
 
 
 class TestProbeKey:

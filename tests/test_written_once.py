@@ -332,26 +332,21 @@ def test_one_function_builds_rows_from_cached_columns():
     assert functions_where(stores_rows) == {"tablet.py:_built_rows"}
 
 
-def test_one_function_merges_positions_by_key():
+def test_one_function_sorts_positions_by_key():
     """The stretch merge - take from every source up to the nearest
-    far end, then gallop over positions: the source whose next key is
-    least gives every row up to another's next key - is written once:
-    the read cursor loops over it and the merge executor calls it
-    between block passthroughs, rather than each keeping a copy.  The
-    one sort of positions by key left in the core is the one a stretch
-    of sources that interleave row by row falls back to
-    (``cursor._Sorted``)."""
-    def picks_the_least_lane(node):
+    far end, stable-sort positions - is written once: the read cursor
+    loops over it and the merge executor calls it between block
+    passthroughs, rather than each keeping a copy."""
+    def sorts_positions(node):
         return (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
-                and node.func.id in ("min", "sorted")
+                and node.func.id == "sorted"
                 and any(keyword.arg == "key"
                         and is_attr(keyword.value, "__getitem__")
                         for keyword in node.keywords))
 
-    assert functions_where(picks_the_least_lane,
-                           sorted(CORE.glob("*.py"))) == {
-        "cursor.py:take_stretch", "cursor.py:__init__"}
+    assert functions_where(sorts_positions, sorted(CORE.glob("*.py"))) == {
+        "cursor.py:take_stretch"}
     merge = ast.parse((CORE / "merge.py").read_text())
     assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                and n.func.id == "take_stretch" for n in ast.walk(merge))
